@@ -3,7 +3,8 @@ the verification suite, parameter scans, effective mass, and the binding
 expansion.
 
 Exit status: 0 when no check failed (skips allowed), 1 when at least one
-check failed, 2 on usage or configuration errors, 3 on internal errors.
+check failed, 2 on usage or configuration errors, 3 on internal errors,
+including a verification check that raised.
 
 Output is deterministic: the same argv produces byte-identical bytes (no
 timestamps), and numeric tables carry full-precision values (17 significant
@@ -506,10 +507,17 @@ def _resolution(cfg: RunConfig) -> Resolution:
     )
 
 
+def _suite_status(suites) -> int:
+    """3 when a check raised, 1 when a check failed, 0 otherwise."""
+    if any(r.errored for reports in suites for r in reports):
+        return 3
+    return 0 if all(suite_passed(reports) for reports in suites) else 1
+
+
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
     reports = run_suite(params, _resolution(cfg), selection=cfg.selection)
-    status = 0 if suite_passed(reports) else 1
+    status = _suite_status([reports])
     if cfg.format == "csv":
         text = "\n".join(_echo_lines(cfg)) + "\n" + suite_to_csv(reports)
     else:
@@ -526,7 +534,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, int]:
         point = replace(cfg, **{field: float(v)})
         params = make_params(point.e, point.Z, m=point.m, kappa=point.kappa, lam=point.lam)
         table.append((float(v), run_suite(params, res, selection=cfg.selection)))
-    status = 0 if all(suite_passed(reports) for _, reports in table) else 1
+    status = _suite_status([reports for _, reports in table])
     ids = [r.id for r in table[0][1]]
     if cfg.format == "json":
         rows = [

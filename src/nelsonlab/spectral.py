@@ -7,8 +7,9 @@ Lanczos with full reorthogonalization, and checks the commutator and
 soft-mode decomposition identities as exact matrix statements.
 
 Conventions.  A state vector has shape (n^3 * D,) with the Fock index
-fastest; internally it is viewed as (n, n, n, D).  The dressed-model
-coupling attaches to mode j the real 3-vector
+fastest; internally it is viewed as (X, D) = (n^3, D), and as
+(n, n, n, D) for the FFTs.  The dressed-model coupling attaches to mode j
+the real 3-vector
     g_j = sqrt(w_j) * k_j * beta(k_j) / sqrt(2 w_j_disp)
 with beta(k) = (|k| + rho2tau*|k|^2/2)^{-1}, and the three field
 components are A_l = sum_j g_{jl} * phase_j(x) (x) a_j with
@@ -17,6 +18,20 @@ carries e*rho^tau and the quadratic term e^2 rho^{2 tau}; the attractive
 coefficient is alphaZ rho^{-tau}.  With the frame grid (L' = rho^tau L)
 and frame modes (scale_modes) the assembled matrix equals
 rho^{-2 tau} times the base-frame matrix, exactly.
+
+The field coupling has one kernel: ``components(u)`` gives the (3, X, D)
+stack A_l u, and ``contract(V)`` gives sum_l A_l V_l by forming
+sum_l g_{jl} V_l first, one ladder application per mode; both have
+adjoints.  The vector-coupled matvec is
+    H u = F^-1[ (|q|^2/2) F u + c sum_l q_l F(A_l u) ] + (U + H_f) u
+          + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
+    V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
+with c the linear coefficient and U the external potential (gross
+variant only), so one forward FFT of u feeds the kinetic
+term and the three p_l u: eight FFTs per matvec (1 + 3 forward, 1 + 3
+inverse).  The fiber is the same kernel on one point, with phase 1 and
+p_l the diagonal -P_f,l (no FFT); the scalar Nelson coupling is the same
+kernel with one component, couplings c_j and phase Z + e^{i k_j . x}.
 """
 
 from __future__ import annotations
@@ -26,7 +41,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -147,7 +161,10 @@ class AssembledModel:
     """One Hamiltonian variant realized as a structured matvec.
 
     The coupling record (g, beta0) and the phase table are kept so the
-    identity checks can rebuild individual interaction pieces.
+    identity checks can rebuild individual interaction pieces.  States are
+    handled as (X, D) arrays, X particle points (1 on the fiber) by D Fock
+    states; the momentum symbols act in the representation reached by
+    ``_fft`` (the identity on the fiber, where p_l is the diagonal -P_f,l).
     """
 
     variant: str
@@ -161,166 +178,125 @@ class AssembledModel:
     beta0: np.ndarray  # (M,) dressing profile at the mode points
     lin_coef: float  # e * rho^tau
     quad_coef: float  # e^2 rho^(2 tau) / 2
-    _shape4: tuple = field(repr=False, default=None)
-    _kin: np.ndarray = field(repr=False, default=None)  # kinetic symbol mesh
-    _freq_mesh: list = field(repr=False, default=None)  # broadcastable p_l symbols
-    _pot: np.ndarray = field(repr=False, default=None)  # particle potential mesh
+    _shape: tuple = field(repr=False, default=None)  # (X, D)
+    _shape4: tuple = field(repr=False, default=None)  # (n, n, n, D); None on the fiber
+    _kin: np.ndarray = field(repr=False, default=None)  # kinetic symbol
+    _psym: np.ndarray = field(repr=False, default=None)  # (3, ...) p_l symbols
+    _pot: np.ndarray = field(repr=False, default=None)  # (X, 1) particle potential
     _hf: np.ndarray = field(repr=False, default=None)  # (D,) field energy
-    _phase: np.ndarray = field(repr=False, default=None)  # (M, n^3) e^{i r(tau) k.x}
+    _phase: np.ndarray = field(repr=False, default=None)  # (M, X) kernel phases; None = 1
+    _coupling: np.ndarray = field(repr=False, default=None)  # (M, C) kernel couplings
     _a_ops: list = field(repr=False, default=None)  # per-mode (a, adag) CSR
-    _nelson_c: np.ndarray = field(repr=False, default=None)  # (M,) scalar couplings
-    _pf: np.ndarray = field(repr=False, default=None)  # (D, 3) fiber field momentum
     _atomic: AtomicState | None = field(repr=False, default=None)
 
-    # -- particle-sector helpers -------------------------------------------
+    def _to2(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(v, dtype=complex).reshape(self._shape)
 
-    def _to4(self, v: np.ndarray) -> np.ndarray:
-        return v.reshape(self._shape4)
+    def _fft(self, u: np.ndarray) -> np.ndarray:
+        if self._shape4 is None:
+            return u
+        return np.fft.fftn(u.reshape(self._shape4), axes=(0, 1, 2)).reshape(self._shape)
 
-    def _momentum(self, u4: np.ndarray, ell: int) -> np.ndarray:
-        """Apply the spectral momentum component p_ell."""
-        spec = np.fft.fftn(u4, axes=(0, 1, 2))
-        spec *= self._freq_mesh[ell]
-        return np.fft.ifftn(spec, axes=(0, 1, 2))
+    def _ifft(self, s: np.ndarray) -> np.ndarray:
+        if self._shape4 is None:
+            return s
+        return np.fft.ifftn(s.reshape(self._shape4), axes=(0, 1, 2)).reshape(self._shape)
 
-    # -- field-sector helpers ----------------------------------------------
+    # -- the field-coupling kernel -------------------------------------------
 
-    def _fock(self, u4: np.ndarray, op) -> np.ndarray:
-        flat = u4.reshape(-1, self.basis.dim)
-        return (op @ flat.T).T.reshape(self._shape4)
+    def _fock(self, u: np.ndarray, op) -> np.ndarray:
+        return (op @ u.T).T
 
     def apply_a(self, v: np.ndarray, j: int) -> np.ndarray:
-        return self._fock(self._to4(np.asarray(v, dtype=complex)), self._a_ops[j][0]).ravel()
+        return self._fock(self._to2(v), self._a_ops[j][0]).ravel()
 
     def apply_adag(self, v: np.ndarray, j: int) -> np.ndarray:
-        return self._fock(self._to4(np.asarray(v, dtype=complex)), self._a_ops[j][1]).ravel()
+        return self._fock(self._to2(v), self._a_ops[j][1]).ravel()
 
-    def _apply_A(self, u4: np.ndarray) -> list[np.ndarray]:
-        """The three components A_l u, sharing the per-mode contractions."""
-        out = [np.zeros(self._shape4, dtype=complex) for _ in range(3)]
-        for j in range(self.modes.count):
-            uj = self._fock(u4, self._a_ops[j][0])
-            uj *= self._phase[j].reshape(self._shape4[:3] + (1,))
-            for ell in range(3):
-                gj = self.g[j, ell]
-                if gj != 0.0:
-                    out[ell] += gj * uj
+    def _ladder(self, u: np.ndarray, j: int, adjoint: bool) -> np.ndarray:
+        """phase_j a_j u, or its adjoint adag_j conj(phase_j) u."""
+        ph = None if self._phase is None else self._phase[j][:, None]
+        if adjoint:
+            return self._fock(u if ph is None else u * ph.conj(), self._a_ops[j][1])
+        out = self._fock(u, self._a_ops[j][0])
+        if ph is not None:
+            out *= ph
         return out
 
-    def _apply_Astar(self, u4: np.ndarray) -> list[np.ndarray]:
-        out = [np.zeros(self._shape4, dtype=complex) for _ in range(3)]
-        for j in range(self.modes.count):
-            uj = u4 * np.conj(self._phase[j]).reshape(self._shape4[:3] + (1,))
-            uj = self._fock(uj, self._a_ops[j][1])
-            for ell in range(3):
-                gj = self.g[j, ell]
-                if gj != 0.0:
-                    out[ell] += gj * uj
-        return out
+    def components(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """A_l u for every component l, shape (C, X, D); A*_l u when adjoint.
 
-    def apply_D(self, v: np.ndarray, ell: int) -> np.ndarray:
-        """Velocity component D_l = p_l + (linear coefficient)(A_l + A*_l).
-
-        This is i[H, x_l]; the field part is present only for the
-        variants with vector coupling (scalar coupling commutes with x).
+        A_l = sum_j coupling_jl phase_j a_j, one ladder application per mode.
         """
-        if self.variant == "fiber":
-            raise ParameterError("the fiber variant has no position variable")
-        u4 = self._to4(np.asarray(v, dtype=complex))
-        out = self._momentum(u4, ell)
-        if self.lin_coef != 0.0 and self.variant in ("gross", "v0"):
-            out += self.lin_coef * (self._apply_A(u4)[ell] + self._apply_Astar(u4)[ell])
+        out = np.zeros((self._coupling.shape[1],) + u.shape, dtype=complex)
+        for j, gj in enumerate(self._coupling):
+            uj = self._ladder(u, j, adjoint)
+            for ell in np.flatnonzero(gj):
+                out[ell] += gj[ell] * uj
+        return out
+
+    def contract(self, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """sum_l A_l V_l for V of shape (C, X, D); sum_l A*_l V_l when adjoint.
+
+        Forms sum_l coupling_jl V_l first, so each mode costs one ladder
+        application.
+        """
+        out = np.zeros(V.shape[1:], dtype=complex)
+        for j, gj in enumerate(self._coupling):
+            out += self._ladder(np.tensordot(gj, V, axes=1), j, adjoint)
+        return out
+
+    def _vector_coupled(self) -> bool:
+        return self.lin_coef != 0.0 and self.variant != "nelson"
+
+    def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
+        """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
+
+        This is i[H, d . x] (on the fiber, d . dH/dP at P = 0); the field
+        part is present only for the variants with vector coupling (scalar
+        coupling commutes with x).
+        """
+        d = np.asarray(direction, dtype=float)
+        u = self._to2(v)
+        out = self._ifft(np.tensordot(d, self._psym, axes=1) * self._fft(u))
+        if self._vector_coupled():
+            du = d[:, None, None] * u
+            out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
         return out.ravel()
 
     # -- the Hamiltonian ----------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.variant == "fiber":
-            return self._matvec_fiber(np.asarray(v, dtype=complex))
-        u4 = self._to4(np.asarray(v, dtype=complex))
-        # kinetic + potential + field energy
-        spec = np.fft.fftn(u4, axes=(0, 1, 2))
-        spec *= self._kin[..., None]
-        out = np.fft.ifftn(spec, axes=(0, 1, 2))
+        u = self._to2(v)
+        c, q = self.lin_coef, self.quad_coef
+        spec = self._fft(u)
+        out = self._kin * spec
+        if self._vector_coupled():
+            Au = self.components(u)
+            # kinetic and p.A share the inverse transform
+            for p, Al in zip(self._psym, Au):
+                out += (c * p) * self._fft(Al)
+        out = self._ifft(out)
+        out += self._hf * u
         if self._pot is not None:
-            out += self._pot[..., None] * u4
-        out += self._hf * u4
-
-        if self.lin_coef != 0.0 and self.variant in ("gross", "v0"):
-            Au = self._apply_A(u4)
-            # p.A + A*.p applied as written
-            for ell in range(3):
-                out += self.lin_coef * self._momentum(Au[ell], ell)
-            pu = [self._momentum(u4, ell) for ell in range(3)]
-            for ell in range(3):
-                st = self._apply_Astar(pu[ell])[ell]
-                out += self.lin_coef * st
-            if self.quad_coef != 0.0:
-                Asu = self._apply_Astar(u4)
-                for ell in range(3):
-                    out += self.quad_coef * self._apply_A(Au[ell])[ell]
-                    out += 2.0 * self.quad_coef * self._apply_Astar(Au[ell])[ell]
-                    out += self.quad_coef * self._apply_Astar(Asu[ell])[ell]
-        elif self.lin_coef != 0.0 and self.variant == "nelson":
-            for j in range(self.modes.count):
-                cj = self._nelson_c[j]
-                ph = self._phase[j].reshape(self._shape4[:3] + (1,))
-                zsrc = self.params.Z + ph  # nucleus at the origin plus the particle
-                out += self.lin_coef * cj * self._fock(zsrc * u4, self._a_ops[j][0])
-                out += self.lin_coef * cj * np.conj(zsrc) * self._fock(
-                    u4, self._a_ops[j][1]
-                )
+            out += self._pot * u
+        if self._vector_coupled():
+            # everything A* acts on, V = c p u + q (2 A u + A* u), in one contraction
+            V = self.components(u, adjoint=True)
+            V *= q
+            for ell, p in enumerate(self._psym):
+                V[ell] += self._ifft((c * p) * spec)
+                V[ell] += (2.0 * q) * Au[ell]
+            del spec  # dropped before the contractions to keep the peak memory down
+            out += q * self.contract(Au)
+            del Au
+            out += self.contract(V, adjoint=True)
+        elif self.lin_coef != 0.0:
+            # Nelson: c (B + B*), B = sum_j c_j (Z + e^{i k_j.x}) a_j
+            cu = c * u[None]
+            out += self.contract(cu)
+            out += self.contract(cu, adjoint=True)
         return out.ravel()
-
-    def _matvec_fiber(self, v: np.ndarray) -> np.ndarray:
-        # 1/2 (P - P_f)^2 + H_f with P = 0, plus the interaction built from
-        # the phase-free triplet A0_l = sum_j g_{jl} a_j.
-        w = (0.5 * np.sum(self._pf**2, axis=1) + self._hf.ravel()) * v
-        if self.lin_coef != 0.0:
-            a_parts = []
-            for ell in range(3):
-                acc = np.zeros(self.basis.dim, dtype=complex)
-                for j in range(self.modes.count):
-                    gj = self.g[j, ell]
-                    if gj != 0.0:
-                        acc += gj * (self._a_ops[j][0] @ v)
-                a_parts.append(acc)
-            for ell in range(3):
-                # (P - P_f)_l A0_l + A0*_l (P - P_f)_l at P = 0
-                w += self.lin_coef * (-self._pf[:, ell]) * a_parts[ell]
-                tail = -self._pf[:, ell] * v
-                for j in range(self.modes.count):
-                    gj = self.g[j, ell]
-                    if gj != 0.0:
-                        w += self.lin_coef * gj * (self._a_ops[j][1] @ tail)
-            if self.quad_coef != 0.0:
-                astar_parts = []
-                for ell in range(3):
-                    acc = np.zeros(self.basis.dim, dtype=complex)
-                    for j in range(self.modes.count):
-                        gj = self.g[j, ell]
-                        if gj != 0.0:
-                            acc += gj * (self._a_ops[j][1] @ v)
-                    astar_parts.append(acc)
-                for ell in range(3):
-                    for j in range(self.modes.count):
-                        gj = self.g[j, ell]
-                        if gj == 0.0:
-                            continue
-                        w += self.quad_coef * gj * (self._a_ops[j][0] @ a_parts[ell])
-                        w += (
-                            2.0
-                            * self.quad_coef
-                            * gj
-                            * (self._a_ops[j][1] @ a_parts[ell])
-                        )
-                        w += self.quad_coef * gj * (
-                            self._a_ops[j][1] @ astar_parts[ell]
-                        )
-        return w
-
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator((self.dim, self.dim), matvec=self.matvec, dtype=complex)
 
     def atomic_reference(self) -> AtomicState:
         """Discrete atomic ground state in this model's frame (cached)."""
@@ -389,62 +365,11 @@ def assemble(
     beta0 = 1.0 / (omega + 0.5 * rho2tau * omega**2)
     sqw = np.sqrt(modes.w)
     g = sqw[:, None] * k * (beta0 / np.sqrt(2.0 * omega))[:, None]
-    nelson_c = sqw / np.sqrt(2.0 * omega)
 
     lin_coef = params.e * rho_tau
     quad_coef = 0.5 * params.e**2 * rho2tau
 
-    # field energy on the occupation basis
-    hf_diag = basis.occupations @ omega
-
-    a_ops = [ladder_ops(basis, j)[:2] for j in range(basis.mode_count)]
-
-    if variant == "fiber":
-        pf = basis.occupations @ k  # (D, 3)
-        return AssembledModel(
-            variant=variant,
-            params=params,
-            frame=frame,
-            grid=None,
-            modes=modes,
-            basis=basis,
-            dim=dim,
-            g=g,
-            beta0=beta0,
-            lin_coef=lin_coef,
-            quad_coef=quad_coef,
-            _shape4=(basis.dim,),
-            _hf=hf_diag,
-            _a_ops=a_ops,
-            _pf=pf,
-        )
-
-    shape4 = (grid.n, grid.n, grid.n, basis.dim)
-    kin = 0.5 * grid.laplacian_symbol
-    q = grid.freqs
-    freq_mesh = [
-        q[:, None, None, None],
-        q[None, :, None, None],
-        q[None, None, :, None],
-    ]
-
-    pot = None
-    if variant == "gross":
-        strength = coulomb_coefficient(params, frame)
-        pot = -strength / np.maximum(grid.radius, grid.h / 2.0)
-    # v0 and nelson carry no external potential
-
-    x = grid.axis
-    phase = np.empty((modes.count, grid.point_count), dtype=complex)
-    for j in range(modes.count):
-        kj = rho_tau * k[j]
-        phase[j] = (
-            np.exp(1j * kj[0] * x)[:, None, None]
-            * np.exp(1j * kj[1] * x)[None, :, None]
-            * np.exp(1j * kj[2] * x)[None, None, :]
-        ).ravel()
-
-    model = AssembledModel(
+    common = dict(
         variant=variant,
         params=params,
         frame=frame,
@@ -456,14 +381,54 @@ def assemble(
         beta0=beta0,
         lin_coef=lin_coef,
         quad_coef=quad_coef,
-        _shape4=shape4,
-        _kin=kin,
-        _freq_mesh=freq_mesh,
+        _hf=basis.occupations @ omega,  # field energy on the occupation basis
+        _a_ops=[ladder_ops(basis, j)[:2] for j in range(basis.mode_count)],
+    )
+
+    if variant == "fiber":
+        # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
+        pf = basis.occupations @ k  # (D, 3)
+        return AssembledModel(
+            **common,
+            _shape=(1, basis.dim),
+            _kin=0.5 * np.sum(pf**2, axis=1),
+            _psym=-pf.T[:, None, :],
+            _coupling=g,
+        )
+
+    q = grid.freqs
+    psym = np.stack(np.broadcast_arrays(q[:, None, None], q[None, :, None], q[None, None, :]))
+
+    pot = None
+    if variant == "gross":
+        strength = coulomb_coefficient(params, frame)
+        pot = -strength / np.maximum(grid.radius, grid.h / 2.0).reshape(-1, 1)
+    # v0 and nelson carry no external potential
+
+    x = grid.axis
+    phase = np.empty((modes.count, grid.point_count), dtype=complex)
+    for j in range(modes.count):
+        kj = rho_tau * k[j]
+        phase[j] = (
+            np.exp(1j * kj[0] * x)[:, None, None]
+            * np.exp(1j * kj[1] * x)[None, :, None]
+            * np.exp(1j * kj[2] * x)[None, None, :]
+        ).ravel()
+    coupling = g
+    if variant == "nelson":
+        # scalar coupling c_j to the nucleus at the origin plus the particle
+        coupling = (sqw / np.sqrt(2.0 * omega))[:, None]
+        phase = params.Z + phase
+
+    model = AssembledModel(
+        **common,
+        _shape=(grid.point_count, basis.dim),
+        _shape4=(grid.n, grid.n, grid.n, basis.dim),
+        _kin=0.5 * grid.laplacian_symbol.reshape(-1, 1),
+        _psym=psym.reshape(3, -1, 1),
         _pot=pot,
-        _hf=hf_diag,
         _phase=phase,
-        _a_ops=a_ops,
-        _nelson_c=nelson_c,
+        _coupling=coupling,
     )
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
@@ -547,7 +512,7 @@ def pull_through_residual(model: AssembledModel, j: int, iters: int = 30) -> flo
 
     mask = np.repeat(_cap_projector_mask(model.basis)[None, :], model.dim // model.basis.dim, axis=0).ravel()
     omega_j = model.modes.omega[j]
-    phase_conj = np.conj(model._phase[j]).reshape(model._shape4[:3] + (1,))
+    phase = model._phase[j][:, None]
     gj = model.g[j]
 
     def defect(v: np.ndarray) -> np.ndarray:
@@ -556,11 +521,7 @@ def pull_through_residual(model: AssembledModel, j: int, iters: int = 30) -> flo
         lhs = model.apply_a(hv, j) - model.matvec(model.apply_a(v, j))
         # commutator [a_j, H] applied, minus its closed form
         rhs = -omega_j * model.apply_a(v, j)
-        acc = np.zeros_like(v)
-        for ell in range(3):
-            if gj[ell] != 0.0:
-                acc += gj[ell] * model.apply_D(v, ell)
-        rhs = rhs - model.lin_coef * (phase_conj * model._to4(acc)).ravel()
+        rhs = rhs - model.lin_coef * (np.conj(phase) * model._to2(model.apply_D(v, gj))).ravel()
         out = lhs + rhs
         return np.where(mask, out, 0.0)
 
@@ -569,13 +530,7 @@ def pull_through_residual(model: AssembledModel, j: int, iters: int = 30) -> flo
         hv = model.matvec(v)
         lhs = model.matvec(model.apply_adag(v, j)) - model.apply_adag(hv, j)
         rhs = -omega_j * model.apply_adag(v, j)
-        w4 = model._to4(np.asarray(v, dtype=complex)) * np.conj(phase_conj)
-        wflat = w4.ravel()
-        acc = np.zeros_like(v)
-        for ell in range(3):
-            if gj[ell] != 0.0:
-                acc += gj[ell] * model.apply_D(wflat, ell)
-        rhs = rhs - model.lin_coef * acc
+        rhs = rhs - model.lin_coef * model.apply_D((model._to2(v) * phase).ravel(), gj)
         out = lhs + rhs
         return np.where(mask, out, 0.0)
 
@@ -642,14 +597,7 @@ def soft_decomposition_residual(
 
     def phase_mul(v: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         ph = grid.plane_wave(gvec)
-        return (model._to4(v) * ph[..., None]).ravel()
-
-    def apply_kD(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        out = np.zeros(model.dim, dtype=complex)
-        for ell in range(3):
-            if weights[ell] != 0.0:
-                out += weights[ell] * model.apply_D(v, ell)
-        return out
+        return (model._to2(v) * ph.reshape(-1, 1)).ravel()
 
     def g_minus_e(v: np.ndarray) -> np.ndarray:
         return model.matvec(v) - energy * v
@@ -657,7 +605,7 @@ def soft_decomposition_residual(
     ez = np.eye(3)
 
     # ---- step one -------------------------------------------------------
-    i0_psi = -phase_mul(apply_kD(psi, k), k)
+    i0_psi = -phase_mul(model.apply_D(psi, k), k)
 
     kept = np.zeros(model.dim, dtype=complex)
     kept += -0.5 * float(np.sum(k)) * f1 * phase_mul(psi, k)
@@ -673,10 +621,10 @@ def soft_decomposition_residual(
         shifted = phase_mul(psi, -f1 * ez[j])  # the inner phase reduction
         offdiag = k.copy()
         offdiag[j] = 0.0
-        kept += -(k[j] / f1) * phase_mul(apply_kD(shifted, offdiag), z1j)
+        kept += -(k[j] / f1) * phase_mul(model.apply_D(shifted, offdiag), z1j)
         cj = -k[j] * (k[j] + f1) / f1
-        i1_psi += cj * phase_mul(apply_kD(psi, ez[j]), z1j)
-        err1 += cj * phase_mul(apply_kD(shifted - psi, ez[j]), z1j)
+        i1_psi += cj * phase_mul(model.apply_D(psi, ez[j]), z1j)
+        err1 += cj * phase_mul(model.apply_D(shifted - psi, ez[j]), z1j)
     res1 = float(np.linalg.norm(i0_psi - kept - i1_psi - err1))
 
     # ---- step two -------------------------------------------------------
@@ -693,8 +641,8 @@ def soft_decomposition_residual(
         kept2 += -0.5 * (cj / f1) * knorm**2 * phase_mul(lifted, k)
         offdiag = k.copy()
         offdiag[j] = 0.0
-        kept2 += -(cj / f1) * phase_mul(apply_kD(lifted, offdiag), k)
-        i2_psi += -(cj / f1) * k[j] * phase_mul(model.apply_D(lifted, j), k)
+        kept2 += -(cj / f1) * phase_mul(model.apply_D(lifted, offdiag), k)
+        i2_psi += -(cj / f1) * k[j] * phase_mul(model.apply_D(lifted, ez[j]), k)
     res2 = float(np.linalg.norm(i1_psi - kept2 - i2_psi))
 
     return {"res1": res1, "res2": res2}
@@ -733,19 +681,10 @@ def effective_mass_numeric(
     psi0 = ground.vector
     e0 = ground.energy
 
-    def w_apply(v: np.ndarray, ell: int) -> np.ndarray:
-        out = model._pf[:, ell] * v
-        acc = np.zeros(model.basis.dim, dtype=complex)
-        for j in range(model.modes.count):
-            gj = model.g[j, ell]
-            if gj != 0.0:
-                acc += gj * (model._a_ops[j][0] @ v)
-                acc += gj * (model._a_ops[j][1] @ v)
-        return out - model.lin_coef * acc
-
+    ez = np.eye(3)
     total = 0.0
     for ell in range(3):
-        b = w_apply(psi0, ell)
+        b = model.apply_D(psi0, ez[ell])
         grad = np.vdot(psi0, b)
         if abs(grad) > 1e-8:
             raise DomainError(

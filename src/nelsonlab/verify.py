@@ -107,7 +107,8 @@ class Resolution:
 class BoundReport:
     """One verified inequality: lhs <= rhs with slack = rhs - lhs.
 
-    ``status`` is "pass", "fail", or "skipped(<reason>)"; pass means
+    ``status`` is "pass", "fail", "skipped(<reason>)", or
+    "error(<Type>: <msg>)" when the check raised; pass means
     slack >= -1e-10 * max(1, |rhs|).  ``anchor`` names the mathematical
     statement being checked in plain words.
     """
@@ -128,6 +129,10 @@ class BoundReport:
     @property
     def skipped(self) -> bool:
         return self.status.startswith("skipped")
+
+    @property
+    def errored(self) -> bool:
+        return self.status.startswith("error")
 
     def to_dict(self) -> dict:
         return {
@@ -624,7 +629,7 @@ def run_suite(
 
     ``selection`` filters by id prefix (e.g. ["energy", "photons.hard"]).
     Individual check failures and errors never abort the suite: an exception
-    inside one check is reported as skipped(error: ...) and the rest proceed.
+    inside one check is reported as error(<Type>: <msg>) and the rest proceed.
     """
     res = resolution if resolution is not None else Resolution()
     if isinstance(selection, str):
@@ -636,12 +641,15 @@ def run_suite(
             continue
         try:
             reports.append(fn(ctx))
-        except Exception as exc:  # pragma: no cover - defensive fence
+        except Exception as exc:  # noqa: BLE001 - one check's fault must not end the suite
             reports.append(
-                _skipped(
+                BoundReport(
                     check_id,
                     "",
-                    f"error: {type(exc).__name__}: {exc}",
+                    None,
+                    None,
+                    None,
+                    f"error({type(exc).__name__}: {exc})",
                     ctx.base_params(),
                 )
             )
@@ -649,8 +657,8 @@ def run_suite(
 
 
 def suite_passed(reports) -> bool:
-    """True when no report failed (skips are allowed)."""
-    return all(r.status != "fail" for r in reports)
+    """True when every report passed or was skipped (no fail, no error)."""
+    return all(r.passed or r.skipped for r in reports)
 
 
 def suite_to_json(reports, config: dict | None = None) -> str:

@@ -118,6 +118,21 @@ def test_check_failure_exits_one(monkeypatch, capsys):
     assert payload["passed"] is False
 
 
+def test_check_error_exits_three(monkeypatch, capsys):
+    def boom(ctx):
+        raise ValueError("synthetic fault")
+
+    monkeypatch.setattr(verify, "_CHECKS", (("zz.sentinel", boom),))
+    code, payload = run_json(capsys, ["verify", "--e", "0.0"] + TINY)
+    assert code == 3
+    assert payload["passed"] is False
+    assert payload["reports"][0]["status"] == "error(ValueError: synthetic fault)"
+    code = main(["scan", "--axis", "e", "--from", "0.0", "--to", "0.1", "--steps", "2"] + TINY)
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert code == 3
+    assert [row.split(",")[-1] for row in rows[1:]] == ["0", "0"]
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def explode(cfg):
         raise RuntimeError("wires crossed")

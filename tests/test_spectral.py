@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes, scale_modes
+from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes, ladder_ops, scale_modes
 from nelsonlab.model import (
     ConvergenceError,
     DomainError,
@@ -140,6 +140,93 @@ def test_zero_coupling_decouples(small_setup):
     hf = basis.occupations @ modes.omega
     expect = np.kron(Tf + Vf, g) + np.kron(f, hf * g)
     assert np.linalg.norm(m0.matvec(np.kron(f, g)) - expect) < 1e-12
+
+
+def _reference_hamiltonian(params, grid, modes, basis, variant):
+    """H built densely from the model's definition in the base frame: DFT
+    momentum matrices, diagonal phases and potential, and ladder matrices
+    joined by Kronecker products."""
+    omega = modes.omega
+    g = np.sqrt(modes.w)[:, None] * modes.k / (np.sqrt(2.0 * omega) * (omega + 0.5 * omega**2))[:, None]
+    c, q = params.e, 0.5 * params.e**2
+    eye_d = np.eye(basis.dim)
+    lower = [ladder_ops(basis, j)[0].toarray() for j in range(modes.count)]
+    hf = np.diag(basis.occupations @ omega)
+    if variant == "fiber":  # total momentum 0: p_l is -P_f,l
+        pf = basis.occupations @ modes.k
+        p = [-np.diag(pf[:, ell]) for ell in range(3)]
+        H = 0.5 * sum(pl @ pl for pl in p) + hf
+        A = [sum(g[j, ell] * lower[j] for j in range(modes.count)) for ell in range(3)]
+    else:
+        n = grid.n
+        idx = np.arange(n)
+        F = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+        p1 = F.conj().T @ np.diag(grid.freqs) @ F / n
+        eye_n = np.eye(n)
+        p = [
+            np.kron(np.kron(p1, eye_n), eye_n),
+            np.kron(np.kron(eye_n, p1), eye_n),
+            np.kron(np.kron(eye_n, eye_n), p1),
+        ]
+        h_particle = 0.5 * sum(pl @ pl for pl in p)
+        if variant == "gross":
+            strength = sp.coulomb_coefficient(params, base_frame())
+            h_particle = h_particle + np.diag(-strength / np.maximum(grid.radius, grid.h / 2).ravel())
+        H = np.kron(h_particle, eye_d) + np.kron(np.eye(grid.point_count), hf)
+        p = [np.kron(pl, eye_d) for pl in p]
+        x = np.stack(np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        phase = [np.diag(np.exp(1j * x @ kj)) for kj in modes.k]
+        if variant == "nelson":
+            cj = np.sqrt(modes.w / (2.0 * omega))
+            B = sum(
+                cj[j] * np.kron(params.Z * np.eye(grid.point_count) + phase[j], lower[j])
+                for j in range(modes.count)
+            )
+            return H + c * (B + B.conj().T)
+        A = [
+            sum(g[j, ell] * np.kron(phase[j], lower[j]) for j in range(modes.count))
+            for ell in range(3)
+        ]
+    for pl, Al in zip(p, A):
+        As = Al.conj().T
+        H = H + c * (pl @ Al + As @ pl) + q * (Al @ Al + 2.0 * As @ Al + As @ As)
+    return H
+
+
+@pytest.mark.parametrize("variant", ["gross", "v0", "nelson", "fiber"])
+def test_dense_matches_independent_reference(variant):
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    modes = build_modes(0.3, 2.0, 1, 2)
+    if variant == "fiber":
+        grid, modes = None, build_modes(0.3, 2.0, 2, 3)
+        basis = FockBasis(modes.count, 3)
+    else:
+        grid, basis = PositionGrid(n=4, L=5.0), FockBasis(modes.count, 2)
+    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
+    assert model.dim <= 1000
+    ref = _reference_hamiltonian(params, grid, modes, basis, variant)
+    assert np.max(np.abs(sp.to_dense(model) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("variant", ["gross", "v0", "nelson", "fiber"])
+def test_ground_energy_never_rises_with_fock_cap(variant):
+    # the normal-ordered cap-N operator is the exact compression of the
+    # cap-(N+1) one, so by Cauchy interlacing E(N_max) is non-increasing
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    if variant == "fiber":
+        grid, modes, caps = None, build_modes(0.3, 2.0, 2, 3), (1, 2, 3, 4)
+    else:
+        grid, modes, caps = PositionGrid(n=8, L=10.0), build_modes(0.3, 2.0, 2, 1), (1, 2, 3)
+    energies = [
+        sp.lanczos_ground(
+            sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, cap), variant=variant),
+            tol=1e-12,
+            maxit=400,
+        ).energy
+        for cap in caps
+    ]
+    assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:])), energies
+    assert energies[-1] < energies[0]
 
 
 def test_to_dense_guard(small_setup):

@@ -169,16 +169,16 @@ def test_csv_flattening(full_suite):
         assert float(row["lhs"]) == rep.lhs
 
 
-def test_check_errors_become_skips(monkeypatch):
+def test_check_errors_fail_the_suite(monkeypatch):
     def boom(ctx):
         raise ValueError("synthetic fault")
 
     monkeypatch.setattr(verify, "_CHECKS", (("energy.upper", boom),))
     reports = run_suite(make_params(0.1, 1.0), SMALL)
     assert len(reports) == 1
-    assert reports[0].skipped
-    assert "synthetic fault" in reports[0].status
-    assert not suite_passed(reports) is False  # skips never count as failures
+    assert reports[0].status == "error(ValueError: synthetic fault)"
+    assert reports[0].errored and not reports[0].skipped
+    assert not suite_passed(reports)  # an error is never a skip
 
 
 def test_pass_threshold_semantics():
