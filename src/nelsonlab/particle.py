@@ -167,13 +167,14 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
             stacklevel=2,
         )
 
-    kinetic = 0.5 * grid.laplacian_symbol
+    # the operator is real: real FFTs, the symbol on the half spectrum
+    kinetic = 0.5 * grid.laplacian_symbol[..., : grid.n // 2 + 1]
     potential = -alphaZ / np.maximum(grid.radius, softening)
     shape = (grid.n,) * 3
 
     def matvec(v: np.ndarray) -> np.ndarray:
         u = v.reshape(shape)
-        out = np.fft.ifftn(kinetic * np.fft.fftn(u)).real
+        out = np.fft.irfftn(kinetic * np.fft.rfftn(u), s=shape, axes=(0, 1, 2))
         out += potential * u
         return out.ravel()
 

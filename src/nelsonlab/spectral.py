@@ -6,6 +6,15 @@ V=0 model, and the fixed-momentum fiber model), finds ground states by
 Lanczos with full reorthogonalization, and checks the commutator and
 soft-mode decomposition identities as exact matrix statements.
 
+Lanczos keeps its basis in one preallocated (min(maxit, dim) + 1, dim)
+array and reorthogonalizes each new vector by classical Gram-Schmidt run
+twice (CGS2), each pass two matrix products against the stored rows;
+twice is enough for orthogonality to working precision (Giraud, Langou
+and Rozloznik, Comput. Math. Appl. 50, 2005).  The basis is the solver's
+memory: a request whose basis, counted at 16 bytes a value, would exceed
+_BASIS_BYTES_LIMIT (2 GiB) is refused with ParameterError before the
+first product.
+
 Conventions.  A state vector has shape (n^3 * D,) with the Fock index
 fastest; internally it is viewed as (X, D) = (n^3, D), and as
 (n, n, n, D) for the FFTs.  The dressed-model coupling attaches to mode j
@@ -71,6 +80,7 @@ __all__ = [
 ]
 
 _DIM_LIMIT = 500_000
+_BASIS_BYTES_LIMIT = 2 * 2**30  # Lanczos basis, counted at 16 bytes a value
 _DENSE_LIMIT = 4000
 _VARIANTS = ("gross", "nelson", "v0", "fiber")
 
@@ -86,14 +96,28 @@ class SpectralResult:
 def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357):
     """Lowest eigenpair of a Hermitian operator by Lanczos.
 
-    Full reorthogonalization against all stored basis vectors (twice per
-    step) keeps the tridiagonal representation faithful, so the residual
-    estimate |beta_m * s_last| is reliable. Returns (energy, vector,
-    residual, iterations); raises ConvergenceError when maxit steps do
-    not reach tol * max(1, |energy|).
+    The basis is one np.empty array of min(maxit, dim) + 1 rows by dim,
+    with the dtype of the seed and H seed together (a real seed can drive a
+    complex operator); only the rows written are touched.  Each step
+    reorthogonalizes against every stored row by CGS2 (module docstring),
+    so the residual estimate |beta_m * s_last| is reliable.  Returns
+    (energy, vector, residual, iterations); raises ConvergenceError when
+    maxit steps do not reach tol * max(1, |energy|), and ParameterError,
+    before any product, on maxit < 1, on a tol that is not finite and
+    positive, or on a basis over _BASIS_BYTES_LIMIT.
     """
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
+    if not maxit >= 1:
+        raise ParameterError(f"maxit must be >= 1, got {maxit}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    rows = min(maxit, dim) + 1
+    if rows * dim * 16 > _BASIS_BYTES_LIMIT:
+        raise ParameterError(
+            f"Lanczos basis for dim={dim}, maxit={maxit} needs {rows * dim * 16} "
+            f"bytes, over the guard of {_BASIS_BYTES_LIMIT}"
+        )
     if seed is None:
         rng = np.random.default_rng(rng_seed)
         v = rng.standard_normal(dim)
@@ -104,27 +128,34 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357):
         raise ParameterError("seed vector must be nonzero")
     v = v / norm
 
+    w = np.asarray(matvec(v))
     if dim == 1:
-        w = matvec(v)
         energy = float((np.vdot(v, w)).real)
         return energy, v, 0.0, 1
 
-    basis = [v]
+    Q = np.empty((rows, dim), dtype=np.result_type(v, w))
+    Q[0] = v
     alphas: list[float] = []
     betas: list[float] = []
-    theta = math.inf
 
-    for it in range(1, maxit + 1):
-        w = np.asarray(matvec(basis[-1]))
-        alphas.append(float(np.vdot(basis[-1], w).real))
-        w = w - alphas[-1] * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # full reorthogonalization, twice for stability
+    for k in range(1, maxit + 1):
+        if k > 1:
+            w = np.asarray(matvec(Q[k - 1]))
+            if np.result_type(Q, w) != Q.dtype:  # a later product turned complex
+                wider = np.empty(Q.shape, dtype=np.result_type(Q, w))
+                wider[:k] = Q[:k]
+                Q = wider
+        r = Q[k]
+        r[:] = w  # the next basis row, orthogonalized in place
+        alphas.append(float(np.vdot(Q[k - 1], r).real))
+        r -= alphas[-1] * Q[k - 1]
+        if k > 1:
+            r -= betas[-1] * Q[k - 2]
+        # full reorthogonalization: classical Gram-Schmidt, twice
+        B = Q[:k]
         for _ in range(2):
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
+            r -= (B @ r.conj()).conj() @ B
+        beta = float(np.linalg.norm(r))
 
         vals, vecs = eigh_tridiagonal(
             np.asarray(alphas), np.asarray(betas), select="i", select_range=(0, 0)
@@ -132,18 +163,12 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357):
         theta = float(vals[0])
         weights = vecs[:, 0]
         residual = beta * abs(float(weights[-1]))
-        if (
-            residual <= tol * max(1.0, abs(theta))
-            or len(basis) == dim
-            or beta < 1e-14
-        ):
-            vec = np.zeros(dim, dtype=np.result_type(*(b.dtype for b in basis)))
-            for coeff, b in zip(weights, basis):
-                vec += coeff * b
+        if residual <= tol * max(1.0, abs(theta)) or k == dim or beta < 1e-14:
+            vec = weights @ B
             vec /= np.linalg.norm(vec)
-            return theta, vec, residual, it
+            return theta, vec, residual, k
         betas.append(beta)
-        basis.append(w / beta)
+        r /= beta
 
     raise ConvergenceError(
         f"Lanczos did not reach tol={tol} in {maxit} iterations "

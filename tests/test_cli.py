@@ -108,6 +108,13 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1")])
+def test_bad_solver_settings_exit_two(capsys, flag, value):
+    assert main(["solve", flag, value] + TINY) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
+
+
 def test_check_failure_exits_one(monkeypatch, capsys):
     def always_fails(ctx):
         return verify._checked("zz.sentinel", "synthetic", 2.0, 1.0, {})

@@ -83,6 +83,21 @@ def test_atomic_free_particle_is_constant():
     assert np.allclose(st.psi, (2.0 * g.L) ** -1.5)
 
 
+def test_atomic_matches_dense_reference():
+    """The real-FFT operator against one built densely with complex FFTs."""
+    g = PositionGrid(n=8, L=10.0)
+    alphaZ = 0.05
+    st = atomic_ground(g, alphaZ)
+    eye = np.eye(g.point_count).reshape((g.n,) * 3 + (-1,))
+    spec = 0.5 * g.laplacian_symbol[..., None] * np.fft.fftn(eye, axes=(0, 1, 2))
+    kinetic = np.fft.ifftn(spec, axes=(0, 1, 2)).reshape(g.point_count, -1)
+    H = kinetic + np.diag(-alphaZ / np.maximum(g.radius, g.h / 2.0).ravel())
+    evals, evecs = np.linalg.eigh(H)
+    assert st.energy == pytest.approx(evals[0], abs=1e-10)
+    overlap = np.vdot(evecs[:, 0], st.psi.ravel()) * g.h**1.5
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_atomic_energy_window(atomic_ladder):
     # coarse box: the energy lands within 0.1 of the continuum value even
     # though the Bohr radius is badly resolved

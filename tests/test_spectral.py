@@ -75,6 +75,67 @@ def test_lanczos_rejects_zero_seed():
         sp.lanczos_lowest(lambda v: v, 4, seed=np.zeros(4))
 
 
+def _never_called(v):
+    pytest.fail("the operator was applied before the settings were checked")
+
+
+@pytest.mark.parametrize("setting", [{"maxit": 0}, {"maxit": -3}, {"tol": 0.0},
+                                     {"tol": -1.0}, {"tol": float("nan")},
+                                     {"tol": float("inf")}])
+def test_lanczos_rejects_bad_settings(setting):
+    with pytest.raises(ParameterError):
+        sp.lanczos_lowest(_never_called, 40, **setting)
+
+
+def test_lanczos_basis_memory_guard(monkeypatch):
+    dim = 10**9  # a basis of about 4.8 TB; refused before anything is allocated
+    with pytest.raises(ParameterError, match=r"dim=1000000000, maxit=300 needs 4816000000000 bytes"):
+        sp.lanczos_lowest(_never_called, dim)
+    # the bound is (min(maxit, dim) + 1) * dim * 16 bytes, inclusive
+    monkeypatch.setattr(sp, "_BASIS_BYTES_LIMIT", 11 * 40 * 16 - 1)
+    with pytest.raises(ParameterError):
+        sp.lanczos_lowest(_never_called, 40, maxit=10)
+    monkeypatch.setattr(sp, "_BASIS_BYTES_LIMIT", 11 * 40 * 16)
+    with pytest.raises(ConvergenceError):
+        sp.lanczos_lowest(lambda v: np.arange(40.0) * v, 40, maxit=10)
+
+
+@pytest.mark.parametrize("start", ["random", "real_first_column"])
+def test_lanczos_real_seed_complex_operator(start):
+    """A real start on a complex Hermitian operator with a clustered bottom.
+
+    The random start is the default real seed.  The unit-vector start meets
+    a real first column, and the operator hands back a real array whenever
+    the product is real, so the first product is real and only later ones
+    are complex.  Either way the imaginary parts must survive the basis.
+    """
+    dim = 200
+    rng = np.random.default_rng(29)
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.concatenate([[-1.0, -1.0 + 4e-7, -1.0 + 9e-7], rng.uniform(0.0, 10.0, dim - 3)])
+    A = (U * d) @ U.conj().T
+    A = (A + A.conj().T) / 2.0
+    seed = None
+    if start == "real_first_column":
+        # a diagonal unitary similarity makes column 0 real; the spectrum stays
+        phase = np.ones(dim, dtype=complex)
+        phase[1:] = np.conj(A[1:, 0]) / np.abs(A[1:, 0])
+        A = phase[:, None] * A * phase.conj()[None, :]
+        A[:, 0] = A[:, 0].real
+        A[0, :] = A[:, 0]
+        seed = np.eye(dim)[0]
+
+    def matvec(v):
+        w = A @ v
+        return w.real if not w.imag.any() else w
+
+    assert np.isrealobj(matvec(np.eye(dim)[0])) == (start == "real_first_column")
+    energy, vec, residual, _ = sp.lanczos_lowest(matvec, dim, seed=seed)
+    assert energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
+    assert np.iscomplexobj(vec) and np.linalg.norm(vec.imag) > 0.1
+    assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
