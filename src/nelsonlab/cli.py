@@ -261,6 +261,10 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"scan axis must be one of {_SCAN_AXES}, got {cfg.axis!r}")
         if cfg.steps < 1:
             raise UsageError(f"steps must be >= 1, got {cfg.steps}")
+    if cfg.maxit < 1:
+        raise UsageError(f"maxit must be >= 1, got {cfg.maxit}")
+    if not 0.0 < cfg.tol < math.inf:
+        raise UsageError(f"tol must be finite and positive, got {cfg.tol}")
     cfg.selection  # validated on access
 
 

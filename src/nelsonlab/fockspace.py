@@ -148,27 +148,37 @@ class FockBasis:
             raise ParameterError("need mode_count >= 1 and n_max >= 0")
         self.mode_count = int(mode_count)
         self.n_max = int(n_max)
-        occs = []
-
-        def compositions(prefix, left, parts):
-            # occupations of exactly `left` bosons in `parts` modes, lex order
-            if parts == 1:
-                occs.append(tuple(prefix) + (left,))
-                return
-            for v in range(left + 1):
-                compositions(prefix + [v], left - v, parts - 1)
-
-        for total in range(n_max + 1):
-            compositions([], total, self.mode_count)
-        self.occupations = np.array(occs, dtype=np.int32)
-        self._index = {occ: i for i, occ in enumerate(occs)}
+        # shell by shell: raise each state of the last shell in every mode and
+        # keep each new state once, ordered by its index (_indices)
+        m = self.mode_count
+        shells = [np.zeros((1, m), dtype=np.int32)]
+        for _ in range(self.n_max):
+            raised = (shells[-1][:, None, :] + np.eye(m, dtype=np.int32)).reshape(-1, m)
+            shells.append(raised[np.unique(self._indices(raised), return_index=True)[1]])
+        self.occupations = np.concatenate(shells)
 
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
 
     def index_of(self, occ) -> int:
-        return self._index[tuple(int(v) for v in occ)]
+        row = np.asarray(occ, dtype=np.int64)
+        if row.shape != (self.mode_count,) or row.min() < 0 or row.sum() > self.n_max:
+            raise KeyError(tuple(occ))
+        return int(self._indices(row[None])[0])
+
+    def _indices(self, occ: np.ndarray) -> np.ndarray:
+        """Index of each occupation row of ``occ``, counting the states with
+        fewer bosons, then mode by mode those with fewer bosons in that mode;
+        comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons."""
+        m = self.mode_count
+        comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)] for p in range(m + 1)])
+        left = occ.sum(axis=1)
+        index = np.where(left > 0, comb[m, left - 1], 0)
+        for i in range(m - 1):
+            index += comb[m - 1 - i, left] - comb[m - 1 - i, left - occ[:, i]]
+            left = left - occ[:, i]
+        return index
 
     def totals(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
@@ -191,7 +201,7 @@ def ladder_ops(basis: FockBasis, j: int):
     vals = np.sqrt(occ[src, j].astype(float))
     lowered = occ[src].copy()
     lowered[:, j] -= 1
-    dst = np.array([basis._index[tuple(row)] for row in lowered], dtype=np.int64)
+    dst = basis._indices(lowered)
     a = sparse.csr_matrix(
         (vals, (dst, src)), shape=(basis.dim, basis.dim)
     )

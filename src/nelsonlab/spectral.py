@@ -16,9 +16,9 @@ _BASIS_BYTES_LIMIT (2 GiB) is refused with ParameterError before the
 first product.
 
 Conventions.  A state vector has shape (n^3 * D,) with the Fock index
-fastest; internally it is viewed as (X, D) = (n^3, D), and as
-(n, n, n, D) for the FFTs.  The dressed-model coupling attaches to mode j
-the real 3-vector
+fastest, viewed as (X, D) = (n^3, D); the matvec copies it once into the
+Fock-major (D, X) layout and back, and transforms it as (D, n, n, n).
+The dressed-model coupling attaches to mode j the real 3-vector
     g_j = sqrt(w_j) * k_j * beta(k_j) / sqrt(2 w_j_disp)
 with beta(k) = (|k| + rho2tau*|k|^2/2)^{-1}, and the three field
 components are A_l = sum_j g_{jl} * phase_j(x) (x) a_j with
@@ -28,19 +28,24 @@ coefficient is alphaZ rho^{-tau}.  With the frame grid (L' = rho^tau L)
 and frame modes (scale_modes) the assembled matrix equals
 rho^{-2 tau} times the base-frame matrix, exactly.
 
-The field coupling has one kernel: ``components(u)`` gives the (3, X, D)
-stack A_l u, and ``contract(V)`` gives sum_l A_l V_l by forming
-sum_l g_{jl} V_l first, one ladder application per mode; both have
-adjoints.  The vector-coupled matvec is
+The field coupling has one kernel on one ladder table of all modes (see
+_ladder_table): a_j maps into the lowered block, the first K states, and
+adag_j reads only from it.  ``components(u)`` gives the (C, D, X) stack A_l u
+from one gather u[_src], and ``contract(V)`` gives sum_l A_l V_l; their
+adjoints raise, each state adding the at most min(M, N_max) entries of all
+modes that land on it.  No call loops over the modes.  The vector-coupled
+matvec is
     H u = F^-1[ (|q|^2/2) F u + c sum_l q_l F(A_l u) ] + (U + H_f) u
           + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
     V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
 with c the linear coefficient and U the external potential (gross
-variant only), so one forward FFT of u feeds the kinetic
-term and the three p_l u: eight FFTs per matvec (1 + 3 forward, 1 + 3
-inverse).  The fiber is the same kernel on one point, with phase 1 and
-p_l the diagonal -P_f,l (no FFT); the scalar Nelson coupling is the same
-kernel with one component, couplings c_j and phase Z + e^{i k_j . x}.
+variant only), so one forward FFT of u feeds the kinetic term and the
+three p_l u: eight FFTs per matvec (1 + 3 forward, 1 + 3 inverse), the
+six of the coupling on the lowered block only, since A u lives there and
+A* reads only that block of V.  The fiber is the same kernel on one
+point, with phase 1 and p_l the diagonal -P_f,l (no FFT); the scalar
+Nelson coupling is the same kernel with one component, couplings c_j and
+phase Z + e^{i k_j . x}.
 """
 
 from __future__ import annotations
@@ -186,8 +191,9 @@ class AssembledModel:
     """One Hamiltonian variant realized as a structured matvec.
 
     The coupling record (g, beta0) and the phase table are kept so the
-    identity checks can rebuild individual interaction pieces.  States are
-    handled as (X, D) arrays, X particle points (1 on the fiber) by D Fock
+    identity checks can rebuild individual interaction pieces.  A state
+    vector, viewed as (X, D) by ``_to2``, is handled inside the matvec as a
+    Fock-major (D, X) array, X particle points (1 on the fiber) by D Fock
     states; the momentum symbols act in the representation reached by
     ``_fft`` (the identity on the fiber, where p_l is the diagonal -P_f,l).
     """
@@ -204,71 +210,114 @@ class AssembledModel:
     lin_coef: float  # e * rho^tau
     quad_coef: float  # e^2 rho^(2 tau) / 2
     _shape: tuple = field(repr=False, default=None)  # (X, D)
-    _shape4: tuple = field(repr=False, default=None)  # (n, n, n, D); None on the fiber
+    _cube: tuple = field(repr=False, default=None)  # (n, n, n); None on the fiber
     _kin: np.ndarray = field(repr=False, default=None)  # kinetic symbol
     _psym: np.ndarray = field(repr=False, default=None)  # (3, ...) p_l symbols
-    _pot: np.ndarray = field(repr=False, default=None)  # (X, 1) particle potential
-    _hf: np.ndarray = field(repr=False, default=None)  # (D,) field energy
+    _pot: np.ndarray = field(repr=False, default=None)  # (X,) particle potential
+    _hf: np.ndarray = field(repr=False, default=None)  # (D, 1) field energy
     _phase: np.ndarray = field(repr=False, default=None)  # (M, X) kernel phases; None = 1
     _coupling: np.ndarray = field(repr=False, default=None)  # (M, C) kernel couplings
-    _a_ops: list = field(repr=False, default=None)  # per-mode (a, adag) CSR
+    _src: np.ndarray = field(repr=False, default=None)  # (M, K) raised state of each entry
+    _val: np.ndarray = field(repr=False, default=None)  # (M, K, 1) sqrt(n) of each entry
+    _slots: np.ndarray = field(repr=False, default=None)  # (R, D) entries raising into a state
     _atomic: AtomicState | None = field(repr=False, default=None)
 
     def _to2(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=complex).reshape(self._shape)
 
+    def _fock_major(self, v: np.ndarray) -> np.ndarray:
+        return np.array(np.reshape(v, self._shape).T, dtype=complex, order="C")
+
     def _fft(self, u: np.ndarray) -> np.ndarray:
-        if self._shape4 is None:
+        if self._cube is None:
             return u
-        return np.fft.fftn(u.reshape(self._shape4), axes=(0, 1, 2)).reshape(self._shape)
+        return np.fft.fftn(u.reshape((-1,) + self._cube), axes=(1, 2, 3)).reshape(u.shape)
 
     def _ifft(self, s: np.ndarray) -> np.ndarray:
-        if self._shape4 is None:
+        if self._cube is None:
             return s
-        return np.fft.ifftn(s.reshape(self._shape4), axes=(0, 1, 2)).reshape(self._shape)
+        return np.fft.ifftn(s.reshape((-1,) + self._cube), axes=(1, 2, 3)).reshape(s.shape)
 
     # -- the field-coupling kernel -------------------------------------------
 
-    def _fock(self, u: np.ndarray, op) -> np.ndarray:
-        return (op @ u.T).T
-
     def apply_a(self, v: np.ndarray, j: int) -> np.ndarray:
-        return self._fock(self._to2(v), self._a_ops[j][0]).ravel()
+        u, K = self._to2(v), self._src.shape[1]
+        out = np.zeros_like(u)
+        out[:, :K] = self._val[j, :, 0] * u[:, self._src[j]]
+        return out.ravel()
 
     def apply_adag(self, v: np.ndarray, j: int) -> np.ndarray:
-        return self._fock(self._to2(v), self._a_ops[j][1]).ravel()
+        u, K = self._to2(v), self._src.shape[1]
+        out = np.zeros_like(u)
+        out[:, self._src[j]] = self._val[j, :, 0] * u[:, :K]
+        return out.ravel()
 
-    def _ladder(self, u: np.ndarray, j: int, adjoint: bool) -> np.ndarray:
-        """phase_j a_j u, or its adjoint adag_j conj(phase_j) u."""
-        ph = None if self._phase is None else self._phase[j][:, None]
-        if adjoint:
-            return self._fock(u if ph is None else u * ph.conj(), self._a_ops[j][1])
-        out = self._fock(u, self._a_ops[j][0])
-        if ph is not None:
-            out *= ph
+    def _raise(self, buf: np.ndarray, rows: int, out=None) -> np.ndarray:
+        """The first ``rows`` states, each the sum of the at most R rows of
+        ``buf`` (M K ladder entries, then a zero pad row) that raise into it;
+        repeated targets add.  The indices are in range, so ``take`` may
+        write to ``out`` directly (mode "clip"; the default mode buffers it)."""
+        out = np.take(buf, self._slots[0, :rows], axis=0, out=out, mode="clip")  # unbuffered
+        for slot in self._slots[1:, :rows]:
+            out += np.take(buf, slot, axis=0)
+        return out
+
+    def _adjoint_components(self, u: np.ndarray, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of A*_l u for every l: one raise per l."""
+        w = u[: self._src.shape[1]] * self._val
+        if self._phase is not None:
+            w *= self._phase.conj()[:, None, :]
+        buf = np.zeros((self._src.size + 1, u.shape[1]), dtype=complex)
+        entries = buf[:-1].reshape(w.shape)
+        out = np.empty((self._coupling.shape[1], rows, u.shape[1]), dtype=complex)
+        for o, gl in zip(out, self._coupling.T):
+            np.multiply(gl[:, None, None], w, out=entries)
+            self._raise(buf, rows, out=o)
         return out
 
     def components(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """A_l u for every component l, shape (C, X, D); A*_l u when adjoint.
+        """A_l u for every component l, shape (C, D, X); A*_l u when adjoint.
 
-        A_l = sum_j coupling_jl phase_j a_j, one ladder application per mode.
+        u is Fock-major, (D, X).  A_l u = sum_j coupling_jl phase_j a_j u
+        fills the lowered block from one gather u[_src]; A*_l u is a raise.
         """
+        D, K = u.shape[0], self._src.shape[1]
+        if adjoint:
+            return self._adjoint_components(u, D)
+        lowered = np.take(u, self._src, axis=0)
+        lowered *= self._val
+        if self._phase is not None:
+            lowered *= self._phase[:, None, :]
         out = np.zeros((self._coupling.shape[1],) + u.shape, dtype=complex)
-        for j, gj in enumerate(self._coupling):
-            uj = self._ladder(u, j, adjoint)
-            for ell in np.flatnonzero(gj):
-                out[ell] += gj[ell] * uj
+        out[:, :K] = np.tensordot(self._coupling, lowered, axes=(0, 0))
         return out
 
     def contract(self, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """sum_l A_l V_l for V of shape (C, X, D); sum_l A*_l V_l when adjoint.
+        """sum_l A_l V_l for V of shape (C, D, X); sum_l A*_l V_l when adjoint.
 
-        Forms sum_l coupling_jl V_l first, so each mode costs one ladder
-        application.
+        Forms sum_l coupling_jl V_l on the entries of each mode first, then
+        gathers (A) or raises (A*) once; A* reads only the lowered block.
         """
+        M, K = self._src.shape
+        if adjoint:
+            buf = np.zeros((self._src.size + 1, V.shape[2]), dtype=complex)
+            entries = buf[:-1].reshape(self._src.shape + V.shape[2:])
+            np.matmul(self._coupling, V[:, :K].reshape(len(V), -1), out=entries.reshape(M, -1))
+            entries *= self._val
+            if self._phase is not None:
+                entries *= self._phase.conj()[:, None, :]
+            return self._raise(buf, self._slots.shape[1])
+        lowered = np.zeros(self._src.shape + V.shape[2:], dtype=complex)
+        term = np.empty_like(lowered)
+        for Vl, gl in zip(V, self._coupling.T):
+            np.take(Vl, self._src, axis=0, out=term, mode="clip")  # unbuffered
+            term *= gl[:, None, None]
+            lowered += term
+        lowered *= self._val
+        if self._phase is not None:
+            lowered *= self._phase[:, None, :]
         out = np.zeros(V.shape[1:], dtype=complex)
-        for j, gj in enumerate(self._coupling):
-            out += self._ladder(np.tensordot(gj, V, axes=1), j, adjoint)
+        out[:K] = lowered.sum(axis=0)
         return out
 
     def _vector_coupled(self) -> bool:
@@ -282,36 +331,38 @@ class AssembledModel:
         coupling commutes with x).
         """
         d = np.asarray(direction, dtype=float)
-        u = self._to2(v)
+        u = self._fock_major(v)
         out = self._ifft(np.tensordot(d, self._psym, axes=1) * self._fft(u))
         if self._vector_coupled():
             du = d[:, None, None] * u
             out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
-        return out.ravel()
+        return out.T.ravel()
 
     # -- the Hamiltonian ----------------------------------------------------
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        u = self._to2(v)
+        u = self._fock_major(v)
+        K = self._src.shape[1]
         c, q = self.lin_coef, self.quad_coef
         spec = self._fft(u)
         out = self._kin * spec
         if self._vector_coupled():
             Au = self.components(u)
-            # kinetic and p.A share the inverse transform
-            for p, Al in zip(self._psym, Au):
-                out += (c * p) * self._fft(Al)
+            # kinetic and p.A share the inverse transform; A u lives in the lowered block
+            for ell, p in enumerate(self._psym):  # no view of Au outlives ``del Au``
+                out[:K] += (c * p[:K]) * self._fft(Au[ell, :K])
         out = self._ifft(out)
         out += self._hf * u
         if self._pot is not None:
             out += self._pot * u
         if self._vector_coupled():
-            # everything A* acts on, V = c p u + q (2 A u + A* u), in one contraction
-            V = self.components(u, adjoint=True)
+            # everything A* acts on, V = c p u + q (2 A u + A* u), in one
+            # contraction; A* reads only the lowered block of V
+            V = self._adjoint_components(u, K)
             V *= q
             for ell, p in enumerate(self._psym):
-                V[ell] += self._ifft((c * p) * spec)
-                V[ell] += (2.0 * q) * Au[ell]
+                V[ell] += self._ifft((c * p[:K]) * spec[:K])
+                V[ell] += (2.0 * q) * Au[ell, :K]
             del spec  # dropped before the contractions to keep the peak memory down
             out += q * self.contract(Au)
             del Au
@@ -321,7 +372,7 @@ class AssembledModel:
             cu = c * u[None]
             out += self.contract(cu)
             out += self.contract(cu, adjoint=True)
-        return out.ravel()
+        return out.T.ravel()
 
     def atomic_reference(self) -> AtomicState:
         """Discrete atomic ground state in this model's frame (cached)."""
@@ -333,6 +384,24 @@ class AssembledModel:
                 strength = 0.0
             self._atomic = atomic_ground(self.grid, strength)
         return self._atomic
+
+
+def _ladder_table(basis: FockBasis) -> dict:
+    """The ladder entries of all modes, read from ``ladder_ops``.  States come
+    by total occupation, so row k of a_j is nonzero only for the first K, the
+    states below the top shell: sqrt(n_j + 1) at _src[j, k], k raised in mode
+    j.  _slots[r, s] is the r-th entry (flat index j K + k) raising into s,
+    or the zero pad M K."""
+    lower = [ladder_ops(basis, j)[0] for j in range(basis.mode_count)]
+    src = np.stack([a.indices for a in lower]).astype(np.intp)
+    target = src.ravel()
+    order = np.argsort(target, kind="stable")
+    counts = np.bincount(target, minlength=basis.dim)
+    rank = np.arange(target.size) - (np.cumsum(counts) - counts)[target[order]]
+    slots = np.full((max(counts.max(), 1), basis.dim), target.size, dtype=np.intp)
+    slots[rank, target[order]] = order
+    val = np.stack([a.data for a in lower])[:, :, None]
+    return dict(_src=src, _val=val, _slots=slots)
 
 
 def assemble(
@@ -406,8 +475,8 @@ def assemble(
         beta0=beta0,
         lin_coef=lin_coef,
         quad_coef=quad_coef,
-        _hf=basis.occupations @ omega,  # field energy on the occupation basis
-        _a_ops=[ladder_ops(basis, j)[:2] for j in range(basis.mode_count)],
+        _hf=(basis.occupations @ omega)[:, None],  # field energy on the occupation basis
+        **_ladder_table(basis),
     )
 
     if variant == "fiber":
@@ -416,8 +485,8 @@ def assemble(
         return AssembledModel(
             **common,
             _shape=(1, basis.dim),
-            _kin=0.5 * np.sum(pf**2, axis=1),
-            _psym=-pf.T[:, None, :],
+            _kin=0.5 * np.sum(pf**2, axis=1)[:, None],
+            _psym=-pf.T[:, :, None],
             _coupling=g,
         )
 
@@ -427,7 +496,7 @@ def assemble(
     pot = None
     if variant == "gross":
         strength = coulomb_coefficient(params, frame)
-        pot = -strength / np.maximum(grid.radius, grid.h / 2.0).reshape(-1, 1)
+        pot = -strength / np.maximum(grid.radius, grid.h / 2.0).ravel()
     # v0 and nelson carry no external potential
 
     x = grid.axis
@@ -448,9 +517,9 @@ def assemble(
     model = AssembledModel(
         **common,
         _shape=(grid.point_count, basis.dim),
-        _shape4=(grid.n, grid.n, grid.n, basis.dim),
-        _kin=0.5 * grid.laplacian_symbol.reshape(-1, 1),
-        _psym=psym.reshape(3, -1, 1),
+        _cube=(grid.n, grid.n, grid.n),
+        _kin=0.5 * grid.laplacian_symbol.ravel(),
+        _psym=psym.reshape(3, 1, -1),
         _pot=pot,
         _phase=phase,
         _coupling=coupling,

@@ -108,11 +108,13 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1")])
+@pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1"), ("--tol", "nan")])
 def test_bad_solver_settings_exit_two(capsys, flag, value):
-    assert main(["solve", flag, value] + TINY) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag[2:] in err
+    scan = ["scan", "--axis", "e", "--from", "0.0", "--to", "0.1", "--steps", "2"]
+    for command in (["solve"], ["verify"], scan, ["effmass"]):
+        assert main(command + [flag, value] + TINY) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:] in err, (command, err)
 
 
 def test_check_failure_exits_one(monkeypatch, capsys):

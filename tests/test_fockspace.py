@@ -1,5 +1,6 @@
 """Tests for the discrete mode grid and truncated Fock-space operators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -116,6 +117,8 @@ def test_basis_dimension_and_ordering():
     totals = b.totals()
     assert np.all(np.diff(totals) >= 0)  # graded
     assert len({tuple(o) for o in b.occupations}) == b.dim  # bijective
+    every = (o for o in itertools.product(range(3), repeat=4) if sum(o) <= 2)
+    assert [tuple(o) for o in b.occupations] == sorted(every, key=lambda o: (sum(o), o))
 
 
 def test_basis_index_roundtrip():
@@ -149,6 +152,21 @@ def test_ladder_matrix_elements():
     assert two[b.index_of((2, 0))] == pytest.approx(math.sqrt(2.0))
     got = n @ two
     assert got[b.index_of((2, 0))] == pytest.approx(2.0 * math.sqrt(2.0))
+
+
+def test_ladder_lookup_matches_index_of():
+    b = fs.FockBasis(6, 4)
+    occ = b.occupations
+    for j in range(b.mode_count):
+        a, adag, _ = fs.ladder_ops(b, j)
+        coo = a.tocoo()
+        assert coo.nnz == np.count_nonzero(occ[:, j])
+        for dst, src, val in zip(coo.row, coo.col, coo.data):
+            lowered = occ[src].copy()
+            lowered[j] -= 1
+            assert dst == b.index_of(lowered) == np.flatnonzero((occ == lowered).all(axis=1))[0]
+            assert val == math.sqrt(occ[src, j])
+        assert (a != adag.T).nnz == 0
 
 
 def test_commutator_identity_below_top_shell():

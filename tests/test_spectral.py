@@ -290,6 +290,65 @@ def test_ground_energy_never_rises_with_fock_cap(variant):
     assert energies[-1] < energies[0]
 
 
+@pytest.fixture(scope="module", params=["fiber", "gross", "nelson"])
+def kernel_model(request):
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    if request.param == "fiber":
+        # M = 12, N_max = 3: a state with several occupied modes is raised
+        # into by each of them, so the adjoint has repeated targets
+        modes = build_modes(0.3, 2.0, 2, 6)
+        basis, grid = FockBasis(modes.count, 3), None
+    else:
+        modes = build_modes(0.3, 2.0, 2, 3)
+        basis, grid = FockBasis(modes.count, 3), PositionGrid(n=4, L=5.0)
+    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=request.param)
+    assert np.bincount(model._src.ravel()).max() == 3
+    return model
+
+
+def _per_mode(model, u, adjoint):
+    """A_l u (A*_l u when adjoint) for every l, summed mode by mode from the
+    ladder matrices and the phases; u is Fock-major, (D, X)."""
+    phase = np.ones((model.modes.count, u.shape[1])) if model._phase is None else model._phase
+    out = np.zeros((model._coupling.shape[1],) + u.shape, dtype=complex)
+    for j in range(model.modes.count):
+        a, adag, _ = ladder_ops(model.basis, j)
+        term = adag @ (u * phase[j].conj()) if adjoint else (a @ u) * phase[j]
+        for ell in range(out.shape[0]):
+            out[ell] += model._coupling[j, ell] * term
+    return out
+
+
+def _kernel_inputs(model, seed):
+    rng = np.random.default_rng(seed)
+    shape = (1 + model._coupling.shape[1], model.basis.dim, model._shape[0])
+    slabs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return slabs[0], slabs[1:]
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_kernel_matches_per_mode_reference(kernel_model, adjoint):
+    model = kernel_model
+    u, V = _kernel_inputs(model, 41)
+    ref = _per_mode(model, u, adjoint)
+    got = model.components(u, adjoint=adjoint)
+    assert got.shape == ref.shape
+    for ell in range(ref.shape[0]):
+        assert np.linalg.norm(got[ell] - ref[ell]) <= 1e-13 * np.linalg.norm(ref[ell])
+    ref = sum(_per_mode(model, V[ell], adjoint)[ell] for ell in range(V.shape[0]))
+    got = model.contract(V, adjoint=adjoint)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_kernel_adjoint_pairings(kernel_model):
+    model = kernel_model
+    w, V = _kernel_inputs(model, 43)
+    lhs = np.vdot(w, model.contract(V))
+    assert abs(lhs - np.vdot(model.components(w, adjoint=True), V)) <= 1e-13 * abs(lhs)
+    lhs = np.vdot(w, model.contract(V, adjoint=True))
+    assert abs(lhs - np.vdot(model.components(w), V)) <= 1e-13 * abs(lhs)
+
+
 def test_to_dense_guard(small_setup):
     params, _, modes, _ = small_setup
     grid = PositionGrid(n=16, L=5.0)
