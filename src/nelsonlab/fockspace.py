@@ -197,16 +197,18 @@ def ladder_ops(basis: FockBasis, j: int):
     if not (0 <= j < basis.mode_count):
         raise ParameterError(f"mode index {j} out of range")
     occ = basis.occupations
-    src = np.nonzero(occ[:, j] > 0)[0]
+    raisable = occ[:, j] > 0
+    src = np.nonzero(raisable)[0]
     vals = np.sqrt(occ[src, j].astype(float))
     lowered = occ[src].copy()
     lowered[:, j] -= 1
     dst = basis._indices(lowered)
-    a = sparse.csr_matrix(
-        (vals, (dst, src)), shape=(basis.dim, basis.dim)
-    )
-    adag = a.T.tocsr()
-    n_j = sparse.diags(occ[:, j].astype(float), format="csr")
+    shape = (basis.dim, basis.dim)
+    a = sparse.csr_matrix((vals, (dst, src)), shape=shape)
+    # adag_j and n_j hold one entry in each of the (sorted) rows src
+    rows = np.concatenate(([0], np.cumsum(raisable)))
+    adag = sparse.csr_matrix((vals, dst, rows), shape=shape)
+    n_j = sparse.csr_matrix((occ[src, j].astype(float), src, rows), shape=shape)
     return a, adag, n_j
 
 

@@ -166,6 +166,12 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
             "points per unit; expect a poor atomic energy",
             stacklevel=2,
         )
+    if bohr > grid.L:
+        warnings.warn(
+            f"Bohr radius {bohr:.4g} exceeds the box half-width L={grid.L:.4g}; "
+            "the atom does not fit the box and its energy measures the box",
+            stacklevel=2,
+        )
 
     # the operator is real: real FFTs, the symbol on the half spectrum
     kinetic = 0.5 * grid.laplacian_symbol[..., : grid.n // 2 + 1]

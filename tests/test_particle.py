@@ -125,6 +125,17 @@ def test_atomic_resolution_warning():
         atomic_ground(PositionGrid(n=8, L=20.0), 1.0)
 
 
+def test_atomic_larger_than_box_warning():
+    # Bohr radius 4 on the half-width 2, resolved by 8 points per unit
+    with pytest.warns(UserWarning, match="exceeds the box half-width") as record:
+        atomic_ground(PositionGrid(n=8, L=2.0), 0.25)
+    assert len(record) == 1
+    # Bohr radius 2 fits the half-width 4, at exactly 4 points per unit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        atomic_ground(PositionGrid(n=16, L=4.0), 0.5)
+
+
 def test_atomic_rejects_bad_input():
     g = PositionGrid(n=8, L=5.0)
     with pytest.raises(ParameterError):
