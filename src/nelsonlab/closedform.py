@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .model import FOUR_PI, DomainError, ParameterError
 
 _SQRT2 = math.sqrt(2.0)
@@ -68,6 +66,8 @@ def e_uv(Z: float) -> float:
     """
     if not (Z > 0.0) or not math.isfinite(Z):
         raise ParameterError(f"Z must be positive and finite, got {Z}")
+    from scipy.optimize import brentq  # imported here: scipy.optimize is slow to load
+
     return brentq(lambda x: c_uv(x, Z) - 1.0, 1e-12, 10.0, xtol=1e-15, rtol=8.9e-16)
 
 
@@ -332,6 +332,8 @@ def coupling_window(
     """
     if not (0.75 < tau <= 1.0):
         raise DomainError(f"tau must lie in (3/4, 1], got {tau}")
+    from scipy.optimize import brentq
+
     euv = e_uv(Z)
 
     if tau == 1.0:

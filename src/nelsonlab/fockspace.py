@@ -148,6 +148,9 @@ class FockBasis:
             raise ParameterError("need mode_count >= 1 and n_max >= 0")
         self.mode_count = int(mode_count)
         self.n_max = int(n_max)
+        # comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons
+        self._comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)]
+                               for p in range(self.mode_count + 1)])
         # shell by shell: raise each state of the last shell in every mode and
         # keep each new state once, ordered by its index (_indices)
         m = self.mode_count
@@ -169,10 +172,8 @@ class FockBasis:
 
     def _indices(self, occ: np.ndarray) -> np.ndarray:
         """Index of each occupation row of ``occ``, counting the states with
-        fewer bosons, then mode by mode those with fewer bosons in that mode;
-        comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons."""
-        m = self.mode_count
-        comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)] for p in range(m + 1)])
+        fewer bosons, then mode by mode those with fewer bosons in that mode."""
+        m, comb = self.mode_count, self._comb
         left = occ.sum(axis=1)
         index = np.where(left > 0, comb[m, left - 1], 0)
         for i in range(m - 1):

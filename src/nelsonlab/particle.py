@@ -184,11 +184,15 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
         out += potential * u
         return out.ravel()
 
+    def precond(r: np.ndarray, sigma: float) -> np.ndarray:
+        spec = np.fft.rfftn(r.reshape(shape)) / (kinetic + sigma)
+        return np.fft.irfftn(spec, s=shape, axes=(0, 1, 2)).ravel()
+
     from .spectral import lanczos_lowest
 
     seed = np.exp(-alphaZ * grid.radius).ravel()
     energy, vec, residual, iterations = lanczos_lowest(
-        matvec, grid.point_count, seed=seed, tol=1e-12, maxit=500
+        matvec, grid.point_count, seed=seed, tol=1e-12, maxit=500, precond=precond
     )
     vec = vec.real
     if vec.sum() < 0.0:

@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .closedform import NormBundle
 from .model import (
     DivergentIntegralError,
@@ -68,22 +66,26 @@ class QuadResult:
 
 
 def _radial_quad(f, lo: float, hi: float, epsabs=1e-14, epsrel=1e-12) -> QuadResult:
-    """Adaptive quadrature of f on [lo, hi]; an infinite upper endpoint is
-    mapped explicitly by r = lo + t/(1-t) so the subdivision order (and hence
-    the floating-point result) never depends on threading."""
+    """Adaptive quadrature of f on [lo, hi].  A positive lo starts with
+    [lo, min(hi, lo + 1)] in s = log r: in r, a singularity at the origin
+    just below lo makes QUADPACK extrapolate to the integral from 0 (28% off
+    for r^-0.9 at lo = 1e-7).  An infinite hi is mapped explicitly by
+    r = mid + t/(1-t), so the subdivision order (and hence the
+    floating-point result) never depends on threading."""
+    from scipy.integrate import quad  # imported here: scipy.integrate is slow to load
+
+    pieces, mid = [], lo
+    if lo > 0.0:
+        mid = min(hi, lo + 1.0)
+        pieces.append((lambda s: f(math.exp(s)) * math.exp(s), math.log(lo), math.log(mid)))
     if math.isinf(hi):
-
-        def g(t):
-            u = 1.0 - t
-            return f(lo + t / u) / (u * u)
-
-        out = quad(g, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel,
-                   limit=_QUAD_LIMIT, full_output=1)
-    else:
-        out = quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                   limit=_QUAD_LIMIT, full_output=1)
-    value, abserr, info = out[0], out[1], out[2]
-    return QuadResult(value, abserr, int(info["neval"]))
+        pieces.append((lambda t: f(mid + t / (1.0 - t)) / ((1.0 - t) * (1.0 - t)), 0.0, 1.0))
+    elif mid < hi:
+        pieces.append((f, mid, hi))
+    outs = [quad(g, a, b, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT, full_output=1)
+            for g, a, b in pieces]
+    return QuadResult(sum(o[0] for o in outs), sum(o[1] for o in outs),
+                      sum(int(o[2]["neval"]) for o in outs))
 
 
 def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> QuadResult:
@@ -123,8 +125,8 @@ def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> QuadRes
 
     half = 0.5 * rho2tau
 
-    def f(r):
-        return r ** (a + 2.0) * (r + half * r * r) ** (-b)
+    def f(r):  # r^(a+2) (r + half r^2)^(-b), without overflow at tiny r
+        return r ** (a + 2.0 - b) * (1.0 + half * r) ** (-b)
 
     out = _radial_quad(f, lo, hi)
     return QuadResult(4.0 * math.pi * out.value,
@@ -257,6 +259,8 @@ def cin(x: float) -> float:
         if s < 1e-8:
             return 0.5 * s
         return (1.0 - math.cos(s)) / s
+
+    from scipy.integrate import quad
 
     out = quad(f, 0.0, x, epsabs=1e-13, epsrel=1e-12, limit=_QUAD_LIMIT,
                full_output=1)

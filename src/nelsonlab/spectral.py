@@ -3,26 +3,19 @@
 Builds the four model variants (the dressed arrangement of the coupled
 model, the bare smeared-field arrangement, the translation-invariant
 V=0 model, and the fixed-momentum fiber model), finds ground states by
-Lanczos with partial reorthogonalization, and checks the commutator and
-soft-mode decomposition identities as exact matrix statements.
+preconditioned LOBPCG, and checks the commutator and soft-mode
+decomposition identities as exact matrix statements.
 
-Lanczos keeps its basis in one preallocated (min(maxit, dim) + 1, dim)
-array and holds it semi-orthogonal: every overlap between stored rows stays
-below sqrt(eps), which is enough for the eigenvalues of the tridiagonal T_k
-to be those of the operator on the Krylov space to working precision
-(H. D. Simon, Math. Comp. 42, 1984, 115-142).  Each step carries Simon's
-omega-recurrence, O(k) scalar work on the entries of T_k and no pass over
-the basis, for the overlaps of the new row with the stored ones.  Only when
-the largest estimate reaches sqrt(eps) is the new row projected against
-every stored row, and again on the step after, since the recurrence for
-that row still reads the unprojected row before it.  The projection is
-classical Gram-Schmidt run twice (CGS2), each pass two matrix products
-against the stored rows; twice is enough for orthogonality to working
-precision (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005), and
-the estimates restart at the rounding level.  The basis is the solver's
-memory: a request whose basis, counted at 16 bytes a value, would exceed
-_BASIS_BYTES_LIMIT (2 GiB) is refused with ParameterError before the
-first product.
+The eigensolver is single-vector LOBPCG (A. V. Knyazev, SIAM J. Sci.
+Comput. 23, 2001), named lanczos_lowest still because the benchmark tracer
+wraps that name.  Its preconditioner is the part of H that is diagonal
+where the matvec goes by FFT, T = F^-1 (|q|^2/2 + H_f + sigma)^-1 F, the
+plane-wave choice of Teter, Payne and Allan (Phys. Rev. B 40, 1989); on
+the fiber F is the identity.  sigma = max(-theta, 0) + _SHIFT_MARGIN, with
+theta the current Ritz value, keeps T positive and close to (H - theta)^-1
+away from the potential and the coupling, so the step count no longer
+follows the kinetic width (pi/h)^2/2.  The effective-mass solves use the
+same diagonal in conjugate gradients.
 
 Conventions.  A state vector has shape (n^3 * D,) with the Fock index
 fastest, viewed as (X, D) = (n^3, D); the matvec copies it once into the
@@ -64,8 +57,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .closedform import c_uv
 from .fockspace import FockBasis, ModeGrid, ladder_ops, vacuum_vector
@@ -94,7 +85,9 @@ __all__ = [
 ]
 
 _DIM_LIMIT = 500_000
-_BASIS_BYTES_LIMIT = 2 * 2**30  # Lanczos basis, counted at 16 bytes a value
+_WORKSET_VECTORS = 8  # x, w, p, their products, the residual and one temporary
+_WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
+_SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
 _DENSE_LIMIT = 4000
 _VARIANTS = ("gross", "nelson", "v0", "fiber")
 
@@ -107,30 +100,29 @@ class SpectralResult:
     iterations: int
 
 
-def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357):
-    """Lowest eigenpair of a Hermitian operator by Lanczos.
+def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, *, precond=None):
+    """Lowest eigenpair of a Hermitian operator by single-vector LOBPCG.
 
-    The basis is one np.empty array of min(maxit, dim) + 1 rows by dim,
-    with the dtype of the seed and H seed together (a real seed can drive a
-    complex operator); only the rows written are touched.  With
-    beta_k q_{k+1} = H q_k - alpha_k q_k - beta_{k-1} q_{k-1}, the estimates
-    omega_{k+1,j} of <q_{k+1}, q_j> follow Simon's recurrence
-        beta_k omega_{k+1,j} = beta_j omega_{k,j+1} + (alpha_j - alpha_k) omega_{k,j}
-                               + beta_{j-1} omega_{k,j-1} - beta_{k-1} omega_{k-1,j},
-    each estimate grown in magnitude by the rounding u ||T_k|| (||T_k||
-    bounded by Gershgorin), with omega_{k+1,k} = u ||T_k|| / beta_k.  The
-    rounding unit is u = sqrt(dim) eps, that of an inner product of length
-    dim: with eps alone the estimates fell up to 37 times below the measured
-    overlaps on the coupled reference model, whose FFT products round by
-    more than eps.  When the largest estimate reaches sqrt(eps), q_{k+1} and
-    then q_{k+2} are projected against every stored row by CGS2 and their
-    estimates reset to u (module docstring).  The basis stays
-    semi-orthogonal, so the residual estimate |beta_m * s_last| is
-    reliable.  Returns
-    (energy, vector, residual, iterations); raises ConvergenceError when
-    maxit steps do not reach tol * max(1, |energy|), and ParameterError,
-    before any product, on maxit < 1, on a tol that is not finite and
-    positive, or on a basis over _BASIS_BYTES_LIMIT.
+    The name stayed from the Lanczos solver this replaced, because the
+    benchmark's tracer wraps it by name.  Each step is a Rayleigh-Ritz on
+    span{x, w, p}, x the Ritz vector, w = precond(H x - theta x, sigma) and
+    p the previous search direction; w is projected off x, and p off x and
+    w, twice each, so the projected problem is a 3 x 3 eigh (2 x 2 when p
+    lies in span{x, w}).  One product per step gives H w; H x and H p are
+    carried as the same combinations as x and p.  Ritz values never rise
+    (up to rounding), so the energy is at most the seed's Rayleigh quotient.  ``precond``
+    applies a positive definite approximation of (H - theta)^-1, given
+    sigma = max(-theta, 0) + _SHIFT_MARGIN (module docstring); without it
+    w is the residual.
+
+    The carried H x drifts by rounding, so a residual that meets
+    tol * max(1, |theta|) is confirmed by a fresh product before it is
+    returned, and iteration resumes from that product if it fails.
+    Returns (energy, vector, residual, iterations), iterations counting the
+    operator products; raises ConvergenceError when maxit products miss
+    tol, and ParameterError, before any product, on maxit < 1, on a tol
+    that is not finite and positive, or on a working set of
+    _WORKSET_VECTORS vectors at 16 bytes a value over _WORKSET_BYTES_LIMIT.
     """
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
@@ -138,91 +130,61 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357):
         raise ParameterError(f"maxit must be >= 1, got {maxit}")
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    rows = min(maxit, dim) + 1
-    if rows * dim * 16 > _BASIS_BYTES_LIMIT:
-        raise ParameterError(
-            f"Lanczos basis for dim={dim}, maxit={maxit} needs {rows * dim * 16} "
-            f"bytes, over the guard of {_BASIS_BYTES_LIMIT}"
-        )
+    need = _WORKSET_VECTORS * dim * 16
+    if need > _WORKSET_BYTES_LIMIT:
+        raise ParameterError(f"eigensolver working set for dim={dim} needs {need} "
+                             f"bytes, over the guard of {_WORKSET_BYTES_LIMIT}")
     if seed is None:
-        rng = np.random.default_rng(rng_seed)
-        v = rng.standard_normal(dim)
+        x = np.random.default_rng(rng_seed).standard_normal(dim)
     else:
-        v = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float).copy()
-    norm = np.linalg.norm(v)
+        x = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float).copy()
+    norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ParameterError("seed vector must be nonzero")
-    v = v / norm
+    x /= norm
 
-    w = np.asarray(matvec(v))
-    if dim == 1:
-        energy = float((np.vdot(v, w)).real)
-        return energy, v, 0.0, 1
-
-    Q = np.empty((rows, dim), dtype=np.result_type(v, w))
-    Q[0] = v
-    alphas = np.zeros(rows)
-    betas = np.zeros(rows)
-    eps = np.finfo(float).eps
-    unit = math.sqrt(dim) * eps  # the rounding unit u (docstring)
-    norm_t = 0.0  # running Gershgorin bound on ||T_k||
-    omega, omega_prev = np.ones(1), np.ones(0)  # overlap estimates, rows k-1 and k-2
-    pending = False  # a projection is owed to the row after a triggered one
-
-    for k in range(1, maxit + 1):
-        m = k - 1
-        if k > 1:
-            w = np.asarray(matvec(Q[m]))
-            if np.result_type(Q, w) != Q.dtype:  # a later product turned complex
-                wider = np.empty(Q.shape, dtype=np.result_type(Q, w))
-                wider[:k] = Q[:k]
-                Q = wider
-        r = Q[k]
-        r[:] = w  # the next basis row, orthogonalized in place
-        alphas[m] = np.vdot(Q[m], r).real
-        r -= alphas[m] * Q[m]
-        if m:
-            r -= betas[m - 1] * Q[m - 1]
-        beta = float(np.linalg.norm(r))
-        norm_t = max(norm_t, abs(alphas[m]) + beta + (betas[m - 1] if m else 0.0))
-
-        # beta * omega_{k,j} for the new row k against rows j < k, each grown in
-        # magnitude by the rounding u ||T||; est[m] = u ||T|| is beta * omega_{k,m}
-        est = betas[:m] * omega[1:k] + (alphas[:m] - alphas[m]) * omega[:m]
-        if m:
-            est[1:] += betas[: m - 1] * omega[: m - 1]
-            est -= betas[m - 1] * omega_prev
-        est = np.append(est, 0.0)
-        est += np.copysign(unit * norm_t, est)
-        B = Q[:k]
-        if pending or np.abs(est).max() >= math.sqrt(eps) * beta:
-            # semi-orthogonality is slipping: project, classical Gram-Schmidt twice
+    hx = np.asarray(matvec(x))
+    products, fresh = 1, True
+    p = hp = None
+    while True:
+        theta = float(np.vdot(x, hx).real)
+        r = hx - theta * x
+        residual = float(np.linalg.norm(r))
+        converged = residual <= tol * max(1.0, abs(theta))
+        if converged and fresh:
+            return theta, x, residual, products
+        if products >= maxit:
+            raise ConvergenceError(f"LOBPCG did not reach tol={tol} in {maxit} products "
+                                   f"(last residual {residual:.3e}, energy {theta:.12g})")
+        products += 1
+        if converged:  # confirm the carried residual with a fresh product
+            hx, fresh = np.asarray(matvec(x)), True
+            continue
+        w = r if precond is None else precond(r, max(-theta, 0.0) + _SHIFT_MARGIN)
+        for _ in range(2):
+            w = w - np.vdot(x, w) * x
+        w /= np.linalg.norm(w)
+        hw, fresh = np.asarray(matvec(w)), False
+        S, HS = [x, w], [hx, hw]
+        if p is not None:
+            norm = np.linalg.norm(p)
+            p, hp = p / norm, hp / norm
             for _ in range(2):
-                r -= (B @ r.conj()).conj() @ B
-            beta = float(np.linalg.norm(r))
-            est[:] = unit
-            pending = not pending
-        else:
-            est /= beta
-        omega_prev, omega = omega, np.append(est, 1.0)
-
-        vals, vecs = eigh_tridiagonal(
-            alphas[:k], betas[:m], select="i", select_range=(0, 0)
-        )
-        theta = float(vals[0])
-        weights = vecs[:, 0]
-        residual = beta * abs(float(weights[-1]))
-        if residual <= tol * max(1.0, abs(theta)) or k == dim or beta < 1e-14:
-            vec = weights @ B
-            vec /= np.linalg.norm(vec)
-            return theta, vec, residual, k
-        betas[m] = beta
-        r /= beta
-
-    raise ConvergenceError(
-        f"Lanczos did not reach tol={tol} in {maxit} iterations "
-        f"(last residual {residual:.3e}, energy {theta:.12g})"
-    )
+                for b, hb in zip(S, HS):
+                    c = np.vdot(b, p)
+                    p, hp = p - c * b, hp - c * hb
+            norm = np.linalg.norm(p)
+            if norm > 1e-8:  # else p lies in span{x, w}: drop it
+                S.append(p / norm)
+                HS.append(hp / norm)
+        G = np.array([[np.vdot(a, hb) for hb in HS] for a in S])
+        c = np.linalg.eigh((G + G.conj().T) / 2.0)[1][:, 0]
+        p = sum(ck * v for ck, v in zip(c[1:], S[1:]))
+        hp = sum(ck * v for ck, v in zip(c[1:], HS[1:]))
+        x, hx = c[0] * x + p, c[0] * hx + hp
+        norm = np.linalg.norm(x)
+        x /= norm
+        hx /= norm
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +380,12 @@ class AssembledModel:
             out += self.contract(cu, adjoint=True)
         return out.T.ravel()
 
+    def precondition(self, v: np.ndarray, sigma: float) -> np.ndarray:
+        """(kinetic + H_f + sigma)^-1 v: the diagonal of H in the representation
+        reached by ``_fft``, without the potential and the coupling."""
+        u = self._fock_major(v)
+        return self._ifft(self._fft(u) / (self._kin + self._hf + sigma)).T.ravel()
+
     def atomic_reference(self) -> AtomicState:
         """Discrete atomic ground state in this model's frame (cached)."""
         if self.grid is None:
@@ -593,10 +561,10 @@ def lanczos_ground(
     vacuum (v0/nelson), or the bare vacuum (fiber); seeding with the
     atomic state guarantees the returned energy is at most the discrete
     atomic energy, since the first Rayleigh quotient already equals it.
-    The guarantee does not rest on the basis being exactly orthogonal: the
-    returned energy is the lowest eigenvalue of the tridiagonal T_k, which
-    is at most its first diagonal entry T_k[0, 0] = <seed, H seed>, the
-    first Rayleigh quotient, whatever the later rows are.
+    Ritz values never rise: each Rayleigh-Ritz step minimizes over a
+    subspace that holds the previous Ritz vector, and the returned energy
+    is the Rayleigh quotient of the returned vector, so it is at most
+    <seed, H seed>.  The solve is preconditioned by ``model.precondition``.
     """
     if seed_vector is None:
         if model.variant == "fiber":
@@ -609,7 +577,8 @@ def lanczos_ground(
             psi = psi / np.linalg.norm(psi)
             seed_vector = np.kron(psi, vacuum_vector(model.basis)).astype(complex)
     energy, vec, residual, iters = lanczos_lowest(
-        model.matvec, model.dim, seed=seed_vector, tol=tol, maxit=maxit
+        model.matvec, model.dim, seed=seed_vector, tol=tol, maxit=maxit,
+        precond=model.precondition,
     )
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
 
@@ -803,6 +772,27 @@ def effective_mass_riemann(modes: ModeGrid) -> float:
     return float((2.0 / 3.0) * np.sum(modes.w * omega**2 * beta**3 / (2.0 * omega)))
 
 
+def _pcg(op, b: np.ndarray, precond, tol: float, maxit: int = 5000) -> np.ndarray:
+    """Solve op y = b, op Hermitian positive definite, by conjugate gradients
+    preconditioned by ``precond``, to ||b - op y|| <= tol ||b|| (the
+    recursively updated residual); raises ConvergenceError after maxit
+    products."""
+    y, r = np.zeros_like(b), b.copy()
+    d = z = precond(r)
+    rz, bound = np.vdot(r, z).real, tol * np.linalg.norm(b)
+    for _ in range(maxit):
+        if np.linalg.norm(r) <= bound:
+            return y
+        od = op(d)
+        step = rz / np.vdot(d, od).real
+        y += step * d
+        r -= step * od
+        z = precond(r)
+        rz, rz_old = np.vdot(r, z).real, rz
+        d = z + (rz / rz_old) * d
+    raise ConvergenceError(f"fiber linear solve did not reach tol={tol} in {maxit} products")
+
+
 def effective_mass_numeric(
     params: ModelParams,
     modes: ModeGrid,
@@ -814,19 +804,27 @@ def effective_mass_numeric(
     Solves (H0 - E0) y_l = W_l psi0 on the complement of the ground
     state, W_l the Hermitian velocity coupling -(momentum carried by the
     field) + (linear coefficient)(A0 + A0*)_l, and returns
-    1 / (1 - (2/3) sum_l <W_l psi0, y_l>); equals 1 exactly at e = 0.
+    1 / (1 - (2/3) sum_l <W_l psi0, y_l>); equals 1 exactly at e = 0.  The
+    solves are conjugate gradients preconditioned by the diagonal
+    (kinetic + H_f - E0 + _SHIFT_MARGIN)^-1, to ||residual|| <= tol ||W_l psi0||.
     """
     if params.e == 0.0:
         return 1.0
     model = assemble(params, base_frame(), None, modes, basis, variant="fiber")
     ground = lanczos_ground(model, tol=1e-12, maxit=min(600, model.dim + 2))
-    psi0 = ground.vector
-    e0 = ground.energy
+    psi0, e0 = ground.vector, ground.energy
+    sigma = max(-e0, 0.0) + _SHIFT_MARGIN
 
-    ez = np.eye(3)
+    def op(v: np.ndarray) -> np.ndarray:
+        # (H0 - E0) on the complement of psi0, the identity along it
+        along = np.vdot(psi0, v)
+        v = v - along * psi0
+        w = model.matvec(v) - e0 * v
+        return w - np.vdot(psi0, w) * psi0 + along * psi0
+
     total = 0.0
-    for ell in range(3):
-        b = model.apply_D(psi0, ez[ell])
+    for ell, direction in enumerate(np.eye(3)):
+        b = model.apply_D(psi0, direction)
         grad = np.vdot(psi0, b)
         if abs(grad) > 1e-8:
             raise DomainError(
@@ -834,17 +832,7 @@ def effective_mass_numeric(
                 f"<W> = {grad:.3e}"
             )
         b = b - grad * psi0
-
-        def op(v: np.ndarray) -> np.ndarray:
-            v = v - np.vdot(psi0, v) * psi0
-            w = model.matvec(v) - e0 * v
-            w = w - np.vdot(psi0, w) * psi0
-            return w + np.vdot(psi0, v) * psi0
-
-        lin = LinearOperator((model.dim, model.dim), matvec=op, dtype=complex)
-        y, info = cg(lin, b, rtol=tol, atol=0.0, maxiter=5000)
-        if info != 0:
-            raise ConvergenceError(f"fiber linear solve failed (info={info})")
+        y = _pcg(op, b, lambda r: model.precondition(r, sigma), tol)
         y = y - np.vdot(psi0, y) * psi0
         total += float(np.vdot(b, y).real)
 

@@ -281,3 +281,15 @@ def _verify_bytes(threads: str) -> bytes:
 
 def test_verify_bytes_identical_across_thread_counts():
     assert _verify_bytes("1") == _verify_bytes("6")
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    """A fresh import of the CLI pays only for what every command runs:
+    quadrature and root finding load their scipy modules on first use."""
+    probe = (
+        "import sys, nelsonlab.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import sici
 
 from nelsonlab import closedform as cf
@@ -46,6 +46,8 @@ def test_shell_region_additivity():
     c=st.floats(0.1, 2.0),
     kap=st.floats(0.0, 0.8),
 )
+@example(a=-0.9, c=2.0, kap=1e-7)  # origin just below kappa: extrapolation from 0
+@example(a=0.0, c=1.0, kap=3e-170)  # r^-2 overflows at r = kappa
 def test_shell_region_additivity_property(a, c, kap):
     full = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "full"))
     ir = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "infrared"))

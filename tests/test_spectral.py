@@ -1,4 +1,4 @@
-"""Tests for assembly, Lanczos, and the operator-identity checks."""
+"""Tests for assembly, the eigensolver, and the operator-identity checks."""
 
 import copy
 
@@ -35,7 +35,7 @@ def gross_model(small_setup):
 
 
 # ---------------------------------------------------------------------------
-# Lanczos driver
+# eigensolver (LOBPCG behind lanczos_lowest)
 # ---------------------------------------------------------------------------
 
 
@@ -88,42 +88,35 @@ def test_lanczos_rejects_bad_settings(setting):
 
 
 def test_lanczos_basis_memory_guard(monkeypatch):
-    dim = 10**9  # a basis of about 4.8 TB; refused before anything is allocated
-    with pytest.raises(ParameterError, match=r"dim=1000000000, maxit=300 needs 4816000000000 bytes"):
+    """The guard counts the solver's working set, _WORKSET_VECTORS vectors of
+    dim values at 16 bytes, and refuses before the seed is drawn."""
+    dim = 10**9  # 128 GB of vectors; refused before anything is allocated
+    with pytest.raises(ParameterError, match=r"dim=1000000000 needs 128000000000 bytes"):
         sp.lanczos_lowest(_never_called, dim)
-    # the bound is (min(maxit, dim) + 1) * dim * 16 bytes, inclusive
-    monkeypatch.setattr(sp, "_BASIS_BYTES_LIMIT", 11 * 40 * 16 - 1)
+    # the bound is _WORKSET_VECTORS * dim * 16 bytes, inclusive
+    monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16 - 1)
     with pytest.raises(ParameterError):
         sp.lanczos_lowest(_never_called, 40, maxit=10)
-    monkeypatch.setattr(sp, "_BASIS_BYTES_LIMIT", 11 * 40 * 16)
+    monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16)
     with pytest.raises(ConvergenceError):
         sp.lanczos_lowest(lambda v: np.arange(40.0) * v, 40, maxit=10)
 
 
-@pytest.mark.parametrize("spectrum", ["wide", "clustered"])
-def test_lanczos_basis_stays_semi_orthogonal(spectrum):
-    """The operator is applied to exactly the basis rows, so recording its
-    inputs recovers the basis.  Their overlaps must stay near the sqrt(eps)
-    level that the partial reorthogonalization keeps; a basis that is never
-    projected drifts to overlaps of 7e-4 (wide) and 5e-3 (clustered) here,
-    with energies that still agree to 1e-14."""
+def test_lanczos_residual_is_honest_on_a_cluster():
+    """Half the spectrum in a cluster of width 1e-2 just above the gap, the
+    case where the carried H x drifts longest.  The returned residual is
+    that of a fresh product, and the energy is at most the seed's Rayleigh
+    quotient (the guarantee behind energy.upper)."""
     rng = np.random.default_rng(5)
-    if spectrum == "wide":
-        rest = rng.uniform(0.0, 100.0, 399)
-    else:  # half the spectrum in a cluster of width 1e-2 just above the gap
-        rest = np.concatenate([rng.uniform(0.0, 1e-2, 200), rng.uniform(1.0, 100.0, 199)])
+    rest = np.concatenate([rng.uniform(0.0, 1e-2, 200), rng.uniform(1.0, 100.0, 199)])
     d = np.concatenate([[-1.0], rest])
-    rows = []
-
-    def matvec(v):
-        rows.append(v.copy())
-        return d * v
-
-    energy, _, _, iterations = sp.lanczos_lowest(matvec, d.size, tol=1e-13)
-    Q = np.array(rows)
-    assert len(rows) == iterations > 100  # long enough to lose orthogonality
+    seed = rng.standard_normal(d.size)
+    energy, vec, residual, _ = sp.lanczos_lowest(lambda v: d * v, d.size, seed=seed,
+                                                 tol=1e-13, maxit=1000)
     assert energy == pytest.approx(-1.0, abs=1e-12)
-    assert np.abs(Q @ Q.T - np.eye(iterations)).max() <= 1e-7
+    assert residual <= 1e-13
+    assert residual == pytest.approx(np.linalg.norm(d * vec - energy * vec), rel=1e-9, abs=0.0)
+    assert energy <= seed @ (d * seed) / (seed @ seed)
 
 
 @pytest.mark.parametrize("start", ["random", "real_first_column"])
@@ -405,6 +398,23 @@ def test_lanczos_ground_matches_dense(small_setup, gross_model):
     evals = np.linalg.eigvalsh(sp.to_dense(fib))
     res = sp.lanczos_ground(fib)
     assert res.energy == pytest.approx(evals[0], abs=1e-10)
+
+
+def test_lanczos_ground_v0_and_fiber_vacuum_seed():
+    """The v0 ground state from the constant mode and the fiber from the bare
+    vacuum, at a coupling where neither seed is an eigenvector."""
+    params = make_params(e=1.0, Z=1.0, kappa=0.3, lam=2.0)
+    modes = build_modes(0.3, 2.0, 1, 2)
+    v0 = sp.assemble(params, base_frame(), PositionGrid(n=4, L=3.0), modes,
+                     FockBasis(modes.count, 2), variant="v0")
+    fib = sp.assemble(params, base_frame(), None, build_modes(0.3, 2.0, 2, 2),
+                      FockBasis(4, 4), variant="fiber")
+    for model in (v0, fib):
+        dense = sp.to_dense(model)
+        res = sp.lanczos_ground(model)
+        assert res.iterations > 2
+        assert res.energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
+        assert np.linalg.norm(dense @ res.vector - res.energy * res.vector) <= 1e-10
 
 
 def test_ground_energy_below_atomic_reference(gross_model):
