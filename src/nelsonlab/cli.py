@@ -92,6 +92,8 @@ _CONFIG_KEYS = (
 _KEY_TO_FIELD = {key: (field, cast) for key, field, cast in _CONFIG_KEYS}
 _FIELD_TO_KEY = {field: key for key, field, _ in _CONFIG_KEYS}
 _SCAN_AXES = ("e", "Z", "kappa", "lambda")
+_SCAN_ONLY = ("axis", "from", "to", "steps")
+_CHOICES = {"format": ("json", "csv"), "axis": _SCAN_AXES}
 
 
 @dataclass(frozen=True)
@@ -191,36 +193,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "binding": "second-order binding shift: ratio-one, resolvent, envelope",
     }
     for name, help_text in specs.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flag, dest in (
-            ("--e", "e"),
-            ("--Z", "Z"),
-            ("--m", "m"),
-            ("--kappa", "kappa"),
-            ("--lambda", "lam"),
-            ("--tau", "tau"),
-            ("--lambda1", "lambda1"),
-            ("--box-L", "L"),
-            ("--tol", "tol"),
-        ):
-            sp.add_argument(flag, dest=dest, type=float, default=None)
-        for flag, dest in (
-            ("--grid-n", "n"),
-            ("--modes-radial", "n_radial"),
-            ("--modes-angular", "n_angular"),
-            ("--nmax", "n_max"),
-            ("--maxit", "maxit"),
-        ):
-            sp.add_argument(flag, dest=dest, type=int, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--select", default=None)
-        sp.add_argument("--config", default=None)
-        if name == "scan":
-            sp.add_argument("--axis", choices=_SCAN_AXES, default=None)
-            sp.add_argument("--from", dest="start", type=float, default=None)
-            sp.add_argument("--to", dest="stop", type=float, default=None)
-            sp.add_argument("--steps", type=int, default=None)
+        # no prefix matching: on a command without --to, "--to" must not mean --tol
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key, field, cast in _CONFIG_KEYS:
+            if name == "scan" or key not in _SCAN_ONLY:
+                sp.add_argument(f"--{key}", dest=field, type=cast, choices=_CHOICES.get(key))
+        sp.add_argument("--config")
     return parser
 
 
@@ -407,65 +385,24 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
         tau, rho = cfg.tau, frame_for(params, cfg.tau, cfg.lambda1).rho
     norms = qd.f_tau_norms(params, tau, rho)
     rows: list[dict] = []
-
-    def ceiled(name: str, value: float, ceiling: float) -> None:
-        rows.append(
-            {
-                "name": name,
-                "value": value,
-                "ceiling": ceiling,
-                "margin": ceiling - value,
-                "display": _display(value),
-            }
-        )
-
-    ceiled("norm.f_ir_l2", norms.f_ir_l2, cf.ir_l2_ceiling())
-    ceiled("norm.f_ir_over_sqrt_omega", norms.f_ir_over_sqrt_omega, cf.ir_inv_sqrt_ceiling())
-    ceiled(
-        "norm.f_uv_over_sqrt_omega",
-        norms.f_uv_over_sqrt_omega,
-        cf.uv_inv_sqrt_ceiling(tau, rho),
-    )
-    ceiled(
-        "norm.f_uv_over_quarter_omega",
-        norms.f_uv_over_quarter_omega,
-        cf.uv_inv_quarter_ceiling(tau, rho),
-    )
-    ceiled("xi.self", cf.xi_bound(norms, norms), cf.xi_self_ceiling(tau, rho))
-    ceiled(
-        "cin.100",
-        qd.cin(100.0),
-        qd.EULER_GAMMA + math.log(15.0) + 91.0 / 30.0,
-    )
-
-    def plain(name: str, fn) -> None:
-        try:
-            value = float(fn())
-        except (DomainError, ParameterError) as exc:
-            rows.append(
-                {
-                    "name": name,
-                    "value": None,
-                    "ceiling": None,
-                    "margin": None,
-                    "display": f"n/a ({exc})",
-                }
-            )
-            return
-        rows.append(
-            {
-                "name": name,
-                "value": value,
-                "ceiling": None,
-                "margin": None,
-                "display": _display(value),
-            }
-        )
-
-    plain("effective_mass.coefficient", lambda: qd.effective_mass_coefficient().value)
-    plain("effective_mass.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT)
-    plain("self_energy.quadrature", lambda: qd.energy_renormalization(params))
-    plain("self_energy.analytic", lambda: qd.energy_renormalization_analytic(params))
+    for name, value, ceiling in (
+        ("norm.f_ir_l2", norms.f_ir_l2, cf.ir_l2_ceiling()),
+        ("norm.f_ir_over_sqrt_omega", norms.f_ir_over_sqrt_omega, cf.ir_inv_sqrt_ceiling()),
+        ("norm.f_uv_over_sqrt_omega", norms.f_uv_over_sqrt_omega,
+         cf.uv_inv_sqrt_ceiling(tau, rho)),
+        ("norm.f_uv_over_quarter_omega", norms.f_uv_over_quarter_omega,
+         cf.uv_inv_quarter_ceiling(tau, rho)),
+        ("xi.self", cf.xi_bound(norms, norms), cf.xi_self_ceiling(tau, rho)),
+        ("cin.100", qd.cin(100.0), qd.EULER_GAMMA + math.log(15.0) + 91.0 / 30.0),
+    ):
+        _row(rows, name, lambda v=value: v, ceiling=ceiling, margin=ceiling - value)
+    for name, fn in (
+        ("effective_mass.coefficient", lambda: qd.effective_mass_coefficient().value),
+        ("effective_mass.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT),
+        ("self_energy.quadrature", lambda: qd.energy_renormalization(params)),
+        ("self_energy.analytic", lambda: qd.energy_renormalization_analytic(params)),
+    ):
+        _row(rows, name, fn, ceiling=None, margin=None)
     columns = ("name", "value", "ceiling", "margin", "display")
     return _emit_table(cfg, rows, columns), 0
 

@@ -9,13 +9,12 @@ sparse matrix and is immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
-from .model import DomainError, ParameterError, ScaleFrame
+from .model import ParameterError, ScaleFrame
 
 _TWO_PI_CUBED = (2.0 * math.pi) ** 3
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -120,24 +119,6 @@ def scale_modes(grid: ModeGrid, frame: ScaleFrame) -> ModeGrid:
     )
 
 
-def snap_modes_to_lattice(grid: ModeGrid, dk: float) -> ModeGrid:
-    """Round every mode vector to the nearest reciprocal-lattice point
-    (multiples of dk per axis) so plane-wave shifts are exact on the box.
-
-    Raises :class:`DomainError` when a mode rounds to the zero vector or two
-    modes collide."""
-    if not (dk > 0.0):
-        raise ParameterError(f"dk must be positive, got {dk}")
-    snapped = np.round(grid.k / dk) * dk
-    norms = np.linalg.norm(snapped, axis=1)
-    if np.any(norms == 0.0):
-        raise DomainError("a mode snapped to the zero vector; refine the box")
-    keys = {tuple(np.round(row / dk).astype(int)) for row in snapped}
-    if len(keys) != snapped.shape[0]:
-        raise DomainError("two modes snapped to the same lattice point")
-    return replace(grid, k=snapped)
-
-
 class FockBasis:
     """Occupation-number basis with a total cap: all (n_1 .. n_M) with
     sum <= n_max, enumerated by total occupation then lexicographically.
@@ -211,45 +192,3 @@ def ladder_ops(basis: FockBasis, j: int):
     adag = sparse.csr_matrix((vals, dst, rows), shape=shape)
     n_j = sparse.csr_matrix((occ[src, j].astype(float), src, rows), shape=shape)
     return a, adag, n_j
-
-
-def number_operator(basis: FockBasis, grid: ModeGrid | None = None,
-                    region: str = "all") -> sparse.csr_matrix:
-    """Diagonal total/soft/hard boson number operator."""
-    if region == "all":
-        diag = basis.totals().astype(float)
-    elif region in ("soft", "hard"):
-        if grid is None:
-            raise ParameterError("soft/hard number operators need the mode grid")
-        if grid.count != basis.mode_count:
-            raise ParameterError("grid and basis disagree on the mode count")
-        mask = grid.soft_mask if region == "soft" else ~grid.soft_mask
-        diag = basis.occupations[:, mask].sum(axis=1).astype(float)
-    else:
-        raise ParameterError(f"unknown region {region!r}")
-    return sparse.diags(diag, format="csr")
-
-
-def field_energy(basis: FockBasis, grid: ModeGrid) -> sparse.csr_matrix:
-    """H_f = sum_j omega_j n_j (diagonal, nonnegative, vacuum value 0)."""
-    if grid.count != basis.mode_count:
-        raise ParameterError("grid and basis disagree on the mode count")
-    diag = basis.occupations.astype(float) @ grid.omega
-    return sparse.diags(diag, format="csr")
-
-
-def displacement(basis: FockBasis, j: int, eta: complex) -> sparse.csr_matrix:
-    """Single-mode coherent displacement exp(eta adag_j - conj(eta) a_j),
-    computed densely (the generator is anti-Hermitian, so the result is
-    unitary even under the occupation cap) and re-sparsified at 1e-14."""
-    if not (math.isfinite(eta.real) and math.isfinite(abs(eta))):
-        raise ParameterError(f"eta must be finite, got {eta!r}")
-    if basis.dim > 4000:
-        raise ParameterError(
-            f"dense displacement limited to dimension 4000, got {basis.dim}"
-        )
-    a, adag, _ = ladder_ops(basis, j)
-    gen = (eta * adag - np.conj(eta) * a).toarray()
-    dense = expm(gen)
-    dense[np.abs(dense) < 1e-14] = 0.0
-    return sparse.csr_matrix(dense)

@@ -161,39 +161,7 @@ def frame_for(params: ModelParams, tau: float, lambda1: float = 1.0) -> ScaleFra
     return ScaleFrame(tau=float(tau), rho=rho, lambda1=float(lambda1), label="alphaZ")
 
 
-def charge_frame(params: ModelParams, tau: float) -> ScaleFrame:
-    """Frame with rho = e**2 (equivalently lambda1 = 4 pi / Z)."""
-    return frame_for(params, tau, lambda1=FOUR_PI / params.Z)
-
-
-def scale_energy(frame: ScaleFrame, energy: float, direction: str = "forward") -> float:
-    """Convert an energy between defining units and frame units.
-
-    ``forward`` maps a defining-units energy E to the frame value
-    rho**(-2 tau) * E; ``inverse`` undoes it.
-    """
-    if direction == "forward":
-        return frame.r_of(-2.0 * frame.tau) * energy
-    if direction == "inverse":
-        return frame.r_of(2.0 * frame.tau) * energy
-    raise ParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def scale_length(frame: ScaleFrame, x: float, direction: str = "forward") -> float:
-    """Convert a length: forward gives the frame coordinate rho**tau * x."""
-    if direction == "forward":
-        return frame.r_of(frame.tau) * x
-    if direction == "inverse":
-        return frame.r_of(-frame.tau) * x
-    raise ParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 def coulomb_coefficient(params: ModelParams, frame: ScaleFrame) -> float:
     """Strength of the attractive 1/|x| term in frame units:
     alpha Z rho**(-tau)."""
     return params.alphaZ * frame.r_of(-frame.tau)
-
-
-def atomic_energy_in(params: ModelParams, frame: ScaleFrame) -> float:
-    """Bare Coulomb ground energy expressed in frame units."""
-    return scale_energy(frame, params.atomic_energy, "forward")

@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
 
 from .model import ParameterError
 
@@ -24,7 +23,6 @@ __all__ = [
     "AtomicState",
     "atomic_ground",
     "position_operator",
-    "discrete_gradient_sup",
     "radial_resolvent_l1",
 ]
 
@@ -270,25 +268,6 @@ def position_operator(
     return sparse.diags(diag.ravel())
 
 
-def discrete_gradient_sup(grid: PositionGrid, operator) -> float:
-    """Sup over grid points of the squared forward-difference gradient.
-
-    Accepts the diagonal operator (or its raw mesh values) of a function f
-    and returns max_x sum_a ((f(x + h e_a) - f(x)) / h)^2 with periodic
-    wrap-around. For radial profiles the wrap connects points of nearly
-    equal radius, so the boundary rows are not spurious.
-    """
-    if sparse.issparse(operator):
-        values = np.asarray(operator.diagonal()).reshape((grid.n,) * 3)
-    else:
-        values = np.asarray(operator).reshape((grid.n,) * 3)
-    total = np.zeros_like(values, dtype=float)
-    for axis in range(3):
-        diff = (np.roll(values, -1, axis=axis) - values) / grid.h
-        total += np.abs(diff) ** 2
-    return float(total.max())
-
-
 # ---------------------------------------------------------------------------
 # l=1 radial resolvent
 # ---------------------------------------------------------------------------
@@ -333,6 +312,8 @@ def radial_resolvent_l1(alphaZ: float, omega_shift: float) -> float:
         raise ParameterError(f"alphaZ must be >= 0, got {alphaZ}")
     if alphaZ == 0.0:
         return 0.0
+
+    from scipy.linalg import solve_banded  # imported here: scipy.linalg is slow to load
 
     pieces = _radial_pieces()
     sigma = omega_shift / alphaZ**2

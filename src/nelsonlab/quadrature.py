@@ -1,17 +1,14 @@
 """Radial momentum-shell integrals and special-function helpers.
 
 All explicit integrals of the closed-form analysis live here: the dressed
-shell moments (with their analytic b = 2 family), the self-energy constant,
-the smeared-tail correction potential, the effective-mass coefficient, the
-cosine integral cin, and the second-order binding expansion.  The sine
-integral is hand-implemented (series + continued fraction); adaptive
+shell moments, the self-energy constant, the effective-mass coefficient, the
+cosine integral cin, and the second-order binding expansion.  Adaptive
 quadrature is delegated to scipy's QUADPACK wrapper behind a stable,
 thread-count-independent interface.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -134,102 +131,8 @@ def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> QuadRes
                       out.nodes_used)
 
 
-def shell_moment_b2_analytic(a: float, c: float, lo: float, hi: float) -> float:
-    """Antiderivative oracle for the b = 2 family at integer-friendly a.
-
-    For a = 0: 4 pi * [-(2/c) (1 + c r / 2)^(-1)], i.e. 8 pi / c over (0, inf).
-    For a = 1: 4 pi * (4/c^2) [log(1 + c r / 2) + (1 + c r / 2)^(-1)].
-    """
-    if c <= 0.0:
-        raise ParameterError(f"denominator coefficient must be positive, got {c}")
-
-    def anti0(r):
-        return -(2.0 / c) / (1.0 + 0.5 * c * r) if not math.isinf(r) else 0.0
-
-    def anti1(r):
-        if math.isinf(r):
-            raise DivergentIntegralError("a = 1, b = 2 diverges at infinity")
-        u = 1.0 + 0.5 * c * r
-        return (4.0 / (c * c)) * (math.log(u) + 1.0 / u)
-
-    if a == 0:
-        return 4.0 * math.pi * (anti0(hi) - anti0(lo))
-    if a == 1:
-        return 4.0 * math.pi * (anti1(hi) - anti1(lo))
-    raise ParameterError(f"no antiderivative oracle for a={a}")
-
-
 # ---------------------------------------------------------------------------
-# sine integral (hand implementation; scipy.special.sici is test-only)
-
-
-def _si_series(x: float) -> float:
-    # sum (-1)^n x^(2n+1) / ((2n+1)(2n+1)!), fast for |x| < 4
-    total = x
-    u = x
-    sign = 1.0
-    for n in range(1, 60):
-        u *= x * x / ((2.0 * n) * (2.0 * n + 1.0))
-        sign = -sign
-        term = sign * u / (2.0 * n + 1.0)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
-
-
-def _e1_imag_axis(x: float) -> complex:
-    """E_1(i x) for x > 0 by the even-contracted continued fraction
-    E_1(z) = exp(-z) / (z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...))),
-    evaluated with the modified Lentz algorithm."""
-    z = 1j * x
-    tiny = 1e-300
-    f = z + 1.0
-    if f == 0:
-        f = tiny
-    c_prev = f
-    d_prev = 0.0j
-    for n in range(1, 400):
-        a_n = -float(n * n)
-        b_n = z + (2.0 * n + 1.0)
-        d_cur = b_n + a_n * d_prev
-        if d_cur == 0:
-            d_cur = tiny
-        c_cur = b_n + a_n / c_prev
-        if c_cur == 0:
-            c_cur = tiny
-        d_cur = 1.0 / d_cur
-        delta = c_cur * d_cur
-        f *= delta
-        c_prev, d_prev = c_cur, d_cur
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return cmath.exp(-z) / f
-
-
-def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(s)/s ds (odd in x)."""
-    if x == 0.0 or math.isnan(x):
-        return x
-    if x < 0.0:
-        return -si(-x)
-    if math.isinf(x):
-        return 0.5 * math.pi
-    if x < 4.0:
-        return _si_series(x)
-    return 0.5 * math.pi + _e1_imag_axis(x).imag
-
-
-def ci(x: float) -> float:
-    """Cosine integral Ci(x) for x > 0."""
-    if not (x > 0.0):
-        raise DomainError(f"Ci needs x > 0, got {x}")
-    if math.isinf(x):
-        return 0.0
-    if x < 4.0:
-        # Ci = gamma + log x - cin, with cin from its own series
-        return EULER_GAMMA + math.log(x) - _cin_series(x)
-    return -_e1_imag_axis(x).real
+# cosine integral
 
 
 def _cin_series(x: float) -> float:
@@ -268,7 +171,7 @@ def cin(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# self-energy constant and correction potential
+# self-energy constant
 
 
 def energy_renormalization(params: ModelParams) -> float:
@@ -307,27 +210,6 @@ def energy_renormalization_analytic(params: ModelParams) -> float:
         m * math.log((2.0 * m + params.lam) / (2.0 * m + params.kappa))
         + 0.5 * Z * Z * (params.lam - params.kappa)
     )
-
-
-def correction_potential(params: ModelParams, x: float) -> float:
-    """Effective radial potential generated by the cutoff tails:
-
-    V(x) = (e^2 Z / m) (2 pi^2)^(-1) (m/x)
-           [ Si(kappa x / m) + pi/2 - Si(lam x / m) ].
-
-    Vanishes pointwise as kappa -> 0, lam -> inf, and satisfies
-    |V(x)| <= const / x since the bracket is bounded.
-    """
-    if not (x > 0.0):
-        raise DomainError(f"correction potential needs x > 0, got {x}")
-    if params.e == 0.0:
-        return 0.0
-    y = x / params.m
-    tail = 0.0 if math.isinf(params.lam) else 0.5 * math.pi - si(params.lam * y)
-    head = si(params.kappa * y)
-    return (params.e ** 2 * params.Z / params.m) / (2.0 * math.pi ** 2) * (
-        head + tail
-    ) / y
 
 
 # ---------------------------------------------------------------------------

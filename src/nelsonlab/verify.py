@@ -19,6 +19,16 @@ check id; the full id list is::
     overlap.q_bound          overlap_Q <= Q ceiling
     photons.hard/.soft/.total  photon-number ceilings
 
+The suite is one table, ``_CHECKS``.  Each row holds the id, the anchor
+(the statement in plain words), one function of the shared state and the
+notes.  The function returns ``(lhs, rhs, extra params)`` for lhs <= rhs, or
+raises ``_Skip`` with a reason and extra params; ``_windowed`` wraps the
+functions of the rows that need the small-charge window and is the one place
+the shared gates live.  ``_run`` turns a row into its report: pass or fail
+by the slack, skipped, or error when the function raised anything else.  The
+shared state computes each solve at most once and remembers a failure, so
+every check that reads a failed solve reports the same error.
+
 Design notes.  The suite solves in defining units (tau = 0) so ceiling
 comparisons need no unit conversion; discrete references (E_at_h, psi_at_h
 on the same grid) replace analytic atomic quantities inside variational
@@ -39,8 +49,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,15 +102,7 @@ class Resolution:
     maxit: int = 400
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "L": self.L,
-            "n_radial": self.n_radial,
-            "n_angular": self.n_angular,
-            "n_max": self.n_max,
-            "tol": self.tol,
-            "maxit": self.maxit,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -135,30 +137,30 @@ class BoundReport:
         return self.status.startswith("error")
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "status": self.status,
-            "params": dict(self.params),
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
-def _checked(check_id, anchor, lhs, rhs, params, notes="") -> BoundReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    slack = rhs - lhs
-    status = "pass" if slack >= -1e-10 * max(1.0, abs(rhs)) else "fail"
-    return BoundReport(check_id, anchor, lhs, rhs, slack, status, params, notes)
+class _Skip(Exception):
+    """Raised by a check outside its window: args are (reason, extra params)."""
 
 
-def _skipped(check_id, anchor, reason, params, notes="") -> BoundReport:
-    return BoundReport(
-        check_id, anchor, None, None, None, f"skipped({reason})", params, notes
-    )
+def _once(method):
+    """A cached property that also caches the exception its first call raised,
+    so a failed solve is attempted once and replayed to every reader."""
+    name = method.__name__
+
+    def get(self):
+        if name not in self.__dict__:
+            try:
+                self.__dict__[name] = (method(self), None)
+            except Exception as exc:  # noqa: BLE001 - replayed, not swallowed
+                self.__dict__[name] = (None, exc)
+        value, exc = self.__dict__[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    return property(get, doc=method.__doc__)
 
 
 class _Suite:
@@ -171,68 +173,68 @@ class _Suite:
 
     # -- shared solves ------------------------------------------------
 
-    @cached_property
+    @_once
     def grid(self) -> PositionGrid:
         return PositionGrid(n=self.res.n, L=self.res.L)
 
-    @cached_property
+    @_once
     def modes(self) -> ModeGrid:
         return build_modes(
             self.params.kappa, self.params.lam, self.res.n_radial, self.res.n_angular
         )
 
-    @cached_property
+    @_once
     def basis(self) -> FockBasis:
         return FockBasis(self.modes.count, self.res.n_max)
 
-    @cached_property
+    @_once
     def model(self):
         return assemble(self.params, self.frame, self.grid, self.modes, self.basis)
 
-    @cached_property
+    @_once
     def ground(self):
         return lanczos_ground(self.model, tol=self.res.tol, maxit=self.res.maxit)
 
-    @cached_property
+    @_once
     def atomic(self):
         return self.model.atomic_reference()
 
-    @cached_property
+    @_once
     def v0_energy(self) -> float:
         v0 = assemble(
             self.params, self.frame, self.grid, self.modes, self.basis, variant="v0"
         )
         return float(lanczos_ground(v0, tol=self.res.tol, maxit=self.res.maxit).energy)
 
-    @cached_property
+    @_once
     def photons(self):
         return photon_number(self.ground.vector, self.basis, self.modes)
 
-    @cached_property
+    @_once
     def overlaps(self) -> tuple[float, float]:
         return overlap_with_decoupled(self.ground.vector, self.atomic, self.basis)
 
-    @cached_property
+    @_once
     def vacuum_weight(self) -> float:
         return vacuum_sector_weight(self.ground.vector, self.basis)
 
-    @cached_property
+    @_once
     def density(self) -> np.ndarray:
         mat = self.ground.vector.reshape(-1, self.basis.dim)
         dens = np.sum((mat.conj() * mat).real, axis=1)
         return dens / dens.sum()
 
-    @cached_property
+    @_once
     def window_constants(self) -> dict:
         return overlap_constants(self.params.e, self.params.Z, tau=0.9)
 
-    @cached_property
+    @_once
     def cuv(self) -> float:
         return c_uv(self.params.e, self.params.Z)
 
     # -- dedicated identity models -------------------------------------
 
-    @cached_property
+    @_once
     def pull_through_worst(self) -> float:
         grid = PositionGrid(n=8, L=5.0)
         modes = build_modes(self.params.kappa, self.params.lam, 2, 1)
@@ -240,7 +242,7 @@ class _Suite:
         model = assemble(self.params, base_frame(), grid, modes, basis)
         return max(pull_through_residual(model, j) for j in range(modes.count))
 
-    @cached_property
+    @_once
     def telescoping(self) -> dict:
         grid = PositionGrid(n=16, L=8.0)
         dk = grid.dk
@@ -254,364 +256,171 @@ class _Suite:
         probe = dk * np.array([1.0, 1.0, 1.0])
         return soft_decomposition_residual(model, probe, epsilon=0.75)
 
-    # -- bookkeeping ----------------------------------------------------
+    # -- bookkeeping --------------------------------------------------
 
     def base_params(self, **extra) -> dict:
-        d = {
-            "e": self.params.e,
-            "Z": self.params.Z,
-            "m": self.params.m,
-            "kappa": self.params.kappa,
-            "lam": self.params.lam,
-            "tau": self.frame.tau,
-        }
-        d.update(self.res.to_dict())
-        d.update(extra)
-        return d
-
-    def outside_window(self) -> str | None:
-        if self.cuv >= 1.0:
-            return f"C_UV >= 1 (C_UV(e={self.params.e}) = {self.cuv:.6g})"
-        return None
+        p = self.params
+        return {"e": p.e, "Z": p.Z, "m": p.m, "kappa": p.kappa, "lam": p.lam,
+                "tau": self.frame.tau, **self.res.to_dict(), **extra}
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# the table
 
 
-def _check_energy_upper(ctx: _Suite) -> BoundReport:
-    anchor = "variational upper bound by the decoupled product state"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("energy.upper", anchor, gate, ctx.base_params())
-    return _checked(
-        "energy.upper",
-        anchor,
-        ctx.ground.energy,
-        ctx.atomic.energy,
-        ctx.base_params(),
-        notes="rhs is the discrete atomic level E_at_h on the same grid",
-    )
+def _windowed(evaluate, zero_charge: str | None = None):
+    """``evaluate`` behind the shared gates: skipped when C_UV(e) >= 1, and
+    with ``zero_charge`` as the reason when the charge vanishes."""
+
+    def gated(c: _Suite) -> tuple:
+        if c.cuv >= 1.0:
+            raise _Skip(f"C_UV >= 1 (C_UV(e={c.params.e}) = {c.cuv:.6g})", {})
+        if zero_charge is not None and c.params.alphaZ == 0.0:
+            raise _Skip(zero_charge, {})
+        return evaluate(c)
+
+    return gated
 
 
-def _check_energy_lower(ctx: _Suite) -> BoundReport:
-    anchor = "lower bound one ultraviolet constant below the decoupled level"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("energy.lower", anchor, gate, ctx.base_params())
-    lhs = ctx.atomic.energy - ctx.cuv
-    return _checked(
-        "energy.lower",
-        anchor,
-        lhs,
-        ctx.ground.energy,
-        ctx.base_params(C_UV=ctx.cuv),
-        notes=(
-            "this check cannot fail for a correct build: truncation raises the "
-            "computed energy while the ceiling sits below the true one; a "
-            "failure signals a build-breaking bug"
-        ),
-    )
-
-
-def _check_binding(ctx: _Suite) -> BoundReport:
-    anchor = "binding energy at least the decoupled level's depth"
-    return _checked(
-        "binding.positivity",
-        anchor,
-        -ctx.atomic.energy,
-        ctx.v0_energy - ctx.ground.energy,
-        ctx.base_params(E_v0=ctx.v0_energy),
-        notes="E_v0 is the free-particle variant's ground energy on the same truncation",
-    )
-
-
-def _check_localization(ctx: _Suite) -> BoundReport:
-    anchor = "localization estimate for cut radial test functions"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("localization.g_square", anchor, gate, ctx.base_params())
-    rho1 = ctx.params.alphaZ  # lambda1 = 1 frame scale
-    if rho1 == 0.0:
-        return _skipped(
-            "localization.g_square",
-            anchor,
-            "localization needs a nonzero charge",
-            ctx.base_params(),
-        )
-    # choose R so the cut ramp sits inside the box: R = 0.8 rho1 L in the
-    # unit-coulomb frame means base-grid support from 0.4 L to 0.8 L
-    R_at = 0.8 * rho1 * ctx.res.L
-    diag = position_operator(
-        ctx.grid, "g_r", R=R_at / rho1, c=rho1, kind="log"
-    ).diagonal()
-    lhs = float((diag**2) @ ctx.density)
-    rhs = sl1_bound(1.0, grad_ceiling("log", R_at), gsq_over_x_ceiling("log", R_at))
-    return _checked(
-        "localization.g_square",
-        anchor,
-        lhs,
-        rhs,
-        ctx.base_params(R=R_at, lambda1=1.0, kind="log"),
-    )
-
-
-def _moment(ctx: _Suite, name: str) -> float:
+def _moment(c: _Suite, name: str, **kwargs) -> float:
     return spatial_moment(
-        ctx.ground.vector,
-        ctx.grid,
-        ctx.basis,
-        name,
-        ctx.params,
-        frame=ctx.frame,
+        c.ground.vector, c.grid, c.basis, name, c.params, frame=c.frame, **kwargs
     )
 
 
-def _gate_moment(ctx: _Suite, check_id: str, anchor: str) -> BoundReport | None:
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped(check_id, anchor, gate, ctx.base_params())
-    if ctx.params.e == 0.0:
-        return _skipped(
-            check_id, anchor, "spatial ceilings need a nonzero charge", ctx.base_params()
-        )
-    return None
+def _scanned(name: str, bound, radii):
+    """A moment against the tightest member of a ceiling family that holds
+    for every R in ``radii``."""
+
+    def evaluate(c: _Suite) -> tuple:
+        rhs, R_best = min((bound(c.params.e, c.params.Z, R), R) for R in radii)
+        return _moment(c, name), rhs, {"R": R_best, "R_scan": list(R_SCAN)}
+
+    return _windowed(evaluate, _SPATIAL)
 
 
-def _check_moment_log(ctx: _Suite) -> BoundReport:
-    anchor = "logarithmic spatial moment ceiling"
-    gated = _gate_moment(ctx, "moment.log", anchor)
-    if gated:
-        return gated
-    e, Z = ctx.params.e, ctx.params.Z
-    rhs, R_best = min((moment_log_bound(e, Z, R), R) for R in R_SCAN)
-    return _checked(
-        "moment.log",
-        anchor,
-        _moment(ctx, "log3"),
-        rhs,
-        ctx.base_params(R=R_best, R_scan=list(R_SCAN)),
-    )
-
-
-def _check_moment_abs(ctx: _Suite) -> BoundReport:
-    anchor = "first spatial moment ceiling"
-    gated = _gate_moment(ctx, "moment.abs_x", anchor)
-    if gated:
-        return gated
-    return _checked(
-        "moment.abs_x",
-        anchor,
-        _moment(ctx, "abs_x"),
-        moment_abs_bound(ctx.params.e, ctx.params.Z),
-        ctx.base_params(),
-    )
-
-
-def _check_moment_sq(ctx: _Suite) -> BoundReport:
-    anchor = "second spatial moment ceiling"
-    gated = _gate_moment(ctx, "moment.x_squared", anchor)
-    if gated:
-        return gated
-    e, Z = ctx.params.e, ctx.params.Z
-    rhs, R_best = min((moment_sq_bound(e, Z, R), R) for R in R_SCAN if R > 4.0)
-    return _checked(
-        "moment.x_squared",
-        anchor,
-        _moment(ctx, "x_squared"),
-        rhs,
-        ctx.base_params(R=R_best, R_scan=list(R_SCAN)),
-    )
-
-
-def _check_moment_exp(ctx: _Suite) -> BoundReport:
-    anchor = "exponential spatial moment ceiling"
-    gated = _gate_moment(ctx, "moment.exponential", anchor)
-    if gated:
-        return gated
-    e, Z = ctx.params.e, ctx.params.Z
+def _exponential(c: _Suite) -> tuple:
+    e, Z = c.params.e, c.params.Z
     lam = FOUR_PI / (e * e * Z)
     beta = 1.0 / (math.sqrt(2.0) * lam)  # halfway into the admissible window
     admissible = [R for R in R_SCAN if exp_moment_precondition(e, Z, beta, R) > 0.0]
     if not admissible:
-        return _skipped(
-            "moment.exponential",
-            anchor,
-            f"no admissible R in scan at beta={beta:.6g}",
-            ctx.base_params(beta=beta, R_scan=list(R_SCAN)),
-        )
+        reason = f"no admissible R in scan at beta={beta:.6g}"
+        raise _Skip(reason, {"beta": beta, "R_scan": list(R_SCAN)})
     rhs, R_best = min((exp_moment_bound(e, Z, beta, R), R) for R in admissible)
-    lhs = spatial_moment(
-        ctx.ground.vector,
-        ctx.grid,
-        ctx.basis,
-        "exp_beta",
-        ctx.params,
-        frame=ctx.frame,
-        beta=beta,
-    )
-    return _checked(
-        "moment.exponential",
-        anchor,
-        lhs,
-        rhs,
-        ctx.base_params(beta=beta, R=R_best, R_scan=list(R_SCAN)),
-    )
+    lhs = _moment(c, "exp_beta", beta=beta)
+    return lhs, rhs, {"beta": beta, "R": R_best, "R_scan": list(R_SCAN)}
 
 
-def _check_photons_hard(ctx: _Suite) -> BoundReport:
-    anchor = "hard photon number ceiling"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("photons.hard", anchor, gate, ctx.base_params())
-    return _checked(
-        "photons.hard",
-        anchor,
-        ctx.photons.hard,
-        hard_photon_bound(ctx.params.e, ctx.params.Z),
-        ctx.base_params(),
-    )
+def _localization(c: _Suite) -> tuple:
+    rho1 = c.params.alphaZ  # lambda1 = 1 frame scale
+    # choose R so the cut ramp sits inside the box: R = 0.8 rho1 L in the
+    # unit-coulomb frame means base-grid support from 0.4 L to 0.8 L
+    R_at = 0.8 * rho1 * c.res.L
+    diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1, kind="log").diagonal()
+    lhs = float((diag**2) @ c.density)
+    rhs = sl1_bound(1.0, grad_ceiling("log", R_at), gsq_over_x_ceiling("log", R_at))
+    return lhs, rhs, {"R": R_at, "lambda1": 1.0, "kind": "log"}
 
 
-def _check_photons_soft(ctx: _Suite) -> BoundReport:
-    anchor = "soft photon number ceiling"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("photons.soft", anchor, gate, ctx.base_params())
-    if ctx.params.alphaZ >= 1.0:
-        return _skipped(
-            "photons.soft",
-            anchor,
-            f"alpha Z = {ctx.params.alphaZ:.6g} >= 1",
-            ctx.base_params(),
-        )
-    return _checked(
-        "photons.soft",
-        anchor,
-        ctx.photons.soft,
-        soft_photon_bound(ctx.params.e, ctx.params.Z),
-        ctx.base_params(eps=0.75, delta=0.25),
-    )
-
-
-def _check_photons_total(ctx: _Suite) -> BoundReport:
-    anchor = "total photon number ceiling"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("photons.total", anchor, gate, ctx.base_params())
-    return _checked(
-        "photons.total",
-        anchor,
-        ctx.photons.total,
-        total_photon_bound(ctx.params.e, ctx.params.Z),
-        ctx.base_params(),
-    )
-
-
-def _check_pull_through(ctx: _Suite) -> BoundReport:
-    anchor = "ladder pull-through commutation identity"
-    return _checked(
-        "identity.pull_through",
-        anchor,
-        ctx.pull_through_worst,
-        IDENTITY_TOL,
-        ctx.base_params(sub_n=8, sub_L=5.0, sub_radial=2, sub_angular=1, sub_nmax=2),
-        notes="worst defect over all modes of a dedicated coarse coupled model",
-    )
-
-
-def _check_telescoping_res1(ctx: _Suite) -> BoundReport:
-    anchor = "soft-mode splitting, first stage remainder"
-    return _checked(
-        "identity.telescoping.res1",
-        anchor,
-        ctx.telescoping["res1"],
-        IDENTITY_TOL,
-        ctx.base_params(sub_n=16, sub_L=8.0, epsilon=0.75),
-        notes="translation-invariant model with reciprocal-lattice modes",
-    )
-
-
-def _check_telescoping_res2(ctx: _Suite) -> BoundReport:
-    anchor = "soft-mode splitting, second stage remainder"
-    return _checked(
-        "identity.telescoping.res2",
-        anchor,
-        ctx.telescoping["res2"],
-        IDENTITY_TOL,
-        ctx.base_params(sub_n=16, sub_L=8.0, epsilon=0.75),
-        notes="translation-invariant model with reciprocal-lattice modes",
-    )
-
-
-def _check_overlap_lower(ctx: _Suite) -> BoundReport:
-    anchor = "ground-state overlap floor with the decoupled product"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("overlap.lower_bound", anchor, gate, ctx.base_params())
-    g_ir = ctx.window_constants["g_ir"]
+def _overlap_floor(c: _Suite) -> tuple:
+    g_ir = c.window_constants["g_ir"]
     if not (g_ir > 0.0):
-        return _skipped(
-            "overlap.lower_bound",
-            anchor,
-            f"overlap floor G_IR = {g_ir:.6g} <= 0 at e = {ctx.params.e}",
-            ctx.base_params(chain_tau=0.9),
-        )
-    return _checked(
-        "overlap.lower_bound",
-        anchor,
-        g_ir,
-        ctx.overlaps[0],
-        ctx.base_params(chain_tau=0.9),
-    )
+        reason = f"overlap floor G_IR = {g_ir:.6g} <= 0 at e = {c.params.e}"
+        raise _Skip(reason, {"chain_tau": 0.9})
+    return g_ir, c.overlaps[0], {"chain_tau": 0.9}
 
 
-def _check_overlap_q(ctx: _Suite) -> BoundReport:
-    anchor = "vacuum-sector orthogonal-complement weight ceiling"
-    gate = ctx.outside_window()
-    if gate:
-        return _skipped("overlap.q_bound", anchor, gate, ctx.base_params())
-    return _checked(
-        "overlap.q_bound",
-        anchor,
-        ctx.overlaps[1],
-        ctx.window_constants["q_bound"],
-        ctx.base_params(chain_tau=0.9),
-    )
+def _soft_photons(c: _Suite) -> tuple:
+    if c.params.alphaZ >= 1.0:
+        raise _Skip(f"alpha Z = {c.params.alphaZ:.6g} >= 1", {})
+    return (c.photons.soft, soft_photon_bound(c.params.e, c.params.Z),
+            {"eps": 0.75, "delta": 0.25})
 
 
-def _check_overlap_markov(ctx: _Suite) -> BoundReport:
-    anchor = "vacuum weight at least one minus the mean photon number"
-    return _checked(
-        "overlap.markov",
-        anchor,
-        1.0 - ctx.photons.total,
-        ctx.vacuum_weight,
-        ctx.base_params(),
-    )
+def _ceiling(observable, bound, zero_charge: str | None = None):
+    """An observable of the ground state against a ceiling in (e, Z)."""
+    return _windowed(lambda c: (observable(c), bound(c.params.e, c.params.Z), {}), zero_charge)
 
+
+class _Check(NamedTuple):
+    """One row of the suite."""
+
+    id: str
+    anchor: str
+    evaluate: Callable[[_Suite], tuple]  # -> (lhs, rhs, extra params), or raises _Skip
+    notes: str = ""
+
+
+_SPATIAL = "spatial ceilings need a nonzero charge"
+_PULL = {"sub_n": 8, "sub_L": 5.0, "sub_radial": 2, "sub_angular": 1, "sub_nmax": 2}
+_TELESCOPING = {"sub_n": 16, "sub_L": 8.0, "epsilon": 0.75}
+_LATTICE_MODES = "translation-invariant model with reciprocal-lattice modes"
 
 _CHECKS = (
-    ("binding.positivity", _check_binding),
-    ("energy.lower", _check_energy_lower),
-    ("energy.upper", _check_energy_upper),
-    ("identity.pull_through", _check_pull_through),
-    ("identity.telescoping.res1", _check_telescoping_res1),
-    ("identity.telescoping.res2", _check_telescoping_res2),
-    ("localization.g_square", _check_localization),
-    ("moment.abs_x", _check_moment_abs),
-    ("moment.exponential", _check_moment_exp),
-    ("moment.log", _check_moment_log),
-    ("moment.x_squared", _check_moment_sq),
-    ("overlap.lower_bound", _check_overlap_lower),
-    ("overlap.markov", _check_overlap_markov),
-    ("overlap.q_bound", _check_overlap_q),
-    ("photons.hard", _check_photons_hard),
-    ("photons.soft", _check_photons_soft),
-    ("photons.total", _check_photons_total),
+    _Check("binding.positivity", "binding energy at least the decoupled level's depth",
+           lambda c: (-c.atomic.energy, c.v0_energy - c.ground.energy, {"E_v0": c.v0_energy}),
+           "E_v0 is the free-particle variant's ground energy on the same truncation"),
+    _Check("energy.lower", "lower bound one ultraviolet constant below the decoupled level",
+           _windowed(lambda c: (c.atomic.energy - c.cuv, c.ground.energy, {"C_UV": c.cuv})),
+           "this check cannot fail for a correct build: truncation raises the "
+           "computed energy while the ceiling sits below the true one; a "
+           "failure signals a build-breaking bug"),
+    _Check("energy.upper", "variational upper bound by the decoupled product state",
+           _windowed(lambda c: (c.ground.energy, c.atomic.energy, {})),
+           "rhs is the discrete atomic level E_at_h on the same grid"),
+    _Check("identity.pull_through", "ladder pull-through commutation identity",
+           lambda c: (c.pull_through_worst, IDENTITY_TOL, _PULL),
+           "worst defect over all modes of a dedicated coarse coupled model"),
+    _Check("identity.telescoping.res1", "soft-mode splitting, first stage remainder",
+           lambda c: (c.telescoping["res1"], IDENTITY_TOL, _TELESCOPING), _LATTICE_MODES),
+    _Check("identity.telescoping.res2", "soft-mode splitting, second stage remainder",
+           lambda c: (c.telescoping["res2"], IDENTITY_TOL, _TELESCOPING), _LATTICE_MODES),
+    _Check("localization.g_square", "localization estimate for cut radial test functions",
+           _windowed(_localization, "localization needs a nonzero charge")),
+    _Check("moment.abs_x", "first spatial moment ceiling",
+           _ceiling(lambda c: _moment(c, "abs_x"), moment_abs_bound, _SPATIAL)),
+    _Check("moment.exponential", "exponential spatial moment ceiling",
+           _windowed(_exponential, _SPATIAL)),
+    _Check("moment.log", "logarithmic spatial moment ceiling",
+           _scanned("log3", moment_log_bound, R_SCAN)),
+    _Check("moment.x_squared", "second spatial moment ceiling",
+           _scanned("x_squared", moment_sq_bound, [R for R in R_SCAN if R > 4.0])),
+    _Check("overlap.lower_bound", "ground-state overlap floor with the decoupled product",
+           _windowed(_overlap_floor)),
+    _Check("overlap.markov", "vacuum weight at least one minus the mean photon number",
+           lambda c: (1.0 - c.photons.total, c.vacuum_weight, {})),
+    _Check("overlap.q_bound", "vacuum-sector orthogonal-complement weight ceiling",
+           _windowed(lambda c: (c.overlaps[1], c.window_constants["q_bound"],
+                                {"chain_tau": 0.9}))),
+    _Check("photons.hard", "hard photon number ceiling",
+           _ceiling(lambda c: c.photons.hard, hard_photon_bound)),
+    _Check("photons.soft", "soft photon number ceiling", _windowed(_soft_photons)),
+    _Check("photons.total", "total photon number ceiling",
+           _ceiling(lambda c: c.photons.total, total_photon_bound)),
 )
 
-CHECK_IDS = tuple(check_id for check_id, _ in _CHECKS)
+CHECK_IDS = tuple(check.id for check in _CHECKS)
+
+
+def _run(check: _Check, ctx: _Suite) -> BoundReport:
+    """One row's report; a skip or an exception becomes the report."""
+    try:
+        lhs, rhs, extra = check.evaluate(ctx)
+        lhs, rhs = float(lhs), float(rhs)
+    except _Skip as skip:
+        reason, extra = skip.args
+        status = f"skipped({reason})"
+        return BoundReport(check.id, check.anchor, None, None, None, status,
+                           ctx.base_params(**extra))
+    except Exception as exc:  # noqa: BLE001 - one check's fault must not end the suite
+        status = f"error({type(exc).__name__}: {exc})"
+        return BoundReport(check.id, check.anchor, None, None, None, status,
+                           ctx.base_params())
+    slack = rhs - lhs
+    status = "pass" if slack >= -1e-10 * max(1.0, abs(rhs)) else "fail"
+    return BoundReport(check.id, check.anchor, lhs, rhs, slack, status,
+                       ctx.base_params(**extra), check.notes)
 
 
 def _selected(check_id: str, selection) -> bool:
@@ -635,24 +444,7 @@ def run_suite(
     if isinstance(selection, str):
         selection = [selection]
     ctx = _Suite(params, res)
-    reports = []
-    for check_id, fn in _CHECKS:
-        if not _selected(check_id, selection):
-            continue
-        try:
-            reports.append(fn(ctx))
-        except Exception as exc:  # noqa: BLE001 - one check's fault must not end the suite
-            reports.append(
-                BoundReport(
-                    check_id,
-                    "",
-                    None,
-                    None,
-                    None,
-                    f"error({type(exc).__name__}: {exc})",
-                    ctx.base_params(),
-                )
-            )
+    reports = [_run(check, ctx) for check in _CHECKS if _selected(check.id, selection)]
     return sorted(reports, key=lambda r: r.id)
 
 

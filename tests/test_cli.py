@@ -49,6 +49,27 @@ def test_config_file_overlay(tmp_path):
     assert cfg.selection == ["photons", "energy"]
 
 
+def test_every_config_key_is_a_flag(tmp_path, capsys):
+    """The parser is built from the config-key table: each key sets the same
+    field as a flag and as a file line, and scan-only flags exist on scan only."""
+    scan_only = {"axis": "e", "from": "0", "to": "1", "steps": "3"}
+    samples = {float: "0.25", int: "3", "format": "csv", "out": "o.txt",
+               "select": "energy", "axis": "Z"}
+    path = tmp_path / "one.cfg"
+    for key, field, cast in cli._CONFIG_KEYS:
+        raw = samples.get(key) or samples[cast]
+        command = ["constants"]
+        if key in scan_only:
+            command = ["scan"] + [f"--{k}={v}" for k, v in scan_only.items() if k != key]
+            with pytest.raises(SystemExit):
+                build_config(["constants", f"--{key}", raw])
+        path.write_text(f"{key}={raw}\n")
+        by_flag = build_config(command + [f"--{key}", raw])
+        by_file = build_config(command + ["--config", str(path)])
+        assert getattr(by_flag, field) == getattr(by_file, field) == cast(raw), key
+    capsys.readouterr()
+
+
 def test_config_file_rejects_unknown_and_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus=1\n")
@@ -118,10 +139,8 @@ def test_bad_solver_settings_exit_two(capsys, flag, value):
 
 
 def test_check_failure_exits_one(monkeypatch, capsys):
-    def always_fails(ctx):
-        return verify._checked("zz.sentinel", "synthetic", 2.0, 1.0, {})
-
-    monkeypatch.setattr(verify, "_CHECKS", (("zz.sentinel", always_fails),))
+    row = verify._Check("zz.sentinel", "synthetic", lambda ctx: (2.0, 1.0, {}))
+    monkeypatch.setattr(verify, "_CHECKS", (row,))
     code, payload = run_json(capsys, ["verify", "--e", "0.0"] + TINY)
     assert code == 1
     assert payload["passed"] is False
@@ -131,7 +150,7 @@ def test_check_error_exits_three(monkeypatch, capsys):
     def boom(ctx):
         raise ValueError("synthetic fault")
 
-    monkeypatch.setattr(verify, "_CHECKS", (("zz.sentinel", boom),))
+    monkeypatch.setattr(verify, "_CHECKS", (verify._Check("zz.sentinel", "synthetic", boom),))
     code, payload = run_json(capsys, ["verify", "--e", "0.0"] + TINY)
     assert code == 3
     assert payload["passed"] is False
@@ -285,11 +304,10 @@ def test_verify_bytes_identical_across_thread_counts():
 
 def test_import_leaves_slow_scipy_modules_unloaded():
     """A fresh import of the CLI pays only for what every command runs:
-    quadrature and root finding load their scipy modules on first use."""
-    probe = (
-        "import sys, nelsonlab.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+    quadrature, root finding and the banded radial solve load their scipy
+    modules on first use."""
+    slow = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+    probe = f"import sys, nelsonlab.cli; print(sorted(m for m in {slow} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

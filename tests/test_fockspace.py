@@ -5,11 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from nelsonlab import fockspace as fs
 from nelsonlab.model import (
-    DomainError,
     ParameterError,
     base_frame,
     frame_for,
@@ -84,25 +82,6 @@ def test_scale_modes_base_frame_is_identity():
     gs = fs.scale_modes(g, base_frame())
     np.testing.assert_array_equal(gs.k, g.k)
     np.testing.assert_array_equal(gs.w, g.w)
-
-
-def test_snap_to_lattice_rounds_to_grid_multiples():
-    dk = math.pi / 4.0
-    g = fs.snap_modes_to_lattice(fs.build_modes(0.5, 0.9, 1, 2), dk)
-    ratios = g.k / dk
-    np.testing.assert_allclose(ratios, np.round(ratios), atol=1e-12)
-    # weights untouched
-    g0 = fs.build_modes(0.5, 0.9, 1, 2)
-    np.testing.assert_array_equal(g.w, g0.w)
-
-
-def test_snap_to_lattice_rejects_collisions_and_zero_modes():
-    # two nearby radii along the same direction collapse onto one point
-    with pytest.raises(DomainError):
-        fs.snap_modes_to_lattice(fs.build_modes(0.5, 0.9, 2, 1), math.pi / 4.0)
-    # a mode inside half a lattice step of the origin snaps to zero
-    with pytest.raises(DomainError):
-        fs.snap_modes_to_lattice(fs.build_modes(0.1, 0.3, 1, 1), math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -189,73 +168,21 @@ def test_annihilator_nilpotent_past_cutoff():
     assert np.abs(power).max() == 0.0
 
 
-def test_number_operators_split_by_region():
-    g = fs.build_modes(0.1, 10.0, 6, 1)
-    b = fs.FockBasis(g.count, 2)
-    nt = fs.number_operator(b)
-    ns = fs.number_operator(b, g, "soft")
-    nh = fs.number_operator(b, g, "hard")
-    np.testing.assert_allclose(
-        (ns + nh).diagonal(), nt.diagonal(), rtol=0, atol=0
-    )
-    # a one-photon state in the single soft mode
-    occ = [0] * g.count
-    occ[0] = 1
-    i = b.index_of(tuple(occ))
-    assert ns.diagonal()[i] == 1.0
-    assert nh.diagonal()[i] == 0.0
-
-
-def test_field_energy_diagonal():
-    g = fs.build_modes(0.1, 10.0, 2, 2)
-    b = fs.FockBasis(g.count, 2)
-    hf = fs.field_energy(b, g)
-    d = hf.diagonal()
-    assert d[0] == 0.0
-    assert np.all(d >= 0.0)
-    # one photon in mode j costs omega_j
-    for j in range(g.count):
-        occ = [0] * g.count
-        occ[j] = 1
-        assert d[b.index_of(tuple(occ))] == pytest.approx(g.omega[j])
-
-
-# ---------------------------------------------------------------------------
-# displacement
-# ---------------------------------------------------------------------------
-
-
-def test_displacement_identity_at_zero():
-    b = fs.FockBasis(1, 6)
-    D = fs.displacement(b, 0, 0.0)
-    assert (D - sparse.identity(b.dim)).nnz == 0
-
-
-def test_displacement_unitary_on_low_block():
-    b = fs.FockBasis(1, 8)
-    D = fs.displacement(b, 0, 0.25 + 0.1j)
-    ud = (D.getH() @ D - sparse.identity(b.dim)).toarray()
-    fixed = b.totals() <= 2
-    assert np.abs(ud[np.ix_(fixed, fixed)]).max() < 1e-8
-
-
 def test_displacement_shift_defect_decays_with_cutoff():
+    """D(eta)^* a D(eta) = a + eta on the low shells, approached as the cap
+    rises: the ladder table obeys the canonical algebra below the top shell.
+    D = exp(eta adag - conj(eta) a) comes from the eigenvectors of the
+    Hermitian i (eta adag - conj(eta) a)."""
     eta = 0.3
     norms = []
     for nm in (4, 6, 8):
         b = fs.FockBasis(1, nm)
-        D = fs.displacement(b, 0, eta)
-        a, _, _ = fs.ladder_ops(b, 0)
-        dev = (D.getH() @ a @ D - (a + eta * sparse.identity(b.dim))).toarray()
+        a, adag, _ = fs.ladder_ops(b, 0)
+        a = a.toarray()
+        lam, vecs = np.linalg.eigh(1j * (eta * adag.toarray() - np.conj(eta) * a))
+        D = (vecs * np.exp(-1j * lam)) @ vecs.conj().T
+        dev = D.conj().T @ a @ D - (a + eta * np.eye(b.dim))
         fixed = b.totals() <= 2
         norms.append(np.linalg.norm(dev[np.ix_(fixed, fixed)], 2))
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] < 1e-7
-
-
-def test_displacement_rejects_oversized_basis():
-    b = fs.FockBasis(8, 5)  # dim 1287, fine
-    assert b.dim == math.comb(13, 5)
-    big = fs.FockBasis(14, 5)  # dim 11628 > 4000
-    with pytest.raises(ParameterError):
-        fs.displacement(big, 0, 0.1)

@@ -1,20 +1,16 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from nelsonlab.model import (
+    FOUR_PI,
     DomainError,
     ParameterError,
     ScaleFrame,
-    atomic_energy_in,
     base_frame,
-    charge_frame,
     coulomb_coefficient,
     frame_for,
     make_params,
-    scale_energy,
-    scale_length,
 )
 
 
@@ -63,26 +59,22 @@ def test_base_frame_is_identity():
     f = base_frame()
     assert f.tau == 0.0
     assert f.r_of(2.0) == 1.0
-    assert scale_energy(f, -3.25) == -3.25
-    assert scale_length(f, 1.75) == 1.75
+    assert f.r_of(-2.0 * f.tau) == f.r_of(f.tau) == 1.0
 
 
 def test_frame_scaling_roundtrip():
     p = make_params(0.5, 2.0)
     f = frame_for(p, 0.9)
     assert math.isclose(f.rho, p.alphaZ, rel_tol=1e-15)
-    E = -0.123
-    out = scale_energy(f, E)
-    back = scale_energy(f, out, direction="inverse")
-    assert math.isclose(back, E, rel_tol=1e-14)
-    # energies blow up by rho^(-2 tau) in the frame
-    assert math.isclose(out, E * f.rho ** (-1.8), rel_tol=1e-14)
-    assert math.isclose(scale_length(f, 2.0), 2.0 * f.rho**0.9, rel_tol=1e-14)
+    # energies carry rho^(-2 tau), lengths rho^tau, and the two undo each other
+    assert math.isclose(f.r_of(-2.0 * f.tau), f.rho ** (-1.8), rel_tol=1e-14)
+    assert math.isclose(f.r_of(f.tau), f.rho**0.9, rel_tol=1e-14)
+    assert math.isclose(f.r_of(-2.0 * f.tau) * f.r_of(2.0 * f.tau), 1.0, rel_tol=1e-14)
 
 
 def test_charge_frame_uses_e_squared():
     p = make_params(0.4, 3.0)
-    f = charge_frame(p, 0.9)
+    f = frame_for(p, 0.9, lambda1=FOUR_PI / p.Z)
     # alphaZ * (4 pi / Z) = e^2
     assert math.isclose(f.rho, 0.4**2, rel_tol=1e-14)
 
@@ -92,7 +84,8 @@ def test_coulomb_coefficient_and_atomic_energy():
     f = frame_for(p, 1.0)
     # at tau = 1, lambda1 = 1: coefficient rho^(-1) alphaZ = 1
     assert math.isclose(coulomb_coefficient(p, f), 1.0, rel_tol=1e-14)
-    assert math.isclose(atomic_energy_in(p, f), -0.5, rel_tol=1e-14)
+    # the bare level -(alphaZ)^2/2 is -1/2 in this frame's energy unit
+    assert math.isclose(p.atomic_energy * f.r_of(-2.0 * f.tau), -0.5, rel_tol=1e-14)
 
 
 def test_scale_frame_validation():
@@ -103,30 +96,3 @@ def test_scale_frame_validation():
     f = ScaleFrame(tau=0.9, rho=2.0)
     assert math.isclose(f.r_of(-2.0 * f.tau), 2.0 ** (-1.8), rel_tol=1e-15)
     assert f.r_of(0.0) == 1.0
-
-
-@given(
-    e=st.floats(0.01, 1.5),
-    Z=st.floats(0.1, 50.0),
-    tau=st.floats(0.0, 1.0),
-    E=st.floats(-10.0, 10.0),
-)
-def test_energy_scaling_is_involutive(e, Z, tau, E):
-    p = make_params(e, Z)
-    f = frame_for(p, tau)
-    back = scale_energy(f, scale_energy(f, E), direction="inverse")
-    assert math.isclose(back, E, rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(e=st.floats(0.01, 1.5), Z=st.floats(0.1, 50.0))
-def test_atomic_energy_frame_consistency(e, Z):
-    # frame energy of the bare level equals rho^(-2 tau) times the lab value
-    p = make_params(e, Z)
-    for tau in (0.0, 0.5, 1.0):
-        f = frame_for(p, tau)
-        assert math.isclose(
-            atomic_energy_in(p, f),
-            p.atomic_energy * f.rho ** (-2.0 * tau),
-            rel_tol=1e-12,
-            abs_tol=1e-300,
-        )

@@ -13,18 +13,36 @@ from nelsonlab.model import DivergentIntegralError, DomainError, ParameterError,
 # shell moments
 
 
+def shell_moment_b2_analytic(a: float, c: float, lo: float, hi: float) -> float:
+    """Antiderivative oracle for the b = 2 family at integer-friendly a.
+
+    For a = 0: 4 pi * [-(2/c) (1 + c r / 2)^(-1)], i.e. 8 pi / c over (0, inf).
+    For a = 1: 4 pi * (4/c^2) [log(1 + c r / 2) + (1 + c r / 2)^(-1)].
+    """
+
+    def anti0(r):
+        return -(2.0 / c) / (1.0 + 0.5 * c * r)
+
+    def anti1(r):
+        u = 1.0 + 0.5 * c * r
+        return (4.0 / (c * c)) * (math.log(u) + 1.0 / u)
+
+    anti = anti0 if a == 0 else anti1
+    return 4.0 * math.pi * (anti(hi) - anti(lo))
+
+
 def test_shell_b2_family_matches_antiderivative():
     for c in (0.25, 1.0, 3.7, 12.0):
         got = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.0, math.inf))
         assert abs(got.value - 8.0 * math.pi / c) <= 1e-9 * (8.0 * math.pi / c)
         # the oracle helper agrees on finite windows too
         fin = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.2, 5.0))
-        oracle = qd.shell_moment_b2_analytic(0.0, c, 0.2, 5.0)
+        oracle = shell_moment_b2_analytic(0.0, c, 0.2, 5.0)
         assert abs(fin.value - oracle) <= 1e-10 * abs(oracle)
 
 
 def test_shell_a1_b2_finite_window_oracle():
-    oracle = qd.shell_moment_b2_analytic(1.0, 1.0, 0.0, 1.0)
+    oracle = shell_moment_b2_analytic(1.0, 1.0, 0.0, 1.0)
     got = qd.shell_moment(1.0, 2.0, 1.0, qd.ShellSpec(0.0, 1.0))
     assert abs(got.value - oracle) <= 1e-10 * abs(oracle)
     # hand value: 4 pi (4 log(3/2) + 4/(1 + 1/2) - 4)
@@ -89,26 +107,7 @@ def test_shell_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# sine/cosine integrals (scipy.special.sici is the test oracle only)
-
-
-def test_si_against_scipy():
-    for x in (0.05, 0.5, 1.0, 2.0, 3.9, 3.999, 4.0, 4.001, 6.0, 10.0, 37.0,
-              100.0, 1e3, 1e4):
-        assert abs(qd.si(x) - sici(x)[0]) < 5e-14
-
-
-def test_si_special_points():
-    assert qd.si(0.0) == 0.0
-    assert qd.si(-2.0) == -qd.si(2.0)
-    assert qd.si(math.inf) == 0.5 * math.pi
-
-
-def test_ci_against_scipy():
-    for x in (0.05, 0.5, 1.0, 3.9, 4.1, 10.0, 100.0, 1e4):
-        assert abs(qd.ci(x) - sici(x)[1]) < 5e-13
-    with pytest.raises(DomainError):
-        qd.ci(0.0)
+# cosine integral (scipy.special.sici is the test oracle only)
 
 
 def test_cin_basics():
@@ -159,36 +158,6 @@ def test_energy_renormalization_limits():
         qd.energy_renormalization(make_params(0.3, 1.0, kappa=0.0))
     with pytest.raises(DivergentIntegralError):
         qd.energy_renormalization(make_params(0.3, 1.0, lam=math.inf))
-
-
-# ---------------------------------------------------------------------------
-# correction potential
-
-
-def test_correction_potential_tail_limit():
-    p = make_params(0.3, 1.0, kappa=1e-6, lam=1e6)
-    assert abs(qd.correction_potential(p, 1.0)) < 1e-4 * 0.3**2 * 1.0
-
-
-def test_correction_potential_basics():
-    p = make_params(0.3, 1.0)
-    assert qd.correction_potential(make_params(0.0, 1.0), 1.0) == 0.0
-    with pytest.raises(DomainError):
-        qd.correction_potential(p, 0.0)
-    # x * V(x) bounded over a wide sweep
-    vals = [abs(x * qd.correction_potential(p, x))
-            for x in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0)]
-    bracket_max = math.pi + 2.0 * 0.2811  # |Si| overshoot allowance
-    bound = p.e**2 * p.Z / (2.0 * math.pi**2) * bracket_max
-    assert max(vals) <= bound
-
-
-def test_correction_potential_infinite_lam():
-    p = make_params(0.3, 1.0, kappa=0.1, lam=math.inf)
-    # only the inner tail contributes
-    v = qd.correction_potential(p, 2.0)
-    expect = 0.3**2 / (2.0 * math.pi**2) * qd.si(0.2) / 2.0
-    assert abs(v - expect) < 1e-14
 
 
 # ---------------------------------------------------------------------------

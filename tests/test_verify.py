@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import nelsonlab.verify as verify
-from nelsonlab.model import make_params
+from nelsonlab.model import ConvergenceError, make_params
 from nelsonlab.verify import (
     CHECK_IDS,
     BoundReport,
@@ -169,26 +169,98 @@ def test_csv_flattening(full_suite):
         assert float(row["lhs"]) == rep.lhs
 
 
+def _row(check_id):
+    return next(check for check in verify._CHECKS if check.id == check_id)
+
+
 def test_check_errors_fail_the_suite(monkeypatch):
     def boom(ctx):
         raise ValueError("synthetic fault")
 
-    monkeypatch.setattr(verify, "_CHECKS", (("energy.upper", boom),))
+    row = _row("energy.upper")._replace(evaluate=boom)
+    monkeypatch.setattr(verify, "_CHECKS", (row,))
     reports = run_suite(make_params(0.1, 1.0), SMALL)
     assert len(reports) == 1
     assert reports[0].status == "error(ValueError: synthetic fault)"
+    assert reports[0].anchor == "variational upper bound by the decoupled product state"
     assert reports[0].errored and not reports[0].skipped
     assert not suite_passed(reports)  # an error is never a skip
 
 
-def test_pass_threshold_semantics():
-    ok = verify._checked("x", "", 1.0 + 5e-11, 1.0, {})
+def test_pass_threshold_semantics(monkeypatch):
+    def report(lhs, rhs):
+        row = verify._Check("x", "", lambda ctx: (lhs, rhs, {}))
+        monkeypatch.setattr(verify, "_CHECKS", (row,))
+        (out,) = run_suite(make_params(0.1, 1.0), SMALL)
+        return out
+
+    ok = report(1.0 + 5e-11, 1.0)
     assert ok.status == "pass"  # slack -5e-11 is inside the -1e-10 tolerance
-    bad = verify._checked("x", "", 1.0 + 2e-10, 1.0, {})
+    bad = report(1.0 + 2e-10, 1.0)
     assert bad.status == "fail"
     assert not suite_passed([bad])
-    scaled = verify._checked("x", "", 100.0 + 5e-9, 100.0, {})
+    scaled = report(100.0 + 5e-9, 100.0)
     assert scaled.status == "pass"  # atol scales with |rhs|
+
+
+def test_failed_solve_is_attempted_once(monkeypatch):
+    calls = []
+
+    def no_convergence(model, **kwargs):
+        calls.append(model.variant)
+        raise ConvergenceError("synthetic stall")
+
+    monkeypatch.setattr(verify, "lanczos_ground", no_convergence)
+    reports = run_suite(make_params(0.3, 1.0), SMALL)
+    assert sorted(calls) == ["gross", "v0"]
+    errored = {r.id for r in reports if r.errored}
+    independent = {"identity.pull_through", "identity.telescoping.res1",
+                   "identity.telescoping.res2"}
+    # the G_IR floor at e = 0.3 skips before the ground state is read
+    assert by_id(reports)["overlap.lower_bound"].skipped
+    assert errored == set(CHECK_IDS) - independent - {"overlap.lower_bound"}
+    for r in reports:
+        if r.errored:
+            assert r.status == "error(ConvergenceError: synthetic stall)"
+            assert r.anchor and r.lhs is None
+    assert all(by_id(reports)[cid].passed for cid in independent)
+
+
+def test_each_shared_solve_runs_once(monkeypatch):
+    calls = []
+    solve = verify.lanczos_ground
+
+    def counted(model, **kwargs):
+        calls.append(model.variant)
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(verify, "lanczos_ground", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = run_suite(make_params(0.3, 1.0), SMALL)
+    assert sorted(calls) == ["gross", "v0"]
+    assert suite_passed(reports)
+
+
+BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *Resolution().to_dict()}
+
+
+@pytest.mark.parametrize(
+    "e,Z,check_id,reason,extra",
+    [
+        (1.2, 1.0, "photons.total", "C_UV >= 1 (C_UV(e=1.2) = ", set()),
+        (0.0, 1.0, "moment.log", "spatial ceilings need a nonzero charge", set()),
+        (0.0, 1.0, "localization.g_square", "localization needs a nonzero charge", set()),
+        (0.3, 150.0, "photons.soft", "alpha Z = 1.0743 >= 1", set()),
+        (0.3, 1.0, "overlap.lower_bound", "overlap floor G_IR = ", {"chain_tau"}),
+    ],
+)
+def test_skip_gates_name_their_window(e, Z, check_id, reason, extra):
+    (rep,) = run_suite(make_params(e, Z), SMALL, selection=check_id)
+    assert rep.id == check_id
+    assert rep.status.startswith(f"skipped({reason}")
+    assert rep.lhs is None and rep.rhs is None and rep.slack is None
+    assert set(rep.params) == BASE_KEYS | extra
 
 
 def test_report_dataclass_shape():
