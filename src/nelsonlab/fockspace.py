@@ -2,8 +2,8 @@
 
 The field is discretized on a finite set of momentum modes covering the
 cutoff shell; the Fock space is truncated by a *total* occupation cap so the
-dimension stays C(M + N_max, N_max).  Every operator is assembled as a scipy
-sparse matrix and is immutable after construction.
+dimension stays C(M + N_max, N_max).  The ladder operators are index
+tables over the basis, built with numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .model import ParameterError, ScaleFrame
 
@@ -132,13 +131,19 @@ class FockBasis:
         # comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons
         self._comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)]
                                for p in range(self.mode_count + 1)])
-        # shell by shell: raise each state of the last shell in every mode and
-        # keep each new state once, ordered by its index (_indices)
+        # shell by shell: raise each state of the last shell only in the modes
+        # at or after its last occupied one (any mode for the vacuum), which
+        # makes every new state exactly once; then order the new shell by
+        # _indices
         m = self.mode_count
+        modes = np.arange(m)
         shells = [np.zeros((1, m), dtype=np.int32)]
         for _ in range(self.n_max):
-            raised = (shells[-1][:, None, :] + np.eye(m, dtype=np.int32)).reshape(-1, m)
-            shells.append(raised[np.unique(self._indices(raised), return_index=True)[1]])
+            last_mode = np.where(shells[-1] > 0, modes, 0).max(axis=1)
+            rows, cols = np.nonzero(modes >= last_mode[:, None])
+            raised = shells[-1][rows]
+            raised[np.arange(rows.size), cols] += 1
+            shells.append(raised[np.argsort(self._indices(raised))])
         self.occupations = np.concatenate(shells)
 
     @property
@@ -173,22 +178,14 @@ def vacuum_vector(basis: FockBasis) -> np.ndarray:
 
 
 def ladder_ops(basis: FockBasis, j: int):
-    """(a_j, adag_j, n_j) as CSR matrices.  a_j lowers mode j by one boson
-    (always landing inside the basis), adag_j is its transpose, and
-    n_j = adag_j a_j is the diagonal occupation of mode j."""
+    """Mode j's raising table ``(src, val)`` over the states below the top
+    shell, the first K of the basis: state k raised in mode j is state
+    ``src[k]``, with amplitude ``val[k] = sqrt(n_j(k) + 1)``.  So adag_j maps
+    k to src[k], a_j maps src[k] back to k with the same amplitude, and a_j
+    sends every state with n_j = 0 to zero."""
     if not (0 <= j < basis.mode_count):
         raise ParameterError(f"mode index {j} out of range")
-    occ = basis.occupations
-    raisable = occ[:, j] > 0
-    src = np.nonzero(raisable)[0]
-    vals = np.sqrt(occ[src, j].astype(float))
-    lowered = occ[src].copy()
-    lowered[:, j] -= 1
-    dst = basis._indices(lowered)
-    shape = (basis.dim, basis.dim)
-    a = sparse.csr_matrix((vals, (dst, src)), shape=shape)
-    # adag_j and n_j hold one entry in each of the (sorted) rows src
-    rows = np.concatenate(([0], np.cumsum(raisable)))
-    adag = sparse.csr_matrix((vals, dst, rows), shape=shape)
-    n_j = sparse.csr_matrix((occ[src, j].astype(float), src, rows), shape=shape)
-    return a, adag, n_j
+    top_shell = basis._comb[basis.mode_count - 1, basis.n_max]
+    raised = basis.occupations[: basis.dim - top_shell].copy()
+    raised[:, j] += 1
+    return basis._indices(raised), np.sqrt(raised[:, j].astype(float))

@@ -102,11 +102,11 @@ def spatial_moment(
     density = np.einsum("xd,xd->x", mat.conj(), mat).real
 
     if f_name == "abs_x":
-        diag = position_operator(grid, "abs_x").diagonal() * stretch
+        diag = position_operator(grid, "abs_x") * stretch
     elif f_name == "x_squared":
-        diag = position_operator(grid, "x_squared").diagonal() * stretch**2
+        diag = position_operator(grid, "x_squared") * stretch**2
     elif f_name == "log3":
-        diag = position_operator(grid, "log3", c=stretch).diagonal()
+        diag = position_operator(grid, "log3", c=stretch)
     else:
         if beta is None or not (beta > 0.0):
             raise ParameterError("exp_beta needs beta > 0 in defining units")
@@ -117,7 +117,7 @@ def spatial_moment(
                     f"exponential moment outside its window: beta={beta} is too "
                     f"large for e={params.e}, Z={params.Z}"
                 )
-        diag = position_operator(grid, "exp_beta", beta=beta * stretch).diagonal()
+        diag = position_operator(grid, "exp_beta", beta=beta * stretch)
     return float(diag @ density)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .model import ParameterError
 
@@ -226,7 +225,8 @@ def position_operator(
     c: float = 1.0,
     kind: str = "log",
 ):
-    """Diagonal multiplication operator for a named position function.
+    """Diagonal of the multiplication operator for a named position function,
+    flat in the grid's point order.
 
     Names: abs_x -> |x|; x_squared -> |x|^2; log3 -> log(3 + c|x|);
     exp_beta -> e^{beta |x|}; plane_wave -> e^{i k.x} (k on the reciprocal
@@ -235,7 +235,7 @@ def position_operator(
     """
     r = grid.radius
     if name == "abs_x":
-        diag = r
+        diag = r.copy()  # the grid caches r; callers own what is returned
     elif name == "x_squared":
         diag = r**2
     elif name == "log3":
@@ -265,7 +265,7 @@ def position_operator(
         diag = chi * _g_profile(r, kind, c)
     else:
         raise ParameterError(f"unknown position function {name!r}")
-    return sparse.diags(diag.ravel())
+    return diag.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -399,20 +399,20 @@ class AssembledModel:
 
 
 def _ladder_table(basis: FockBasis) -> dict:
-    """The ladder entries of all modes, read from ``ladder_ops``.  States come
-    by total occupation, so row k of a_j is nonzero only for the first K, the
-    states below the top shell: sqrt(n_j + 1) at _src[j, k], k raised in mode
-    j.  _slots[r, s] is the r-th entry (flat index j K + k) raising into s,
-    or the zero pad M K."""
-    lower = [ladder_ops(basis, j)[0] for j in range(basis.mode_count)]
-    src = np.stack([a.indices for a in lower]).astype(np.intp)
+    """The raising tables of all modes, one ``ladder_ops`` call per mode.
+    States come by total occupation, so a_j is nonzero only into the first
+    K, the states below the top shell: row k of a_j holds sqrt(n_j + 1) at
+    _src[j, k], k raised in mode j.  _slots[r, s] is the r-th entry (flat
+    index j K + k) raising into s, or the zero pad M K."""
+    tables = [ladder_ops(basis, j) for j in range(basis.mode_count)]
+    src = np.stack([t[0] for t in tables])
     target = src.ravel()
     order = np.argsort(target, kind="stable")
     counts = np.bincount(target, minlength=basis.dim)
     rank = np.arange(target.size) - (np.cumsum(counts) - counts)[target[order]]
     slots = np.full((max(counts.max(), 1), basis.dim), target.size, dtype=np.intp)
     slots[rank, target[order]] = order
-    val = np.stack([a.data for a in lower])[:, :, None]
+    val = np.stack([t[1] for t in tables])[:, :, None]
     return dict(_src=src, _val=val, _slots=slots)
 
 

@@ -317,7 +317,7 @@ def _localization(c: _Suite) -> tuple:
     # choose R so the cut ramp sits inside the box: R = 0.8 rho1 L in the
     # unit-coulomb frame means base-grid support from 0.4 L to 0.8 L
     R_at = 0.8 * rho1 * c.res.L
-    diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1, kind="log").diagonal()
+    diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1, kind="log")
     lhs = float((diag**2) @ c.density)
     rhs = sl1_bound(1.0, grad_ceiling("log", R_at), gsq_over_x_ceiling("log", R_at))
     return lhs, rhs, {"R": R_at, "lambda1": 1.0, "kind": "log"}

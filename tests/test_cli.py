@@ -303,11 +303,56 @@ def test_verify_bytes_identical_across_thread_counts():
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    """A fresh import of the CLI pays only for what every command runs:
-    quadrature, root finding and the banded radial solve load their scipy
-    modules on first use."""
-    slow = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
-    probe = f"import sys, nelsonlab.cli; print(sorted(m for m in {slow} if m in sys.modules))"
+    """A fresh import of the CLI loads numpy alone: quadrature, root finding
+    and the banded radial solve load their scipy modules on first use, and
+    nothing else imports scipy."""
+    probe = "import sys, nelsonlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# Runs each argv list (JSON in argv[1]) through the CLI, with every scipy
+# import refused when argv[2] is "refuse", and prints the
+# [exit status, stdout] pairs as JSON.
+_RUN_CLI = """
+import contextlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+        return None
+
+if sys.argv[2] == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
+from nelsonlab.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_solver_commands_run_without_scipy():
+    """verify, solve, scan and effmass need numpy alone: with every scipy
+    import refused they exit 0 and print what an unrestricted run prints.
+    Both sides run in fresh processes: a run inside this one, after other
+    tests, can differ in the last digit of roundoff-sized values."""
+    runs = json.dumps([
+        ["verify"] + TINY,
+        ["solve"] + TINY,
+        ["scan", "--axis", "e", "--from", "0.1", "--to", "0.3", "--steps", "2"] + TINY,
+        ["effmass", "--modes-angular", "6"] + TINY,
+    ])
+    refused, allowed = (
+        json.loads(subprocess.run([sys.executable, "-c", _RUN_CLI, runs, mode],
+                                  capture_output=True, text=True, check=True).stdout)
+        for mode in ("refuse", "allow")
+    )
+    assert [code for code, _ in refused] == [0, 0, 0, 0]
+    assert refused == allowed

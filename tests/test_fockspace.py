@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fock_dense import dense_ladder
 from nelsonlab import fockspace as fs
 from nelsonlab.model import (
     ParameterError,
@@ -100,6 +101,27 @@ def test_basis_dimension_and_ordering():
     assert [tuple(o) for o in b.occupations] == sorted(every, key=lambda o: (sum(o), o))
 
 
+def _occupations_by_unique(b):
+    """The occupation table built by raising every state of the last shell
+    in every mode and keeping each new state once, ordered by its index."""
+    m = b.mode_count
+    shells = [np.zeros((1, m), dtype=np.int32)]
+    for _ in range(b.n_max):
+        raised = (shells[-1][:, None, :] + np.eye(m, dtype=np.int32)).reshape(-1, m)
+        shells.append(raised[np.unique(b._indices(raised), return_index=True)[1]])
+    return np.concatenate(shells)
+
+
+@pytest.mark.parametrize("mode_count, n_max", [(1, 0), (1, 5), (5, 0), (4, 3), (7, 4), (24, 3)])
+def test_basis_makes_each_state_once(mode_count, n_max):
+    b = fs.FockBasis(mode_count, n_max)
+    assert b.dim == math.comb(mode_count + n_max, n_max)
+    np.testing.assert_array_equal(b._indices(b.occupations), np.arange(b.dim))
+    expected = _occupations_by_unique(b)
+    assert b.occupations.dtype == expected.dtype
+    np.testing.assert_array_equal(b.occupations, expected)
+
+
 def test_basis_index_roundtrip():
     b = fs.FockBasis(3, 3)
     for i in range(b.dim):
@@ -122,37 +144,39 @@ def test_vacuum_vector():
 
 def test_ladder_matrix_elements():
     b = fs.FockBasis(2, 3)
-    a, adag, n = fs.ladder_ops(b, 0)
+    a, adag = dense_ladder(b, 0)
     vac = fs.vacuum_vector(b)
     assert np.all((a @ vac) == 0.0)
     one = adag @ vac
     assert one[b.index_of((1, 0))] == pytest.approx(1.0)
     two = adag @ one
     assert two[b.index_of((2, 0))] == pytest.approx(math.sqrt(2.0))
-    got = n @ two
+    got = (adag @ a) @ two
     assert got[b.index_of((2, 0))] == pytest.approx(2.0 * math.sqrt(2.0))
 
 
 def test_ladder_lookup_matches_index_of():
     b = fs.FockBasis(6, 4)
     occ = b.occupations
+    below_top = b.totals() < b.n_max
     for j in range(b.mode_count):
-        a, adag, _ = fs.ladder_ops(b, j)
-        coo = a.tocoo()
-        assert coo.nnz == np.count_nonzero(occ[:, j])
-        for dst, src, val in zip(coo.row, coo.col, coo.data):
-            lowered = occ[src].copy()
-            lowered[j] -= 1
-            assert dst == b.index_of(lowered) == np.flatnonzero((occ == lowered).all(axis=1))[0]
-            assert val == math.sqrt(occ[src, j])
-        assert (a != adag.T).nnz == 0
+        src, val = fs.ladder_ops(b, j)
+        # the table covers exactly the states below the top shell, which come first
+        assert below_top[: src.size].all() and not below_top[src.size:].any()
+        # every state with n_j > 0 is hit exactly once, and no other state
+        np.testing.assert_array_equal(np.bincount(src, minlength=b.dim), occ[:, j] > 0)
+        for k in range(src.size):
+            raised = occ[k].copy()
+            raised[j] += 1
+            assert src[k] == b.index_of(raised) == np.flatnonzero((occ == raised).all(axis=1))[0]
+            assert val[k] == math.sqrt(occ[k, j] + 1)
 
 
 def test_commutator_identity_below_top_shell():
     b = fs.FockBasis(3, 3)
     for j in range(3):
-        a, adag, _ = fs.ladder_ops(b, j)
-        comm = (a @ adag - adag @ a).toarray()
+        a, adag = dense_ladder(b, j)
+        comm = a @ adag - adag @ a
         dev = comm - np.eye(b.dim)
         bad_rows = np.nonzero(np.abs(dev).max(axis=1) > 1e-12)[0]
         # the truncation defect lives only on the top occupation shell
@@ -163,8 +187,8 @@ def test_commutator_identity_below_top_shell():
 
 def test_annihilator_nilpotent_past_cutoff():
     b = fs.FockBasis(2, 2)
-    a, _, _ = fs.ladder_ops(b, 1)
-    power = np.linalg.matrix_power(a.toarray(), b.n_max + 1)
+    a, _ = dense_ladder(b, 1)
+    power = np.linalg.matrix_power(a, b.n_max + 1)
     assert np.abs(power).max() == 0.0
 
 
@@ -177,9 +201,8 @@ def test_displacement_shift_defect_decays_with_cutoff():
     norms = []
     for nm in (4, 6, 8):
         b = fs.FockBasis(1, nm)
-        a, adag, _ = fs.ladder_ops(b, 0)
-        a = a.toarray()
-        lam, vecs = np.linalg.eigh(1j * (eta * adag.toarray() - np.conj(eta) * a))
+        a, adag = dense_ladder(b, 0)
+        lam, vecs = np.linalg.eigh(1j * (eta * adag - np.conj(eta) * a))
         D = (vecs * np.exp(-1j * lam)) @ vecs.conj().T
         dev = D.conj().T @ a @ D - (a + eta * np.eye(b.dim))
         fixed = b.totals() <= 2

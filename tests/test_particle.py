@@ -151,18 +151,22 @@ def test_atomic_rejects_bad_input():
 def test_position_operator_values():
     g = PositionGrid(n=8, L=4.0)
     r = g.radius.ravel()
-    assert np.allclose(position_operator(g, "abs_x").diagonal(), r)
-    assert np.allclose(position_operator(g, "x_squared").diagonal(), r**2)
-    assert np.allclose(
-        position_operator(g, "log3", c=2.0).diagonal(), np.log(3.0 + 2.0 * r)
-    )
-    assert np.allclose(
-        position_operator(g, "exp_beta", beta=0.5).diagonal(), np.exp(0.5 * r)
-    )
     k = g.dk * np.array([1.0, 0.0, 0.0])
-    assert np.allclose(
-        position_operator(g, "plane_wave", k=k).diagonal(), g.plane_wave(k).ravel()
-    )
+    cases = [
+        ("abs_x", {}, r),
+        ("x_squared", {}, r**2),
+        ("log3", {"c": 2.0}, np.log(3.0 + 2.0 * r)),
+        ("exp_beta", {"beta": 0.5}, np.exp(0.5 * r)),
+        ("plane_wave", {"k": k}, g.plane_wave(k).ravel()),
+    ]
+    for name, kwargs, values in cases:
+        diag = position_operator(g, name, **kwargs)
+        assert isinstance(diag, np.ndarray) and diag.shape == (g.point_count,)
+        assert np.allclose(diag, values)
+    # the returned diagonal is the caller's: writing to it leaves the grid intact
+    before = g.radius.copy()
+    position_operator(g, "abs_x")[:] = -1.0
+    np.testing.assert_array_equal(g.radius, before)
 
 
 def test_position_operator_guards():
@@ -184,7 +188,7 @@ def test_position_operator_guards():
 def test_g_r_ramp():
     g = PositionGrid(n=16, L=8.0)
     R = 4.0
-    diag = np.asarray(position_operator(g, "g_r", R=R, kind="abs").diagonal())
+    diag = position_operator(g, "g_r", R=R, kind="abs")
     r = g.radius.ravel()
     inner = r <= R / 2.0
     outer = r >= R
@@ -206,7 +210,7 @@ def test_gradient_sups_below_ceilings():
         ("abs", 8.0): 8.434776080763202,
     }
     for (kind, R), frozen in expected.items():
-        values = position_operator(g, "g_r", R=R, kind=kind).diagonal().reshape((g.n,) * 3)
+        values = position_operator(g, "g_r", R=R, kind=kind).reshape((g.n,) * 3)
         # squared periodic forward-difference gradient, at its largest point
         sup = sum(((np.roll(values, -1, axis) - values) / g.h) ** 2 for axis in range(3)).max()
         assert sup == pytest.approx(frozen, rel=1e-12)

@@ -5,7 +5,8 @@ import copy
 import numpy as np
 import pytest
 
-from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes, ladder_ops, scale_modes
+from fock_dense import dense_ladder
+from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes, scale_modes
 from nelsonlab.model import (
     ConvergenceError,
     DomainError,
@@ -230,7 +231,7 @@ def _reference_hamiltonian(params, grid, modes, basis, variant):
     g = np.sqrt(modes.w)[:, None] * modes.k / (np.sqrt(2.0 * omega) * (omega + 0.5 * omega**2))[:, None]
     c, q = params.e, 0.5 * params.e**2
     eye_d = np.eye(basis.dim)
-    lower = [ladder_ops(basis, j)[0].toarray() for j in range(modes.count)]
+    lower = [dense_ladder(basis, j)[0] for j in range(modes.count)]
     hf = np.diag(basis.occupations @ omega)
     if variant == "fiber":  # total momentum 0: p_l is -P_f,l
         pf = basis.occupations @ modes.k
@@ -331,7 +332,7 @@ def _per_mode(model, u, adjoint):
     phase = np.ones((model.modes.count, u.shape[1])) if model._phase is None else model._phase
     out = np.zeros((model._coupling.shape[1],) + u.shape, dtype=complex)
     for j in range(model.modes.count):
-        a, adag, _ = ladder_ops(model.basis, j)
+        a, adag = dense_ladder(model.basis, j)
         term = adag @ (u * phase[j].conj()) if adjoint else (a @ u) * phase[j]
         for ell in range(out.shape[0]):
             out[ell] += model._coupling[j, ell] * term
