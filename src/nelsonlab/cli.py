@@ -29,6 +29,7 @@ if "numpy" not in sys.modules:
         os.environ[_var] = "1"
 
 import argparse
+import ctypes
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -551,7 +552,28 @@ _DISPATCH = {
 }
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters (malloc.h)
+
+
+def _retain_heap() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 64 MiB.
+
+    The solver's vectors and the matvec's temporaries, about 1 MiB each at
+    the reference sizes, sit at glibc's dynamic thresholds, so freed blocks
+    went back to the kernel and every later allocation faulted its pages in
+    afresh.  Fixed thresholds keep them in the heap for reuse.  Called from
+    ``main``, not at import; a no-op where glibc is absent.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _retain_heap()
     try:
         cfg = build_config(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:

@@ -187,9 +187,9 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
 
     from .spectral import lanczos_lowest
 
-    seed = np.exp(-alphaZ * grid.radius).ravel()
     energy, vec, residual, iterations = lanczos_lowest(
-        matvec, grid.point_count, seed=seed, tol=1e-12, maxit=500, precond=precond
+        matvec, grid.point_count, seed=np.exp(-alphaZ * grid.radius).ravel(),
+        tol=1e-12, maxit=500, precond=precond,
     )
     vec = vec.real
     if vec.sum() < 0.0:

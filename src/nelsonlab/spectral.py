@@ -32,11 +32,12 @@ rho^{-2 tau} times the base-frame matrix, exactly.
 
 The field coupling has one kernel on one ladder table of all modes (see
 _ladder_table): a_j maps into the lowered block, the first K states, and
-adag_j reads only from it.  ``components(u)`` gives the (C, D, X) stack A_l u
-from one gather u[_src], and ``contract(V)`` gives sum_l A_l V_l; their
-adjoints raise, each state adding the at most min(M, N_max) entries of all
-modes that land on it.  No call loops over the modes.  The vector-coupled
-matvec is
+adag_j reads only from it.  ``components(u)`` gives the stack A_l u from one
+gather u[_src], held as (C, K+1, X): the lowered block and one zero row,
+where the clipped gathers of ``contract`` land for the states above it.
+``contract(V)`` gives sum_l A_l V_l; their adjoints raise, each state adding
+the at most min(M, N_max) entries of all modes that land on it.  No call
+loops over the modes.  The vector-coupled matvec is
     H u = F^-1[ (|q|^2/2) F u + c sum_l q_l F(A_l u) ] + (U + H_f) u
           + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
     V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
@@ -85,7 +86,7 @@ __all__ = [
 ]
 
 _DIM_LIMIT = 500_000
-_WORKSET_VECTORS = 8  # x, w, p, their products, the residual and one temporary
+_WORKSET_VECTORS = 8  # held: x, w, p, their products, one scratch; one spare for a transient
 _WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
 _SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
 _DENSE_LIMIT = 4000
@@ -115,6 +116,14 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
     sigma = max(-theta, 0) + _SHIFT_MARGIN (module docstring); without it
     w is the residual.
 
+    The combinations run in place, so the solver holds at most seven
+    vectors, x, H x, p, H p, w, H w and a scratch vector that also takes the
+    residual, within the _WORKSET_VECTORS that the guard counts; the
+    operator's and the preconditioner's own temporaries come on top.
+    The products and preconditioned residuals it is handed are overwritten,
+    the seed never is, and the vectors widen to complex when a later
+    product turns complex.
+
     The carried H x drifts by rounding, so a residual that meets
     tol * max(1, |theta|) is confirmed by a fresh product before it is
     returned, and iteration resumes from that product if it fails.
@@ -137,18 +146,21 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
     if seed is None:
         x = np.random.default_rng(rng_seed).standard_normal(dim)
     else:
-        x = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float).copy()
+        x = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float)
+    del seed  # lanczos_ground hands over its only reference
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ParameterError("seed vector must be nonzero")
-    x /= norm
+    x = x / norm  # a new array: x may be the caller's seed
 
     hx = np.asarray(matvec(x))
     products, fresh = 1, True
-    p = hp = None
+    p = hp = scratch = None
     while True:
+        x, hx, p, hp, scratch = _one_dtype(x, hx, p, hp, scratch)
         theta = float(np.vdot(x, hx).real)
-        r = hx - theta * x
+        r = np.multiply(theta, x, out=scratch)
+        np.subtract(hx, r, out=r)
         residual = float(np.linalg.norm(r))
         converged = residual <= tol * max(1.0, abs(theta))
         if converged and fresh:
@@ -158,33 +170,65 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
                                    f"(last residual {residual:.3e}, energy {theta:.12g})")
         products += 1
         if converged:  # confirm the carried residual with a fresh product
+            scratch, hx = r, None  # drop the carried product before the fresh one
             hx, fresh = np.asarray(matvec(x)), True
             continue
         w = r if precond is None else precond(r, max(-theta, 0.0) + _SHIFT_MARGIN)
-        for _ in range(2):
-            w = w - np.vdot(x, w) * x
+        scratch = None if w is r else r
+        del r
+        for _ in range(2):  # w off x
+            scratch = np.multiply(np.vdot(x, w), x, out=scratch)
+            np.subtract(w, scratch, out=w)
         w /= np.linalg.norm(w)
         hw, fresh = np.asarray(matvec(w)), False
-        S, HS = [x, w], [hx, hw]
+        x, hx, w, hw, p, hp, scratch = _one_dtype(x, hx, w, hw, p, hp, scratch)
         if p is not None:
             norm = np.linalg.norm(p)
-            p, hp = p / norm, hp / norm
-            for _ in range(2):
-                for b, hb in zip(S, HS):
-                    c = np.vdot(b, p)
-                    p, hp = p - c * b, hp - c * hb
+            p /= norm
+            hp /= norm
+            _project_out(p, hp, ((x, hx), (w, hw)), scratch)
             norm = np.linalg.norm(p)
-            if norm > 1e-8:  # else p lies in span{x, w}: drop it
-                S.append(p / norm)
-                HS.append(hp / norm)
-        G = np.array([[np.vdot(a, hb) for hb in HS] for a in S])
-        c = np.linalg.eigh((G + G.conj().T) / 2.0)[1][:, 0]
-        p = sum(ck * v for ck, v in zip(c[1:], S[1:]))
-        hp = sum(ck * v for ck, v in zip(c[1:], HS[1:]))
-        x, hx = c[0] * x + p, c[0] * hx + hp
+            if norm > 1e-8:
+                p /= norm
+                hp /= norm
+            else:  # p lies in span{x, w}: drop it
+                p = hp = None
+        if p is None:
+            c = _lowest_ritz((x, w), (hx, hw))
+            p, hp = np.multiply(c[1], w, out=w), np.multiply(c[1], hw, out=hw)
+        else:
+            c = _lowest_ritz((x, w, p), (hx, hw, hp))
+            np.add(np.multiply(c[1], w, out=w), np.multiply(c[2], p, out=p), out=p)
+            np.add(np.multiply(c[1], hw, out=hw), np.multiply(c[2], hp, out=hp), out=hp)
+        del w, hw  # their buffers are p and hp now, or free
+        np.add(np.multiply(c[0], x, out=x), p, out=x)
+        np.add(np.multiply(c[0], hx, out=hx), hp, out=hx)
         norm = np.linalg.norm(x)
         x /= norm
         hx /= norm
+
+
+def _project_out(v, hv, pairs, scratch):
+    """Project v off each unit vector b of ``pairs`` (b, H b), twice, in
+    place, and carry its product: hv -= <b, v> H b."""
+    for _ in range(2):
+        for b, hb in pairs:
+            c = np.vdot(b, v)
+            np.subtract(v, np.multiply(c, b, out=scratch), out=v)
+            np.subtract(hv, np.multiply(c, hb, out=scratch), out=hv)
+
+
+def _one_dtype(*vectors):
+    """The vectors in their common dtype: real ones are widened to complex
+    once a product turns complex.  None passes."""
+    dtype = np.result_type(*(v for v in vectors if v is not None))
+    return [v if v is None or v.dtype == dtype else v.astype(dtype) for v in vectors]
+
+
+def _lowest_ritz(S, HS):
+    """Coefficients of the lowest Ritz vector in span S, HS the products."""
+    G = np.array([[np.vdot(a, hb) for hb in HS] for a in S])
+    return np.linalg.eigh((G + G.conj().T) / 2.0)[1][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +326,24 @@ class AssembledModel:
         return out
 
     def components(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """A_l u for every component l, shape (C, D, X); A*_l u when adjoint.
+        """A_l u for every component l on the lowered block plus one zero
+        row, shape (C, K+1, X); A*_l u when adjoint, shape (C, D, X).
 
         u is Fock-major, (D, X).  A_l u = sum_j coupling_jl phase_j a_j u
-        fills the lowered block from one gather u[_src]; A*_l u is a raise.
+        fills the lowered block from one gather u[_src], and its rows at and
+        above K vanish: ``contract`` gathers them from the zero row, where
+        its clipped indices land.  A*_l u is a raise.
         """
-        D, K = u.shape[0], self._src.shape[1]
         if adjoint:
-            return self._adjoint_components(u, D)
+            return self._adjoint_components(u, u.shape[0])
+        K = self._src.shape[1]
         lowered = np.take(u, self._src, axis=0)
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        out = np.zeros((self._coupling.shape[1],) + u.shape, dtype=complex)
+        out = np.empty((self._coupling.shape[1], K + 1, u.shape[1]), dtype=complex)
         out[:, :K] = np.tensordot(self._coupling, lowered, axes=(0, 0))
+        out[:, K] = 0.0
         return out
 
     def contract(self, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -303,6 +351,8 @@ class AssembledModel:
 
         Forms sum_l coupling_jl V_l on the entries of each mode first, then
         gathers (A) or raises (A*) once; A* reads only the lowered block.
+        The gather clips its indices, so A also takes the (C, K+1, X) stack
+        of ``components``, whose last row is zero.
         """
         M, K = self._src.shape
         if adjoint:
@@ -322,7 +372,7 @@ class AssembledModel:
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        out = np.zeros(V.shape[1:], dtype=complex)
+        out = np.zeros((self._slots.shape[1],) + V.shape[2:], dtype=complex)
         out[:K] = lowered.sum(axis=0)
         return out
 
@@ -565,22 +615,26 @@ def lanczos_ground(
     subspace that holds the previous Ritz vector, and the returned energy
     is the Rayleigh quotient of the returned vector, so it is at most
     <seed, H seed>.  The solve is preconditioned by ``model.precondition``.
+    The default seed is built in the call, so the solver holds its only
+    reference and drops it after normalizing.
     """
-    if seed_vector is None:
-        if model.variant == "fiber":
-            seed_vector = vacuum_vector(model.basis).astype(complex)
-        else:
-            if model.variant == "gross":
-                psi = model.atomic_reference().psi.ravel()
-            else:
-                psi = np.full(model.grid.point_count, 1.0)
-            psi = psi / np.linalg.norm(psi)
-            seed_vector = np.kron(psi, vacuum_vector(model.basis)).astype(complex)
     energy, vec, residual, iters = lanczos_lowest(
-        model.matvec, model.dim, seed=seed_vector, tol=tol, maxit=maxit,
-        precond=model.precondition,
+        model.matvec, model.dim,
+        seed=_default_seed(model) if seed_vector is None else seed_vector,
+        tol=tol, maxit=maxit, precond=model.precondition,
     )
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
+
+
+def _default_seed(model: AssembledModel) -> np.ndarray:
+    if model.variant == "fiber":
+        return vacuum_vector(model.basis).astype(complex)
+    if model.variant == "gross":
+        psi = model.atomic_reference().psi.ravel()
+    else:
+        psi = np.full(model.grid.point_count, 1.0)
+    psi = psi / np.linalg.norm(psi)
+    return np.kron(psi, vacuum_vector(model.basis)).astype(complex)
 
 
 def to_dense(model: AssembledModel) -> np.ndarray:
@@ -829,7 +883,7 @@ def effective_mass_numeric(
         if abs(grad) > 1e-8:
             raise DomainError(
                 f"fiber ground state carries momentum in direction {ell}: "
-                f"<W> = {grad:.3e}"
+                f"<W> = {grad.real:.3e}"
             )
         b = b - grad * psi0
         y = _pcg(op, b, lambda r: model.precondition(r, sigma), tol)

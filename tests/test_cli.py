@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,15 @@ def test_effmass_matches_mode_sum(capsys):
     assert rows["inertia.numeric"] == pytest.approx(rows["inertia.mode_sum"], rel=1e-3)
 
 
+def test_effmass_refusal_prints_a_real_expectation(capsys):
+    """<W> of a Hermitian W is real: the refusal of a grid whose fiber ground
+    state carries momentum prints it with no imaginary part."""
+    assert main(["effmass", "--e", "0.3", "--modes-radial", "1", "--nmax", "2"]) == 2
+    err = capsys.readouterr().err
+    value = re.search(r"<W> = (\S+)$", err.strip()).group(1)
+    assert "j" not in value and abs(float(value)) > 1e-8, err
+
+
 def test_binding_table(capsys):
     code, payload = run_json(capsys, ["binding", "--e", "0.3", "--Z", "1"])
     assert code == 0
@@ -356,3 +366,71 @@ def test_solver_commands_run_without_scipy():
     )
     assert [code for code, _ in refused] == [0, 0, 0, 0]
     assert refused == allowed
+
+
+# ---------------------------------------------------------------------------
+# heap retention
+
+
+class _Libc:
+    """A stand-in for glibc that records its mallopt calls."""
+
+    def __init__(self, calls, result=1):
+        self.calls, self.result = calls, result
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+def test_main_fixes_the_heap_thresholds(monkeypatch, capsys):
+    """M_MMAP_THRESHOLD (-3) at 4 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB,
+    once per run of main."""
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _Libc(calls))
+    assert main(["constants"]) == 0
+    assert calls == [(-3, 4 * 2**20), (-1, 64 * 2**20)]
+
+
+def _no_glibc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_glibc, lambda name: object(), lambda name: _Libc([], 0)],
+                         ids=["no-glibc", "no-mallopt", "mallopt-refuses"])
+def test_main_runs_without_heap_control(monkeypatch, capsys, cdll):
+    assert main(["constants"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(["constants"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+_IMPORT_PROBE = """
+import ctypes
+calls = []
+
+class Libc:
+    def __init__(self, lib):
+        self.lib = lib
+
+    def __getattr__(self, name):
+        if name == "mallopt":
+            return lambda *args: calls.append(args) or 1
+        return getattr(self.lib, name)
+
+real = ctypes.CDLL
+ctypes.CDLL = lambda *args, **kwargs: Libc(real(*args, **kwargs))
+import nelsonlab.cli
+print(len(calls))
+nelsonlab.cli._retain_heap()
+print(len(calls))
+"""
+
+
+def test_import_leaves_the_heap_alone():
+    """A fresh import makes no mallopt call (so start-up time cannot move);
+    the probe sees the two calls that ``main`` makes."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["0", "2"]

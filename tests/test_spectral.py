@@ -1,6 +1,7 @@
 """Tests for assembly, the eigensolver, and the operator-identity checks."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ def test_lanczos_matches_dense_random():
     evals = np.linalg.eigvalsh(A)
     assert energy == pytest.approx(evals[0], abs=1e-10)
     assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
+
+
+@pytest.mark.parametrize("precond", [lambda r, sigma: r, lambda r, sigma: 0.5 * r],
+                         ids=["returns-r", "scaled"])
+def test_lanczos_overwrites_only_what_it_may(precond):
+    """The solver works in place on what the preconditioner hands back, also
+    when that is the residual itself, and never on the caller's seed."""
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 40))
+    A = (A + A.T) / 2.0
+    seed = rng.standard_normal(40)
+    kept = seed.copy()
+    energy, vec, _, _ = sp.lanczos_lowest(lambda v: A @ v, 40, seed=seed, precond=precond)
+    assert energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
+    assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
+    assert np.array_equal(seed, kept)
 
 
 def test_lanczos_one_dimensional():
@@ -101,6 +118,30 @@ def test_lanczos_basis_memory_guard(monkeypatch):
     monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16)
     with pytest.raises(ConvergenceError):
         sp.lanczos_lowest(lambda v: np.arange(40.0) * v, 40, maxit=10)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lanczos_holds_only_its_counted_working_set(dtype):
+    """What the guard counts is what the solver holds: its tracemalloc peak
+    above the caller's seed, the product and the preconditioned residual
+    included, is at most _WORKSET_VECTORS vectors."""
+    dim = 2**16
+    rng = np.random.default_rng(19)
+    d = np.concatenate([[-1.0], rng.uniform(0.5, 10.0, dim - 1)])  # isolated ground level
+    approx = d * (1.0 + 0.2 * np.sin(np.arange(dim))) + 1.2  # inexact, positive
+    seed = rng.standard_normal(dim).astype(dtype)
+    if dtype is complex:
+        seed += 1j * rng.standard_normal(dim)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        energy, vec, residual, _ = sp.lanczos_lowest(
+            lambda v: d * v, dim, seed=seed, precond=lambda r, sigma: r / (approx + sigma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energy == pytest.approx(-1.0, abs=1e-10) and vec.dtype == np.dtype(dtype)
+    assert (peak - base) / (dim * seed.itemsize) <= sp._WORKSET_VECTORS
 
 
 def test_lanczos_residual_is_honest_on_a_cluster():
@@ -348,10 +389,20 @@ def _kernel_inputs(model, seed):
 
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_kernel_matches_per_mode_reference(kernel_model, adjoint):
+    """A*_l u over all D states; A_l u on the lowered block plus one zero pad
+    row, since the reference vanishes exactly from row K on."""
     model = kernel_model
+    K = model._src.shape[1]
     u, V = _kernel_inputs(model, 41)
     ref = _per_mode(model, u, adjoint)
     got = model.components(u, adjoint=adjoint)
+    if not adjoint:
+        assert got.shape == (ref.shape[0], K + 1, ref.shape[2])
+        assert not ref[:, K:].any() and not got[:, K].any()
+        # contract's clipped gathers read the pad row where the full stack is zero
+        full = model.contract(ref)
+        assert np.linalg.norm(model.contract(got) - full) <= 1e-13 * np.linalg.norm(full)
+        got, ref = got[:, :K], ref[:, :K]
     assert got.shape == ref.shape
     for ell in range(ref.shape[0]):
         assert np.linalg.norm(got[ell] - ref[ell]) <= 1e-13 * np.linalg.norm(ref[ell])
@@ -362,11 +413,14 @@ def test_kernel_matches_per_mode_reference(kernel_model, adjoint):
 
 def test_kernel_adjoint_pairings(kernel_model):
     model = kernel_model
+    K = model._src.shape[1]
     w, V = _kernel_inputs(model, 43)
     lhs = np.vdot(w, model.contract(V))
     assert abs(lhs - np.vdot(model.components(w, adjoint=True), V)) <= 1e-13 * abs(lhs)
     lhs = np.vdot(w, model.contract(V, adjoint=True))
-    assert abs(lhs - np.vdot(model.components(w), V)) <= 1e-13 * abs(lhs)
+    Aw = model.components(w)
+    assert not Aw[:, K].any()  # the pad row; A w vanishes from row K on
+    assert abs(lhs - np.vdot(Aw[:, :K], V[:, :K])) <= 1e-13 * abs(lhs)
 
 
 def test_to_dense_guard(small_setup):
