@@ -553,23 +553,27 @@ _DISPATCH = {
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters (malloc.h)
+_MMAP_THRESHOLD = 32 * 2**20  # glibc's ceiling for its dynamic mmap threshold on 64-bit
 
 
 def _retain_heap() -> None:
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 64 MiB.
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at
+    64 MiB, where its dynamic rule leaves them on 64-bit after freeing a
+    block of 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX).
 
-    The solver's vectors and the matvec's temporaries, about 1 MiB each at
-    the reference sizes, sit at glibc's dynamic thresholds, so freed blocks
-    went back to the kernel and every later allocation faulted its pages in
-    afresh.  Fixed thresholds keep them in the heap for reuse.  Called from
-    ``main``, not at import; a no-op where glibc is absent.
+    Blocks below the ceiling come from the heap either way once one as
+    large has been freed, but the dynamic trim threshold, twice the largest
+    freed mmapped block, sat at about 2 MiB with the solver's 1 MiB vectors
+    at the reference sizes, so every free at the top of the heap went back
+    to the kernel and the next allocation faulted its pages in afresh.
+    Called from ``main``, not at import; a no-op where glibc is absent.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
         return
-    mallopt(_M_MMAP_THRESHOLD, 4 * 2**20)
-    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -122,7 +122,8 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
     operator's and the preconditioner's own temporaries come on top.
     The products and preconditioned residuals it is handed are overwritten,
     the seed never is, and the vectors widen to complex when a later
-    product turns complex.
+    product turns complex.  The residual handed to ``precond`` is the
+    solver's own: ``precond`` may scale it in place and return it or a view.
 
     The carried H x drifts by rounding, so a residual that meets
     tol * max(1, |theta|) is confirmed by a fresh product before it is
@@ -174,7 +175,7 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
             hx, fresh = np.asarray(matvec(x)), True
             continue
         w = r if precond is None else precond(r, max(-theta, 0.0) + _SHIFT_MARGIN)
-        scratch = None if w is r else r
+        scratch = None if np.may_share_memory(w, r) else r  # w may be r or a view of it
         del r
         for _ in range(2):  # w off x
             scratch = np.multiply(np.vdot(x, w), x, out=scratch)
@@ -186,21 +187,28 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
             norm = np.linalg.norm(p)
             p /= norm
             hp /= norm
-            _project_out(p, hp, ((x, hx), (w, hw)), scratch)
+            for _ in range(2):  # p off x and w, carrying H p along
+                for b, hb in ((x, hx), (w, hw)):
+                    c = np.vdot(b, p)
+                    np.subtract(p, np.multiply(c, b, out=scratch), out=p)
+                    np.subtract(hp, np.multiply(c, hb, out=scratch), out=hp)
             norm = np.linalg.norm(p)
             if norm > 1e-8:
                 p /= norm
                 hp /= norm
             else:  # p lies in span{x, w}: drop it
                 p = hp = None
-        if p is None:
-            c = _lowest_ritz((x, w), (hx, hw))
-            p, hp = np.multiply(c[1], w, out=w), np.multiply(c[1], hw, out=hw)
-        else:
-            c = _lowest_ritz((x, w, p), (hx, hw, hp))
-            np.add(np.multiply(c[1], w, out=w), np.multiply(c[2], p, out=p), out=p)
-            np.add(np.multiply(c[1], hw, out=hw), np.multiply(c[2], hp, out=hp), out=hp)
-        del w, hw  # their buffers are p and hp now, or free
+        S, HS = ((x, w), (hx, hw)) if p is None else ((x, w, p), (hx, hw, hp))
+        G = np.array([[np.vdot(a, hb) for hb in HS] for a in S])
+        c = np.linalg.eigh((G + G.conj().T) / 2.0)[1][:, 0]
+        del S, HS  # the old p must not outlive the next product
+        np.multiply(c[1], w, out=w)
+        np.multiply(c[1], hw, out=hw)
+        if p is not None:
+            np.add(w, np.multiply(c[2], p, out=p), out=w)
+            np.add(hw, np.multiply(c[2], hp, out=hp), out=hw)
+        p, hp = w, hw  # the new search direction and its product
+        del w, hw
         np.add(np.multiply(c[0], x, out=x), p, out=x)
         np.add(np.multiply(c[0], hx, out=hx), hp, out=hx)
         norm = np.linalg.norm(x)
@@ -208,27 +216,11 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
         hx /= norm
 
 
-def _project_out(v, hv, pairs, scratch):
-    """Project v off each unit vector b of ``pairs`` (b, H b), twice, in
-    place, and carry its product: hv -= <b, v> H b."""
-    for _ in range(2):
-        for b, hb in pairs:
-            c = np.vdot(b, v)
-            np.subtract(v, np.multiply(c, b, out=scratch), out=v)
-            np.subtract(hv, np.multiply(c, hb, out=scratch), out=hv)
-
-
 def _one_dtype(*vectors):
     """The vectors in their common dtype: real ones are widened to complex
     once a product turns complex.  None passes."""
     dtype = np.result_type(*(v for v in vectors if v is not None))
     return [v if v is None or v.dtype == dtype else v.astype(dtype) for v in vectors]
-
-
-def _lowest_ritz(S, HS):
-    """Coefficients of the lowest Ritz vector in span S, HS the products."""
-    G = np.array([[np.vdot(a, hb) for hb in HS] for a in S])
-    return np.linalg.eigh((G + G.conj().T) / 2.0)[1][:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -384,12 +384,12 @@ class _Libc:
 
 
 def test_main_fixes_the_heap_thresholds(monkeypatch, capsys):
-    """M_MMAP_THRESHOLD (-3) at 4 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB,
+    """M_MMAP_THRESHOLD (-3) at 32 MiB and M_TRIM_THRESHOLD (-1) at 64 MiB,
     once per run of main."""
     calls = []
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: _Libc(calls))
     assert main(["constants"]) == 0
-    assert calls == [(-3, 4 * 2**20), (-1, 64 * 2**20)]
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
 
 
 def _no_glibc(name):

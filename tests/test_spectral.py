@@ -51,11 +51,14 @@ def test_lanczos_matches_dense_random():
     assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
 
 
-@pytest.mark.parametrize("precond", [lambda r, sigma: r, lambda r, sigma: 0.5 * r],
-                         ids=["returns-r", "scaled"])
+@pytest.mark.parametrize("precond", [lambda r, sigma: r, lambda r, sigma: 0.5 * r,
+                                     lambda r, sigma: r.reshape(-1),
+                                     lambda r, sigma: np.multiply(0.5, r, out=r)[::1]],
+                         ids=["returns-r", "scaled", "view-of-r", "scaled-in-place-view"])
 def test_lanczos_overwrites_only_what_it_may(precond):
     """The solver works in place on what the preconditioner hands back, also
-    when that is the residual itself, and never on the caller's seed."""
+    when that is the residual itself or a view of it, and never on the
+    caller's seed."""
     rng = np.random.default_rng(11)
     A = rng.standard_normal((40, 40))
     A = (A + A.T) / 2.0
