@@ -55,7 +55,7 @@ from .spectral import (
     effective_mass_riemann,
     lanczos_ground,
 )
-from .verify import Resolution, run_suite, suite_passed, suite_to_csv, suite_to_json
+from .verify import Resolution, run_suite, suite_passed, suite_to_csv
 
 
 class UsageError(Exception):
@@ -132,6 +132,10 @@ class RunConfig:
         if not parts:
             raise UsageError("empty --select filter")
         return parts
+
+    def params(self):
+        """The model parameters of this run."""
+        return make_params(self.e, self.Z, m=self.m, kappa=self.kappa, lam=self.lam)
 
     def echo(self) -> dict:
         """Effective config for output headers, canonical keys, no Nones."""
@@ -240,6 +244,9 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"scan axis must be one of {_SCAN_AXES}, got {cfg.axis!r}")
         if cfg.steps < 1:
             raise UsageError(f"steps must be >= 1, got {cfg.steps}")
+    if cfg.m != 1.0 and cfg.command != "integrals":
+        raise UsageError(f"the mass enters only the integrals; {cfg.command} needs m = 1, "
+                         f"got {cfg.m}")
     if cfg.maxit < 1:
         raise UsageError(f"maxit must be >= 1, got {cfg.maxit}")
     if not 0.0 < cfg.tol < math.inf:
@@ -325,12 +332,12 @@ def _row(rows: list, name: str, fn, **extra) -> None:
 
 
 def _chain_tau(cfg: RunConfig) -> float:
-    # the overlap chain needs tau in (3/4, 1]; fall back to its reference 0.9
-    return cfg.tau if 0.75 < cfg.tau <= 1.0 else 0.9
+    # the overlap chain needs tau in (3/4, 1]; fall back to its reference
+    return cfg.tau if 0.75 < cfg.tau <= 1.0 else cf.CHAIN_TAU
 
 
 def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
-    params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
+    params = cfg.params()
     e, Z = params.e, params.Z
     rows: list[dict] = []
     _row(rows, "alpha", lambda: e * e / (4.0 * math.pi))
@@ -379,7 +386,7 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
-    params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
+    params = cfg.params()
     if cfg.tau == 0.0:
         tau, rho = 0.0, 1.0
     else:
@@ -419,8 +426,7 @@ def _build_model(cfg: RunConfig, params):
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[str, int]:
-    params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
-    model = _build_model(cfg, params)
+    model = _build_model(cfg, cfg.params())
     result = lanczos_ground(model, tol=cfg.tol, maxit=cfg.maxit)
     report = ground_state_report(model, result)
     if cfg.format == "csv":
@@ -457,14 +463,13 @@ def _suite_status(suites) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
-    reports = run_suite(params, _resolution(cfg), selection=cfg.selection)
+    reports = run_suite(cfg.params(), _resolution(cfg), selection=cfg.selection)
     status = _suite_status([reports])
     if cfg.format == "csv":
-        text = "\n".join(_echo_lines(cfg)) + "\n" + suite_to_csv(reports)
-    else:
-        text = suite_to_json(reports, config=cfg.echo())
-    return text, status
+        return "\n".join(_echo_lines(cfg)) + "\n" + suite_to_csv(reports), status
+    payload = {"config": cfg.echo(), "reports": [r.to_dict() for r in reports],
+               "passed": suite_passed(reports)}
+    return _to_json(payload), status
 
 
 def cmd_scan(cfg: RunConfig) -> tuple[str, int]:
@@ -474,8 +479,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, int]:
     table: list[tuple[float, list]] = []
     for v in values:
         point = replace(cfg, **{field: float(v)})
-        params = make_params(point.e, point.Z, m=point.m, kappa=point.kappa, lam=point.lam)
-        table.append((float(v), run_suite(params, res, selection=cfg.selection)))
+        table.append((float(v), run_suite(point.params(), res, selection=cfg.selection)))
     status = _suite_status([reports for _, reports in table])
     ids = [r.id for r in table[0][1]]
     if cfg.format == "json":
@@ -500,7 +504,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_effmass(cfg: RunConfig) -> tuple[str, int]:
-    params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
+    params = cfg.params()
     modes = build_modes(cfg.kappa, cfg.lam, cfg.n_radial, cfg.n_angular)
     basis = FockBasis(modes.count, cfg.n_max)
     numeric = effective_mass_numeric(params, modes, basis, tol=min(cfg.tol, 1e-10))
@@ -520,7 +524,7 @@ def cmd_effmass(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_binding(cfg: RunConfig) -> tuple[str, int]:
-    params = make_params(cfg.e, cfg.Z, m=cfg.m, kappa=cfg.kappa, lam=cfg.lam)
+    params = cfg.params()
     e, Z = params.e, params.Z
     aZ = params.alphaZ
     rows: list[dict] = []
@@ -585,10 +589,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         text, status = _DISPATCH[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, DomainError) as exc:
+    except (UsageError, ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the boundary turns bugs into status 3

@@ -20,13 +20,20 @@ from .model import FOUR_PI, DomainError, ParameterError
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
-_SQRT_PI = math.sqrt(math.pi)
 
 #: quadratic coefficient of the ultraviolet constant, (14 + sqrt(6) pi)/(4 pi^2)
 C_UV_QUADRATIC = (14.0 + _SQRT6 * math.pi) / (4.0 * math.pi ** 2)
 
 #: cube root of 2 sqrt(2) pi^2: large-Z limit of e_uv(Z) * Z**(1/3)
 E_UV_LARGE_Z = (2.0 * _SQRT2 * math.pi ** 2) ** (1.0 / 3.0)
+
+#: telescoping exponent eps of the soft-photon bound, in (1/2, 1); delta = 1 - eps
+TELESCOPING_EPS = 0.75
+
+#: frame exponent tau of the infrared overlap chain, in (3/4, 1]
+CHAIN_TAU = 0.9
+
+_THETA_EPS = 0.2  # split parameter of the Theta_2 expression, in (0, 1/4)
 
 
 def _alpha(e: float) -> float:
@@ -167,41 +174,37 @@ def hard_photon_bound(e: float, Z: float) -> float:
     return 4.0 * _alpha(e) * c_d(e, Z) ** 2 / (3.0 * math.pi)
 
 
-def soft_photon_bound(
-    e: float, Z: float, eps: float = 0.75, delta: float | None = None
-) -> float:
+def _dressing_m(c1: float, cd: float) -> float:
+    """M = 18 C_1^2 (C_D + 2)^2 / (eps pi^2) at eps = TELESCOPING_EPS."""
+    return 18.0 * c1 * c1 * (cd + 2.0) ** 2 / (TELESCOPING_EPS * math.pi ** 2)
+
+
+def soft_photon_bound(e: float, Z: float) -> float:
     """Bound on the expected number of photons with |k| < 1.
 
         9 alpha / (pi delta) (8 C_D + 21/2)^2
         + 2 M alpha (9 + 2 L^2 + 9e-2 L),
         M = 18 C_1^2 (C_D + 2)^2 / (eps pi^2),
 
-    with 1/2 < eps < 1 and 0 < delta < 1/2 (default delta = 1 - eps).
+    at eps = TELESCOPING_EPS and delta = 1 - eps.
     Valid for alpha Z < 1; the caller is expected to gate on that.
     """
-    if delta is None:
-        delta = 1.0 - eps
-    if not (0.5 < eps < 1.0):
-        raise DomainError(f"eps must lie in (1/2, 1), got {eps}")
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
     if e == 0.0:
         return 0.0
     a = _alpha(e)
     cd = c_d(e, Z)
-    c1 = _c1_base(e, Z)
     L = coupling_log(e, Z)
-    M = 18.0 * c1 * c1 * (cd + 2.0) ** 2 / (eps * math.pi ** 2)
-    return (9.0 * a / (math.pi * delta)) * (8.0 * cd + 10.5) ** 2 + 2.0 * M * a * (
-        9.0 + 2.0 * L * L + 9.0e-2 * L
+    M = _dressing_m(_c1_base(e, Z), cd)
+    return (9.0 * a / (math.pi * (1.0 - TELESCOPING_EPS))) * (8.0 * cd + 10.5) ** 2 + (
+        2.0 * M * a * (9.0 + 2.0 * L * L + 9.0e-2 * L)
     )
 
 
-def total_photon_bound(e: float, Z: float, conservative: bool = True) -> float:
+def total_photon_bound(e: float, Z: float) -> float:
     """photon_k(e, Z) * e^2 / (4 pi); zero at e = 0 (limit)."""
     if e == 0.0:
         return 0.0
-    return photon_k(e, Z, conservative) * _alpha(e)
+    return photon_k(e, Z) * _alpha(e)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +221,16 @@ def _f_ir(e: float, Z: float, tau: float) -> float:
     return math.sqrt(1.0 + Z * Z) * (e ** (4.0 * tau - 3.0) + 3.0 * math.sqrt(e)) + e * e
 
 
-def overlap_constants(
-    e: float,
-    Z: float,
-    tau: float = 0.9,
-    eps: float = 0.75,
-    theta_eps: float = 0.2,
-    conservative: bool = True,
-) -> dict:
+def _require_chain_tau(tau: float) -> None:
+    if not (0.75 < tau <= 1.0):
+        raise DomainError(f"tau must lie in (3/4, 1], got {tau}")
+
+
+def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
     """All scalars of the infrared overlap chain at charge e.
 
-    Works in the rho = e^2 frame convention.  ``eps`` is the telescoping
-    exponent parameter (1/2 < eps < 1) entering M; ``theta_eps`` is the
-    separate auxiliary split parameter of the Theta_2 expression and must
-    satisfy 0 < theta_eps < 1/4.
+    Works in the rho = e^2 frame convention, with M at TELESCOPING_EPS and
+    the split parameter of the Theta_2 expression at _THETA_EPS.
 
     Returns a dict with keys theta1, theta2, c_tau, f_ir, q_bound, g_ir,
     photon_K, photon_K_low, L, M.  ``g_ir`` is the computable overlap floor
@@ -240,12 +239,7 @@ def overlap_constants(
 
     which tends to 1 as e -> 0+.
     """
-    if not (0.75 < tau <= 1.0):
-        raise DomainError(f"tau must lie in (3/4, 1], got {tau}")
-    if not (0.0 < theta_eps < 0.25):
-        raise DomainError(f"theta_eps must lie in (0, 1/4), got {theta_eps}")
-    if not (0.5 < eps < 1.0):
-        raise DomainError(f"eps must lie in (1/2, 1), got {eps}")
+    _require_chain_tau(tau)
     e = abs(float(e))
     a = _alpha(e)
     # atomic level in the rho = e^2 frame: -(Z^2 / 32 pi^2) e^(4 - 4 tau)
@@ -258,7 +252,7 @@ def overlap_constants(
         r_t = e ** (2.0 * tau)        # rho^tau with rho = e^2
         r_2t = e ** (4.0 * tau)       # rho^(2 tau)
         r_m2t = e ** (-4.0 * tau)     # rho^(-2 tau)
-        ee = theta_eps
+        ee = _THETA_EPS
         inner = (
             (math.sqrt(2.0 * (1.0 - level)) + math.sqrt(2.0 / math.pi) * math.sqrt(a) * r_t)
             ** 2
@@ -285,9 +279,8 @@ def overlap_constants(
         L = coupling_log(e, Z)
         cd = c_d(e, Z)
         c1 = _c1_base(e, Z)
-        K_used = K if conservative else K_low
-        g_ir = 1.0 - K_used * a - q_bound
-    M = 18.0 * c1 * c1 * (cd + 2.0) ** 2 / (eps * math.pi ** 2)
+        g_ir = 1.0 - K * a - q_bound
+    M = _dressing_m(c1, cd)
 
     return {
         "theta1": theta1,
@@ -315,23 +308,14 @@ class CouplingWindow:
     e_ir: float             # largest admissible charge (0.0 when empty)
     g_ir_at_e_ir: float
     empty: bool
-    mode: str               # "window" or "literal"
 
 
-def coupling_window(
-    Z: float, tau: float = 0.9, literal: bool = False, conservative: bool = True
-) -> CouplingWindow:
-    """Compute the admissible charge window for the overlap lower bound.
-
-    Default mode ("window") returns the largest e in
-    (0, min(1, a_ir1, a_ir2, e_uv)) with G_IR(e) > 0, located by bisection.
-    ``literal=True`` instead mimics the printed recipe
-    e_IR = min(sqrt(pi)/c0, 1, a_ir1, a_ir2) with c0 the total photon
-    coefficient, solved self-consistently.  An empty window is reported, not
-    raised.
+def coupling_window(Z: float, tau: float = CHAIN_TAU) -> CouplingWindow:
+    """Compute the admissible charge window for the overlap lower bound:
+    the largest e in (0, min(1, a_ir1, a_ir2, e_uv)) with G_IR(e) > 0,
+    located by bisection.  An empty window is reported, not raised.
     """
-    if not (0.75 < tau <= 1.0):
-        raise DomainError(f"tau must lie in (3/4, 1], got {tau}")
+    _require_chain_tau(tau)
     from scipy.optimize import brentq
 
     euv = e_uv(Z)
@@ -354,21 +338,7 @@ def coupling_window(
         emax = min(emax, a2)
 
     def g_ir_of(x: float) -> float:
-        return overlap_constants(x, Z, tau=tau, conservative=conservative)["g_ir"]
-
-    if literal:
-        # e * photon_k(e) = sqrt(pi), solved on (0, emax]
-        h = lambda x: x * photon_k(x, Z, conservative) - _SQRT_PI
-        if h(emax) <= 0.0:
-            e_lit = emax
-        else:
-            e_lit = brentq(h, 1e-300, emax, xtol=1e-300, rtol=8.9e-16)
-        e_val = min(e_lit, emax)
-        g_val = g_ir_of(e_val) if e_val > 0.0 else 1.0
-        return CouplingWindow(
-            Z=Z, tau=tau, e_uv=euv, a_ir1=a1, a_ir2=a2,
-            e_ir=e_val, g_ir_at_e_ir=g_val, empty=not (e_val > 0.0), mode="literal",
-        )
+        return overlap_constants(x, Z, tau=tau)["g_ir"]
 
     g_hi = g_ir_of(emax)
     if g_hi > 0.0:
@@ -379,7 +349,7 @@ def coupling_window(
         if g_ir_of(lo) <= 0.0:
             return CouplingWindow(
                 Z=Z, tau=tau, e_uv=euv, a_ir1=a1, a_ir2=a2,
-                e_ir=0.0, g_ir_at_e_ir=g_ir_of(lo), empty=True, mode="window",
+                e_ir=0.0, g_ir_at_e_ir=g_ir_of(lo), empty=True,
             )
         for _ in range(2000):
             mid = math.sqrt(lo * hi)  # log-space bisection
@@ -393,13 +363,8 @@ def coupling_window(
         g_val = g_ir_of(lo)
     return CouplingWindow(
         Z=Z, tau=tau, e_uv=euv, a_ir1=a1, a_ir2=a2,
-        e_ir=e_val, g_ir_at_e_ir=g_val, empty=not (e_val > 0.0), mode="window",
+        e_ir=e_val, g_ir_at_e_ir=g_val, empty=not (e_val > 0.0),
     )
-
-
-def e_ir(Z: float, tau: float = 0.9) -> float:
-    """Largest admissible charge of the overlap window (0.0 when empty)."""
-    return coupling_window(Z, tau).e_ir
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +415,10 @@ def ir_inv_sqrt_ceiling() -> float:
     return 1.0 / (2.0 * math.pi)
 
 
-def full_l2_ceiling(tau: float = 0.0, rho: float = 1.0) -> float:
-    """Ceiling for the full-shell norm ||f||: rho^(-tau) / (sqrt(2) pi)."""
-    r = 1.0 if tau == 0.0 else rho ** (-tau)
-    return r / (_SQRT2 * math.pi)
-
-
 def uv_inv_sqrt_ceiling(tau: float = 0.0, rho: float = 1.0) -> float:
     """Ceiling for ||f_UV / sqrt(omega)||: rho^(-tau) / (sqrt(2) pi)."""
-    return full_l2_ceiling(tau, rho)
+    r = 1.0 if tau == 0.0 else rho ** (-tau)
+    return r / (_SQRT2 * math.pi)
 
 
 def uv_inv_quarter_ceiling(tau: float = 0.0, rho: float = 1.0) -> float:
@@ -554,40 +514,26 @@ def exp_moment_bound(e: float, Z: float, beta: float, R: float) -> float:
     return factor * math.exp(beta * lam * R)
 
 
-def grad_ceiling(kind: str, R: float, c: float = 1.0) -> float:
-    """sup |grad G_R|^2 ceilings for the three cut test functions.
+def grad_ceiling(R: float) -> float:
+    """sup |grad G_R|^2 ceiling for the cut test function
+    G_R(x) = chi_R(|x|) sqrt(log(3 + |x|)), chi_R linear between R/2 and R:
 
-    G_R(x) = chi_R(|x|) g(|x|) with chi_R linear between R/2 and R, and
-    g = sqrt(log(3 + c|x|)) ("log"), g = |x|^(1/2) ("sqrt_abs"),
-    g = |x| ("abs").
+    4 R^-2 log(3 + R) + 5 R^-2.
     """
     if not (R > 0.0):
         raise DomainError(f"R must be positive, got {R}")
-    if kind == "log":
-        return 4.0 * R ** -2 * math.log(3.0 + c * R) + 5.0 * R ** -2
-    if kind == "sqrt_abs":
-        return 7.0 / R
-    if kind == "abs":
-        return 9.0
-    raise ParameterError(f"unknown test-function kind {kind!r}")
+    return 4.0 * R ** -2 * math.log(3.0 + R) + 5.0 * R ** -2
 
 
-def gsq_over_x_ceiling(kind: str, R: float, c: float = 1.0) -> float:
-    """sup G_R(x)^2 / |x| for the cut test functions (where bounded).
+def gsq_over_x_ceiling(R: float) -> float:
+    """sup G_R(x)^2 / |x| for the same test function.
 
-    For g^2 = log(3 + c|x|) the ratio log(3 + c r)/r is decreasing on
-    r >= R/2, so the sup equals 2 log(3 + c R / 2) / R.  For g = |x|^(1/2)
-    the ratio is at most 1.  For g = |x| the quantity is unbounded.
+    The ratio log(3 + r)/r is decreasing on r >= R/2, so the sup equals
+    2 log(3 + R / 2) / R.
     """
     if not (R > 0.0):
         raise DomainError(f"R must be positive, got {R}")
-    if kind == "log":
-        return 2.0 * math.log(3.0 + 0.5 * c * R) / R
-    if kind == "sqrt_abs":
-        return 1.0
-    if kind == "abs":
-        raise DomainError("G_R^2 / |x| is unbounded for g = |x|")
-    raise ParameterError(f"unknown test-function kind {kind!r}")
+    return 2.0 * math.log(3.0 + 0.5 * R) / R
 
 
 def sl1_bound(lam1: float, sup_grad_sq: float, sup_gsq_over_x: float) -> float:

@@ -55,10 +55,6 @@ class ModeGrid:
     def soft_count(self) -> int:
         return int(np.count_nonzero(self.soft_mask))
 
-    @property
-    def hard_count(self) -> int:
-        return self.count - self.soft_count
-
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
     """n near-uniform unit vectors (deterministic golden-angle spiral)."""

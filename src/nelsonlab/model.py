@@ -64,19 +64,6 @@ class ModelParams:
     def alphaZ(self) -> float:
         return self.alpha * self.Z
 
-    @property
-    def atomic_energy(self) -> float:
-        """Ground energy of the bare Coulomb part, -m (alpha Z)^2 / 2."""
-        a = self.alphaZ
-        return -0.5 * self.m * a * a
-
-    @property
-    def bohr_radius(self) -> float:
-        a = self.alphaZ
-        if a == 0.0:
-            return math.inf
-        return 1.0 / (self.m * a)
-
 
 def make_params(e, Z, m=1.0, kappa=0.1, lam=10.0) -> ModelParams:
     """Validate and build a :class:`ModelParams` record.
@@ -110,16 +97,10 @@ def make_params(e, Z, m=1.0, kappa=0.1, lam=10.0) -> ModelParams:
 
 @dataclass(frozen=True)
 class ScaleFrame:
-    """A dilation frame: lengths scale by rho**tau, energies by rho**(-2 tau).
-
-    ``lambda1`` records the multiplier used to form ``rho`` from ``alpha*Z``
-    (purely informational once ``rho`` is fixed).
-    """
+    """A dilation frame: lengths scale by rho**tau, energies by rho**(-2 tau)."""
 
     tau: float
     rho: float
-    lambda1: float = float("nan")
-    label: str = ""
 
     def __post_init__(self):
         _require_finite("tau", self.tau)
@@ -138,7 +119,7 @@ class ScaleFrame:
 
 def base_frame() -> ScaleFrame:
     """The identity frame (tau = 0)."""
-    return ScaleFrame(tau=0.0, rho=1.0, lambda1=1.0, label="base")
+    return ScaleFrame(tau=0.0, rho=1.0)
 
 
 def frame_for(params: ModelParams, tau: float, lambda1: float = 1.0) -> ScaleFrame:
@@ -158,7 +139,7 @@ def frame_for(params: ModelParams, tau: float, lambda1: float = 1.0) -> ScaleFra
         )
     if tau == 0.0 and rho <= 0.0:
         rho = 1.0
-    return ScaleFrame(tau=float(tau), rho=rho, lambda1=float(lambda1), label="alphaZ")
+    return ScaleFrame(tau=float(tau), rho=rho)
 
 
 def coulomb_coefficient(params: ModelParams, frame: ScaleFrame) -> float:

@@ -202,36 +202,20 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
 # position functions
 # ---------------------------------------------------------------------------
 
-_G_KINDS = ("log", "sqrt_abs", "abs")
-
-
-def _g_profile(r: np.ndarray, kind: str, c: float) -> np.ndarray:
-    if kind == "log":
-        return np.sqrt(np.log(3.0 + c * r))
-    if kind == "sqrt_abs":
-        return np.sqrt(r)
-    if kind == "abs":
-        return r
-    raise ParameterError(f"g kind must be one of {_G_KINDS}, got {kind!r}")
-
-
 def position_operator(
     grid: PositionGrid,
     name: str,
     *,
     beta: float | None = None,
-    k=None,
     R: float | None = None,
     c: float = 1.0,
-    kind: str = "log",
 ):
     """Diagonal of the multiplication operator for a named position function,
     flat in the grid's point order.
 
     Names: abs_x -> |x|; x_squared -> |x|^2; log3 -> log(3 + c|x|);
-    exp_beta -> e^{beta |x|}; plane_wave -> e^{i k.x} (k on the reciprocal
-    lattice); g_r -> chi_R(|x|) g(|x|) with the linear cutoff ramp
-    chi_R = 0 below R/2, 1 above R.
+    exp_beta -> e^{beta |x|}; g_r -> chi_R(|x|) sqrt(log(3 + c|x|)) with the
+    linear cutoff ramp chi_R = 0 below R/2, 1 above R.
     """
     r = grid.radius
     if name == "abs_x":
@@ -252,17 +236,13 @@ def position_operator(
         if beta * float(r.max()) >= 709.0:
             raise ParameterError("exp(beta |x|) overflows at the box corner")
         diag = np.exp(beta * r)
-    elif name == "plane_wave":
-        if k is None:
-            raise ParameterError("plane_wave needs the wave vector k")
-        diag = grid.plane_wave(k)
     elif name == "g_r":
         if R is None or R <= 0.0:
             raise ParameterError("g_r needs a radius R > 0")
         if c <= 0.0:
             raise ParameterError(f"g_r needs c > 0, got {c}")
         chi = np.clip((2.0 * r - R) / R, 0.0, 1.0)
-        diag = chi * _g_profile(r, kind, c)
+        diag = chi * np.sqrt(np.log(3.0 + c * r))
     else:
         raise ParameterError(f"unknown position function {name!r}")
     return diag.ravel()

@@ -62,7 +62,7 @@ class QuadResult:
     nodes_used: int
 
 
-def _radial_quad(f, lo: float, hi: float, epsabs=1e-14, epsrel=1e-12) -> QuadResult:
+def _radial_quad(f, lo: float, hi: float) -> QuadResult:
     """Adaptive quadrature of f on [lo, hi].  A positive lo starts with
     [lo, min(hi, lo + 1)] in s = log r: in r, a singularity at the origin
     just below lo makes QUADPACK extrapolate to the integral from 0 (28% off
@@ -79,7 +79,7 @@ def _radial_quad(f, lo: float, hi: float, epsabs=1e-14, epsrel=1e-12) -> QuadRes
         pieces.append((lambda t: f(mid + t / (1.0 - t)) / ((1.0 - t) * (1.0 - t)), 0.0, 1.0))
     elif mid < hi:
         pieces.append((f, mid, hi))
-    outs = [quad(g, a, b, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT, full_output=1)
+    outs = [quad(g, a, b, epsabs=1e-14, epsrel=1e-12, limit=_QUAD_LIMIT, full_output=1)
             for g, a, b in pieces]
     return QuadResult(sum(o[0] for o in outs), sum(o[1] for o in outs),
                       sum(int(o[2]["neval"]) for o in outs))
@@ -216,28 +216,18 @@ def energy_renormalization_analytic(params: ModelParams) -> float:
 # effective-mass coefficient and binding expansion
 
 
-def effective_mass_coefficient(massive: bool = False) -> QuadResult:
+def effective_mass_coefficient() -> QuadResult:
     """Second-order momentum-response coefficient of the dressed vacuum:
 
     (2/3) (2 pi)^(-3) int (2 omega)^(-1) k^2 beta^3 d^3k,
     beta = (omega + k^2/2)^(-1),
 
-    with omega = |k| (default; equals 1/(6 pi^2) exactly) or
-    omega = sqrt(k^2 + 1) for the massive-dispersion variant.
+    with omega = |k|; equals 1/(6 pi^2) exactly.
     """
 
-    if massive:
-
-        def f(r):
-            w = math.hypot(r, 1.0)
-            beta = 1.0 / (w + 0.5 * r * r)
-            return r ** 4 * beta ** 3 / (2.0 * w)
-
-    else:
-
-        def f(r):
-            beta = 1.0 / (r + 0.5 * r * r)
-            return r ** 4 * beta ** 3 / (2.0 * r)
+    def f(r):
+        beta = 1.0 / (r + 0.5 * r * r)
+        return r ** 4 * beta ** 3 / (2.0 * r)
 
     out = _radial_quad(f, 0.0, math.inf)
     pref = 1.0 / (3.0 * math.pi ** 2)

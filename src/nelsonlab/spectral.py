@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closedform import c_uv
+from .closedform import TELESCOPING_EPS, c_uv
 from .fockspace import FockBasis, ModeGrid, ladder_ops, vacuum_vector
 from .model import (
     ConvergenceError,
@@ -90,6 +90,7 @@ _WORKSET_VECTORS = 8  # held: x, w, p, their products, one scratch; one spare fo
 _WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
 _SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
 _DENSE_LIMIT = 4000
+_PCG_MAXIT = 5000
 _VARIANTS = ("gross", "nelson", "v0", "fiber")
 
 
@@ -317,17 +318,15 @@ class AssembledModel:
             self._raise(buf, rows, out=o)
         return out
 
-    def components(self, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def components(self, u: np.ndarray) -> np.ndarray:
         """A_l u for every component l on the lowered block plus one zero
-        row, shape (C, K+1, X); A*_l u when adjoint, shape (C, D, X).
+        row, shape (C, K+1, X).
 
         u is Fock-major, (D, X).  A_l u = sum_j coupling_jl phase_j a_j u
         fills the lowered block from one gather u[_src], and its rows at and
         above K vanish: ``contract`` gathers them from the zero row, where
-        its clipped indices land.  A*_l u is a raise.
+        its clipped indices land.
         """
-        if adjoint:
-            return self._adjoint_components(u, u.shape[0])
         K = self._src.shape[1]
         lowered = np.take(u, self._src, axis=0)
         lowered *= self._val
@@ -590,12 +589,7 @@ def assemble(
     return model
 
 
-def lanczos_ground(
-    model: AssembledModel,
-    tol: float = 1e-10,
-    maxit: int = 300,
-    seed_vector: np.ndarray | None = None,
-) -> SpectralResult:
+def lanczos_ground(model: AssembledModel, tol: float = 1e-10, maxit: int = 300) -> SpectralResult:
     """Ground state of an assembled model.
 
     The default seed is the discrete atomic ground state tensored with
@@ -611,8 +605,7 @@ def lanczos_ground(
     reference and drops it after normalizing.
     """
     energy, vec, residual, iters = lanczos_lowest(
-        model.matvec, model.dim,
-        seed=_default_seed(model) if seed_vector is None else seed_vector,
+        model.matvec, model.dim, seed=_default_seed(model),
         tol=tol, maxit=maxit, precond=model.precondition,
     )
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
@@ -654,13 +647,13 @@ def _cap_projector_mask(basis: FockBasis) -> np.ndarray:
     return basis.totals() <= basis.n_max - 1
 
 
-def pull_through_residual(model: AssembledModel, j: int, iters: int = 30) -> float:
+def pull_through_residual(model: AssembledModel, j: int) -> float:
     """Norm of the compressed commutator defect for mode j.
 
     Checks [a_j, H] = w_j a_j + c * conj(phase_j) (g_j . D) as matrices,
     compressed to the occupation totals <= N_max - 1 where the truncated
     ladder algebra is exact; the norm is estimated by power iteration on
-    the defect and must vanish in the discrete model.
+    the defect (30 steps) and must vanish in the discrete model.
     """
     if model.variant != "gross":
         raise ParameterError("the commutator identity check runs on the gross variant")
@@ -696,7 +689,7 @@ def pull_through_residual(model: AssembledModel, j: int, iters: int = 30) -> flo
     z = np.where(mask, z, 0.0)
     z /= np.linalg.norm(z)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         w = defect(z)
         nw = np.linalg.norm(w)
         if nw < 1e-300:
@@ -714,14 +707,13 @@ def _lattice_scalar(grid: PositionGrid, value: float) -> float:
     return grid.dk * round(value / grid.dk)
 
 
-def soft_decomposition_residual(
-    model: AssembledModel, k_lattice, epsilon: float = 0.75
-) -> dict:
+def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
     """Defect norms of the two-step soft-mode decomposition.
 
     The probe wave vector k (on the reciprocal lattice, |k| < 1) is
     processed through two telescoping steps with scale parameters
-    f1 = |k|^epsilon rounded to the lattice and f2 = -f1, producing in
+    f1 = |k|^eps rounded to the lattice, eps = TELESCOPING_EPS, and
+    f2 = -f1, producing in
     step one four retained vectors, a forwarded operator I1 and a dipole
     error term, and in step two four retained vectors and a terminal
     forwarded operator I2 (no error term, since the shifts cancel).
@@ -732,8 +724,6 @@ def soft_decomposition_residual(
     """
     if model.variant == "fiber":
         raise ParameterError("the decomposition check needs a particle factor")
-    if not (0.5 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in (1/2, 1), got {epsilon}")
     grid = model.grid
     k = np.asarray(k_lattice, dtype=float)
     grid.lattice_units(k)
@@ -741,10 +731,11 @@ def soft_decomposition_residual(
     if not (0.0 < knorm < 1.0):
         raise ParameterError(f"|k| must lie in (0, 1), got {knorm}")
 
-    f1 = _lattice_scalar(grid, knorm**epsilon)
-    if f1 == 0.0 or abs(f1 - knorm**epsilon) > 0.1 * knorm**epsilon:
+    target = knorm**TELESCOPING_EPS
+    f1 = _lattice_scalar(grid, target)
+    if f1 == 0.0 or abs(f1 - target) > 0.1 * target:
         raise DomainError(
-            f"lattice rounding moves |k|^epsilon = {knorm**epsilon:.6g} to "
+            f"lattice rounding moves |k|^eps = {target:.6g} to "
             f"{f1:.6g}, more than 10%; refine the box"
         )
 
@@ -818,15 +809,15 @@ def effective_mass_riemann(modes: ModeGrid) -> float:
     return float((2.0 / 3.0) * np.sum(modes.w * omega**2 * beta**3 / (2.0 * omega)))
 
 
-def _pcg(op, b: np.ndarray, precond, tol: float, maxit: int = 5000) -> np.ndarray:
+def _pcg(op, b: np.ndarray, precond, tol: float) -> np.ndarray:
     """Solve op y = b, op Hermitian positive definite, by conjugate gradients
     preconditioned by ``precond``, to ||b - op y|| <= tol ||b|| (the
-    recursively updated residual); raises ConvergenceError after maxit
+    recursively updated residual); raises ConvergenceError after _PCG_MAXIT
     products."""
     y, r = np.zeros_like(b), b.copy()
     d = z = precond(r)
     rz, bound = np.vdot(r, z).real, tol * np.linalg.norm(b)
-    for _ in range(maxit):
+    for _ in range(_PCG_MAXIT):
         if np.linalg.norm(r) <= bound:
             return y
         od = op(d)
@@ -836,7 +827,7 @@ def _pcg(op, b: np.ndarray, precond, tol: float, maxit: int = 5000) -> np.ndarra
         z = precond(r)
         rz, rz_old = np.vdot(r, z).real, rz
         d = z + (rz / rz_old) * d
-    raise ConvergenceError(f"fiber linear solve did not reach tol={tol} in {maxit} products")
+    raise ConvergenceError(f"fiber linear solve did not reach tol={tol} in {_PCG_MAXIT} products")
 
 
 def effective_mass_numeric(

@@ -47,7 +47,6 @@ report skipped with the violated window named, never an error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
@@ -55,6 +54,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .closedform import (
+    CHAIN_TAU,
+    TELESCOPING_EPS,
     c_uv,
     exp_moment_bound,
     exp_moment_precondition,
@@ -70,7 +71,7 @@ from .closedform import (
     total_photon_bound,
 )
 from .fockspace import FockBasis, ModeGrid, build_modes
-from .model import FOUR_PI, ModelParams, base_frame
+from .model import FOUR_PI, ModelParams, ParameterError, base_frame
 from .observables import (
     overlap_with_decoupled,
     photon_number,
@@ -226,7 +227,7 @@ class _Suite:
 
     @_once
     def window_constants(self) -> dict:
-        return overlap_constants(self.params.e, self.params.Z, tau=0.9)
+        return overlap_constants(self.params.e, self.params.Z)
 
     @_once
     def cuv(self) -> float:
@@ -254,7 +255,7 @@ class _Suite:
             self.params, base_frame(), grid, modes, FockBasis(2, 2), variant="v0"
         )
         probe = dk * np.array([1.0, 1.0, 1.0])
-        return soft_decomposition_residual(model, probe, epsilon=0.75)
+        return soft_decomposition_residual(model, probe)
 
     # -- bookkeeping --------------------------------------------------
 
@@ -317,9 +318,9 @@ def _localization(c: _Suite) -> tuple:
     # choose R so the cut ramp sits inside the box: R = 0.8 rho1 L in the
     # unit-coulomb frame means base-grid support from 0.4 L to 0.8 L
     R_at = 0.8 * rho1 * c.res.L
-    diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1, kind="log")
+    diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1)
     lhs = float((diag**2) @ c.density)
-    rhs = sl1_bound(1.0, grad_ceiling("log", R_at), gsq_over_x_ceiling("log", R_at))
+    rhs = sl1_bound(1.0, grad_ceiling(R_at), gsq_over_x_ceiling(R_at))
     return lhs, rhs, {"R": R_at, "lambda1": 1.0, "kind": "log"}
 
 
@@ -327,15 +328,15 @@ def _overlap_floor(c: _Suite) -> tuple:
     g_ir = c.window_constants["g_ir"]
     if not (g_ir > 0.0):
         reason = f"overlap floor G_IR = {g_ir:.6g} <= 0 at e = {c.params.e}"
-        raise _Skip(reason, {"chain_tau": 0.9})
-    return g_ir, c.overlaps[0], {"chain_tau": 0.9}
+        raise _Skip(reason, _CHAIN)
+    return g_ir, c.overlaps[0], _CHAIN
 
 
 def _soft_photons(c: _Suite) -> tuple:
     if c.params.alphaZ >= 1.0:
         raise _Skip(f"alpha Z = {c.params.alphaZ:.6g} >= 1", {})
     return (c.photons.soft, soft_photon_bound(c.params.e, c.params.Z),
-            {"eps": 0.75, "delta": 0.25})
+            {"eps": TELESCOPING_EPS, "delta": 1.0 - TELESCOPING_EPS})
 
 
 def _ceiling(observable, bound, zero_charge: str | None = None):
@@ -354,7 +355,8 @@ class _Check(NamedTuple):
 
 _SPATIAL = "spatial ceilings need a nonzero charge"
 _PULL = {"sub_n": 8, "sub_L": 5.0, "sub_radial": 2, "sub_angular": 1, "sub_nmax": 2}
-_TELESCOPING = {"sub_n": 16, "sub_L": 8.0, "epsilon": 0.75}
+_TELESCOPING = {"sub_n": 16, "sub_L": 8.0, "epsilon": TELESCOPING_EPS}
+_CHAIN = {"chain_tau": CHAIN_TAU}
 _LATTICE_MODES = "translation-invariant model with reciprocal-lattice modes"
 
 _CHECKS = (
@@ -391,8 +393,7 @@ _CHECKS = (
     _Check("overlap.markov", "vacuum weight at least one minus the mean photon number",
            lambda c: (1.0 - c.photons.total, c.vacuum_weight, {})),
     _Check("overlap.q_bound", "vacuum-sector orthogonal-complement weight ceiling",
-           _windowed(lambda c: (c.overlaps[1], c.window_constants["q_bound"],
-                                {"chain_tau": 0.9}))),
+           _windowed(lambda c: (c.overlaps[1], c.window_constants["q_bound"], _CHAIN))),
     _Check("photons.hard", "hard photon number ceiling",
            _ceiling(lambda c: c.photons.hard, hard_photon_bound)),
     _Check("photons.soft", "soft photon number ceiling", _windowed(_soft_photons)),
@@ -436,13 +437,17 @@ def run_suite(
 ) -> list[BoundReport]:
     """Run the verification suite; returns reports sorted by check id.
 
-    ``selection`` filters by id prefix (e.g. ["energy", "photons.hard"]).
+    ``selection`` filters by id prefix (e.g. ["energy", "photons.hard"]); an
+    entry that matches no check raises ParameterError before any solve.
     Individual check failures and errors never abort the suite: an exception
     inside one check is reported as error(<Type>: <msg>) and the rest proceed.
     """
     res = resolution if resolution is not None else Resolution()
     if isinstance(selection, str):
         selection = [selection]
+    for entry in selection or ():
+        if not any(_selected(check.id, [entry]) for check in _CHECKS):
+            raise ParameterError(f"selection entry {entry!r} matches no check")
     ctx = _Suite(params, res)
     reports = [_run(check, ctx) for check in _CHECKS if _selected(check.id, selection)]
     return sorted(reports, key=lambda r: r.id)
@@ -451,16 +456,6 @@ def run_suite(
 def suite_passed(reports) -> bool:
     """True when every report passed or was skipped (no fail, no error)."""
     return all(r.passed or r.skipped for r in reports)
-
-
-def suite_to_json(reports, config: dict | None = None) -> str:
-    """Deterministic JSON for a report list (no timestamps, sorted keys)."""
-    payload = {
-        "config": config or {},
-        "reports": [r.to_dict() for r in reports],
-        "passed": suite_passed(reports),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def suite_to_csv(reports) -> str:

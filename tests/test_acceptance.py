@@ -127,9 +127,7 @@ def test_c04_operator_identities():
                 make_params(0.2, 1.0, kappa=0.9 * dk, lam=1.1 * dk),
                 base_frame(), grid, modes, FockBasis(2, 2), variant="v0",
             )
-            res = soft_decomposition_residual(
-                model, dk * np.array([1.0, 1.0, 1.0]), epsilon=0.75
-            )
+            res = soft_decomposition_residual(model, dk * np.array([1.0, 1.0, 1.0]))
             assert res["res1"] < 1e-10 and res["res2"] < 1e-10, n
     print("C04 operator identities: PASS")
 

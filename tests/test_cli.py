@@ -52,14 +52,15 @@ def test_config_file_overlay(tmp_path):
 
 def test_every_config_key_is_a_flag(tmp_path, capsys):
     """The parser is built from the config-key table: each key sets the same
-    field as a flag and as a file line, and scan-only flags exist on scan only."""
+    field as a flag and as a file line, and scan-only flags exist on scan only.
+    The mass is tried on integrals, the one command that reads it."""
     scan_only = {"axis": "e", "from": "0", "to": "1", "steps": "3"}
     samples = {float: "0.25", int: "3", "format": "csv", "out": "o.txt",
                "select": "energy", "axis": "Z"}
     path = tmp_path / "one.cfg"
     for key, field, cast in cli._CONFIG_KEYS:
         raw = samples.get(key) or samples[cast]
-        command = ["constants"]
+        command = ["integrals"] if key == "m" else ["constants"]
         if key in scan_only:
             command = ["scan"] + [f"--{k}={v}" for k, v in scan_only.items() if k != key]
             with pytest.raises(SystemExit):
@@ -128,6 +129,51 @@ def test_usage_exit_codes(capsys):
         main(["dance"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_mass_is_refused_where_it_is_ignored(capsys):
+    """The Hamiltonian is 1/2 p^2: only the integrals read m, so every other
+    command refuses m != 1 instead of echoing a mass it does not use."""
+    scan = ["scan", "--axis", "e", "--from", "0.1", "--to", "0.2", "--steps", "2"]
+    for command in (["constants"], ["solve"], ["verify"], scan, ["effmass"], ["binding"]):
+        assert main(command + ["--m", "2"] + TINY) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "m = 1" in err, (command, err)
+        assert build_config(command + ["--m", "1"]).m == 1.0
+    code, payload = run_json(capsys, ["integrals", "--e", "0.3", "--m", "2"])
+    assert code == 0 and payload["config"]["m"] == 2.0
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["scan", "--axis", "e", "--from", "0.1", "--to", "0.2", "--steps", "2"],
+])
+def test_select_entry_matching_no_check_exits_two(monkeypatch, capsys, command):
+    """A misspelt entry is a usage error named on stderr, raised before any
+    model is assembled, also next to an entry that does match."""
+    calls = []
+    monkeypatch.setattr(verify, "assemble", lambda *a, **k: calls.append(a))
+    for select in ("energy.uper", "energy.upper,energy.uper"):
+        assert main(command + ["--e", "0.2", "--select", select] + TINY) == 2, select
+        out, err = capsys.readouterr()
+        assert out == "" and "'energy.uper'" in err, err
+    assert calls == []
+
+
+def test_verify_json_is_strict_when_a_ceiling_is_infinite(capsys):
+    """At e = 1e-150 the quadratic moment ceiling overflows to inf; the JSON
+    carries it as the string "inf", as every other command does, so a strict
+    parser (no Infinity or NaN literals) reads it."""
+    code = main(["verify", "--e", "1e-150", "--grid-n", "8", "--modes-radial", "1",
+                 "--nmax", "1", "--select", "moment.x_squared"])
+    out = capsys.readouterr().out
+
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert code == 0
+    (report,) = payload["reports"]
+    assert report["rhs"] == "inf" and report["slack"] == "inf"
 
 
 @pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1"), ("--tol", "nan")])

@@ -124,13 +124,6 @@ def test_photon_bound_values_frozen():
     assert cf.total_photon_bound(e, Z) > cf.hard_photon_bound(e, Z)
 
 
-def test_soft_photon_parameter_validation():
-    with pytest.raises(DomainError):
-        cf.soft_photon_bound(0.3, 1.0, eps=0.4)
-    with pytest.raises(DomainError):
-        cf.soft_photon_bound(0.3, 1.0, eps=0.75, delta=0.6)
-
-
 # ---------------------------------------------------------------------------
 # infrared overlap chain
 
@@ -159,8 +152,6 @@ def test_overlap_constants_tau_one_zero_charge():
 def test_overlap_validation():
     with pytest.raises(DomainError):
         cf.overlap_constants(0.1, 1.0, tau=0.5)
-    with pytest.raises(DomainError):
-        cf.overlap_constants(0.1, 1.0, tau=0.9, theta_eps=0.3)
     with pytest.raises(DomainError):
         cf.coupling_window(1.0, tau=0.6)
 
@@ -192,14 +183,6 @@ def test_coupling_window_tau_one_has_no_first_root():
     assert w.a_ir2 is not None and w.e_ir > 0.0
 
 
-def test_coupling_window_literal_mode():
-    w = cf.coupling_window(1.0, 0.9, literal=True)
-    assert w.mode == "literal"
-    assert not w.empty
-    # at this Z the sqrt(pi)/c0 recipe is not binding; a_ir2 caps it
-    assert w.e_ir == w.a_ir2
-
-
 def test_c_tau_and_f_ir_monotone():
     for e in (1e-6, 1e-3, 0.1):
         assert cf._c_tau(2.0 * e, 1.0, 0.9) > cf._c_tau(e, 1.0, 0.9)
@@ -228,11 +211,12 @@ def test_xi_bound_five_terms():
 def test_norm_ceilings():
     assert math.isclose(cf.ir_l2_ceiling(), 1.0 / (2.0 * math.pi), rel_tol=1e-15)
     assert math.isclose(cf.ir_inv_sqrt_ceiling(), 1.0 / (2.0 * math.pi), rel_tol=1e-15)
-    assert math.isclose(cf.full_l2_ceiling(), 1.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15)
     assert math.isclose(
-        cf.full_l2_ceiling(1.0, 0.25), 4.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15
+        cf.uv_inv_sqrt_ceiling(), 1.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15
     )
-    assert cf.uv_inv_sqrt_ceiling(0.9, 0.5) == cf.full_l2_ceiling(0.9, 0.5)
+    assert math.isclose(
+        cf.uv_inv_sqrt_ceiling(1.0, 0.25), 4.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15
+    )
     # quarter-weight ceiling at tau = 0:
     expected = math.sqrt(1.0 / (2.0 * math.sqrt(2.0) * math.pi) + 1.0 / (2.0 * math.pi**2))
     assert math.isclose(cf.uv_inv_quarter_ceiling(), expected, rel_tol=1e-15)
@@ -300,28 +284,26 @@ def test_exp_precondition_monotone_in_beta(R, e, Z):
 
 
 def test_localization_pieces():
-    # log kind at R = 8, c = 1
+    # at R = 8
     assert math.isclose(
-        cf.grad_ceiling("log", 8.0),
+        cf.grad_ceiling(8.0),
         4.0 / 64.0 * math.log(11.0) + 5.0 / 64.0,
         rel_tol=1e-14,
     )
-    assert math.isclose(cf.grad_ceiling("sqrt_abs", 8.0), 7.0 / 8.0, rel_tol=1e-15)
-    assert cf.grad_ceiling("abs", 8.0) == 9.0
     assert math.isclose(
-        cf.gsq_over_x_ceiling("log", 8.0), 2.0 * math.log(7.0) / 8.0, rel_tol=1e-14
+        cf.gsq_over_x_ceiling(8.0), 2.0 * math.log(7.0) / 8.0, rel_tol=1e-14
     )
-    assert cf.gsq_over_x_ceiling("sqrt_abs", 8.0) == 1.0
-    with pytest.raises(DomainError):
-        cf.gsq_over_x_ceiling("abs", 8.0)
+    for ceiling in (cf.grad_ceiling, cf.gsq_over_x_ceiling):
+        with pytest.raises(DomainError):
+            ceiling(0.0)
     # composition
     val = cf.sl1_bound(2.0, 0.3, 0.7)
     assert math.isclose(val, 4.0 * 0.3 + 2.0 * 2.0 * 0.7, rel_tol=1e-15)
 
 
 def test_gsq_over_x_log_sup_location():
-    # the ratio log(3 + c r)/r decreases for r >= R/2, so the sup sits at R/2
-    R, c = 8.0, 1.3
-    ceiling = cf.gsq_over_x_ceiling("log", R, c)
+    # the ratio log(3 + r)/r decreases for r >= R/2, so the sup sits at R/2
+    R = 8.0
+    ceiling = cf.gsq_over_x_ceiling(R)
     for r in (4.0, 5.0, 6.5, 8.0):
-        assert math.log(3.0 + c * r) / r <= ceiling + 1e-15
+        assert math.log(3.0 + r) / r <= ceiling + 1e-15

@@ -23,8 +23,6 @@ def test_make_params_basic():
     assert p.lam == 10.0
     assert math.isclose(p.alpha, 0.09 / (4.0 * math.pi), rel_tol=1e-15)
     assert math.isclose(p.alphaZ, p.alpha, rel_tol=1e-15)
-    assert math.isclose(p.atomic_energy, -0.5 * p.alphaZ**2, rel_tol=1e-15)
-    assert math.isclose(p.bohr_radius, 1.0 / p.alphaZ, rel_tol=1e-15)
 
 
 def test_make_params_validation():
@@ -45,9 +43,7 @@ def test_make_params_validation():
 
 def test_zero_charge_degenerates_gracefully():
     p = make_params(0.0, 1.0)
-    assert p.alpha == 0.0
-    assert p.atomic_energy == 0.0
-    assert p.bohr_radius == math.inf
+    assert p.alpha == 0.0 and p.alphaZ == 0.0
     with pytest.raises(ParameterError):
         frame_for(p, 0.9)
     # tau = 0 frame still fine
@@ -85,7 +81,7 @@ def test_coulomb_coefficient_and_atomic_energy():
     # at tau = 1, lambda1 = 1: coefficient rho^(-1) alphaZ = 1
     assert math.isclose(coulomb_coefficient(p, f), 1.0, rel_tol=1e-14)
     # the bare level -(alphaZ)^2/2 is -1/2 in this frame's energy unit
-    assert math.isclose(p.atomic_energy * f.r_of(-2.0 * f.tau), -0.5, rel_tol=1e-14)
+    assert math.isclose(-0.5 * p.alphaZ**2 * f.r_of(-2.0 * f.tau), -0.5, rel_tol=1e-14)
 
 
 def test_scale_frame_validation():

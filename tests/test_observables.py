@@ -132,7 +132,7 @@ def test_overlap_rejects_mismatched_grid(atom16):
 def test_photon_split_on_trivial_states(atom16):
     grid, at = atom16
     modes = build_modes(0.2, 1.6, 2, 1)  # nodes straddle the soft boundary
-    assert modes.soft_count == 1 and modes.hard_count == 1
+    assert modes.soft_count == 1 and modes.count == 2
     basis = FockBasis(modes.count, 2)
     ref = at.psi.ravel() * grid.h**1.5
 

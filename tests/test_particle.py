@@ -151,13 +151,11 @@ def test_atomic_rejects_bad_input():
 def test_position_operator_values():
     g = PositionGrid(n=8, L=4.0)
     r = g.radius.ravel()
-    k = g.dk * np.array([1.0, 0.0, 0.0])
     cases = [
         ("abs_x", {}, r),
         ("x_squared", {}, r**2),
         ("log3", {"c": 2.0}, np.log(3.0 + 2.0 * r)),
         ("exp_beta", {"beta": 0.5}, np.exp(0.5 * r)),
-        ("plane_wave", {"k": k}, g.plane_wave(k).ravel()),
     ]
     for name, kwargs, values in cases:
         diag = position_operator(g, name, **kwargs)
@@ -176,11 +174,9 @@ def test_position_operator_guards():
     with pytest.raises(ParameterError):
         position_operator(g, "exp_beta")
     with pytest.raises(ParameterError):
-        position_operator(g, "plane_wave")
-    with pytest.raises(ParameterError):
         position_operator(g, "g_r")
     with pytest.raises(ParameterError):
-        position_operator(g, "g_r", R=4.0, kind="cubic")
+        position_operator(g, "g_r", R=4.0, c=0.0)
     with pytest.raises(ParameterError):
         position_operator(g, "no_such_function")
 
@@ -188,33 +184,27 @@ def test_position_operator_guards():
 def test_g_r_ramp():
     g = PositionGrid(n=16, L=8.0)
     R = 4.0
-    diag = position_operator(g, "g_r", R=R, kind="abs")
+    diag = position_operator(g, "g_r", R=R)
     r = g.radius.ravel()
+    profile = np.sqrt(np.log(3.0 + r))
     inner = r <= R / 2.0
     outer = r >= R
     assert np.all(diag[inner] == 0.0)
-    assert np.allclose(diag[outer], r[outer])
+    assert np.allclose(diag[outer], profile[outer])
     mid = (r > R / 2.0) & (r < R)
     chi = (2.0 * r[mid] - R) / R
-    assert np.allclose(diag[mid], chi * r[mid])
+    assert np.allclose(diag[mid], chi * profile[mid])
 
 
 def test_gradient_sups_below_ceilings():
     g = PositionGrid(n=32, L=16.0)
-    expected = {
-        ("log", 4.0): 0.6790707239516721,
-        ("log", 8.0): 0.19221142680984538,
-        ("sqrt_abs", 4.0): 1.586208736802279,
-        ("sqrt_abs", 8.0): 0.8015601654708479,
-        ("abs", 4.0): 7.557680475319263,
-        ("abs", 8.0): 8.434776080763202,
-    }
-    for (kind, R), frozen in expected.items():
-        values = position_operator(g, "g_r", R=R, kind=kind).reshape((g.n,) * 3)
+    expected = {4.0: 0.6790707239516721, 8.0: 0.19221142680984538}
+    for R, frozen in expected.items():
+        values = position_operator(g, "g_r", R=R).reshape((g.n,) * 3)
         # squared periodic forward-difference gradient, at its largest point
         sup = sum(((np.roll(values, -1, axis) - values) / g.h) ** 2 for axis in range(3)).max()
         assert sup == pytest.approx(frozen, rel=1e-12)
-        assert sup < grad_ceiling(kind, R)
+        assert sup < grad_ceiling(R)
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,6 @@ def test_effective_mass_coefficient_exact():
     assert abs(exact - 0.0168869) < 1e-7
 
 
-def test_effective_mass_coefficient_massive():
-    massless = qd.effective_mass_coefficient().value
-    massive = qd.effective_mass_coefficient(massive=True).value
-    assert math.isfinite(massive) and massive > 0.0
-    assert massive < massless  # heavier dispersion suppresses small k
-
-
 def test_binding_second_order_ratio_one():
     e, Z = 0.3, 1.0
     aZ = e * e / (4.0 * math.pi) * Z

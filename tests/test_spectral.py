@@ -398,7 +398,7 @@ def test_kernel_matches_per_mode_reference(kernel_model, adjoint):
     K = model._src.shape[1]
     u, V = _kernel_inputs(model, 41)
     ref = _per_mode(model, u, adjoint)
-    got = model.components(u, adjoint=adjoint)
+    got = model._adjoint_components(u, u.shape[0]) if adjoint else model.components(u)
     if not adjoint:
         assert got.shape == (ref.shape[0], K + 1, ref.shape[2])
         assert not ref[:, K:].any() and not got[:, K].any()
@@ -419,7 +419,7 @@ def test_kernel_adjoint_pairings(kernel_model):
     K = model._src.shape[1]
     w, V = _kernel_inputs(model, 43)
     lhs = np.vdot(w, model.contract(V))
-    assert abs(lhs - np.vdot(model.components(w, adjoint=True), V)) <= 1e-13 * abs(lhs)
+    assert abs(lhs - np.vdot(model._adjoint_components(w, w.shape[0]), V)) <= 1e-13 * abs(lhs)
     lhs = np.vdot(w, model.contract(V, adjoint=True))
     Aw = model.components(w)
     assert not Aw[:, K].any()  # the pad row; A w vanishes from row K on
@@ -589,7 +589,7 @@ def telescoping_model():
 
 def test_soft_decomposition_vanishes(telescoping_model):
     model, dk = telescoping_model
-    out = sp.soft_decomposition_residual(model, np.array([dk, dk, dk]), epsilon=0.75)
+    out = sp.soft_decomposition_residual(model, np.array([dk, dk, dk]))
     assert out["res1"] < 1e-10
     assert out["res2"] < 1e-10
 
@@ -600,17 +600,9 @@ def test_soft_decomposition_finer_grid(telescoping_model):
     m16 = sp.assemble(
         model.params, base_frame(), grid16, model.modes, model.basis, variant="v0"
     )
-    out = sp.soft_decomposition_residual(m16, np.array([dk, dk, dk]), epsilon=0.75)
+    out = sp.soft_decomposition_residual(m16, np.array([dk, dk, dk]))
     assert out["res1"] < 1e-10
     assert out["res2"] < 1e-10
-
-
-def test_soft_decomposition_epsilon_guard(telescoping_model):
-    model, dk = telescoping_model
-    k = np.array([dk, dk, dk])
-    for eps in (0.25, 0.5, 1.0):
-        with pytest.raises(ParameterError):
-            sp.soft_decomposition_residual(model, k, epsilon=eps)
 
 
 def test_soft_decomposition_probe_guards(telescoping_model):
@@ -627,7 +619,7 @@ def test_soft_decomposition_snap_guard(telescoping_model):
     model, dk = telescoping_model
     # |k| = dk = 0.3927: |k|^(3/4) = 0.496 rounds to dk, a 21% move
     with pytest.raises(DomainError):
-        sp.soft_decomposition_residual(model, np.array([dk, 0.0, 0.0]), epsilon=0.75)
+        sp.soft_decomposition_residual(model, np.array([dk, 0.0, 0.0]))
 
 
 def test_soft_decomposition_has_teeth(telescoping_model, monkeypatch):
@@ -640,7 +632,7 @@ def test_soft_decomposition_has_teeth(telescoping_model, monkeypatch):
         return r
 
     monkeypatch.setattr(sp, "lanczos_ground", biased)
-    out = sp.soft_decomposition_residual(model, np.array([dk, dk, dk]), epsilon=0.75)
+    out = sp.soft_decomposition_residual(model, np.array([dk, dk, dk]))
     assert out["res1"] > 1e-8
     assert out["res2"] > 1e-8
 

@@ -15,8 +15,8 @@ from nelsonlab.verify import (
     run_suite,
     suite_passed,
     suite_to_csv,
-    suite_to_json,
 )
+from nelsonlab.cli import _to_json
 
 SMALL = Resolution(n=8, L=10.0, n_radial=2, n_angular=1, n_max=1, tol=1e-10, maxit=200)
 
@@ -147,8 +147,13 @@ def test_suite_is_deterministic():
 
 def test_json_is_deterministic_and_clean(full_suite):
     config = {"e": 0.3, "Z": 1.0}
-    s1 = suite_to_json(full_suite, config)
-    s2 = suite_to_json(full_suite, config)
+
+    def write():
+        reports = [r.to_dict() for r in full_suite]
+        return _to_json({"config": config, "reports": reports, "passed": suite_passed(full_suite)})
+
+    s1 = write()
+    s2 = write()
     assert s1 == s2
     payload = json.loads(s1)
     assert payload["passed"] is True
