@@ -365,6 +365,7 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
     _row(rows, "e_uv_residual", lambda: abs(cf.c_uv(euv, Z) - 1.0))
 
     tau_c = _chain_tau(cfg)
+    _row(rows, "chain.tau", lambda: tau_c)  # the tau of the chain and window rows
     chain = cf.overlap_constants(e, Z, tau=tau_c)
     for key in sorted(chain):
         _row(rows, f"chain.{key}", lambda k=key: chain[k])

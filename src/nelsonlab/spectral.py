@@ -42,13 +42,17 @@ loops over the modes.  The vector-coupled matvec is
           + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
     V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
 with c the linear coefficient and U the external potential (gross
-variant only), so one forward FFT of u feeds the kinetic term and the
-three p_l u: eight FFTs per matvec (1 + 3 forward, 1 + 3 inverse), the
-six of the coupling on the lowered block only, since A u lives there and
-A* reads only that block of V.  The fiber is the same kernel on one
-point, with phase 1 and p_l the diagonal -P_f,l (no FFT); the scalar
-Nelson coupling is the same kernel with one component, couplings c_j and
-phase Z + e^{i k_j . x}.
+variant only).  The sums over l run over the C coupled axes only: the
+kernel drops the columns of g that are exactly zero, so every kept
+product is the one the three-axis sum makes; C = 1 on the +z grid of one
+angular node, 2 on the telescoping model's lattice, 3 on the golden-angle
+spiral.  One forward FFT of u feeds the kinetic term and the C p_l u:
+2 + 2C FFTs per matvec (1 + C forward, 1 + C inverse), the 2C of the
+coupling on the lowered block only, since A u lives there and A* reads
+only that block of V.  ``apply_D`` keeps all three axes in its particle
+part d . p.  The fiber is the same kernel on one point, with phase 1 and
+p_l the diagonal -P_f,l (no FFT); the scalar Nelson coupling is the same
+kernel with one component, couplings c_j and phase Z + e^{i k_j . x}.
 """
 
 from __future__ import annotations
@@ -256,10 +260,11 @@ class AssembledModel:
     _cube: tuple = field(repr=False, default=None)  # (n, n, n); None on the fiber
     _kin: np.ndarray = field(repr=False, default=None)  # kinetic symbol
     _psym: np.ndarray = field(repr=False, default=None)  # (3, ...) p_l symbols
+    _axes: np.ndarray = field(repr=False, default=None)  # (C,) axes where g has a nonzero column
     _pot: np.ndarray = field(repr=False, default=None)  # (X,) particle potential
     _hf: np.ndarray = field(repr=False, default=None)  # (D, 1) field energy
     _phase: np.ndarray = field(repr=False, default=None)  # (M, X) kernel phases; None = 1
-    _coupling: np.ndarray = field(repr=False, default=None)  # (M, C) kernel couplings
+    _coupling: np.ndarray = field(repr=False, default=None)  # (M, C) couplings on the coupled axes
     _src: np.ndarray = field(repr=False, default=None)  # (M, K) raised state of each entry
     _val: np.ndarray = field(repr=False, default=None)  # (M, K, 1) sqrt(n) of each entry
     _slots: np.ndarray = field(repr=False, default=None)  # (R, D) entries raising into a state
@@ -306,7 +311,8 @@ class AssembledModel:
         return out
 
     def _adjoint_components(self, u: np.ndarray, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of A*_l u for every l: one raise per l."""
+        """The first ``rows`` rows of A*_l u for every coupled axis l: one
+        raise per l."""
         w = u[: self._src.shape[1]] * self._val
         if self._phase is not None:
             w *= self._phase.conj()[:, None, :]
@@ -319,7 +325,7 @@ class AssembledModel:
         return out
 
     def components(self, u: np.ndarray) -> np.ndarray:
-        """A_l u for every component l on the lowered block plus one zero
+        """A_l u for every coupled axis l on the lowered block plus one zero
         row, shape (C, K+1, X).
 
         u is Fock-major, (D, X).  A_l u = sum_j coupling_jl phase_j a_j u
@@ -338,7 +344,8 @@ class AssembledModel:
         return out
 
     def contract(self, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """sum_l A_l V_l for V of shape (C, D, X); sum_l A*_l V_l when adjoint.
+        """sum_l A_l V_l over the C coupled axes, V of shape (C, D, X);
+        sum_l A*_l V_l when adjoint.
 
         Forms sum_l coupling_jl V_l on the entries of each mode first, then
         gathers (A) or raises (A*) once; A* reads only the lowered block.
@@ -375,13 +382,14 @@ class AssembledModel:
 
         This is i[H, d . x] (on the fiber, d . dH/dP at P = 0); the field
         part is present only for the variants with vector coupling (scalar
-        coupling commutes with x).
+        coupling commutes with x) and only along the coupled axes; d . p
+        takes all three.
         """
         d = np.asarray(direction, dtype=float)
         u = self._fock_major(v)
         out = self._ifft(np.tensordot(d, self._psym, axes=1) * self._fft(u))
         if self._vector_coupled():
-            du = d[:, None, None] * u
+            du = d[self._axes, None, None] * u
             out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
         return out.T.ravel()
 
@@ -396,8 +404,8 @@ class AssembledModel:
         if self._vector_coupled():
             Au = self.components(u)
             # kinetic and p.A share the inverse transform; A u lives in the lowered block
-            for ell, p in enumerate(self._psym):  # no view of Au outlives ``del Au``
-                out[:K] += (c * p[:K]) * self._fft(Au[ell, :K])
+            for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
+                out[:K] += (c * self._psym[axis, :K]) * self._fft(Au[ell, :K])
         out = self._ifft(out)
         out += self._hf * u
         if self._pot is not None:
@@ -407,8 +415,8 @@ class AssembledModel:
             # contraction; A* reads only the lowered block of V
             V = self._adjoint_components(u, K)
             V *= q
-            for ell, p in enumerate(self._psym):
-                V[ell] += self._ifft((c * p[:K]) * spec[:K])
+            for ell, axis in enumerate(self._axes):
+                V[ell] += self._ifft((c * self._psym[axis, :K]) * spec[:K])
                 V[ell] += (2.0 * q) * Au[ell, :K]
             del spec  # dropped before the contractions to keep the peak memory down
             out += q * self.contract(Au)
@@ -512,6 +520,8 @@ def assemble(
     beta0 = 1.0 / (omega + 0.5 * rho2tau * omega**2)
     sqw = np.sqrt(modes.w)
     g = sqw[:, None] * k * (beta0 / np.sqrt(2.0 * omega))[:, None]
+    axes = np.flatnonzero(g.any(axis=0))  # the kernel carries only the axes g reaches
+    coupling = g[:, axes]
 
     lin_coef = params.e * rho_tau
     quad_coef = 0.5 * params.e**2 * rho2tau
@@ -529,6 +539,7 @@ def assemble(
         lin_coef=lin_coef,
         quad_coef=quad_coef,
         _hf=(basis.occupations @ omega)[:, None],  # field energy on the occupation basis
+        _axes=axes,
         **_ladder_table(basis),
     )
 
@@ -540,7 +551,7 @@ def assemble(
             _shape=(1, basis.dim),
             _kin=0.5 * np.sum(pf**2, axis=1)[:, None],
             _psym=-pf.T[:, :, None],
-            _coupling=g,
+            _coupling=coupling,
         )
 
     q = grid.freqs
@@ -561,7 +572,6 @@ def assemble(
             * np.exp(1j * kj[1] * x)[None, :, None]
             * np.exp(1j * kj[2] * x)[None, None, :]
         ).ravel()
-    coupling = g
     if variant == "nelson":
         # scalar coupling c_j to the nucleus at the origin plus the particle
         coupling = (sqw / np.sqrt(2.0 * omega))[:, None]

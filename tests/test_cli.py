@@ -240,6 +240,15 @@ def test_constants_survives_zero_charge(capsys):
     assert rows["chain.g_ir"] == 1.0
 
 
+@pytest.mark.parametrize("tau, chain_tau", [("0.5", 0.9), ("0.8", 0.8)])
+def test_constants_records_the_chain_tau(capsys, tau, chain_tau):
+    # the overlap chain needs tau in (3/4, 1]; outside it runs at CHAIN_TAU = 0.9
+    code, payload = run_json(capsys, ["constants", "--e", "0.3", "--tau", tau])
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in payload["rows"]}
+    assert rows["chain.tau"] == chain_tau
+
+
 def test_integrals_margins_positive(capsys):
     code, payload = run_json(capsys, ["integrals", "--e", "0.3", "--Z", "1"])
     assert code == 0

@@ -318,19 +318,91 @@ def _reference_hamiltonian(params, grid, modes, basis, variant):
     return H
 
 
-@pytest.mark.parametrize("variant", ["gross", "v0", "nelson", "fiber"])
-def test_dense_matches_independent_reference(variant):
+def _lattice_modes(grid):
+    """The two-axis lattice grid of the telescoping model: one mode along z,
+    one along y, each a single reciprocal-lattice step of ``grid``."""
+    dk = grid.dk
+    return ModeGrid(
+        k=dk * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        w=np.array([0.05, 0.05]),
+        kappa=0.9 * dk,
+        lam=1.1 * dk,
+    )
+
+
+def _grid_case(name, variant):
+    """(position grid, mode grid, coupled axes C) of a named test grid: the
+    golden-angle spiral, the one-node +z grid, or the two-axis lattice."""
+    grid = None if variant == "fiber" else PositionGrid(n=4, L=5.0)
+    if name == "spiral":
+        return grid, build_modes(0.3, 2.0, *((2, 3) if variant == "fiber" else (1, 2))), 3
+    if name == "+z":
+        return grid, build_modes(0.3, 2.0, 2, 1), 1
+    grid = PositionGrid(n=4, L=8.0)  # the telescoping model's lattice step
+    return grid, _lattice_modes(grid), 2
+
+
+@pytest.mark.parametrize(
+    "variant, grid_name",
+    [pytest.param(v, "spiral", id=v) for v in ("gross", "v0", "nelson", "fiber")]
+    + [("gross", "+z"), ("v0", "+z"), ("fiber", "+z"), ("gross", "lattice"), ("v0", "lattice")],
+)
+def test_dense_matches_independent_reference(variant, grid_name):
+    # the reference always builds all three components, so it also checks
+    # the axes the kernel drops
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
-    modes = build_modes(0.3, 2.0, 1, 2)
-    if variant == "fiber":
-        grid, modes = None, build_modes(0.3, 2.0, 2, 3)
-        basis = FockBasis(modes.count, 3)
-    else:
-        grid, basis = PositionGrid(n=4, L=5.0), FockBasis(modes.count, 2)
+    grid, modes, coupled = _grid_case(grid_name, variant)
+    basis = FockBasis(modes.count, 3 if variant == "fiber" else 2)
     model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
     assert model.dim <= 1000
+    if variant != "nelson":
+        assert model._coupling.shape[1] == coupled
     ref = _reference_hamiltonian(params, grid, modes, basis, variant)
     assert np.max(np.abs(sp.to_dense(model) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("variant, grid_name", [("gross", "+z"), ("v0", "lattice"),
+                                                ("gross", "spiral"), ("fiber", "spiral")])
+def test_matvec_transforms_only_the_coupled_axes(variant, grid_name, monkeypatch):
+    """One coupled matvec makes 2 + 2C FFTs, C the coupled axes; none on the fiber."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, coupled = _grid_case(grid_name, variant)
+    model = sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, 2),
+                        variant=variant)
+    calls = []
+
+    def counted(transform):
+        def wrapped(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return wrapped
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    model.matvec(np.random.default_rng(3).standard_normal(model.dim))
+    assert len(calls) == (0 if variant == "fiber" else 2 + 2 * coupled)
+
+
+def test_apply_D_along_an_uncoupled_axis():
+    """On a +z grid the field part of the velocity vanishes along x, so
+    apply_D(v, x) is the bare particle velocity F^-1 q_x F u; the particle
+    part still takes every axis."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, _ = _grid_case("+z", "gross")
+    basis = FockBasis(modes.count, 2)
+    model = sp.assemble(params, base_frame(), grid, modes, basis, variant="gross")
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    u4 = v.reshape((grid.n,) * 3 + (basis.dim,))
+
+    def bare(ell):
+        q = grid.freqs.reshape([-1 if a == ell else 1 for a in range(3)] + [1])
+        return np.fft.ifftn(q * np.fft.fftn(u4, axes=(0, 1, 2)), axes=(0, 1, 2)).ravel()
+
+    x_bare = bare(0)
+    assert np.linalg.norm(model.apply_D(v, [1.0, 0.0, 0.0]) - x_bare) <= 1e-13 * np.linalg.norm(x_bare)
+    z_bare = bare(2)  # along z the field part is present
+    assert np.linalg.norm(model.apply_D(v, [0.0, 0.0, 1.0]) - z_bare) > 1e-3 * np.linalg.norm(z_bare)
 
 
 @pytest.mark.parametrize("variant", ["gross", "v0", "nelson", "fiber"])
@@ -575,16 +647,9 @@ def test_pull_through_guards(small_setup, pull_model):
 def telescoping_model():
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid = PositionGrid(n=8, L=8.0)
-    dk = grid.dk
-    modes = ModeGrid(
-        k=dk * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-        w=np.array([0.05, 0.05]),
-        kappa=0.9 * dk,
-        lam=1.1 * dk,
-    )
     basis = FockBasis(2, 2)
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant="v0")
-    return model, dk
+    model = sp.assemble(params, base_frame(), grid, _lattice_modes(grid), basis, variant="v0")
+    return model, grid.dk
 
 
 def test_soft_decomposition_vanishes(telescoping_model):
