@@ -91,7 +91,6 @@ _CONFIG_KEYS = (
     ("steps", "steps", int),
 )
 _KEY_TO_FIELD = {key: (field, cast) for key, field, cast in _CONFIG_KEYS}
-_FIELD_TO_KEY = {field: key for key, field, _ in _CONFIG_KEYS}
 _SCAN_AXES = ("e", "Z", "kappa", "lambda")
 _SCAN_ONLY = ("axis", "from", "to", "steps")
 _CHOICES = {"format": ("json", "csv"), "axis": _SCAN_AXES}

@@ -51,10 +51,6 @@ class ModeGrid:
     def soft_mask(self) -> np.ndarray:
         return self.omega < self.soft_boundary
 
-    @property
-    def soft_count(self) -> int:
-        return int(np.count_nonzero(self.soft_mask))
-
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
     """n near-uniform unit vectors (deterministic golden-angle spiral)."""

@@ -151,8 +151,7 @@ def overlap_with_decoupled(
 class GroundStateReport:
     """Observable summary of a coupled ground state.
 
-    Moments are defining-units expectations keyed by operator name; beta
-    records the defining-units exponent used for exp_beta (None = skipped).
+    Moments are defining-units expectations keyed by operator name.
     Invariants: overlap_p + overlap_q <= vacuum_weight <= 1, every moment is
     nonnegative, and n_f_soft + n_f_hard == n_f_total exactly.
     """
@@ -165,7 +164,6 @@ class GroundStateReport:
     overlap_p: float
     overlap_q: float
     vacuum_weight: float
-    beta: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -177,36 +175,24 @@ class GroundStateReport:
             "overlap_p": self.overlap_p,
             "overlap_q": self.overlap_q,
             "vacuum_weight": self.vacuum_weight,
-            "beta": self.beta,
         }
 
 
-def ground_state_report(model, result, *, beta: float | None = None) -> GroundStateReport:
+def ground_state_report(model, result) -> GroundStateReport:
     """Assemble the full observable report for a solved coupled model.
 
     ``model`` is an assembled coupled model exposing grid/modes/basis and the
     atomic reference; ``result`` is the eigensolver output for its ground
-    state.  ``beta`` (defining units) switches on the exponential moment.
+    state.
     """
     if model.grid is None:
         raise ParameterError("observable reports need a particle sector")
     state = result.vector
     nums = photon_number(state, model.basis, model.modes)
-    moments = {}
-    for name in ("abs_x", "x_squared", "log3"):
-        moments[name] = spatial_moment(
-            state, model.grid, model.basis, name, model.params, frame=model.frame
-        )
-    if beta is not None:
-        moments["exp_beta"] = spatial_moment(
-            state,
-            model.grid,
-            model.basis,
-            "exp_beta",
-            model.params,
-            frame=model.frame,
-            beta=beta,
-        )
+    moments = {
+        name: spatial_moment(state, model.grid, model.basis, name, model.params, frame=model.frame)
+        for name in ("abs_x", "x_squared", "log3")
+    }
     overlap_p, overlap_q = overlap_with_decoupled(
         state, model.atomic_reference(), model.basis
     )
@@ -219,5 +205,4 @@ def ground_state_report(model, result, *, beta: float | None = None) -> GroundSt
         overlap_p=overlap_p,
         overlap_q=overlap_q,
         vacuum_weight=vacuum_sector_weight(state, model.basis),
-        beta=beta,
     )

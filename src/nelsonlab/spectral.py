@@ -1,10 +1,10 @@
 """Hamiltonian assembly on the particle x Fock tensor basis and spectra.
 
-Builds the four model variants (the dressed arrangement of the coupled
-model, the bare smeared-field arrangement, the translation-invariant
-V=0 model, and the fixed-momentum fiber model), finds ground states by
-preconditioned LOBPCG, and checks the commutator and soft-mode
-decomposition identities as exact matrix statements.
+Builds the three model variants (the dressed arrangement of the coupled
+model, its translation-invariant V=0 relative, and the fixed-momentum
+fiber model), finds ground states by preconditioned LOBPCG, and checks the
+commutator and soft-mode decomposition identities as exact matrix
+statements.
 
 The eigensolver is single-vector LOBPCG (A. V. Knyazev, SIAM J. Sci.
 Comput. 23, 2001), named lanczos_lowest still because the benchmark tracer
@@ -37,7 +37,7 @@ gather u[_src], held as (C, K+1, X): the lowered block and one zero row,
 where the clipped gathers of ``contract`` land for the states above it.
 ``contract(V)`` gives sum_l A_l V_l; their adjoints raise, each state adding
 the at most min(M, N_max) entries of all modes that land on it.  No call
-loops over the modes.  The vector-coupled matvec is
+loops over the modes.  The matvec is
     H u = F^-1[ (|q|^2/2) F u + c sum_l q_l F(A_l u) ] + (U + H_f) u
           + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
     V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
@@ -51,8 +51,7 @@ spiral.  One forward FFT of u feeds the kinetic term and the C p_l u:
 coupling on the lowered block only, since A u lives there and A* reads
 only that block of V.  ``apply_D`` keeps all three axes in its particle
 part d . p.  The fiber is the same kernel on one point, with phase 1 and
-p_l the diagonal -P_f,l (no FFT); the scalar Nelson coupling is the same
-kernel with one component, couplings c_j and phase Z + e^{i k_j . x}.
+p_l the diagonal -P_f,l (no FFT).
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ __all__ = [
     "lanczos_lowest",
     "assemble",
     "lanczos_ground",
-    "to_dense",
     "pull_through_residual",
     "soft_decomposition_residual",
     "effective_mass_numeric",
@@ -93,9 +91,8 @@ _DIM_LIMIT = 500_000
 _WORKSET_VECTORS = 8  # held: x, w, p, their products, one scratch; one spare for a transient
 _WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
 _SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
-_DENSE_LIMIT = 4000
 _PCG_MAXIT = 5000
-_VARIANTS = ("gross", "nelson", "v0", "fiber")
+_VARIANTS = ("gross", "v0", "fiber")
 
 
 @dataclass
@@ -237,9 +234,9 @@ def _one_dtype(*vectors):
 class AssembledModel:
     """One Hamiltonian variant realized as a structured matvec.
 
-    The coupling record (g, beta0) and the phase table are kept so the
-    identity checks can rebuild individual interaction pieces.  A state
-    vector, viewed as (X, D) by ``_to2``, is handled inside the matvec as a
+    The coupling vectors g and the phase table are kept so the identity
+    checks can rebuild individual interaction pieces.  A state vector,
+    viewed as (X, D) by ``_to2``, is handled inside the matvec as a
     Fock-major (D, X) array, X particle points (1 on the fiber) by D Fock
     states; the momentum symbols act in the representation reached by
     ``_fft`` (the identity on the fiber, where p_l is the diagonal -P_f,l).
@@ -253,7 +250,6 @@ class AssembledModel:
     basis: FockBasis
     dim: int
     g: np.ndarray  # (M, 3) real coupling vectors
-    beta0: np.ndarray  # (M,) dressing profile at the mode points
     lin_coef: float  # e * rho^tau
     quad_coef: float  # e^2 rho^(2 tau) / 2
     _shape: tuple = field(repr=False, default=None)  # (X, D)
@@ -374,21 +370,16 @@ class AssembledModel:
         out[:K] = lowered.sum(axis=0)
         return out
 
-    def _vector_coupled(self) -> bool:
-        return self.lin_coef != 0.0 and self.variant != "nelson"
-
     def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
         """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
 
         This is i[H, d . x] (on the fiber, d . dH/dP at P = 0); the field
-        part is present only for the variants with vector coupling (scalar
-        coupling commutes with x) and only along the coupled axes; d . p
-        takes all three.
+        part acts only along the coupled axes, and d . p takes all three.
         """
         d = np.asarray(direction, dtype=float)
         u = self._fock_major(v)
         out = self._ifft(np.tensordot(d, self._psym, axes=1) * self._fft(u))
-        if self._vector_coupled():
+        if self.lin_coef != 0.0:
             du = d[self._axes, None, None] * u
             out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
         return out.T.ravel()
@@ -401,7 +392,7 @@ class AssembledModel:
         c, q = self.lin_coef, self.quad_coef
         spec = self._fft(u)
         out = self._kin * spec
-        if self._vector_coupled():
+        if self.lin_coef != 0.0:
             Au = self.components(u)
             # kinetic and p.A share the inverse transform; A u lives in the lowered block
             for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
@@ -410,7 +401,7 @@ class AssembledModel:
         out += self._hf * u
         if self._pot is not None:
             out += self._pot * u
-        if self._vector_coupled():
+        if self.lin_coef != 0.0:
             # everything A* acts on, V = c p u + q (2 A u + A* u), in one
             # contraction; A* reads only the lowered block of V
             V = self._adjoint_components(u, K)
@@ -422,11 +413,6 @@ class AssembledModel:
             out += q * self.contract(Au)
             del Au
             out += self.contract(V, adjoint=True)
-        elif self.lin_coef != 0.0:
-            # Nelson: c (B + B*), B = sum_j c_j (Z + e^{i k_j.x}) a_j
-            cu = c * u[None]
-            out += self.contract(cu)
-            out += self.contract(cu, adjoint=True)
         return out.T.ravel()
 
     def precondition(self, v: np.ndarray, sigma: float) -> np.ndarray:
@@ -440,9 +426,8 @@ class AssembledModel:
         if self.grid is None:
             raise ParameterError("the fiber variant has no particle factor")
         if self._atomic is None:
-            strength = coulomb_coefficient(self.params, self.frame)
-            if self.variant in ("v0", "nelson"):
-                strength = 0.0
+            strength = (0.0 if self.variant == "v0"
+                        else coulomb_coefficient(self.params, self.frame))
             self._atomic = atomic_ground(self.grid, strength)
         return self._atomic
 
@@ -483,12 +468,10 @@ def assemble(
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if modes.count != basis.mode_count:
         raise ParameterError("mode grid and Fock basis disagree on the mode count")
-    if variant in ("nelson", "fiber") and frame.tau != 0.0:
-        raise ParameterError(
-            f"variant {variant!r} is defined in the base frame only (tau = 0)"
-        )
     if variant == "fiber":
         dim = basis.dim
+        if frame.tau != 0.0:
+            raise ParameterError("the fiber variant is defined in the base frame only (tau = 0)")
         if grid is not None:
             raise ParameterError("the fiber variant takes grid=None")
     else:
@@ -517,11 +500,9 @@ def assemble(
     omega = modes.omega
     if np.any(omega == 0.0):
         raise ParameterError("mode grid contains a zero mode")
-    beta0 = 1.0 / (omega + 0.5 * rho2tau * omega**2)
-    sqw = np.sqrt(modes.w)
-    g = sqw[:, None] * k * (beta0 / np.sqrt(2.0 * omega))[:, None]
+    beta = 1.0 / (omega + 0.5 * rho2tau * omega**2)
+    g = np.sqrt(modes.w)[:, None] * k * (beta / np.sqrt(2.0 * omega))[:, None]
     axes = np.flatnonzero(g.any(axis=0))  # the kernel carries only the axes g reaches
-    coupling = g[:, axes]
 
     lin_coef = params.e * rho_tau
     quad_coef = 0.5 * params.e**2 * rho2tau
@@ -535,11 +516,11 @@ def assemble(
         basis=basis,
         dim=dim,
         g=g,
-        beta0=beta0,
         lin_coef=lin_coef,
         quad_coef=quad_coef,
         _hf=(basis.occupations @ omega)[:, None],  # field energy on the occupation basis
         _axes=axes,
+        _coupling=g[:, axes],
         **_ladder_table(basis),
     )
 
@@ -551,7 +532,6 @@ def assemble(
             _shape=(1, basis.dim),
             _kin=0.5 * np.sum(pf**2, axis=1)[:, None],
             _psym=-pf.T[:, :, None],
-            _coupling=coupling,
         )
 
     q = grid.freqs
@@ -561,7 +541,7 @@ def assemble(
     if variant == "gross":
         strength = coulomb_coefficient(params, frame)
         pot = -strength / np.maximum(grid.radius, grid.h / 2.0).ravel()
-    # v0 and nelson carry no external potential
+    # v0 carries no external potential
 
     x = grid.axis
     phase = np.empty((modes.count, grid.point_count), dtype=complex)
@@ -572,10 +552,6 @@ def assemble(
             * np.exp(1j * kj[1] * x)[None, :, None]
             * np.exp(1j * kj[2] * x)[None, None, :]
         ).ravel()
-    if variant == "nelson":
-        # scalar coupling c_j to the nucleus at the origin plus the particle
-        coupling = (sqw / np.sqrt(2.0 * omega))[:, None]
-        phase = params.Z + phase
 
     model = AssembledModel(
         **common,
@@ -585,7 +561,6 @@ def assemble(
         _psym=psym.reshape(3, 1, -1),
         _pot=pot,
         _phase=phase,
-        _coupling=coupling,
     )
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
@@ -604,7 +579,7 @@ def lanczos_ground(model: AssembledModel, tol: float = 1e-10, maxit: int = 300) 
 
     The default seed is the discrete atomic ground state tensored with
     the Fock vacuum (gross variant), the constant mode tensored with the
-    vacuum (v0/nelson), or the bare vacuum (fiber); seeding with the
+    vacuum (v0), or the bare vacuum (fiber); seeding with the
     atomic state guarantees the returned energy is at most the discrete
     atomic energy, since the first Rayleigh quotient already equals it.
     Ritz values never rise: each Rayleigh-Ritz step minimizes over a
@@ -630,21 +605,6 @@ def _default_seed(model: AssembledModel) -> np.ndarray:
         psi = np.full(model.grid.point_count, 1.0)
     psi = psi / np.linalg.norm(psi)
     return np.kron(psi, vacuum_vector(model.basis)).astype(complex)
-
-
-def to_dense(model: AssembledModel) -> np.ndarray:
-    """Materialize the operator as a dense matrix (small models only)."""
-    if model.dim > _DENSE_LIMIT:
-        raise ParameterError(
-            f"dimension {model.dim} exceeds the dense guard {_DENSE_LIMIT}"
-        )
-    out = np.empty((model.dim, model.dim), dtype=complex)
-    probe = np.zeros(model.dim, dtype=complex)
-    for i in range(model.dim):
-        probe[i] = 1.0
-        out[:, i] = model.matvec(probe)
-        probe[i] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

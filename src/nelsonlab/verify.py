@@ -94,13 +94,13 @@ IDENTITY_TOL = 1e-10
 class Resolution:
     """Discretization knobs for the verification suite."""
 
-    n: int = 16
-    L: float = 10.0
-    n_radial: int = 4
-    n_angular: int = 1
-    n_max: int = 2
-    tol: float = 1e-9
-    maxit: int = 400
+    n: int
+    L: float
+    n_radial: int
+    n_angular: int
+    n_max: int
+    tol: float
+    maxit: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -432,7 +432,7 @@ def _selected(check_id: str, selection) -> bool:
 
 def run_suite(
     params: ModelParams,
-    resolution: Resolution | None = None,
+    resolution: Resolution,
     selection=None,
 ) -> list[BoundReport]:
     """Run the verification suite; returns reports sorted by check id.
@@ -442,13 +442,10 @@ def run_suite(
     Individual check failures and errors never abort the suite: an exception
     inside one check is reported as error(<Type>: <msg>) and the rest proceed.
     """
-    res = resolution if resolution is not None else Resolution()
-    if isinstance(selection, str):
-        selection = [selection]
     for entry in selection or ():
         if not any(_selected(check.id, [entry]) for check in _CHECKS):
             raise ParameterError(f"selection entry {entry!r} matches no check")
-    ctx = _Suite(params, res)
+    ctx = _Suite(params, resolution)
     reports = [_run(check, ctx) for check in _CHECKS if _selected(check.id, selection)]
     return sorted(reports, key=lambda r: r.id)
 

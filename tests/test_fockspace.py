@@ -52,8 +52,8 @@ def test_angular_nodes_cover_sphere_with_equal_weights():
 
 def test_soft_hard_split_against_unit_boundary():
     g = fs.build_modes(0.1, 10.0, n_radial=6, n_angular=1)
-    assert g.soft_count == 1
-    assert g.count - g.soft_count == 5
+    assert np.count_nonzero(g.soft_mask) == 1
+    assert np.count_nonzero(~g.soft_mask) == 5
     norms = np.linalg.norm(g.k, axis=1)
     assert np.all(norms[g.soft_mask] <= g.soft_boundary)
 

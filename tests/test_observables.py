@@ -132,7 +132,7 @@ def test_overlap_rejects_mismatched_grid(atom16):
 def test_photon_split_on_trivial_states(atom16):
     grid, at = atom16
     modes = build_modes(0.2, 1.6, 2, 1)  # nodes straddle the soft boundary
-    assert modes.soft_count == 1 and modes.count == 2
+    assert np.count_nonzero(modes.soft_mask) == 1 and modes.count == 2
     basis = FockBasis(modes.count, 2)
     ref = at.psi.ravel() * grid.h**1.5
 
@@ -276,27 +276,26 @@ def test_moments_are_nonnegative_on_random_states():
 
 def test_ground_state_report_invariants(coupled):
     model, result = coupled
-    rep = ground_state_report(model, result, beta=0.005)
+    rep = ground_state_report(model, result)
     assert isinstance(rep, GroundStateReport)
     assert rep.energy == result.energy
     assert rep.n_f_soft + rep.n_f_hard == rep.n_f_total
     assert rep.overlap_p + rep.overlap_q <= rep.vacuum_weight + 1e-12
     assert rep.vacuum_weight <= 1.0 + 1e-12
     assert rep.vacuum_weight >= 1.0 - rep.n_f_total - 1e-12
-    for name in ("abs_x", "x_squared", "log3", "exp_beta"):
+    for name in ("abs_x", "x_squared", "log3"):
         assert rep.moments[name] >= 0.0
-    assert rep.moments["exp_beta"] >= 1.0
-    assert rep.beta == 0.005
     d = rep.to_dict()
     assert d["energy"] == rep.energy
-    assert set(d["moments"]) == {"abs_x", "x_squared", "log3", "exp_beta"}
+    assert set(d["moments"]) == {"abs_x", "x_squared", "log3"}
 
 
 def test_report_without_beta_skips_exponential(coupled):
     model, result = coupled
     rep = ground_state_report(model, result)
     assert "exp_beta" not in rep.moments
-    assert rep.beta is None
+    assert set(rep.to_dict()) == {"energy", "n_f_total", "n_f_soft", "n_f_hard", "moments",
+                                  "overlap_p", "overlap_q", "vacuum_weight"}
 
 
 def test_report_needs_particle_sector():

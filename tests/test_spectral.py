@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fock_dense import dense_ladder
+from fock_dense import dense, dense_ladder
 from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes, scale_modes
 from nelsonlab.model import (
     ConvergenceError,
@@ -215,12 +215,10 @@ def test_assemble_validation(small_setup):
         sp.assemble(params, base_frame(), None, modes, basis, variant="gross")
     with pytest.raises(ParameterError):
         sp.assemble(params, base_frame(), grid, modes, basis, variant="fiber")
-    fr = frame_for(params, tau=0.5)
-    for var in ("nelson",):
-        with pytest.raises(ParameterError):
-            sp.assemble(params, fr, grid, modes, basis, variant=var)
     with pytest.raises(ParameterError):
-        sp.assemble(params, fr, None, modes, basis, variant="fiber")
+        sp.assemble(params, base_frame(), grid, modes, basis, variant="nelson")
+    with pytest.raises(ParameterError):
+        sp.assemble(params, frame_for(params, tau=0.5), None, modes, basis, variant="fiber")
 
 
 def test_assemble_dimension_guard(small_setup):
@@ -240,14 +238,14 @@ def test_assemble_warns_outside_window(small_setup):
 
 def test_hermitian_all_variants(small_setup):
     params, grid, modes, basis = small_setup
-    for var in ("gross", "nelson", "v0"):
+    for var in ("gross", "v0"):
         model = sp.assemble(params, base_frame(), grid, modes, basis, variant=var)
-        H = sp.to_dense(model)
+        H = dense(model)
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
     fib = sp.assemble(
         params, base_frame(), None, modes, FockBasis(modes.count, 2), variant="fiber"
     )
-    Hf = sp.to_dense(fib)
+    Hf = dense(fib)
     assert np.max(np.abs(Hf - Hf.conj().T)) < 1e-12
 
 
@@ -301,13 +299,6 @@ def _reference_hamiltonian(params, grid, modes, basis, variant):
         p = [np.kron(pl, eye_d) for pl in p]
         x = np.stack(np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij"), axis=-1).reshape(-1, 3)
         phase = [np.diag(np.exp(1j * x @ kj)) for kj in modes.k]
-        if variant == "nelson":
-            cj = np.sqrt(modes.w / (2.0 * omega))
-            B = sum(
-                cj[j] * np.kron(params.Z * np.eye(grid.point_count) + phase[j], lower[j])
-                for j in range(modes.count)
-            )
-            return H + c * (B + B.conj().T)
         A = [
             sum(g[j, ell] * np.kron(phase[j], lower[j]) for j in range(modes.count))
             for ell in range(3)
@@ -344,7 +335,7 @@ def _grid_case(name, variant):
 
 @pytest.mark.parametrize(
     "variant, grid_name",
-    [pytest.param(v, "spiral", id=v) for v in ("gross", "v0", "nelson", "fiber")]
+    [pytest.param(v, "spiral", id=v) for v in ("gross", "v0", "fiber")]
     + [("gross", "+z"), ("v0", "+z"), ("fiber", "+z"), ("gross", "lattice"), ("v0", "lattice")],
 )
 def test_dense_matches_independent_reference(variant, grid_name):
@@ -355,10 +346,9 @@ def test_dense_matches_independent_reference(variant, grid_name):
     basis = FockBasis(modes.count, 3 if variant == "fiber" else 2)
     model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
     assert model.dim <= 1000
-    if variant != "nelson":
-        assert model._coupling.shape[1] == coupled
+    assert model._coupling.shape[1] == coupled
     ref = _reference_hamiltonian(params, grid, modes, basis, variant)
-    assert np.max(np.abs(sp.to_dense(model) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(dense(model) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("variant, grid_name", [("gross", "+z"), ("v0", "lattice"),
@@ -405,7 +395,7 @@ def test_apply_D_along_an_uncoupled_axis():
     assert np.linalg.norm(model.apply_D(v, [0.0, 0.0, 1.0]) - z_bare) > 1e-3 * np.linalg.norm(z_bare)
 
 
-@pytest.mark.parametrize("variant", ["gross", "v0", "nelson", "fiber"])
+@pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
 def test_ground_energy_never_rises_with_fock_cap(variant):
     # the normal-ordered cap-N operator is the exact compression of the
     # cap-(N+1) one, so by Cauchy interlacing E(N_max) is non-increasing
@@ -426,18 +416,22 @@ def test_ground_energy_never_rises_with_fock_cap(variant):
     assert energies[-1] < energies[0]
 
 
-@pytest.fixture(scope="module", params=["fiber", "gross", "nelson"])
+@pytest.fixture(scope="module", params=["fiber", "gross", "gross-+z"])
 def kernel_model(request):
+    """N_max = 3: a state with several occupied modes is raised into by each
+    of them, so the adjoint has repeated targets.  The spiral grids couple
+    all three axes; the +z grid of three radial nodes couples one (C = 1)."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     if request.param == "fiber":
-        # M = 12, N_max = 3: a state with several occupied modes is raised
-        # into by each of them, so the adjoint has repeated targets
-        modes = build_modes(0.3, 2.0, 2, 6)
-        basis, grid = FockBasis(modes.count, 3), None
+        modes, grid = build_modes(0.3, 2.0, 2, 6), None  # M = 12
+    elif request.param == "gross":
+        modes, grid = build_modes(0.3, 2.0, 2, 3), PositionGrid(n=4, L=5.0)
     else:
-        modes = build_modes(0.3, 2.0, 2, 3)
-        basis, grid = FockBasis(modes.count, 3), PositionGrid(n=4, L=5.0)
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=request.param)
+        modes, grid = build_modes(0.3, 2.0, 3, 1), PositionGrid(n=4, L=5.0)
+    variant = request.param.split("-")[0]
+    model = sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, 3),
+                        variant=variant)
+    assert model._coupling.shape[1] == (1 if request.param == "gross-+z" else 3)
     assert np.bincount(model._src.ravel()).max() == 3
     return model
 
@@ -498,15 +492,6 @@ def test_kernel_adjoint_pairings(kernel_model):
     assert abs(lhs - np.vdot(Aw[:, :K], V[:, :K])) <= 1e-13 * abs(lhs)
 
 
-def test_to_dense_guard(small_setup):
-    params, _, modes, _ = small_setup
-    grid = PositionGrid(n=16, L=5.0)
-    basis = FockBasis(modes.count, 2)
-    model = sp.assemble(params, base_frame(), grid, modes, basis)
-    with pytest.raises(ParameterError):
-        sp.to_dense(model)  # 16^3 * 6 = 24576 > 4000
-
-
 # ---------------------------------------------------------------------------
 # ground states
 # ---------------------------------------------------------------------------
@@ -516,16 +501,15 @@ def test_lanczos_ground_matches_dense(small_setup, gross_model):
     params, grid, modes, basis = small_setup
     for var, model in (
         ("gross", gross_model),
-        ("nelson", sp.assemble(params, base_frame(), grid, modes, basis, variant="nelson")),
         ("v0", sp.assemble(params, base_frame(), grid, modes, basis, variant="v0")),
     ):
-        evals = np.linalg.eigvalsh(sp.to_dense(model))
+        evals = np.linalg.eigvalsh(dense(model))
         res = sp.lanczos_ground(model)
         assert res.energy == pytest.approx(evals[0], abs=1e-10), var
     fib = sp.assemble(
         params, base_frame(), None, modes, FockBasis(modes.count, 3), variant="fiber"
     )
-    evals = np.linalg.eigvalsh(sp.to_dense(fib))
+    evals = np.linalg.eigvalsh(dense(fib))
     res = sp.lanczos_ground(fib)
     assert res.energy == pytest.approx(evals[0], abs=1e-10)
 
@@ -540,11 +524,11 @@ def test_lanczos_ground_v0_and_fiber_vacuum_seed():
     fib = sp.assemble(params, base_frame(), None, build_modes(0.3, 2.0, 2, 2),
                       FockBasis(4, 4), variant="fiber")
     for model in (v0, fib):
-        dense = sp.to_dense(model)
+        H = dense(model)
         res = sp.lanczos_ground(model)
         assert res.iterations > 2
-        assert res.energy == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-10)
-        assert np.linalg.norm(dense @ res.vector - res.energy * res.vector) <= 1e-10
+        assert res.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
+        assert np.linalg.norm(H @ res.vector - res.energy * res.vector) <= 1e-10
 
 
 def test_ground_energy_below_atomic_reference(gross_model):

@@ -16,9 +16,10 @@ from nelsonlab.verify import (
     suite_passed,
     suite_to_csv,
 )
-from nelsonlab.cli import _to_json
+from nelsonlab.cli import RunConfig, _resolution, _to_json
 
 SMALL = Resolution(n=8, L=10.0, n_radial=2, n_angular=1, n_max=1, tol=1e-10, maxit=200)
+REFERENCE = Resolution(n=16, L=10.0, n_radial=4, n_angular=1, n_max=2, tol=1e-9, maxit=400)
 
 
 def by_id(reports):
@@ -30,7 +31,7 @@ def full_suite():
     params = make_params(0.3, 1.0, kappa=0.1, lam=10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_suite(params)
+        return run_suite(params, REFERENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_selection_filters_by_prefix():
         warnings.simplefilter("ignore")
         reports = run_suite(params, SMALL, selection=["photons"])
     assert [r.id for r in reports] == ["photons.hard", "photons.soft", "photons.total"]
-    only = run_suite(params, SMALL, selection="overlap.markov")
+    only = run_suite(params, SMALL, selection=["overlap.markov"])
     assert [r.id for r in only] == ["overlap.markov"]
 
 
@@ -247,7 +248,7 @@ def test_each_shared_solve_runs_once(monkeypatch):
     assert suite_passed(reports)
 
 
-BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *Resolution().to_dict()}
+BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *SMALL.to_dict()}
 
 
 @pytest.mark.parametrize(
@@ -261,7 +262,7 @@ BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *Resolution().to_dict()}
     ],
 )
 def test_skip_gates_name_their_window(e, Z, check_id, reason, extra):
-    (rep,) = run_suite(make_params(e, Z), SMALL, selection=check_id)
+    (rep,) = run_suite(make_params(e, Z), SMALL, selection=[check_id])
     assert rep.id == check_id
     assert rep.status.startswith(f"skipped({reason}")
     assert rep.lhs is None and rep.rhs is None and rep.slack is None
@@ -273,4 +274,5 @@ def test_report_dataclass_shape():
     d = r.to_dict()
     assert set(d) == {"id", "anchor", "lhs", "rhs", "slack", "status", "params", "notes"}
     assert r.passed and not r.skipped
-    assert Resolution().to_dict()["n"] == 16
+    # the suite's reference resolution is what the CLI hands it by default
+    assert _resolution(RunConfig("verify")) == REFERENCE
