@@ -1,10 +1,13 @@
 """Command-line plumbing: config merging, exit codes, output formats."""
 
+import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,9 @@ import nelsonlab.cli as cli
 import nelsonlab.verify as verify
 from nelsonlab.cli import RunConfig, UsageError, build_config, main
 
-TINY = ["--grid-n", "8", "--modes-radial", "2", "--nmax", "1"]
+ROOT = Path(__file__).resolve().parent.parent
+TINY_MODES = ["--modes-radial", "2", "--nmax", "1"]
+TINY = ["--grid-n", "8"] + TINY_MODES
 
 
 def run_json(capsys, argv):
@@ -50,26 +55,29 @@ def test_config_file_overlay(tmp_path):
     assert cfg.selection == ["photons", "energy"]
 
 
-def test_every_config_key_is_a_flag(tmp_path, capsys):
-    """The parser is built from the config-key table: each key sets the same
-    field as a flag and as a file line, and scan-only flags exist on scan only.
-    The mass is tried on integrals, the one command that reads it."""
-    scan_only = {"axis": "e", "from": "0", "to": "1", "steps": "3"}
+def test_every_config_key_is_a_flag(tmp_path):
+    """The parser is built from the key tables: on each command, each key it
+    reads sets the same field as a flag and as a file line, and a file line
+    for a key it does not read is skipped and stays out of the header."""
+    scan = {"axis": "e", "from": "0", "to": "1"}
     samples = {float: "0.25", int: "3", "format": "csv", "out": "o.txt",
                "select": "energy", "axis": "Z"}
     path = tmp_path / "one.cfg"
-    for key, field, cast in cli._CONFIG_KEYS:
-        raw = samples.get(key) or samples[cast]
-        command = ["integrals"] if key == "m" else ["constants"]
-        if key in scan_only:
-            command = ["scan"] + [f"--{k}={v}" for k, v in scan_only.items() if k != key]
-            with pytest.raises(SystemExit):
-                build_config(["constants", f"--{key}", raw])
-        path.write_text(f"{key}={raw}\n")
-        by_flag = build_config(command + [f"--{key}", raw])
-        by_file = build_config(command + ["--config", str(path)])
-        assert getattr(by_flag, field) == getattr(by_file, field) == cast(raw), key
-    capsys.readouterr()
+    for command in cli._COMMAND_KEYS:
+        for key, (field, cast) in cli._CONFIG_KEYS.items():
+            base = [command]
+            if command == "scan":
+                base += [f"--{k}={v}" for k, v in scan.items() if k != key]
+            raw = samples.get(key) or samples[cast]
+            path.write_text(f"{key}={raw}\n")
+            by_file = build_config(base + ["--config", str(path)])
+            if key in cli._COMMAND_KEYS[command]:
+                by_flag = build_config(base + [f"--{key}", raw])
+                assert getattr(by_flag, field) == getattr(by_file, field) == cast(raw), key
+                assert by_file.echo()[key] == cast(raw), (command, key)
+            else:
+                assert by_file == build_config(base), (command, key)
+                assert key not in by_file.echo(), (command, key)
 
 
 def test_config_file_rejects_unknown_and_malformed(tmp_path):
@@ -83,9 +91,12 @@ def test_config_file_rejects_unknown_and_malformed(tmp_path):
     bad.write_text("command=verify\n")
     with pytest.raises(UsageError, match="cannot be set"):
         build_config(["constants", "--config", str(bad)])
-    bad.write_text("tol=abc\n")
-    with pytest.raises(UsageError):
-        build_config(["constants", "--config", str(bad)])
+    # file values parse as flags: a bad value is an argparse usage error
+    for line, command in (("tol=abc", "solve"), ("format=xml", "solve"), ("axis=m", "scan")):
+        bad.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            build_config([command, "--config", str(bad)])
+        assert exc.value.code == 2, line
 
 
 def test_scan_requires_axis_and_defaults_to_csv():
@@ -99,9 +110,14 @@ def test_scan_requires_axis_and_defaults_to_csv():
     assert cfg.format == "json"
 
 
-def test_suite_frame_is_pinned():
-    with pytest.raises(UsageError, match="tau"):
-        build_config(["verify", "--tau", "0.9"])
+def test_suite_frame_is_pinned(capsys):
+    """The suite runs in the defining frame: verify and scan take no --tau."""
+    for command in (["verify"], ["scan", "--axis", "e", "--from", "0", "--to", "1"]):
+        for flag in ("--tau", "--lambda1"):
+            with pytest.raises(SystemExit) as exc:
+                build_config(command + [flag, "0.9"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_echo_uses_canonical_keys():
@@ -109,6 +125,92 @@ def test_echo_uses_canonical_keys():
     assert echo["command"] == "solve"
     assert echo["grid-n"] == 16 and echo["box-L"] == 10.0 and echo["lambda"] == 10.0
     assert "out" not in echo  # None values stay out of the header
+    assert "m" not in echo and "steps" not in echo  # nor keys solve does not read
+
+
+# The sweep: every key a command takes, perturbed from a tiny CSV base run,
+# must change the exit status or stdout below its # header lines.  A key read
+# only under a condition is perturbed under it.
+_SWEEP_BASE = {
+    "constants": ["--e", "0.3"],
+    "integrals": ["--e", "0.3"],
+    "solve": ["--e", "0.3"] + TINY,
+    "verify": ["--e", "0.3", "--select", "energy"] + TINY,
+    "scan": ["--axis", "e", "--from", "0.1", "--to", "0.2", "--steps", "2",
+             "--select", "energy"] + TINY,
+    "effmass": ["--e", "0.1", "--modes-angular", "6"] + TINY_MODES,
+    "binding": ["--e", "0.3"],
+}
+_SWEEP_VALUES = {
+    "e": "0.25", "Z": "2", "m": "2", "kappa": "0.2", "lambda": "5", "tau": "0.8",
+    "lambda1": "2", "grid-n": "10", "box-L": "8", "modes-radial": "3", "modes-angular": "2",
+    "nmax": "2", "tol": "1e-4", "maxit": "3", "select": "energy.upper", "format": "json",
+    "axis": "Z", "from": "0.15", "to": "0.3", "steps": "3",
+}
+_SWEEP_CONDITION = {
+    # lambda1 enters only the frame at tau != 0
+    **{(command, "lambda1"): ["--tau", "0.8"] for command in ("constants", "integrals", "solve")},
+    ("scan", "e"): ["--axis", "Z", "--from", "1", "--to", "2"],  # the e axis overrides e
+}
+_SWEEP_VALUE = {("effmass", "modes-angular"): "4"}
+# effmass never reads Z; it keeps --Z because the benchmark's effmass-fiber
+# argv passes --Z 1.
+_SWEEP_UNREAD = {("effmass", "Z")}
+# Read, but no printed digit moves: test_effmass_reads_tol_below_its_clamp.
+_SWEEP_AT_CALL = {("effmass", "tol")}
+
+
+def _sweep_run(capsys, argv):
+    code = main(argv)
+    return code, [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+
+
+def test_every_accepted_flag_is_read_and_every_other_is_refused(tmp_path, capsys):
+    values = dict(_SWEEP_VALUES, out=str(tmp_path / "out.txt"))
+    unperturbed = {}
+    for command, base in _SWEEP_BASE.items():
+        keys = cli._COMMAND_KEYS[command]
+        for key in keys:
+            if (command, key) in _SWEEP_AT_CALL:
+                continue
+            argv = [command, "--format", "csv"] + base + _SWEEP_CONDITION.get((command, key), [])
+            value = _SWEEP_VALUE.get((command, key), values[key])
+            if tuple(argv) not in unperturbed:
+                unperturbed[tuple(argv)] = _sweep_run(capsys, argv)
+            same = unperturbed[tuple(argv)] == _sweep_run(capsys, argv + [f"--{key}", value])
+            assert same == ((command, key) in _SWEEP_UNREAD), (command, key)
+        for key in cli._CONFIG_KEYS.keys() - keys:
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"--{key}", values[key]])
+            assert exc.value.code == 2, (command, key)
+    capsys.readouterr()
+
+
+def test_effmass_reads_tol_below_its_clamp(monkeypatch, capsys):
+    """Below its 1e-10 clamp, effmass's tol sets where the fiber's conjugate
+    gradients stop, but the inertia converges quadratically in their residual,
+    so no printed digit moves: the tol is checked where it is handed over."""
+    seen = []
+    monkeypatch.setattr(cli, "effective_mass_numeric", lambda *a, tol: seen.append(tol) or 1.5)
+    for tol in ("1e-4", "1e-12"):
+        assert main(["effmass", "--e", "0.1", "--tol", tol] + TINY_MODES) == 0
+    assert seen == [1e-10, 1e-12]
+    capsys.readouterr()
+
+
+def test_benchmark_and_readme_argv_parse(monkeypatch):
+    """Every argv the benchmark runs (perfbench/ is read, never changed) and
+    every README example is a valid command line."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argvs = [w.argv(seed) for w in workloads.WORKLOADS.values() for seed in (1, 2)]
+    readme = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    examples = [shlex.split(ln)[1:] for ln in readme.splitlines() if ln.startswith("nelsonlab ")]
+    assert len(argvs) == 8 and len(examples) >= 5
+    for argv in argvs + examples:
+        build_config(argv)
 
 
 def test_selection_property():
@@ -133,13 +235,13 @@ def test_usage_exit_codes(capsys):
 
 def test_mass_is_refused_where_it_is_ignored(capsys):
     """The Hamiltonian is 1/2 p^2: only the integrals read m, so every other
-    command refuses m != 1 instead of echoing a mass it does not use."""
+    command has no --m and refuses it before any solve."""
     scan = ["scan", "--axis", "e", "--from", "0.1", "--to", "0.2", "--steps", "2"]
     for command in (["constants"], ["solve"], ["verify"], scan, ["effmass"], ["binding"]):
-        assert main(command + ["--m", "2"] + TINY) == 2, command
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "m = 1" in err, (command, err)
-        assert build_config(command + ["--m", "1"]).m == 1.0
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--m", "1"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --m" in capsys.readouterr().err, command
     code, payload = run_json(capsys, ["integrals", "--e", "0.3", "--m", "2"])
     assert code == 0 and payload["config"]["m"] == 2.0
 
@@ -179,8 +281,11 @@ def test_verify_json_is_strict_when_a_ceiling_is_infinite(capsys):
 @pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1"), ("--tol", "nan")])
 def test_bad_solver_settings_exit_two(capsys, flag, value):
     scan = ["scan", "--axis", "e", "--from", "0.0", "--to", "0.1", "--steps", "2"]
-    for command in (["solve"], ["verify"], scan, ["effmass"]):
-        assert main(command + [flag, value] + TINY) == 2, command
+    runs = [["solve"] + TINY, ["verify"] + TINY, scan + TINY]
+    if flag == "--tol":  # effmass has no grid and no --maxit
+        runs.append(["effmass"] + TINY_MODES)
+    for command in runs:
+        assert main(command + [flag, value]) == 2, command
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[2:] in err, (command, err)
 
@@ -215,6 +320,13 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     monkeypatch.setitem(cli._DISPATCH, "constants", explode)
     assert main(["constants"]) == 3
     assert "wires crossed" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["constants", "--e", "0.3", "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {target}: "), err
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +524,7 @@ def test_solver_commands_run_without_scipy():
         ["verify"] + TINY,
         ["solve"] + TINY,
         ["scan", "--axis", "e", "--from", "0.1", "--to", "0.3", "--steps", "2"] + TINY,
-        ["effmass", "--modes-angular", "6"] + TINY,
+        ["effmass", "--modes-angular", "6"] + TINY_MODES,
     ])
     refused, allowed = (
         json.loads(subprocess.run([sys.executable, "-c", _RUN_CLI, runs, mode],
