@@ -137,6 +137,7 @@ class FockBasis:
             raised[np.arange(rows.size), cols] += 1
             shells.append(raised[np.argsort(self._indices(raised))])
         self.occupations = np.concatenate(shells)
+        self._raised = None  # (M, K) raising table: built by ladder_ops, dropped by its caller
 
     @property
     def dim(self) -> int:
@@ -159,6 +160,37 @@ class FockBasis:
             left = left - occ[:, i]
         return index
 
+    def _raising_table(self) -> np.ndarray:
+        """(M, K): row j holds the index of each state below the top shell
+        raised in mode j.
+
+        Raising mode j adds one boson to the count left for modes 0..j, so
+        the _indices terms of the modes before j shift by one boson, the
+        term of mode j gains one at its top, and those after j keep their
+        value.  One forward pass sums the shifted terms (prefix) and one
+        backward pass the kept ones (suffix), each a vector op a mode."""
+        m, comb = self.mode_count, self._comb
+        occ = self.occupations[: self.dim - comb[m - 1, self.n_max]]
+        left = occ.sum(axis=1)  # bosons in modes i.. of each state, here i = 0
+        out = np.empty((m, occ.shape[0]), dtype=np.int64)
+        out[:] = comb[m, left]  # the states with fewer bosons than the raised one
+        prefix = np.zeros(occ.shape[0], dtype=np.int64)
+        for i in range(m - 1):  # prefix: the shifted terms before mode i
+            out[i] += prefix
+            rest = left - occ[:, i]
+            top = comb[m - 1 - i, left + 1]
+            out[i] += top - comb[m - 1 - i, rest]
+            prefix += top - comb[m - 1 - i, rest + 1]
+            left = rest
+        out[m - 1] += prefix
+        suffix, left = np.zeros_like(prefix), occ[:, m - 1]
+        for i in range(m - 2, -1, -1):  # suffix: the kept terms after mode i
+            out[i] += suffix
+            rest, left = left, left + occ[:, i]
+            suffix += comb[m - 1 - i, left] - comb[m - 1 - i, rest]
+        out.flags.writeable = False  # ladder_ops hands out its rows
+        return out
+
     def totals(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
 
@@ -177,7 +209,7 @@ def ladder_ops(basis: FockBasis, j: int):
     sends every state with n_j = 0 to zero."""
     if not (0 <= j < basis.mode_count):
         raise ParameterError(f"mode index {j} out of range")
-    top_shell = basis._comb[basis.mode_count - 1, basis.n_max]
-    raised = basis.occupations[: basis.dim - top_shell].copy()
-    raised[:, j] += 1
-    return basis._indices(raised), np.sqrt(raised[:, j].astype(float))
+    if basis._raised is None:  # all modes at once, in O(1) vector passes each
+        basis._raised = basis._raising_table()
+    src = basis._raised[j]
+    return src, np.sqrt(basis.occupations[: src.size, j] + 1.0)

@@ -20,6 +20,10 @@ same diagonal in conjugate gradients.
 Conventions.  A state vector has shape (n^3 * D,) with the Fock index
 fastest, viewed as (X, D) = (n^3, D); the matvec copies it once into the
 Fock-major (D, X) layout and back, and transforms it as (D, n, n, n).
+States and products take the scalar type the model's tables need:
+complex128 on the grid variants, where the phases and the FFTs enter, and
+float64 on the fiber, whose tables are all real.  A complex vector keeps
+complex arithmetic on either.
 The dressed-model coupling attaches to mode j the real 3-vector
     g_j = sqrt(w_j) * k_j * beta(k_j) / sqrt(2 w_j_disp)
 with beta(k) = (|k| + rho2tau*|k|^2/2)^{-1}, and the three field
@@ -51,7 +55,7 @@ spiral.  One forward FFT of u feeds the kinetic term and the C p_l u:
 coupling on the lowered block only, since A u lives there and A* reads
 only that block of V.  ``apply_D`` keeps all three axes in its particle
 part d . p.  The fiber is the same kernel on one point, with phase 1 and
-p_l the diagonal -P_f,l (no FFT).
+p_l the diagonal -P_f,l (no FFT), so it is a real symmetric matrix.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ _WORKSET_VECTORS = 8  # held: x, w, p, their products, one scratch; one spare fo
 _WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
 _SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
 _PCG_MAXIT = 5000
+_PCG_TOL = 1e-10  # the inertia converges quadratically in the solves' residual
 _VARIANTS = ("gross", "v0", "fiber")
 
 
@@ -240,6 +245,7 @@ class AssembledModel:
     Fock-major (D, X) array, X particle points (1 on the fiber) by D Fock
     states; the momentum symbols act in the representation reached by
     ``_fft`` (the identity on the fiber, where p_l is the diagonal -P_f,l).
+    Arrays are allocated in the type of the input and ``_dtype`` combined.
     """
 
     variant: str
@@ -266,11 +272,22 @@ class AssembledModel:
     _slots: np.ndarray = field(repr=False, default=None)  # (R, D) entries raising into a state
     _atomic: AtomicState | None = field(repr=False, default=None)
 
+    @property
+    def _dtype(self) -> np.dtype:
+        """The scalar type the tables need: complex128 once a phase table or
+        an FFT enters (the grid variants), float64 on the fiber."""
+        return np.dtype(float if self._phase is None and self._cube is None else complex)
+
+    def _type(self, v) -> np.dtype:
+        """The type of a result on input v: a complex v keeps complex arithmetic."""
+        return np.result_type(v, self._dtype)
+
     def _to2(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=complex).reshape(self._shape)
+        v = np.asarray(v)
+        return v.astype(self._type(v), copy=False).reshape(self._shape)
 
     def _fock_major(self, v: np.ndarray) -> np.ndarray:
-        return np.array(np.reshape(v, self._shape).T, dtype=complex, order="C")
+        return np.array(np.reshape(v, self._shape).T, dtype=self._type(v), order="C")
 
     def _fft(self, u: np.ndarray) -> np.ndarray:
         if self._cube is None:
@@ -312,9 +329,9 @@ class AssembledModel:
         w = u[: self._src.shape[1]] * self._val
         if self._phase is not None:
             w *= self._phase.conj()[:, None, :]
-        buf = np.zeros((self._src.size + 1, u.shape[1]), dtype=complex)
+        buf = np.zeros((self._src.size + 1, u.shape[1]), dtype=self._type(u))
         entries = buf[:-1].reshape(w.shape)
-        out = np.empty((self._coupling.shape[1], rows, u.shape[1]), dtype=complex)
+        out = np.empty((self._coupling.shape[1], rows, u.shape[1]), dtype=buf.dtype)
         for o, gl in zip(out, self._coupling.T):
             np.multiply(gl[:, None, None], w, out=entries)
             self._raise(buf, rows, out=o)
@@ -334,7 +351,7 @@ class AssembledModel:
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        out = np.empty((self._coupling.shape[1], K + 1, u.shape[1]), dtype=complex)
+        out = np.empty((self._coupling.shape[1], K + 1, u.shape[1]), dtype=self._type(u))
         out[:, :K] = np.tensordot(self._coupling, lowered, axes=(0, 0))
         out[:, K] = 0.0
         return out
@@ -350,14 +367,14 @@ class AssembledModel:
         """
         M, K = self._src.shape
         if adjoint:
-            buf = np.zeros((self._src.size + 1, V.shape[2]), dtype=complex)
+            buf = np.zeros((self._src.size + 1, V.shape[2]), dtype=self._type(V))
             entries = buf[:-1].reshape(self._src.shape + V.shape[2:])
             np.matmul(self._coupling, V[:, :K].reshape(len(V), -1), out=entries.reshape(M, -1))
             entries *= self._val
             if self._phase is not None:
                 entries *= self._phase.conj()[:, None, :]
             return self._raise(buf, self._slots.shape[1])
-        lowered = np.zeros(self._src.shape + V.shape[2:], dtype=complex)
+        lowered = np.zeros(self._src.shape + V.shape[2:], dtype=self._type(V))
         term = np.empty_like(lowered)
         for Vl, gl in zip(V, self._coupling.T):
             np.take(Vl, self._src, axis=0, out=term, mode="clip")  # unbuffered
@@ -366,7 +383,7 @@ class AssembledModel:
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        out = np.zeros((self._slots.shape[1],) + V.shape[2:], dtype=complex)
+        out = np.zeros((self._slots.shape[1],) + V.shape[2:], dtype=lowered.dtype)
         out[:K] = lowered.sum(axis=0)
         return out
 
@@ -437,16 +454,20 @@ def _ladder_table(basis: FockBasis) -> dict:
     States come by total occupation, so a_j is nonzero only into the first
     K, the states below the top shell: row k of a_j holds sqrt(n_j + 1) at
     _src[j, k], k raised in mode j.  _slots[r, s] is the r-th entry (flat
-    index j K + k) raising into s, or the zero pad M K."""
+    index j K + k) raising into s, or the zero pad M K.  The basis builds
+    the tables of all modes on the first call and gives them up here, so
+    the model holds the only copy."""
     tables = [ladder_ops(basis, j) for j in range(basis.mode_count)]
     src = np.stack([t[0] for t in tables])
+    val = np.stack([t[1] for t in tables])[:, :, None]
+    del tables
+    basis._raised = None
     target = src.ravel()
     order = np.argsort(target, kind="stable")
     counts = np.bincount(target, minlength=basis.dim)
     rank = np.arange(target.size) - (np.cumsum(counts) - counts)[target[order]]
     slots = np.full((max(counts.max(), 1), basis.dim), target.size, dtype=np.intp)
     slots[rank, target[order]] = order
-    val = np.stack([t[1] for t in tables])[:, :, None]
     return dict(_src=src, _val=val, _slots=slots)
 
 
@@ -565,8 +586,12 @@ def assemble(
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
     rng = np.random.default_rng(97)
-    u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    def draw():  # real vectors for a real operator
+        x = rng.standard_normal(dim)
+        return x if model._dtype == float else x + 1j * rng.standard_normal(dim)
+
+    u, v = draw(), draw()
     left = np.vdot(u, model.matvec(v))
     right = np.vdot(np.asarray(model.matvec(u)), v)
     if abs(left - right) > 1e-10 * max(1.0, abs(left), abs(right)):
@@ -579,7 +604,8 @@ def lanczos_ground(model: AssembledModel, tol: float = 1e-10, maxit: int = 300) 
 
     The default seed is the discrete atomic ground state tensored with
     the Fock vacuum (gross variant), the constant mode tensored with the
-    vacuum (v0), or the bare vacuum (fiber); seeding with the
+    vacuum (v0), or the bare vacuum (fiber), in the model's scalar type, so
+    the fiber solve runs in float64; seeding with the
     atomic state guarantees the returned energy is at most the discrete
     atomic energy, since the first Rayleigh quotient already equals it.
     Ritz values never rise: each Rayleigh-Ritz step minimizes over a
@@ -598,13 +624,13 @@ def lanczos_ground(model: AssembledModel, tol: float = 1e-10, maxit: int = 300) 
 
 def _default_seed(model: AssembledModel) -> np.ndarray:
     if model.variant == "fiber":
-        return vacuum_vector(model.basis).astype(complex)
+        return vacuum_vector(model.basis)  # real, as the fiber operator is
     if model.variant == "gross":
         psi = model.atomic_reference().psi.ravel()
     else:
         psi = np.full(model.grid.point_count, 1.0)
     psi = psi / np.linalg.norm(psi)
-    return np.kron(psi, vacuum_vector(model.basis)).astype(complex)
+    return np.kron(psi, vacuum_vector(model.basis)).astype(model._dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -782,16 +808,25 @@ def effective_mass_riemann(modes: ModeGrid) -> float:
 def _pcg(op, b: np.ndarray, precond, tol: float) -> np.ndarray:
     """Solve op y = b, op Hermitian positive definite, by conjugate gradients
     preconditioned by ``precond``, to ||b - op y|| <= tol ||b|| (the
-    recursively updated residual); raises ConvergenceError after _PCG_MAXIT
-    products."""
+    recursively updated residual), or until <r, precond(r)> or <d, op d>
+    underflows to 0: for op and precond of moderate scale, r or d is then 0
+    to working precision and y as exact as it gets.
+    Raises ConvergenceError at once when <d, op d> is negative or a scalar
+    is not finite, and after _PCG_MAXIT products."""
     y, r = np.zeros_like(b), b.copy()
     d = z = precond(r)
     rz, bound = np.vdot(r, z).real, tol * np.linalg.norm(b)
-    for _ in range(_PCG_MAXIT):
-        if np.linalg.norm(r) <= bound:
+    for products in range(1, _PCG_MAXIT + 1):
+        if rz == 0.0 or np.linalg.norm(r) <= bound:
             return y
         od = op(d)
-        step = rz / np.vdot(d, od).real
+        dod = np.vdot(d, od).real
+        if dod == 0.0:
+            return y
+        if not (math.isfinite(rz) and math.isfinite(dod) and dod > 0.0):
+            raise ConvergenceError(f"fiber linear solve broke down after {products} products "
+                                   f"(<r, z> = {rz:.3e}, <d, op d> = {dod:.3e})")
+        step = rz / dod
         y += step * d
         r -= step * od
         z = precond(r)
@@ -804,7 +839,6 @@ def effective_mass_numeric(
     params: ModelParams,
     modes: ModeGrid,
     basis: FockBasis,
-    tol: float = 1e-12,
 ) -> float:
     """m_eff/m from second-order travel of the zero-momentum fiber.
 
@@ -813,7 +847,8 @@ def effective_mass_numeric(
     field) + (linear coefficient)(A0 + A0*)_l, and returns
     1 / (1 - (2/3) sum_l <W_l psi0, y_l>); equals 1 exactly at e = 0.  The
     solves are conjugate gradients preconditioned by the diagonal
-    (kinetic + H_f - E0 + _SHIFT_MARGIN)^-1, to ||residual|| <= tol ||W_l psi0||.
+    (kinetic + H_f - E0 + _SHIFT_MARGIN)^-1, to ||residual|| <= _PCG_TOL
+    ||W_l psi0||.  The fiber operator is real, so all of it runs in float64.
     """
     if params.e == 0.0:
         return 1.0
@@ -839,7 +874,7 @@ def effective_mass_numeric(
                 f"<W> = {grad.real:.3e}"
             )
         b = b - grad * psi0
-        y = _pcg(op, b, lambda r: model.precondition(r, sigma), tol)
+        y = _pcg(op, b, lambda r: model.precondition(r, sigma), _PCG_TOL)
         y = y - np.vdot(psi0, y) * psi0
         total += float(np.vdot(b, y).real)
 

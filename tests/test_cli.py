@@ -156,8 +156,6 @@ _SWEEP_VALUE = {("effmass", "modes-angular"): "4"}
 # effmass never reads Z; it keeps --Z because the benchmark's effmass-fiber
 # argv passes --Z 1.
 _SWEEP_UNREAD = {("effmass", "Z")}
-# Read, but no printed digit moves: test_effmass_reads_tol_below_its_clamp.
-_SWEEP_AT_CALL = {("effmass", "tol")}
 
 
 def _sweep_run(capsys, argv):
@@ -171,8 +169,6 @@ def test_every_accepted_flag_is_read_and_every_other_is_refused(tmp_path, capsys
     for command, base in _SWEEP_BASE.items():
         keys = cli._COMMAND_KEYS[command]
         for key in keys:
-            if (command, key) in _SWEEP_AT_CALL:
-                continue
             argv = [command, "--format", "csv"] + base + _SWEEP_CONDITION.get((command, key), [])
             value = _SWEEP_VALUE.get((command, key), values[key])
             if tuple(argv) not in unperturbed:
@@ -186,16 +182,16 @@ def test_every_accepted_flag_is_read_and_every_other_is_refused(tmp_path, capsys
     capsys.readouterr()
 
 
-def test_effmass_reads_tol_below_its_clamp(monkeypatch, capsys):
-    """Below its 1e-10 clamp, effmass's tol sets where the fiber's conjugate
-    gradients stop, but the inertia converges quadratically in their residual,
-    so no printed digit moves: the tol is checked where it is handed over."""
-    seen = []
-    monkeypatch.setattr(cli, "effective_mass_numeric", lambda *a, tol: seen.append(tol) or 1.5)
-    for tol in ("1e-4", "1e-12"):
-        assert main(["effmass", "--e", "0.1", "--tol", tol] + TINY_MODES) == 0
-    assert seen == [1e-10, 1e-12]
-    capsys.readouterr()
+def test_effmass_refuses_tol(monkeypatch, capsys):
+    """The fiber's conjugate gradients stop at a fixed 1e-10: the inertia
+    converges quadratically in their residual, so no tol moved a printed
+    digit, and effmass refuses the flag before any solve."""
+    monkeypatch.setattr(cli, "effective_mass_numeric", lambda *a: pytest.fail("solved"))
+    for tol in ("1e-4", "1e-12", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["effmass", "--e", "0.1", "--tol", tol] + TINY_MODES)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_benchmark_and_readme_argv_parse(monkeypatch):
@@ -281,13 +277,23 @@ def test_verify_json_is_strict_when_a_ceiling_is_infinite(capsys):
 @pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1"), ("--tol", "nan")])
 def test_bad_solver_settings_exit_two(capsys, flag, value):
     scan = ["scan", "--axis", "e", "--from", "0.0", "--to", "0.1", "--steps", "2"]
-    runs = [["solve"] + TINY, ["verify"] + TINY, scan + TINY]
-    if flag == "--tol":  # effmass has no grid and no --maxit
-        runs.append(["effmass"] + TINY_MODES)
-    for command in runs:
+    for command in (["solve"] + TINY, ["verify"] + TINY, scan + TINY):
         assert main(command + [flag, value]) == 2, command
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[2:] in err, (command, err)
+
+
+def test_missed_tolerance_exits_two(capsys):
+    """A solver that cannot reach its tolerance within --maxit is a setting
+    it cannot honour: solve exits 2 with the solver's message.  Inside the
+    suite the same miss is a check error, so verify exits 3."""
+    argv = ["--e", "0.3", "--maxit", "3"] + TINY
+    assert main(["solve"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: LOBPCG did not reach tol="), err
+    code, payload = run_json(capsys, ["verify", "--select", "energy.upper"] + argv)
+    assert code == 3
+    assert payload["reports"][0]["status"].startswith("error(ConvergenceError: ")
 
 
 def test_check_failure_exits_one(monkeypatch, capsys):

@@ -172,6 +172,22 @@ def test_ladder_lookup_matches_index_of():
             assert val[k] == math.sqrt(occ[k, j] + 1)
 
 
+@pytest.mark.parametrize("m,n_max", [(1, 3), (5, 0), (7, 1), (12, 3), (40, 2)])
+def test_raising_table_matches_the_rank_of_each_raised_state(m, n_max):
+    """The prefix and suffix sums give each mode's table exactly what the
+    rank ``_indices`` gives the raised occupations, also with no boson
+    allowed and with one mode."""
+    b = fs.FockBasis(m, n_max)
+    K = b.dim - math.comb(m - 1 + n_max, n_max)  # the states below the top shell
+    for j in range(m):
+        raised = b.occupations[:K].copy()
+        raised[:, j] += 1
+        src, val = fs.ladder_ops(b, j)
+        assert src.dtype == np.int64 and src.shape == (K,)
+        np.testing.assert_array_equal(src, b._indices(raised))
+        np.testing.assert_array_equal(val, np.sqrt(raised[:, j].astype(float)))
+
+
 def test_commutator_identity_below_top_shell():
     b = fs.FockBasis(3, 3)
     for j in range(3):

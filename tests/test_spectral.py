@@ -2,6 +2,7 @@
 
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -706,6 +707,116 @@ def test_effective_mass_matches_mode_sum():
     x_num = 1.0 - 1.0 / meff
     x_sum = params.e**2 * sp.effective_mass_riemann(modes)
     assert abs(x_num - x_sum) / x_sum < 1e-3
+
+
+def _fiber(e, n_radial, n_angular, n_max):
+    modes = build_modes(0.3, 2.0, n_radial, n_angular)
+    return sp.assemble(make_params(e=e, Z=1.0, kappa=0.3, lam=2.0), base_frame(), None,
+                       modes, FockBasis(modes.count, n_max), variant="fiber")
+
+
+def test_fiber_runs_in_real_arithmetic():
+    """The fiber's tables are real, so a real vector stays float64 through
+    every operator and the eigensolver; a complex one keeps complex
+    arithmetic, and the two agree."""
+    model = _fiber(0.3, 2, 6, 2)
+    x = np.random.default_rng(23).standard_normal(model.dim)
+    for apply in (model.matvec, lambda v: model.precondition(v, 0.1),
+                  lambda v: model.apply_D(v, [0.3, -0.5, 0.8])):
+        real, cplx = apply(x), apply(x.astype(complex))
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert not cplx.imag.any()
+        assert np.linalg.norm(real - cplx.real) <= 1e-14 * np.linalg.norm(real)
+    assert sp.lanczos_ground(model).vector.dtype == np.float64
+
+
+@pytest.mark.parametrize("variant", ["gross", "v0"])
+def test_grid_variants_stay_complex(small_setup, variant):
+    params, grid, modes, basis = small_setup
+    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
+    x = np.random.default_rng(29).standard_normal(model.dim)
+    assert model.matvec(x).dtype == np.complex128
+    assert model.precondition(x, 0.1).dtype == np.complex128
+    assert model.apply_D(x, [0.0, 0.0, 1.0]).dtype == np.complex128
+    assert sp.lanczos_ground(model).vector.dtype == np.complex128
+
+
+def test_effective_mass_matches_dense_complex_reference():
+    """The float64 fiber solve against the inertia from a complex dense
+    eigendecomposition: 1 - 1/m = (2/3) sum_l <b_l, (H - E0)^+ b_l>,
+    b_l the part of W_l psi0 off psi0."""
+    params = make_params(e=0.1, Z=1.0, kappa=0.3, lam=2.0)
+    modes = build_modes(0.3, 2.0, 2, 6)
+    model = _fiber(0.1, 2, 6, 2)
+    energies, states = np.linalg.eigh(dense(model))
+    assert energies[1] - energies[0] > 0.1  # a simple ground level
+    psi0, eye = states[:, 0], np.eye(model.dim, dtype=complex)
+    total = 0.0
+    for direction in np.eye(3):
+        W = np.stack([model.apply_D(col, direction) for col in eye], axis=1)
+        b = W @ psi0
+        b -= np.vdot(psi0, b) * psi0
+        coef = states[:, 1:].conj().T @ b
+        total += float(np.sum(np.abs(coef) ** 2 / (energies[1:] - energies[0])))
+    numeric = sp.effective_mass_numeric(params, modes, FockBasis(modes.count, 2))
+    assert 1.0 - 1.0 / numeric == pytest.approx((2.0 / 3.0) * total, rel=1e-10, abs=0.0)
+
+
+def test_fiber_matvec_peak_memory():
+    """One fiber matvec at the effmass benchmark's configuration (M = 24,
+    N_max = 4, dim 20 475) peaks at 10.9 dim-length float64 vectors,
+    output included (21.7 in complex arithmetic).  The basis keeps no copy
+    of the ladder tables it built for the model."""
+    model = _fiber(0.1, 4, 6, 4)
+    assert model.basis._raised is None
+    x = np.random.default_rng(31).standard_normal(model.dim)
+    model.matvec(x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = model.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.float64
+    assert (peak - base) / (8 * model.dim) <= 12.0
+
+
+@pytest.mark.parametrize("spectrum,scale", [((1e3, 1e4), 1e-2), ((1.0, 10.0), 1e-20)],
+                         ids=["rz-first", "dod-first"])
+def test_pcg_stops_at_the_exact_solution(spectrum, scale):
+    """At tol 1e-300 the residual bound cannot fire before <r, z> or
+    <d, op d> underflows; which comes first depends on the scales of op and
+    precond.  The solve then returns the solution, exact to working
+    precision, instead of dividing 0 by 0 until _PCG_MAXIT."""
+    n = 8
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag(np.geomspace(*spectrum, n)) @ Q.T
+    b = rng.standard_normal(n)
+    products = []
+
+    def op(v):
+        products.append(1)
+        return A @ v
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        y = sp._pcg(op, b, lambda r: scale * r, 1e-300)
+    assert np.linalg.norm(A @ y - b) <= 1e-14 * np.linalg.norm(b)
+    assert len(products) <= 20 * n
+
+
+def test_pcg_refuses_a_non_finite_product():
+    products = []
+
+    def op(v):
+        products.append(1)
+        return np.full_like(v, np.nan)
+
+    with pytest.raises(ConvergenceError, match="broke down after 1 products"):
+        sp._pcg(op, np.ones(4), lambda r: r.copy(), 1e-10)
+    assert len(products) == 1
 
 
 def test_effective_mass_riemann_converges_to_integral():
