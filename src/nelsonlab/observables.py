@@ -10,7 +10,7 @@ frame and the conversion happens internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -166,16 +166,7 @@ class GroundStateReport:
     vacuum_weight: float
 
     def to_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "n_f_total": self.n_f_total,
-            "n_f_soft": self.n_f_soft,
-            "n_f_hard": self.n_f_hard,
-            "moments": dict(self.moments),
-            "overlap_p": self.overlap_p,
-            "overlap_q": self.overlap_q,
-            "vacuum_weight": self.vacuum_weight,
-        }
+        return asdict(self)
 
 
 def ground_state_report(model, result) -> GroundStateReport:

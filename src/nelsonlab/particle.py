@@ -21,6 +21,7 @@ __all__ = [
     "PositionGrid",
     "AtomicState",
     "atomic_ground",
+    "coulomb_potential",
     "position_operator",
     "radial_resolvent_l1",
 ]
@@ -110,7 +111,6 @@ class AtomicState:
 
     grid: PositionGrid
     alphaZ: float
-    softening: float
     energy: float
     psi: np.ndarray  # (n, n, n), normalized so that sum(psi^2) h^3 = 1
     residual: float
@@ -137,8 +137,15 @@ class AtomicState:
         return abs(float(np.sum(self.psi * ref)) * self.grid.h**3)
 
 
-def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = None) -> AtomicState:
-    """Ground state of 1/2 p^2 - alphaZ/max(|x|, softening) on the box.
+def coulomb_potential(grid: PositionGrid, alphaZ: float) -> np.ndarray:
+    """-alphaZ / max(|x|, h/2) on the mesh, shape (n, n, n): the Coulomb
+    attraction softened at half a grid step, the one potential of the atom
+    and of the gross model."""
+    return -alphaZ / np.maximum(grid.radius, grid.h / 2.0)
+
+
+def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
+    """Ground state of 1/2 p^2 + coulomb_potential(grid, alphaZ) on the box.
 
     The kinetic term is applied spectrally (exact on lattice plane waves);
     the Coulomb singularity is softened at the scale of half a grid step.
@@ -147,14 +154,10 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
     """
     if not (0.0 <= alphaZ < math.inf):
         raise ParameterError(f"alphaZ must be finite and >= 0, got {alphaZ}")
-    if softening is None:
-        softening = grid.h / 2.0
-    if not (0.0 < softening < math.inf):
-        raise ParameterError(f"softening must be positive, got {softening}")
 
     if alphaZ == 0.0:
         psi = np.full((grid.n,) * 3, (2.0 * grid.L) ** -1.5)
-        return AtomicState(grid, 0.0, softening, 0.0, psi, 0.0, 0)
+        return AtomicState(grid, 0.0, 0.0, psi, 0.0, 0)
 
     bohr = 1.0 / alphaZ
     if bohr / grid.h < 4.0:
@@ -172,7 +175,7 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
 
     # the operator is real: real FFTs, the symbol on the half spectrum
     kinetic = 0.5 * grid.laplacian_symbol[..., : grid.n // 2 + 1]
-    potential = -alphaZ / np.maximum(grid.radius, softening)
+    potential = coulomb_potential(grid, alphaZ)
     shape = (grid.n,) * 3
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -195,7 +198,7 @@ def atomic_ground(grid: PositionGrid, alphaZ: float, softening: float | None = N
     if vec.sum() < 0.0:
         vec = -vec
     psi = vec.reshape(shape) / grid.h**1.5
-    return AtomicState(grid, alphaZ, softening, energy, psi, residual, iterations)
+    return AtomicState(grid, alphaZ, energy, psi, residual, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ statements.
 
 The eigensolver is single-vector LOBPCG (A. V. Knyazev, SIAM J. Sci.
 Comput. 23, 2001), named lanczos_lowest still because the benchmark tracer
-wraps that name.  Its preconditioner is the part of H that is diagonal
+wraps that name.  Each step is one Rayleigh-Ritz on S = [x, w, p] from the
+Gram matrices S*HS and S*S, restricted to the eigenvectors of S*S above a
+fixed relative floor (U. Hetmaniuk and R. Lehoucq, J. Comput. Phys. 218,
+2006, on the basis and its stability); the solver runs in the seed's
+scalar type.  Its preconditioner is the part of H that is diagonal
 where the matvec goes by FFT, T = F^-1 (|q|^2/2 + H_f + sigma)^-1 F, the
 plane-wave choice of Teter, Payne and Allan (Phys. Rev. B 40, 1989); on
 the fiber F is the identity.  sigma = max(-theta, 0) + _SHIFT_MARGIN, with
@@ -77,7 +81,7 @@ from .model import (
     base_frame,
     coulomb_coefficient,
 )
-from .particle import AtomicState, PositionGrid, atomic_ground
+from .particle import AtomicState, PositionGrid, atomic_ground, coulomb_potential
 
 __all__ = [
     "SpectralResult",
@@ -94,6 +98,7 @@ __all__ = [
 _DIM_LIMIT = 500_000
 _WORKSET_VECTORS = 8  # held: x, w, p, their products, one scratch; one spare for a transient
 _WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
+_GRAM_FLOOR = 1e-14  # keeps eigenvalues of the unit-diagonal S*S above this times the largest
 _SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
 _PCG_MAXIT = 5000
 _PCG_TOL = 1e-10  # the inertia converges quadratically in the solves' residual
@@ -108,29 +113,32 @@ class SpectralResult:
     iterations: int
 
 
-def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, *, precond=None):
+def lanczos_lowest(matvec, dim, seed, tol, maxit, *, precond):
     """Lowest eigenpair of a Hermitian operator by single-vector LOBPCG.
 
     The name stayed from the Lanczos solver this replaced, because the
-    benchmark's tracer wraps it by name.  Each step is a Rayleigh-Ritz on
-    span{x, w, p}, x the Ritz vector, w = precond(H x - theta x, sigma) and
-    p the previous search direction; w is projected off x, and p off x and
-    w, twice each, so the projected problem is a 3 x 3 eigh (2 x 2 when p
-    lies in span{x, w}).  One product per step gives H w; H x and H p are
-    carried as the same combinations as x and p.  Ritz values never rise
-    (up to rounding), so the energy is at most the seed's Rayleigh quotient.  ``precond``
-    applies a positive definite approximation of (H - theta)^-1, given
-    sigma = max(-theta, 0) + _SHIFT_MARGIN (module docstring); without it
-    w is the residual.
+    benchmark's tracer wraps it by name.  Each step is one Rayleigh-Ritz on
+    S = [x, w, p] (Knyazev 2001), x the Ritz vector, w = precond(H x -
+    theta x, sigma) and p the previous search direction.  The Gram matrices
+    <s_i, H s_j> and <s_i, s_j> come from ``np.vdot`` of the held vectors,
+    and ``_ritz_coefficients`` drops a direction that S spans only by
+    rounding (Hetmaniuk and Lehoucq 2006).  One product per step gives H w;
+    H x and H p are carried as the same combinations as x and p.  Ritz
+    values never rise (up to rounding), so the energy is at most the seed's
+    Rayleigh quotient.  ``precond`` applies a positive definite
+    approximation of (H - theta)^-1, given sigma = max(-theta, 0) +
+    _SHIFT_MARGIN (module docstring).
 
     The combinations run in place, so the solver holds at most seven
-    vectors, x, H x, p, H p, w, H w and a scratch vector that also takes the
+    vectors, x, H x, p, H p, w, H w and a scratch vector that takes the
     residual, within the _WORKSET_VECTORS that the guard counts; the
     operator's and the preconditioner's own temporaries come on top.
     The products and preconditioned residuals it is handed are overwritten,
-    the seed never is, and the vectors widen to complex when a later
-    product turns complex.  The residual handed to ``precond`` is the
-    solver's own: ``precond`` may scale it in place and return it or a view.
+    the seed never is.  They must fit the seed's scalar type: a real seed
+    keeps real arithmetic, and a product or preconditioned residual of a
+    wider type raises ParameterError.  The residual handed to ``precond``
+    is the solver's own: ``precond`` may scale it in place and return it or
+    a view.
 
     The carried H x drifts by rounding, so a residual that meets
     tol * max(1, |theta|) is confirmed by a fresh product before it is
@@ -138,7 +146,7 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
     Returns (energy, vector, residual, iterations), iterations counting the
     operator products; raises ConvergenceError when maxit products miss
     tol, and ParameterError, before any product, on maxit < 1, on a tol
-    that is not finite and positive, or on a working set of
+    that is not finite and positive, on a zero seed, or on a working set of
     _WORKSET_VECTORS vectors at 16 bytes a value over _WORKSET_BYTES_LIMIT.
     """
     if dim < 1:
@@ -151,21 +159,23 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
     if need > _WORKSET_BYTES_LIMIT:
         raise ParameterError(f"eigensolver working set for dim={dim} needs {need} "
                              f"bytes, over the guard of {_WORKSET_BYTES_LIMIT}")
-    if seed is None:
-        x = np.random.default_rng(rng_seed).standard_normal(dim)
-    else:
-        x = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float)
+    x = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float)
     del seed  # lanczos_ground hands over its only reference
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ParameterError("seed vector must be nonzero")
     x = x / norm  # a new array: x may be the caller's seed
 
-    hx = np.asarray(matvec(x))
+    def fitted(v, what):
+        v = np.asarray(v)
+        if np.result_type(v, x) != x.dtype:
+            raise ParameterError(f"{what} has type {v.dtype}, wider than the seed's {x.dtype}")
+        return v.astype(x.dtype, copy=False)
+
+    hx = fitted(matvec(x), "a product")
     products, fresh = 1, True
     p = hp = scratch = None
     while True:
-        x, hx, p, hp, scratch = _one_dtype(x, hx, p, hp, scratch)
         theta = float(np.vdot(x, hx).real)
         r = np.multiply(theta, x, out=scratch)
         np.subtract(hx, r, out=r)
@@ -179,35 +189,15 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
         products += 1
         if converged:  # confirm the carried residual with a fresh product
             scratch, hx = r, None  # drop the carried product before the fresh one
-            hx, fresh = np.asarray(matvec(x)), True
+            hx, fresh = fitted(matvec(x), "a product"), True
             continue
-        w = r if precond is None else precond(r, max(-theta, 0.0) + _SHIFT_MARGIN)
+        w = fitted(precond(r, max(-theta, 0.0) + _SHIFT_MARGIN), "a preconditioned residual")
         scratch = None if np.may_share_memory(w, r) else r  # w may be r or a view of it
         del r
-        for _ in range(2):  # w off x
-            scratch = np.multiply(np.vdot(x, w), x, out=scratch)
-            np.subtract(w, scratch, out=w)
-        w /= np.linalg.norm(w)
-        hw, fresh = np.asarray(matvec(w)), False
-        x, hx, w, hw, p, hp, scratch = _one_dtype(x, hx, w, hw, p, hp, scratch)
-        if p is not None:
-            norm = np.linalg.norm(p)
-            p /= norm
-            hp /= norm
-            for _ in range(2):  # p off x and w, carrying H p along
-                for b, hb in ((x, hx), (w, hw)):
-                    c = np.vdot(b, p)
-                    np.subtract(p, np.multiply(c, b, out=scratch), out=p)
-                    np.subtract(hp, np.multiply(c, hb, out=scratch), out=hp)
-            norm = np.linalg.norm(p)
-            if norm > 1e-8:
-                p /= norm
-                hp /= norm
-            else:  # p lies in span{x, w}: drop it
-                p = hp = None
+        hw, fresh = fitted(matvec(w), "a product"), False
         S, HS = ((x, w), (hx, hw)) if p is None else ((x, w, p), (hx, hw, hp))
-        G = np.array([[np.vdot(a, hb) for hb in HS] for a in S])
-        c = np.linalg.eigh((G + G.conj().T) / 2.0)[1][:, 0]
+        c = _ritz_coefficients(np.array([[np.vdot(a, b) for b in S] for a in S]),
+                               np.array([[np.vdot(a, hb) for hb in HS] for a in S]))
         del S, HS  # the old p must not outlive the next product
         np.multiply(c[1], w, out=w)
         np.multiply(c[1], hw, out=hw)
@@ -223,11 +213,21 @@ def lanczos_lowest(matvec, dim, seed=None, tol=1e-10, maxit=300, rng_seed=2357, 
         hx /= norm
 
 
-def _one_dtype(*vectors):
-    """The vectors in their common dtype: real ones are widened to complex
-    once a product turns complex.  None passes."""
-    dtype = np.result_type(*(v for v in vectors if v is not None))
-    return [v if v is None or v.dtype == dtype else v.astype(dtype) for v in vectors]
+def _ritz_coefficients(overlap, gram):
+    """The coefficients in S of the lowest Ritz vector, given S*S and S*HS.
+
+    Both are scaled to a unit diagonal of S*S (a zero column stays zero)
+    and projected onto the eigenvectors of S*S above _GRAM_FLOOR times the
+    largest, so w or p in the span of the others, or zero, drops out
+    instead of dividing by rounding."""
+    sq = overlap.diagonal().real
+    scale = np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0.0)
+    scale2 = np.outer(scale, scale)
+    lam, vecs = np.linalg.eigh((overlap + overlap.conj().T) * (scale2 / 2.0))
+    keep = lam > _GRAM_FLOOR * lam[-1]
+    basis = vecs[:, keep] / np.sqrt(lam[keep])
+    reduced = basis.conj().T @ ((gram + gram.conj().T) * (scale2 / 2.0)) @ basis
+    return scale * (basis @ np.linalg.eigh(reduced)[1][:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +560,7 @@ def assemble(
 
     pot = None
     if variant == "gross":
-        strength = coulomb_coefficient(params, frame)
-        pot = -strength / np.maximum(grid.radius, grid.h / 2.0).ravel()
+        pot = coulomb_potential(grid, coulomb_coefficient(params, frame)).ravel()
     # v0 carries no external potential
 
     x = grid.axis
@@ -599,21 +598,23 @@ def assemble(
     return model
 
 
-def lanczos_ground(model: AssembledModel, tol: float = 1e-10, maxit: int = 300) -> SpectralResult:
-    """Ground state of an assembled model.
+def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralResult:
+    """Ground state of an assembled model by ``lanczos_lowest`` (LOBPCG,
+    Knyazev 2001, each step one Rayleigh-Ritz from Gram matrices as in
+    Hetmaniuk and Lehoucq 2006), to ``tol`` within ``maxit`` products.
 
-    The default seed is the discrete atomic ground state tensored with
-    the Fock vacuum (gross variant), the constant mode tensored with the
-    vacuum (v0), or the bare vacuum (fiber), in the model's scalar type, so
-    the fiber solve runs in float64; seeding with the
-    atomic state guarantees the returned energy is at most the discrete
-    atomic energy, since the first Rayleigh quotient already equals it.
-    Ritz values never rise: each Rayleigh-Ritz step minimizes over a
-    subspace that holds the previous Ritz vector, and the returned energy
-    is the Rayleigh quotient of the returned vector, so it is at most
-    <seed, H seed>.  The solve is preconditioned by ``model.precondition``.
-    The default seed is built in the call, so the solver holds its only
-    reference and drops it after normalizing.
+    The seed is the discrete atomic ground state tensored with the Fock
+    vacuum (gross variant), the constant mode tensored with the vacuum
+    (v0), or the bare vacuum (fiber), in the model's scalar type, so the
+    fiber solve runs in float64 and the grid variants in complex128;
+    seeding with the atomic state guarantees the returned energy is at most
+    the discrete atomic energy, since the first Rayleigh quotient already
+    equals it.  Ritz values never rise: each Rayleigh-Ritz step minimizes
+    over a subspace that holds the previous Ritz vector, and the returned
+    energy is the Rayleigh quotient of the returned vector, so it is at
+    most <seed, H seed>.  The solve is preconditioned by
+    ``model.precondition``.  The seed is built in the call, so the solver
+    holds its only reference and drops it after normalizing.
     """
     energy, vec, residual, iters = lanczos_lowest(
         model.matvec, model.dim, seed=_default_seed(model),

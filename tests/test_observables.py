@@ -53,7 +53,7 @@ def coupled():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = assemble(params, base_frame(), grid, modes, basis)
-        result = lanczos_ground(model)
+        result = lanczos_ground(model, tol=1e-10, maxit=300)
     return model, result
 
 
@@ -303,6 +303,6 @@ def test_report_needs_particle_sector():
     modes = build_modes(0.3, 2.0, 1, 2)
     basis = FockBasis(modes.count, 1)
     model = assemble(params, base_frame(), None, modes, basis, variant="fiber")
-    result = lanczos_ground(model)
+    result = lanczos_ground(model, tol=1e-10, maxit=300)
     with pytest.raises(ParameterError):
         ground_state_report(model, result)

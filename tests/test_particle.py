@@ -139,8 +139,6 @@ def test_atomic_rejects_bad_input():
     g = PositionGrid(n=8, L=5.0)
     with pytest.raises(ParameterError):
         atomic_ground(g, -1.0)
-    with pytest.raises(ParameterError):
-        atomic_ground(g, 1.0, softening=0.0)
 
 
 # ---------------------------------------------------------------------------

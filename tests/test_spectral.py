@@ -1,6 +1,7 @@
 """Tests for assembly, the eigensolver, and the operator-identity checks."""
 
 import copy
+import re
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from nelsonlab.model import (
     frame_for,
     make_params,
 )
-from nelsonlab.particle import PositionGrid
+from nelsonlab.particle import PositionGrid, coulomb_potential
 from nelsonlab import spectral as sp
 from nelsonlab.quadrature import effective_mass_coefficient
 
@@ -42,11 +43,20 @@ def gross_model(small_setup):
 # ---------------------------------------------------------------------------
 
 
+def _unpreconditioned(r, sigma):
+    return r
+
+
+def _random_seed(dim):
+    return np.random.default_rng(2357).standard_normal(dim)
+
+
 def test_lanczos_matches_dense_random():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((40, 40))
     A = (A + A.T) / 2.0
-    energy, vec, residual, _ = sp.lanczos_lowest(lambda v: A @ v, 40)
+    energy, vec, residual, _ = sp.lanczos_lowest(lambda v: A @ v, 40, _random_seed(40), 1e-10,
+                                                 300, precond=_unpreconditioned)
     evals = np.linalg.eigvalsh(A)
     assert energy == pytest.approx(evals[0], abs=1e-10)
     assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
@@ -65,21 +75,23 @@ def test_lanczos_overwrites_only_what_it_may(precond):
     A = (A + A.T) / 2.0
     seed = rng.standard_normal(40)
     kept = seed.copy()
-    energy, vec, _, _ = sp.lanczos_lowest(lambda v: A @ v, 40, seed=seed, precond=precond)
+    energy, vec, _, _ = sp.lanczos_lowest(lambda v: A @ v, 40, seed, 1e-10, 300, precond=precond)
     assert energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
     assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
     assert np.array_equal(seed, kept)
 
 
 def test_lanczos_one_dimensional():
-    energy, vec, residual, it = sp.lanczos_lowest(lambda v: 3.5 * v, 1)
+    energy, vec, residual, it = sp.lanczos_lowest(lambda v: 3.5 * v, 1, _random_seed(1), 1e-10,
+                                                  300, precond=_unpreconditioned)
     assert energy == 3.5 and residual == 0.0
 
 
 def test_lanczos_exact_eigenvector_seed():
     d = np.array([1.0, 2.0, 3.0, 9.0])
     seed = np.array([1.0, 0.0, 0.0, 0.0])
-    energy, vec, _, it = sp.lanczos_lowest(lambda v: d * v, 4, seed=seed)
+    energy, vec, _, it = sp.lanczos_lowest(lambda v: d * v, 4, seed, 1e-10, 300,
+                                           precond=_unpreconditioned)
     assert energy == pytest.approx(1.0, abs=1e-14)
     assert it == 1
 
@@ -89,12 +101,13 @@ def test_lanczos_convergence_error():
     A = rng.standard_normal((60, 60))
     A = (A + A.T) / 2.0
     with pytest.raises(ConvergenceError):
-        sp.lanczos_lowest(lambda v: A @ v, 60, maxit=3)
+        sp.lanczos_lowest(lambda v: A @ v, 60, _random_seed(60), 1e-10, 3,
+                          precond=_unpreconditioned)
 
 
 def test_lanczos_rejects_zero_seed():
     with pytest.raises(ParameterError):
-        sp.lanczos_lowest(lambda v: v, 4, seed=np.zeros(4))
+        sp.lanczos_lowest(lambda v: v, 4, np.zeros(4), 1e-10, 300, precond=_unpreconditioned)
 
 
 def _never_called(v):
@@ -105,23 +118,27 @@ def _never_called(v):
                                      {"tol": -1.0}, {"tol": float("nan")},
                                      {"tol": float("inf")}])
 def test_lanczos_rejects_bad_settings(setting):
+    settings = dict(seed=_random_seed(40), tol=1e-10, maxit=300, precond=_unpreconditioned)
     with pytest.raises(ParameterError):
-        sp.lanczos_lowest(_never_called, 40, **setting)
+        sp.lanczos_lowest(_never_called, 40, **{**settings, **setting})
 
 
 def test_lanczos_basis_memory_guard(monkeypatch):
     """The guard counts the solver's working set, _WORKSET_VECTORS vectors of
-    dim values at 16 bytes, and refuses before the seed is drawn."""
+    dim values at 16 bytes, and refuses before the seed is read."""
     dim = 10**9  # 128 GB of vectors; refused before anything is allocated
+    seed = np.broadcast_to(1.0, dim)  # a view of one value: no dim-length allocation
     with pytest.raises(ParameterError, match=r"dim=1000000000 needs 128000000000 bytes"):
-        sp.lanczos_lowest(_never_called, dim)
+        sp.lanczos_lowest(_never_called, dim, seed, 1e-10, 300, precond=_unpreconditioned)
     # the bound is _WORKSET_VECTORS * dim * 16 bytes, inclusive
     monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16 - 1)
     with pytest.raises(ParameterError):
-        sp.lanczos_lowest(_never_called, 40, maxit=10)
+        sp.lanczos_lowest(_never_called, 40, _random_seed(40), 1e-10, 10,
+                          precond=_unpreconditioned)
     monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16)
     with pytest.raises(ConvergenceError):
-        sp.lanczos_lowest(lambda v: np.arange(40.0) * v, 40, maxit=10)
+        sp.lanczos_lowest(lambda v: np.arange(40.0) * v, 40, _random_seed(40), 1e-10, 10,
+                          precond=_unpreconditioned)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -140,7 +157,7 @@ def test_lanczos_holds_only_its_counted_working_set(dtype):
     try:
         base = tracemalloc.get_traced_memory()[0]
         energy, vec, residual, _ = sp.lanczos_lowest(
-            lambda v: d * v, dim, seed=seed, precond=lambda r, sigma: r / (approx + sigma))
+            lambda v: d * v, dim, seed, 1e-10, 300, precond=lambda r, sigma: r / (approx + sigma))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,22 +174,44 @@ def test_lanczos_residual_is_honest_on_a_cluster():
     rest = np.concatenate([rng.uniform(0.0, 1e-2, 200), rng.uniform(1.0, 100.0, 199)])
     d = np.concatenate([[-1.0], rest])
     seed = rng.standard_normal(d.size)
-    energy, vec, residual, _ = sp.lanczos_lowest(lambda v: d * v, d.size, seed=seed,
-                                                 tol=1e-13, maxit=1000)
+    energy, vec, residual, _ = sp.lanczos_lowest(lambda v: d * v, d.size, seed, 1e-13, 1000,
+                                                 precond=_unpreconditioned)
     assert energy == pytest.approx(-1.0, abs=1e-12)
     assert residual <= 1e-13
     assert residual == pytest.approx(np.linalg.norm(d * vec - energy * vec), rel=1e-9, abs=0.0)
     assert energy <= seed @ (d * seed) / (seed @ seed)
 
 
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("returned", ["fixed", "zero"])
+def test_lanczos_survives_a_degenerate_step(returned, seed):
+    """A preconditioner that hands back one fixed vector every step puts p in
+    the span of x and w, so S*S is singular; one that hands back zero makes
+    w zero.  The Rayleigh-Ritz step drops those directions: the solve stalls
+    and reports a finite energy, with no warning on the way (a zero norm
+    divided, a root of a negative)."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 10.0, 50)
+    fixed = rng.standard_normal(50) if returned == "fixed" else np.zeros(50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"energy (\S+)\)") as info:
+            sp.lanczos_lowest(lambda v: d * v, 50, rng.standard_normal(50), 1e-10, 30,
+                              precond=lambda r, sigma: fixed.copy())
+    energy = float(re.search(r"energy (\S+)\)", str(info.value)).group(1))
+    assert np.isfinite(energy) and d.min() <= energy <= d.max()
+
+
 @pytest.mark.parametrize("start", ["random", "real_first_column"])
 def test_lanczos_real_seed_complex_operator(start):
-    """A real start on a complex Hermitian operator with a clustered bottom.
+    """Real seed values on a complex Hermitian operator with a clustered bottom.
 
-    The random start is the default real seed.  The unit-vector start meets
-    a real first column, and the operator hands back a real array whenever
-    the product is real, so the first product is real and only later ones
-    are complex.  Either way the imaginary parts must survive the basis.
+    The solver runs in the seed's scalar type.  The random start is handed
+    over as a complex array, and the imaginary parts must survive the
+    basis.  The unit-vector start is a real array and meets a real first
+    column; the operator hands back a real array whenever the product is
+    real, so the first product is real, and the first complex one is
+    refused, naming both types.
     """
     dim = 200
     rng = np.random.default_rng(29)
@@ -180,7 +219,7 @@ def test_lanczos_real_seed_complex_operator(start):
     d = np.concatenate([[-1.0, -1.0 + 4e-7, -1.0 + 9e-7], rng.uniform(0.0, 10.0, dim - 3)])
     A = (U * d) @ U.conj().T
     A = (A + A.conj().T) / 2.0
-    seed = None
+    seed = _random_seed(dim).astype(complex)
     if start == "real_first_column":
         # a diagonal unitary similarity makes column 0 real; the spectrum stays
         phase = np.ones(dim, dtype=complex)
@@ -189,13 +228,20 @@ def test_lanczos_real_seed_complex_operator(start):
         A[:, 0] = A[:, 0].real
         A[0, :] = A[:, 0]
         seed = np.eye(dim)[0]
+    products = []
 
     def matvec(v):
         w = A @ v
-        return w.real if not w.imag.any() else w
+        products.append(w.real if not w.imag.any() else w)
+        return products[-1]
 
-    assert np.isrealobj(matvec(np.eye(dim)[0])) == (start == "real_first_column")
-    energy, vec, residual, _ = sp.lanczos_lowest(matvec, dim, seed=seed)
+    if start == "real_first_column":
+        with pytest.raises(ParameterError, match=r"complex128, wider than the seed's float64"):
+            sp.lanczos_lowest(matvec, dim, seed, 1e-10, 300, precond=_unpreconditioned)
+        assert [np.iscomplexobj(w) for w in products] == [False, True]
+        return
+    energy, vec, residual, _ = sp.lanczos_lowest(matvec, dim, seed, 1e-10, 300,
+                                                 precond=_unpreconditioned)
     assert energy == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
     assert np.iscomplexobj(vec) and np.linalg.norm(vec.imag) > 0.1
     assert np.linalg.norm(A @ vec - energy * vec) < 1e-8
@@ -505,13 +551,13 @@ def test_lanczos_ground_matches_dense(small_setup, gross_model):
         ("v0", sp.assemble(params, base_frame(), grid, modes, basis, variant="v0")),
     ):
         evals = np.linalg.eigvalsh(dense(model))
-        res = sp.lanczos_ground(model)
+        res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
         assert res.energy == pytest.approx(evals[0], abs=1e-10), var
     fib = sp.assemble(
         params, base_frame(), None, modes, FockBasis(modes.count, 3), variant="fiber"
     )
     evals = np.linalg.eigvalsh(dense(fib))
-    res = sp.lanczos_ground(fib)
+    res = sp.lanczos_ground(fib, tol=1e-10, maxit=300)
     assert res.energy == pytest.approx(evals[0], abs=1e-10)
 
 
@@ -526,16 +572,27 @@ def test_lanczos_ground_v0_and_fiber_vacuum_seed():
                       FockBasis(4, 4), variant="fiber")
     for model in (v0, fib):
         H = dense(model)
-        res = sp.lanczos_ground(model)
+        res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
         assert res.iterations > 2
         assert res.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
         assert np.linalg.norm(H @ res.vector - res.energy * res.vector) <= 1e-10
 
 
 def test_ground_energy_below_atomic_reference(gross_model):
-    res = sp.lanczos_ground(gross_model)
+    res = sp.lanczos_ground(gross_model, tol=1e-10, maxit=300)
     eat = gross_model.atomic_reference().energy
     assert res.energy <= eat + 1e-12
+
+
+def test_gross_potential_is_the_atoms(small_setup, gross_model):
+    """energy.upper compares the gross energy with the atom's, so both read
+    one softened Coulomb potential, -s / max(|x|, h/2), bit for bit."""
+    _, grid, _, _ = small_setup
+    strength = gross_model.atomic_reference().alphaZ
+    assert strength > 0.0
+    assert np.array_equal(gross_model._pot, coulomb_potential(grid, strength).ravel())
+    assert np.array_equal(gross_model._pot,
+                          -strength / np.maximum(grid.radius, grid.h / 2.0).ravel())
 
 
 def test_scaling_covariance(small_setup, gross_model):
@@ -727,7 +784,7 @@ def test_fiber_runs_in_real_arithmetic():
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert not cplx.imag.any()
         assert np.linalg.norm(real - cplx.real) <= 1e-14 * np.linalg.norm(real)
-    assert sp.lanczos_ground(model).vector.dtype == np.float64
+    assert sp.lanczos_ground(model, tol=1e-10, maxit=300).vector.dtype == np.float64
 
 
 @pytest.mark.parametrize("variant", ["gross", "v0"])
@@ -738,7 +795,7 @@ def test_grid_variants_stay_complex(small_setup, variant):
     assert model.matvec(x).dtype == np.complex128
     assert model.precondition(x, 0.1).dtype == np.complex128
     assert model.apply_D(x, [0.0, 0.0, 1.0]).dtype == np.complex128
-    assert sp.lanczos_ground(model).vector.dtype == np.complex128
+    assert sp.lanczos_ground(model, tol=1e-10, maxit=300).vector.dtype == np.complex128
 
 
 def test_effective_mass_matches_dense_complex_reference():
