@@ -665,10 +665,38 @@ def test_pull_through_vanishes(pull_model):
         assert sp.pull_through_residual(pull_model, j) < 1e-10
 
 
-def test_pull_through_has_teeth(pull_model):
-    bad = copy.copy(pull_model)
-    bad._hf = pull_model._hf * 1.001  # field energy inconsistent with omega
-    assert sp.pull_through_residual(bad, 0) > 1e-7
+@pytest.fixture(scope="module")
+def tiny_pull_model():
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    modes = build_modes(0.3, 2.0, 2, 1)
+    basis = FockBasis(modes.count, 2)
+    return sp.assemble(params, base_frame(), PositionGrid(n=4, L=5.0), modes, basis, variant="gross")
+
+
+def _field_energy_mutant(model, factor):
+    bad = copy.copy(model)
+    bad._hf = model._hf * factor  # field energy inconsistent with omega
+    return bad
+
+
+@pytest.mark.parametrize("factor", [1.001, 1.0 + 1e-9], ids=["1.001", "1+1e-9"])
+def test_pull_through_has_teeth(pull_model, factor):
+    assert sp.pull_through_residual(_field_energy_mutant(pull_model, factor), 0) > 1e-10
+
+
+def test_pull_through_bounds_the_dense_defect_norm(tiny_pull_model):
+    bad = _field_energy_mutant(tiny_pull_model, 1.001)
+    keep = np.tile(bad.basis.totals() <= bad.basis.n_max - 1, bad.dim // bad.basis.dim)
+    cols = np.flatnonzero(keep)
+    for j in range(bad.modes.count):
+        defect = np.empty((cols.size, cols.size), dtype=complex)
+        for c, k in enumerate(cols):
+            e_k = np.zeros(bad.dim, dtype=complex)
+            e_k[k] = 1.0
+            defect[:, c] = sp._pull_defect(bad, j, e_k)[keep]
+        exact = np.linalg.norm(defect, 2) / max(1.0, bad.modes.omega[j])
+        assert exact > 1e-6  # the mutant is caught, so the comparison is not vacuous
+        assert exact <= sp.pull_through_residual(bad, j)
 
 
 def test_pull_through_guards(small_setup, pull_model):

@@ -71,6 +71,28 @@ def test_identity_checks_are_machine_tight(full_suite):
         assert rep[cid].lhs < 1e-12
 
 
+def test_pull_through_submodel_is_the_reported_one_and_holds_at_large_lambda(monkeypatch):
+    ran, residual = [], verify.pull_through_residual
+
+    def recorded(model, j):
+        ran.append(model)
+        return residual(model, j)
+
+    monkeypatch.setattr(verify, "pull_through_residual", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (report,) = run_suite(make_params(0.3, 1.0, kappa=0.1, lam=1e5), SMALL,
+                              ["identity.pull_through"])
+    sub = report.params
+    assert sub["probes"] == 6
+    assert len(ran) == sub["sub_radial"] * sub["sub_angular"]
+    for model in ran:
+        assert (model.grid.n, model.grid.L) == (sub["sub_n"], sub["sub_L"])
+        assert model.basis.n_max == sub["sub_nmax"]
+    # the defect's rounding grows with omega_j ~ lambda; read against it, it stays flat
+    assert report.passed and report.lhs < 1e-10
+
+
 def test_moment_and_photon_checks_are_nonvacuous(full_suite):
     rep = by_id(full_suite)
     for cid in ("moment.abs_x", "moment.log", "moment.x_squared", "moment.exponential"):
