@@ -123,19 +123,14 @@ class FockBasis:
         # comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons
         self._comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)]
                                for p in range(self.mode_count + 1)])
-        # shell by shell: raise each state of the last shell only in the modes
-        # at or after its last occupied one (any mode for the vacuum), which
-        # makes every new state exactly once; then order the new shell by
-        # _indices
-        m = self.mode_count
-        modes = np.arange(m)
-        shells = [np.zeros((1, m), dtype=np.int32)]
-        for _ in range(self.n_max):
-            last_mode = np.where(shells[-1] > 0, modes, 0).max(axis=1)
-            rows, cols = np.nonzero(modes >= last_mode[:, None])
-            raised = shells[-1][rows]
-            raised[np.arange(rows.size), cols] += 1
-            shells.append(raised[np.argsort(self._indices(raised))])
+        # shells[k]: the occupations of the last p modes with k bosons, in
+        # lexicographic order, built up from p = 0 one mode at a time:
+        # shell(k, p) = the union over n of [n | shell(k - n, p - 1)]
+        shells = [np.zeros((int(k == 0), 0), dtype=np.int32) for k in range(self.n_max + 1)]
+        for _ in range(self.mode_count):
+            shells = [np.concatenate([np.column_stack((np.full(len(rest), n, dtype=np.int32), rest))
+                                      for n, rest in enumerate(shells[k::-1])])
+                      for k in range(self.n_max + 1)]
         self.occupations = np.concatenate(shells)
         self._raised = None  # (M, K) raising table: built by ladder_ops, dropped by its caller
 

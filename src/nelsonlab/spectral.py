@@ -13,8 +13,10 @@ wraps that name.  Each step is one Rayleigh-Ritz on S = [x, w, p] from the
 Gram matrices S*HS and S*S, restricted to the eigenvectors of S*S above a
 fixed relative floor (U. Hetmaniuk and R. Lehoucq, J. Comput. Phys. 218,
 2006, on the basis and its stability); the solver runs in the seed's
-scalar type.  Its preconditioner is the part of H that is diagonal
-where the matvec goes by FFT, T = F^-1 (|q|^2/2 + H_f + sigma)^-1 F, the
+scalar type.  The grid solves run on plane-wave coefficients s = F u, F
+the discrete Fourier transform over the particle axes, where the part of
+H without the potential and the coupling is diagonal: the preconditioner
+T = (|q|^2/2 + H_f + sigma)^-1 is one division, with no FFT, the
 plane-wave choice of Teter, Payne and Allan (Phys. Rev. B 40, 1989); on
 the fiber F is the identity.  sigma = max(-theta, 0) + _SHIFT_MARGIN, with
 theta the current Ritz value, keeps T positive and close to (H - theta)^-1
@@ -22,9 +24,13 @@ away from the potential and the coupling, so the step count no longer
 follows the kinetic width (pi/h)^2/2.  The effective-mass solves use the
 same diagonal in conjugate gradients.
 
-Conventions.  A state vector has shape (n^3 * D,) with the Fock index
-fastest, viewed as (X, D) = (n^3, D); the matvec copies it once into the
-Fock-major (D, X) layout and back, and transforms it as (D, n, n, n).
+Conventions.  A position state vector has shape (n^3 * D,) with the Fock
+index fastest, viewed as (X, D) = (n^3, D); ``matvec`` copies it once into
+the Fock-major (D, X) layout and back, and transforms it as (D, n, n, n).
+Plane-wave coefficients stay Fock-major, (D, X) flat, so
+``plane_matvec`` transposes nothing; ``lanczos_ground`` maps its seed
+into them once and its Ritz vector back once.  The transforms write all
+three axis passes into one buffer, often their input's own.
 States and products take the scalar type the model's tables need:
 complex128 on the grid variants, where the phases and the FFTs enter, and
 float64 on the fiber, whose tables are all real.  A complex vector keeps
@@ -46,19 +52,23 @@ gather u[_src], held as (C, K+1, X): the lowered block and one zero row,
 where the clipped gathers of ``contract`` land for the states above it.
 ``contract(V)`` gives sum_l A_l V_l; their adjoints raise, each state adding
 the at most min(M, N_max) entries of all modes that land on it.  No call
-loops over the modes.  The matvec is
-    H u = F^-1[ (|q|^2/2) F u + c sum_l q_l F(A_l u) ] + (U + H_f) u
-          + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
+loops over the modes.  One kernel (``_parts``) gives H u = F^-1 S + P,
+    S = (|q|^2/2) F u + c sum_l q_l F(A_l u),
+    P = (U + H_f) u + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
     V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
 with c the linear coefficient and U the external potential (gross
-variant only).  The sums over l run over the C coupled axes only: the
-kernel drops the columns of g that are exactly zero, so every kept
-product is the one the three-axis sum makes; C = 1 on the +z grid of one
-angular node, 2 on the telescoping model's lattice, 3 on the golden-angle
-spiral.  One forward FFT of u feeds the kinetic term and the C p_l u:
-2 + 2C FFTs per matvec (1 + C forward, 1 + C inverse), the 2C of the
-coupling on the lowered block only, since A u lives there and A* reads
-only that block of V.  ``apply_D`` keeps all three axes in its particle
+variant only); ``matvec`` returns F^-1 S + P on position vectors and
+``plane_matvec`` S + F P on plane-wave coefficients.  The sums over l run
+over the C coupled axes only: the kernel drops the columns of g that are
+exactly zero, so every kept product is the one the three-axis sum makes;
+C = 1 on the +z grid of one angular node, 2 on the telescoping model's
+lattice, 3 on the golden-angle spiral.  F u, which ``plane_matvec`` is
+handed, feeds the kinetic term and the C p_l u, and the kinetic and p.A
+terms share one transform: 2 + 2C FFTs per product at either end, the 2C
+of the coupling on the lowered block only, since A u lives there and A*
+reads only that block of V.  So a grid LOBPCG step makes 2 + 2C FFTs, the
+product's, where a position-space solve made 4 + 2C with the
+preconditioner's pair.  ``apply_D`` keeps all three axes in its particle
 part d . p.  The fiber is the same kernel on one point, with phase 1 and
 p_l the diagonal -P_f,l (no FFT), so it is a real symmetric matrix.
 """
@@ -134,7 +144,10 @@ def lanczos_lowest(matvec, dim, seed, tol, maxit, *, precond):
     The combinations run in place, so the solver holds at most seven
     vectors, x, H x, p, H p, w, H w and a scratch vector that takes the
     residual, within the _WORKSET_VECTORS that the guard counts; the
-    operator's and the preconditioner's own temporaries come on top.
+    operator's and the preconditioner's own temporaries come on top.  For
+    ``lanczos_ground`` the preconditioner is a diagonal division with no
+    FFT: it returns one new vector and, on the grid variants, holds a real
+    (D, X) denominator, half a complex vector, while it divides.
     The products and preconditioned residuals it is handed are overwritten,
     the seed never is.  They must fit the seed's scalar type: a real seed
     keeps real arithmetic, and a product or preconditioned residual of a
@@ -232,6 +245,26 @@ def _ritz_coefficients(overlap, gram):
     return scale * (basis @ np.linalg.eigh(reduced)[1][:, 0])
 
 
+def _normal(seed: int, shape) -> np.ndarray:
+    """Standard normal draws, a fixed stream for each seed: SplitMix64 (G. L.
+    Steele, D. Lea and C. H. Flood, OOPSLA 2014) on the counter 1, 2, ...,
+    its top 53 bits as uniforms on [0, 1), then Box-Muller on the two
+    halves of the stream.  numpy.random stays unloaded."""
+    n = math.prod(shape)
+    half = -(-n // 2)
+    z = np.arange(1, 2 * half + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+    angle = (2.0 * math.pi) * u[half:]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n].reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -291,15 +324,23 @@ class AssembledModel:
     def _fock_major(self, v: np.ndarray) -> np.ndarray:
         return np.array(np.reshape(v, self._shape).T, dtype=self._type(v), order="C")
 
-    def _fft(self, u: np.ndarray) -> np.ndarray:
+    def _fft(self, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """F u over the particle axes of a Fock-major array, all three axis
+        passes written into ``out`` (u itself transforms in place; None
+        takes a new array).  The identity on the fiber, which returns u."""
+        return self._transform(np.fft.fftn, u, out)
+
+    def _ifft(self, s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """F^-1 s, as ``_fft``."""
+        return self._transform(np.fft.ifftn, s, out)
+
+    def _transform(self, fn, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         if self._cube is None:
             return u
-        return np.fft.fftn(u.reshape((-1,) + self._cube), axes=(1, 2, 3)).reshape(u.shape)
-
-    def _ifft(self, s: np.ndarray) -> np.ndarray:
-        if self._cube is None:
-            return s
-        return np.fft.ifftn(s.reshape((-1,) + self._cube), axes=(1, 2, 3)).reshape(s.shape)
+        cube = (-1,) + self._cube
+        out = np.empty(u.shape, dtype=complex) if out is None else out
+        fn(u.reshape(cube), axes=(1, 2, 3), out=out.reshape(cube))
+        return out
 
     # -- the field-coupling kernel -------------------------------------------
 
@@ -370,17 +411,18 @@ class AssembledModel:
             if self._phase is not None:
                 entries *= self._phase.conj()[:, None, :]
             return self._raise(buf, self._slots.shape[1])
-        lowered = np.zeros(self._src.shape + V.shape[2:], dtype=self._type(V))
-        term = np.empty_like(lowered)
+        lowered = None
         for Vl, gl in zip(V, self._coupling.T):
-            np.take(Vl, self._src, axis=0, out=term, mode="clip")  # unbuffered
+            term = np.take(Vl, self._src, axis=0, mode="clip")
             term *= gl[:, None, None]
-            lowered += term
+            lowered = term if lowered is None else np.add(lowered, term, out=lowered)
+            del term  # at most two gathers are held
+        lowered = lowered.astype(self._type(V), copy=False)
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
         out = np.zeros((self._slots.shape[1],) + V.shape[2:], dtype=lowered.dtype)
-        out[:K] = lowered.sum(axis=0)
+        lowered.sum(axis=0, out=out[:K])
         return out
 
     def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
@@ -391,7 +433,8 @@ class AssembledModel:
         """
         d = np.asarray(direction, dtype=float)
         u = self._fock_major(v)
-        out = self._ifft(np.tensordot(d, self._psym, axes=1) * self._fft(u))
+        out = np.tensordot(d, self._psym, axes=1) * self._fft(u, None)
+        out = self._ifft(out, out)
         if self.lin_coef != 0.0:
             du = d[self._axes, None, None] * u
             out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
@@ -399,40 +442,65 @@ class AssembledModel:
 
     # -- the Hamiltonian ----------------------------------------------------
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        u = self._fock_major(v)
+    def _parts(self, u: np.ndarray, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H u = F^-1 S + P on the Fock-major (D, X) array u, given spec = F u.
+
+        S, the plane-wave part, is the kinetic term and c sum_l q_l F(A_l u),
+        a new array; P, the position part, is (H_f + U) u and the
+        contractions, built in u's buffer.  spec is read before u is
+        overwritten, so it may be u itself (the fiber).  The 2C transforms
+        of the coupling run on the lowered block only, since A u lives there
+        and A* reads only that block of V."""
         K = self._src.shape[1]
         c, q = self.lin_coef, self.quad_coef
-        spec = self._fft(u)
-        out = self._kin * spec
-        if self.lin_coef != 0.0:
-            Au = self.components(u)
-            # kinetic and p.A share the inverse transform; A u lives in the lowered block
-            for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
-                out[:K] += (c * self._psym[axis, :K]) * self._fft(Au[ell, :K])
-        out = self._ifft(out)
-        out += self._hf * u
-        if self._pot is not None:
-            out += self._pot * u
-        if self.lin_coef != 0.0:
-            # everything A* acts on, V = c p u + q (2 A u + A* u), in one
-            # contraction; A* reads only the lowered block of V
+        S = self._kin * spec
+        if c != 0.0:
+            # everything A* acts on, V = c p u + q (2 A u + A* u), in one contraction
             V = self._adjoint_components(u, K)
             V *= q
             for ell, axis in enumerate(self._axes):
-                V[ell] += self._ifft((c * self._psym[axis, :K]) * spec[:K])
+                V[ell] += self._ifft((c * self._psym[axis, :K]) * spec[:K], None)
+            del spec  # dropped before A u is built, to keep the peak memory down
+            Au = self.components(u)
+            for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
+                S[:K] += (c * self._psym[axis, :K]) * self._fft(Au[ell, :K], None)
                 V[ell] += (2.0 * q) * Au[ell, :K]
-            del spec  # dropped before the contractions to keep the peak memory down
-            out += q * self.contract(Au)
+            Au *= q  # from here on the quadratic term's q A u
+        u *= self._hf if self._pot is None else self._hf + self._pot
+        if c != 0.0:
+            u += self.contract(Au)
             del Au
-            out += self.contract(V, adjoint=True)
-        return out.T.ravel()
+            u += self.contract(V, adjoint=True)
+        return S, u
 
-    def precondition(self, v: np.ndarray, sigma: float) -> np.ndarray:
-        """(kinetic + H_f + sigma)^-1 v: the diagonal of H in the representation
-        reached by ``_fft``, without the potential and the coupling."""
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v on a position vector, (X, D) flat: F^-1 S + P, 2 + 2C FFTs."""
         u = self._fock_major(v)
-        return self._ifft(self._fft(u) / (self._kin + self._hf + sigma)).T.ravel()
+        S, P = self._parts(u, self._fft(u, None))
+        P += self._ifft(S, S)
+        return P.T.ravel()
+
+    def plane_matvec(self, s: np.ndarray) -> np.ndarray:
+        """H on plane-wave coefficients s = F u, flat in the Fock-major (D, X)
+        layout: S + F P, the same 2 + 2C FFTs as ``matvec``.  P is summed in
+        the buffer of F^-1 s, which one forward transform turns in place;
+        nothing is transposed.  On the fiber, where F is the identity and the
+        two layouts coincide, it is ``matvec``."""
+        if self._cube is None:
+            return self.matvec(s)
+        s = np.asarray(s)
+        s = s.astype(self._type(s), copy=False).reshape(self._shape[::-1])
+        S, P = self._parts(self._ifft(s, None), s)
+        S += self._fft(P, P)
+        return S.ravel()
+
+    def precondition(self, s: np.ndarray, sigma: float) -> np.ndarray:
+        """(kinetic + H_f + sigma)^-1 s on plane-wave coefficients, flat in
+        the (D, X) layout: the diagonal of H there, without the potential and
+        the coupling.  No FFT; s is not written."""
+        s = np.asarray(s)
+        denom = self._kin + self._hf + sigma
+        return np.divide(s.reshape(self._shape[1], -1), denom, dtype=self._type(s)).ravel()
 
     def atomic_reference(self) -> AtomicState:
         """Discrete atomic ground state in this model's frame (cached)."""
@@ -580,13 +648,12 @@ def assemble(
     )
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
-    rng = np.random.default_rng(97)
-
-    def draw():  # real vectors for a real operator
-        x = rng.standard_normal(dim)
-        return x if model._dtype == float else x + 1j * rng.standard_normal(dim)
-
-    u, v = draw(), draw()
+    if model._dtype == float:  # real vectors for a real operator
+        u, v = _normal(97, (2, dim))
+    else:
+        g = _normal(97, (2, 2, dim))
+        u, v = g[:, 0] + 1j * g[:, 1]
+        del g
     left = np.vdot(u, model.matvec(v))
     right = np.vdot(np.asarray(model.matvec(u)), v)
     if abs(left - right) > 1e-10 * max(1.0, abs(left), abs(right)):
@@ -608,26 +675,43 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     equals it.  Ritz values never rise: each Rayleigh-Ritz step minimizes
     over a subspace that holds the previous Ritz vector, and the returned
     energy is the Rayleigh quotient of the returned vector, so it is at
-    most <seed, H seed>.  The solve is preconditioned by
-    ``model.precondition``.  The seed is built in the call, so the solver
-    holds its only reference and drops it after normalizing.
+    most <seed, H seed>.
+
+    The solve runs on plane-wave coefficients: the seed is mapped once to
+    s = F u in the Fock-major (D, X) layout, the products are
+    ``model.plane_matvec`` and the preconditioner ``model.precondition`` is
+    a diagonal division there, with no FFT.  The Ritz vector is mapped back
+    once, to the (X, D) position layout, and scaled by sqrt(X): F / sqrt(X)
+    is unitary, so the returned vector has unit norm and the same energy
+    and residual, in exact arithmetic, as in position space.  On the fiber
+    F is the identity and both maps only reshape.  The seed is built in the
+    call, so the solver holds its only reference and drops it after
+    normalizing.
     """
     energy, vec, residual, iters = lanczos_lowest(
-        model.matvec, model.dim, seed=_default_seed(model),
+        model.plane_matvec, model.dim, seed=_default_seed(model),
         tol=tol, maxit=maxit, precond=model.precondition,
     )
+    X, D = model._shape
+    vec = vec.reshape(D, X)
+    vec = model._ifft(vec, vec).T.ravel()
+    vec *= math.sqrt(X)
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
 
 
 def _default_seed(model: AssembledModel) -> np.ndarray:
+    """The seed in plane-wave coefficients, (D, X) flat: F psi in the vacuum
+    row, one transform of X points."""
     if model.variant == "fiber":
         return vacuum_vector(model.basis)  # real, as the fiber operator is
     if model.variant == "gross":
         psi = model.atomic_reference().psi.ravel()
     else:
         psi = np.full(model.grid.point_count, 1.0)
-    psi = psi / np.linalg.norm(psi)
-    return np.kron(psi, vacuum_vector(model.basis)).astype(model._dtype)
+    s = np.zeros(model._shape[::-1], dtype=model._dtype)
+    s[0] = psi / np.linalg.norm(psi)
+    model._fft(s[:1], s[:1])
+    return s.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +752,9 @@ def pull_through_residual(model: AssembledModel, j: int) -> float:
         raise ParameterError(f"mode index {j} out of range")
 
     keep = np.tile(model.basis.totals() <= model.basis.n_max - 1, model.dim // model.basis.dim)
-    rng = np.random.default_rng(1234 + j)
     worst = 0.0
-    for _ in range(_PULL_PROBES):
-        z = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    for g1, g2 in _normal(1234 + j, (_PULL_PROBES, 2, model.dim)):
+        z = g1 + 1j * g2
         z[~keep] = 0.0
         worst = max(worst, float(np.linalg.norm(_pull_defect(model, j, z)[keep])))
     return 10.0 * math.sqrt(2.0 / math.pi) * worst / max(1.0, float(model.modes.omega[j]))

@@ -541,6 +541,23 @@ def test_solver_commands_run_without_scipy():
     assert refused == allowed
 
 
+def test_solver_commands_leave_numpy_random_unloaded():
+    """The symmetry sample of assembly and the pull-through probes draw from
+    spectral's own stream, so no command loads numpy.random."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from nelsonlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    runs = json.dumps([["solve"] + TINY, ["verify"] + TINY,
+                       ["effmass", "--modes-angular", "6"] + TINY_MODES])
+    proc = subprocess.run([sys.executable, "-c", probe, runs], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]
+
+
 # ---------------------------------------------------------------------------
 # heap retention
 
