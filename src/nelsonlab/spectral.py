@@ -442,8 +442,9 @@ class AssembledModel:
 
     # -- the Hamiltonian ----------------------------------------------------
 
-    def _parts(self, u: np.ndarray, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H u = F^-1 S + P on the Fock-major (D, X) array u, given spec = F u.
+    def _parts(self, u: np.ndarray, spec: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """H u = F^-1 S + P on the Fock-major (D, X) array u, given spec = F u
+        (None: F u is formed here, and freed once read).
 
         S, the plane-wave part, is the kinetic term and c sum_l q_l F(A_l u),
         a new array; P, the position part, is (H_f + U) u and the
@@ -453,6 +454,7 @@ class AssembledModel:
         and A* reads only that block of V."""
         K = self._src.shape[1]
         c, q = self.lin_coef, self.quad_coef
+        spec = self._fft(u, None) if spec is None else spec
         S = self._kin * spec
         if c != 0.0:
             # everything A* acts on, V = c p u + q (2 A u + A* u), in one contraction
@@ -460,7 +462,7 @@ class AssembledModel:
             V *= q
             for ell, axis in enumerate(self._axes):
                 V[ell] += self._ifft((c * self._psym[axis, :K]) * spec[:K], None)
-            del spec  # dropped before A u is built, to keep the peak memory down
+            del spec  # F u, when formed here, is freed before A u is built
             Au = self.components(u)
             for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
                 S[:K] += (c * self._psym[axis, :K]) * self._fft(Au[ell, :K], None)
@@ -476,7 +478,7 @@ class AssembledModel:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v on a position vector, (X, D) flat: F^-1 S + P, 2 + 2C FFTs."""
         u = self._fock_major(v)
-        S, P = self._parts(u, self._fft(u, None))
+        S, P = self._parts(u, None)
         P += self._ifft(S, S)
         return P.T.ravel()
 
