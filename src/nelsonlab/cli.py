@@ -394,7 +394,7 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
     ):
         _row(rows, name, lambda v=value: v, ceiling=ceiling, margin=ceiling - value)
     for name, fn in (
-        ("effective_mass.coefficient", lambda: qd.effective_mass_coefficient().value),
+        ("effective_mass.coefficient", qd.effective_mass_coefficient),
         ("effective_mass.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT),
         ("self_energy.quadrature", lambda: qd.energy_renormalization(params)),
         ("self_energy.analytic", lambda: qd.energy_renormalization_analytic(params)),

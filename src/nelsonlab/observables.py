@@ -1,7 +1,7 @@
 """Ground-state observables: photon numbers, spatial moments, decoupled overlaps.
 
-All states are flat coupled vectors ordered like the solver's matvec,
-``state[x_flat * D + d]`` with ``D`` the Fock dimension, and are treated as
+All states are flat coupled vectors in the solver's Fock-major layout,
+``state[d * X + x]`` with ``X`` the particle points, and are treated as
 l2-normalized (the routines renormalize defensively so a global phase or
 scale never matters).  Spatial moments are always reported in defining
 (base-frame) units: when the state was computed in a dilated frame, pass the
@@ -22,7 +22,7 @@ from .particle import AtomicState, PositionGrid, position_operator
 
 
 def _as_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Reshape a flat coupled vector to (n_points, D) and unit-normalize."""
+    """Reshape a flat coupled vector to (D, n_points) and unit-normalize."""
     v = np.asarray(state).ravel()
     if v.size == 0 or v.size % basis.dim != 0:
         raise ParameterError(
@@ -31,11 +31,17 @@ def _as_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ParameterError("cannot form observables of the zero vector")
-    return (v / nrm).reshape(-1, basis.dim)
+    return (v / nrm).reshape(basis.dim, -1)
 
 
 def sector_weights(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Probability carried by each Fock sector, summed over the particle grid."""
+    mat = _as_matrix(state, basis)
+    return np.sum((mat.conj() * mat).real, axis=1)
+
+
+def position_density(state: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Probability at each particle point, summed over the Fock sectors."""
     mat = _as_matrix(state, basis)
     return np.sum((mat.conj() * mat).real, axis=0)
 
@@ -98,8 +104,7 @@ def spatial_moment(
     fr = base_frame() if frame is None else frame
     stretch = fr.r_of(-fr.tau)  # defining length per frame length
 
-    mat = _as_matrix(state, basis)
-    density = np.einsum("xd,xd->x", mat.conj(), mat).real
+    density = position_density(state, basis)
 
     if f_name == "abs_x":
         diag = position_operator(grid, "abs_x") * stretch
@@ -132,17 +137,17 @@ def overlap_with_decoupled(
     """
     mat = _as_matrix(state, basis)
     npts = atomic.psi.size
-    if mat.shape[0] != npts:
+    if mat.shape[1] != npts:
         raise ParameterError(
-            f"state has {mat.shape[0]} grid points but the atomic state has {npts}"
+            f"state has {mat.shape[1]} grid points but the atomic state has {npts}"
         )
     ref = atomic.psi.ravel() * atomic.grid.h**1.5  # unit l2 vector
     ref = ref / np.linalg.norm(ref)
     vac_idx = basis.index_of((0,) * basis.mode_count)
-    col = mat[:, vac_idx]
-    amp = np.vdot(ref, col)
+    row = mat[vac_idx]
+    amp = np.vdot(ref, row)
     overlap_p = float(abs(amp) ** 2)
-    vac_weight = float(np.vdot(col, col).real)
+    vac_weight = float(np.vdot(row, row).real)
     overlap_q = max(vac_weight - overlap_p, 0.0)
     return overlap_p, overlap_q
 

@@ -55,14 +55,7 @@ class ShellSpec:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    abs_error_estimate: float
-    nodes_used: int
-
-
-def _radial_quad(f, lo: float, hi: float) -> QuadResult:
+def _radial_quad(f, lo: float, hi: float) -> float:
     """Adaptive quadrature of f on [lo, hi].  A positive lo starts with
     [lo, min(hi, lo + 1)] in s = log r: in r, a singularity at the origin
     just below lo makes QUADPACK extrapolate to the integral from 0 (28% off
@@ -81,11 +74,10 @@ def _radial_quad(f, lo: float, hi: float) -> QuadResult:
         pieces.append((f, mid, hi))
     outs = [quad(g, a, b, epsabs=1e-14, epsrel=1e-12, limit=_QUAD_LIMIT, full_output=1)
             for g, a, b in pieces]
-    return QuadResult(sum(o[0] for o in outs), sum(o[1] for o in outs),
-                      sum(int(o[2]["neval"]) for o in outs))
+    return sum(o[0] for o in outs)
 
 
-def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> QuadResult:
+def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> float:
     """4 pi * integral of r^(a+2) (r + rho2tau r^2 / 2)^(-b) dr over the
     region of ``spec``.
 
@@ -100,7 +92,7 @@ def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> QuadRes
         raise ParameterError(f"rho2tau must be finite and >= 0, got {rho2tau}")
     bounds = spec.bounds()
     if bounds is None:
-        return QuadResult(0.0, 0.0, 0)
+        return 0.0
     lo, hi = bounds
     if lo == 0.0 and not (a + 2.0 - b > -1.0):
         raise DivergentIntegralError(
@@ -125,10 +117,7 @@ def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> QuadRes
     def f(r):  # r^(a+2) (r + half r^2)^(-b), without overflow at tiny r
         return r ** (a + 2.0 - b) * (1.0 + half * r) ** (-b)
 
-    out = _radial_quad(f, lo, hi)
-    return QuadResult(4.0 * math.pi * out.value,
-                      4.0 * math.pi * out.abs_error_estimate,
-                      out.nodes_used)
+    return 4.0 * math.pi * _radial_quad(f, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +187,7 @@ def energy_renormalization(params: ModelParams) -> float:
     def f(r):
         return 0.5 * r / (r + r * r / (2.0 * m)) + 0.5 * Z * Z
 
-    out = _radial_quad(f, params.kappa, params.lam)
-    return params.e ** 2 / (2.0 * math.pi ** 2) * out.value
+    return params.e ** 2 / (2.0 * math.pi ** 2) * _radial_quad(f, params.kappa, params.lam)
 
 
 def energy_renormalization_analytic(params: ModelParams) -> float:
@@ -216,7 +204,7 @@ def energy_renormalization_analytic(params: ModelParams) -> float:
 # effective-mass coefficient and binding expansion
 
 
-def effective_mass_coefficient() -> QuadResult:
+def effective_mass_coefficient() -> float:
     """Second-order momentum-response coefficient of the dressed vacuum:
 
     (2/3) (2 pi)^(-3) int (2 omega)^(-1) k^2 beta^3 d^3k,
@@ -229,10 +217,7 @@ def effective_mass_coefficient() -> QuadResult:
         beta = 1.0 / (r + 0.5 * r * r)
         return r ** 4 * beta ** 3 / (2.0 * r)
 
-    out = _radial_quad(f, 0.0, math.inf)
-    pref = 1.0 / (3.0 * math.pi ** 2)
-    return QuadResult(pref * out.value, pref * out.abs_error_estimate,
-                      out.nodes_used)
+    return 1.0 / (3.0 * math.pi ** 2) * _radial_quad(f, 0.0, math.inf)
 
 
 EFFECTIVE_MASS_COEFFICIENT_EXACT = 1.0 / (6.0 * math.pi ** 2)
@@ -269,8 +254,7 @@ def binding_second_order(e: float, Z: float, resolvent=None) -> float:
         beta = 1.0 / s
         return r ** 3 * beta * beta * me
 
-    out = _radial_quad(f, 0.0, math.inf)
-    return -(e * e / (12.0 * math.pi ** 2)) * out.value
+    return -(e * e / (12.0 * math.pi ** 2)) * _radial_quad(f, 0.0, math.inf)
 
 
 def binding_envelope(e: float, Z: float) -> float:
@@ -285,8 +269,7 @@ def binding_envelope(e: float, Z: float) -> float:
         beta = 1.0 / (r + 0.5 * r * r)
         return r * r * beta * beta * aZ * aZ
 
-    out = _radial_quad(f, 0.0, math.inf)
-    return -(e * e / (12.0 * math.pi ** 2)) * out.value
+    return -(e * e / (12.0 * math.pi ** 2)) * _radial_quad(f, 0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +294,7 @@ def f_tau_norms(params: ModelParams, tau: float = 0.0, rho: float = 1.0) -> Norm
 
     def norm(a: float, region: str) -> float:
         spec = ShellSpec(kap, lam, region)
-        mom = shell_moment(a, 2.0, rho2tau, spec)
-        return math.sqrt(mom.value / _NORM_PREFACTOR)
+        return math.sqrt(shell_moment(a, 2.0, rho2tau, spec) / _NORM_PREFACTOR)
 
     return NormBundle(
         f_ir_l2=norm(1.0, "infrared"),

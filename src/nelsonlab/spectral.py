@@ -24,13 +24,13 @@ away from the potential and the coupling, so the step count no longer
 follows the kinetic width (pi/h)^2/2.  The effective-mass solves use the
 same diagonal in conjugate gradients.
 
-Conventions.  A position state vector has shape (n^3 * D,) with the Fock
-index fastest, viewed as (X, D) = (n^3, D); ``matvec`` copies it once into
-the Fock-major (D, X) layout and back, and transforms it as (D, n, n, n).
-Plane-wave coefficients stay Fock-major, (D, X) flat, so
-``plane_matvec`` transposes nothing; ``lanczos_ground`` maps its seed
-into them once and its Ritz vector back once.  The transforms write all
-three axis passes into one buffer, often their input's own.
+Conventions.  A state vector has shape (D * n^3,), Fock-major with the
+particle index fastest, state[d * X + x], viewed as (D, X) = (D, n^3) and
+transformed as (D, n, n, n); position vectors and plane-wave coefficients
+share that one layout, so no product transposes.  ``lanczos_ground`` maps
+its seed into plane-wave coefficients once and its Ritz vector back once.
+The transforms write all three axis passes into one buffer, often their
+input's own.
 States and products take the scalar type the model's tables need:
 complex128 on the grid variants, where the phases and the FFTs enter, and
 float64 on the fiber, whose tables are all real.  A complex vector keeps
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,42 +270,66 @@ def _normal(seed: int, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class AssembledModel:
     """One Hamiltonian variant realized as a structured matvec.
 
+    The constructor derives every table from its six inputs and checks
+    none of them; ``assemble`` guards the inputs and samples the symmetry.
     The coupling vectors g and the phase table are kept so the identity
-    checks can rebuild individual interaction pieces.  A state vector,
-    viewed as (X, D) by ``_to2``, is handled inside the matvec as a
-    Fock-major (D, X) array, X particle points (1 on the fiber) by D Fock
-    states; the momentum symbols act in the representation reached by
-    ``_fft`` (the identity on the fiber, where p_l is the diagonal -P_f,l).
-    Arrays are allocated in the type of the input and ``_dtype`` combined.
+    checks can rebuild individual interaction pieces.  A state vector is
+    Fock-major, viewed as (D, X) by ``_to2``: D Fock states by X particle
+    points (1 on the fiber); the momentum symbols act in the representation
+    reached by ``_fft`` (the identity on the fiber, where p_l is the
+    diagonal -P_f,l).  Arrays are allocated in the type of the input and
+    ``_dtype`` combined.
     """
 
-    variant: str
-    params: ModelParams
-    frame: ScaleFrame
-    grid: PositionGrid | None
-    modes: ModeGrid
-    basis: FockBasis
-    dim: int
-    g: np.ndarray  # (M, 3) real coupling vectors
-    lin_coef: float  # e * rho^tau
-    quad_coef: float  # e^2 rho^(2 tau) / 2
-    _shape: tuple = field(repr=False, default=None)  # (X, D)
-    _cube: tuple = field(repr=False, default=None)  # (n, n, n); None on the fiber
-    _kin: np.ndarray = field(repr=False, default=None)  # kinetic symbol
-    _psym: np.ndarray = field(repr=False, default=None)  # (3, ...) p_l symbols
-    _axes: np.ndarray = field(repr=False, default=None)  # (C,) axes where g has a nonzero column
-    _pot: np.ndarray = field(repr=False, default=None)  # (X,) particle potential
-    _hf: np.ndarray = field(repr=False, default=None)  # (D, 1) field energy
-    _phase: np.ndarray = field(repr=False, default=None)  # (M, X) kernel phases; None = 1
-    _coupling: np.ndarray = field(repr=False, default=None)  # (M, C) couplings on the coupled axes
-    _src: np.ndarray = field(repr=False, default=None)  # (M, K) raised state of each entry
-    _val: np.ndarray = field(repr=False, default=None)  # (M, K, 1) sqrt(n) of each entry
-    _slots: np.ndarray = field(repr=False, default=None)  # (R, D) entries raising into a state
-    _atomic: AtomicState | None = field(repr=False, default=None)
+    def __init__(self, variant: str, params: ModelParams, frame: ScaleFrame,
+                 grid: PositionGrid | None, modes: ModeGrid, basis: FockBasis):
+        self.variant, self.params, self.frame = variant, params, frame
+        self.grid, self.modes, self.basis = grid, modes, basis
+        rho_tau = frame.r_of(frame.tau)
+        rho2tau = frame.r_of(2.0 * frame.tau)
+        k, omega = modes.k, modes.omega
+        beta = 1.0 / (omega + 0.5 * rho2tau * omega**2)
+        self.g = (np.sqrt(modes.w)[:, None] * k
+                  * (beta / np.sqrt(2.0 * omega))[:, None])  # (M, 3) real coupling vectors
+        self._axes = np.flatnonzero(self.g.any(axis=0))  # (C,) axes where g has a nonzero column
+        self._coupling = self.g[:, self._axes]  # (M, C) couplings on the coupled axes
+        self.lin_coef = params.e * rho_tau  # e * rho^tau
+        self.quad_coef = 0.5 * params.e**2 * rho2tau  # e^2 rho^(2 tau) / 2
+        self._hf = (basis.occupations @ omega)[:, None]  # (D, 1) field energy
+        # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into a state
+        self._src, self._val, self._slots = _ladder_table(basis)
+        self._atomic: AtomicState | None = None
+        if variant == "fiber":
+            # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
+            pf = basis.occupations @ k  # (D, 3)
+            self._shape = (basis.dim, 1)  # (D, X)
+            self._cube = None  # no FFT
+            self._kin = 0.5 * np.sum(pf**2, axis=1)[:, None]  # (D, 1) kinetic symbol
+            self._psym = -pf.T[:, :, None]  # (3, D, 1) p_l symbols
+            self._pot = self._phase = None  # no potential; phase 1
+        else:
+            q = grid.freqs
+            psym = np.stack(np.broadcast_arrays(q[:, None, None], q[None, :, None],
+                                                q[None, None, :]))
+            self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
+            self._pot = (coulomb_potential(grid, coulomb_coefficient(params, frame)).ravel()
+                         if variant == "gross" else None)  # (X,) potential; v0 carries none
+            x = grid.axis
+            self._phase = np.empty((modes.count, grid.point_count), dtype=complex)  # (M, X) phases
+            for j in range(modes.count):
+                kj = rho_tau * k[j]
+                self._phase[j] = (
+                    np.exp(1j * kj[0] * x)[:, None, None]
+                    * np.exp(1j * kj[1] * x)[None, :, None]
+                    * np.exp(1j * kj[2] * x)[None, None, :]
+                ).ravel()
+            self._shape = (basis.dim, grid.point_count)  # (D, X)
+            self._cube = (grid.n, grid.n, grid.n)  # the transform's particle axes
+            self._kin = 0.5 * grid.laplacian_symbol.ravel()  # (X,) kinetic symbol
+        self.dim = math.prod(self._shape)
 
     @property
     def _dtype(self) -> np.dtype:
@@ -320,9 +344,6 @@ class AssembledModel:
     def _to2(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         return v.astype(self._type(v), copy=False).reshape(self._shape)
-
-    def _fock_major(self, v: np.ndarray) -> np.ndarray:
-        return np.array(np.reshape(v, self._shape).T, dtype=self._type(v), order="C")
 
     def _fft(self, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """F u over the particle axes of a Fock-major array, all three axis
@@ -347,7 +368,7 @@ class AssembledModel:
     def apply_a(self, v: np.ndarray, j: int) -> np.ndarray:
         u, K = self._to2(v), self._src.shape[1]
         out = np.zeros_like(u)
-        out[:, :K] = self._val[j, :, 0] * u[:, self._src[j]]
+        out[:K] = self._val[j] * u[self._src[j]]
         return out.ravel()
 
     def _raise(self, buf: np.ndarray, rows: int, out=None) -> np.ndarray:
@@ -432,13 +453,13 @@ class AssembledModel:
         part acts only along the coupled axes, and d . p takes all three.
         """
         d = np.asarray(direction, dtype=float)
-        u = self._fock_major(v)
+        u = self._to2(v)  # read only, so it may view v
         out = np.tensordot(d, self._psym, axes=1) * self._fft(u, None)
         out = self._ifft(out, out)
         if self.lin_coef != 0.0:
             du = d[self._axes, None, None] * u
             out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
-        return out.T.ravel()
+        return out.ravel()
 
     # -- the Hamiltonian ----------------------------------------------------
 
@@ -476,33 +497,33 @@ class AssembledModel:
         return S, u
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v on a position vector, (X, D) flat: F^-1 S + P, 2 + 2C FFTs."""
-        u = self._fock_major(v)
+        """H v on a position vector, (D, X) flat: F^-1 S + P, 2 + 2C FFTs.
+        v is copied once, since P is built in the copy."""
+        u = np.array(v, dtype=self._type(v)).reshape(self._shape)
         S, P = self._parts(u, None)
         P += self._ifft(S, S)
-        return P.T.ravel()
+        return P.ravel()
 
     def plane_matvec(self, s: np.ndarray) -> np.ndarray:
-        """H on plane-wave coefficients s = F u, flat in the Fock-major (D, X)
-        layout: S + F P, the same 2 + 2C FFTs as ``matvec``.  P is summed in
-        the buffer of F^-1 s, which one forward transform turns in place;
-        nothing is transposed.  On the fiber, where F is the identity and the
-        two layouts coincide, it is ``matvec``."""
+        """H on plane-wave coefficients s = F u, (D, X) flat: S + F P, the
+        same 2 + 2C FFTs as ``matvec``.  P is summed in the buffer of
+        F^-1 s, which one forward transform turns in place.  On the fiber,
+        where F is the identity and F^-1 s would be s itself, which ``_parts``
+        writes P into, it is ``matvec``."""
         if self._cube is None:
             return self.matvec(s)
-        s = np.asarray(s)
-        s = s.astype(self._type(s), copy=False).reshape(self._shape[::-1])
+        s = self._to2(s)
         S, P = self._parts(self._ifft(s, None), s)
         S += self._fft(P, P)
         return S.ravel()
 
     def precondition(self, s: np.ndarray, sigma: float) -> np.ndarray:
-        """(kinetic + H_f + sigma)^-1 s on plane-wave coefficients, flat in
-        the (D, X) layout: the diagonal of H there, without the potential and
-        the coupling.  No FFT; s is not written."""
+        """(kinetic + H_f + sigma)^-1 s on plane-wave coefficients, (D, X)
+        flat: the diagonal of H there, without the potential and the
+        coupling.  No FFT; s is not written."""
         s = np.asarray(s)
         denom = self._kin + self._hf + sigma
-        return np.divide(s.reshape(self._shape[1], -1), denom, dtype=self._type(s)).ravel()
+        return np.divide(s.reshape(self._shape), denom, dtype=self._type(s)).ravel()
 
     def atomic_reference(self) -> AtomicState:
         """Discrete atomic ground state in this model's frame (cached)."""
@@ -515,14 +536,14 @@ class AssembledModel:
         return self._atomic
 
 
-def _ladder_table(basis: FockBasis) -> dict:
-    """The raising tables of all modes, one ``ladder_ops`` call per mode.
-    States come by total occupation, so a_j is nonzero only into the first
-    K, the states below the top shell: row k of a_j holds sqrt(n_j + 1) at
-    _src[j, k], k raised in mode j.  _slots[r, s] is the r-th entry (flat
-    index j K + k) raising into s, or the zero pad M K.  The basis builds
-    the tables of all modes on the first call and gives them up here, so
-    the model holds the only copy."""
+def _ladder_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raising tables of all modes, one ``ladder_ops`` call per mode, as
+    (_src, _val, _slots).  States come by total occupation, so a_j is
+    nonzero only into the first K, the states below the top shell: row k of
+    a_j holds sqrt(n_j + 1) at _src[j, k], k raised in mode j.  _slots[r, s]
+    is the r-th entry (flat index j K + k) raising into s, or the zero pad
+    M K.  The basis builds the tables of all modes on the first call and
+    gives them up here, so the model holds the only copy."""
     tables = [ladder_ops(basis, j) for j in range(basis.mode_count)]
     src = np.stack([t[0] for t in tables])
     val = np.stack([t[1] for t in tables])[:, :, None]
@@ -534,7 +555,7 @@ def _ladder_table(basis: FockBasis) -> dict:
     rank = np.arange(target.size) - (np.cumsum(counts) - counts)[target[order]]
     slots = np.full((max(counts.max(), 1), basis.dim), target.size, dtype=np.intp)
     slots[rank, target[order]] = order
-    return dict(_src=src, _val=val, _slots=slots)
+    return src, val, slots
 
 
 def assemble(
@@ -549,22 +570,22 @@ def assemble(
 
     The caller provides the mode grid already expressed in the target
     frame (see fockspace.scale_modes); the frame only supplies the
-    coefficient factors and the phase stretch r(tau).
+    coefficient factors and the phase stretch r(tau).  The inputs are
+    checked before any table is built, and every variant's operator must
+    pass a sampled symmetry check before it is returned.
     """
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if modes.count != basis.mode_count:
         raise ParameterError("mode grid and Fock basis disagree on the mode count")
     if variant == "fiber":
-        dim = basis.dim
         if frame.tau != 0.0:
             raise ParameterError("the fiber variant is defined in the base frame only (tau = 0)")
         if grid is not None:
             raise ParameterError("the fiber variant takes grid=None")
-    else:
-        if grid is None:
-            raise ParameterError(f"variant {variant!r} needs a position grid")
-        dim = grid.point_count * basis.dim
+    elif grid is None:
+        raise ParameterError(f"variant {variant!r} needs a position grid")
+    dim = basis.dim * (1 if grid is None else grid.point_count)
     if dim > _DIM_LIMIT:
         raise ParameterError(
             f"dimension {dim} exceeds the assembly guard {_DIM_LIMIT}"
@@ -580,74 +601,10 @@ def assemble(
                 "arrangement; assembling anyway",
                 stacklevel=2,
             )
-
-    rho_tau = frame.r_of(frame.tau)
-    rho2tau = frame.r_of(2.0 * frame.tau)
-    k = modes.k
-    omega = modes.omega
-    if np.any(omega == 0.0):
+    if np.any(modes.omega == 0.0):
         raise ParameterError("mode grid contains a zero mode")
-    beta = 1.0 / (omega + 0.5 * rho2tau * omega**2)
-    g = np.sqrt(modes.w)[:, None] * k * (beta / np.sqrt(2.0 * omega))[:, None]
-    axes = np.flatnonzero(g.any(axis=0))  # the kernel carries only the axes g reaches
 
-    lin_coef = params.e * rho_tau
-    quad_coef = 0.5 * params.e**2 * rho2tau
-
-    common = dict(
-        variant=variant,
-        params=params,
-        frame=frame,
-        grid=grid,
-        modes=modes,
-        basis=basis,
-        dim=dim,
-        g=g,
-        lin_coef=lin_coef,
-        quad_coef=quad_coef,
-        _hf=(basis.occupations @ omega)[:, None],  # field energy on the occupation basis
-        _axes=axes,
-        _coupling=g[:, axes],
-        **_ladder_table(basis),
-    )
-
-    if variant == "fiber":
-        # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
-        pf = basis.occupations @ k  # (D, 3)
-        return AssembledModel(
-            **common,
-            _shape=(1, basis.dim),
-            _kin=0.5 * np.sum(pf**2, axis=1)[:, None],
-            _psym=-pf.T[:, :, None],
-        )
-
-    q = grid.freqs
-    psym = np.stack(np.broadcast_arrays(q[:, None, None], q[None, :, None], q[None, None, :]))
-
-    pot = None
-    if variant == "gross":
-        pot = coulomb_potential(grid, coulomb_coefficient(params, frame)).ravel()
-    # v0 carries no external potential
-
-    x = grid.axis
-    phase = np.empty((modes.count, grid.point_count), dtype=complex)
-    for j in range(modes.count):
-        kj = rho_tau * k[j]
-        phase[j] = (
-            np.exp(1j * kj[0] * x)[:, None, None]
-            * np.exp(1j * kj[1] * x)[None, :, None]
-            * np.exp(1j * kj[2] * x)[None, None, :]
-        ).ravel()
-
-    model = AssembledModel(
-        **common,
-        _shape=(grid.point_count, basis.dim),
-        _cube=(grid.n, grid.n, grid.n),
-        _kin=0.5 * grid.laplacian_symbol.ravel(),
-        _psym=psym.reshape(3, 1, -1),
-        _pot=pot,
-        _phase=phase,
-    )
+    model = AssembledModel(variant, params, frame, grid, modes, basis)
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
     if model._dtype == float:  # real vectors for a real operator
@@ -680,24 +637,23 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     most <seed, H seed>.
 
     The solve runs on plane-wave coefficients: the seed is mapped once to
-    s = F u in the Fock-major (D, X) layout, the products are
+    s = F u, (D, X) flat as every state, the products are
     ``model.plane_matvec`` and the preconditioner ``model.precondition`` is
     a diagonal division there, with no FFT.  The Ritz vector is mapped back
-    once, to the (X, D) position layout, and scaled by sqrt(X): F / sqrt(X)
-    is unitary, so the returned vector has unit norm and the same energy
-    and residual, in exact arithmetic, as in position space.  On the fiber
-    F is the identity and both maps only reshape.  The seed is built in the
-    call, so the solver holds its only reference and drops it after
-    normalizing.
+    once, by an inverse transform in its own buffer, and scaled by sqrt(X):
+    F / sqrt(X) is unitary, so the returned position vector, (D, X) flat,
+    has unit norm and the same energy and residual, in exact arithmetic, as
+    in position space.  On the fiber F is the identity and both maps only
+    reshape.  The seed is built in the call, so the solver holds its only
+    reference and drops it after normalizing.
     """
     energy, vec, residual, iters = lanczos_lowest(
         model.plane_matvec, model.dim, seed=_default_seed(model),
         tol=tol, maxit=maxit, precond=model.precondition,
     )
-    X, D = model._shape
-    vec = vec.reshape(D, X)
-    vec = model._ifft(vec, vec).T.ravel()
-    vec *= math.sqrt(X)
+    vec = vec.reshape(model._shape)
+    vec = model._ifft(vec, vec).ravel()
+    vec *= math.sqrt(model._shape[1])
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
 
 
@@ -710,7 +666,7 @@ def _default_seed(model: AssembledModel) -> np.ndarray:
         psi = model.atomic_reference().psi.ravel()
     else:
         psi = np.full(model.grid.point_count, 1.0)
-    s = np.zeros(model._shape[::-1], dtype=model._dtype)
+    s = np.zeros(model._shape, dtype=model._dtype)
     s[0] = psi / np.linalg.norm(psi)
     model._fft(s[:1], s[:1])
     return s.ravel()
@@ -725,7 +681,7 @@ def _pull_defect(model: AssembledModel, j: int, v: np.ndarray) -> np.ndarray:
     """Delta_j v = [a_j, H] v - w_j a_j v - c conj(phase_j) (g_j . D) v, the
     pull-through defect of mode j on a vector v."""
     lhs = model.apply_a(model.matvec(v), j) - model.matvec(model.apply_a(v, j))
-    dv = model._phase[j].conj()[:, None] * model._to2(model.apply_D(v, model.g[j]))
+    dv = model._phase[j].conj() * model._to2(model.apply_D(v, model.g[j]))
     return lhs - model.modes.omega[j] * model.apply_a(v, j) - model.lin_coef * dv.ravel()
 
 
@@ -753,7 +709,7 @@ def pull_through_residual(model: AssembledModel, j: int) -> float:
     if not (0 <= j < model.modes.count):
         raise ParameterError(f"mode index {j} out of range")
 
-    keep = np.tile(model.basis.totals() <= model.basis.n_max - 1, model.dim // model.basis.dim)
+    keep = np.repeat(model.basis.totals() <= model.basis.n_max - 1, model.grid.point_count)
     worst = 0.0
     for g1, g2 in _normal(1234 + j, (_PULL_PROBES, 2, model.dim)):
         z = g1 + 1j * g2
@@ -805,7 +761,7 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
 
     def phase_mul(v: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         ph = grid.plane_wave(gvec)
-        return (model._to2(v) * ph.reshape(-1, 1)).ravel()
+        return (model._to2(v) * ph.ravel()).ravel()
 
     def g_minus_e(v: np.ndarray) -> np.ndarray:
         return model.matvec(v) - energy * v

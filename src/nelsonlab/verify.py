@@ -75,6 +75,7 @@ from .model import FOUR_PI, ModelParams, ParameterError, base_frame
 from .observables import (
     overlap_with_decoupled,
     photon_number,
+    position_density,
     spatial_moment,
     vacuum_sector_weight,
 )
@@ -226,9 +227,7 @@ class _Suite:
 
     @_once
     def density(self) -> np.ndarray:
-        mat = self.ground.vector.reshape(-1, self.basis.dim)
-        dens = np.sum((mat.conj() * mat).real, axis=1)
-        return dens / dens.sum()
+        return position_density(self.ground.vector, self.basis)
 
     @_once
     def window_constants(self) -> dict:

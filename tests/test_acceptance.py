@@ -83,10 +83,10 @@ def test_c03_quadrature_oracles():
     for c in (0.25, 1.0, 3.7, 12.0):
         got = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.0, math.inf))
         exact = 8.0 * math.pi / c
-        assert abs(got.value - exact) <= 1e-9 * exact
+        assert abs(got - exact) <= 1e-9 * exact
 
     coeff = qd.effective_mass_coefficient()
-    assert abs(coeff.value - qd.EFFECTIVE_MASS_COEFFICIENT_EXACT) <= 1e-9 * coeff.value
+    assert abs(coeff - qd.EFFECTIVE_MASS_COEFFICIENT_EXACT) <= 1e-9 * coeff
 
     for kappa, lam in ((0.1, 10.0), (0.0, math.inf)):
         params = make_params(0.3, 1.0, kappa=kappa, lam=lam)

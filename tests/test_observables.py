@@ -58,8 +58,8 @@ def coupled():
 
 
 def product_state(particle_vec, basis, sector=0):
-    mat = np.zeros((particle_vec.size, basis.dim), dtype=particle_vec.dtype)
-    mat[:, sector] = particle_vec
+    mat = np.zeros((basis.dim, particle_vec.size), dtype=particle_vec.dtype)
+    mat[sector] = particle_vec
     return mat.ravel()
 
 

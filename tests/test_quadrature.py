@@ -34,17 +34,17 @@ def shell_moment_b2_analytic(a: float, c: float, lo: float, hi: float) -> float:
 def test_shell_b2_family_matches_antiderivative():
     for c in (0.25, 1.0, 3.7, 12.0):
         got = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.0, math.inf))
-        assert abs(got.value - 8.0 * math.pi / c) <= 1e-9 * (8.0 * math.pi / c)
+        assert abs(got - 8.0 * math.pi / c) <= 1e-9 * (8.0 * math.pi / c)
         # the oracle helper agrees on finite windows too
         fin = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.2, 5.0))
         oracle = shell_moment_b2_analytic(0.0, c, 0.2, 5.0)
-        assert abs(fin.value - oracle) <= 1e-10 * abs(oracle)
+        assert abs(fin - oracle) <= 1e-10 * abs(oracle)
 
 
 def test_shell_a1_b2_finite_window_oracle():
     oracle = shell_moment_b2_analytic(1.0, 1.0, 0.0, 1.0)
     got = qd.shell_moment(1.0, 2.0, 1.0, qd.ShellSpec(0.0, 1.0))
-    assert abs(got.value - oracle) <= 1e-10 * abs(oracle)
+    assert abs(got - oracle) <= 1e-10 * abs(oracle)
     # hand value: 4 pi (4 log(3/2) + 4/(1 + 1/2) - 4)
     hand = 4.0 * math.pi * (4.0 * math.log(1.5) - 4.0 / 3.0)
     assert abs(oracle - hand) <= 1e-12 * abs(hand)
@@ -55,7 +55,7 @@ def test_shell_region_additivity():
         full = qd.shell_moment(a, b, c, qd.ShellSpec(0.0, math.inf, "full"))
         ir = qd.shell_moment(a, b, c, qd.ShellSpec(0.0, math.inf, "infrared"))
         uv = qd.shell_moment(a, b, c, qd.ShellSpec(0.0, math.inf, "ultraviolet"))
-        assert abs(ir.value + uv.value - full.value) <= 1e-10 * abs(full.value)
+        assert abs(ir + uv - full) <= 1e-10 * abs(full)
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,7 +70,7 @@ def test_shell_region_additivity_property(a, c, kap):
     full = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "full"))
     ir = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "infrared"))
     uv = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "ultraviolet"))
-    assert abs(ir.value + uv.value - full.value) <= 1e-9 * max(abs(full.value), 1e-12)
+    assert abs(ir + uv - full) <= 1e-9 * max(abs(full), 1e-12)
 
 
 def test_shell_divergence_guards():
@@ -85,14 +85,14 @@ def test_shell_divergence_guards():
         qd.shell_moment(0.0, 2.0, 0.0, qd.ShellSpec(0.5, math.inf))
     # same exponents converge on a bounded window
     out = qd.shell_moment(1.0, 2.0, 1.0, qd.ShellSpec(0.1, 10.0))
-    assert out.value > 0.0
+    assert out > 0.0
 
 
 def test_shell_empty_regions():
     uv = qd.shell_moment(0.0, 2.0, 1.0, qd.ShellSpec(0.1, 0.9, "ultraviolet"))
-    assert uv == qd.QuadResult(0.0, 0.0, 0)
+    assert uv == 0.0
     ir = qd.shell_moment(0.0, 2.0, 1.0, qd.ShellSpec(2.0, 9.0, "infrared"))
-    assert ir.value == 0.0 and ir.nodes_used == 0
+    assert ir == 0.0
 
 
 def test_shell_spec_validation():
@@ -167,7 +167,7 @@ def test_energy_renormalization_limits():
 def test_effective_mass_coefficient_exact():
     out = qd.effective_mass_coefficient()
     exact = qd.EFFECTIVE_MASS_COEFFICIENT_EXACT
-    assert abs(out.value - exact) <= 1e-9 * exact
+    assert abs(out - exact) <= 1e-9 * exact
     assert abs(exact - 0.0168869) < 1e-7
 
 

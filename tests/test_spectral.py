@@ -310,6 +310,19 @@ def test_assemble_warns_outside_window(small_setup):
         sp.assemble(strong, base_frame(), grid, modes, basis, variant="gross")
 
 
+@pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
+def test_assemble_samples_the_symmetry_of_every_variant(small_setup, variant, monkeypatch):
+    """An operator that is not Hermitian is refused on all three variants,
+    the real fiber included."""
+    params, grid, modes, basis = small_setup
+    matvec = sp.AssembledModel.matvec
+    monkeypatch.setattr(sp.AssembledModel, "matvec",
+                        lambda self, v: matvec(self, v) + 1e-6 * np.roll(v, 1))
+    with pytest.raises(RuntimeError, match="failed the symmetry sample"):
+        sp.assemble(params, base_frame(), None if variant == "fiber" else grid, modes, basis,
+                    variant=variant)
+
+
 def test_hermitian_all_variants(small_setup):
     params, grid, modes, basis = small_setup
     for var in ("gross", "v0"):
@@ -335,8 +348,8 @@ def test_zero_coupling_decouples(small_setup):
     strength = sp.coulomb_coefficient(p0, base_frame())
     Vf = (-strength / np.maximum(grid.radius, grid.h / 2).ravel()) * f
     hf = basis.occupations @ modes.omega
-    expect = np.kron(Tf + Vf, g) + np.kron(f, hf * g)
-    assert np.linalg.norm(m0.matvec(np.kron(f, g)) - expect) < 1e-12
+    expect = np.kron(g, Tf + Vf) + np.kron(hf * g, f)
+    assert np.linalg.norm(m0.matvec(np.kron(g, f)) - expect) < 1e-12
 
 
 def _reference_hamiltonian(params, grid, modes, basis, variant):
@@ -369,12 +382,12 @@ def _reference_hamiltonian(params, grid, modes, basis, variant):
         if variant == "gross":
             strength = sp.coulomb_coefficient(params, base_frame())
             h_particle = h_particle + np.diag(-strength / np.maximum(grid.radius, grid.h / 2).ravel())
-        H = np.kron(h_particle, eye_d) + np.kron(np.eye(grid.point_count), hf)
-        p = [np.kron(pl, eye_d) for pl in p]
+        H = np.kron(eye_d, h_particle) + np.kron(hf, np.eye(grid.point_count))
+        p = [np.kron(eye_d, pl) for pl in p]
         x = np.stack(np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij"), axis=-1).reshape(-1, 3)
         phase = [np.diag(np.exp(1j * x @ kj)) for kj in modes.k]
         A = [
-            sum(g[j, ell] * np.kron(phase[j], lower[j]) for j in range(modes.count))
+            sum(g[j, ell] * np.kron(lower[j], phase[j]) for j in range(modes.count))
             for ell in range(3)
         ]
     for pl, Al in zip(p, A):
@@ -465,11 +478,11 @@ def test_plane_matvec_is_the_conjugated_matvec(variant, grid_name):
                         variant=variant)
     assert model._coupling.shape[1] == coupled
     n = grid.n
-    X, D = model._shape
+    D = model.basis.dim
     rng = np.random.default_rng(37)
     s = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    u = np.fft.ifftn(s.reshape(D, n, n, n), axes=(1, 2, 3)).reshape(D, X).T.ravel()
-    hu = model.matvec(u).reshape(X, D).T.reshape(D, n, n, n)
+    u = np.fft.ifftn(s.reshape(D, n, n, n), axes=(1, 2, 3)).ravel()
+    hu = model.matvec(u).reshape(D, n, n, n)
     ref = np.fft.fftn(hu, axes=(1, 2, 3)).ravel()
     got = model.plane_matvec(s)
     assert got.dtype == np.complex128
@@ -479,7 +492,7 @@ def test_plane_matvec_is_the_conjugated_matvec(variant, grid_name):
 @pytest.mark.parametrize("variant", ["gross", "v0"])
 def test_lanczos_ground_returns_a_unit_position_vector(small_setup, variant):
     """The grid solve runs on plane-wave coefficients and hands back the
-    position vector, (X, D) flat, at unit norm: its residual under the
+    position vector, (D, X) flat, at unit norm: its residual under the
     dense position-space H is the one reported."""
     params, grid, modes, basis = small_setup
     model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
@@ -536,11 +549,11 @@ def test_apply_D_along_an_uncoupled_axis():
     model = sp.assemble(params, base_frame(), grid, modes, basis, variant="gross")
     rng = np.random.default_rng(17)
     v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    u4 = v.reshape((grid.n,) * 3 + (basis.dim,))
+    u4 = v.reshape((basis.dim,) + (grid.n,) * 3)
 
     def bare(ell):
-        q = grid.freqs.reshape([-1 if a == ell else 1 for a in range(3)] + [1])
-        return np.fft.ifftn(q * np.fft.fftn(u4, axes=(0, 1, 2)), axes=(0, 1, 2)).ravel()
+        q = grid.freqs.reshape([1] + [-1 if a == ell else 1 for a in range(3)])
+        return np.fft.ifftn(q * np.fft.fftn(u4, axes=(1, 2, 3)), axes=(1, 2, 3)).ravel()
 
     x_bare = bare(0)
     assert np.linalg.norm(model.apply_D(v, [1.0, 0.0, 0.0]) - x_bare) <= 1e-13 * np.linalg.norm(x_bare)
@@ -604,7 +617,7 @@ def _per_mode(model, u, adjoint):
 
 def _kernel_inputs(model, seed):
     rng = np.random.default_rng(seed)
-    shape = (1 + model._coupling.shape[1], model.basis.dim, model._shape[0])
+    shape = (1 + model._coupling.shape[1],) + model._shape
     slabs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return slabs[0], slabs[1:]
 
@@ -684,6 +697,21 @@ def test_lanczos_ground_v0_and_fiber_vacuum_seed():
         assert np.linalg.norm(H @ res.vector - res.energy * res.vector) <= 1e-10
 
 
+def test_ground_state_layout_is_fock_major():
+    """At e = 0 the gross ground state is psi_at (x) Omega, so the returned
+    vector viewed as (D, X) holds the atomic state in the vacuum row and
+    nothing in the others."""
+    params = make_params(e=0.0, Z=40.0)
+    modes = build_modes(0.1, 10.0, 2, 1)
+    model = sp.assemble(params, base_frame(), PositionGrid(n=8, L=10.0), modes,
+                        FockBasis(modes.count, 2), variant="gross")
+    mat = sp.lanczos_ground(model, tol=1e-10, maxit=300).vector.reshape(model.basis.dim, -1)
+    assert np.linalg.norm(mat[1:]) == 0.0
+    psi = model.atomic_reference().psi.ravel()
+    overlap = abs(np.vdot(psi, mat[0])) / np.linalg.norm(psi)
+    assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ground_energy_below_atomic_reference(gross_model):
     res = sp.lanczos_ground(gross_model, tol=1e-10, maxit=300)
     eat = gross_model.atomic_reference().energy
@@ -732,20 +760,20 @@ def test_v0_commutes_with_total_momentum(small_setup):
     mask3 = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
     rng = np.random.default_rng(21)
     v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    spec = np.fft.fftn(v.reshape((grid.n,) * 3 + (basis.dim,)), axes=(0, 1, 2))
-    spec *= mask3[..., None]
-    v = np.fft.ifftn(spec, axes=(0, 1, 2)).ravel()
+    spec = np.fft.fftn(v.reshape((basis.dim,) + (grid.n,) * 3), axes=(1, 2, 3))
+    spec *= mask3
+    v = np.fft.ifftn(spec, axes=(1, 2, 3)).ravel()
     v /= np.linalg.norm(v)
 
     def total_p(vv, ell):
-        u4 = vv.reshape((grid.n,) * 3 + (basis.dim,))
+        u4 = vv.reshape((basis.dim,) + (grid.n,) * 3)
         mesh = [
-            grid.freqs[:, None, None, None],
-            grid.freqs[None, :, None, None],
-            grid.freqs[None, None, :, None],
+            grid.freqs[:, None, None],
+            grid.freqs[None, :, None],
+            grid.freqs[None, None, :],
         ]
-        out = np.fft.ifftn(np.fft.fftn(u4, axes=(0, 1, 2)) * mesh[ell], axes=(0, 1, 2))
-        out += pf[:, ell] * u4
+        out = np.fft.ifftn(np.fft.fftn(u4, axes=(1, 2, 3)) * mesh[ell], axes=(1, 2, 3))
+        out += pf[:, ell, None, None, None] * u4
         return out.ravel()
 
     for ell in range(3):
@@ -792,7 +820,7 @@ def test_pull_through_has_teeth(pull_model, factor):
 
 def test_pull_through_bounds_the_dense_defect_norm(tiny_pull_model):
     bad = _field_energy_mutant(tiny_pull_model, 1.001)
-    keep = np.tile(bad.basis.totals() <= bad.basis.n_max - 1, bad.dim // bad.basis.dim)
+    keep = np.repeat(bad.basis.totals() <= bad.basis.n_max - 1, bad.grid.point_count)
     cols = np.flatnonzero(keep)
     for j in range(bad.modes.count):
         defect = np.empty((cols.size, cols.size), dtype=complex)
@@ -1011,7 +1039,7 @@ def test_pcg_refuses_a_non_finite_product():
 
 
 def test_effective_mass_riemann_converges_to_integral():
-    target = effective_mass_coefficient().value
+    target = effective_mass_coefficient()
     approximations = [
         sp.effective_mass_riemann(build_modes(kap, lam, nr, 1))
         for kap, lam, nr in ((0.1, 10.0, 8), (0.01, 40.0, 24), (0.001, 200.0, 64))
