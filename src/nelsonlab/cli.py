@@ -45,7 +45,6 @@ from .model import (
     ConvergenceError,
     DomainError,
     ParameterError,
-    base_frame,
     frame_for,
     make_params,
 )
@@ -154,6 +153,10 @@ class RunConfig:
     def params(self):
         """The model parameters of this run."""
         return make_params(self.e, self.Z, m=self.m, kappa=self.kappa, lam=self.lam)
+
+    def frame(self):
+        """The scale frame of this run, the one place a command builds it."""
+        return frame_for(self.params(), self.tau, self.lambda1)
 
     def echo(self) -> dict:
         """The keys this command reads, for output headers: canonical keys, no Nones."""
@@ -332,15 +335,9 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
     _row(rows, "alphaZ", lambda: params.alphaZ)
     _row(rows, "E_at", lambda: cf.atomic_level(e, Z))
     _row(rows, "C_UV", lambda: cf.c_uv(e, Z))
-
-    def star_pair():
-        if cfg.tau == 0.0:
-            return cf.c_star_c1(e, Z)
-        fr = frame_for(params, cfg.tau, cfg.lambda1)
-        return cf.c_star_c1(e, Z, cfg.tau, fr.rho)
-
-    _row(rows, "C_star", lambda: star_pair()[0])
-    _row(rows, "C_1", lambda: star_pair()[1])
+    # built inside each row: a frame the charge cannot carry fails its rows alone
+    _row(rows, "C_star", lambda: cf.c_star_c1(e, Z, cfg.frame())[0])
+    _row(rows, "C_1", lambda: cf.c_star_c1(e, Z, cfg.frame())[1])
     _row(rows, "C_D", lambda: cf.c_d(e, Z))
     _row(rows, "coupling_log", lambda: cf.coupling_log(e, Z))
     _row(rows, "photon_K", lambda: cf.photon_k(e, Z))
@@ -375,21 +372,17 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
 
 
 def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
-    params = cfg.params()
-    if cfg.tau == 0.0:
-        tau, rho = 0.0, 1.0
-    else:
-        tau, rho = cfg.tau, frame_for(params, cfg.tau, cfg.lambda1).rho
-    norms = qd.f_tau_norms(params, tau, rho)
+    params, frame = cfg.params(), cfg.frame()
+    norms = qd.f_tau_norms(params, frame)
     rows: list[dict] = []
     for name, value, ceiling in (
         ("norm.f_ir_l2", norms.f_ir_l2, cf.ir_l2_ceiling()),
         ("norm.f_ir_over_sqrt_omega", norms.f_ir_over_sqrt_omega, cf.ir_inv_sqrt_ceiling()),
         ("norm.f_uv_over_sqrt_omega", norms.f_uv_over_sqrt_omega,
-         cf.uv_inv_sqrt_ceiling(tau, rho)),
+         cf.uv_inv_sqrt_ceiling(frame)),
         ("norm.f_uv_over_quarter_omega", norms.f_uv_over_quarter_omega,
-         cf.uv_inv_quarter_ceiling(tau, rho)),
-        ("xi.self", cf.xi_bound(norms, norms), cf.xi_self_ceiling(tau, rho)),
+         cf.uv_inv_quarter_ceiling(frame)),
+        ("xi.self", cf.xi_bound(norms, norms), cf.xi_self_ceiling(frame)),
         ("cin.100", qd.cin(100.0), qd.EULER_GAMMA + math.log(15.0) + 91.0 / 30.0),
     ):
         _row(rows, name, lambda v=value: v, ceiling=ceiling, margin=ceiling - value)
@@ -404,18 +397,17 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
     return _emit_table(cfg, rows, columns), 0
 
 
-def _build_model(cfg: RunConfig, params):
-    frame = base_frame() if cfg.tau == 0.0 else frame_for(params, cfg.tau, cfg.lambda1)
+def _build_model(cfg: RunConfig):
+    frame = cfg.frame()
     grid = PositionGrid(cfg.n, cfg.L)
-    modes = build_modes(cfg.kappa, cfg.lam, cfg.n_radial, cfg.n_angular)
-    if cfg.tau != 0.0:
-        modes = scale_modes(modes, frame)
+    # scaling is exact in the base frame, where every factor is 1.0
+    modes = scale_modes(build_modes(cfg.kappa, cfg.lam, cfg.n_radial, cfg.n_angular), frame)
     basis = FockBasis(modes.count, cfg.n_max)
-    return assemble(params, frame, grid, modes, basis, variant="gross")
+    return assemble(cfg.params(), frame, grid, modes, basis, variant="gross")
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[str, int]:
-    model = _build_model(cfg, cfg.params())
+    model = _build_model(cfg)
     result = lanczos_ground(model, tol=cfg.tol, maxit=cfg.maxit)
     report = ground_state_report(model, result)
     if cfg.format == "csv":

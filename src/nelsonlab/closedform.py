@@ -6,8 +6,10 @@ bounds, the infrared overlap chain with its admissible coupling window, and
 the ceilings for the shell norms of the coupling function.  The only numerics
 used is bracketing root search; all formulas are hand-assembled.
 
-Conventions: ``alpha = e**2 / (4 pi)``; a frame enters through ``tau`` and
-the base ratio ``rho`` (for the overlap chain ``rho = e**2``).
+Conventions: ``alpha = e**2 / (4 pi)``; a frame enters as a
+:class:`~nelsonlab.model.ScaleFrame`, whose ``power(c)`` = rho^(c tau) gives
+every frame factor.  The overlap chain is written in e instead, with
+``rho = e**2``, and takes only its exponent tau.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import FOUR_PI, DomainError, ParameterError
+from .model import FOUR_PI, DomainError, ParameterError, ScaleFrame
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -40,15 +42,10 @@ def _alpha(e: float) -> float:
     return e * e / FOUR_PI
 
 
-def atomic_level(e: float, Z: float, tau: float = 0.0, rho: float = 1.0) -> float:
-    """Bare Coulomb ground energy in the (tau, rho) frame,
-    -(alpha Z)^2 rho^(-2 tau) / 2."""
+def atomic_level(e: float, Z: float) -> float:
+    """Bare Coulomb ground energy in defining units, -(alpha Z)^2 / 2."""
     aZ = _alpha(e) * Z
-    if tau == 0.0:
-        return -0.5 * aZ * aZ
-    if not (rho > 0.0):
-        raise DomainError(f"frame with tau={tau} needs rho > 0, got {rho}")
-    return -0.5 * aZ * aZ * rho ** (-2.0 * tau)
+    return -0.5 * aZ * aZ
 
 
 def c_uv(e: float, Z: float) -> float:
@@ -78,7 +75,7 @@ def e_uv(Z: float) -> float:
     return brentq(lambda x: c_uv(x, Z) - 1.0, 1e-12, 10.0, xtol=1e-15, rtol=8.9e-16)
 
 
-def c_star_c1(e: float, Z: float, tau: float = 0.0, rho: float = 1.0):
+def c_star_c1(e: float, Z: float, frame: ScaleFrame):
     """Frame-dependent smallness constant C_* and the derived C_1.
 
     C_*(e, tau) = sqrt(6) alpha rho^(-tau)
@@ -89,30 +86,21 @@ def c_star_c1(e: float, Z: float, tau: float = 0.0, rho: float = 1.0):
     every rho.  When C_* >= 1 the pair is out of domain and a
     :class:`DomainError` is raised rather than silently clamping.
     """
-    c_star = _c_star(e, Z, tau, rho)
+    c_star = _c_star(e, Z, frame)
     if not (c_star < 1.0):
         raise DomainError(
-            f"C_* = {c_star:.6g} >= 1 at e={e}, Z={Z}, tau={tau}: C_1 undefined"
+            f"C_* = {c_star:.6g} >= 1 at e={e}, Z={Z}, tau={frame.tau}: C_1 undefined"
         )
     return c_star, 1.0 / math.sqrt(1.0 - c_star)
 
 
-def _c_star(e: float, Z: float, tau: float, rho: float) -> float:
-    e = abs(float(e))
+def _c_star(e: float, Z: float, frame: ScaleFrame) -> float:
     a = _alpha(e)
-    if tau == 0.0:
-        ru = rv = rw = 1.0
-    else:
-        if not (rho > 0.0):
-            raise DomainError(f"frame with tau={tau} needs rho > 0, got {rho}")
-        ru = rho ** (-tau)
-        rv = rho ** tau
-        rw = rho ** (2.0 * tau)
-    level = atomic_level(e, Z, tau, rho)
+    level = atomic_level(e, Z) * frame.power(-2.0)  # E_at^(tau)
     return (
-        _SQRT6 * a * ru
+        _SQRT6 * a * frame.power(-1.0)
         + 4.0 * math.sqrt(a / math.pi) * math.sqrt(1.0 - level)
-        + (2.0 / math.pi) * a * (rw + 3.0 * rv + 3.0)
+        + (2.0 / math.pi) * a * (frame.power(2.0) + 3.0 * frame.power(1.0) + 3.0)
     )
 
 
@@ -415,34 +403,30 @@ def ir_inv_sqrt_ceiling() -> float:
     return 1.0 / (2.0 * math.pi)
 
 
-def uv_inv_sqrt_ceiling(tau: float = 0.0, rho: float = 1.0) -> float:
+def uv_inv_sqrt_ceiling(frame: ScaleFrame) -> float:
     """Ceiling for ||f_UV / sqrt(omega)||: rho^(-tau) / (sqrt(2) pi)."""
-    r = 1.0 if tau == 0.0 else rho ** (-tau)
-    return r / (_SQRT2 * math.pi)
+    return frame.power(-1.0) / (_SQRT2 * math.pi)
 
 
-def uv_inv_quarter_ceiling(tau: float = 0.0, rho: float = 1.0) -> float:
+def uv_inv_quarter_ceiling(frame: ScaleFrame) -> float:
     """Ceiling for ||f_UV / omega^(1/4)||:
     rho^(-3 tau / 2) sqrt(1/(2 sqrt(2) pi) + rho^tau / (2 pi^2))."""
-    r32 = 1.0 if tau == 0.0 else rho ** (-1.5 * tau)
-    rt = 1.0 if tau == 0.0 else rho ** tau
-    return r32 * math.sqrt(1.0 / (2.0 * _SQRT2 * math.pi) + rt / (2.0 * math.pi ** 2))
+    return frame.power(-1.5) * math.sqrt(
+        1.0 / (2.0 * _SQRT2 * math.pi) + frame.power(1.0) / (2.0 * math.pi ** 2)
+    )
 
 
-def xi_self_ceiling(tau: float = 0.0, rho: float = 1.0) -> float:
+def xi_self_ceiling(frame: ScaleFrame) -> float:
     """Closed-form ceiling for Xi(f, f) assembled from the norm ceilings:
 
     1/(2 pi^2) + sqrt(2) rho^(-tau)/pi^2 + sqrt(3) rho^(-2 tau)/(2 pi^2)
     + sqrt(3) rho^(-3 tau) / (2 sqrt(2) pi).
     """
-    r1 = 1.0 if tau == 0.0 else rho ** (-tau)
-    r2 = 1.0 if tau == 0.0 else rho ** (-2.0 * tau)
-    r3 = 1.0 if tau == 0.0 else rho ** (-3.0 * tau)
     return (
         1.0 / (2.0 * math.pi ** 2)
-        + _SQRT2 * r1 / math.pi ** 2
-        + _SQRT3 * r2 / (2.0 * math.pi ** 2)
-        + _SQRT3 * r3 / (2.0 * _SQRT2 * math.pi)
+        + _SQRT2 * frame.power(-1.0) / math.pi ** 2
+        + _SQRT3 * frame.power(-2.0) / (2.0 * math.pi ** 2)
+        + _SQRT3 * frame.power(-3.0) / (2.0 * _SQRT2 * math.pi)
     )
 
 

@@ -2,8 +2,8 @@
 
 The field is discretized on a finite set of momentum modes covering the
 cutoff shell; the Fock space is truncated by a *total* occupation cap so the
-dimension stays C(M + N_max, N_max).  The ladder operators are index
-tables over the basis, built with numpy alone.
+dimension stays C(M + N_max, N_max).  The ladder operators of all modes are
+index tables over the basis, built in one call with numpy alone.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def scale_modes(grid: ModeGrid, frame: ScaleFrame) -> ModeGrid:
     """Push a base-frame grid into a scale frame: wave vectors stretch by
     rho^(-2 tau), weights (momentum-volume elements) by rho^(-6 tau), and the
     soft/hard boundary moves with the wave vectors."""
-    s = frame.r_of(-2.0 * frame.tau)
+    s = frame.power(-2.0)
     return ModeGrid(
         k=grid.k * s,
         w=grid.w * s**3,
@@ -132,7 +132,6 @@ class FockBasis:
                                       for n, rest in enumerate(shells[k::-1])])
                       for k in range(self.n_max + 1)]
         self.occupations = np.concatenate(shells)
-        self._raised = None  # (M, K) raising table: built by ladder_ops, dropped by its caller
 
     @property
     def dim(self) -> int:
@@ -183,7 +182,6 @@ class FockBasis:
             out[i] += suffix
             rest, left = left, left + occ[:, i]
             suffix += comb[m - 1 - i, left] - comb[m - 1 - i, rest]
-        out.flags.writeable = False  # ladder_ops hands out its rows
         return out
 
     def totals(self) -> np.ndarray:
@@ -196,15 +194,12 @@ def vacuum_vector(basis: FockBasis) -> np.ndarray:
     return v
 
 
-def ladder_ops(basis: FockBasis, j: int):
-    """Mode j's raising table ``(src, val)`` over the states below the top
-    shell, the first K of the basis: state k raised in mode j is state
-    ``src[k]``, with amplitude ``val[k] = sqrt(n_j(k) + 1)``.  So adag_j maps
-    k to src[k], a_j maps src[k] back to k with the same amplitude, and a_j
-    sends every state with n_j = 0 to zero."""
-    if not (0 <= j < basis.mode_count):
-        raise ParameterError(f"mode index {j} out of range")
-    if basis._raised is None:  # all modes at once, in O(1) vector passes each
-        basis._raised = basis._raising_table()
-    src = basis._raised[j]
-    return src, np.sqrt(basis.occupations[: src.size, j] + 1.0)
+def ladder_ops(basis: FockBasis):
+    """The raising tables ``(src, val)`` of all modes, each (M, K), over the
+    states below the top shell, the first K of the basis: state k raised in
+    mode j is state ``src[j, k]``, with amplitude
+    ``val[j, k] = sqrt(n_j(k) + 1)``.  So adag_j maps k to src[j, k], a_j
+    maps src[j, k] back to k with the same amplitude, and a_j sends every
+    state with n_j = 0 to zero."""
+    src = basis._raising_table()  # all modes at once, in O(1) vector passes each
+    return src, np.sqrt(basis.occupations[: src.shape[1]].T + 1.0, order="C")

@@ -4,10 +4,11 @@ Everything downstream is expressed in terms of a parameter record
 (:class:`ModelParams`) and a scale frame (:class:`ScaleFrame`).  A frame is
 labelled by an exponent ``tau`` and a base ratio ``rho``; lengths carry a
 factor ``rho**tau`` and energies a factor ``rho**(-2*tau)`` relative to the
-defining units.  With ``rho = alpha*Z*lambda1`` and ``lambda1 = 1`` the
-``tau = 1`` frame puts the Coulomb attraction at unit strength, i.e. the
-natural atomic length becomes 1, which is the frame the verification suite
-solves in.
+defining units.  Every such factor is ``ScaleFrame.power(c)`` =
+``rho**(c*tau)``, which is 1.0 in the base frame (tau = 0) for any rho.
+With ``rho = alpha*Z*lambda1`` and ``lambda1 = 1`` the ``tau = 1`` frame
+puts the Coulomb attraction at unit strength, i.e. the natural atomic
+length becomes 1.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def make_params(e, Z, m=1.0, kappa=0.1, lam=10.0) -> ModelParams:
 
 @dataclass(frozen=True)
 class ScaleFrame:
-    """A dilation frame: lengths scale by rho**tau, energies by rho**(-2 tau)."""
+    """A dilation frame: lengths scale by rho**tau, energies by rho**(-2 tau),
+    each factor given by ``power``; rho matters, and is checked, only at tau != 0."""
 
     tau: float
     rho: float
@@ -110,11 +112,9 @@ class ScaleFrame:
                     f"frame with tau={self.tau} needs rho > 0, got {self.rho}"
                 )
 
-    def r_of(self, s: float) -> float:
-        """The ratio rho**s (lengths transform with s = tau)."""
-        if self.tau == 0.0 and (self.rho <= 0.0 or not math.isfinite(self.rho)):
-            return 1.0 if s == 0.0 else math.nan
-        return self.rho ** s
+    def power(self, c: float) -> float:
+        """The factor rho**(c tau): c = 1 for lengths, c = -2 for energies."""
+        return self.rho ** (c * self.tau)
 
 
 def base_frame() -> ScaleFrame:
@@ -122,27 +122,28 @@ def base_frame() -> ScaleFrame:
     return ScaleFrame(tau=0.0, rho=1.0)
 
 
-def frame_for(params: ModelParams, tau: float, lambda1: float = 1.0) -> ScaleFrame:
-    """Frame with rho = alpha * Z * lambda1.
+def frame_for(params: ModelParams, tau: float, lambda1: float) -> ScaleFrame:
+    """Frame with rho = alpha * Z * lambda1; the base frame at tau = 0,
+    where neither lambda1 nor the charge is read.
 
     ``lambda1 = 1`` makes the tau = 1 frame the atomic one (unit Coulomb
     coefficient, unit natural length); ``lambda1 = 4 pi / Z`` gives
     ``rho = e**2``, the convention used for the small-coupling window.
     """
+    if tau == 0.0:
+        return base_frame()
     if not (lambda1 > 0.0) or not math.isfinite(lambda1):
         raise ParameterError(f"lambda1 must be positive and finite, got {lambda1}")
     rho = params.alphaZ * lambda1
-    if tau != 0.0 and rho <= 0.0:
+    if rho <= 0.0:
         raise ParameterError(
             "cannot build a scaling frame at zero coupling (rho = 0); "
             "use tau = 0 or a positive charge"
         )
-    if tau == 0.0 and rho <= 0.0:
-        rho = 1.0
     return ScaleFrame(tau=float(tau), rho=rho)
 
 
 def coulomb_coefficient(params: ModelParams, frame: ScaleFrame) -> float:
     """Strength of the attractive 1/|x| term in frame units:
     alpha Z rho**(-tau)."""
-    return params.alphaZ * frame.r_of(-frame.tau)
+    return params.alphaZ * frame.power(-1.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -257,11 +257,13 @@ def position_operator(
 
 _RADIAL_R_MAX = 40.0
 _RADIAL_POINTS = 4000
-_radial_cache: dict[str, np.ndarray] = {}
 
 
-def _radial_pieces() -> dict[str, np.ndarray]:
-    """Static parts of the unit-coupling l=1 radial problem.
+@cache
+def _radial_pieces() -> tuple[float, np.ndarray, np.ndarray]:
+    """Static parts of the unit-coupling l=1 radial problem: the step dr,
+    the banded matrix ``ab`` at sigma = 0 in solve_banded's (1, 1) layout,
+    and the right-hand side.
 
     The reduced equation for u(r) = r * (resolvent applied to the radial
     profile) reads
@@ -270,15 +272,12 @@ def _radial_pieces() -> dict[str, np.ndarray]:
     component of grad psi_at at alphaZ = 1; the matrix element is
     4 pi * int (r f) u dr summed over the three components.
     """
-    if not _radial_cache:
-        dr = _RADIAL_R_MAX / (_RADIAL_POINTS + 1)
-        r = dr * np.arange(1, _RADIAL_POINTS + 1)
-        rhs = r * np.exp(-r) / math.sqrt(math.pi)
-        _radial_cache["dr"] = np.array(dr)
-        _radial_cache["diag_static"] = 1.0 / dr**2 + 1.0 / r**2 - 1.0 / r + 0.5
-        _radial_cache["off"] = np.full(_RADIAL_POINTS, -0.5 / dr**2)
-        _radial_cache["rhs"] = rhs
-    return _radial_cache
+    dr = _RADIAL_R_MAX / (_RADIAL_POINTS + 1)
+    r = dr * np.arange(1, _RADIAL_POINTS + 1)
+    ab = np.empty((3, _RADIAL_POINTS))
+    ab[0] = ab[2] = -0.5 / dr**2
+    ab[1] = 1.0 / dr**2 + 1.0 / r**2 - 1.0 / r + 0.5
+    return dr, ab, r * np.exp(-r) / math.sqrt(math.pi)
 
 
 def radial_resolvent_l1(alphaZ: float, omega_shift: float) -> float:
@@ -298,14 +297,10 @@ def radial_resolvent_l1(alphaZ: float, omega_shift: float) -> float:
 
     from scipy.linalg import solve_banded  # imported here: scipy.linalg is slow to load
 
-    pieces = _radial_pieces()
-    sigma = omega_shift / alphaZ**2
-    npts = _RADIAL_POINTS
-    ab = np.empty((3, npts))
-    ab[0] = pieces["off"]
-    ab[1] = pieces["diag_static"] + sigma
-    ab[2] = pieces["off"]
-    u = solve_banded((1, 1), ab, pieces["rhs"])
+    dr, ab, rhs = _radial_pieces()
+    ab = ab.copy()  # the cached matrix stays at sigma = 0
+    ab[1] += omega_shift / alphaZ**2
+    u = solve_banded((1, 1), ab, rhs)
     if not np.all(np.isfinite(u)):
         raise RuntimeError("radial linear solve produced non-finite values")
-    return 4.0 * math.pi * float(pieces["rhs"] @ u) * float(pieces["dr"])
+    return 4.0 * math.pi * float(rhs @ u) * dr

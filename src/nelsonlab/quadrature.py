@@ -18,6 +18,7 @@ from .model import (
     DomainError,
     ModelParams,
     ParameterError,
+    ScaleFrame,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -276,19 +277,17 @@ def binding_envelope(e: float, Z: float) -> float:
 # coupling-function norms
 
 
-def f_tau_norms(params: ModelParams, tau: float = 0.0, rho: float = 1.0) -> NormBundle:
-    """The four split norms of the frame coupling function.
+def f_tau_norms(params: ModelParams, frame: ScaleFrame) -> NormBundle:
+    """The four split norms of the coupling function in ``frame``.
 
     In the frame the shell support is [kappa rho^(-2 tau), lam rho^(-2 tau)]
-    and the dressed denominator carries rho^(2 tau); the infrared/ultraviolet
-    split sits at |k| = 1.  Each norm is
-    sqrt(shell_moment(2 a' + 1, 2, rho^(2 tau)) / (2 (2 pi)^3)) with weight
-    exponent a' in {0, -1/2, -1/4}.
+    and the dressed denominator carries rho^(2 tau), both from
+    ``frame.power``; the infrared/ultraviolet split sits at |k| = 1.  Each
+    norm is sqrt(shell_moment(2 a' + 1, 2, rho^(2 tau)) / (2 (2 pi)^3))
+    with weight exponent a' in {0, -1/2, -1/4}.
     """
-    if tau != 0.0 and not (rho > 0.0 and math.isfinite(rho)):
-        raise ParameterError(f"frame with tau={tau} needs finite rho > 0, got {rho}")
-    scale = 1.0 if tau == 0.0 else rho ** (-2.0 * tau)
-    rho2tau = 1.0 if tau == 0.0 else rho ** (2.0 * tau)
+    scale = frame.power(-2.0)
+    rho2tau = frame.power(2.0)
     kap = params.kappa * scale
     lam = params.lam if math.isinf(params.lam) else params.lam * scale
 

@@ -39,7 +39,7 @@ The dressed-model coupling attaches to mode j the real 3-vector
     g_j = sqrt(w_j) * k_j * beta(k_j) / sqrt(2 w_j_disp)
 with beta(k) = (|k| + rho2tau*|k|^2/2)^{-1}, and the three field
 components are A_l = sum_j g_{jl} * phase_j(x) (x) a_j with
-phase_j = e^{i r(tau) k_j . x}.  In a scale frame the linear term
+phase_j = e^{i rho^tau k_j . x}.  In a scale frame the linear term
 carries e*rho^tau and the quadratic term e^2 rho^{2 tau}; the attractive
 coefficient is alphaZ rho^{-tau}.  With the frame grid (L' = rho^tau L)
 and frame modes (scale_modes) the assembled matrix equals
@@ -288,8 +288,8 @@ class AssembledModel:
                  grid: PositionGrid | None, modes: ModeGrid, basis: FockBasis):
         self.variant, self.params, self.frame = variant, params, frame
         self.grid, self.modes, self.basis = grid, modes, basis
-        rho_tau = frame.r_of(frame.tau)
-        rho2tau = frame.r_of(2.0 * frame.tau)
+        rho_tau = frame.power(1.0)
+        rho2tau = frame.power(2.0)
         k, omega = modes.k, modes.omega
         beta = 1.0 / (omega + 0.5 * rho2tau * omega**2)
         self.g = (np.sqrt(modes.w)[:, None] * k
@@ -537,25 +537,20 @@ class AssembledModel:
 
 
 def _ladder_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raising tables of all modes, one ``ladder_ops`` call per mode, as
+    """The raising tables of all modes, from one ``ladder_ops`` call, as
     (_src, _val, _slots).  States come by total occupation, so a_j is
     nonzero only into the first K, the states below the top shell: row k of
     a_j holds sqrt(n_j + 1) at _src[j, k], k raised in mode j.  _slots[r, s]
     is the r-th entry (flat index j K + k) raising into s, or the zero pad
-    M K.  The basis builds the tables of all modes on the first call and
-    gives them up here, so the model holds the only copy."""
-    tables = [ladder_ops(basis, j) for j in range(basis.mode_count)]
-    src = np.stack([t[0] for t in tables])
-    val = np.stack([t[1] for t in tables])[:, :, None]
-    del tables
-    basis._raised = None
+    M K."""
+    src, val = ladder_ops(basis)
     target = src.ravel()
     order = np.argsort(target, kind="stable")
     counts = np.bincount(target, minlength=basis.dim)
     rank = np.arange(target.size) - (np.cumsum(counts) - counts)[target[order]]
     slots = np.full((max(counts.max(), 1), basis.dim), target.size, dtype=np.intp)
     slots[rank, target[order]] = order
-    return src, val, slots
+    return src, val[:, :, None], slots
 
 
 def assemble(
@@ -569,8 +564,9 @@ def assemble(
     """Build one Hamiltonian variant as a structured operator.
 
     The caller provides the mode grid already expressed in the target
-    frame (see fockspace.scale_modes); the frame only supplies the
-    coefficient factors and the phase stretch r(tau).  The inputs are
+    frame (see fockspace.scale_modes); the frame only supplies, through
+    ``frame.power``, the coefficient factors and the phase stretch rho^tau,
+    and the fiber is refused at tau != 0.  The inputs are
     checked before any table is built, and every variant's operator must
     pass a sampled symmetry check before it is returned.
     """

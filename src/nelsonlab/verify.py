@@ -290,7 +290,7 @@ def _windowed(evaluate, zero_charge: str | None = None):
 
 def _moment(c: _Suite, name: str, **kwargs) -> float:
     return spatial_moment(
-        c.ground.vector, c.grid, c.basis, name, c.params, frame=c.frame, **kwargs
+        c.ground.vector, c.grid, c.basis, name, c.params, c.frame, **kwargs
     )
 
 

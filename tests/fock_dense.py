@@ -10,8 +10,8 @@ from nelsonlab.fockspace import ladder_ops
 
 def dense_ladder(basis, j):
     """(a_j, adag_j) as dense matrices: column k of adag_j holds
-    sqrt(n_j(k) + 1) at row src[k], and a_j is its transpose."""
-    src, val = ladder_ops(basis, j)
+    sqrt(n_j(k) + 1) at row src[j, k], and a_j is its transpose."""
+    src, val = (table[j] for table in ladder_ops(basis))
     adag = np.zeros((basis.dim, basis.dim))
     adag[src, np.arange(src.size)] = val
     return adag.T.copy(), adag

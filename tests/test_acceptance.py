@@ -31,7 +31,7 @@ from nelsonlab.closedform import (
     uv_inv_sqrt_ceiling,
 )
 from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes
-from nelsonlab.model import base_frame, make_params
+from nelsonlab.model import ScaleFrame, base_frame, make_params
 from nelsonlab.particle import PositionGrid, radial_resolvent_l1
 from nelsonlab.spectral import (
     assemble,
@@ -63,7 +63,7 @@ def test_c01_constants_identity():
         for Z in (1.0, 2.0, 5.0, 10.0):
             reference = c_uv(float(e), Z)
             for rho in (0.5, 1.0, 2.0):
-                star, _ = c_star_c1(float(e), Z, 0.0, rho)
+                star, _ = c_star_c1(float(e), Z, ScaleFrame(0.0, rho))
                 assert abs(star - reference) <= 1e-13, (e, Z, rho)
     print("C01 constants identity: PASS")
 
@@ -90,11 +90,11 @@ def test_c03_quadrature_oracles():
 
     for kappa, lam in ((0.1, 10.0), (0.0, math.inf)):
         params = make_params(0.3, 1.0, kappa=kappa, lam=lam)
-        norms = qd.f_tau_norms(params)
+        norms = qd.f_tau_norms(params, base_frame())
         assert norms.f_ir_l2 < ir_l2_ceiling()
         assert norms.f_ir_over_sqrt_omega < ir_inv_sqrt_ceiling()
-        assert norms.f_uv_over_sqrt_omega < uv_inv_sqrt_ceiling()
-        assert norms.f_uv_over_quarter_omega < uv_inv_quarter_ceiling()
+        assert norms.f_uv_over_sqrt_omega < uv_inv_sqrt_ceiling(base_frame())
+        assert norms.f_uv_over_quarter_omega < uv_inv_quarter_ceiling(base_frame())
 
     v = qd.cin(100.0)
     assert abs(v - 5.1875) < 1e-3

@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import nelsonlab.cli as cli
+import nelsonlab.closedform as cf
+import nelsonlab.quadrature as qd
 import nelsonlab.verify as verify
 from nelsonlab.cli import RunConfig, UsageError, build_config, main
+from nelsonlab.model import frame_for, make_params
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY_MODES = ["--modes-radial", "2", "--nmax", "1"]
@@ -374,6 +377,32 @@ def test_integrals_margins_positive(capsys):
         if row["ceiling"] is not None:
             assert row["margin"] > 0.0, row["name"]
         assert row["value"] is not None, row["name"]
+
+
+def test_frame_rows_come_from_the_run_frame(capsys):
+    """At tau != 0 the ceilings, norms and C_* rows are the library's values
+    at frame_for(params, tau, lambda1), the frame RunConfig.frame() builds."""
+    argv = ["--e", "0.3", "--tau", "0.9", "--lambda1", "2.5"]
+    params = make_params(0.3, 1.0)
+    frame = frame_for(params, 0.9, 2.5)
+    code, payload = run_json(capsys, ["integrals", *argv])
+    assert code == 0
+    rows = {r["name"]: r for r in payload["rows"]}
+    norms = qd.f_tau_norms(params, frame)
+    for name, value, ceiling in (
+        ("f_uv_over_sqrt_omega", norms.f_uv_over_sqrt_omega, cf.uv_inv_sqrt_ceiling(frame)),
+        ("f_uv_over_quarter_omega", norms.f_uv_over_quarter_omega,
+         cf.uv_inv_quarter_ceiling(frame)),
+        ("f_ir_l2", norms.f_ir_l2, cf.ir_l2_ceiling()),
+        ("f_ir_over_sqrt_omega", norms.f_ir_over_sqrt_omega, cf.ir_inv_sqrt_ceiling()),
+    ):
+        assert rows[f"norm.{name}"]["value"] == value, name
+        assert rows[f"norm.{name}"]["ceiling"] == ceiling, name
+    assert rows["xi.self"]["ceiling"] == cf.xi_self_ceiling(frame)
+    code, payload = run_json(capsys, ["constants", *argv])
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in payload["rows"]}
+    assert (rows["C_star"], rows["C_1"]) == cf.c_star_c1(0.3, 1.0, frame)
 
 
 def test_solve_report(capsys):

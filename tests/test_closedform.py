@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nelsonlab import closedform as cf
-from nelsonlab.model import DomainError
+from nelsonlab.model import DomainError, ScaleFrame, base_frame
 
 FOUR_PI = 4.0 * math.pi
 
@@ -32,14 +32,14 @@ def test_c_star_collapses_to_c_uv_at_tau_zero():
     for e in (0.05, 0.1, 0.3, 0.6):
         for Z in (1.0, 2.0, 5.0, 10.0):
             for rho in (0.3, 1.0, 7.3):
-                c_star, c1 = cf.c_star_c1(e, Z, tau=0.0, rho=rho)
+                c_star, c1 = cf.c_star_c1(e, Z, ScaleFrame(0.0, rho))
                 assert abs(c_star - cf.c_uv(e, Z)) < 1e-13
                 assert math.isclose(c1, (1.0 - c_star) ** -0.5, rel_tol=1e-15)
 
 
 def test_c_star_domain_error_when_large():
     with pytest.raises(DomainError):
-        cf.c_star_c1(2.5, 1.0)
+        cf.c_star_c1(2.5, 1.0, base_frame())
 
 
 def test_e_uv_roots():
@@ -212,14 +212,15 @@ def test_norm_ceilings():
     assert math.isclose(cf.ir_l2_ceiling(), 1.0 / (2.0 * math.pi), rel_tol=1e-15)
     assert math.isclose(cf.ir_inv_sqrt_ceiling(), 1.0 / (2.0 * math.pi), rel_tol=1e-15)
     assert math.isclose(
-        cf.uv_inv_sqrt_ceiling(), 1.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15
+        cf.uv_inv_sqrt_ceiling(base_frame()), 1.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15
     )
     assert math.isclose(
-        cf.uv_inv_sqrt_ceiling(1.0, 0.25), 4.0 / (math.sqrt(2.0) * math.pi), rel_tol=1e-15
+        cf.uv_inv_sqrt_ceiling(ScaleFrame(1.0, 0.25)), 4.0 / (math.sqrt(2.0) * math.pi),
+        rel_tol=1e-15,
     )
     # quarter-weight ceiling at tau = 0:
     expected = math.sqrt(1.0 / (2.0 * math.sqrt(2.0) * math.pi) + 1.0 / (2.0 * math.pi**2))
-    assert math.isclose(cf.uv_inv_quarter_ceiling(), expected, rel_tol=1e-15)
+    assert math.isclose(cf.uv_inv_quarter_ceiling(base_frame()), expected, rel_tol=1e-15)
 
 
 def test_xi_self_ceiling_values():
@@ -229,10 +230,10 @@ def test_xi_self_ceiling_values():
         + math.sqrt(3.0) / (2.0 * math.pi**2)
         + math.sqrt(3.0) / (2.0 * math.sqrt(2.0) * math.pi)
     )
-    assert math.isclose(cf.xi_self_ceiling(), expected0, rel_tol=1e-15)
-    assert math.isclose(cf.xi_self_ceiling(), 0.47662130316804985, rel_tol=1e-13)
+    assert math.isclose(cf.xi_self_ceiling(base_frame()), expected0, rel_tol=1e-15)
+    assert math.isclose(cf.xi_self_ceiling(base_frame()), 0.47662130316804985, rel_tol=1e-13)
     # smaller rho (< 1) at tau > 0 inflates every negative power
-    assert cf.xi_self_ceiling(1.0, 0.5) > cf.xi_self_ceiling()
+    assert cf.xi_self_ceiling(ScaleFrame(1.0, 0.5)) > cf.xi_self_ceiling(base_frame())
 
 
 # ---------------------------------------------------------------------------

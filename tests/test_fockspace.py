@@ -67,10 +67,10 @@ def test_build_modes_rejects_bad_windows():
 
 def test_scale_modes_moves_window_and_weights():
     p = make_params(e=0.3, Z=1.0)
-    f = frame_for(p, tau=1.0)
+    f = frame_for(p, 1.0, 1.0)
     g = fs.build_modes(0.5, 2.0, 3, 2)
     gs = fs.scale_modes(g, f)
-    s = f.r_of(-2.0 * f.tau)
+    s = f.power(-2.0)
     np.testing.assert_allclose(gs.k, g.k * s, rtol=1e-15)
     np.testing.assert_allclose(gs.w, g.w * s**3, rtol=1e-15)
     assert gs.kappa == pytest.approx(g.kappa * s)
@@ -159,8 +159,9 @@ def test_ladder_lookup_matches_index_of():
     b = fs.FockBasis(6, 4)
     occ = b.occupations
     below_top = b.totals() < b.n_max
+    tables = fs.ladder_ops(b)
     for j in range(b.mode_count):
-        src, val = fs.ladder_ops(b, j)
+        src, val = (table[j] for table in tables)
         # the table covers exactly the states below the top shell, which come first
         assert below_top[: src.size].all() and not below_top[src.size:].any()
         # every state with n_j > 0 is hit exactly once, and no other state
@@ -179,10 +180,11 @@ def test_raising_table_matches_the_rank_of_each_raised_state(m, n_max):
     allowed and with one mode."""
     b = fs.FockBasis(m, n_max)
     K = b.dim - math.comb(m - 1 + n_max, n_max)  # the states below the top shell
+    tables = fs.ladder_ops(b)
     for j in range(m):
         raised = b.occupations[:K].copy()
         raised[:, j] += 1
-        src, val = fs.ladder_ops(b, j)
+        src, val = (table[j] for table in tables)
         assert src.dtype == np.int64 and src.shape == (K,)
         np.testing.assert_array_equal(src, b._indices(raised))
         np.testing.assert_array_equal(val, np.sqrt(raised[:, j].astype(float)))

@@ -28,6 +28,7 @@ from nelsonlab.particle import PositionGrid, atomic_ground
 from nelsonlab.spectral import assemble, lanczos_ground
 
 BASIS1 = FockBasis(1, 0)  # trivial one-sector Fock space for pure-particle states
+PARAMS = make_params(0.3, 1.0)  # read only by the exp_beta window
 
 
 def sampled_hydrogen(grid, alphaZ=1.0):
@@ -190,8 +191,8 @@ def test_hydrogen_moment_oracle_converges():
     for n in (32, 48, 64):
         grid = PositionGrid(n=n, L=14.0)
         v = sampled_hydrogen(grid)
-        m1 = spatial_moment(v, grid, BASIS1, "abs_x")
-        m2 = spatial_moment(v, grid, BASIS1, "x_squared")
+        m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS, base_frame())
+        m2 = spatial_moment(v, grid, BASIS1, "x_squared", PARAMS, base_frame())
         errs1.append(abs(m1 - 1.5) / 1.5)
         errs2.append(abs(m2 - 3.0) / 3.0)
     assert errs1 == sorted(errs1, reverse=True)
@@ -206,13 +207,13 @@ def test_solver_state_matches_hydrogen_moment():
         warnings.simplefilter("ignore")
         at = atomic_ground(grid, 1.0)
     v = at.psi.ravel() * grid.h**1.5
-    m1 = spatial_moment(v, grid, BASIS1, "abs_x")
+    m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS, base_frame())
     assert m1 == pytest.approx(1.5, rel=0.15)
 
 
 def test_moments_in_frame_match_defining_units():
     params = make_params(0.3, 1.0)
-    fr = frame_for(params, 1.0)
+    fr = frame_for(params, 1.0, 1.0)
     stretch = 1.0 / fr.rho
     grid = PositionGrid(n=12, L=10.0)
     rng = np.random.default_rng(11)
@@ -221,17 +222,17 @@ def test_moments_in_frame_match_defining_units():
     dens = (state**2).reshape(-1)
     r = grid.radius.ravel()
 
-    m_abs = spatial_moment(state, grid, BASIS1, "abs_x", frame=fr)
+    m_abs = spatial_moment(state, grid, BASIS1, "abs_x", params, fr)
     assert m_abs == pytest.approx(stretch * float(r @ dens), rel=1e-12)
 
-    m_sq = spatial_moment(state, grid, BASIS1, "x_squared", frame=fr)
+    m_sq = spatial_moment(state, grid, BASIS1, "x_squared", params, fr)
     assert m_sq == pytest.approx(stretch**2 * float((r**2) @ dens), rel=1e-12)
 
-    m_log = spatial_moment(state, grid, BASIS1, "log3", frame=fr)
+    m_log = spatial_moment(state, grid, BASIS1, "log3", params, fr)
     assert m_log == pytest.approx(float(np.log(3.0 + stretch * r) @ dens), rel=1e-12)
 
     beta = 0.01
-    m_exp = spatial_moment(state, grid, BASIS1, "exp_beta", frame=fr, beta=beta)
+    m_exp = spatial_moment(state, grid, BASIS1, "exp_beta", params, fr, beta=beta)
     assert m_exp == pytest.approx(float(np.exp(beta * stretch * r) @ dens), rel=1e-12)
 
 
@@ -241,23 +242,20 @@ def test_exponential_window_gate():
     state = np.ones(grid.point_count) / np.sqrt(grid.point_count)
     # beta above sqrt(2) e^2 Z / (4 pi) ~ 0.0101 has no admissible R > 4
     with pytest.raises(DomainError):
-        spatial_moment(state, grid, BASIS1, "exp_beta", params, beta=0.05)
-    ok = spatial_moment(state, grid, BASIS1, "exp_beta", params, beta=0.005)
+        spatial_moment(state, grid, BASIS1, "exp_beta", params, base_frame(), beta=0.05)
+    ok = spatial_moment(state, grid, BASIS1, "exp_beta", params, base_frame(), beta=0.005)
     assert ok >= 1.0
-    # without params the window is not checked (caller owns the gate)
-    raw = spatial_moment(state, grid, BASIS1, "exp_beta", beta=0.05)
-    assert np.isfinite(raw) and raw >= 1.0
 
 
 def test_spatial_moment_guards():
     grid = PositionGrid(n=8, L=6.0)
     state = np.ones(grid.point_count)
     with pytest.raises(ParameterError):
-        spatial_moment(state, grid, BASIS1, "cube_x")
+        spatial_moment(state, grid, BASIS1, "cube_x", PARAMS, base_frame())
     with pytest.raises(ParameterError):
-        spatial_moment(state, grid, BASIS1, "exp_beta")
+        spatial_moment(state, grid, BASIS1, "exp_beta", PARAMS, base_frame())
     with pytest.raises(ParameterError):
-        spatial_moment(np.zeros(grid.point_count), grid, BASIS1, "abs_x")
+        spatial_moment(np.zeros(grid.point_count), grid, BASIS1, "abs_x", PARAMS, base_frame())
 
 
 def test_moments_are_nonnegative_on_random_states():
@@ -267,7 +265,7 @@ def test_moments_are_nonnegative_on_random_states():
     for _ in range(5):
         state = rng.standard_normal(grid.point_count * basis.dim)
         for name in ("abs_x", "x_squared", "log3"):
-            assert spatial_moment(state, grid, basis, name) >= 0.0
+            assert spatial_moment(state, grid, basis, name, PARAMS, base_frame()) >= 0.0
 
 
 # ---------------------------------------------------------------------------

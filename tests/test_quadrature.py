@@ -6,7 +6,14 @@ from scipy.special import sici
 
 from nelsonlab import closedform as cf
 from nelsonlab import quadrature as qd
-from nelsonlab.model import DivergentIntegralError, DomainError, ParameterError, make_params
+from nelsonlab.model import (
+    DivergentIntegralError,
+    DomainError,
+    ParameterError,
+    ScaleFrame,
+    base_frame,
+    make_params,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +215,7 @@ def _analytic_norms():
 
 def test_f_tau_norms_analytic_oracles():
     p = make_params(0.3, 1.0, kappa=0.0, lam=math.inf)
-    nb = qd.f_tau_norms(p)
+    nb = qd.f_tau_norms(p, base_frame())
     oracle = _analytic_norms()
     got = (nb.f_ir_l2, nb.f_ir_over_sqrt_omega,
            nb.f_uv_over_sqrt_omega, nb.f_uv_over_quarter_omega)
@@ -218,35 +225,37 @@ def test_f_tau_norms_analytic_oracles():
 
 def test_f_tau_norms_below_ceilings():
     p = make_params(0.3, 1.0, kappa=0.0, lam=math.inf)
-    nb = qd.f_tau_norms(p)
+    frame = base_frame()
+    nb = qd.f_tau_norms(p, frame)
     assert nb.f_ir_l2 < cf.ir_l2_ceiling()
     assert nb.f_ir_over_sqrt_omega < cf.ir_inv_sqrt_ceiling()
-    assert nb.f_uv_over_sqrt_omega <= cf.uv_inv_sqrt_ceiling()
-    assert nb.f_uv_over_quarter_omega <= cf.uv_inv_quarter_ceiling()
-    assert cf.xi_bound(nb, nb) <= cf.xi_self_ceiling()
+    assert nb.f_uv_over_sqrt_omega <= cf.uv_inv_sqrt_ceiling(frame)
+    assert nb.f_uv_over_quarter_omega <= cf.uv_inv_quarter_ceiling(frame)
+    assert cf.xi_bound(nb, nb) <= cf.xi_self_ceiling(frame)
 
 
 def test_f_tau_norms_scaled_frame_ceilings():
     p = make_params(0.3, 1.0, kappa=0.0, lam=math.inf)
     for (tau, rho) in ((0.9, 0.5), (1.0, 0.25), (0.8, 2.0)):
-        nb = qd.f_tau_norms(p, tau, rho)
+        frame = ScaleFrame(tau, rho)
+        nb = qd.f_tau_norms(p, frame)
         assert nb.f_ir_l2 < cf.ir_l2_ceiling()
         assert nb.f_ir_over_sqrt_omega < cf.ir_inv_sqrt_ceiling()
-        assert nb.f_uv_over_sqrt_omega <= cf.uv_inv_sqrt_ceiling(tau, rho)
-        assert nb.f_uv_over_quarter_omega <= cf.uv_inv_quarter_ceiling(tau, rho)
-        assert cf.xi_bound(nb, nb) <= cf.xi_self_ceiling(tau, rho)
+        assert nb.f_uv_over_sqrt_omega <= cf.uv_inv_sqrt_ceiling(frame)
+        assert nb.f_uv_over_quarter_omega <= cf.uv_inv_quarter_ceiling(frame)
+        assert cf.xi_bound(nb, nb) <= cf.xi_self_ceiling(frame)
 
 
 def test_f_tau_norms_empty_infrared():
     p = make_params(0.3, 1.0, kappa=1.0, lam=10.0)
-    nb = qd.f_tau_norms(p)
+    nb = qd.f_tau_norms(p, base_frame())
     assert nb.f_ir_l2 == 0.0 and nb.f_ir_over_sqrt_omega == 0.0
     assert nb.f_uv_over_sqrt_omega > 0.0
 
 
 def test_f_tau_norms_monotone_in_lam():
-    wide = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.05, lam=50.0))
-    narrow = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.05, lam=5.0))
+    wide = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.05, lam=50.0), base_frame())
+    narrow = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.05, lam=5.0), base_frame())
     assert narrow.f_ir_l2 == wide.f_ir_l2  # infrared part unaffected
     assert narrow.f_uv_over_sqrt_omega < wide.f_uv_over_sqrt_omega
     assert narrow.f_uv_over_quarter_omega < wide.f_uv_over_quarter_omega

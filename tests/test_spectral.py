@@ -292,7 +292,7 @@ def test_assemble_validation(small_setup):
     with pytest.raises(ParameterError):
         sp.assemble(params, base_frame(), grid, modes, basis, variant="nelson")
     with pytest.raises(ParameterError):
-        sp.assemble(params, frame_for(params, tau=0.5), None, modes, basis, variant="fiber")
+        sp.assemble(params, frame_for(params, 0.5, 1.0), None, modes, basis, variant="fiber")
 
 
 def test_assemble_dimension_guard(small_setup):
@@ -731,13 +731,13 @@ def test_gross_potential_is_the_atoms(small_setup, gross_model):
 
 def test_scaling_covariance(small_setup, gross_model):
     params, grid, modes, basis = small_setup
-    fr = frame_for(params, tau=0.7)
-    grid_f = PositionGrid(n=grid.n, L=fr.r_of(fr.tau) * grid.L)
+    fr = frame_for(params, 0.7, 1.0)
+    grid_f = PositionGrid(n=grid.n, L=fr.power(1.0) * grid.L)
     mf = sp.assemble(params, fr, grid_f, scale_modes(modes, fr), basis, variant="gross")
     rng = np.random.default_rng(8)
     w = rng.standard_normal(gross_model.dim) + 1j * rng.standard_normal(gross_model.dim)
     lhs = mf.matvec(w)
-    rhs = fr.r_of(-2.0 * fr.tau) * gross_model.matvec(w)
+    rhs = fr.power(-2.0) * gross_model.matvec(w)
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
@@ -984,10 +984,8 @@ def test_effective_mass_matches_dense_complex_reference():
 def test_fiber_matvec_peak_memory():
     """One fiber matvec at the effmass benchmark's configuration (M = 24,
     N_max = 4, dim 20 475) peaks at 10.9 dim-length float64 vectors,
-    output included (21.7 in complex arithmetic).  The basis keeps no copy
-    of the ladder tables it built for the model."""
+    output included (21.7 in complex arithmetic)."""
     model = _fiber(0.1, 4, 6, 4)
-    assert model.basis._raised is None
     x = np.random.default_rng(31).standard_normal(model.dim)
     model.matvec(x)
     tracemalloc.start()
