@@ -40,7 +40,7 @@ import numpy as np
 
 from . import closedform as cf
 from . import quadrature as qd
-from .fockspace import FockBasis, build_modes, scale_modes
+from .fockspace import FockBasis, build_modes
 from .model import (
     ConvergenceError,
     DomainError,
@@ -97,14 +97,15 @@ _CHOICES = {"format": ("json", "csv"), "axis": _SCAN_AXES}
 # The keys each command reads, with format and out added to each.  A
 # subparser registers only its command's keys, a config file sets only them,
 # and the header echoes only them.  lambda1 is read only at tau != 0, and
-# scan's e only off the e axis.
+# scan's e only off the e axis.  A frame (tau, lambda1) enters the closed-form
+# tables only: the truncated Hamiltonian is covariant under it.
 _SUITE_KEYS = ("e", "Z", "kappa", "lambda", "grid-n", "box-L", "modes-radial",
                "modes-angular", "nmax", "tol", "maxit", "select")
 _COMMAND_KEYS = {name: keys + ("format", "out") for name, keys in {
     "constants": ("e", "Z", "tau", "lambda1"),
     "integrals": ("e", "Z", "m", "kappa", "lambda", "tau", "lambda1"),
-    "solve": ("e", "Z", "kappa", "lambda", "tau", "lambda1", "grid-n", "box-L",
-              "modes-radial", "modes-angular", "nmax", "tol", "maxit"),
+    "solve": ("e", "Z", "kappa", "lambda", "grid-n", "box-L", "modes-radial",
+              "modes-angular", "nmax", "tol", "maxit"),
     "verify": _SUITE_KEYS,
     "scan": _SUITE_KEYS + ("axis", "from", "to", "steps"),
     # effmass never reads Z: the fiber has no source.  --Z stays accepted
@@ -398,12 +399,10 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _build_model(cfg: RunConfig):
-    frame = cfg.frame()
     grid = PositionGrid(cfg.n, cfg.L)
-    # scaling is exact in the base frame, where every factor is 1.0
-    modes = scale_modes(build_modes(cfg.kappa, cfg.lam, cfg.n_radial, cfg.n_angular), frame)
+    modes = build_modes(cfg.kappa, cfg.lam, cfg.n_radial, cfg.n_angular)
     basis = FockBasis(modes.count, cfg.n_max)
-    return assemble(cfg.params(), frame, grid, modes, basis, variant="gross")
+    return assemble(cfg.params(), grid, modes, basis, variant="gross")
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[str, int]:

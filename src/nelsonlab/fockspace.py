@@ -13,24 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError, ScaleFrame
+from .model import ParameterError
 
 _TWO_PI_CUBED = (2.0 * math.pi) ** 3
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+SOFT_BOUNDARY = 1.0  # the soft/hard split |k| < 1 of the photon-number ceilings
 
 
 @dataclass(frozen=True, eq=False)
 class ModeGrid:
     """Discretized momentum shell: row ``k[j]`` is the j-th mode's wave
     vector and ``w[j]`` its quadrature weight (the (2 pi)^-3 volume factor
-    is folded into the weight).  ``soft_boundary`` is the soft/hard split
-    radius in the grid's own units (1.0 in the base frame)."""
+    is folded into the weight), both in defining units."""
 
     k: np.ndarray
     w: np.ndarray
-    kappa: float
-    lam: float
-    soft_boundary: float = 1.0
 
     def __post_init__(self):
         if self.k.ndim != 2 or self.k.shape[1] != 3 or self.k.shape[0] != self.w.shape[0]:
@@ -49,7 +46,7 @@ class ModeGrid:
 
     @property
     def soft_mask(self) -> np.ndarray:
-        return self.omega < self.soft_boundary
+        return self.omega < SOFT_BOUNDARY
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -93,21 +90,7 @@ def build_modes(kappa: float, lam: float, n_radial: int, n_angular: int) -> Mode
 
     k = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     w = (r2w[:, None] * ang_w[None, :]).reshape(-1) / _TWO_PI_CUBED
-    return ModeGrid(k=k, w=w, kappa=kappa, lam=lam)
-
-
-def scale_modes(grid: ModeGrid, frame: ScaleFrame) -> ModeGrid:
-    """Push a base-frame grid into a scale frame: wave vectors stretch by
-    rho^(-2 tau), weights (momentum-volume elements) by rho^(-6 tau), and the
-    soft/hard boundary moves with the wave vectors."""
-    s = frame.power(-2.0)
-    return ModeGrid(
-        k=grid.k * s,
-        w=grid.w * s**3,
-        kappa=grid.kappa * s,
-        lam=grid.lam * s,
-        soft_boundary=grid.soft_boundary * s,
-    )
+    return ModeGrid(k=k, w=w)
 
 
 class FockBasis:

@@ -1,14 +1,15 @@
 """Model parameters and scale-frame arithmetic.
 
-Everything downstream is expressed in terms of a parameter record
-(:class:`ModelParams`) and a scale frame (:class:`ScaleFrame`).  A frame is
-labelled by an exponent ``tau`` and a base ratio ``rho``; lengths carry a
-factor ``rho**tau`` and energies a factor ``rho**(-2*tau)`` relative to the
-defining units.  Every such factor is ``ScaleFrame.power(c)`` =
-``rho**(c*tau)``, which is 1.0 in the base frame (tau = 0) for any rho.
-With ``rho = alpha*Z*lambda1`` and ``lambda1 = 1`` the ``tau = 1`` frame
-puts the Coulomb attraction at unit strength, i.e. the natural atomic
-length becomes 1.
+The solver, the observables and the mode grids work in the defining units
+of a parameter record (:class:`ModelParams`).  A scale frame
+(:class:`ScaleFrame`) enters only the closed-form constants and the shell
+integrals.  It is labelled by an exponent ``tau`` and a base ratio ``rho``;
+lengths carry a factor ``rho**tau`` and energies a factor ``rho**(-2*tau)``
+relative to the defining units.  Every such factor is
+``ScaleFrame.power(c)`` = ``rho**(c*tau)``, which is 1.0 in the base frame
+(tau = 0) for any rho.  With ``rho = alpha*Z*lambda1`` and ``lambda1 = 1``
+the ``tau = 1`` frame puts the Coulomb attraction at unit strength, i.e.
+the natural atomic length becomes 1.
 """
 
 from __future__ import annotations
@@ -141,9 +142,3 @@ def frame_for(params: ModelParams, tau: float, lambda1: float) -> ScaleFrame:
             "use tau = 0 or a positive charge"
         )
     return ScaleFrame(tau=float(tau), rho=rho)
-
-
-def coulomb_coefficient(params: ModelParams, frame: ScaleFrame) -> float:
-    """Strength of the attractive 1/|x| term in frame units:
-    alpha Z rho**(-tau)."""
-    return params.alphaZ * frame.power(-1.0)

@@ -3,9 +3,7 @@
 All states are flat coupled vectors in the solver's Fock-major layout,
 ``state[d * X + x]`` with ``X`` the particle points, and are treated as
 l2-normalized (the routines renormalize defensively so a global phase or
-scale never matters).  Spatial moments are always reported in defining
-(base-frame) units: the caller passes the frame the state was computed in
-and the conversion happens internally.
+scale never matters).  States, grids and moments are in defining units.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 
 from .closedform import exp_moment_precondition
 from .fockspace import FockBasis, ModeGrid
-from .model import DomainError, ParameterError, ModelParams, ScaleFrame
+from .model import DomainError, ParameterError, ModelParams
 from .particle import AtomicState, PositionGrid, position_operator
 
 
@@ -86,41 +84,30 @@ def spatial_moment(
     basis: FockBasis,
     f_name: str,
     params: ModelParams,
-    frame: ScaleFrame,
     *,
     beta: float | None = None,
 ) -> float:
-    """<f(|x|) (x) 1> in defining units for f in abs_x, x_squared, log3, exp_beta.
+    """<f(|x|) (x) 1> for f in abs_x, x_squared, log3, exp_beta.
 
-    ``grid`` holds the coordinates of ``frame``; the operator is rescaled
-    internally so the returned moment is always the defining-units one
-    (|x| = rho^-tau |x'|).  ``beta`` (defining units) is required for
-    exp_beta, and the exponential-moment window
+    ``beta`` is required for exp_beta, and the exponential-moment window
     1/2 - 2/R - (beta^2/4)(4 pi/(e^2 Z))^2 > 0 for some R > 4 is checked
     first: a violation raises DomainError.
     """
     if f_name not in _MOMENT_NAMES:
         raise ParameterError(f"f_name must be one of {_MOMENT_NAMES}, got {f_name!r}")
-    stretch = frame.power(-1.0)  # defining length per frame length
-
     density = position_density(state, basis)
-
-    if f_name == "abs_x":
-        diag = position_operator(grid, "abs_x") * stretch
-    elif f_name == "x_squared":
-        diag = position_operator(grid, "x_squared") * stretch**2
-    elif f_name == "log3":
-        diag = position_operator(grid, "log3", c=stretch)
+    if f_name != "exp_beta":
+        diag = position_operator(grid, f_name)
     else:
         if beta is None or not (beta > 0.0):
-            raise ParameterError("exp_beta needs beta > 0 in defining units")
+            raise ParameterError("exp_beta needs beta > 0")
         # margin is largest as R -> infinity; any representative R > 4 set
         if exp_moment_precondition(params.e, params.Z, beta, 1e300) <= 0.0:
             raise DomainError(
                 f"exponential moment outside its window: beta={beta} is too "
                 f"large for e={params.e}, Z={params.Z}"
             )
-        diag = position_operator(grid, "exp_beta", beta=beta * stretch)
+        diag = position_operator(grid, "exp_beta", beta=beta)
     return float(diag @ density)
 
 
@@ -184,7 +171,7 @@ def ground_state_report(model, result) -> GroundStateReport:
     state = result.vector
     nums = photon_number(state, model.basis, model.modes)
     moments = {
-        name: spatial_moment(state, model.grid, model.basis, name, model.params, model.frame)
+        name: spatial_moment(state, model.grid, model.basis, name, model.params)
         for name in ("abs_x", "x_squared", "log3")
     }
     overlap_p, overlap_q = overlap_with_decoupled(

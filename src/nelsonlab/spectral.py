@@ -37,13 +37,10 @@ float64 on the fiber, whose tables are all real.  A complex vector keeps
 complex arithmetic on either.
 The dressed-model coupling attaches to mode j the real 3-vector
     g_j = sqrt(w_j) * k_j * beta(k_j) / sqrt(2 w_j_disp)
-with beta(k) = (|k| + rho2tau*|k|^2/2)^{-1}, and the three field
-components are A_l = sum_j g_{jl} * phase_j(x) (x) a_j with
-phase_j = e^{i rho^tau k_j . x}.  In a scale frame the linear term
-carries e*rho^tau and the quadratic term e^2 rho^{2 tau}; the attractive
-coefficient is alphaZ rho^{-tau}.  With the frame grid (L' = rho^tau L)
-and frame modes (scale_modes) the assembled matrix equals
-rho^{-2 tau} times the base-frame matrix, exactly.
+with beta(k) = (|k| + |k|^2/2)^{-1}, and the three field components are
+A_l = sum_j g_{jl} * phase_j(x) (x) a_j with phase_j = e^{i k_j . x}.  The
+linear term carries e, the quadratic term e^2/2 and the attraction alphaZ,
+all in defining units.
 
 The field coupling has one kernel on one ladder table of all modes (see
 _ladder_table): a_j maps into the lowered block, the first K states, and
@@ -83,15 +80,7 @@ import numpy as np
 
 from .closedform import TELESCOPING_EPS, c_uv
 from .fockspace import FockBasis, ModeGrid, ladder_ops, vacuum_vector
-from .model import (
-    ConvergenceError,
-    DomainError,
-    ModelParams,
-    ParameterError,
-    ScaleFrame,
-    base_frame,
-    coulomb_coefficient,
-)
+from .model import ConvergenceError, DomainError, ModelParams, ParameterError
 from .particle import AtomicState, PositionGrid, atomic_ground, coulomb_potential
 
 __all__ = [
@@ -284,20 +273,18 @@ class AssembledModel:
     ``_dtype`` combined.
     """
 
-    def __init__(self, variant: str, params: ModelParams, frame: ScaleFrame,
-                 grid: PositionGrid | None, modes: ModeGrid, basis: FockBasis):
-        self.variant, self.params, self.frame = variant, params, frame
+    def __init__(self, variant: str, params: ModelParams, grid: PositionGrid | None,
+                 modes: ModeGrid, basis: FockBasis):
+        self.variant, self.params = variant, params
         self.grid, self.modes, self.basis = grid, modes, basis
-        rho_tau = frame.power(1.0)
-        rho2tau = frame.power(2.0)
         k, omega = modes.k, modes.omega
-        beta = 1.0 / (omega + 0.5 * rho2tau * omega**2)
+        beta = 1.0 / (omega + 0.5 * omega**2)
         self.g = (np.sqrt(modes.w)[:, None] * k
                   * (beta / np.sqrt(2.0 * omega))[:, None])  # (M, 3) real coupling vectors
         self._axes = np.flatnonzero(self.g.any(axis=0))  # (C,) axes where g has a nonzero column
         self._coupling = self.g[:, self._axes]  # (M, C) couplings on the coupled axes
-        self.lin_coef = params.e * rho_tau  # e * rho^tau
-        self.quad_coef = 0.5 * params.e**2 * rho2tau  # e^2 rho^(2 tau) / 2
+        self.lin_coef = params.e
+        self.quad_coef = 0.5 * params.e**2
         self._hf = (basis.occupations @ omega)[:, None]  # (D, 1) field energy
         # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into a state
         self._src, self._val, self._slots = _ladder_table(basis)
@@ -315,12 +302,11 @@ class AssembledModel:
             psym = np.stack(np.broadcast_arrays(q[:, None, None], q[None, :, None],
                                                 q[None, None, :]))
             self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
-            self._pot = (coulomb_potential(grid, coulomb_coefficient(params, frame)).ravel()
+            self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
                          if variant == "gross" else None)  # (X,) potential; v0 carries none
             x = grid.axis
             self._phase = np.empty((modes.count, grid.point_count), dtype=complex)  # (M, X) phases
-            for j in range(modes.count):
-                kj = rho_tau * k[j]
+            for j, kj in enumerate(k):
                 self._phase[j] = (
                     np.exp(1j * kj[0] * x)[:, None, None]
                     * np.exp(1j * kj[1] * x)[None, :, None]
@@ -526,12 +512,11 @@ class AssembledModel:
         return np.divide(s.reshape(self._shape), denom, dtype=self._type(s)).ravel()
 
     def atomic_reference(self) -> AtomicState:
-        """Discrete atomic ground state in this model's frame (cached)."""
+        """Discrete atomic ground state on this model's grid (cached)."""
         if self.grid is None:
             raise ParameterError("the fiber variant has no particle factor")
         if self._atomic is None:
-            strength = (0.0 if self.variant == "v0"
-                        else coulomb_coefficient(self.params, self.frame))
+            strength = 0.0 if self.variant == "v0" else self.params.alphaZ
             self._atomic = atomic_ground(self.grid, strength)
         return self._atomic
 
@@ -555,28 +540,23 @@ def _ladder_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def assemble(
     params: ModelParams,
-    frame: ScaleFrame,
     grid: PositionGrid | None,
     modes: ModeGrid,
     basis: FockBasis,
     variant: str = "gross",
 ) -> AssembledModel:
-    """Build one Hamiltonian variant as a structured operator.
+    """Build one Hamiltonian variant as a structured operator, in defining units.
 
-    The caller provides the mode grid already expressed in the target
-    frame (see fockspace.scale_modes); the frame only supplies, through
-    ``frame.power``, the coefficient factors and the phase stretch rho^tau,
-    and the fiber is refused at tau != 0.  The inputs are
-    checked before any table is built, and every variant's operator must
-    pass a sampled symmetry check before it is returned.
+    The inputs are checked before any table is built, and every variant's
+    operator must pass a sampled symmetry check before it is returned.  On
+    the grid variants a mode component |k_l| above pi/h, which the phase
+    sampled at spacing h aliases, is warned about.
     """
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     if modes.count != basis.mode_count:
         raise ParameterError("mode grid and Fock basis disagree on the mode count")
     if variant == "fiber":
-        if frame.tau != 0.0:
-            raise ParameterError("the fiber variant is defined in the base frame only (tau = 0)")
         if grid is not None:
             raise ParameterError("the fiber variant takes grid=None")
     elif grid is None:
@@ -599,8 +579,14 @@ def assemble(
             )
     if np.any(modes.omega == 0.0):
         raise ParameterError("mode grid contains a zero mode")
+    if grid is not None:  # an uncoupled axis has k_l = 0 for every mode
+        k_max, k_grid = float(np.abs(modes.k).max()), math.pi / grid.h
+        if k_max > k_grid:
+            warnings.warn(f"a photon mode component |k_l| = {k_max:.4g} exceeds pi/h = "
+                          f"{k_grid:.4g} of the particle grid (ratio {k_max / k_grid:.4g}); "
+                          "its phase aliases", stacklevel=2)
 
-    model = AssembledModel(variant, params, frame, grid, modes, basis)
+    model = AssembledModel(variant, params, grid, modes, basis)
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
     if model._dtype == float:  # real vectors for a real operator
@@ -868,7 +854,7 @@ def effective_mass_numeric(
     """
     if params.e == 0.0:
         return 1.0
-    model = assemble(params, base_frame(), None, modes, basis, variant="fiber")
+    model = assemble(params, None, modes, basis, variant="fiber")
     ground = lanczos_ground(model, tol=1e-12, maxit=min(600, model.dim + 2))
     psi0, e0 = ground.vector, ground.energy
     sigma = max(-e0, 0.0) + _SHIFT_MARGIN

@@ -71,7 +71,7 @@ from .closedform import (
     total_photon_bound,
 )
 from .fockspace import FockBasis, ModeGrid, build_modes
-from .model import FOUR_PI, ModelParams, ParameterError, base_frame
+from .model import FOUR_PI, ModelParams, ParameterError
 from .observables import (
     overlap_with_decoupled,
     photon_number,
@@ -176,7 +176,6 @@ class _Suite:
     def __init__(self, params: ModelParams, res: Resolution):
         self.params = params
         self.res = res
-        self.frame = base_frame()
 
     # -- shared solves ------------------------------------------------
 
@@ -196,7 +195,7 @@ class _Suite:
 
     @_once
     def model(self):
-        return assemble(self.params, self.frame, self.grid, self.modes, self.basis)
+        return assemble(self.params, self.grid, self.modes, self.basis)
 
     @_once
     def ground(self):
@@ -208,9 +207,7 @@ class _Suite:
 
     @_once
     def v0_energy(self) -> float:
-        v0 = assemble(
-            self.params, self.frame, self.grid, self.modes, self.basis, variant="v0"
-        )
+        v0 = assemble(self.params, self.grid, self.modes, self.basis, variant="v0")
         return float(lanczos_ground(v0, tol=self.res.tol, maxit=self.res.maxit).energy)
 
     @_once
@@ -245,7 +242,7 @@ class _Suite:
         modes = build_modes(self.params.kappa, self.params.lam,
                             _PULL["sub_radial"], _PULL["sub_angular"])
         basis = FockBasis(modes.count, _PULL["sub_nmax"])
-        model = assemble(self.params, base_frame(), grid, modes, basis)
+        model = assemble(self.params, grid, modes, basis)
         return max(pull_through_residual(model, j) for j in range(modes.count))
 
     @_once
@@ -253,12 +250,8 @@ class _Suite:
         grid = PositionGrid(n=_TELESCOPING["sub_n"], L=_TELESCOPING["sub_L"])
         dk = grid.dk
         k = dk * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        modes = ModeGrid(
-            k=k, w=np.array([0.05, 0.05]), kappa=0.9 * dk, lam=1.1 * dk
-        )
-        model = assemble(
-            self.params, base_frame(), grid, modes, FockBasis(2, 2), variant="v0"
-        )
+        modes = ModeGrid(k=k, w=np.array([0.05, 0.05]))
+        model = assemble(self.params, grid, modes, FockBasis(2, 2), variant="v0")
         probe = dk * np.array([1.0, 1.0, 1.0])
         return soft_decomposition_residual(model, probe)
 
@@ -267,7 +260,7 @@ class _Suite:
     def base_params(self, **extra) -> dict:
         p = self.params
         return {"e": p.e, "Z": p.Z, "m": p.m, "kappa": p.kappa, "lam": p.lam,
-                "tau": self.frame.tau, **self.res.to_dict(), **extra}
+                "tau": 0.0, **self.res.to_dict(), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +282,7 @@ def _windowed(evaluate, zero_charge: str | None = None):
 
 
 def _moment(c: _Suite, name: str, **kwargs) -> float:
-    return spatial_moment(
-        c.ground.vector, c.grid, c.basis, name, c.params, c.frame, **kwargs
-    )
+    return spatial_moment(c.ground.vector, c.grid, c.basis, name, c.params, **kwargs)
 
 
 def _scanned(name: str, bound, radii):

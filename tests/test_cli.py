@@ -114,8 +114,9 @@ def test_scan_requires_axis_and_defaults_to_csv():
 
 
 def test_suite_frame_is_pinned(capsys):
-    """The suite runs in the defining frame: verify and scan take no --tau."""
-    for command in (["verify"], ["scan", "--axis", "e", "--from", "0", "--to", "1"]):
+    """The solver runs in defining units: solve, verify and scan take no
+    --tau or --lambda1."""
+    for command in (["solve"], ["verify"], ["scan", "--axis", "e", "--from", "0", "--to", "1"]):
         for flag in ("--tau", "--lambda1"):
             with pytest.raises(SystemExit) as exc:
                 build_config(command + [flag, "0.9"])
@@ -152,7 +153,7 @@ _SWEEP_VALUES = {
 }
 _SWEEP_CONDITION = {
     # lambda1 enters only the frame at tau != 0
-    **{(command, "lambda1"): ["--tau", "0.8"] for command in ("constants", "integrals", "solve")},
+    **{(command, "lambda1"): ["--tau", "0.8"] for command in ("constants", "integrals")},
     ("scan", "e"): ["--axis", "Z", "--from", "1", "--to", "2"],  # the e axis overrides e
 }
 _SWEEP_VALUE = {("effmass", "modes-angular"): "4"}

@@ -8,12 +8,7 @@ import pytest
 
 from fock_dense import dense_ladder
 from nelsonlab import fockspace as fs
-from nelsonlab.model import (
-    ParameterError,
-    base_frame,
-    frame_for,
-    make_params,
-)
+from nelsonlab.model import ParameterError
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -55,7 +50,7 @@ def test_soft_hard_split_against_unit_boundary():
     assert np.count_nonzero(g.soft_mask) == 1
     assert np.count_nonzero(~g.soft_mask) == 5
     norms = np.linalg.norm(g.k, axis=1)
-    assert np.all(norms[g.soft_mask] <= g.soft_boundary)
+    assert np.all(norms[g.soft_mask] <= fs.SOFT_BOUNDARY)
 
 
 def test_build_modes_rejects_bad_windows():
@@ -63,26 +58,6 @@ def test_build_modes_rejects_bad_windows():
         fs.build_modes(2.0, 1.0, 1, 1)
     with pytest.raises(ParameterError):
         fs.build_modes(0.1, math.inf, 1, 1)
-
-
-def test_scale_modes_moves_window_and_weights():
-    p = make_params(e=0.3, Z=1.0)
-    f = frame_for(p, 1.0, 1.0)
-    g = fs.build_modes(0.5, 2.0, 3, 2)
-    gs = fs.scale_modes(g, f)
-    s = f.power(-2.0)
-    np.testing.assert_allclose(gs.k, g.k * s, rtol=1e-15)
-    np.testing.assert_allclose(gs.w, g.w * s**3, rtol=1e-15)
-    assert gs.kappa == pytest.approx(g.kappa * s)
-    assert gs.lam == pytest.approx(g.lam * s)
-    assert gs.soft_boundary == pytest.approx(g.soft_boundary * s)
-
-
-def test_scale_modes_base_frame_is_identity():
-    g = fs.build_modes(0.5, 2.0, 2, 2)
-    gs = fs.scale_modes(g, base_frame())
-    np.testing.assert_array_equal(gs.k, g.k)
-    np.testing.assert_array_equal(gs.w, g.w)
 
 
 # ---------------------------------------------------------------------------

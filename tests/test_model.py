@@ -8,7 +8,6 @@ from nelsonlab.model import (
     ParameterError,
     ScaleFrame,
     base_frame,
-    coulomb_coefficient,
     frame_for,
     make_params,
 )
@@ -91,8 +90,6 @@ def test_charge_frame_uses_e_squared():
 def test_coulomb_coefficient_and_atomic_energy():
     p = make_params(0.3, 1.0)
     f = frame_for(p, 1.0, 1.0)
-    # at tau = 1, lambda1 = 1: coefficient rho^(-1) alphaZ = 1
-    assert math.isclose(coulomb_coefficient(p, f), 1.0, rel_tol=1e-14)
     # the bare level -(alphaZ)^2/2 is -1/2 in this frame's energy unit
     assert math.isclose(-0.5 * p.alphaZ**2 * f.power(-2.0), -0.5, rel_tol=1e-14)
 

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nelsonlab.fockspace import FockBasis, build_modes
-from nelsonlab.model import (
-    DomainError,
-    ParameterError,
-    base_frame,
-    frame_for,
-    make_params,
-)
+from nelsonlab.model import DomainError, ParameterError, make_params
 from nelsonlab.observables import (
     GroundStateReport,
     ground_state_report,
@@ -53,7 +47,7 @@ def coupled():
     basis = FockBasis(modes.count, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = assemble(params, base_frame(), grid, modes, basis)
+        model = assemble(params, grid, modes, basis)
         result = lanczos_ground(model, tol=1e-10, maxit=300)
     return model, result
 
@@ -191,8 +185,8 @@ def test_hydrogen_moment_oracle_converges():
     for n in (32, 48, 64):
         grid = PositionGrid(n=n, L=14.0)
         v = sampled_hydrogen(grid)
-        m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS, base_frame())
-        m2 = spatial_moment(v, grid, BASIS1, "x_squared", PARAMS, base_frame())
+        m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS)
+        m2 = spatial_moment(v, grid, BASIS1, "x_squared", PARAMS)
         errs1.append(abs(m1 - 1.5) / 1.5)
         errs2.append(abs(m2 - 3.0) / 3.0)
     assert errs1 == sorted(errs1, reverse=True)
@@ -207,33 +201,8 @@ def test_solver_state_matches_hydrogen_moment():
         warnings.simplefilter("ignore")
         at = atomic_ground(grid, 1.0)
     v = at.psi.ravel() * grid.h**1.5
-    m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS, base_frame())
+    m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS)
     assert m1 == pytest.approx(1.5, rel=0.15)
-
-
-def test_moments_in_frame_match_defining_units():
-    params = make_params(0.3, 1.0)
-    fr = frame_for(params, 1.0, 1.0)
-    stretch = 1.0 / fr.rho
-    grid = PositionGrid(n=12, L=10.0)
-    rng = np.random.default_rng(11)
-    state = rng.standard_normal(grid.point_count)
-    state /= np.linalg.norm(state)
-    dens = (state**2).reshape(-1)
-    r = grid.radius.ravel()
-
-    m_abs = spatial_moment(state, grid, BASIS1, "abs_x", params, fr)
-    assert m_abs == pytest.approx(stretch * float(r @ dens), rel=1e-12)
-
-    m_sq = spatial_moment(state, grid, BASIS1, "x_squared", params, fr)
-    assert m_sq == pytest.approx(stretch**2 * float((r**2) @ dens), rel=1e-12)
-
-    m_log = spatial_moment(state, grid, BASIS1, "log3", params, fr)
-    assert m_log == pytest.approx(float(np.log(3.0 + stretch * r) @ dens), rel=1e-12)
-
-    beta = 0.01
-    m_exp = spatial_moment(state, grid, BASIS1, "exp_beta", params, fr, beta=beta)
-    assert m_exp == pytest.approx(float(np.exp(beta * stretch * r) @ dens), rel=1e-12)
 
 
 def test_exponential_window_gate():
@@ -242,8 +211,8 @@ def test_exponential_window_gate():
     state = np.ones(grid.point_count) / np.sqrt(grid.point_count)
     # beta above sqrt(2) e^2 Z / (4 pi) ~ 0.0101 has no admissible R > 4
     with pytest.raises(DomainError):
-        spatial_moment(state, grid, BASIS1, "exp_beta", params, base_frame(), beta=0.05)
-    ok = spatial_moment(state, grid, BASIS1, "exp_beta", params, base_frame(), beta=0.005)
+        spatial_moment(state, grid, BASIS1, "exp_beta", params, beta=0.05)
+    ok = spatial_moment(state, grid, BASIS1, "exp_beta", params, beta=0.005)
     assert ok >= 1.0
 
 
@@ -251,11 +220,11 @@ def test_spatial_moment_guards():
     grid = PositionGrid(n=8, L=6.0)
     state = np.ones(grid.point_count)
     with pytest.raises(ParameterError):
-        spatial_moment(state, grid, BASIS1, "cube_x", PARAMS, base_frame())
+        spatial_moment(state, grid, BASIS1, "cube_x", PARAMS)
     with pytest.raises(ParameterError):
-        spatial_moment(state, grid, BASIS1, "exp_beta", PARAMS, base_frame())
+        spatial_moment(state, grid, BASIS1, "exp_beta", PARAMS)
     with pytest.raises(ParameterError):
-        spatial_moment(np.zeros(grid.point_count), grid, BASIS1, "abs_x", PARAMS, base_frame())
+        spatial_moment(np.zeros(grid.point_count), grid, BASIS1, "abs_x", PARAMS)
 
 
 def test_moments_are_nonnegative_on_random_states():
@@ -265,7 +234,7 @@ def test_moments_are_nonnegative_on_random_states():
     for _ in range(5):
         state = rng.standard_normal(grid.point_count * basis.dim)
         for name in ("abs_x", "x_squared", "log3"):
-            assert spatial_moment(state, grid, basis, name, PARAMS, base_frame()) >= 0.0
+            assert spatial_moment(state, grid, basis, name, PARAMS) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +269,7 @@ def test_report_needs_particle_sector():
     params = make_params(0.2, 1.0, kappa=0.3, lam=2.0)
     modes = build_modes(0.3, 2.0, 1, 2)
     basis = FockBasis(modes.count, 1)
-    model = assemble(params, base_frame(), None, modes, basis, variant="fiber")
+    model = assemble(params, None, modes, basis, variant="fiber")
     result = lanczos_ground(model, tol=1e-10, maxit=300)
     with pytest.raises(ParameterError):
         ground_state_report(model, result)

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from fock_dense import dense, dense_ladder
-from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes, scale_modes
+from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes
 from nelsonlab.model import (
     ConvergenceError,
     DomainError,
     ParameterError,
-    base_frame,
-    frame_for,
     make_params,
 )
 from nelsonlab.particle import PositionGrid, coulomb_potential
@@ -35,7 +33,7 @@ def small_setup():
 @pytest.fixture(scope="module")
 def gross_model(small_setup):
     params, grid, modes, basis = small_setup
-    return sp.assemble(params, base_frame(), grid, modes, basis, variant="gross")
+    return sp.assemble(params, grid, modes, basis, variant="gross")
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +280,15 @@ def test_normal_stream_has_standard_normal_moments():
 def test_assemble_validation(small_setup):
     params, grid, modes, basis = small_setup
     with pytest.raises(ParameterError):
-        sp.assemble(params, base_frame(), grid, modes, basis, variant="polaron")
+        sp.assemble(params, grid, modes, basis, variant="polaron")
     with pytest.raises(ParameterError):
-        sp.assemble(params, base_frame(), grid, modes, FockBasis(5, 1))
+        sp.assemble(params, grid, modes, FockBasis(5, 1))
     with pytest.raises(ParameterError):
-        sp.assemble(params, base_frame(), None, modes, basis, variant="gross")
+        sp.assemble(params, None, modes, basis, variant="gross")
     with pytest.raises(ParameterError):
-        sp.assemble(params, base_frame(), grid, modes, basis, variant="fiber")
+        sp.assemble(params, grid, modes, basis, variant="fiber")
     with pytest.raises(ParameterError):
-        sp.assemble(params, base_frame(), grid, modes, basis, variant="nelson")
-    with pytest.raises(ParameterError):
-        sp.assemble(params, frame_for(params, 0.5, 1.0), None, modes, basis, variant="fiber")
+        sp.assemble(params, grid, modes, basis, variant="nelson")
 
 
 def test_assemble_dimension_guard(small_setup):
@@ -300,14 +296,31 @@ def test_assemble_dimension_guard(small_setup):
     big_grid = PositionGrid(n=32, L=10.0)
     big_basis = FockBasis(modes.count, 5)  # dim 21 -> 32^3 * 21 > 5e5
     with pytest.raises(ParameterError):
-        sp.assemble(params, base_frame(), big_grid, modes, big_basis)
+        sp.assemble(params, big_grid, modes, big_basis)
 
 
 def test_assemble_warns_outside_window(small_setup):
     _, grid, modes, basis = small_setup
     strong = make_params(e=1.2, Z=1.0, kappa=0.3, lam=2.0)
     with pytest.warns(UserWarning, match="small-charge window"):
-        sp.assemble(strong, base_frame(), grid, modes, basis, variant="gross")
+        sp.assemble(strong, grid, modes, basis, variant="gross")
+
+
+def test_assemble_warns_when_the_grid_aliases_a_mode(small_setup):
+    """A +z mode at 1.65 lies above pi/h = 1.257 of the n = 4, L = 5 grid,
+    one at 1.15 below it: only the first warns, naming the ratio 1.313."""
+    params, _, _, _ = small_setup
+    grid = PositionGrid(n=4, L=5.0)
+    for lam, ratio in ((3.0, "1.313"), (2.0, None)):
+        modes = build_modes(0.3, lam, 1, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sp.assemble(params, grid, modes, FockBasis(1, 1), variant="gross")
+        aliased = [str(w.message) for w in caught if "aliases" in str(w.message)]
+        if ratio is None:
+            assert aliased == []
+        else:
+            assert len(aliased) == 1 and f"(ratio {ratio})" in aliased[0]
 
 
 @pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
@@ -319,18 +332,18 @@ def test_assemble_samples_the_symmetry_of_every_variant(small_setup, variant, mo
     monkeypatch.setattr(sp.AssembledModel, "matvec",
                         lambda self, v: matvec(self, v) + 1e-6 * np.roll(v, 1))
     with pytest.raises(RuntimeError, match="failed the symmetry sample"):
-        sp.assemble(params, base_frame(), None if variant == "fiber" else grid, modes, basis,
+        sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
                     variant=variant)
 
 
 def test_hermitian_all_variants(small_setup):
     params, grid, modes, basis = small_setup
     for var in ("gross", "v0"):
-        model = sp.assemble(params, base_frame(), grid, modes, basis, variant=var)
+        model = sp.assemble(params, grid, modes, basis, variant=var)
         H = dense(model)
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
     fib = sp.assemble(
-        params, base_frame(), None, modes, FockBasis(modes.count, 2), variant="fiber"
+        params, None, modes, FockBasis(modes.count, 2), variant="fiber"
     )
     Hf = dense(fib)
     assert np.max(np.abs(Hf - Hf.conj().T)) < 1e-12
@@ -339,13 +352,13 @@ def test_hermitian_all_variants(small_setup):
 def test_zero_coupling_decouples(small_setup):
     _, grid, modes, basis = small_setup
     p0 = make_params(e=0.0, Z=1.0, kappa=0.3, lam=2.0)
-    m0 = sp.assemble(p0, base_frame(), grid, modes, basis, variant="gross")
+    m0 = sp.assemble(p0, grid, modes, basis, variant="gross")
     rng = np.random.default_rng(5)
     f = rng.standard_normal(grid.point_count) + 1j * rng.standard_normal(grid.point_count)
     g = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     spec = np.fft.fftn(f.reshape((grid.n,) * 3))
     Tf = np.fft.ifftn(0.5 * grid.laplacian_symbol * spec).ravel()
-    strength = sp.coulomb_coefficient(p0, base_frame())
+    strength = p0.alphaZ
     Vf = (-strength / np.maximum(grid.radius, grid.h / 2).ravel()) * f
     hf = basis.occupations @ modes.omega
     expect = np.kron(g, Tf + Vf) + np.kron(hf * g, f)
@@ -380,7 +393,7 @@ def _reference_hamiltonian(params, grid, modes, basis, variant):
         ]
         h_particle = 0.5 * sum(pl @ pl for pl in p)
         if variant == "gross":
-            strength = sp.coulomb_coefficient(params, base_frame())
+            strength = params.alphaZ
             h_particle = h_particle + np.diag(-strength / np.maximum(grid.radius, grid.h / 2).ravel())
         H = np.kron(eye_d, h_particle) + np.kron(hf, np.eye(grid.point_count))
         p = [np.kron(eye_d, pl) for pl in p]
@@ -403,8 +416,6 @@ def _lattice_modes(grid):
     return ModeGrid(
         k=dk * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
         w=np.array([0.05, 0.05]),
-        kappa=0.9 * dk,
-        lam=1.1 * dk,
     )
 
 
@@ -431,7 +442,7 @@ def test_dense_matches_independent_reference(variant, grid_name):
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
     basis = FockBasis(modes.count, 3 if variant == "fiber" else 2)
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
+    model = sp.assemble(params, grid, modes, basis, variant=variant)
     assert model.dim <= 1000
     assert model._coupling.shape[1] == coupled
     ref = _reference_hamiltonian(params, grid, modes, basis, variant)
@@ -446,7 +457,7 @@ def test_matvec_transforms_only_the_coupled_axes(variant, grid_name, monkeypatch
     preconditioner there makes none."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
-    model = sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, 2),
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
                         variant=variant)
     calls = []
 
@@ -474,7 +485,7 @@ def test_plane_matvec_is_the_conjugated_matvec(variant, grid_name):
     unnormalized DFT over the particle axes, at C = 1, 2 and 3."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
-    model = sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, 2),
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
                         variant=variant)
     assert model._coupling.shape[1] == coupled
     n = grid.n
@@ -495,7 +506,7 @@ def test_lanczos_ground_returns_a_unit_position_vector(small_setup, variant):
     position vector, (D, X) flat, at unit norm: its residual under the
     dense position-space H is the one reported."""
     params, grid, modes, basis = small_setup
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
+    model = sp.assemble(params, grid, modes, basis, variant=variant)
     res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
     v = res.vector
     assert v.dtype == np.complex128 and v.shape == (model.dim,)
@@ -532,7 +543,7 @@ def test_plane_matvec_holds_no_more_than_matvec(case):
     charge, n, radial, angular, n_max = _MEMORY_CASES[case]
     params = make_params(kappa=0.1, lam=10.0, **charge)
     modes = build_modes(0.1, 10.0, radial, angular)
-    model = sp.assemble(params, base_frame(), PositionGrid(n=n, L=10.0), modes,
+    model = sp.assemble(params, PositionGrid(n=n, L=10.0), modes,
                         FockBasis(modes.count, n_max), variant="gross")
     rng = np.random.default_rng(41)
     x = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
@@ -546,7 +557,7 @@ def test_apply_D_along_an_uncoupled_axis():
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case("+z", "gross")
     basis = FockBasis(modes.count, 2)
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant="gross")
+    model = sp.assemble(params, grid, modes, basis, variant="gross")
     rng = np.random.default_rng(17)
     v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     u4 = v.reshape((basis.dim,) + (grid.n,) * 3)
@@ -572,7 +583,7 @@ def test_ground_energy_never_rises_with_fock_cap(variant):
         grid, modes, caps = PositionGrid(n=8, L=10.0), build_modes(0.3, 2.0, 2, 1), (1, 2, 3)
     energies = [
         sp.lanczos_ground(
-            sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, cap), variant=variant),
+            sp.assemble(params, grid, modes, FockBasis(modes.count, cap), variant=variant),
             tol=1e-12,
             maxit=400,
         ).energy
@@ -595,7 +606,7 @@ def kernel_model(request):
     else:
         modes, grid = build_modes(0.3, 2.0, 3, 1), PositionGrid(n=4, L=5.0)
     variant = request.param.split("-")[0]
-    model = sp.assemble(params, base_frame(), grid, modes, FockBasis(modes.count, 3),
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 3),
                         variant=variant)
     assert model._coupling.shape[1] == (1 if request.param == "gross-+z" else 3)
     assert np.bincount(model._src.ravel()).max() == 3
@@ -667,13 +678,13 @@ def test_lanczos_ground_matches_dense(small_setup, gross_model):
     params, grid, modes, basis = small_setup
     for var, model in (
         ("gross", gross_model),
-        ("v0", sp.assemble(params, base_frame(), grid, modes, basis, variant="v0")),
+        ("v0", sp.assemble(params, grid, modes, basis, variant="v0")),
     ):
         evals = np.linalg.eigvalsh(dense(model))
         res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
         assert res.energy == pytest.approx(evals[0], abs=1e-10), var
     fib = sp.assemble(
-        params, base_frame(), None, modes, FockBasis(modes.count, 3), variant="fiber"
+        params, None, modes, FockBasis(modes.count, 3), variant="fiber"
     )
     evals = np.linalg.eigvalsh(dense(fib))
     res = sp.lanczos_ground(fib, tol=1e-10, maxit=300)
@@ -685,9 +696,9 @@ def test_lanczos_ground_v0_and_fiber_vacuum_seed():
     vacuum, at a coupling where neither seed is an eigenvector."""
     params = make_params(e=1.0, Z=1.0, kappa=0.3, lam=2.0)
     modes = build_modes(0.3, 2.0, 1, 2)
-    v0 = sp.assemble(params, base_frame(), PositionGrid(n=4, L=3.0), modes,
+    v0 = sp.assemble(params, PositionGrid(n=4, L=3.0), modes,
                      FockBasis(modes.count, 2), variant="v0")
-    fib = sp.assemble(params, base_frame(), None, build_modes(0.3, 2.0, 2, 2),
+    fib = sp.assemble(params, None, build_modes(0.3, 2.0, 2, 2),
                       FockBasis(4, 4), variant="fiber")
     for model in (v0, fib):
         H = dense(model)
@@ -703,7 +714,7 @@ def test_ground_state_layout_is_fock_major():
     nothing in the others."""
     params = make_params(e=0.0, Z=40.0)
     modes = build_modes(0.1, 10.0, 2, 1)
-    model = sp.assemble(params, base_frame(), PositionGrid(n=8, L=10.0), modes,
+    model = sp.assemble(params, PositionGrid(n=8, L=10.0), modes,
                         FockBasis(modes.count, 2), variant="gross")
     mat = sp.lanczos_ground(model, tol=1e-10, maxit=300).vector.reshape(model.basis.dim, -1)
     assert np.linalg.norm(mat[1:]) == 0.0
@@ -729,18 +740,6 @@ def test_gross_potential_is_the_atoms(small_setup, gross_model):
                           -strength / np.maximum(grid.radius, grid.h / 2.0).ravel())
 
 
-def test_scaling_covariance(small_setup, gross_model):
-    params, grid, modes, basis = small_setup
-    fr = frame_for(params, 0.7, 1.0)
-    grid_f = PositionGrid(n=grid.n, L=fr.power(1.0) * grid.L)
-    mf = sp.assemble(params, fr, grid_f, scale_modes(modes, fr), basis, variant="gross")
-    rng = np.random.default_rng(8)
-    w = rng.standard_normal(gross_model.dim) + 1j * rng.standard_normal(gross_model.dim)
-    lhs = mf.matvec(w)
-    rhs = fr.power(-2.0) * gross_model.matvec(w)
-    assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
 def test_v0_commutes_with_total_momentum(small_setup):
     params, _, _, basis = small_setup
     grid = PositionGrid(n=8, L=5.0)
@@ -750,10 +749,8 @@ def test_v0_commutes_with_total_momentum(small_setup):
     modes = ModeGrid(
         k=dk * np.array([[0.0, 0.0, 1.0], [-1.0, 1.0, -1.0]]),
         w=np.array([0.05, 0.04]),
-        kappa=0.5 * dk,
-        lam=2.0 * dk,
     )
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant="v0")
+    model = sp.assemble(params, grid, modes, basis, variant="v0")
     pf = basis.occupations @ modes.k
     idx = np.fft.fftfreq(grid.n) * grid.n
     keep = (idx >= -grid.n // 2 + 2) & (idx <= grid.n // 2 - 1 - 2)
@@ -791,7 +788,7 @@ def pull_model(small_setup):
     params, _, modes, _ = small_setup
     grid = PositionGrid(n=8, L=5.0)
     basis = FockBasis(modes.count, 2)
-    return sp.assemble(params, base_frame(), grid, modes, basis, variant="gross")
+    return sp.assemble(params, grid, modes, basis, variant="gross")
 
 
 def test_pull_through_vanishes(pull_model):
@@ -804,7 +801,7 @@ def tiny_pull_model():
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     modes = build_modes(0.3, 2.0, 2, 1)
     basis = FockBasis(modes.count, 2)
-    return sp.assemble(params, base_frame(), PositionGrid(n=4, L=5.0), modes, basis, variant="gross")
+    return sp.assemble(params, PositionGrid(n=4, L=5.0), modes, basis, variant="gross")
 
 
 def _field_energy_mutant(model, factor):
@@ -835,7 +832,7 @@ def test_pull_through_bounds_the_dense_defect_norm(tiny_pull_model):
 
 def test_pull_through_guards(small_setup, pull_model):
     params, grid, modes, basis = small_setup
-    v0 = sp.assemble(params, base_frame(), grid, modes, basis, variant="v0")
+    v0 = sp.assemble(params, grid, modes, basis, variant="v0")
     with pytest.raises(ParameterError):
         sp.pull_through_residual(v0, 0)
     with pytest.raises(ParameterError):
@@ -852,7 +849,7 @@ def telescoping_model():
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid = PositionGrid(n=8, L=8.0)
     basis = FockBasis(2, 2)
-    model = sp.assemble(params, base_frame(), grid, _lattice_modes(grid), basis, variant="v0")
+    model = sp.assemble(params, grid, _lattice_modes(grid), basis, variant="v0")
     return model, grid.dk
 
 
@@ -867,7 +864,7 @@ def test_soft_decomposition_finer_grid(telescoping_model):
     model, dk = telescoping_model
     grid16 = PositionGrid(n=16, L=8.0)
     m16 = sp.assemble(
-        model.params, base_frame(), grid16, model.modes, model.basis, variant="v0"
+        model.params, grid16, model.modes, model.basis, variant="v0"
     )
     out = sp.soft_decomposition_residual(m16, np.array([dk, dk, dk]))
     assert out["res1"] < 1e-10
@@ -930,7 +927,7 @@ def test_effective_mass_matches_mode_sum():
 
 def _fiber(e, n_radial, n_angular, n_max):
     modes = build_modes(0.3, 2.0, n_radial, n_angular)
-    return sp.assemble(make_params(e=e, Z=1.0, kappa=0.3, lam=2.0), base_frame(), None,
+    return sp.assemble(make_params(e=e, Z=1.0, kappa=0.3, lam=2.0), None,
                        modes, FockBasis(modes.count, n_max), variant="fiber")
 
 
@@ -952,7 +949,7 @@ def test_fiber_runs_in_real_arithmetic():
 @pytest.mark.parametrize("variant", ["gross", "v0"])
 def test_grid_variants_stay_complex(small_setup, variant):
     params, grid, modes, basis = small_setup
-    model = sp.assemble(params, base_frame(), grid, modes, basis, variant=variant)
+    model = sp.assemble(params, grid, modes, basis, variant=variant)
     x = np.random.default_rng(29).standard_normal(model.dim)
     assert model.matvec(x).dtype == np.complex128
     assert model.precondition(x, 0.1).dtype == np.complex128
