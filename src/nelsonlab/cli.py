@@ -8,8 +8,10 @@ tolerance among them), 3 on internal errors, including a verification
 check that raised (a missed tolerance inside the suite too).
 
 Output is deterministic: the same argv produces byte-identical bytes (no
-timestamps), and numeric tables carry full-precision values (17 significant
-digits) next to a rounded display column.
+timestamps).  Every command writes through ``_emit``: JSON is the config
+echo and the command's payload; CSV is the echo as comment lines and one
+table whose numeric cells carry 17 significant digits, next to a rounded
+display column where the table has one.
 """
 
 import os
@@ -56,7 +58,7 @@ from .spectral import (
     effective_mass_riemann,
     lanczos_ground,
 )
-from .verify import Resolution, run_suite, suite_passed, suite_to_csv
+from .verify import Resolution, run_suite, suite_passed
 
 
 class UsageError(Exception):
@@ -284,26 +286,22 @@ def _to_json(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _echo_lines(cfg: RunConfig) -> list[str]:
-    return [f"# {k}={v}" for k, v in cfg.echo().items()]
-
-
-def _table_csv(cfg: RunConfig, columns: tuple[str, ...], rows: list[dict]) -> str:
-    lines = _echo_lines(cfg)
+def _emit(cfg: RunConfig, payload: dict, columns: tuple[str, ...], rows: list[dict]) -> str:
+    """The one writer of every command's output.  JSON is the config echo
+    and ``payload``; CSV is the echo as ``# key=value`` lines, then ``rows``
+    under ``columns``, numbers at 17 significant digits (rounded in a
+    display column)."""
+    if cfg.format == "json":
+        return _to_json({"config": cfg.echo(), **payload})
+    lines = [f"# {k}={v}" for k, v in cfg.echo().items()]
     lines.append(",".join(columns))
     for row in rows:
-        cells = []
-        for col in columns:
-            v = row.get(col)
-            cells.append(_display(v) if col == "display" else _f17(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_display(row.get(col)) if col == "display" else _f17(row.get(col))
+                              for col in columns))
     return "\n".join(lines) + "\n"
 
 
-def _emit_table(cfg: RunConfig, rows: list[dict], columns: tuple[str, ...]) -> str:
-    if cfg.format == "csv":
-        return _table_csv(cfg, columns, rows)
-    return _to_json({"config": cfg.echo(), "rows": rows})
+_NAMED = ("name", "value", "display")  # the columns of a named-value table
 
 
 def _row(rows: list, name: str, fn, **extra) -> None:
@@ -358,18 +356,10 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
 
     window = cf.coupling_window(Z, tau_c)
     for key in ("e_uv", "a_ir1", "a_ir2", "e_ir", "g_ir_at_e_ir"):
-        value = getattr(window, key)
-        rows.append(
-            {"name": f"window.{key}", "value": value, "display": _display(value)}
-        )
-    rows.append(
-        {
-            "name": "window.empty",
-            "value": bool(window.empty),
-            "display": str(window.empty),
-        }
-    )
-    return _emit_table(cfg, rows, ("name", "value", "display")), 0
+        _row(rows, f"window.{key}", lambda k=key: getattr(window, k))
+    # a bool, which _row would make 1.0
+    rows.append({"name": "window.empty", "value": window.empty, "display": str(window.empty)})
+    return _emit(cfg, {"rows": rows}, _NAMED, rows), 0
 
 
 def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
@@ -395,7 +385,7 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
     ):
         _row(rows, name, fn, ceiling=None, margin=None)
     columns = ("name", "value", "ceiling", "margin", "display")
-    return _emit_table(cfg, rows, columns), 0
+    return _emit(cfg, {"rows": rows}, columns, rows), 0
 
 
 def _build_model(cfg: RunConfig):
@@ -408,19 +398,14 @@ def _build_model(cfg: RunConfig):
 def cmd_solve(cfg: RunConfig) -> tuple[str, int]:
     model = _build_model(cfg)
     result = lanczos_ground(model, tol=cfg.tol, maxit=cfg.maxit)
-    report = ground_state_report(model, result)
-    if cfg.format == "csv":
-        flat: list[tuple[str, object]] = []
-        for key, value in report.to_dict().items():
-            if isinstance(value, dict):
-                flat.extend((f"{key}.{k}", v) for k, v in value.items())
-            else:
-                flat.append((key, value))
-        lines = _echo_lines(cfg)
-        lines.append("key,value")
-        lines.extend(f"{k},{_f17(v)}" for k, v in flat)
-        return "\n".join(lines) + "\n", 0
-    return _to_json({"config": cfg.echo(), "report": report.to_dict()}), 0
+    report = ground_state_report(model, result).to_dict()
+    rows = []  # one key per value, the moments as moments.<name>
+    for key, value in report.items():
+        if isinstance(value, dict):
+            rows += [{"key": f"{key}.{k}", "value": v} for k, v in value.items()]
+        else:
+            rows.append({"key": key, "value": value})
+    return _emit(cfg, {"report": report}, ("key", "value"), rows), 0
 
 
 def _resolution(cfg: RunConfig) -> Resolution:
@@ -444,12 +429,11 @@ def _suite_status(suites) -> int:
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     reports = run_suite(cfg.params(), _resolution(cfg), selection=cfg.selection)
-    status = _suite_status([reports])
-    if cfg.format == "csv":
-        return "\n".join(_echo_lines(cfg)) + "\n" + suite_to_csv(reports), status
-    payload = {"config": cfg.echo(), "reports": [r.to_dict() for r in reports],
-               "passed": suite_passed(reports)}
-    return _to_json(payload), status
+    payload = {"reports": [r.to_dict() for r in reports], "passed": suite_passed(reports)}
+    rows = [{"id": r.id, "status": r.status.split("(")[0], "lhs": r.lhs, "rhs": r.rhs,
+             "slack": r.slack} for r in reports]
+    columns = ("id", "status", "lhs", "rhs", "slack")
+    return _emit(cfg, payload, columns, rows), _suite_status([reports])
 
 
 def cmd_scan(cfg: RunConfig) -> tuple[str, int]:
@@ -461,26 +445,12 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, int]:
         point = replace(cfg, **{field: float(v)})
         table.append((float(v), run_suite(point.params(), res, selection=cfg.selection)))
     status = _suite_status([reports for _, reports in table])
-    ids = [r.id for r in table[0][1]]
-    if cfg.format == "json":
-        rows = [
-            {
-                "value": v,
-                "passed": suite_passed(reports),
-                "slack": {r.id: r.slack for r in reports},
-            }
-            for v, reports in table
-        ]
-        payload = {"config": cfg.echo(), "axis": cfg.axis, "rows": rows}
-        return _to_json(payload), status
-    lines = _echo_lines(cfg)
-    lines.append(",".join([cfg.axis] + [f"slack.{i}" for i in ids] + ["passed"]))
-    for v, reports in table:
-        cells = [_f17(v)]
-        cells += [_f17(r.slack) for r in reports]
-        cells.append("1" if suite_passed(reports) else "0")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n", status
+    points = [{"value": v, "passed": suite_passed(reports),
+               "slack": {r.id: r.slack for r in reports}} for v, reports in table]
+    columns = (cfg.axis, *(f"slack.{r.id}" for r in table[0][1]), "passed")
+    rows = [{cfg.axis: p["value"], **{f"slack.{i}": s for i, s in p["slack"].items()},
+             "passed": "1" if p["passed"] else "0"} for p in points]
+    return _emit(cfg, {"axis": cfg.axis, "rows": points}, columns, rows), status
 
 
 def cmd_effmass(cfg: RunConfig) -> tuple[str, int]:
@@ -500,7 +470,7 @@ def cmd_effmass(cfg: RunConfig) -> tuple[str, int]:
     )
     _row(rows, "coefficient.mode_sum", lambda: coeff)
     _row(rows, "coefficient.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT)
-    return _emit_table(cfg, rows, ("name", "value", "display")), 0
+    return _emit(cfg, {"rows": rows}, _NAMED, rows), 0
 
 
 def cmd_binding(cfg: RunConfig) -> tuple[str, int]:
@@ -522,7 +492,7 @@ def cmd_binding(cfg: RunConfig) -> tuple[str, int]:
         ),
     )
     _row(rows, "shift.envelope", lambda: qd.binding_envelope(e, Z))
-    return _emit_table(cfg, rows, ("name", "value", "display")), 0
+    return _emit(cfg, {"rows": rows}, _NAMED, rows), 0
 
 
 _DISPATCH = {

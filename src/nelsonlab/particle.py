@@ -232,10 +232,6 @@ def position_operator(
     elif name == "exp_beta":
         if beta is None or beta < 0.0:
             raise ParameterError("exp_beta needs beta >= 0")
-        if beta * grid.L >= 700.0:
-            raise ParameterError(
-                f"beta*L = {beta * grid.L:.1f} would overflow exp; need < 700"
-            )
         if beta * float(r.max()) >= 709.0:
             raise ParameterError("exp(beta |x|) overflows at the box corner")
         diag = np.exp(beta * r)

@@ -47,9 +47,11 @@ _ladder_table): a_j maps into the lowered block, the first K states, and
 adag_j reads only from it.  ``components(u)`` gives the stack A_l u from one
 gather u[_src], held as (C, K+1, X): the lowered block and one zero row,
 where the clipped gathers of ``contract`` land for the states above it.
-``contract(V)`` gives sum_l A_l V_l; their adjoints raise, each state adding
-the at most min(M, N_max) entries of all modes that land on it.  No call
-loops over the modes.  One kernel (``_parts``) gives H u = F^-1 S + P,
+``contract(V)`` gives sum_l A_l V_l on the lowered block, where it lives;
+the adjoints (``_adjoint_components``, ``contract_adjoint``) raise, each
+state adding the at most min(M, N_max) entries of all modes that land on
+it.  No call loops over the modes.  One kernel (``_parts``) gives
+H u = F^-1 S + P,
     S = (|q|^2/2) F u + c sum_l q_l F(A_l u),
     P = (U + H_f) u + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
     V_l = c p_l u + (c^2/2) (2 A_l u + A*_l u),
@@ -400,24 +402,14 @@ class AssembledModel:
         out[:, K] = 0.0
         return out
 
-    def contract(self, V: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """sum_l A_l V_l over the C coupled axes, V of shape (C, D, X);
-        sum_l A*_l V_l when adjoint.
+    def contract(self, V: np.ndarray) -> np.ndarray:
+        """sum_l A_l V_l over the C coupled axes, V of shape (C, D, X): its
+        first K rows, the lowered block, since the rows from K on vanish.
 
-        Forms sum_l coupling_jl V_l on the entries of each mode first, then
-        gathers (A) or raises (A*) once; A* reads only the lowered block.
-        The gather clips its indices, so A also takes the (C, K+1, X) stack
-        of ``components``, whose last row is zero.
+        Gathers each V_l once and sums the modes' entries.  The gather clips
+        its indices, so it also takes the (C, K+1, X) stack of
+        ``components``, whose last row is zero.
         """
-        M, K = self._src.shape
-        if adjoint:
-            buf = np.zeros((self._src.size + 1, V.shape[2]), dtype=self._type(V))
-            entries = buf[:-1].reshape(self._src.shape + V.shape[2:])
-            np.matmul(self._coupling, V[:, :K].reshape(len(V), -1), out=entries.reshape(M, -1))
-            entries *= self._val
-            if self._phase is not None:
-                entries *= self._phase.conj()[:, None, :]
-            return self._raise(buf, self._slots.shape[1])
         lowered = None
         for Vl, gl in zip(V, self._coupling.T):
             term = np.take(Vl, self._src, axis=0, mode="clip")
@@ -428,9 +420,23 @@ class AssembledModel:
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        out = np.zeros((self._slots.shape[1],) + V.shape[2:], dtype=lowered.dtype)
-        lowered.sum(axis=0, out=out[:K])
-        return out
+        return lowered.sum(axis=0)
+
+    def contract_adjoint(self, V: np.ndarray) -> np.ndarray:
+        """sum_l A*_l V_l over the C coupled axes, V of shape (C, D, X), on
+        all D states.
+
+        Forms sum_l coupling_jl V_l on the entries of each mode first, then
+        raises once; A* reads only the lowered block of V.
+        """
+        M, K = self._src.shape
+        buf = np.zeros((self._src.size + 1, V.shape[2]), dtype=self._type(V))
+        entries = buf[:-1].reshape(self._src.shape + V.shape[2:])
+        np.matmul(self._coupling, V[:, :K].reshape(len(V), -1), out=entries.reshape(M, -1))
+        entries *= self._val
+        if self._phase is not None:
+            entries *= self._phase.conj()[:, None, :]
+        return self._raise(buf, self._slots.shape[1])
 
     def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
         """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
@@ -444,7 +450,9 @@ class AssembledModel:
         out = self._ifft(out, out)
         if self.lin_coef != 0.0:
             du = d[self._axes, None, None] * u
-            out += self.lin_coef * (self.contract(du) + self.contract(du, adjoint=True))
+            field = self.contract_adjoint(du)
+            field[: self._src.shape[1]] += self.contract(du)  # A du lives on the lowered block
+            out += self.lin_coef * field
         return out.ravel()
 
     # -- the Hamiltonian ----------------------------------------------------
@@ -477,9 +485,9 @@ class AssembledModel:
             Au *= q  # from here on the quadratic term's q A u
         u *= self._hf if self._pot is None else self._hf + self._pot
         if c != 0.0:
-            u += self.contract(Au)
+            u[:K] += self.contract(Au)
             del Au
-            u += self.contract(V, adjoint=True)
+            u += self.contract_adjoint(V)
         return S, u
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

@@ -27,7 +27,11 @@ functions of the rows that need the small-charge window and is the one place
 the shared gates live.  ``_run`` turns a row into its report: pass or fail
 by the slack, skipped, or error when the function raised anything else.  The
 shared state computes each solve at most once and remembers a failure, so
-every check that reads a failed solve reports the same error.
+every check that reads a failed solve reports the same error.  The photon,
+overlap and polynomial-moment checks read their observable from the one
+``observables.ground_state_report`` of the ground state, the report
+``solve`` prints; only g_R and the exponential moment, which it does not
+carry, are formed here.
 
 Design notes.  The suite solves in defining units (tau = 0) so ceiling
 comparisons need no unit conversion; discrete references (E_at_h, psi_at_h
@@ -72,13 +76,7 @@ from .closedform import (
 )
 from .fockspace import FockBasis, ModeGrid, build_modes
 from .model import FOUR_PI, ModelParams, ParameterError
-from .observables import (
-    overlap_with_decoupled,
-    photon_number,
-    position_density,
-    spatial_moment,
-    vacuum_sector_weight,
-)
+from .observables import GroundStateReport, ground_state_report, position_density, spatial_moment
 from .particle import PositionGrid, position_operator
 from .spectral import (
     _PULL_PROBES,
@@ -211,16 +209,10 @@ class _Suite:
         return float(lanczos_ground(v0, tol=self.res.tol, maxit=self.res.maxit).energy)
 
     @_once
-    def photons(self):
-        return photon_number(self.ground.vector, self.basis, self.modes)
-
-    @_once
-    def overlaps(self) -> tuple[float, float]:
-        return overlap_with_decoupled(self.ground.vector, self.atomic, self.basis)
-
-    @_once
-    def vacuum_weight(self) -> float:
-        return vacuum_sector_weight(self.ground.vector, self.basis)
+    def report(self) -> GroundStateReport:
+        """The observables ``solve`` reports, read by the photon, overlap and
+        polynomial-moment checks."""
+        return ground_state_report(self.model, self.ground)
 
     @_once
     def density(self) -> np.ndarray:
@@ -281,17 +273,13 @@ def _windowed(evaluate, zero_charge: str | None = None):
     return gated
 
 
-def _moment(c: _Suite, name: str, **kwargs) -> float:
-    return spatial_moment(c.ground.vector, c.grid, c.basis, name, c.params, **kwargs)
-
-
 def _scanned(name: str, bound, radii):
     """A moment against the tightest member of a ceiling family that holds
     for every R in ``radii``."""
 
     def evaluate(c: _Suite) -> tuple:
         rhs, R_best = min((bound(c.params.e, c.params.Z, R), R) for R in radii)
-        return _moment(c, name), rhs, {"R": R_best, "R_scan": list(R_SCAN)}
+        return c.report.moments[name], rhs, {"R": R_best, "R_scan": list(R_SCAN)}
 
     return _windowed(evaluate, _SPATIAL)
 
@@ -305,7 +293,7 @@ def _exponential(c: _Suite) -> tuple:
         reason = f"no admissible R in scan at beta={beta:.6g}"
         raise _Skip(reason, {"beta": beta, "R_scan": list(R_SCAN)})
     rhs, R_best = min((exp_moment_bound(e, Z, beta, R), R) for R in admissible)
-    lhs = _moment(c, "exp_beta", beta=beta)
+    lhs = spatial_moment(c.ground.vector, c.grid, c.basis, "exp_beta", c.params, beta=beta)
     return lhs, rhs, {"beta": beta, "R": R_best, "R_scan": list(R_SCAN)}
 
 
@@ -325,13 +313,13 @@ def _overlap_floor(c: _Suite) -> tuple:
     if not (g_ir > 0.0):
         reason = f"overlap floor G_IR = {g_ir:.6g} <= 0 at e = {c.params.e}"
         raise _Skip(reason, _CHAIN)
-    return g_ir, c.overlaps[0], _CHAIN
+    return g_ir, c.report.overlap_p, _CHAIN
 
 
 def _soft_photons(c: _Suite) -> tuple:
     if c.params.alphaZ >= 1.0:
         raise _Skip(f"alpha Z = {c.params.alphaZ:.6g} >= 1", {})
-    return (c.photons.soft, soft_photon_bound(c.params.e, c.params.Z),
+    return (c.report.n_f_soft, soft_photon_bound(c.params.e, c.params.Z),
             {"eps": TELESCOPING_EPS, "delta": 1.0 - TELESCOPING_EPS})
 
 
@@ -376,7 +364,7 @@ _CHECKS = (
     _Check("localization.g_square", "localization estimate for cut radial test functions",
            _windowed(_localization, "localization needs a nonzero charge")),
     _Check("moment.abs_x", "first spatial moment ceiling",
-           _ceiling(lambda c: _moment(c, "abs_x"), moment_abs_bound, _SPATIAL)),
+           _ceiling(lambda c: c.report.moments["abs_x"], moment_abs_bound, _SPATIAL)),
     _Check("moment.exponential", "exponential spatial moment ceiling",
            _windowed(_exponential, _SPATIAL)),
     _Check("moment.log", "logarithmic spatial moment ceiling",
@@ -386,14 +374,14 @@ _CHECKS = (
     _Check("overlap.lower_bound", "ground-state overlap floor with the decoupled product",
            _windowed(_overlap_floor)),
     _Check("overlap.markov", "vacuum weight at least one minus the mean photon number",
-           lambda c: (1.0 - c.photons.total, c.vacuum_weight, {})),
+           lambda c: (1.0 - c.report.n_f_total, c.report.vacuum_weight, {})),
     _Check("overlap.q_bound", "vacuum-sector orthogonal-complement weight ceiling",
-           _windowed(lambda c: (c.overlaps[1], c.window_constants["q_bound"], _CHAIN))),
+           _windowed(lambda c: (c.report.overlap_q, c.window_constants["q_bound"], _CHAIN))),
     _Check("photons.hard", "hard photon number ceiling",
-           _ceiling(lambda c: c.photons.hard, hard_photon_bound)),
+           _ceiling(lambda c: c.report.n_f_hard, hard_photon_bound)),
     _Check("photons.soft", "soft photon number ceiling", _windowed(_soft_photons)),
     _Check("photons.total", "total photon number ceiling",
-           _ceiling(lambda c: c.photons.total, total_photon_bound)),
+           _ceiling(lambda c: c.report.n_f_total, total_photon_bound)),
 )
 
 CHECK_IDS = tuple(check.id for check in _CHECKS)
@@ -448,14 +436,3 @@ def run_suite(
 def suite_passed(reports) -> bool:
     """True when every report passed or was skipped (no fail, no error)."""
     return all(r.passed or r.skipped for r in reports)
-
-
-def suite_to_csv(reports) -> str:
-    """Flat CSV: one row per report, full-precision numeric columns."""
-    lines = ["id,status,lhs,rhs,slack"]
-    for r in reports:
-        cells = [r.id, r.status.split("(")[0]]
-        for v in (r.lhs, r.rhs, r.slack):
-            cells.append("" if v is None else repr(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -462,6 +462,72 @@ def test_scan_rows(capsys):
     assert first[-1] == "1"
 
 
+def _csv_body(capsys) -> list[list[str]]:
+    """The cells of the table the last command printed, header first."""
+    lines = capsys.readouterr().out.splitlines()
+    return [ln.split(",") for ln in lines if not ln.startswith("#")]
+
+
+def test_verify_csv_flattening(capsys):
+    """One row per check under id,status,lhs,rhs,slack; each numeric cell
+    parses to the float the JSON report carries."""
+    argv = ["verify", "--e", "0.3", "--Z", "1"] + TINY
+    _, payload = run_json(capsys, argv)
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = _csv_body(capsys)
+    assert header == ["id", "status", "lhs", "rhs", "slack"]
+    assert len(rows) == len(payload["reports"])
+    for cells, report in zip(rows, payload["reports"]):
+        row = dict(zip(header, cells))
+        assert row["id"] == report["id"]
+        assert row["status"] == report["status"].split("(")[0]
+        for key in ("lhs", "rhs", "slack"):
+            assert (float(row[key]) if row[key] else None) == report[key]
+
+
+def test_verify_csv_and_a_one_step_scan_print_the_same_slack_cells(capsys):
+    point = ["--Z", "1", "--format", "csv"] + TINY
+    assert main(["verify", "--e", "0.3"] + point) == 0
+    _, *rows = _csv_body(capsys)
+    assert main(["scan", "--axis", "e", "--from", "0.3", "--to", "0.3", "--steps", "1"]
+                + point) == 0
+    header, cells = _csv_body(capsys)
+    scan = dict(zip(header, cells))
+    assert [f"slack.{row[0]}" for row in rows] == header[1:-1]
+    assert [row[4] for row in rows] == [scan[f"slack.{row[0]}"] for row in rows]
+
+
+# check id -> (side, key of solve's flattened report) of the value the check reads
+_REPORTED = {
+    "moment.abs_x": ("lhs", "moments.abs_x"),
+    "moment.log": ("lhs", "moments.log3"),
+    "moment.x_squared": ("lhs", "moments.x_squared"),
+    "overlap.lower_bound": ("rhs", "overlap_p"),
+    "overlap.markov": ("rhs", "vacuum_weight"),
+    "overlap.q_bound": ("lhs", "overlap_q"),
+    "photons.hard": ("lhs", "n_f_hard"),
+    "photons.soft": ("lhs", "n_f_soft"),
+    "photons.total": ("lhs", "n_f_total"),
+}
+
+
+@pytest.mark.parametrize("e", ["0.3", "1e-9"])  # the overlap floor is open at 1e-9 only
+def test_verify_reads_the_observables_solve_reports(capsys, e):
+    point = ["--e", e, "--Z", "1"] + TINY
+    _, solved = run_json(capsys, ["solve"] + point)
+    report = solved["report"]
+    flat = {**report, **{f"moments.{k}": v for k, v in report["moments"].items()}}
+    _, suite = run_json(capsys, ["verify"] + point)
+    checks = {r["id"]: r for r in suite["reports"]}
+    for check_id, (side, key) in _REPORTED.items():
+        if check_id == "overlap.lower_bound" and e == "0.3":
+            assert checks[check_id]["status"].startswith("skipped")
+            continue
+        assert checks[check_id]["status"] == "pass"
+        assert checks[check_id][side] == flat[key]  # bit for bit, through JSON's repr
+    assert checks["overlap.markov"]["lhs"] == 1.0 - report["n_f_total"]
+
+
 def test_effmass_matches_mode_sum(capsys):
     code, payload = run_json(
         capsys,

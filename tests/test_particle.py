@@ -168,7 +168,7 @@ def test_position_operator_values():
 def test_position_operator_guards():
     g = PositionGrid(n=8, L=4.0)
     with pytest.raises(ParameterError):
-        position_operator(g, "exp_beta", beta=200.0)  # beta*L = 800 overflows
+        position_operator(g, "exp_beta", beta=200.0)  # beta*sqrt(3)*L = 1386 overflows
     with pytest.raises(ParameterError):
         position_operator(g, "exp_beta")
     with pytest.raises(ParameterError):

@@ -653,7 +653,12 @@ def test_kernel_matches_per_mode_reference(kernel_model, adjoint):
     for ell in range(ref.shape[0]):
         assert np.linalg.norm(got[ell] - ref[ell]) <= 1e-13 * np.linalg.norm(ref[ell])
     ref = sum(_per_mode(model, V[ell], adjoint)[ell] for ell in range(V.shape[0]))
-    got = model.contract(V, adjoint=adjoint)
+    got = model.contract_adjoint(V) if adjoint else model.contract(V)
+    if not adjoint:
+        # contract returns the lowered block; the reference vanishes below it
+        assert not ref[K:].any()
+        ref = ref[:K]
+    assert got.shape == ref.shape
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -661,9 +666,9 @@ def test_kernel_adjoint_pairings(kernel_model):
     model = kernel_model
     K = model._src.shape[1]
     w, V = _kernel_inputs(model, 43)
-    lhs = np.vdot(w, model.contract(V))
+    lhs = np.vdot(w[:K], model.contract(V))
     assert abs(lhs - np.vdot(model._adjoint_components(w, w.shape[0]), V)) <= 1e-13 * abs(lhs)
-    lhs = np.vdot(w, model.contract(V, adjoint=True))
+    lhs = np.vdot(w, model.contract_adjoint(V))
     Aw = model.components(w)
     assert not Aw[:, K].any()  # the pad row; A w vanishes from row K on
     assert abs(lhs - np.vdot(Aw[:, :K], V[:, :K])) <= 1e-13 * abs(lhs)

@@ -14,7 +14,6 @@ from nelsonlab.verify import (
     Resolution,
     run_suite,
     suite_passed,
-    suite_to_csv,
 )
 from nelsonlab.cli import RunConfig, _resolution, _to_json
 
@@ -183,18 +182,6 @@ def test_json_is_deterministic_and_clean(full_suite):
     assert payload["config"] == config
     assert len(payload["reports"]) == len(full_suite)
     assert "NaN" not in s1 and "Infinity" not in s1
-
-
-def test_csv_flattening(full_suite):
-    text = suite_to_csv(full_suite)
-    lines = text.strip().split("\n")
-    assert lines[0] == "id,status,lhs,rhs,slack"
-    assert len(lines) == len(full_suite) + 1
-    # numeric cells round-trip at full precision
-    row = dict(zip(("id", "status", "lhs", "rhs", "slack"), lines[1].split(",")))
-    rep = by_id(full_suite)[row["id"]]
-    if row["lhs"]:
-        assert float(row["lhs"]) == rep.lhs
 
 
 def _row(check_id):
