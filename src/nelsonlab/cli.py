@@ -256,8 +256,8 @@ def _validate(cfg: RunConfig) -> None:
 def _f17(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
+    if isinstance(v, (str, bool)):  # a flag prints as one, not as 0 or 1
+        return str(v)
     return f"{v:.17g}"
 
 

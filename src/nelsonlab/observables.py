@@ -44,11 +44,13 @@ def position_density(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     return np.sum((mat.conj() * mat).real, axis=0)
 
 
+def _vacuum_weight(weights: np.ndarray, basis: FockBasis) -> float:
+    return float(weights[basis.totals() == 0].sum())
+
+
 def vacuum_sector_weight(state: np.ndarray, basis: FockBasis) -> float:
     """<1 (x) P_Omega>: total probability of the zero-photon sector."""
-    w = sector_weights(state, basis)
-    totals = basis.totals()
-    return float(w[totals == 0].sum())
+    return _vacuum_weight(sector_weights(state, basis), basis)
 
 
 class PhotonNumbers(NamedTuple):
@@ -67,11 +69,14 @@ def photon_number(state: np.ndarray, basis: FockBasis, modes: ModeGrid) -> Photo
         raise ParameterError(
             f"mode grid has {modes.count} modes but the basis indexes {basis.mode_count}"
         )
-    w = sector_weights(state, basis)
+    return _photons(sector_weights(state, basis), basis, modes)
+
+
+def _photons(weights: np.ndarray, basis: FockBasis, modes: ModeGrid) -> PhotonNumbers:
     occ = basis.occupations.astype(float)
     mask = modes.soft_mask
-    soft = float(w @ (occ @ mask.astype(float)))
-    hard = float(w @ (occ @ (~mask).astype(float)))
+    soft = float(weights @ (occ @ mask.astype(float)))
+    hard = float(weights @ (occ @ (~mask).astype(float)))
     return PhotonNumbers(total=soft + hard, soft=soft, hard=hard)
 
 
@@ -120,7 +125,10 @@ def overlap_with_decoupled(
     the discrete atomic ground state with the Fock vacuum; overlap_Q is the
     weight of (1 - P_at) (x) P_Omega, i.e. the rest of the vacuum sector.
     """
-    mat = _as_matrix(state, basis)
+    return _overlaps(_as_matrix(state, basis), atomic, basis)
+
+
+def _overlaps(mat: np.ndarray, atomic: AtomicState, basis: FockBasis) -> tuple[float, float]:
     npts = atomic.psi.size
     if mat.shape[1] != npts:
         raise ParameterError(
@@ -168,15 +176,15 @@ def ground_state_report(model, result) -> GroundStateReport:
     """
     if model.grid is None:
         raise ParameterError("observable reports need a particle sector")
-    state = result.vector
-    nums = photon_number(state, model.basis, model.modes)
+    mat = _as_matrix(result.vector, model.basis)  # normalized once for every observable
+    prob = (mat.conj() * mat).real
+    weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
+    nums = _photons(weights, model.basis, model.modes)
     moments = {
-        name: spatial_moment(state, model.grid, model.basis, name, model.params)
+        name: float(position_operator(model.grid, name) @ density)
         for name in ("abs_x", "x_squared", "log3")
     }
-    overlap_p, overlap_q = overlap_with_decoupled(
-        state, model.atomic_reference(), model.basis
-    )
+    overlap_p, overlap_q = _overlaps(mat, model.atomic_reference(), model.basis)
     return GroundStateReport(
         energy=float(result.energy),
         n_f_total=nums.total,
@@ -185,5 +193,5 @@ def ground_state_report(model, result) -> GroundStateReport:
         moments=moments,
         overlap_p=overlap_p,
         overlap_q=overlap_q,
-        vacuum_weight=vacuum_sector_weight(state, model.basis),
+        vacuum_weight=_vacuum_weight(weights, model.basis),
     )

@@ -24,6 +24,16 @@ away from the potential and the coupling, so the step count no longer
 follows the kinetic width (pi/h)^2/2.  The effective-mass solves use the
 same diagonal in conjugate gradients.
 
+The v0 ground state is solved on the coupled axes only.  Along an axis no
+mode reaches every phase is 1, the kinetic symbol adds that axis's q_l^2/2
+and v0 has no potential, so H commutes with the particle momentum there:
+the fiber decomposition of Lee, Low and Pines (Phys. Rev. 90, 297, 1953),
+which the effective mass applies on all three axes.  The constant seed lies
+in the zero-momentum sector of those axes, and so does every iterate, so
+``lanczos_ground`` solves the model with each uncoupled axis collapsed to
+one point (``AssembledModel._sector``), dimension D n^C, and broadcasts the
+Ritz vector back to the D n^3 grid.
+
 Conventions.  A state vector has shape (D * n^3,), Fock-major with the
 particle index fastest, state[d * X + x], viewed as (D, X) = (D, n^3) and
 transformed as (D, n, n, n); position vectors and plane-wave coefficients
@@ -74,6 +84,7 @@ p_l the diagonal -P_f,l (no FFT), so it is a real symmetric matrix.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -300,24 +311,43 @@ class AssembledModel:
             self._psym = -pf.T[:, :, None]  # (3, D, 1) p_l symbols
             self._pot = self._phase = None  # no potential; phase 1
         else:
-            q = grid.freqs
-            psym = np.stack(np.broadcast_arrays(q[:, None, None], q[None, :, None],
-                                                q[None, None, :]))
-            self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
             self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
                          if variant == "gross" else None)  # (X,) potential; v0 carries none
-            x = grid.axis
-            self._phase = np.empty((modes.count, grid.point_count), dtype=complex)  # (M, X) phases
-            for j, kj in enumerate(k):
-                self._phase[j] = (
-                    np.exp(1j * kj[0] * x)[:, None, None]
-                    * np.exp(1j * kj[1] * x)[None, :, None]
-                    * np.exp(1j * kj[2] * x)[None, None, :]
-                ).ravel()
-            self._shape = (basis.dim, grid.point_count)  # (D, X)
-            self._cube = (grid.n, grid.n, grid.n)  # the transform's particle axes
-            self._kin = 0.5 * grid.laplacian_symbol.ravel()  # (X,) kinetic symbol
-        self.dim = math.prod(self._shape)
+            self._particle_tables((grid.axis,) * 3, (grid.freqs,) * 3)
+
+    def _particle_tables(self, xs, qs) -> None:
+        """The particle factor's tables from per-axis coordinates ``xs`` and
+        momenta ``qs`` (numpy's FFT order): the p_l and kinetic symbols, the
+        phases e^{i k_j . x}, the transform's axes and the (D, X) shape.  An
+        axis given as the one point x = 0, q = 0 is collapsed (``_sector``)."""
+        psym = np.stack(np.broadcast_arrays(qs[0][:, None, None], qs[1][None, :, None],
+                                            qs[2][None, None, :]))
+        self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
+        self._kin = 0.5 * (psym[0] ** 2 + psym[1] ** 2 + psym[2] ** 2).ravel()  # (X,) kinetic symbol
+        self._cube = tuple(len(x) for x in xs)  # the transform's particle axes
+        self._shape = (self.basis.dim, math.prod(self._cube))  # (D, X)
+        self._phase = np.empty((self.modes.count, self._shape[1]), dtype=complex)  # (M, X) phases
+        for j, kj in enumerate(self.modes.k):
+            self._phase[j] = (
+                np.exp(1j * kj[0] * xs[0])[:, None, None]
+                * np.exp(1j * kj[1] * xs[1])[None, :, None]
+                * np.exp(1j * kj[2] * xs[2])[None, None, :]
+            ).ravel()
+
+    def _sector(self) -> AssembledModel:
+        """This model on the zero-momentum sector of its uncoupled axes: a
+        copy that shares every Fock table, with each axis outside ``_axes``
+        collapsed to the one point x = 0, q = 0.  For v0, which has no
+        potential, that sector is invariant (``lanczos_ground``)."""
+        sector = copy.copy(self)
+        point, grid = np.zeros(1), self.grid
+        sector._particle_tables(*zip(*((grid.axis, grid.freqs) if axis in self._axes
+                                       else (point, point) for axis in range(3))))
+        return sector
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self._shape)
 
     @property
     def _dtype(self) -> np.dtype:
@@ -597,15 +627,20 @@ def assemble(
     model = AssembledModel(variant, params, grid, modes, basis)
 
     # cheap sampled symmetry check; the exhaustive one lives in the tests
-    if model._dtype == float:  # real vectors for a real operator
+    if model._dtype == float:  # two real probes for the real operator
         u, v = _normal(97, (2, dim))
+        left, right = np.vdot(u, model.matvec(v)), np.vdot(model.matvec(u), v)
+        defect, scale = abs(left - right), max(1.0, abs(left), abs(right))
     else:
-        g = _normal(97, (2, 2, dim))
-        u, v = g[:, 0] + 1j * g[:, 1]
-        del g
-    left = np.vdot(u, model.matvec(v))
-    right = np.vdot(np.asarray(model.matvec(u)), v)
-    if abs(left - right) > 1e-10 * max(1.0, abs(left), abs(right)):
+        # one complex probe u = a (x) b: <u, H u> is real for Hermitian H, and
+        # for B = (H - H*)/2i != 0, u*Bu is a nonzero polynomial in a and b
+        # (polarize once in each), so a defect is missed with probability 0
+        z = _normal(97, (2, basis.dim + grid.point_count))
+        z = z[0] + 1j * z[1]
+        u = np.outer(z[: basis.dim], z[basis.dim:]).ravel()
+        form = np.vdot(u, model.matvec(u))
+        defect, scale = abs(form.imag), max(1.0, abs(form))
+    if defect > 1e-10 * scale:
         raise RuntimeError("assembled operator failed the symmetry sample")
     return model
 
@@ -636,14 +671,32 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     in position space.  On the fiber F is the identity and both maps only
     reshape.  The seed is built in the call, so the solver holds its only
     reference and drops it after normalizing.
+
+    The v0 model is solved on the zero-momentum sector of its uncoupled
+    axes (``model._sector()``), the fiber decomposition of Lee, Low and
+    Pines (Phys. Rev. 90, 297, 1953) along the axes no mode reaches.  There
+    the phases are 1, the kinetic symbol is a sum over axes and v0 has no
+    potential, so H = sum over q_perp of (|q_perp|^2/2 + H_sector), and the
+    constant seed and every iterate of a full-grid solve lie in q_perp = 0.
+    The sector's Ritz vector is broadcast along the collapsed axes and
+    divided by sqrt(X / X_sector): an isometry that commutes with H, so the
+    energy, residual and product count are the full grid's, and the vector
+    is a unit full-grid vector.  With every axis coupled the sector is the
+    whole grid.  The gross model, whose potential couples all momenta, and
+    the fiber are solved as they are.
     """
+    solved = model._sector() if model.variant == "v0" else model
     energy, vec, residual, iters = lanczos_lowest(
-        model.plane_matvec, model.dim, seed=_default_seed(model),
-        tol=tol, maxit=maxit, precond=model.precondition,
+        solved.plane_matvec, solved.dim, seed=_default_seed(solved),
+        tol=tol, maxit=maxit, precond=solved.precondition,
     )
-    vec = vec.reshape(model._shape)
-    vec = model._ifft(vec, vec).ravel()
-    vec *= math.sqrt(model._shape[1])
+    vec = vec.reshape(solved._shape)
+    vec = solved._ifft(vec, vec).ravel()
+    vec *= math.sqrt(solved._shape[1])
+    if solved is not model:  # broadcast along the collapsed axes, at unit norm
+        D = model.basis.dim
+        vec = np.broadcast_to(vec.reshape((D,) + solved._cube), (D,) + model._cube)
+        vec = (vec / math.sqrt(model.dim / solved.dim)).ravel()
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
 
 
@@ -655,7 +708,7 @@ def _default_seed(model: AssembledModel) -> np.ndarray:
     if model.variant == "gross":
         psi = model.atomic_reference().psi.ravel()
     else:
-        psi = np.full(model.grid.point_count, 1.0)
+        psi = np.full(model._shape[1], 1.0)
     s = np.zeros(model._shape, dtype=model._dtype)
     s[0] = psi / np.linalg.norm(psi)
     model._fft(s[:1], s[:1])

@@ -354,6 +354,15 @@ def test_constants_table(capsys):
     assert payload["config"]["e"] == 0.3
 
 
+def test_constants_csv_prints_the_window_flag_as_a_flag(capsys):
+    """The CSV value cell of window.empty carries the flag, as the JSON value
+    and the display cell do, not the 0 or 1 of a number format."""
+    assert main(["constants", "--Z", "1", "--e", "0.3", "--format", "csv"]) == 0
+    rows = {cells[0]: cells[1:] for cells in _csv_body(capsys)[1:]}
+    assert rows["window.empty"] == ["False", "False"]
+    assert float(rows["window.a_ir1"][0]) == pytest.approx(0.02240555228292217, rel=1e-9)
+
+
 def test_constants_survives_zero_charge(capsys):
     code, payload = run_json(capsys, ["constants", "--Z", "1"])
     assert code == 0

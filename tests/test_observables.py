@@ -1,6 +1,7 @@
 """Observable extraction: photon counts, spatial moments, decoupled overlaps."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,3 +274,20 @@ def test_report_needs_particle_sector():
     result = lanczos_ground(model, tol=1e-10, maxit=300)
     with pytest.raises(ParameterError):
         ground_state_report(model, result)
+
+
+def test_report_is_the_public_observables_bit_for_bit(coupled):
+    """The report normalizes the state once, yet every value equals, to the
+    bit, what the public functions give, each normalizing a state that is
+    not of unit norm on its own."""
+    model, result = coupled
+    state = 3.0 * result.vector
+    rep = ground_state_report(model, replace(result, vector=state))
+    basis = model.basis
+    assert tuple(photon_number(state, basis, model.modes)) == (rep.n_f_total, rep.n_f_soft,
+                                                               rep.n_f_hard)
+    for name in ("abs_x", "x_squared", "log3"):
+        assert spatial_moment(state, model.grid, basis, name, model.params) == rep.moments[name]
+    assert overlap_with_decoupled(state, model.atomic_reference(), basis) == (rep.overlap_p,
+                                                                              rep.overlap_q)
+    assert vacuum_sector_weight(state, basis) == rep.vacuum_weight

@@ -336,6 +336,33 @@ def test_assemble_samples_the_symmetry_of_every_variant(small_setup, variant, mo
                     variant=variant)
 
 
+@pytest.mark.parametrize("variant", ["gross", "v0"])
+def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeypatch):
+    """The grid variants sample their symmetry with one product on one
+    complex probe a (x) b, which still sees a one-way coupling into a single
+    Fock row; the real fiber keeps its two products."""
+    params, grid, modes, basis = small_setup
+    matvec, calls = sp.AssembledModel.matvec, []
+
+    def counted(self, v):
+        calls.append(1)
+        return matvec(self, v)
+
+    monkeypatch.setattr(sp.AssembledModel, "matvec", counted)
+    sp.assemble(params, grid, modes, basis, variant=variant)
+    sp.assemble(params, None, modes, basis, variant="fiber")
+    assert len(calls) == 3
+
+    def defective(self, v):
+        out = matvec(self, v).reshape(self._shape)
+        out[-1] += 1e-6 * self._to2(v)[0]  # row 0 into the last row, not back
+        return out.ravel()
+
+    monkeypatch.setattr(sp.AssembledModel, "matvec", defective)
+    with pytest.raises(RuntimeError, match="failed the symmetry sample"):
+        sp.assemble(params, grid, modes, basis, variant=variant)
+
+
 def test_hermitian_all_variants(small_setup):
     params, grid, modes, basis = small_setup
     for var in ("gross", "v0"):
@@ -514,6 +541,63 @@ def test_lanczos_ground_returns_a_unit_position_vector(small_setup, variant):
     residual = np.linalg.norm(dense(model) @ v - res.energy * v)
     assert residual <= 1e-10 * max(1.0, abs(res.energy))
     assert residual == pytest.approx(res.residual, abs=1e-13)
+
+
+@pytest.mark.parametrize("grid_name", ["+z", "lattice", "spiral"])
+def test_v0_solves_on_the_sector_of_its_coupled_axes(grid_name):
+    """The v0 solve runs on the zero-momentum sector of the uncoupled axes
+    and matches LOBPCG on the full grid's plane-wave products: the same
+    energy to 1e-12 and the same product count, a unit vector constant along
+    the uncoupled axes, and a full-grid residual within the one reported."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, coupled = _grid_case(grid_name, "v0")
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="v0")
+    D, n = model.basis.dim, grid.n
+    sector = model._sector()
+    assert sector.dim == D * n**coupled
+    # the sector's tables are the full grid's on the plane x = 0 of each collapsed axis
+    cut = tuple(slice(None) if axis in model._axes else slice(n // 2, n // 2 + 1)
+                for axis in range(3))
+    assert grid.axis[n // 2] == 0.0
+    assert np.array_equal(sector._phase, model._phase.reshape(-1, n, n, n)[(slice(None),) + cut]
+                          .reshape(modes.count, -1))
+    freq_cut = tuple(slice(None) if axis in model._axes else slice(0, 1) for axis in range(3))
+    assert np.array_equal(sector._kin, model._kin.reshape(n, n, n)[freq_cut].ravel())
+
+    res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
+    energy, _, _, products = sp.lanczos_lowest(model.plane_matvec, model.dim,
+                                               sp._default_seed(model), 1e-10, 300,
+                                               precond=model.precondition)
+    assert res.energy == pytest.approx(energy, abs=1e-12)
+    assert res.iterations == products
+    v = res.vector
+    assert v.shape == (model.dim,) and v.flags.writeable
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    v4 = v.reshape(D, n, n, n)
+    for axis in set(range(3)) - set(model._axes):
+        assert np.array_equal(v4, np.broadcast_to(np.take(v4, [0], axis=1 + axis), v4.shape))
+    residual = np.linalg.norm(model.matvec(v) - res.energy * v)
+    assert residual <= res.residual + 1e-12
+
+
+def test_only_v0_leaves_the_full_grid(small_setup, monkeypatch):
+    """Gross, whose potential couples every momentum, solves at the model's
+    own dimension; v0 on the +z grid at D n, one axis of n points."""
+    params, grid, modes, basis = small_setup
+    lowest, dims = sp.lanczos_lowest, []
+
+    def recorded(matvec, dim, *args, **kwargs):
+        dims.append(dim)
+        return lowest(matvec, dim, *args, **kwargs)
+
+    gross = sp.assemble(params, grid, modes, basis, variant="gross")
+    gross.atomic_reference()  # the seed's atomic solve, cached before recording
+    monkeypatch.setattr(sp, "lanczos_lowest", recorded)
+    sp.lanczos_ground(gross, tol=1e-10, maxit=300)
+    zgrid, zmodes, _ = _grid_case("+z", "v0")
+    v0 = sp.assemble(params, zgrid, zmodes, FockBasis(zmodes.count, 2), variant="v0")
+    sp.lanczos_ground(v0, tol=1e-10, maxit=300)
+    assert dims == [gross.dim, v0.basis.dim * zgrid.n]
 
 
 # solve-fine, verify-reference, and verify-reference on the golden-angle spiral
