@@ -50,15 +50,9 @@ from .model import (
     frame_for,
     make_params,
 )
-from .observables import ground_state_report
-from .particle import PositionGrid, radial_resolvent_l1
-from .spectral import (
-    assemble,
-    effective_mass_numeric,
-    effective_mass_riemann,
-    lanczos_ground,
-)
-from .verify import Resolution, run_suite, suite_passed
+from .particle import radial_resolvent_l1
+from .spectral import effective_mass_numeric, effective_mass_riemann
+from .verify import Resolution, ground_report, run_suite, suite_passed
 
 
 class UsageError(Exception):
@@ -388,26 +382,6 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
     return _emit(cfg, {"rows": rows}, columns, rows), 0
 
 
-def _build_model(cfg: RunConfig):
-    grid = PositionGrid(cfg.n, cfg.L)
-    modes = build_modes(cfg.kappa, cfg.lam, cfg.n_radial, cfg.n_angular)
-    basis = FockBasis(modes.count, cfg.n_max)
-    return assemble(cfg.params(), grid, modes, basis, variant="gross")
-
-
-def cmd_solve(cfg: RunConfig) -> tuple[str, int]:
-    model = _build_model(cfg)
-    result = lanczos_ground(model, tol=cfg.tol, maxit=cfg.maxit)
-    report = ground_state_report(model, result).to_dict()
-    rows = []  # one key per value, the moments as moments.<name>
-    for key, value in report.items():
-        if isinstance(value, dict):
-            rows += [{"key": f"{key}.{k}", "value": v} for k, v in value.items()]
-        else:
-            rows.append({"key": key, "value": value})
-    return _emit(cfg, {"report": report}, ("key", "value"), rows), 0
-
-
 def _resolution(cfg: RunConfig) -> Resolution:
     return Resolution(
         n=cfg.n,
@@ -418,6 +392,17 @@ def _resolution(cfg: RunConfig) -> Resolution:
         tol=cfg.tol,
         maxit=cfg.maxit,
     )
+
+
+def cmd_solve(cfg: RunConfig) -> tuple[str, int]:
+    report = ground_report(cfg.params(), _resolution(cfg)).to_dict()
+    rows = []  # one key per value, the moments as moments.<name>
+    for key, value in report.items():
+        if isinstance(value, dict):
+            rows += [{"key": f"{key}.{k}", "value": v} for k, v in value.items()]
+        else:
+            rows.append({"key": key, "value": value})
+    return _emit(cfg, {"report": report}, ("key", "value"), rows), 0
 
 
 def _suite_status(suites) -> int:

@@ -1,5 +1,10 @@
 """Ground-state observables: photon numbers, spatial moments, decoupled overlaps.
 
+``ground_state_report`` forms |psi|^2 once and reads every observable of a
+solved ground state from it.  It keeps the particle density, which the
+verification suite weighs for the moments the report does not carry; the
+public functions below give the report's values one at a time.
+
 All states are flat coupled vectors in the solver's Fock-major layout,
 ``state[d * X + x]`` with ``X`` the particle points, and are treated as
 l2-normalized (the routines renormalize defensively so a global phase or
@@ -8,14 +13,13 @@ scale never matters).  States, grids and moments are in defining units.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import exp_moment_precondition
 from .fockspace import FockBasis, ModeGrid
-from .model import DomainError, ParameterError, ModelParams
+from .model import ParameterError
 from .particle import AtomicState, PositionGrid, position_operator
 
 
@@ -80,40 +84,15 @@ def _photons(weights: np.ndarray, basis: FockBasis, modes: ModeGrid) -> PhotonNu
     return PhotonNumbers(total=soft + hard, soft=soft, hard=hard)
 
 
-_MOMENT_NAMES = ("abs_x", "x_squared", "log3", "exp_beta")
+_MOMENT_NAMES = ("abs_x", "x_squared", "log3")
 
 
-def spatial_moment(
-    state: np.ndarray,
-    grid: PositionGrid,
-    basis: FockBasis,
-    f_name: str,
-    params: ModelParams,
-    *,
-    beta: float | None = None,
-) -> float:
-    """<f(|x|) (x) 1> for f in abs_x, x_squared, log3, exp_beta.
-
-    ``beta`` is required for exp_beta, and the exponential-moment window
-    1/2 - 2/R - (beta^2/4)(4 pi/(e^2 Z))^2 > 0 for some R > 4 is checked
-    first: a violation raises DomainError.
-    """
+def spatial_moment(state: np.ndarray, grid: PositionGrid, basis: FockBasis, f_name: str) -> float:
+    """<f(|x|) (x) 1> for f in abs_x, x_squared, log3: the density weighed
+    by the position operator's diagonal."""
     if f_name not in _MOMENT_NAMES:
         raise ParameterError(f"f_name must be one of {_MOMENT_NAMES}, got {f_name!r}")
-    density = position_density(state, basis)
-    if f_name != "exp_beta":
-        diag = position_operator(grid, f_name)
-    else:
-        if beta is None or not (beta > 0.0):
-            raise ParameterError("exp_beta needs beta > 0")
-        # margin is largest as R -> infinity; any representative R > 4 set
-        if exp_moment_precondition(params.e, params.Z, beta, 1e300) <= 0.0:
-            raise DomainError(
-                f"exponential moment outside its window: beta={beta} is too "
-                f"large for e={params.e}, Z={params.Z}"
-            )
-        diag = position_operator(grid, "exp_beta", beta=beta)
-    return float(diag @ density)
+    return float(position_operator(grid, f_name) @ position_density(state, basis))
 
 
 def overlap_with_decoupled(
@@ -151,7 +130,9 @@ class GroundStateReport:
 
     Moments are defining-units expectations keyed by operator name.
     Invariants: overlap_p + overlap_q <= vacuum_weight <= 1, every moment is
-    nonnegative, and n_f_soft + n_f_hard == n_f_total exactly.
+    nonnegative, and n_f_soft + n_f_hard == n_f_total exactly.  ``density``
+    is the probability at each particle point, the one |psi|^2 every moment
+    weighs; it is kept for further moments and left out of the printed report.
     """
 
     energy: float
@@ -162,9 +143,11 @@ class GroundStateReport:
     overlap_p: float
     overlap_q: float
     vacuum_weight: float
+    density: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The printed fields: every one but the density."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def ground_state_report(model, result) -> GroundStateReport:
@@ -181,8 +164,7 @@ def ground_state_report(model, result) -> GroundStateReport:
     weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
     nums = _photons(weights, model.basis, model.modes)
     moments = {
-        name: float(position_operator(model.grid, name) @ density)
-        for name in ("abs_x", "x_squared", "log3")
+        name: float(position_operator(model.grid, name) @ density) for name in _MOMENT_NAMES
     }
     overlap_p, overlap_q = _overlaps(mat, model.atomic_reference(), model.basis)
     return GroundStateReport(
@@ -194,4 +176,5 @@ def ground_state_report(model, result) -> GroundStateReport:
         overlap_p=overlap_p,
         overlap_q=overlap_q,
         vacuum_weight=_vacuum_weight(weights, model.basis),
+        density=density,
     )

@@ -11,7 +11,7 @@ check id; the full id list is::
     identity.telescoping.res1/.res2   soft-mode splitting remainders < 1e-10
     localization.g_square    <G_R^2> <= lam1^2 sup|grad G|^2 + 2 lam1 sup(G^2/|x|)
     moment.abs_x             <|x|> <= 40 pi/(e^2 Z)
-    moment.exponential       <e^{beta|x|}> <= exponential ceiling (admissible R)
+    moment.exponential       <e^{beta|x|}> <= exponential ceiling
     moment.log               <log(3+|x|)> <= logarithmic ceiling
     moment.x_squared         <|x|^2> <= quadratic ceiling
     overlap.lower_bound      overlap_P >= G_IR(e) (when the floor is positive)
@@ -29,9 +29,9 @@ by the slack, skipped, or error when the function raised anything else.  The
 shared state computes each solve at most once and remembers a failure, so
 every check that reads a failed solve reports the same error.  The photon,
 overlap and polynomial-moment checks read their observable from the one
-``observables.ground_state_report`` of the ground state, the report
-``solve`` prints; only g_R and the exponential moment, which it does not
-carry, are formed here.
+``observables.ground_state_report`` of the ground state, which is the report
+``solve`` prints (``ground_report``); g_R and the exponential moment, which
+it does not carry, both weigh the report's density.
 
 Design notes.  The suite solves in defining units (tau = 0) so ceiling
 comparisons need no unit conversion; discrete references (E_at_h, psi_at_h
@@ -39,8 +39,9 @@ on the same grid) replace analytic atomic quantities inside variational
 inequalities, keeping every inequality direction exact within the model even
 at coarse resolution.  Ceilings parameterized by a free radius R are scanned
 over R in {8, 16, 32, 100}: families valid for every R report the tightest
-member; the exponential ceiling (valid for *some* admissible R) reports the
-tightest admissible member and is skipped when the scan holds none.  The
+member.  The exponential ceiling holds for every admissible R, and at
+beta = 1/(sqrt 2 lambda) every R in the scan is admissible (the margin is
+3/8 - 2/R), so it too reports the tightest member.  The
 operator-identity checks run on dedicated small models — the pull-through
 defect on a coarse coupled model, the telescoping remainders on a
 translation-invariant model with reciprocal-lattice modes so plane-wave
@@ -62,7 +63,6 @@ from .closedform import (
     TELESCOPING_EPS,
     c_uv,
     exp_moment_bound,
-    exp_moment_precondition,
     grad_ceiling,
     gsq_over_x_ceiling,
     hard_photon_bound,
@@ -76,7 +76,7 @@ from .closedform import (
 )
 from .fockspace import FockBasis, ModeGrid, build_modes
 from .model import FOUR_PI, ModelParams, ParameterError
-from .observables import GroundStateReport, ground_state_report, position_density, spatial_moment
+from .observables import GroundStateReport, ground_state_report
 from .particle import PositionGrid, position_operator
 from .spectral import (
     _PULL_PROBES,
@@ -211,12 +211,8 @@ class _Suite:
     @_once
     def report(self) -> GroundStateReport:
         """The observables ``solve`` reports, read by the photon, overlap and
-        polynomial-moment checks."""
+        moment checks; its density is the one every spatial moment weighs."""
         return ground_state_report(self.model, self.ground)
-
-    @_once
-    def density(self) -> np.ndarray:
-        return position_density(self.ground.vector, self.basis)
 
     @_once
     def window_constants(self) -> dict:
@@ -288,12 +284,8 @@ def _exponential(c: _Suite) -> tuple:
     e, Z = c.params.e, c.params.Z
     lam = FOUR_PI / (e * e * Z)
     beta = 1.0 / (math.sqrt(2.0) * lam)  # halfway into the admissible window
-    admissible = [R for R in R_SCAN if exp_moment_precondition(e, Z, beta, R) > 0.0]
-    if not admissible:
-        reason = f"no admissible R in scan at beta={beta:.6g}"
-        raise _Skip(reason, {"beta": beta, "R_scan": list(R_SCAN)})
-    rhs, R_best = min((exp_moment_bound(e, Z, beta, R), R) for R in admissible)
-    lhs = spatial_moment(c.ground.vector, c.grid, c.basis, "exp_beta", c.params, beta=beta)
+    rhs, R_best = min((exp_moment_bound(e, Z, beta, R), R) for R in R_SCAN)
+    lhs = float(position_operator(c.grid, "exp_beta", beta=beta) @ c.report.density)
     return lhs, rhs, {"beta": beta, "R": R_best, "R_scan": list(R_SCAN)}
 
 
@@ -303,7 +295,7 @@ def _localization(c: _Suite) -> tuple:
     # unit-coulomb frame means base-grid support from 0.4 L to 0.8 L
     R_at = 0.8 * rho1 * c.res.L
     diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1)
-    lhs = float((diag**2) @ c.density)
+    lhs = float((diag**2) @ c.report.density)
     rhs = sl1_bound(1.0, grad_ceiling(R_at), gsq_over_x_ceiling(R_at))
     return lhs, rhs, {"R": R_at, "lambda1": 1.0, "kind": "log"}
 
@@ -411,6 +403,12 @@ def _selected(check_id: str, selection) -> bool:
     if not selection:
         return True
     return any(check_id == s or check_id.startswith(s) for s in selection)
+
+
+def ground_report(params: ModelParams, resolution: Resolution) -> GroundStateReport:
+    """The observable report of the coupled ground state at ``resolution``,
+    solved as the suite solves it; the report ``solve`` prints."""
+    return _Suite(params, resolution).report
 
 
 def run_suite(

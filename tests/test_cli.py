@@ -428,6 +428,31 @@ def test_solve_report(capsys):
     assert 0.0 < report["vacuum_weight"] <= 1.0
 
 
+def test_solve_prints_the_suite_report(monkeypatch, capsys):
+    """solve reaches its ground state through the suite's one pipeline:
+    one solve, of the coupled model."""
+    calls = []
+    solve = verify.lanczos_ground
+
+    def counted(model, **kwargs):
+        calls.append(model.variant)
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(verify, "lanczos_ground", counted)
+    code, payload = run_json(capsys, ["solve", "--e", "0.3", "--Z", "1"] + TINY)
+    assert code == 0 and calls == ["gross"]
+    assert payload["report"]["energy"] < 0.0
+
+
+def test_assembly_guard_exits_two(capsys):
+    """A dimension past the assembly guard is a configuration error, raised
+    before the operator is built: 64^3 points times 15 Fock states."""
+    assert main(["solve", "--e", "0.3", "--grid-n", "64", "--nmax", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dimension 3932160 exceeds the assembly guard 500000\n"
+
+
 def test_solve_csv_and_out_file(tmp_path, capsys):
     out = tmp_path / "report.csv"
     code = main(

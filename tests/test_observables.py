@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nelsonlab.fockspace import FockBasis, build_modes
-from nelsonlab.model import DomainError, ParameterError, make_params
+from nelsonlab.model import ParameterError, make_params
 from nelsonlab.observables import (
     GroundStateReport,
     ground_state_report,
     overlap_with_decoupled,
     photon_number,
+    position_density,
     sector_weights,
     spatial_moment,
     vacuum_sector_weight,
@@ -23,7 +24,6 @@ from nelsonlab.particle import PositionGrid, atomic_ground
 from nelsonlab.spectral import assemble, lanczos_ground
 
 BASIS1 = FockBasis(1, 0)  # trivial one-sector Fock space for pure-particle states
-PARAMS = make_params(0.3, 1.0)  # read only by the exp_beta window
 
 
 def sampled_hydrogen(grid, alphaZ=1.0):
@@ -186,8 +186,8 @@ def test_hydrogen_moment_oracle_converges():
     for n in (32, 48, 64):
         grid = PositionGrid(n=n, L=14.0)
         v = sampled_hydrogen(grid)
-        m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS)
-        m2 = spatial_moment(v, grid, BASIS1, "x_squared", PARAMS)
+        m1 = spatial_moment(v, grid, BASIS1, "abs_x")
+        m2 = spatial_moment(v, grid, BASIS1, "x_squared")
         errs1.append(abs(m1 - 1.5) / 1.5)
         errs2.append(abs(m2 - 3.0) / 3.0)
     assert errs1 == sorted(errs1, reverse=True)
@@ -202,30 +202,19 @@ def test_solver_state_matches_hydrogen_moment():
         warnings.simplefilter("ignore")
         at = atomic_ground(grid, 1.0)
     v = at.psi.ravel() * grid.h**1.5
-    m1 = spatial_moment(v, grid, BASIS1, "abs_x", PARAMS)
+    m1 = spatial_moment(v, grid, BASIS1, "abs_x")
     assert m1 == pytest.approx(1.5, rel=0.15)
-
-
-def test_exponential_window_gate():
-    params = make_params(0.3, 1.0)
-    grid = PositionGrid(n=8, L=6.0)
-    state = np.ones(grid.point_count) / np.sqrt(grid.point_count)
-    # beta above sqrt(2) e^2 Z / (4 pi) ~ 0.0101 has no admissible R > 4
-    with pytest.raises(DomainError):
-        spatial_moment(state, grid, BASIS1, "exp_beta", params, beta=0.05)
-    ok = spatial_moment(state, grid, BASIS1, "exp_beta", params, beta=0.005)
-    assert ok >= 1.0
 
 
 def test_spatial_moment_guards():
     grid = PositionGrid(n=8, L=6.0)
     state = np.ones(grid.point_count)
     with pytest.raises(ParameterError):
-        spatial_moment(state, grid, BASIS1, "cube_x", PARAMS)
+        spatial_moment(state, grid, BASIS1, "cube_x")
     with pytest.raises(ParameterError):
-        spatial_moment(state, grid, BASIS1, "exp_beta", PARAMS)
+        spatial_moment(state, grid, BASIS1, "exp_beta")
     with pytest.raises(ParameterError):
-        spatial_moment(np.zeros(grid.point_count), grid, BASIS1, "abs_x", PARAMS)
+        spatial_moment(np.zeros(grid.point_count), grid, BASIS1, "abs_x")
 
 
 def test_moments_are_nonnegative_on_random_states():
@@ -235,7 +224,7 @@ def test_moments_are_nonnegative_on_random_states():
     for _ in range(5):
         state = rng.standard_normal(grid.point_count * basis.dim)
         for name in ("abs_x", "x_squared", "log3"):
-            assert spatial_moment(state, grid, basis, name, PARAMS) >= 0.0
+            assert spatial_moment(state, grid, basis, name) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +276,8 @@ def test_report_is_the_public_observables_bit_for_bit(coupled):
     assert tuple(photon_number(state, basis, model.modes)) == (rep.n_f_total, rep.n_f_soft,
                                                                rep.n_f_hard)
     for name in ("abs_x", "x_squared", "log3"):
-        assert spatial_moment(state, model.grid, basis, name, model.params) == rep.moments[name]
+        assert spatial_moment(state, model.grid, basis, name) == rep.moments[name]
+    assert np.array_equal(position_density(state, basis), rep.density)
     assert overlap_with_decoupled(state, model.atomic_reference(), basis) == (rep.overlap_p,
                                                                               rep.overlap_q)
     assert vacuum_sector_weight(state, basis) == rep.vacuum_weight

@@ -1,12 +1,15 @@
 """Verification suite plumbing: gates, determinism, report semantics."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import nelsonlab.observables as observables
 import nelsonlab.verify as verify
+from nelsonlab.closedform import exp_moment_precondition
 from nelsonlab.model import ConvergenceError, make_params
 from nelsonlab.verify import (
     CHECK_IDS,
@@ -255,6 +258,43 @@ def test_each_shared_solve_runs_once(monkeypatch):
         reports = run_suite(make_params(0.3, 1.0), SMALL)
     assert sorted(calls) == ["gross", "v0"]
     assert suite_passed(reports)
+
+
+def test_one_density_per_ground_state(monkeypatch):
+    """The suite forms |psi|^2 of its ground state once: the g_R and
+    exponential moments weigh the density of the report the other checks
+    read."""
+    calls = []
+    as_matrix = observables._as_matrix
+
+    def counted(state, basis):
+        calls.append(basis.dim)
+        return as_matrix(state, basis)
+
+    monkeypatch.setattr(observables, "_as_matrix", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = by_id(run_suite(make_params(0.3, 1.0), SMALL))
+    assert len(calls) == 1
+    assert reports["localization.g_square"].passed and reports["moment.exponential"].passed
+
+
+def test_exponential_beta_admits_every_scanned_radius(full_suite):
+    """At beta = 1/(sqrt 2 lambda), lambda = 4 pi/(e^2 Z), the exponential
+    moment's precondition margin is 3/8 - 2/R whatever e and Z are: every R
+    in the scan is admissible, so the check scans them all with no gate."""
+    for e in (1e-6, 1e-3, 0.3, 1.0, 10.0):
+        for Z in (1e-3, 1.0, 40.0, 1e4):
+            beta = 1.0 / (math.sqrt(2.0) * (4.0 * math.pi / (e * e * Z)))
+            for R in verify.R_SCAN:
+                margin = exp_moment_precondition(e, Z, beta, R)
+                assert margin == pytest.approx(0.375 - 2.0 / R, abs=1e-15), (e, Z, R)
+                assert margin >= 0.125
+    # the beta the reference run uses is that one
+    report = by_id(full_suite)["moment.exponential"]
+    assert report.params["beta"] == pytest.approx(1.0 / (math.sqrt(2.0) * 4.0 * math.pi / 0.09),
+                                                  rel=1e-15)
+    assert report.params["R"] in verify.R_SCAN
 
 
 BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *SMALL.to_dict()}
