@@ -48,13 +48,10 @@ def position_density(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     return np.sum((mat.conj() * mat).real, axis=0)
 
 
-def _vacuum_weight(weights: np.ndarray, basis: FockBasis) -> float:
-    return float(weights[basis.totals() == 0].sum())
-
-
 def vacuum_sector_weight(state: np.ndarray, basis: FockBasis) -> float:
-    """<1 (x) P_Omega>: total probability of the zero-photon sector."""
-    return _vacuum_weight(sector_weights(state, basis), basis)
+    """<1 (x) P_Omega>: total probability of the zero-photon sector, Fock
+    index 0."""
+    return float(sector_weights(state, basis)[0])
 
 
 class PhotonNumbers(NamedTuple):
@@ -104,10 +101,10 @@ def overlap_with_decoupled(
     the discrete atomic ground state with the Fock vacuum; overlap_Q is the
     weight of (1 - P_at) (x) P_Omega, i.e. the rest of the vacuum sector.
     """
-    return _overlaps(_as_matrix(state, basis), atomic, basis)
+    return _overlaps(_as_matrix(state, basis), atomic)
 
 
-def _overlaps(mat: np.ndarray, atomic: AtomicState, basis: FockBasis) -> tuple[float, float]:
+def _overlaps(mat: np.ndarray, atomic: AtomicState) -> tuple[float, float]:
     npts = atomic.psi.size
     if mat.shape[1] != npts:
         raise ParameterError(
@@ -115,8 +112,7 @@ def _overlaps(mat: np.ndarray, atomic: AtomicState, basis: FockBasis) -> tuple[f
         )
     ref = atomic.psi.ravel() * atomic.grid.h**1.5  # unit l2 vector
     ref = ref / np.linalg.norm(ref)
-    vac_idx = basis.index_of((0,) * basis.mode_count)
-    row = mat[vac_idx]
+    row = mat[0]  # the vacuum row
     amp = np.vdot(ref, row)
     overlap_p = float(abs(amp) ** 2)
     vac_weight = float(np.vdot(row, row).real)
@@ -166,7 +162,7 @@ def ground_state_report(model, result) -> GroundStateReport:
     moments = {
         name: float(position_operator(model.grid, name) @ density) for name in _MOMENT_NAMES
     }
-    overlap_p, overlap_q = _overlaps(mat, model.atomic_reference(), model.basis)
+    overlap_p, overlap_q = _overlaps(mat, model.atomic_reference())
     return GroundStateReport(
         energy=float(result.energy),
         n_f_total=nums.total,
@@ -175,6 +171,6 @@ def ground_state_report(model, result) -> GroundStateReport:
         moments=moments,
         overlap_p=overlap_p,
         overlap_q=overlap_q,
-        vacuum_weight=_vacuum_weight(weights, model.basis),
+        vacuum_weight=float(weights[0]),
         density=density,
     )

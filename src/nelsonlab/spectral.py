@@ -109,8 +109,6 @@ __all__ = [
 ]
 
 _DIM_LIMIT = 500_000
-_WORKSET_VECTORS = 8  # held: x, w, p, their products, one scratch; one spare for a transient
-_WORKSET_BYTES_LIMIT = 2 * 2**30  # the eigensolver's vectors, counted at 16 bytes a value
 _GRAM_FLOOR = 1e-14  # keeps eigenvalues of the unit-diagonal S*S above this times the largest
 _SHIFT_MARGIN = 0.05  # sigma = max(-energy, 0) + margin in the diagonal preconditioner
 _PCG_MAXIT = 5000
@@ -145,8 +143,8 @@ def lanczos_lowest(matvec, dim, seed, tol, maxit, *, precond):
 
     The combinations run in place, so the solver holds at most seven
     vectors, x, H x, p, H p, w, H w and a scratch vector that takes the
-    residual, within the _WORKSET_VECTORS that the guard counts; the
-    operator's and the preconditioner's own temporaries come on top.  For
+    residual; the operator's and the preconditioner's own temporaries come
+    on top.  Every caller's dimension is within ``assemble``'s guard.  For
     ``lanczos_ground`` the preconditioner is a diagonal division with no
     FFT: it returns one new vector and, on the grid variants, holds a real
     (D, X) denominator, half a complex vector, while it divides.
@@ -163,8 +161,7 @@ def lanczos_lowest(matvec, dim, seed, tol, maxit, *, precond):
     Returns (energy, vector, residual, iterations), iterations counting the
     operator products; raises ConvergenceError when maxit products miss
     tol, and ParameterError, before any product, on maxit < 1, on a tol
-    that is not finite and positive, on a zero seed, or on a working set of
-    _WORKSET_VECTORS vectors at 16 bytes a value over _WORKSET_BYTES_LIMIT.
+    that is not finite and positive, or on a zero seed.
     """
     if dim < 1:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
@@ -172,10 +169,6 @@ def lanczos_lowest(matvec, dim, seed, tol, maxit, *, precond):
         raise ParameterError(f"maxit must be >= 1, got {maxit}")
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    need = _WORKSET_VECTORS * dim * 16
-    if need > _WORKSET_BYTES_LIMIT:
-        raise ParameterError(f"eigensolver working set for dim={dim} needs {need} "
-                             f"bytes, over the guard of {_WORKSET_BYTES_LIMIT}")
     x = np.asarray(seed, dtype=complex if np.iscomplexobj(seed) else float)
     del seed  # lanczos_ground hands over its only reference
     norm = np.linalg.norm(x)
@@ -723,9 +716,10 @@ def _default_seed(model: AssembledModel) -> np.ndarray:
 def _pull_defect(model: AssembledModel, j: int, v: np.ndarray) -> np.ndarray:
     """Delta_j v = [a_j, H] v - w_j a_j v - c conj(phase_j) (g_j . D) v, the
     pull-through defect of mode j on a vector v."""
-    lhs = model.apply_a(model.matvec(v), j) - model.matvec(model.apply_a(v, j))
+    av = model.apply_a(v, j)
+    lhs = model.apply_a(model.matvec(v), j) - model.matvec(av)
     dv = model._phase[j].conj() * model._to2(model.apply_D(v, model.g[j]))
-    return lhs - model.modes.omega[j] * model.apply_a(v, j) - model.lin_coef * dv.ravel()
+    return lhs - model.modes.omega[j] * av - model.lin_coef * dv.ravel()
 
 
 def pull_through_residual(model: AssembledModel, j: int) -> float:
@@ -761,11 +755,6 @@ def pull_through_residual(model: AssembledModel, j: int) -> float:
     return 10.0 * math.sqrt(2.0 / math.pi) * worst / max(1.0, float(model.modes.omega[j]))
 
 
-def _lattice_scalar(grid: PositionGrid, value: float) -> float:
-    """Round a scalar to the nearest reciprocal-lattice multiple."""
-    return grid.dk * round(value / grid.dk)
-
-
 def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
     """Defect norms of the two-step soft-mode decomposition.
 
@@ -780,6 +769,11 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
     when every phase shift stays inside the spectral band of the state,
     which holds for the translation-invariant variant seeded at zero
     total momentum.
+
+    The terms are grouped by the vector they act on, and only the two
+    remainders are formed: D(v, d) is linear in d and H - E in v, so each
+    axis with k_j != 0 takes three velocities, D(psi, e_j) for I0 and I1
+    and one on each shifted and lifted state, and each step one H - E.
     """
     if model.variant == "fiber":
         raise ParameterError("the decomposition check needs a particle factor")
@@ -791,7 +785,7 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
         raise ParameterError(f"|k| must lie in (0, 1), got {knorm}")
 
     target = knorm**TELESCOPING_EPS
-    f1 = _lattice_scalar(grid, target)
+    f1 = grid.dk * round(target / grid.dk)  # rounded to the reciprocal lattice
     if f1 == 0.0 or abs(f1 - target) > 0.1 * target:
         raise DomainError(
             f"lattice rounding moves |k|^eps = {target:.6g} to "
@@ -800,57 +794,50 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
 
     ground = lanczos_ground(model, tol=1e-12, maxit=400)
     psi = ground.vector
-    energy = ground.energy
 
     def phase_mul(v: np.ndarray, gvec: np.ndarray) -> np.ndarray:
         ph = grid.plane_wave(gvec)
         return (model._to2(v) * ph.ravel()).ravel()
 
     def g_minus_e(v: np.ndarray) -> np.ndarray:
-        return model.matvec(v) - energy * v
+        return model.matvec(v) - ground.energy * v
 
     ez = np.eye(3)
+    per_axis = [(j, -k[j] * (k[j] + f1) / f1, k + f1 * ez[j]) for j in range(3) if k[j] != 0.0]
 
-    # ---- step one -------------------------------------------------------
-    i0_psi = -phase_mul(model.apply_D(psi, k), k)
-
-    kept = np.zeros(model.dim, dtype=complex)
-    kept += -0.5 * float(np.sum(k)) * f1 * phase_mul(psi, k)
-    kept += (float(np.sum(k)) / f1) * g_minus_e(phase_mul(psi, k))
+    # ---- step one: res1 = ||I0 - kept - I1 - err1|| -------------------------
+    psi_k = phase_mul(psi, k)
     z1sq = np.array([knorm**2 + 2.0 * k[j] * f1 + f1**2 for j in range(3)])
-    kept += -0.5 / f1 * float(np.sum(k * z1sq)) * phase_mul(psi, k)
+    defect = (0.5 * float(np.sum(k)) * f1 + 0.5 / f1 * float(np.sum(k * z1sq))) * psi_k
+    defect -= (float(np.sum(k)) / f1) * g_minus_e(psi_k)
+    d_k = np.zeros(model.dim, dtype=complex)  # D(psi, k) = sum_j k_j D(psi, e_j)
     i1_psi = np.zeros(model.dim, dtype=complex)
-    err1 = np.zeros(model.dim, dtype=complex)
-    for j in range(3):
-        if k[j] == 0.0:
-            continue
-        z1j = k + f1 * ez[j]
+    for j, cj, z1j in per_axis:
+        d_j = model.apply_D(psi, ez[j])
+        d_k += k[j] * d_j
+        i1_psi += cj * phase_mul(d_j, z1j)
+        # kept's off-diagonal -(k_j/f1) D(shifted, k_perp_j) and I1 + err1 =
+        # c_j D(shifted, e_j) act on one shifted state, both phased by z1j
+        d = -(k[j] / f1) * k
+        d[j] = cj
         shifted = phase_mul(psi, -f1 * ez[j])  # the inner phase reduction
-        offdiag = k.copy()
-        offdiag[j] = 0.0
-        kept += -(k[j] / f1) * phase_mul(model.apply_D(shifted, offdiag), z1j)
-        cj = -k[j] * (k[j] + f1) / f1
-        i1_psi += cj * phase_mul(model.apply_D(psi, ez[j]), z1j)
-        err1 += cj * phase_mul(model.apply_D(shifted - psi, ez[j]), z1j)
-    res1 = float(np.linalg.norm(i0_psi - kept - i1_psi - err1))
+        defect -= phase_mul(model.apply_D(shifted, d), z1j)
+    defect -= phase_mul(d_k, k)
+    res1 = float(np.linalg.norm(defect))
 
-    # ---- step two -------------------------------------------------------
-    kept2 = np.zeros(model.dim, dtype=complex)
-    i2_psi = np.zeros(model.dim, dtype=complex)
-    for j in range(3):
-        if k[j] == 0.0:
-            continue
-        z1j = k + f1 * ez[j]
-        cj = -k[j] * (k[j] + f1) / f1
-        kept2 += -0.5 * cj * f1 * phase_mul(psi, z1j)
-        kept2 += (cj / f1) * g_minus_e(phase_mul(psi, z1j))
+    # ---- step two: res2 = ||I1 - kept2 - I2|| -------------------------------
+    defect = i1_psi
+    phased = np.zeros(model.dim, dtype=complex)  # H - E acts once, on the sum
+    for j, cj, z1j in per_axis:
+        psi_z = phase_mul(psi, z1j)
+        phased += (cj / f1) * psi_z
+        defect += 0.5 * cj * f1 * psi_z
         lifted = phase_mul(psi, f1 * ez[j])  # the second-step phase reduction
-        kept2 += -0.5 * (cj / f1) * knorm**2 * phase_mul(lifted, k)
-        offdiag = k.copy()
-        offdiag[j] = 0.0
-        kept2 += -(cj / f1) * phase_mul(model.apply_D(lifted, offdiag), k)
-        i2_psi += -(cj / f1) * k[j] * phase_mul(model.apply_D(lifted, ez[j]), k)
-    res2 = float(np.linalg.norm(i1_psi - kept2 - i2_psi))
+        defect += 0.5 * (cj / f1) * knorm**2 * phase_mul(lifted, k)
+        # kept2's off-diagonal velocity and I2 act on lifted along k
+        defect += (cj / f1) * phase_mul(model.apply_D(lifted, k), k)
+    defect -= g_minus_e(phased)
+    res2 = float(np.linalg.norm(defect))
 
     return {"res1": res1, "res2": res2}
 

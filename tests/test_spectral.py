@@ -121,29 +121,11 @@ def test_lanczos_rejects_bad_settings(setting):
         sp.lanczos_lowest(_never_called, 40, **{**settings, **setting})
 
 
-def test_lanczos_basis_memory_guard(monkeypatch):
-    """The guard counts the solver's working set, _WORKSET_VECTORS vectors of
-    dim values at 16 bytes, and refuses before the seed is read."""
-    dim = 10**9  # 128 GB of vectors; refused before anything is allocated
-    seed = np.broadcast_to(1.0, dim)  # a view of one value: no dim-length allocation
-    with pytest.raises(ParameterError, match=r"dim=1000000000 needs 128000000000 bytes"):
-        sp.lanczos_lowest(_never_called, dim, seed, 1e-10, 300, precond=_unpreconditioned)
-    # the bound is _WORKSET_VECTORS * dim * 16 bytes, inclusive
-    monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16 - 1)
-    with pytest.raises(ParameterError):
-        sp.lanczos_lowest(_never_called, 40, _random_seed(40), 1e-10, 10,
-                          precond=_unpreconditioned)
-    monkeypatch.setattr(sp, "_WORKSET_BYTES_LIMIT", sp._WORKSET_VECTORS * 40 * 16)
-    with pytest.raises(ConvergenceError):
-        sp.lanczos_lowest(lambda v: np.arange(40.0) * v, 40, _random_seed(40), 1e-10, 10,
-                          precond=_unpreconditioned)
-
-
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_lanczos_holds_only_its_counted_working_set(dtype):
-    """What the guard counts is what the solver holds: its tracemalloc peak
+    """The solver holds its working set of 8 vectors: its tracemalloc peak
     above the caller's seed, the product and the preconditioned residual
-    included, is at most _WORKSET_VECTORS vectors."""
+    included, is at most 8 vectors."""
     dim = 2**16
     rng = np.random.default_rng(19)
     d = np.concatenate([[-1.0], rng.uniform(0.5, 10.0, dim - 1)])  # isolated ground level
@@ -160,7 +142,7 @@ def test_lanczos_holds_only_its_counted_working_set(dtype):
     finally:
         tracemalloc.stop()
     assert energy == pytest.approx(-1.0, abs=1e-10) and vec.dtype == np.dtype(dtype)
-    assert (peak - base) / (dim * seed.itemsize) <= sp._WORKSET_VECTORS
+    assert (peak - base) / (dim * seed.itemsize) <= 8
 
 
 def test_lanczos_residual_is_honest_on_a_cluster():
@@ -919,6 +901,27 @@ def test_pull_through_bounds_the_dense_defect_norm(tiny_pull_model):
         assert exact <= sp.pull_through_residual(bad, j)
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of the AssembledModel method ``name``."""
+    calls = []
+    orig = getattr(sp.AssembledModel, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return orig(self, *args)
+
+    monkeypatch.setattr(sp.AssembledModel, name, counted)
+    return calls
+
+
+def test_pull_defect_lowers_the_vector_once(tiny_pull_model, monkeypatch):
+    """a_j v serves both [a_j, H] v and w_j a_j v: two lowerings per probe."""
+    v = sp._normal(3, (tiny_pull_model.dim,)).astype(complex)
+    calls = _counting(monkeypatch, "apply_a")
+    sp._pull_defect(tiny_pull_model, 0, v)
+    assert len(calls) == 2
+
+
 def test_pull_through_guards(small_setup, pull_model):
     params, grid, modes, basis = small_setup
     v0 = sp.assemble(params, grid, modes, basis, variant="v0")
@@ -987,6 +990,41 @@ def test_soft_decomposition_has_teeth(telescoping_model, monkeypatch):
         return r
 
     monkeypatch.setattr(sp, "lanczos_ground", biased)
+    out = sp.soft_decomposition_residual(model, np.array([dk, dk, dk]))
+    assert out["res1"] > 1e-8
+    assert out["res2"] > 1e-8
+
+
+def test_soft_decomposition_applies_each_operator_once_per_vector(telescoping_model,
+                                                                 monkeypatch):
+    """On the suite's telescoping model (n 16, L 8, probe dk (1, 1, 1)):
+    three velocities per axis, D(psi, e_j) and one on each shifted and each
+    lifted state, and one H - E per step."""
+    model, dk = telescoping_model
+    m16 = sp.assemble(model.params, PositionGrid(n=16, L=8.0), model.modes, model.basis,
+                      variant="v0")
+    velocities = _counting(monkeypatch, "apply_D")
+    products = _counting(monkeypatch, "matvec")
+    sp.soft_decomposition_residual(m16, np.array([dk, dk, dk]))
+    assert (len(velocities), len(products)) == (9, 2)
+
+
+_APPLY_D = sp.AssembledModel.apply_D
+
+
+def _field_free(model, v, d):
+    bad = copy.copy(model)
+    bad.lin_coef = 0.0  # the velocity loses c (A + A*); H keeps it
+    return _APPLY_D(bad, v, d)
+
+
+@pytest.mark.parametrize("velocity", [
+    _field_free, lambda model, v, d: 1.001 * _APPLY_D(model, v, d),
+], ids=["no-field-part", "scaled-1.001"])
+def test_soft_decomposition_catches_a_wrong_velocity(telescoping_model, monkeypatch,
+                                                     velocity):
+    model, dk = telescoping_model
+    monkeypatch.setattr(sp.AssembledModel, "apply_D", velocity)
     out = sp.soft_decomposition_residual(model, np.array([dk, dk, dk]))
     assert out["res1"] > 1e-8
     assert out["res2"] > 1e-8
