@@ -120,12 +120,6 @@ class FockBasis:
     def dim(self) -> int:
         return self.occupations.shape[0]
 
-    def index_of(self, occ) -> int:
-        row = np.asarray(occ, dtype=np.int64)
-        if row.shape != (self.mode_count,) or row.min() < 0 or row.sum() > self.n_max:
-            raise KeyError(tuple(occ))
-        return int(self._indices(row[None])[0])
-
     def _indices(self, occ: np.ndarray) -> np.ndarray:
         """Index of each occupation row of ``occ``, counting the states with
         fewer bosons, then mode by mode those with fewer bosons in that mode."""

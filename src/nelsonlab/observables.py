@@ -8,7 +8,9 @@ public functions below give the report's values one at a time.
 All states are flat coupled vectors in the solver's Fock-major layout,
 ``state[d * X + x]`` with ``X`` the particle points, and are treated as
 l2-normalized (the routines renormalize defensively so a global phase or
-scale never matters).  States, grids and moments are in defining units.
+scale never matters).  The atomic reference ``AtomicState.psi`` is a unit l2
+vector over the same points, read as is.  States, grids and moments are in
+defining units.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .fockspace import FockBasis, ModeGrid
 from .model import ParameterError
-from .particle import AtomicState, PositionGrid, position_operator
+from .particle import AtomicState, PositionGrid
 
 
 def _as_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -81,15 +83,20 @@ def _photons(weights: np.ndarray, basis: FockBasis, modes: ModeGrid) -> PhotonNu
     return PhotonNumbers(total=soft + hard, soft=soft, hard=hard)
 
 
-_MOMENT_NAMES = ("abs_x", "x_squared", "log3")
+# the report's moments, each a function of |x| on the grid's points
+_MOMENTS = {
+    "abs_x": lambda r: r,
+    "x_squared": lambda r: r**2,
+    "log3": lambda r: np.log(3.0 + r),
+}
 
 
 def spatial_moment(state: np.ndarray, grid: PositionGrid, basis: FockBasis, f_name: str) -> float:
     """<f(|x|) (x) 1> for f in abs_x, x_squared, log3: the density weighed
-    by the position operator's diagonal."""
-    if f_name not in _MOMENT_NAMES:
-        raise ParameterError(f"f_name must be one of {_MOMENT_NAMES}, got {f_name!r}")
-    return float(position_operator(grid, f_name) @ position_density(state, basis))
+    by f at each grid point."""
+    if f_name not in _MOMENTS:
+        raise ParameterError(f"f_name must be one of {tuple(_MOMENTS)}, got {f_name!r}")
+    return float(_MOMENTS[f_name](grid.radius.ravel()) @ position_density(state, basis))
 
 
 def overlap_with_decoupled(
@@ -110,10 +117,8 @@ def _overlaps(mat: np.ndarray, atomic: AtomicState) -> tuple[float, float]:
         raise ParameterError(
             f"state has {mat.shape[1]} grid points but the atomic state has {npts}"
         )
-    ref = atomic.psi.ravel() * atomic.grid.h**1.5  # unit l2 vector
-    ref = ref / np.linalg.norm(ref)
     row = mat[0]  # the vacuum row
-    amp = np.vdot(ref, row)
+    amp = np.vdot(atomic.psi, row)
     overlap_p = float(abs(amp) ** 2)
     vac_weight = float(np.vdot(row, row).real)
     overlap_q = max(vac_weight - overlap_p, 0.0)
@@ -159,9 +164,8 @@ def ground_state_report(model, result) -> GroundStateReport:
     prob = (mat.conj() * mat).real
     weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
     nums = _photons(weights, model.basis, model.modes)
-    moments = {
-        name: float(position_operator(model.grid, name) @ density) for name in _MOMENT_NAMES
-    }
+    r = model.grid.radius.ravel()
+    moments = {name: float(f(r) @ density) for name, f in _MOMENTS.items()}
     overlap_p, overlap_q = _overlaps(mat, model.atomic_reference())
     return GroundStateReport(
         energy=float(result.energy),

@@ -1,9 +1,8 @@
 """Particle (electron) sector on a periodic position-space box.
 
 Provides the 3D spectral discretization of 1/2 p^2 - alphaZ/|x|, its ground
-state, diagonal multiplication operators for the position functions used by
-the moment and localization checks, and the l=1 radial resolvent matrix
-element that feeds the second-order binding expansion.
+state as a unit l2 vector over the grid points, and the l=1 radial resolvent
+matrix element that feeds the second-order binding expansion.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "AtomicState",
     "atomic_ground",
     "coulomb_potential",
-    "position_operator",
     "radial_resolvent_l1",
 ]
 
@@ -112,7 +110,7 @@ class AtomicState:
     grid: PositionGrid
     alphaZ: float
     energy: float
-    psi: np.ndarray  # (n, n, n), normalized so that sum(psi^2) h^3 = 1
+    psi: np.ndarray  # (n^3,) unit l2 vector in the grid's point order
     residual: float
     iterations: int
 
@@ -125,16 +123,12 @@ class AtomicState:
         return abs(self.energy - self.analytic_energy)
 
     def analytic_state(self) -> np.ndarray:
-        """pi^{-1/2} (alphaZ)^{3/2} e^{-alphaZ |x|} sampled and renormalized."""
-        g = self.grid
-        if self.alphaZ == 0.0:
-            return np.full((g.n,) * 3, (2.0 * g.L) ** -1.5)
-        raw = np.exp(-self.alphaZ * g.radius)
-        return raw / (np.linalg.norm(raw) * g.h**1.5)
+        """e^{-alphaZ |x|} sampled flat and scaled to a unit l2 vector."""
+        raw = np.exp(-self.alphaZ * self.grid.radius).ravel()
+        return raw / np.linalg.norm(raw)
 
     def overlap_with_analytic(self) -> float:
-        ref = self.analytic_state()
-        return abs(float(np.sum(self.psi * ref)) * self.grid.h**3)
+        return abs(float(self.psi @ self.analytic_state()))
 
 
 def coulomb_potential(grid: PositionGrid, alphaZ: float) -> np.ndarray:
@@ -156,7 +150,7 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
         raise ParameterError(f"alphaZ must be finite and >= 0, got {alphaZ}")
 
     if alphaZ == 0.0:
-        psi = np.full((grid.n,) * 3, (2.0 * grid.L) ** -1.5)
+        psi = np.full(grid.point_count, 1.0 / math.sqrt(grid.point_count))
         return AtomicState(grid, 0.0, 0.0, psi, 0.0, 0)
 
     bohr = 1.0 / alphaZ
@@ -194,57 +188,10 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
         matvec, grid.point_count, seed=np.exp(-alphaZ * grid.radius).ravel(),
         tol=1e-12, maxit=500, precond=precond,
     )
-    vec = vec.real
-    if vec.sum() < 0.0:
-        vec = -vec
-    psi = vec.reshape(shape) / grid.h**1.5
+    psi = vec.real
+    if psi.sum() < 0.0:
+        psi = -psi
     return AtomicState(grid, alphaZ, energy, psi, residual, iterations)
-
-
-# ---------------------------------------------------------------------------
-# position functions
-# ---------------------------------------------------------------------------
-
-def position_operator(
-    grid: PositionGrid,
-    name: str,
-    *,
-    beta: float | None = None,
-    R: float | None = None,
-    c: float = 1.0,
-):
-    """Diagonal of the multiplication operator for a named position function,
-    flat in the grid's point order.
-
-    Names: abs_x -> |x|; x_squared -> |x|^2; log3 -> log(3 + c|x|);
-    exp_beta -> e^{beta |x|}; g_r -> chi_R(|x|) sqrt(log(3 + c|x|)) with the
-    linear cutoff ramp chi_R = 0 below R/2, 1 above R.
-    """
-    r = grid.radius
-    if name == "abs_x":
-        diag = r.copy()  # the grid caches r; callers own what is returned
-    elif name == "x_squared":
-        diag = r**2
-    elif name == "log3":
-        if c <= 0.0:
-            raise ParameterError(f"log3 needs c > 0, got {c}")
-        diag = np.log(3.0 + c * r)
-    elif name == "exp_beta":
-        if beta is None or beta < 0.0:
-            raise ParameterError("exp_beta needs beta >= 0")
-        if beta * float(r.max()) >= 709.0:
-            raise ParameterError("exp(beta |x|) overflows at the box corner")
-        diag = np.exp(beta * r)
-    elif name == "g_r":
-        if R is None or R <= 0.0:
-            raise ParameterError("g_r needs a radius R > 0")
-        if c <= 0.0:
-            raise ParameterError(f"g_r needs c > 0, got {c}")
-        chi = np.clip((2.0 * r - R) / R, 0.0, 1.0)
-        diag = chi * np.sqrt(np.log(3.0 + c * r))
-    else:
-        raise ParameterError(f"unknown position function {name!r}")
-    return diag.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -543,12 +543,11 @@ class AssembledModel:
         return np.divide(s.reshape(self._shape), denom, dtype=self._type(s)).ravel()
 
     def atomic_reference(self) -> AtomicState:
-        """Discrete atomic ground state on this model's grid (cached)."""
-        if self.grid is None:
-            raise ParameterError("the fiber variant has no particle factor")
+        """Discrete atomic ground state on the gross model's grid (cached)."""
+        if self.variant != "gross":
+            raise ParameterError(f"the {self.variant} variant has no atomic reference")
         if self._atomic is None:
-            strength = 0.0 if self.variant == "v0" else self.params.alphaZ
-            self._atomic = atomic_ground(self.grid, strength)
+            self._atomic = atomic_ground(self.grid, self.params.alphaZ)
         return self._atomic
 
 
@@ -698,12 +697,11 @@ def _default_seed(model: AssembledModel) -> np.ndarray:
     row, one transform of X points."""
     if model.variant == "fiber":
         return vacuum_vector(model.basis)  # real, as the fiber operator is
-    if model.variant == "gross":
-        psi = model.atomic_reference().psi.ravel()
-    else:
-        psi = np.full(model._shape[1], 1.0)
     s = np.zeros(model._shape, dtype=model._dtype)
-    s[0] = psi / np.linalg.norm(psi)
+    if model.variant == "gross":
+        s[0] = model.atomic_reference().psi
+    else:
+        s[0] = 1.0 / math.sqrt(model._shape[1])
     model._fft(s[:1], s[:1])
     return s.ravel()
 

@@ -77,7 +77,7 @@ from .closedform import (
 from .fockspace import FockBasis, ModeGrid, build_modes
 from .model import FOUR_PI, ModelParams, ParameterError
 from .observables import GroundStateReport, ground_state_report
-from .particle import PositionGrid, position_operator
+from .particle import PositionGrid
 from .spectral import (
     _PULL_PROBES,
     assemble,
@@ -285,8 +285,18 @@ def _exponential(c: _Suite) -> tuple:
     lam = FOUR_PI / (e * e * Z)
     beta = 1.0 / (math.sqrt(2.0) * lam)  # halfway into the admissible window
     rhs, R_best = min((exp_moment_bound(e, Z, beta, R), R) for R in R_SCAN)
-    lhs = float(position_operator(c.grid, "exp_beta", beta=beta) @ c.report.density)
+    r = c.grid.radius
+    if beta * float(r.max()) >= 709.0:
+        raise ParameterError("exp(beta |x|) overflows at the box corner")
+    lhs = float(np.exp(beta * r).ravel() @ c.report.density)
     return lhs, rhs, {"beta": beta, "R": R_best, "R_scan": list(R_SCAN)}
+
+
+def _g_r(grid: PositionGrid, R: float, c: float) -> np.ndarray:
+    """G_R = chi_R(|x|) sqrt(log(3 + c|x|)) flat on the grid, with the linear
+    cutoff ramp chi_R = 0 below R/2, 1 above R."""
+    r = grid.radius
+    return (np.clip((2.0 * r - R) / R, 0.0, 1.0) * np.sqrt(np.log(3.0 + c * r))).ravel()
 
 
 def _localization(c: _Suite) -> tuple:
@@ -294,8 +304,7 @@ def _localization(c: _Suite) -> tuple:
     # choose R so the cut ramp sits inside the box: R = 0.8 rho1 L in the
     # unit-coulomb frame means base-grid support from 0.4 L to 0.8 L
     R_at = 0.8 * rho1 * c.res.L
-    diag = position_operator(c.grid, "g_r", R=R_at / rho1, c=rho1)
-    lhs = float((diag**2) @ c.report.density)
+    lhs = float(_g_r(c.grid, R_at / rho1, rho1) ** 2 @ c.report.density)
     rhs = sl1_bound(1.0, grad_ceiling(R_at), gsq_over_x_ceiling(R_at))
     return lhs, rhs, {"R": R_at, "lambda1": 1.0, "kind": "log"}
 

@@ -278,6 +278,17 @@ def test_verify_json_is_strict_when_a_ceiling_is_infinite(capsys):
     assert report["rhs"] == "inf" and report["slack"] == "inf"
 
 
+def test_exponential_overflow_is_a_check_error(capsys):
+    """On a box of half-width 1e5, e^{beta |x|} overflows at the corner: the
+    exponential moment reports the guard's error and verify exits 3."""
+    code, payload = run_json(capsys, ["verify", "--e", "0.3", "--Z", "1", "--box-L", "100000",
+                                      "--select", "moment.exponential"] + TINY)
+    assert code == 3
+    (report,) = payload["reports"]
+    assert report["id"] == "moment.exponential"
+    assert report["status"] == "error(ParameterError: exp(beta |x|) overflows at the box corner)"
+
+
 @pytest.mark.parametrize("flag,value", [("--maxit", "0"), ("--tol", "-1"), ("--tol", "nan")])
 def test_bad_solver_settings_exit_two(capsys, flag, value):
     scan = ["scan", "--axis", "e", "--from", "0.0", "--to", "0.1", "--steps", "2"]

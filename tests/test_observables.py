@@ -64,19 +64,18 @@ def product_state(particle_vec, basis, sector=0):
 
 
 def test_product_reference_has_full_overlap(atom16):
-    grid, at = atom16
+    _, at = atom16
     basis = FockBasis(2, 1)
-    ref = at.psi.ravel() * grid.h**1.5
-    state = product_state(ref, basis)
+    state = product_state(at.psi, basis)
     p, q = overlap_with_decoupled(state, at, basis)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert q == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonal_particle_lands_in_q(atom16):
-    grid, at = atom16
+    _, at = atom16
     basis = FockBasis(2, 1)
-    ref = at.psi.ravel() * grid.h**1.5
+    ref = at.psi
     other = np.zeros_like(ref)
     other[5] = 1.0
     other -= (ref @ other) * ref
@@ -87,10 +86,9 @@ def test_orthogonal_particle_lands_in_q(atom16):
 
 
 def test_one_boson_state_has_empty_vacuum_sector(atom16):
-    grid, at = atom16
+    _, at = atom16
     basis = FockBasis(2, 1)
-    ref = at.psi.ravel() * grid.h**1.5
-    state = product_state(ref, basis, sector=basis.index_of((1, 0)))
+    state = product_state(at.psi, basis, sector=basis._indices(np.array([[1, 0]]))[0])
     p, q = overlap_with_decoupled(state, at, basis)
     assert p == 0.0 and q == 0.0
     assert vacuum_sector_weight(state, basis) == 0.0
@@ -126,18 +124,18 @@ def test_overlap_rejects_mismatched_grid(atom16):
 
 
 def test_photon_split_on_trivial_states(atom16):
-    grid, at = atom16
+    _, at = atom16
     modes = build_modes(0.2, 1.6, 2, 1)  # nodes straddle the soft boundary
     assert np.count_nonzero(modes.soft_mask) == 1 and modes.count == 2
     basis = FockBasis(modes.count, 2)
-    ref = at.psi.ravel() * grid.h**1.5
+    ref = at.psi
 
     vac = product_state(ref, basis)
     assert photon_number(vac, basis, modes) == (0.0, 0.0, 0.0)
 
     occ = [0, 0]
     occ[int(np.argmax(modes.soft_mask))] = 1
-    soft1 = product_state(ref, basis, sector=basis.index_of(occ))
+    soft1 = product_state(ref, basis, sector=basis._indices(np.array([occ]))[0])
     total, soft, hard = photon_number(soft1, basis, modes)
     assert total == pytest.approx(1.0, abs=1e-12)
     assert soft == pytest.approx(1.0, abs=1e-12)
@@ -201,9 +199,20 @@ def test_solver_state_matches_hydrogen_moment():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         at = atomic_ground(grid, 1.0)
-    v = at.psi.ravel() * grid.h**1.5
-    m1 = spatial_moment(v, grid, BASIS1, "abs_x")
+    m1 = spatial_moment(at.psi, grid, BASIS1, "abs_x")
     assert m1 == pytest.approx(1.5, rel=0.15)
+
+
+def test_moment_table_values():
+    """The report's moments weigh |x|, |x|^2 and log(3 + |x|) at each point,
+    with those expressions bit for bit."""
+    grid = PositionGrid(n=8, L=4.0)
+    r = grid.radius.ravel()
+    rng = np.random.default_rng(5)
+    state = rng.standard_normal(grid.point_count)
+    density = position_density(state, BASIS1)
+    for name, values in (("abs_x", r), ("x_squared", r**2), ("log3", np.log(3.0 + r))):
+        assert spatial_moment(state, grid, BASIS1, name) == float(values @ density)
 
 
 def test_spatial_moment_guards():

@@ -6,14 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nelsonlab.closedform import grad_ceiling
 from nelsonlab.model import ParameterError
-from nelsonlab.particle import (
-    PositionGrid,
-    atomic_ground,
-    position_operator,
-    radial_resolvent_l1,
-)
+from nelsonlab.particle import PositionGrid, atomic_ground, radial_resolvent_l1
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +73,8 @@ def test_atomic_free_particle_is_constant():
     g = PositionGrid(n=8, L=5.0)
     st = atomic_ground(g, 0.0)
     assert st.energy == 0.0
-    assert np.allclose(st.psi, (2.0 * g.L) ** -1.5)
+    assert st.psi.shape == (g.point_count,)
+    assert np.allclose(st.psi, g.point_count**-0.5)
 
 
 def test_atomic_matches_dense_reference():
@@ -93,7 +88,7 @@ def test_atomic_matches_dense_reference():
     H = kinetic + np.diag(-alphaZ / np.maximum(g.radius, g.h / 2.0).ravel())
     evals, evecs = np.linalg.eigh(H)
     assert st.energy == pytest.approx(evals[0], abs=1e-10)
-    overlap = np.vdot(evecs[:, 0], st.psi.ravel()) * g.h**1.5
+    overlap = np.vdot(evecs[:, 0], st.psi)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -115,8 +110,11 @@ def test_atomic_overlap_with_analytic(atomic_ladder):
 
 
 def test_atomic_normalization(atomic_ladder):
+    """The atom is the unit l2 vector over the grid points, flat."""
     st = atomic_ladder[32]
-    assert float(np.sum(st.psi**2)) * st.grid.h**3 == pytest.approx(1.0, abs=1e-12)
+    assert st.psi.shape == (st.grid.point_count,)
+    assert float(np.linalg.norm(st.psi)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.linalg.norm(st.analytic_state())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_atomic_resolution_warning():
@@ -139,70 +137,6 @@ def test_atomic_rejects_bad_input():
     g = PositionGrid(n=8, L=5.0)
     with pytest.raises(ParameterError):
         atomic_ground(g, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# position operators
-# ---------------------------------------------------------------------------
-
-
-def test_position_operator_values():
-    g = PositionGrid(n=8, L=4.0)
-    r = g.radius.ravel()
-    cases = [
-        ("abs_x", {}, r),
-        ("x_squared", {}, r**2),
-        ("log3", {"c": 2.0}, np.log(3.0 + 2.0 * r)),
-        ("exp_beta", {"beta": 0.5}, np.exp(0.5 * r)),
-    ]
-    for name, kwargs, values in cases:
-        diag = position_operator(g, name, **kwargs)
-        assert isinstance(diag, np.ndarray) and diag.shape == (g.point_count,)
-        assert np.allclose(diag, values)
-    # the returned diagonal is the caller's: writing to it leaves the grid intact
-    before = g.radius.copy()
-    position_operator(g, "abs_x")[:] = -1.0
-    np.testing.assert_array_equal(g.radius, before)
-
-
-def test_position_operator_guards():
-    g = PositionGrid(n=8, L=4.0)
-    with pytest.raises(ParameterError):
-        position_operator(g, "exp_beta", beta=200.0)  # beta*sqrt(3)*L = 1386 overflows
-    with pytest.raises(ParameterError):
-        position_operator(g, "exp_beta")
-    with pytest.raises(ParameterError):
-        position_operator(g, "g_r")
-    with pytest.raises(ParameterError):
-        position_operator(g, "g_r", R=4.0, c=0.0)
-    with pytest.raises(ParameterError):
-        position_operator(g, "no_such_function")
-
-
-def test_g_r_ramp():
-    g = PositionGrid(n=16, L=8.0)
-    R = 4.0
-    diag = position_operator(g, "g_r", R=R)
-    r = g.radius.ravel()
-    profile = np.sqrt(np.log(3.0 + r))
-    inner = r <= R / 2.0
-    outer = r >= R
-    assert np.all(diag[inner] == 0.0)
-    assert np.allclose(diag[outer], profile[outer])
-    mid = (r > R / 2.0) & (r < R)
-    chi = (2.0 * r[mid] - R) / R
-    assert np.allclose(diag[mid], chi * profile[mid])
-
-
-def test_gradient_sups_below_ceilings():
-    g = PositionGrid(n=32, L=16.0)
-    expected = {4.0: 0.6790707239516721, 8.0: 0.19221142680984538}
-    for R, frozen in expected.items():
-        values = position_operator(g, "g_r", R=R).reshape((g.n,) * 3)
-        # squared periodic forward-difference gradient, at its largest point
-        sup = sum(((np.roll(values, -1, axis) - values) / g.h) ** 2 for axis in range(3)).max()
-        assert sup == pytest.approx(frozen, rel=1e-12)
-        assert sup < grad_ceiling(R)
 
 
 # ---------------------------------------------------------------------------

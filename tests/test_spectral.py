@@ -789,8 +789,7 @@ def test_ground_state_layout_is_fock_major():
                         FockBasis(modes.count, 2), variant="gross")
     mat = sp.lanczos_ground(model, tol=1e-10, maxit=300).vector.reshape(model.basis.dim, -1)
     assert np.linalg.norm(mat[1:]) == 0.0
-    psi = model.atomic_reference().psi.ravel()
-    overlap = abs(np.vdot(psi, mat[0])) / np.linalg.norm(psi)
+    overlap = abs(np.vdot(model.atomic_reference().psi, mat[0]))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -798,6 +797,15 @@ def test_ground_energy_below_atomic_reference(gross_model):
     res = sp.lanczos_ground(gross_model, tol=1e-10, maxit=300)
     eat = gross_model.atomic_reference().energy
     assert res.energy <= eat + 1e-12
+
+
+def test_atomic_reference_is_the_gross_models(small_setup):
+    """Only the gross model carries the atom: v0 and fiber refuse it."""
+    params, grid, modes, basis = small_setup
+    for model in (sp.assemble(params, grid, modes, basis, variant="v0"),
+                  sp.assemble(params, None, modes, basis, variant="fiber")):
+        with pytest.raises(ParameterError, match="has no atomic reference"):
+            model.atomic_reference()
 
 
 def test_gross_potential_is_the_atoms(small_setup, gross_model):

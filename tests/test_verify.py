@@ -9,7 +9,7 @@ import pytest
 
 import nelsonlab.observables as observables
 import nelsonlab.verify as verify
-from nelsonlab.closedform import exp_moment_precondition
+from nelsonlab.closedform import exp_moment_precondition, grad_ceiling
 from nelsonlab.model import ConvergenceError, make_params
 from nelsonlab.verify import (
     CHECK_IDS,
@@ -19,6 +19,7 @@ from nelsonlab.verify import (
     suite_passed,
 )
 from nelsonlab.cli import RunConfig, _resolution, _to_json
+from nelsonlab.particle import PositionGrid
 
 SMALL = Resolution(n=8, L=10.0, n_radial=2, n_angular=1, n_max=1, tol=1e-10, maxit=200)
 REFERENCE = Resolution(n=16, L=10.0, n_radial=4, n_angular=1, n_max=2, tol=1e-9, maxit=400)
@@ -295,6 +296,33 @@ def test_exponential_beta_admits_every_scanned_radius(full_suite):
     assert report.params["beta"] == pytest.approx(1.0 / (math.sqrt(2.0) * 4.0 * math.pi / 0.09),
                                                   rel=1e-15)
     assert report.params["R"] in verify.R_SCAN
+
+
+def test_g_r_ramp():
+    g = PositionGrid(n=16, L=8.0)
+    R, c = 4.0, 2.0
+    diag = verify._g_r(g, R, c)
+    assert diag.shape == (g.point_count,)
+    r = g.radius.ravel()
+    profile = np.sqrt(np.log(3.0 + c * r))
+    inner = r <= R / 2.0
+    outer = r >= R
+    assert np.all(diag[inner] == 0.0)
+    assert np.allclose(diag[outer], profile[outer])
+    mid = (r > R / 2.0) & (r < R)
+    chi = (2.0 * r[mid] - R) / R
+    assert np.allclose(diag[mid], chi * profile[mid])
+
+
+def test_gradient_sups_below_ceilings():
+    g = PositionGrid(n=32, L=16.0)
+    expected = {4.0: 0.6790707239516721, 8.0: 0.19221142680984538}
+    for R, frozen in expected.items():
+        values = verify._g_r(g, R, 1.0).reshape((g.n,) * 3)
+        # squared periodic forward-difference gradient, at its largest point
+        sup = sum(((np.roll(values, -1, axis) - values) / g.h) ** 2 for axis in range(3)).max()
+        assert sup == pytest.approx(frozen, rel=1e-12)
+        assert sup < grad_ceiling(R)
 
 
 BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *SMALL.to_dict()}
