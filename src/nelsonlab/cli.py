@@ -33,6 +33,7 @@ if "numpy" not in sys.modules:
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -258,8 +259,8 @@ def _f17(v) -> str:
 def _display(v) -> str:
     if v is None:
         return "n/a"
-    if isinstance(v, str):
-        return v
+    if isinstance(v, (str, bool)):
+        return str(v)
     return f"{v:.6g}"
 
 
@@ -298,16 +299,21 @@ def _emit(cfg: RunConfig, payload: dict, columns: tuple[str, ...], rows: list[di
 _NAMED = ("name", "value", "display")  # the columns of a named-value table
 
 
-def _row(rows: list, name: str, fn, **extra) -> None:
-    """Evaluate one table entry; out-of-domain entries stay in the table."""
+def _row(rows: list, name: str, fn, *extra: str) -> None:
+    """Evaluate one table entry; out-of-domain entries stay in the table.
+    ``fn`` returns the value, or with ``extra`` columns the value and their
+    cells.  Python floats raise an ArithmeticError where numpy returns inf."""
     try:
-        value = fn()
-        if isinstance(value, (float, int, np.floating)):
-            value = float(value)
-    except (DomainError, ParameterError) as exc:
-        rows.append({"name": name, "value": None, "display": f"n/a ({exc})", **extra})
+        value, *cells = fn() if extra else (fn(),)
+    except (DomainError, ParameterError, ArithmeticError) as exc:
+        why = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        rows.append({"name": name, "value": None, "display": f"n/a ({why})",
+                     **dict.fromkeys(extra)})
         return
-    rows.append({"name": name, "value": value, "display": _display(value), **extra})
+    if isinstance(value, (float, int, np.floating)) and not isinstance(value, bool):
+        value = float(value)
+    rows.append({"name": name, "value": value, "display": _display(value),
+                 **dict(zip(extra, cells))})
 
 
 # ---------------------------------------------------------------------------
@@ -338,46 +344,50 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
     _row(rows, "photons.soft", lambda: cf.soft_photon_bound(e, Z))
     _row(rows, "photons.total", lambda: cf.total_photon_bound(e, Z))
 
-    euv = cf.e_uv(Z)
-    _row(rows, "e_uv", lambda: euv)
-    _row(rows, "e_uv_residual", lambda: abs(cf.c_uv(euv, Z) - 1.0))
+    euv = functools.cache(lambda: cf.e_uv(Z))
+    _row(rows, "e_uv", euv)
+    _row(rows, "e_uv_residual", lambda: abs(cf.c_uv(euv(), Z) - 1.0))
 
     tau_c = _chain_tau(cfg)
     _row(rows, "chain.tau", lambda: tau_c)  # the tau of the chain and window rows
-    chain = cf.overlap_constants(e, Z, tau=tau_c)
-    for key in sorted(chain):
-        _row(rows, f"chain.{key}", lambda k=key: chain[k])
+    chain = functools.cache(lambda: cf.overlap_constants(e, Z, tau_c))
+    for key in ("L", "M", "c_tau", "f_ir", "g_ir", "photon_K", "photon_K_low", "q_bound",
+                "theta1", "theta2"):
+        _row(rows, f"chain.{key}", lambda k=key: chain()[k])
 
-    window = cf.coupling_window(Z, tau_c)
-    for key in ("e_uv", "a_ir1", "a_ir2", "e_ir", "g_ir_at_e_ir"):
-        _row(rows, f"window.{key}", lambda k=key: getattr(window, k))
-    # a bool, which _row would make 1.0
-    rows.append({"name": "window.empty", "value": window.empty, "display": str(window.empty)})
+    window = functools.cache(lambda: cf.coupling_window(Z, tau_c))
+    for key in ("e_uv", "a_ir1", "a_ir2", "e_ir", "g_ir_at_e_ir", "empty"):
+        _row(rows, f"window.{key}", lambda k=key: getattr(window(), k))
     return _emit(cfg, {"rows": rows}, _NAMED, rows), 0
+
+
+def _with_margin(value: float, ceiling: float | None) -> tuple:
+    """The cells of an integrals row: value, ceiling and margin (None without a ceiling)."""
+    return value, ceiling, None if ceiling is None else ceiling - value
 
 
 def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
     params, frame = cfg.params(), cfg.frame()
-    norms = qd.f_tau_norms(params, frame)
+    norms = functools.cache(lambda: qd.f_tau_norms(params, frame))
     rows: list[dict] = []
     for name, value, ceiling in (
-        ("norm.f_ir_l2", norms.f_ir_l2, cf.ir_l2_ceiling()),
-        ("norm.f_ir_over_sqrt_omega", norms.f_ir_over_sqrt_omega, cf.ir_inv_sqrt_ceiling()),
-        ("norm.f_uv_over_sqrt_omega", norms.f_uv_over_sqrt_omega,
-         cf.uv_inv_sqrt_ceiling(frame)),
-        ("norm.f_uv_over_quarter_omega", norms.f_uv_over_quarter_omega,
-         cf.uv_inv_quarter_ceiling(frame)),
-        ("xi.self", cf.xi_bound(norms, norms), cf.xi_self_ceiling(frame)),
-        ("cin.100", qd.cin(100.0), qd.EULER_GAMMA + math.log(15.0) + 91.0 / 30.0),
+        ("norm.f_ir_l2", lambda: norms().f_ir_l2, cf.ir_l2_ceiling),
+        ("norm.f_ir_over_sqrt_omega", lambda: norms().f_ir_over_sqrt_omega,
+         cf.ir_inv_sqrt_ceiling),
+        ("norm.f_uv_over_sqrt_omega", lambda: norms().f_uv_over_sqrt_omega,
+         lambda: cf.uv_inv_sqrt_ceiling(frame)),
+        ("norm.f_uv_over_quarter_omega", lambda: norms().f_uv_over_quarter_omega,
+         lambda: cf.uv_inv_quarter_ceiling(frame)),
+        ("xi.self", lambda: cf.xi_bound(norms(), norms()), lambda: cf.xi_self_ceiling(frame)),
+        ("cin.100", lambda: qd.cin(100.0), lambda: qd.EULER_GAMMA + math.log(15.0) + 91.0 / 30.0),
+        ("effective_mass.coefficient", qd.effective_mass_coefficient, None),
+        ("effective_mass.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT, None),
+        ("self_energy.quadrature", lambda: qd.energy_renormalization(params), None),
+        ("self_energy.analytic", lambda: qd.energy_renormalization_analytic(params), None),
     ):
-        _row(rows, name, lambda v=value: v, ceiling=ceiling, margin=ceiling - value)
-    for name, fn in (
-        ("effective_mass.coefficient", qd.effective_mass_coefficient),
-        ("effective_mass.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT),
-        ("self_energy.quadrature", lambda: qd.energy_renormalization(params)),
-        ("self_energy.analytic", lambda: qd.energy_renormalization_analytic(params)),
-    ):
-        _row(rows, name, fn, ceiling=None, margin=None)
+        # the value and its ceiling are one entry: either failing blanks the row
+        _row(rows, name, lambda v=value, c=ceiling: _with_margin(v(), c() if c else None),
+             "ceiling", "margin")
     columns = ("name", "value", "ceiling", "margin", "display")
     return _emit(cfg, {"rows": rows}, columns, rows), 0
 

@@ -4,7 +4,8 @@ Everything in this module is scalar arithmetic: the ultraviolet smallness
 constant and its unit root, the dressing constants entering the photon-number
 bounds, the infrared overlap chain with its admissible coupling window, and
 the ceilings for the shell norms of the coupling function.  The only numerics
-used is bracketing root search; all formulas are hand-assembled.
+is one log-space bisection, ``_crossing``, which locates every charge root;
+all formulas are hand-assembled.
 
 Conventions: ``alpha = e**2 / (4 pi)``; a frame enters as a
 :class:`~nelsonlab.model.ScaleFrame`, whose ``power(c)`` = rho^(c tau) gives
@@ -37,6 +38,8 @@ CHAIN_TAU = 0.9
 
 _THETA_EPS = 0.2  # split parameter of the Theta_2 expression, in (0, 1/4)
 
+_IR_FLOOR = 1e-150  # lowest charge the infrared roots probe; e**2 is still a normal float
+
 
 def _alpha(e: float) -> float:
     return e * e / FOUR_PI
@@ -61,18 +64,35 @@ def c_uv(e: float, Z: float) -> float:
     return (2.0 * e / math.pi) * math.sqrt(1.0 + 0.5 * aZ * aZ) + C_UV_QUADRATIC * e * e
 
 
+def _crossing(ok, lo: float, hi: float, what: str) -> float | None:
+    """The largest e in [lo, hi] with ``ok(e)``, for a test that holds
+    below one crossing and fails above it; None when it holds at hi.
+
+    Bisects at the geometric midpoint until no float lies strictly between
+    the ends, so the result and the next float up straddle the crossing.
+    """
+    if ok(hi):
+        return None
+    if not ok(lo):
+        raise DomainError(f"{what} lies below e = {lo}")
+    while lo < (mid := math.sqrt(lo * hi)) < hi:
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def e_uv(Z: float) -> float:
-    """The positive root of C_UV(e) = 1 at nuclear charge Z.
+    """The largest charge with C_UV(e) <= 1 at nuclear charge Z.
 
     C_UV is strictly increasing in e > 0, so the root is unique; it tends to
     0.8888... as Z -> 0 and decays like (2 sqrt(2) pi^2 / Z^2)^(1/3) for
-    large Z.
+    large Z.  A root below e = 1e-12 raises :class:`DomainError`.
     """
     if not (Z > 0.0) or not math.isfinite(Z):
         raise ParameterError(f"Z must be positive and finite, got {Z}")
-    from scipy.optimize import brentq  # imported here: scipy.optimize is slow to load
-
-    return brentq(lambda x: c_uv(x, Z) - 1.0, 1e-12, 10.0, xtol=1e-15, rtol=8.9e-16)
+    return _crossing(lambda x: c_uv(x, Z) <= 1.0, 1e-12, 10.0, "e_uv")
 
 
 def c_star_c1(e: float, Z: float, frame: ScaleFrame):
@@ -214,7 +234,15 @@ def _require_chain_tau(tau: float) -> None:
         raise DomainError(f"tau must lie in (3/4, 1], got {tau}")
 
 
-def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
+def _g_ir(e: float, Z: float, tau: float) -> float:
+    """The overlap floor G_IR = 1 - photon_K e^2/(4 pi) - 8 (4 pi / Z)^2 F_IR(e);
+    1 at e = 0, its limit."""
+    if e == 0.0:
+        return 1.0
+    return 1.0 - photon_k(e, Z) * _alpha(e) - 8.0 * (FOUR_PI / Z) ** 2 * _f_ir(e, Z, tau)
+
+
+def overlap_constants(e: float, Z: float, tau: float) -> dict:
     """All scalars of the infrared overlap chain at charge e.
 
     Works in the rho = e^2 frame convention, with M at TELESCOPING_EPS and
@@ -222,10 +250,7 @@ def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
 
     Returns a dict with keys theta1, theta2, c_tau, f_ir, q_bound, g_ir,
     photon_K, photon_K_low, L, M.  ``g_ir`` is the computable overlap floor
-
-        G_IR = 1 - photon_K e^2/(4 pi) - 8 (4 pi / Z)^2 F_IR(e),
-
-    which tends to 1 as e -> 0+.
+    G_IR of :func:`_g_ir`, which tends to 1 as e -> 0+.
     """
     _require_chain_tau(tau)
     e = abs(float(e))
@@ -258,7 +283,6 @@ def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
         K = math.inf
         K_low = math.inf
         L = math.inf
-        g_ir = 1.0
         cd = c_d(0.0, Z)
         c1 = 1.0
     else:
@@ -267,7 +291,6 @@ def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
         L = coupling_log(e, Z)
         cd = c_d(e, Z)
         c1 = _c1_base(e, Z)
-        g_ir = 1.0 - K * a - q_bound
     M = _dressing_m(c1, cd)
 
     return {
@@ -276,7 +299,7 @@ def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
         "c_tau": c_tau,
         "f_ir": f_ir,
         "q_bound": q_bound,
-        "g_ir": g_ir,
+        "g_ir": _g_ir(e, Z, tau),
         "photon_K": K,
         "photon_K_low": K_low,
         "L": L,
@@ -288,70 +311,33 @@ def overlap_constants(e: float, Z: float, tau: float = CHAIN_TAU) -> dict:
 class CouplingWindow:
     """Admissible charge window of the infrared overlap chain."""
 
-    Z: float
-    tau: float
     e_uv: float
     a_ir1: float | None     # root of C_tau = 1/2 (None when absent, e.g. tau = 1)
     a_ir2: float | None     # root of F_IR = (Z / 4 pi)^2 / 16 (None when >= 1)
-    e_ir: float             # largest admissible charge (0.0 when empty)
+    e_ir: float             # largest charge below the cap with G_IR > 0
     g_ir_at_e_ir: float
     empty: bool
 
 
-def coupling_window(Z: float, tau: float = CHAIN_TAU) -> CouplingWindow:
+def coupling_window(Z: float, tau: float) -> CouplingWindow:
     """Compute the admissible charge window for the overlap lower bound:
-    the largest e in (0, min(1, a_ir1, a_ir2, e_uv)) with G_IR(e) > 0,
-    located by bisection.  An empty window is reported, not raised.
+    the largest e in (0, min(1, a_ir1, a_ir2, e_uv)) with G_IR(e) > 0.
+
+    Every root is the admissible end of a ``_crossing`` search; an infrared
+    root below e = 1e-150 raises :class:`DomainError`.
     """
     _require_chain_tau(tau)
-    from scipy.optimize import brentq
-
     euv = e_uv(Z)
-
-    if tau == 1.0:
-        # C_tau(0+) -> 1 > 1/2 and C_tau is increasing: no root.
-        a1 = None
-    else:
-        f1 = lambda x: _c_tau(x, Z, tau) - 0.5
-        a1 = brentq(f1, 1e-300, 1.0, xtol=1e-300, rtol=8.9e-16) if f1(1.0) > 0.0 else None
-
     rhs2 = (Z / FOUR_PI) ** 2 / 16.0
-    f2 = lambda x: _f_ir(x, Z, tau) - rhs2
-    a2 = brentq(f2, 1e-300, 1.0, xtol=1e-300, rtol=8.9e-16) if f2(1.0) > 0.0 else None
-
-    emax = min(1.0, euv * (1.0 - 1e-9))
-    if a1 is not None:
-        emax = min(emax, a1)
-    if a2 is not None:
-        emax = min(emax, a2)
-
-    def g_ir_of(x: float) -> float:
-        return overlap_constants(x, Z, tau=tau)["g_ir"]
-
-    g_hi = g_ir_of(emax)
-    if g_hi > 0.0:
-        e_val = emax
-        g_val = g_hi
-    else:
-        lo, hi = 1e-300, emax
-        if g_ir_of(lo) <= 0.0:
-            return CouplingWindow(
-                Z=Z, tau=tau, e_uv=euv, a_ir1=a1, a_ir2=a2,
-                e_ir=0.0, g_ir_at_e_ir=g_ir_of(lo), empty=True,
-            )
-        for _ in range(2000):
-            mid = math.sqrt(lo * hi)  # log-space bisection
-            if g_ir_of(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        e_val = lo
-        g_val = g_ir_of(lo)
+    # C_tau(0+) -> 1 > 1/2 at tau = 1 and C_tau is increasing: no root.
+    a1 = None if tau == 1.0 else _crossing(
+        lambda x: _c_tau(x, Z, tau) <= 0.5, _IR_FLOOR, 1.0, "a_ir1")
+    a2 = _crossing(lambda x: _f_ir(x, Z, tau) <= rhs2, _IR_FLOOR, 1.0, "a_ir2")
+    emax = min(1.0, euv * (1.0 - 1e-9), *(a for a in (a1, a2) if a is not None))
+    e_ir = _crossing(lambda x: _g_ir(x, Z, tau) > 0.0, _IR_FLOOR, emax, "e_ir") or emax
     return CouplingWindow(
-        Z=Z, tau=tau, e_uv=euv, a_ir1=a1, a_ir2=a2,
-        e_ir=e_val, g_ir_at_e_ir=g_val, empty=not (e_val > 0.0),
+        e_uv=euv, a_ir1=a1, a_ir2=a2,
+        e_ir=e_ir, g_ir_at_e_ir=_g_ir(e_ir, Z, tau), empty=not (e_ir > 0.0),
     )
 
 

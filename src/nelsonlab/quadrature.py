@@ -1,16 +1,15 @@
 """Radial momentum-shell integrals and special-function helpers.
 
-All explicit integrals of the closed-form analysis live here: the dressed
-shell moments, the self-energy constant, the effective-mass coefficient, the
-cosine integral cin, and the second-order binding expansion.  Adaptive
-quadrature is delegated to scipy's QUADPACK wrapper behind a stable,
-thread-count-independent interface.
+All explicit integrals of the closed-form analysis live here: the shell
+norms of the coupling function, the self-energy constant, the
+effective-mass coefficient, the cosine integral cin, and the second-order
+binding expansion.  Adaptive quadrature is delegated to scipy's QUADPACK
+wrapper behind a stable, thread-count-independent interface.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .closedform import NormBundle
 from .model import (
@@ -25,35 +24,6 @@ EULER_GAMMA = 0.5772156649015329
 
 _QUAD_LIMIT = 2000
 _NORM_PREFACTOR = 2.0 * (2.0 * math.pi) ** 3  # 16 pi^3
-
-
-@dataclass(frozen=True)
-class ShellSpec:
-    """Radial integration region: [kappa, lam] intersected with the
-    infrared ball |k| < 1 or its ultraviolet complement (or neither)."""
-
-    kappa: float
-    lam: float
-    region: str = "full"
-
-    def __post_init__(self):
-        if self.kappa < 0.0 or math.isnan(self.kappa) or math.isinf(self.kappa):
-            raise ParameterError(f"kappa must be a finite radius >= 0, got {self.kappa}")
-        if math.isnan(self.lam) or self.lam < self.kappa:
-            raise ParameterError(f"lam must be >= kappa, got {self.lam}")
-        if self.region not in ("full", "infrared", "ultraviolet"):
-            raise ParameterError(f"unknown region {self.region!r}")
-
-    def bounds(self):
-        """Effective (lo, hi) radii, or None when the region is empty."""
-        lo, hi = self.kappa, self.lam
-        if self.region == "infrared":
-            hi = min(hi, 1.0)
-        elif self.region == "ultraviolet":
-            lo = max(lo, 1.0)
-        if not (lo < hi):
-            return None
-        return lo, hi
 
 
 def _radial_quad(f, lo: float, hi: float) -> float:
@@ -76,49 +46,6 @@ def _radial_quad(f, lo: float, hi: float) -> float:
     outs = [quad(g, a, b, epsabs=1e-14, epsrel=1e-12, limit=_QUAD_LIMIT, full_output=1)
             for g, a, b in pieces]
     return sum(o[0] for o in outs)
-
-
-def shell_moment(a: float, b: float, rho2tau: float, spec: ShellSpec) -> float:
-    """4 pi * integral of r^(a+2) (r + rho2tau r^2 / 2)^(-b) dr over the
-    region of ``spec``.
-
-    This is the radial reduction of the momentum integral of
-    |k|^a (|k| + rho2tau |k|^2 / 2)^(-b).  Divergent endpoint configurations
-    raise :class:`DivergentIntegralError` naming the failing endpoint:
-    the origin needs a + 2 - b > -1, an infinite outer radius needs
-    a + 2 - 2 b < -1 (the denominator grows like r^(2b) there; for
-    rho2tau = 0 it only grows like r^b, so then a + 2 - b < -1).
-    """
-    if rho2tau < 0.0 or not math.isfinite(rho2tau):
-        raise ParameterError(f"rho2tau must be finite and >= 0, got {rho2tau}")
-    bounds = spec.bounds()
-    if bounds is None:
-        return 0.0
-    lo, hi = bounds
-    if lo == 0.0 and not (a + 2.0 - b > -1.0):
-        raise DivergentIntegralError(
-            f"shell moment a={a}, b={b} diverges at the origin "
-            f"(needs a + 2 - b > -1)"
-        )
-    if math.isinf(hi):
-        if rho2tau > 0.0:
-            if not (a + 2.0 - 2.0 * b < -1.0):
-                raise DivergentIntegralError(
-                    f"shell moment a={a}, b={b} diverges at infinity "
-                    f"(needs a + 2 - 2b < -1 for rho2tau > 0)"
-                )
-        elif not (a + 2.0 - b < -1.0):
-            raise DivergentIntegralError(
-                f"shell moment a={a}, b={b} diverges at infinity "
-                f"(needs a + 2 - b < -1 for rho2tau = 0)"
-            )
-
-    half = 0.5 * rho2tau
-
-    def f(r):  # r^(a+2) (r + half r^2)^(-b), without overflow at tiny r
-        return r ** (a + 2.0 - b) * (1.0 + half * r) ** (-b)
-
-    return 4.0 * math.pi * _radial_quad(f, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +209,27 @@ def f_tau_norms(params: ModelParams, frame: ScaleFrame) -> NormBundle:
 
     In the frame the shell support is [kappa rho^(-2 tau), lam rho^(-2 tau)]
     and the dressed denominator carries rho^(2 tau), both from
-    ``frame.power``; the infrared/ultraviolet split sits at |k| = 1.  Each
-    norm is sqrt(shell_moment(2 a' + 1, 2, rho^(2 tau)) / (2 (2 pi)^3))
-    with weight exponent a' in {0, -1/2, -1/4}.
+    ``frame.power``; the infrared/ultraviolet split sits at |k| = 1.  The
+    norm weighted by omega^a', a' in {0, -1/2, -1/4}, is the square root of
+    4 pi int r^a (1 + rho^(2 tau) r / 2)^(-2) dr / (2 (2 pi)^3), a = 2 a' + 1,
+    over its part of the support; an empty part gives 0.
     """
     scale = frame.power(-2.0)
-    rho2tau = frame.power(2.0)
+    half = 0.5 * frame.power(2.0)
     kap = params.kappa * scale
     lam = params.lam if math.isinf(params.lam) else params.lam * scale
 
-    def norm(a: float, region: str) -> float:
-        spec = ShellSpec(kap, lam, region)
-        return math.sqrt(shell_moment(a, 2.0, rho2tau, spec) / _NORM_PREFACTOR)
+    def norm(a: float, lo: float, hi: float) -> float:
+        if not (lo < hi):
+            return 0.0
+        moment = 4.0 * math.pi * _radial_quad(lambda r: r ** a * (1.0 + half * r) ** (-2.0),
+                                               lo, hi)
+        return math.sqrt(moment / _NORM_PREFACTOR)
 
+    ir, uv = (kap, min(lam, 1.0)), (max(kap, 1.0), lam)
     return NormBundle(
-        f_ir_l2=norm(1.0, "infrared"),
-        f_ir_over_sqrt_omega=norm(0.0, "infrared"),
-        f_uv_over_sqrt_omega=norm(0.0, "ultraviolet"),
-        f_uv_over_quarter_omega=norm(0.5, "ultraviolet"),
+        f_ir_l2=norm(1.0, *ir),
+        f_ir_over_sqrt_omega=norm(0.0, *ir),
+        f_uv_over_sqrt_omega=norm(0.0, *uv),
+        f_uv_over_quarter_omega=norm(0.5, *uv),
     )

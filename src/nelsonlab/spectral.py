@@ -596,17 +596,12 @@ def assemble(
         raise ParameterError(
             f"dimension {dim} exceeds the assembly guard {_DIM_LIMIT}"
         )
-    if variant == "gross" and params.e != 0.0:
-        try:
-            window_ok = c_uv(params.e, params.Z) < 1.0
-        except DomainError:
-            window_ok = False
-        if not window_ok:
-            warnings.warn(
-                "coupling outside the small-charge window of the dressed "
-                "arrangement; assembling anyway",
-                stacklevel=2,
-            )
+    if variant == "gross" and params.e != 0.0 and not c_uv(params.e, params.Z) < 1.0:
+        warnings.warn(
+            "coupling outside the small-charge window of the dressed "
+            "arrangement; assembling anyway",
+            stacklevel=2,
+        )
     if np.any(modes.omega == 0.0):
         raise ParameterError("mode grid contains a zero mode")
     if grid is not None:  # an uncoupled axis has k_l = 0 for every mode

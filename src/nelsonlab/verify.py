@@ -216,7 +216,7 @@ class _Suite:
 
     @_once
     def window_constants(self) -> dict:
-        return overlap_constants(self.params.e, self.params.Z)
+        return overlap_constants(self.params.e, self.params.Z, CHAIN_TAU)
 
     @_once
     def cuv(self) -> float:

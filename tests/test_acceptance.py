@@ -80,9 +80,12 @@ def test_c02_uv_root():
 
 
 def test_c03_quadrature_oracles():
+    whole_shell = make_params(0.3, 1.0, kappa=0.0, lam=math.inf)
     for c in (0.25, 1.0, 3.7, 12.0):
-        got = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.0, math.inf))
-        exact = 8.0 * math.pi / c
+        # rho^(2 tau) = c: the omega^(-1/2) norms square-sum to 1/(2 pi^2 c)
+        norms = qd.f_tau_norms(whole_shell, ScaleFrame(0.5, c))
+        got = norms.f_ir_over_sqrt_omega ** 2 + norms.f_uv_over_sqrt_omega ** 2
+        exact = 1.0 / (2.0 * math.pi ** 2 * c)
         assert abs(got - exact) <= 1e-9 * exact
 
     coeff = qd.effective_mass_coefficient()

@@ -382,6 +382,35 @@ def test_constants_survives_zero_charge(capsys):
     assert rows["chain.g_ir"] == 1.0
 
 
+@pytest.mark.parametrize("argv, failed, valued", [
+    # C_UV >= 1: the chain needs C_D as the photon rows do
+    (["constants", "--e", "0.9"], ["C_D", "chain.g_ir", "chain.theta2"], ["e_uv", "window.e_ir"]),
+    # e^2 underflows: L divides by zero, and the chain's rho^(-2 tau) overflows
+    (["constants", "--e", "1e-200"], ["coupling_log", "chain.theta2"], ["e_uv", "window.e_ir"]),
+    # the infrared roots lie below e = 1e-150
+    (["constants", "--e", "0.3", "--Z", "0.01", "--tau", "0.76"], ["window.a_ir2", "window.empty"],
+     ["e_uv", "chain.g_ir"]),
+    (["constants", "--e", "0.3", "--tau", "0.9999"], ["window.a_ir1", "window.e_ir"],
+     ["e_uv", "chain.g_ir"]),
+    # the old window search overflowed in Theta_2 here; the window now has roots
+    (["constants", "--e", "0.01", "--Z", "1000", "--tau", "1"], [],
+     ["window.a_ir2", "window.e_ir", "window.g_ir_at_e_ir"]),
+    # rho^(-3 tau) of the Xi ceiling overflows
+    (["integrals", "--e", "0.3", "--tau", "50"], ["xi.self"], ["norm.f_uv_over_sqrt_omega"]),
+])
+def test_out_of_domain_rows_fail_alone(capsys, argv, failed, valued):
+    """A value the table cannot hold reads n/a (reason) and the command still exits 0."""
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    rows = {r["name"]: r for r in payload["rows"]}
+    for name in failed:
+        assert rows[name]["value"] is None, name
+        assert rows[name]["display"].startswith("n/a (") and rows[name]["display"] != "n/a ()"
+        assert rows[name].get("margin") is None
+    for name in valued:
+        assert isinstance(rows[name]["value"], float), name
+
+
 @pytest.mark.parametrize("tau, chain_tau", [("0.5", 0.9), ("0.8", 0.8)])
 def test_constants_records_the_chain_tau(capsys, tau, chain_tau):
     # the overlap chain needs tau in (3/4, 1]; outside it runs at CHAIN_TAU = 0.9
@@ -627,9 +656,9 @@ def test_verify_bytes_identical_across_thread_counts():
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    """A fresh import of the CLI loads numpy alone: quadrature, root finding
-    and the banded radial solve load their scipy modules on first use, and
-    nothing else imports scipy."""
+    """A fresh import of the CLI loads numpy alone: quadrature and the
+    banded radial solve load their scipy modules on first use, and nothing
+    else imports scipy."""
     probe = "import sys, nelsonlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
@@ -663,8 +692,9 @@ print(json.dumps(runs))
 
 
 def test_solver_commands_run_without_scipy():
-    """verify, solve, scan and effmass need numpy alone: with every scipy
-    import refused they exit 0 and print what an unrestricted run prints.
+    """verify, solve, scan, effmass and constants need numpy alone: with
+    every scipy import refused they exit 0 and print what an unrestricted
+    run prints.
     Both sides run in fresh processes: a run inside this one, after other
     tests, can differ in the last digit of roundoff-sized values."""
     runs = json.dumps([
@@ -672,13 +702,14 @@ def test_solver_commands_run_without_scipy():
         ["solve"] + TINY,
         ["scan", "--axis", "e", "--from", "0.1", "--to", "0.3", "--steps", "2"] + TINY,
         ["effmass", "--modes-angular", "6"] + TINY_MODES,
+        ["constants", "--e", "0.3"],
     ])
     refused, allowed = (
         json.loads(subprocess.run([sys.executable, "-c", _RUN_CLI, runs, mode],
                                   capture_output=True, text=True, check=True).stdout)
         for mode in ("refuse", "allow")
     )
-    assert [code for code, _ in refused] == [0, 0, 0, 0]
+    assert [code for code, _ in refused] == [0, 0, 0, 0, 0]
     assert refused == allowed
 
 

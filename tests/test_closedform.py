@@ -183,6 +183,41 @@ def test_coupling_window_tau_one_has_no_first_root():
     assert w.a_ir2 is not None and w.e_ir > 0.0
 
 
+_WINDOW_Z = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+
+
+def test_coupling_window_roots_straddle_their_crossings():
+    """Over a Z x tau grid every root is the last float on the admissible
+    side of its crossing, or the window raises DomainError because an
+    infrared root lies below e = 1e-150."""
+    below_floor = []
+    for Z in _WINDOW_Z:
+        for tau in (0.76, 0.8, 0.9, 0.99, 0.999, 0.9999, 1.0):
+            try:
+                w = cf.coupling_window(Z, tau)
+            except DomainError as exc:
+                assert "lies below e = 1e-150" in str(exc)
+                below_floor.append((Z, tau))
+                continue
+
+            def straddles(root, admissible):
+                return admissible(root) and not admissible(math.nextafter(root, math.inf))
+
+            rhs2 = (Z / FOUR_PI) ** 2 / 16.0
+            assert straddles(w.e_uv, lambda x: cf.c_uv(x, Z) <= 1.0), (Z, tau)
+            assert (w.a_ir1 is None) == (tau == 1.0), (Z, tau)
+            if w.a_ir1 is not None:
+                assert straddles(w.a_ir1, lambda x: cf._c_tau(x, Z, tau) <= 0.5), (Z, tau)
+            assert straddles(w.a_ir2, lambda x: cf._f_ir(x, Z, tau) <= rhs2), (Z, tau)
+            cap = min(1.0, w.e_uv * (1.0 - 1e-9), *(a for a in (w.a_ir1, w.a_ir2) if a))
+            if w.e_ir != cap:
+                assert straddles(w.e_ir, lambda x: cf._g_ir(x, Z, tau) > 0.0), (Z, tau)
+            assert w.empty or w.g_ir_at_e_ir > 0.0, (Z, tau)
+    # a_ir1 near tau = 1, and a_ir2 at Z = 0.01, tau = 0.76, lie far below 1e-150
+    assert set(below_floor) == {(0.01, 0.76)} | {(Z, tau) for Z in _WINDOW_Z
+                                                 for tau in (0.999, 0.9999)}
+
+
 def test_c_tau_and_f_ir_monotone():
     for e in (1e-6, 1e-3, 0.1):
         assert cf._c_tau(2.0 * e, 1.0, 0.9) > cf._c_tau(e, 1.0, 0.9)

@@ -17,7 +17,12 @@ from nelsonlab.model import (
 
 
 # ---------------------------------------------------------------------------
-# shell moments
+# shell moments of the coupling function
+#
+# In the frame ScaleFrame(0.5, c) the dressed denominator carries
+# rho^(2 tau) = c and the shell support scales by rho^(-2 tau) = 1/c.  The
+# squared a = 0 norms (the omega^(-1/2) weight) are the b = 2 moment
+# 4 pi int (1 + c r / 2)^(-2) dr over their region, divided by 16 pi^3.
 
 
 def shell_moment_b2_analytic(a: float, c: float, lo: float, hi: float) -> float:
@@ -38,19 +43,37 @@ def shell_moment_b2_analytic(a: float, c: float, lo: float, hi: float) -> float:
     return 4.0 * math.pi * (anti(hi) - anti(lo))
 
 
+_PREFACTOR = 16.0 * math.pi ** 3  # 2 (2 pi)^3
+
+
+def _omega_moments(kappa: float, lam: float, c: float):
+    """The squared a = 0 norms times 16 pi^3, the scaled support and its frame."""
+    frame = ScaleFrame(0.5, c)
+    nb = qd.f_tau_norms(make_params(0.3, 1.0, kappa=kappa, lam=lam), frame)
+    ir = nb.f_ir_over_sqrt_omega ** 2 * _PREFACTOR
+    uv = nb.f_uv_over_sqrt_omega ** 2 * _PREFACTOR
+    return ir, uv, kappa * frame.power(-2.0), lam * frame.power(-2.0)
+
+
 def test_shell_b2_family_matches_antiderivative():
     for c in (0.25, 1.0, 3.7, 12.0):
-        got = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.0, math.inf))
-        assert abs(got - 8.0 * math.pi / c) <= 1e-9 * (8.0 * math.pi / c)
-        # the oracle helper agrees on finite windows too
-        fin = qd.shell_moment(0.0, 2.0, c, qd.ShellSpec(0.2, 5.0))
-        oracle = shell_moment_b2_analytic(0.0, c, 0.2, 5.0)
-        assert abs(fin - oracle) <= 1e-10 * abs(oracle)
+        # over the whole shell the moment is 8 pi / c, so the norms
+        # square-sum to 1/(2 pi^2 c)
+        nb = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.0, lam=math.inf), ScaleFrame(0.5, c))
+        total = nb.f_ir_over_sqrt_omega ** 2 + nb.f_uv_over_sqrt_omega ** 2
+        assert abs(total - 1.0 / (2.0 * math.pi ** 2 * c)) <= 1e-9 * total
+        # each side of the split against the oracle on a finite window
+        ir, uv, lo, hi = _omega_moments(0.2 * c, 5.0 * c, c)
+        for got, oracle in ((ir, shell_moment_b2_analytic(0.0, c, lo, 1.0)),
+                            (uv, shell_moment_b2_analytic(0.0, c, 1.0, hi))):
+            assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
 def test_shell_a1_b2_finite_window_oracle():
+    # the plain infrared norm (a = 1) in the base frame, where rho^(2 tau) = 1
+    nb = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.0, lam=1.0), base_frame())
     oracle = shell_moment_b2_analytic(1.0, 1.0, 0.0, 1.0)
-    got = qd.shell_moment(1.0, 2.0, 1.0, qd.ShellSpec(0.0, 1.0))
+    got = nb.f_ir_l2 ** 2 * _PREFACTOR
     assert abs(got - oracle) <= 1e-10 * abs(oracle)
     # hand value: 4 pi (4 log(3/2) + 4/(1 + 1/2) - 4)
     hand = 4.0 * math.pi * (4.0 * math.log(1.5) - 4.0 / 3.0)
@@ -58,59 +81,30 @@ def test_shell_a1_b2_finite_window_oracle():
 
 
 def test_shell_region_additivity():
-    for (a, b, c) in ((0.0, 2.0, 1.0), (0.5, 2.0, 0.3), (-0.5, 1.5, 2.0)):
-        full = qd.shell_moment(a, b, c, qd.ShellSpec(0.0, math.inf, "full"))
-        ir = qd.shell_moment(a, b, c, qd.ShellSpec(0.0, math.inf, "infrared"))
-        uv = qd.shell_moment(a, b, c, qd.ShellSpec(0.0, math.inf, "ultraviolet"))
+    # the split at |k| = 1 loses nothing: both sides add up to the whole shell
+    for (kappa, lam, c) in ((0.1, 10.0, 1.0), (0.3, 2.0, 0.3), (0.05, 40.0, 2.0)):
+        ir, uv, lo, hi = _omega_moments(kappa, lam, c)
+        full = shell_moment_b2_analytic(0.0, c, lo, hi)
         assert abs(ir + uv - full) <= 1e-10 * abs(full)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    a=st.floats(-0.9, 0.9),
-    c=st.floats(0.1, 2.0),
-    kap=st.floats(0.0, 0.8),
-)
-@example(a=-0.9, c=2.0, kap=1e-7)  # origin just below kappa: extrapolation from 0
-@example(a=0.0, c=1.0, kap=3e-170)  # r^-2 overflows at r = kappa
-def test_shell_region_additivity_property(a, c, kap):
-    full = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "full"))
-    ir = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "infrared"))
-    uv = qd.shell_moment(a, 2.0, c, qd.ShellSpec(kap, math.inf, "ultraviolet"))
+@given(c=st.floats(0.1, 2.0), kap=st.floats(0.0, 0.8))
+@example(c=2.0, kap=1e-7)  # the first piece starts just above the origin
+@example(c=1.0, kap=3e-170)  # log(kappa) is the first piece's lower end
+def test_shell_region_additivity_property(c, kap):
+    ir, uv, lo, _ = _omega_moments(kap, math.inf, c)
+    full = shell_moment_b2_analytic(0.0, c, lo, math.inf)
     assert abs(ir + uv - full) <= 1e-9 * max(abs(full), 1e-12)
 
 
-def test_shell_divergence_guards():
-    # a + 2 - 2b = -1 at infinity: log-divergent for rho2tau > 0
-    with pytest.raises(DivergentIntegralError):
-        qd.shell_moment(1.0, 2.0, 1.0, qd.ShellSpec(0.0, math.inf))
-    # origin: a + 2 - b = -1 is log-divergent
-    with pytest.raises(DivergentIntegralError):
-        qd.shell_moment(-1.0, 2.0, 1.0, qd.ShellSpec(0.0, 1.0))
-    # rho2tau = 0: the denominator only grows like r^b
-    with pytest.raises(DivergentIntegralError):
-        qd.shell_moment(0.0, 2.0, 0.0, qd.ShellSpec(0.5, math.inf))
-    # same exponents converge on a bounded window
-    out = qd.shell_moment(1.0, 2.0, 1.0, qd.ShellSpec(0.1, 10.0))
-    assert out > 0.0
-
-
 def test_shell_empty_regions():
-    uv = qd.shell_moment(0.0, 2.0, 1.0, qd.ShellSpec(0.1, 0.9, "ultraviolet"))
-    assert uv == 0.0
-    ir = qd.shell_moment(0.0, 2.0, 1.0, qd.ShellSpec(2.0, 9.0, "infrared"))
-    assert ir == 0.0
-
-
-def test_shell_spec_validation():
-    with pytest.raises(ParameterError):
-        qd.ShellSpec(-0.1, 1.0)
-    with pytest.raises(ParameterError):
-        qd.ShellSpec(2.0, 1.0)
-    with pytest.raises(ParameterError):
-        qd.ShellSpec(0.0, 1.0, "sideband")
-    with pytest.raises(ParameterError):
-        qd.shell_moment(0.0, 2.0, -1.0, qd.ShellSpec(0.0, 1.0))
+    uv_empty = qd.f_tau_norms(make_params(0.3, 1.0, kappa=0.1, lam=0.9), base_frame())
+    assert uv_empty.f_uv_over_sqrt_omega == 0.0 and uv_empty.f_uv_over_quarter_omega == 0.0
+    assert uv_empty.f_ir_over_sqrt_omega > 0.0
+    ir_empty = qd.f_tau_norms(make_params(0.3, 1.0, kappa=2.0, lam=9.0), base_frame())
+    assert ir_empty.f_ir_l2 == 0.0 and ir_empty.f_ir_over_sqrt_omega == 0.0
+    assert ir_empty.f_uv_over_sqrt_omega > 0.0
 
 
 # ---------------------------------------------------------------------------
