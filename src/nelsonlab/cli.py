@@ -36,7 +36,7 @@ import ctypes
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -368,17 +368,16 @@ def _with_margin(value: float, ceiling: float | None) -> tuple:
 
 def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
     params, frame = cfg.params(), cfg.frame()
-    norms = functools.cache(lambda: qd.f_tau_norms(params, frame))
+    # each norm its own row: one that leaves the float range blanks only itself and xi.self
+    norm = functools.cache(lambda name: qd.f_tau_norm(params, frame, name))
+    names = [f.name for f in fields(cf.NormBundle)]
+    bundle = functools.cache(lambda: cf.NormBundle(*map(norm, names)))
+    ceilings = (cf.ir_l2_ceiling, cf.ir_inv_sqrt_ceiling,  # in the field order of NormBundle
+                lambda: cf.uv_inv_sqrt_ceiling(frame), lambda: cf.uv_inv_quarter_ceiling(frame))
     rows: list[dict] = []
     for name, value, ceiling in (
-        ("norm.f_ir_l2", lambda: norms().f_ir_l2, cf.ir_l2_ceiling),
-        ("norm.f_ir_over_sqrt_omega", lambda: norms().f_ir_over_sqrt_omega,
-         cf.ir_inv_sqrt_ceiling),
-        ("norm.f_uv_over_sqrt_omega", lambda: norms().f_uv_over_sqrt_omega,
-         lambda: cf.uv_inv_sqrt_ceiling(frame)),
-        ("norm.f_uv_over_quarter_omega", lambda: norms().f_uv_over_quarter_omega,
-         lambda: cf.uv_inv_quarter_ceiling(frame)),
-        ("xi.self", lambda: cf.xi_bound(norms(), norms()), lambda: cf.xi_self_ceiling(frame)),
+        *((f"norm.{n}", lambda n=n: norm(n), c) for n, c in zip(names, ceilings)),
+        ("xi.self", lambda: cf.xi_bound(bundle(), bundle()), lambda: cf.xi_self_ceiling(frame)),
         ("cin.100", lambda: qd.cin(100.0), lambda: qd.EULER_GAMMA + math.log(15.0) + 91.0 / 30.0),
         ("effective_mass.coefficient", qd.effective_mass_coefficient, None),
         ("effective_mass.exact", lambda: qd.EFFECTIVE_MASS_COEFFICIENT_EXACT, None),

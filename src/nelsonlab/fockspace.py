@@ -58,6 +58,17 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1] by
+    Golub-Welsch (Math. Comp. 23, 1969): the eigenvalues of the Jacobi
+    matrix of the Legendre recurrence, and twice the squared first
+    components of its unit eigenvectors.  numpy.polynomial stays unloaded."""
+    k = np.arange(1, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * vecs[0] ** 2
+
+
 def build_modes(kappa: float, lam: float, n_radial: int, n_angular: int) -> ModeGrid:
     """Product quadrature over the shell kappa <= |k| <= lam.
 
@@ -77,7 +88,7 @@ def build_modes(kappa: float, lam: float, n_radial: int, n_angular: int) -> Mode
         r = np.array([0.5 * (kappa + lam)])
         r2w = np.array([(lam**3 - kappa**3) / 3.0])  # exact second moment
     else:
-        x, wx = np.polynomial.legendre.leggauss(n_radial)
+        x, wx = _gauss_legendre(n_radial)
         r = 0.5 * (lam - kappa) * x + 0.5 * (lam + kappa)
         r2w = r * r * (0.5 * (lam - kappa) * wx)
 

@@ -167,30 +167,41 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
             stacklevel=2,
         )
 
-    # the operator is real: real FFTs, the symbol on the half spectrum
-    kinetic = 0.5 * grid.laplacian_symbol[..., : grid.n // 2 + 1]
-    potential = coulomb_potential(grid, alphaZ)
+    # The solve runs on plane-wave coefficients s = F psi, where the kinetic
+    # term is diagonal and the preconditioner one division; F / sqrt(N) is
+    # unitary, so the energy and residual are position space's.  U is real
+    # and even, and x -> -x is index i -> -i mod n, the DFT's own
+    # reflection, so F U F^-1 s = F^-1 (U F s): U acts as a multiplier on the
+    # spectrum of s, which keeps real s real.  The seed and the ground state
+    # are real and even, and so are their coefficients.
     shape = (grid.n,) * 3
+    half = (..., slice(grid.n // 2 + 1))
+    kinetic = 0.5 * grid.laplacian_symbol.ravel()
+    potential = coulomb_potential(grid, alphaZ)[half]
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        u = v.reshape(shape)
-        out = np.fft.irfftn(kinetic * np.fft.rfftn(u), s=shape, axes=(0, 1, 2))
-        out += potential * u
-        return out.ravel()
+    def matvec(s: np.ndarray) -> np.ndarray:
+        out = np.fft.irfftn(potential * np.fft.rfftn(s.reshape(shape)), s=shape,
+                            axes=(0, 1, 2)).ravel()
+        out += kinetic * s
+        return out
 
     def precond(r: np.ndarray, sigma: float) -> np.ndarray:
-        spec = np.fft.rfftn(r.reshape(shape)) / (kinetic + sigma)
-        return np.fft.irfftn(spec, s=shape, axes=(0, 1, 2)).ravel()
+        r /= kinetic + sigma
+        return r
+
+    def transform(v: np.ndarray) -> np.ndarray:
+        """F^-1 v = F v / N of a real even v, which is its own Hermitian half
+        spectrum: one real transform."""
+        return np.fft.irfftn(v.reshape(shape)[half], s=shape, axes=(0, 1, 2)).ravel()
 
     from .spectral import lanczos_lowest
 
     energy, vec, residual, iterations = lanczos_lowest(
-        matvec, grid.point_count, seed=np.exp(-alphaZ * grid.radius).ravel(),
+        matvec, grid.point_count, seed=transform(np.exp(-alphaZ * grid.radius)),
         tol=1e-12, maxit=500, precond=precond,
     )
-    psi = vec.real
-    if psi.sum() < 0.0:
-        psi = -psi
+    vec = transform(vec) * math.sqrt(grid.point_count)  # F / sqrt(N) is unitary
+    psi = vec if vec.sum() >= 0.0 else -vec
     return AtomicState(grid, alphaZ, energy, psi, residual, iterations)
 
 

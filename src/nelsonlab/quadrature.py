@@ -204,32 +204,43 @@ def binding_envelope(e: float, Z: float) -> float:
 # coupling-function norms
 
 
-def f_tau_norms(params: ModelParams, frame: ScaleFrame) -> NormBundle:
-    """The four split norms of the coupling function in ``frame``.
+# the weight omega^a' of each shell norm, as a = 2 a' + 1, and its part of the support
+_NORM_WEIGHTS = {
+    "f_ir_l2": (1.0, "ir"),
+    "f_ir_over_sqrt_omega": (0.0, "ir"),
+    "f_uv_over_sqrt_omega": (0.0, "uv"),
+    "f_uv_over_quarter_omega": (0.5, "uv"),
+}
+
+
+def f_tau_norm(params: ModelParams, frame: ScaleFrame, name: str) -> float:
+    """One split norm of the coupling function in ``frame``, named as the
+    field of NormBundle that holds it.
 
     In the frame the shell support is [kappa rho^(-2 tau), lam rho^(-2 tau)]
     and the dressed denominator carries rho^(2 tau), both from
     ``frame.power``; the infrared/ultraviolet split sits at |k| = 1.  The
     norm weighted by omega^a', a' in {0, -1/2, -1/4}, is the square root of
     4 pi int r^a (1 + rho^(2 tau) r / 2)^(-2) dr / (2 (2 pi)^3), a = 2 a' + 1,
-    over its part of the support; an empty part gives 0.
+    over its part of the support; an empty part gives 0.  A moment that is
+    not finite, or is negative (the quadrature fails at the ends of the
+    float range), raises DomainError naming the support.
     """
+    a, part = _NORM_WEIGHTS[name]
     scale = frame.power(-2.0)
     half = 0.5 * frame.power(2.0)
     kap = params.kappa * scale
     lam = params.lam if math.isinf(params.lam) else params.lam * scale
+    lo, hi = (kap, min(lam, 1.0)) if part == "ir" else (max(kap, 1.0), lam)
+    if not (lo < hi):
+        return 0.0
+    moment = 4.0 * math.pi * _radial_quad(lambda r: r ** a * (1.0 + half * r) ** (-2.0), lo, hi)
+    if not 0.0 <= moment < math.inf:
+        raise DomainError(f"the {name} moment over the support [{lo:.6g}, {hi:.6g}] "
+                          f"is {moment!r}, not a finite non-negative number")
+    return math.sqrt(moment / _NORM_PREFACTOR)
 
-    def norm(a: float, lo: float, hi: float) -> float:
-        if not (lo < hi):
-            return 0.0
-        moment = 4.0 * math.pi * _radial_quad(lambda r: r ** a * (1.0 + half * r) ** (-2.0),
-                                               lo, hi)
-        return math.sqrt(moment / _NORM_PREFACTOR)
 
-    ir, uv = (kap, min(lam, 1.0)), (max(kap, 1.0), lam)
-    return NormBundle(
-        f_ir_l2=norm(1.0, *ir),
-        f_ir_over_sqrt_omega=norm(0.0, *ir),
-        f_uv_over_sqrt_omega=norm(0.0, *uv),
-        f_uv_over_quarter_omega=norm(0.5, *uv),
-    )
+def f_tau_norms(params: ModelParams, frame: ScaleFrame) -> NormBundle:
+    """The four split norms of the coupling function in ``frame`` (``f_tau_norm``)."""
+    return NormBundle(**{name: f_tau_norm(params, frame, name) for name in _NORM_WEIGHTS})

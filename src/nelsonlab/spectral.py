@@ -55,12 +55,16 @@ all in defining units.
 The field coupling has one kernel on one ladder table of all modes (see
 _ladder_table): a_j maps into the lowered block, the first K states, and
 adag_j reads only from it.  ``components(u)`` gives the stack A_l u from one
-gather u[_src], held as (C, K+1, X): the lowered block and one zero row,
-where the clipped gathers of ``contract`` land for the states above it.
-``contract(V)`` gives sum_l A_l V_l on the lowered block, where it lives;
-the adjoints (``_adjoint_components``, ``contract_adjoint``) raise, each
+gather u[_src], held as (C, K, X) on the lowered block.  ``contract(V,
+rows)`` gives the first rows of sum_l A_l V_l, which vanishes from row K
+on; the adjoints (``_adjoint_components``, ``contract_adjoint``) raise, each
 state adding the at most min(M, N_max) entries of all modes that land on
-it.  No call loops over the modes.  One kernel (``_parts``) gives
+it.  No call loops over the modes.  The two-photon terms live on the first
+K' states, those with at most N_max - 2 photons (K' = 0 at N_max <= 1):
+A (A u) lands only there, and A* u reaches the lowered block only from
+there, so ``_parts`` contracts and raises only the (M, K') entries that
+feed a target, never the M K whose gathers would give exact zeros.  One
+kernel (``_parts``) gives
 H u = F^-1 S + P,
     S = (|q|^2/2) F u + c sum_l q_l F(A_l u),
     P = (U + H_f) u + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
@@ -292,8 +296,9 @@ class AssembledModel:
         self.lin_coef = params.e
         self.quad_coef = 0.5 * params.e**2
         self._hf = (basis.occupations @ omega)[:, None]  # (D, 1) field energy
-        # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into a state
-        self._src, self._val, self._slots = _ladder_table(basis)
+        # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into
+        # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
+        self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
         self._atomic: AtomicState | None = None
         if variant == "fiber":
             # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
@@ -316,7 +321,7 @@ class AssembledModel:
         psym = np.stack(np.broadcast_arrays(qs[0][:, None, None], qs[1][None, :, None],
                                             qs[2][None, None, :]))
         self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
-        self._kin = 0.5 * (psym[0] ** 2 + psym[1] ** 2 + psym[2] ** 2).ravel()  # (X,) kinetic symbol
+        self._kin = 0.5 * (self._psym**2).sum(axis=0)  # (1, X) kinetic symbol
         self._cube = tuple(len(x) for x in xs)  # the transform's particle axes
         self._shape = (self.basis.dim, math.prod(self._cube))  # (D, X)
         self._phase = np.empty((self.modes.count, self._shape[1]), dtype=complex)  # (M, X) phases
@@ -382,65 +387,66 @@ class AssembledModel:
         out[:K] = self._val[j] * u[self._src[j]]
         return out.ravel()
 
-    def _raise(self, buf: np.ndarray, rows: int, out=None) -> np.ndarray:
-        """The first ``rows`` states, each the sum of the at most R rows of
-        ``buf`` (M K ladder entries, then a zero pad row) that raise into it;
+    def _raise(self, buf: np.ndarray, slots: np.ndarray, out=None) -> np.ndarray:
+        """One state per column of ``slots``, each the sum of the rows of
+        ``buf`` (ladder entries, then a zero pad row) that raise into it;
         repeated targets add.  The indices are in range, so ``take`` may
         write to ``out`` directly (mode "clip"; the default mode buffers it)."""
-        out = np.take(buf, self._slots[0, :rows], axis=0, out=out, mode="clip")  # unbuffered
-        for slot in self._slots[1:, :rows]:
+        out = np.take(buf, slots[0], axis=0, out=out, mode="clip")  # unbuffered
+        for slot in slots[1:]:
             out += np.take(buf, slot, axis=0)
         return out
 
     def _adjoint_components(self, u: np.ndarray, rows: int) -> np.ndarray:
         """The first ``rows`` rows of A*_l u for every coupled axis l: one
-        raise per l."""
-        w = u[: self._src.shape[1]] * self._val
+        raise per l.  A state below the top shell (row < K) is raised into
+        only from the first K' states, those with at most N_max - 2 photons,
+        so up to rows = K only the (M, K') entries are formed; beyond, all
+        (M, K)."""
+        n, slots = ((self._inner, self._inner_slots) if rows <= self._src.shape[1]
+                    else (self._src.shape[1], self._slots))
+        w = u[:n] * self._val[:, :n]
         if self._phase is not None:
             w *= self._phase.conj()[:, None, :]
-        buf = np.zeros((self._src.size + 1, u.shape[1]), dtype=self._type(u))
+        buf = np.zeros((w.shape[0] * n + 1, u.shape[1]), dtype=self._type(u))
         entries = buf[:-1].reshape(w.shape)
         out = np.empty((self._coupling.shape[1], rows, u.shape[1]), dtype=buf.dtype)
         for o, gl in zip(out, self._coupling.T):
             np.multiply(gl[:, None, None], w, out=entries)
-            self._raise(buf, rows, out=o)
+            self._raise(buf, slots[:, :rows], out=o)
         return out
 
     def components(self, u: np.ndarray) -> np.ndarray:
-        """A_l u for every coupled axis l on the lowered block plus one zero
-        row, shape (C, K+1, X).
+        """A_l u for every coupled axis l on the lowered block, shape (C, K, X).
 
         u is Fock-major, (D, X).  A_l u = sum_j coupling_jl phase_j a_j u
-        fills the lowered block from one gather u[_src], and its rows at and
-        above K vanish: ``contract`` gathers them from the zero row, where
-        its clipped indices land.
+        fills the lowered block from one gather u[_src]; its rows from K on
+        vanish.
         """
-        K = self._src.shape[1]
         lowered = np.take(u, self._src, axis=0)
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        out = np.empty((self._coupling.shape[1], K + 1, u.shape[1]), dtype=self._type(u))
-        out[:, :K] = np.tensordot(self._coupling, lowered, axes=(0, 0))
-        out[:, K] = 0.0
-        return out
+        return np.tensordot(self._coupling, lowered, axes=(0, 0))
 
-    def contract(self, V: np.ndarray) -> np.ndarray:
-        """sum_l A_l V_l over the C coupled axes, V of shape (C, D, X): its
-        first K rows, the lowered block, since the rows from K on vanish.
+    def contract(self, V: np.ndarray, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of sum_l A_l V_l over the C coupled axes;
+        rows <= K, since the rows from K on vanish.
 
-        Gathers each V_l once and sums the modes' entries.  The gather clips
-        its indices, so it also takes the (C, K+1, X) stack of
-        ``components``, whose last row is zero.
+        V is (C, D, X), or the (C, K, X) stack of ``components`` for rows <=
+        K': a state with at most N_max - 2 photons (row < K') is lowered into
+        only from the lowered block, and A_l (A u)_l vanishes from row K' on.
+        Gathers each V_l once and sums the modes' entries.
         """
+        src = self._src[:, :rows]
         lowered = None
         for Vl, gl in zip(V, self._coupling.T):
-            term = np.take(Vl, self._src, axis=0, mode="clip")
+            term = np.take(Vl, src, axis=0, mode="clip")  # in range; clip skips the check
             term *= gl[:, None, None]
             lowered = term if lowered is None else np.add(lowered, term, out=lowered)
             del term  # at most two gathers are held
         lowered = lowered.astype(self._type(V), copy=False)
-        lowered *= self._val
+        lowered *= self._val[:, :rows]
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
         return lowered.sum(axis=0)
@@ -459,7 +465,7 @@ class AssembledModel:
         entries *= self._val
         if self._phase is not None:
             entries *= self._phase.conj()[:, None, :]
-        return self._raise(buf, self._slots.shape[1])
+        return self._raise(buf, self._slots)
 
     def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
         """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
@@ -474,50 +480,61 @@ class AssembledModel:
         if self.lin_coef != 0.0:
             du = d[self._axes, None, None] * u
             field = self.contract_adjoint(du)
-            field[: self._src.shape[1]] += self.contract(du)  # A du lives on the lowered block
+            K = self._src.shape[1]
+            field[:K] += self.contract(du, K)  # A du lives on the lowered block
             out += self.lin_coef * field
         return out.ravel()
 
     # -- the Hamiltonian ----------------------------------------------------
 
     def _parts(self, u: np.ndarray, spec: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """H u = F^-1 S + P on the Fock-major (D, X) array u, given spec = F u
-        (None: F u is formed here, and freed once read).
+        """H u = F^-1 S + P on the Fock-major (D, X) array u, given spec = F u,
+        which is read only (None: F u is formed here, and S is built in it).
 
-        S, the plane-wave part, is the kinetic term and c sum_l q_l F(A_l u),
-        a new array; P, the position part, is (H_f + U) u and the
-        contractions, built in u's buffer.  spec is read before u is
-        overwritten, so it may be u itself (the fiber).  The 2C transforms
-        of the coupling run on the lowered block only, since A u lives there
-        and A* reads only that block of V."""
-        K = self._src.shape[1]
+        S, the plane-wave part, is the kinetic term and c sum_l q_l F(A_l u);
+        P, the position part, is (H_f + U) u and the contractions, built in
+        u's buffer.  The 2C transforms of the coupling run on the lowered
+        block only, since A u lives there and A* reads only that block of V.
+        S is held on that block, as ``low``, until the contractions are
+        done, and only then formed on all D states (in spec's buffer when
+        spec is formed here), so no contraction runs beside a whole S.  The
+        two-photon terms touch only the first K' states: A* u reaches the
+        lowered block from them alone, and A (A u) lands on them alone; at
+        N_max <= 1, K' = 0: A* u forms no entry and A (A u) is skipped."""
+        K, inner = self._src.shape[1], self._inner
         c, q = self.lin_coef, self.quad_coef
-        spec = self._fft(u, None) if spec is None else spec
-        S = self._kin * spec
+        own = spec is None
+        spec = self._fft(u, None) if own else spec
         if c != 0.0:
             # everything A* acts on, V = c p u + q (2 A u + A* u), in one contraction
             V = self._adjoint_components(u, K)
             V *= q
             for ell, axis in enumerate(self._axes):
                 V[ell] += self._ifft((c * self._psym[axis, :K]) * spec[:K], None)
-            del spec  # F u, when formed here, is freed before A u is built
+            low = self._kin[:K] * spec[:K]
             Au = self.components(u)
             for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
-                S[:K] += (c * self._psym[axis, :K]) * self._fft(Au[ell, :K], None)
-                V[ell] += (2.0 * q) * Au[ell, :K]
-            Au *= q  # from here on the quadratic term's q A u
+                low += (c * self._psym[axis, :K]) * self._fft(Au[ell], None)
+                V[ell] += (2.0 * q) * Au[ell]
         u *= self._hf if self._pot is None else self._hf + self._pot
         if c != 0.0:
-            u[:K] += self.contract(Au)
+            if inner:
+                Au *= q  # the quadratic term's q A u
+                u[:inner] += self.contract(Au, inner)
             del Au
             u += self.contract_adjoint(V)
+            del V
+        S = np.multiply(self._kin, spec, out=spec if own else None)
+        if c != 0.0:
+            S[:K] = low
         return S, u
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v on a position vector, (D, X) flat: F^-1 S + P, 2 + 2C FFTs.
-        v is copied once, since P is built in the copy."""
+        v is copied once, since P is built in the copy; on the fiber, where
+        F is the identity, v itself is F u."""
         u = np.array(v, dtype=self._type(v)).reshape(self._shape)
-        S, P = self._parts(u, None)
+        S, P = self._parts(u, self._to2(v) if self._cube is None else None)
         P += self._ifft(S, S)
         return P.ravel()
 
@@ -525,8 +542,7 @@ class AssembledModel:
         """H on plane-wave coefficients s = F u, (D, X) flat: S + F P, the
         same 2 + 2C FFTs as ``matvec``.  P is summed in the buffer of
         F^-1 s, which one forward transform turns in place.  On the fiber,
-        where F is the identity and F^-1 s would be s itself, which ``_parts``
-        writes P into, it is ``matvec``."""
+        where F is the identity, it is ``matvec``."""
         if self._cube is None:
             return self.matvec(s)
         s = self._to2(s)
@@ -551,21 +567,32 @@ class AssembledModel:
         return self._atomic
 
 
-def _ladder_table(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ladder_table(basis: FockBasis):
     """The raising tables of all modes, from one ``ladder_ops`` call, as
-    (_src, _val, _slots).  States come by total occupation, so a_j is
-    nonzero only into the first K, the states below the top shell: row k of
-    a_j holds sqrt(n_j + 1) at _src[j, k], k raised in mode j.  _slots[r, s]
-    is the r-th entry (flat index j K + k) raising into s, or the zero pad
-    M K."""
+    (_src, _val, _slots, _inner, _inner_slots).  States come by total
+    occupation, so a_j is nonzero only into the first K, the states below
+    the top shell: row k of a_j holds sqrt(n_j + 1) at _src[j, k], k raised
+    in mode j.  _slots[r, s] is the r-th entry (flat index j K + k) raising
+    into s, or the zero pad M K.  A target below K is raised into only from
+    the first _inner = K' states, those with at most N_max - 2 photons, so
+    _inner_slots, for the targets below K, indexes the (M, K') entries:
+    j K' + k, or the pad M K'."""
     src, val = ladder_ops(basis)
-    target = src.ravel()
+    M, K = src.shape
+    inner = math.comb(M + basis.n_max - 2, M) if basis.n_max >= 2 else 0
+    return (src, val[:, :, None], _slot_table(src.ravel(), basis.dim), inner,
+            _slot_table(src[:, :inner].ravel(), K))
+
+
+def _slot_table(target: np.ndarray, width: int) -> np.ndarray:
+    """(R, width): row r holds, for each s < width, the r-th flat index of
+    ``target`` equal to s in increasing order, or the pad target.size."""
     order = np.argsort(target, kind="stable")
-    counts = np.bincount(target, minlength=basis.dim)
+    counts = np.bincount(target, minlength=width)
     rank = np.arange(target.size) - (np.cumsum(counts) - counts)[target[order]]
-    slots = np.full((max(counts.max(), 1), basis.dim), target.size, dtype=np.intp)
+    slots = np.full((max(counts.max(initial=0), 1), width), target.size, dtype=np.intp)
     slots[rank, target[order]] = order
-    return src, val[:, :, None], slots
+    return slots
 
 
 def assemble(

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import shlex
@@ -397,6 +398,13 @@ def test_constants_survives_zero_charge(capsys):
      ["window.a_ir2", "window.e_ir", "window.g_ir_at_e_ir"]),
     # rho^(-3 tau) of the Xi ceiling overflows
     (["integrals", "--e", "0.3", "--tau", "50"], ["xi.self"], ["norm.f_uv_over_sqrt_omega"]),
+    # the omega^(-1/4) moment on [3e213, 3e215] leaves the float range (QUADPACK returns nan)
+    (["integrals", "--e", "0.3", "--tau", "50"], ["norm.f_uv_over_quarter_omega", "xi.self"],
+     ["norm.f_ir_l2", "norm.f_uv_over_sqrt_omega"]),
+    # rho^(2 tau) = 1e-308: QUADPACK returns negative ultraviolet moments on [9.5e306, inf)
+    (["integrals", "--e", "1e-80", "--Z", "1e-10", "--tau", "0.9"],
+     ["norm.f_uv_over_sqrt_omega", "norm.f_uv_over_quarter_omega", "xi.self"],
+     ["norm.f_ir_l2", "cin.100"]),
 ])
 def test_out_of_domain_rows_fail_alone(capsys, argv, failed, valued):
     """A value the table cannot hold reads n/a (reason) and the command still exits 0."""
@@ -408,7 +416,7 @@ def test_out_of_domain_rows_fail_alone(capsys, argv, failed, valued):
         assert rows[name]["display"].startswith("n/a (") and rows[name]["display"] != "n/a ()"
         assert rows[name].get("margin") is None
     for name in valued:
-        assert isinstance(rows[name]["value"], float), name
+        assert isinstance(rows[name]["value"], float) and math.isfinite(rows[name]["value"]), name
 
 
 @pytest.mark.parametrize("tau, chain_tau", [("0.5", 0.9), ("0.8", 0.8)])

@@ -12,6 +12,7 @@ from nelsonlab.model import (
     ParameterError,
     ScaleFrame,
     base_frame,
+    frame_for,
     make_params,
 )
 
@@ -245,6 +246,18 @@ def test_f_tau_norms_empty_infrared():
     nb = qd.f_tau_norms(p, base_frame())
     assert nb.f_ir_l2 == 0.0 and nb.f_ir_over_sqrt_omega == 0.0
     assert nb.f_uv_over_sqrt_omega > 0.0
+
+
+@pytest.mark.parametrize("e, Z, tau, name", [(0.3, 1.0, 50.0, "f_uv_over_quarter_omega"),
+                                             (1e-80, 1e-10, 0.9, "f_uv_over_sqrt_omega")])
+def test_f_tau_norm_refuses_a_moment_outside_the_float_range(e, Z, tau, name):
+    """A nan or negative moment from the quadrature raises DomainError
+    naming the support, instead of a nan norm or a ValueError from sqrt."""
+    params = make_params(e, Z)
+    with pytest.raises(DomainError, match=rf"{name} moment over the support \["):
+        qd.f_tau_norm(params, frame_for(params, tau, 1.0), name)
+    with pytest.raises(DomainError):
+        qd.f_tau_norms(params, frame_for(params, tau, 1.0))
 
 
 def test_f_tau_norms_monotone_in_lam():
