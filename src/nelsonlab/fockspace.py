@@ -107,25 +107,46 @@ def build_modes(kappa: float, lam: float, n_radial: int, n_angular: int) -> Mode
 class FockBasis:
     """Occupation-number basis with a total cap: all (n_1 .. n_M) with
     sum <= n_max, enumerated by total occupation then lexicographically.
-    The vacuum is index 0 and the dimension is C(M + n_max, n_max)."""
+    The vacuum is index 0 and the dimension is C(M + n_max, n_max).
+
+    The occupations and the raising table come from one pass over the
+    shells.  Shell t + 1 raises each state of shell t in every mode j at or
+    after its last occupied mode l (every mode for the vacuum), j
+    descending: each state is made once, from the parent that lacks one
+    boson in its last occupied mode, and in lexicographic order.
+    ``_raising[j, k]``, over the K states below the top shell, is the index
+    of state k raised in mode j: made by the pass where j >= l, and for j <
+    l the parent's raise in j raised in l, a step the pass made from that
+    state.  ``_comb`` and ``_indices`` give the closed-form rank."""
 
     def __init__(self, mode_count: int, n_max: int):
         if mode_count < 1 or n_max < 0:
             raise ParameterError("need mode_count >= 1 and n_max >= 0")
-        self.mode_count = int(mode_count)
+        self.mode_count = m = int(mode_count)
         self.n_max = int(n_max)
         # comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons
         self._comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)]
-                               for p in range(self.mode_count + 1)])
-        # shells[k]: the occupations of the last p modes with k bosons, in
-        # lexicographic order, built up from p = 0 one mode at a time:
-        # shell(k, p) = the union over n of [n | shell(k - n, p - 1)]
-        shells = [np.zeros((int(k == 0), 0), dtype=np.int32) for k in range(self.n_max + 1)]
-        for _ in range(self.mode_count):
-            shells = [np.concatenate([np.column_stack((np.full(len(rest), n, dtype=np.int32), rest))
-                                      for n, rest in enumerate(shells[k::-1])])
-                      for k in range(self.n_max + 1)]
-        self.occupations = np.concatenate(shells)
+                               for p in range(m + 1)])
+        dim = math.comb(m + self.n_max, m)
+        self.occupations = occ = np.zeros((dim, m), dtype=np.int32)
+        self._raising = np.empty((m, dim - math.comb(m - 1 + self.n_max, m - 1)), dtype=np.int64)
+        modes = np.arange(m)[:, None]
+        start, last = 0, np.zeros(1, dtype=np.int64)  # shell 0, the vacuum
+        for _ in range(self.n_max):
+            stop = start + last.size  # shell t is [start, stop), shell t + 1 starts at stop
+            counts = m - last  # children of each state, mode m - 1 first
+            first = stop + np.cumsum(counts) - counts
+            raised = self._raising[:, start:stop]
+            np.add(first, m - 1 - modes, out=raised)  # right where j >= last
+            if start:  # below the last mode: the parent's raise, then one step
+                below = modes < last
+                raised[below] = (first[self._raising[:, parent] - start] + (m - 1 - last))[below]
+            parent = np.repeat(np.arange(start, stop), counts)
+            children = np.arange(stop, stop + parent.size)
+            last = (m - 1) - (children - np.repeat(first, counts))  # the mode each child raised
+            occ[children] = occ[parent]
+            occ[children, last] += 1
+            start = stop
 
     @property
     def dim(self) -> int:
@@ -141,36 +162,6 @@ class FockBasis:
             index += comb[m - 1 - i, left] - comb[m - 1 - i, left - occ[:, i]]
             left = left - occ[:, i]
         return index
-
-    def _raising_table(self) -> np.ndarray:
-        """(M, K): row j holds the index of each state below the top shell
-        raised in mode j.
-
-        Raising mode j adds one boson to the count left for modes 0..j, so
-        the _indices terms of the modes before j shift by one boson, the
-        term of mode j gains one at its top, and those after j keep their
-        value.  One forward pass sums the shifted terms (prefix) and one
-        backward pass the kept ones (suffix), each a vector op a mode."""
-        m, comb = self.mode_count, self._comb
-        occ = self.occupations[: self.dim - comb[m - 1, self.n_max]]
-        left = occ.sum(axis=1)  # bosons in modes i.. of each state, here i = 0
-        out = np.empty((m, occ.shape[0]), dtype=np.int64)
-        out[:] = comb[m, left]  # the states with fewer bosons than the raised one
-        prefix = np.zeros(occ.shape[0], dtype=np.int64)
-        for i in range(m - 1):  # prefix: the shifted terms before mode i
-            out[i] += prefix
-            rest = left - occ[:, i]
-            top = comb[m - 1 - i, left + 1]
-            out[i] += top - comb[m - 1 - i, rest]
-            prefix += top - comb[m - 1 - i, rest + 1]
-            left = rest
-        out[m - 1] += prefix
-        suffix, left = np.zeros_like(prefix), occ[:, m - 1]
-        for i in range(m - 2, -1, -1):  # suffix: the kept terms after mode i
-            out[i] += suffix
-            rest, left = left, left + occ[:, i]
-            suffix += comb[m - 1 - i, left] - comb[m - 1 - i, rest]
-        return out
 
     def totals(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
@@ -188,6 +179,7 @@ def ladder_ops(basis: FockBasis):
     mode j is state ``src[j, k]``, with amplitude
     ``val[j, k] = sqrt(n_j(k) + 1)``.  So adag_j maps k to src[j, k], a_j
     maps src[j, k] back to k with the same amplitude, and a_j sends every
-    state with n_j = 0 to zero."""
-    src = basis._raising_table()  # all modes at once, in O(1) vector passes each
+    state with n_j = 0 to zero.  ``src`` is the table the basis built with
+    its shells (``FockBasis``)."""
+    src = basis._raising
     return src, np.sqrt(basis.occupations[: src.shape[1]].T + 1.0, order="C")

@@ -54,17 +54,17 @@ all in defining units.
 
 The field coupling has one kernel on one ladder table of all modes (see
 _ladder_table): a_j maps into the lowered block, the first K states, and
-adag_j reads only from it.  ``components(u)`` gives the stack A_l u from one
-gather u[_src], held as (C, K, X) on the lowered block.  ``contract(V,
-rows)`` gives the first rows of sum_l A_l V_l, which vanishes from row K
-on; the adjoints (``_adjoint_components``, ``contract_adjoint``) raise, each
-state adding the at most min(M, N_max) entries of all modes that land on
-it.  No call loops over the modes.  The two-photon terms live on the first
-K' states, those with at most N_max - 2 photons (K' = 0 at N_max <= 1):
-A (A u) lands only there, and A* u reaches the lowered block only from
-there, so ``_parts`` contracts and raises only the (M, K') entries that
-feed a target, never the M K whose gathers would give exact zeros.  One
-kernel (``_parts``) gives
+adag_j reads only from it.  ``components(u, G)`` gives the field operators
+of the columns of an (M, L) coupling G on the lowered block, as (L, K, X),
+from one gather u[_src]; ``contract_adjoint(V, G)`` sums their adjoints on
+all D states, raising once.  G is ``_coupling`` in the product and the one
+column g . d in the velocity d . (A + A*).  No call loops over the modes.
+The two-photon terms live on the first K' states, those with at most
+N_max - 2 photons (K' = 0 at N_max <= 1): A (A u) lands only there, and A*
+u reaches the lowered block only from there, so ``contract`` fills the K'
+rows of sum_l A_l V_l and ``_adjoint_components`` raises A*_l u from the
+(M, K') entries alone, never the M K whose gathers would give exact zeros.
+One kernel (``_parts``) gives
 H u = F^-1 S + P,
     S = (|q|^2/2) F u + c sum_l q_l F(A_l u),
     P = (U + H_f) u + (c^2/2) sum_l A_l (A u)_l + sum_l A*_l V_l,
@@ -397,48 +397,38 @@ class AssembledModel:
             out += np.take(buf, slot, axis=0)
         return out
 
-    def _adjoint_components(self, u: np.ndarray, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of A*_l u for every coupled axis l: one
-        raise per l.  A state below the top shell (row < K) is raised into
+    def _adjoint_components(self, u: np.ndarray) -> np.ndarray:
+        """A*_l u on the lowered block, the first K rows, for every coupled
+        axis l: one raise per l.  A state below the top shell is raised into
         only from the first K' states, those with at most N_max - 2 photons,
-        so up to rows = K only the (M, K') entries are formed; beyond, all
-        (M, K)."""
-        n, slots = ((self._inner, self._inner_slots) if rows <= self._src.shape[1]
-                    else (self._src.shape[1], self._slots))
-        w = u[:n] * self._val[:, :n]
+        so only the (M, K') entries are formed."""
+        w = u[:self._inner] * self._val[:, :self._inner]
         if self._phase is not None:
             w *= self._phase.conj()[:, None, :]
-        buf = np.zeros((w.shape[0] * n + 1, u.shape[1]), dtype=self._type(u))
+        buf = np.zeros((len(w) * self._inner + 1, u.shape[1]), dtype=self._type(u))
         entries = buf[:-1].reshape(w.shape)
-        out = np.empty((self._coupling.shape[1], rows, u.shape[1]), dtype=buf.dtype)
+        out = np.empty((self._coupling.shape[1], self._src.shape[1], u.shape[1]), dtype=buf.dtype)
         for o, gl in zip(out, self._coupling.T):
             np.multiply(gl[:, None, None], w, out=entries)
-            self._raise(buf, slots[:, :rows], out=o)
+            self._raise(buf, self._inner_slots, out=o)
         return out
 
-    def components(self, u: np.ndarray) -> np.ndarray:
-        """A_l u for every coupled axis l on the lowered block, shape (C, K, X).
-
-        u is Fock-major, (D, X).  A_l u = sum_j coupling_jl phase_j a_j u
-        fills the lowered block from one gather u[_src]; its rows from K on
-        vanish.
-        """
+    def components(self, u: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+        """sum_j coupling_jl phase_j a_j u for every column l of the (M, L)
+        ``coupling`` on the lowered block, (L, K, X): the rows from K on
+        vanish.  u is Fock-major, (D, X).  With ``_coupling``, the A_l u."""
         lowered = np.take(u, self._src, axis=0)
         lowered *= self._val
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
-        return np.tensordot(self._coupling, lowered, axes=(0, 0))
+        return np.tensordot(coupling, lowered, axes=(0, 0))
 
-    def contract(self, V: np.ndarray, rows: int) -> np.ndarray:
-        """The first ``rows`` rows of sum_l A_l V_l over the C coupled axes;
-        rows <= K, since the rows from K on vanish.
-
-        V is (C, D, X), or the (C, K, X) stack of ``components`` for rows <=
-        K': a state with at most N_max - 2 photons (row < K') is lowered into
-        only from the lowered block, and A_l (A u)_l vanishes from row K' on.
-        Gathers each V_l once and sums the modes' entries.
-        """
-        src = self._src[:, :rows]
+    def contract(self, V: np.ndarray) -> np.ndarray:
+        """sum_l A_l V_l over the C coupled axes on the first K' states, V the
+        (C, K, X) stack A u of ``components``: the two-photon term, which
+        vanishes from row K' on.  Gathers each V_l once and sums the modes'
+        entries."""
+        src = self._src[:, :self._inner]
         lowered = None
         for Vl, gl in zip(V, self._coupling.T):
             term = np.take(Vl, src, axis=0, mode="clip")  # in range; clip skips the check
@@ -446,22 +436,21 @@ class AssembledModel:
             lowered = term if lowered is None else np.add(lowered, term, out=lowered)
             del term  # at most two gathers are held
         lowered = lowered.astype(self._type(V), copy=False)
-        lowered *= self._val[:, :rows]
+        lowered *= self._val[:, :self._inner]
         if self._phase is not None:
             lowered *= self._phase[:, None, :]
         return lowered.sum(axis=0)
 
-    def contract_adjoint(self, V: np.ndarray) -> np.ndarray:
-        """sum_l A*_l V_l over the C coupled axes, V of shape (C, D, X), on
-        all D states.
-
-        Forms sum_l coupling_jl V_l on the entries of each mode first, then
-        raises once; A* reads only the lowered block of V.
-        """
+    def contract_adjoint(self, V: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+        """sum_l sum_j coupling_jl conj(phase_j) adag_j V_l over the columns l
+        of the (M, L) ``coupling``, V of shape (L, D, X), on all D states
+        (with ``_coupling``, sum_l A*_l V_l).  Forms the sum over l on the
+        entries of each mode first, then raises once; it reads only the
+        lowered block of V."""
         M, K = self._src.shape
         buf = np.zeros((self._src.size + 1, V.shape[2]), dtype=self._type(V))
         entries = buf[:-1].reshape(self._src.shape + V.shape[2:])
-        np.matmul(self._coupling, V[:, :K].reshape(len(V), -1), out=entries.reshape(M, -1))
+        np.matmul(coupling, V[:, :K].reshape(len(V), -1), out=entries.reshape(M, -1))
         entries *= self._val
         if self._phase is not None:
             entries *= self._phase.conj()[:, None, :]
@@ -470,19 +459,20 @@ class AssembledModel:
     def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
         """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
 
-        This is i[H, d . x] (on the fiber, d . dH/dP at P = 0); the field
-        part acts only along the coupled axes, and d . p takes all three.
+        This is i[H, d . x] (on the fiber, d . dH/dP at P = 0).  Its field
+        part is the field operator at the scalar coupling g_j . d, one column
+        of the kernel, and d . p takes all three axes.
         """
         d = np.asarray(direction, dtype=float)
         u = self._to2(v)  # read only, so it may view v
         out = np.tensordot(d, self._psym, axes=1) * self._fft(u, None)
         out = self._ifft(out, out)
         if self.lin_coef != 0.0:
-            du = d[self._axes, None, None] * u
-            field = self.contract_adjoint(du)
-            K = self._src.shape[1]
-            field[:K] += self.contract(du, K)  # A du lives on the lowered block
-            out += self.lin_coef * field
+            gd = (self.g @ d)[:, None]  # (M, 1)
+            field = self.contract_adjoint(u[None], gd)
+            field[:self._src.shape[1]] += self.components(u, gd)[0]  # A lands on the lowered block
+            field *= self.lin_coef
+            out += field
         return out.ravel()
 
     # -- the Hamiltonian ----------------------------------------------------
@@ -507,12 +497,12 @@ class AssembledModel:
         spec = self._fft(u, None) if own else spec
         if c != 0.0:
             # everything A* acts on, V = c p u + q (2 A u + A* u), in one contraction
-            V = self._adjoint_components(u, K)
+            V = self._adjoint_components(u)
             V *= q
             for ell, axis in enumerate(self._axes):
                 V[ell] += self._ifft((c * self._psym[axis, :K]) * spec[:K], None)
             low = self._kin[:K] * spec[:K]
-            Au = self.components(u)
+            Au = self.components(u, self._coupling)
             for ell, axis in enumerate(self._axes):  # no view of Au outlives ``del Au``
                 low += (c * self._psym[axis, :K]) * self._fft(Au[ell], None)
                 V[ell] += (2.0 * q) * Au[ell]
@@ -520,9 +510,9 @@ class AssembledModel:
         if c != 0.0:
             if inner:
                 Au *= q  # the quadratic term's q A u
-                u[:inner] += self.contract(Au, inner)
+                u[:inner] += self.contract(Au)
             del Au
-            u += self.contract_adjoint(V)
+            u += self.contract_adjoint(V, self._coupling)
             del V
         S = np.multiply(self._kin, spec, out=spec if own else None)
         if c != 0.0:

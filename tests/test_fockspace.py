@@ -167,11 +167,13 @@ def test_ladder_lookup_matches_index_of():
             assert val[k] == math.sqrt(occ[k, j] + 1)
 
 
-@pytest.mark.parametrize("m,n_max", [(1, 3), (5, 0), (7, 1), (12, 3), (40, 2)])
+@pytest.mark.parametrize("m,n_max", [(1, 0), (1, 3), (5, 0), (7, 1), (12, 3), (40, 2), (24, 4)])
 def test_raising_table_matches_the_rank_of_each_raised_state(m, n_max):
-    """The prefix and suffix sums give each mode's table exactly what the
+    """The shell pass gives each mode's table exactly what the closed-form
     rank ``_indices`` gives the raised occupations, also with no boson
-    allowed and with one mode."""
+    allowed, with one mode, and at effmass-fiber's basis (M = 24, N_max =
+    4), where states raise below their last occupied mode through up to
+    three parents."""
     b = fs.FockBasis(m, n_max)
     K = b.dim - math.comb(m - 1 + n_max, n_max)  # the states below the top shell
     tables = fs.ladder_ops(b)
