@@ -147,6 +147,7 @@ class FockBasis:
             occ[children] = occ[parent]
             occ[children, last] += 1
             start = stop
+        self._raising.flags.writeable = False  # ladder_ops hands it out
 
     @property
     def dim(self) -> int:
@@ -180,6 +181,7 @@ def ladder_ops(basis: FockBasis):
     ``val[j, k] = sqrt(n_j(k) + 1)``.  So adag_j maps k to src[j, k], a_j
     maps src[j, k] back to k with the same amplitude, and a_j sends every
     state with n_j = 0 to zero.  ``src`` is the table the basis built with
-    its shells (``FockBasis``)."""
+    its shells (``FockBasis``), read-only since every model on the basis
+    reads it."""
     src = basis._raising
     return src, np.sqrt(basis.occupations[: src.shape[1]].T + 1.0, order="C")

@@ -568,6 +568,7 @@ def _ladder_table(basis: FockBasis):
     _inner_slots, for the targets below K, indexes the (M, K') entries:
     j K' + k, or the pad M K'."""
     src, val = ladder_ops(basis)
+    src = src.copy()  # the basis's table is read-only, and np.take copies such indices per call
     M, K = src.shape
     inner = math.comb(M + basis.n_max - 2, M) if basis.n_max >= 2 else 0
     return (src, val[:, :, None], _slot_table(src.ravel(), basis.dim), inner,

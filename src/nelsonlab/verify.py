@@ -46,9 +46,8 @@ operator-identity checks run on dedicated small models — the pull-through
 defect on a coarse coupled model, the telescoping remainders on a
 translation-invariant model with reciprocal-lattice modes so plane-wave
 shifts are exact.  Checks outside their stated window (C_UV(e) >= 1, zero
-charge for the spatial ceilings, alpha Z >= 1 for the soft-photon ceiling,
-no mode on its side of the soft boundary |k| = 1 for a soft or hard photon
-ceiling) report skipped with the violated window named, never an error.
+charge for the spatial ceilings, alpha Z >= 1 for the soft-photon ceiling)
+report skipped with the violated window named, never an error.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from .closedform import (
     soft_photon_bound,
     total_photon_bound,
 )
-from .fockspace import SOFT_BOUNDARY, FockBasis, ModeGrid, build_modes
+from .fockspace import FockBasis, ModeGrid, build_modes
 from .model import FOUR_PI, ModelParams, ParameterError
 from .observables import GroundStateReport, ground_state_report
 from .particle import PositionGrid
@@ -318,25 +317,11 @@ def _overlap_floor(c: _Suite) -> tuple:
     return g_ir, c.report.overlap_p, _CHAIN
 
 
-def _require_side(c: _Suite, soft: bool) -> None:
-    """Skip a photon ceiling whose side of the soft boundary holds no mode:
-    its photon number would sum over no mode and read 0."""
-    if not np.any(c.modes.soft_mask == soft):
-        side = "soft mode (|k| <" if soft else "hard mode (|k| >="
-        raise _Skip(f"no {side} {SOFT_BOUNDARY:g})", {})
-
-
 def _soft_photons(c: _Suite) -> tuple:
     if c.params.alphaZ >= 1.0:
         raise _Skip(f"alpha Z = {c.params.alphaZ:.6g} >= 1", {})
-    _require_side(c, soft=True)
     return (c.report.n_f_soft, soft_photon_bound(c.params.e, c.params.Z),
             {"eps": TELESCOPING_EPS, "delta": 1.0 - TELESCOPING_EPS})
-
-
-def _hard_photons(c: _Suite) -> tuple:
-    _require_side(c, soft=False)
-    return c.report.n_f_hard, hard_photon_bound(c.params.e, c.params.Z), {}
 
 
 def _ceiling(observable, bound, zero_charge: str | None = None):
@@ -393,7 +378,8 @@ _CHECKS = (
            lambda c: (1.0 - c.report.n_f_total, c.report.vacuum_weight, {})),
     _Check("overlap.q_bound", "vacuum-sector orthogonal-complement weight ceiling",
            _windowed(lambda c: (c.report.overlap_q, c.window_constants["q_bound"], _CHAIN))),
-    _Check("photons.hard", "hard photon number ceiling", _windowed(_hard_photons)),
+    _Check("photons.hard", "hard photon number ceiling",
+           _ceiling(lambda c: c.report.n_f_hard, hard_photon_bound)),
     _Check("photons.soft", "soft photon number ceiling", _windowed(_soft_photons)),
     _Check("photons.total", "total photon number ceiling",
            _ceiling(lambda c: c.report.n_f_total, total_photon_bound)),

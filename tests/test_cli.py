@@ -595,8 +595,7 @@ _REPORTED = {
 
 @pytest.mark.parametrize("e", ["0.3", "1e-9"])  # the overlap floor is open at 1e-9 only
 def test_verify_reads_the_observables_solve_reports(capsys, e):
-    # the two radial nodes of [0.1, 2] straddle |k| = 1, so neither photon side is empty
-    point = ["--e", e, "--Z", "1", "--lambda", "2"] + TINY
+    point = ["--e", e, "--Z", "1"] + TINY
     _, solved = run_json(capsys, ["solve"] + point)
     report = solved["report"]
     flat = {**report, **{f"moments.{k}": v for k, v in report["moments"].items()}}

@@ -173,10 +173,11 @@ def test_raising_table_matches_the_rank_of_each_raised_state(m, n_max):
     rank ``_indices`` gives the raised occupations, also with no boson
     allowed, with one mode, and at effmass-fiber's basis (M = 24, N_max =
     4), where states raise below their last occupied mode through up to
-    three parents."""
+    three parents.  The table is the basis's own, so it is read-only."""
     b = fs.FockBasis(m, n_max)
     K = b.dim - math.comb(m - 1 + n_max, n_max)  # the states below the top shell
     tables = fs.ladder_ops(b)
+    assert not tables[0].flags.writeable
     for j in range(m):
         raised = b.occupations[:K].copy()
         raised[:, j] += 1

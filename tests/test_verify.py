@@ -235,11 +235,9 @@ def test_failed_solve_is_attempted_once(monkeypatch):
     errored = {r.id for r in reports if r.errored}
     independent = {"identity.pull_through", "identity.telescoping.res1",
                    "identity.telescoping.res2"}
-    # the G_IR floor at e = 0.3, and the soft-photon ceiling on SMALL's modes, all above
-    # |k| = 1, skip before the ground state is read
-    skipped = {"overlap.lower_bound", "photons.soft"}
-    assert all(by_id(reports)[cid].skipped for cid in skipped)
-    assert errored == set(CHECK_IDS) - independent - skipped
+    # the G_IR floor at e = 0.3 skips before the ground state is read
+    assert by_id(reports)["overlap.lower_bound"].skipped
+    assert errored == set(CHECK_IDS) - independent - {"overlap.lower_bound"}
     for r in reports:
         if r.errored:
             assert r.status == "error(ConvergenceError: synthetic stall)"
@@ -331,20 +329,17 @@ BASE_KEYS = {"e", "Z", "m", "kappa", "lam", "tau", *SMALL.to_dict()}
 
 
 @pytest.mark.parametrize(
-    "e,Z,check_id,reason,extra,lam",
+    "e,Z,check_id,reason,extra",
     [
-        (1.2, 1.0, "photons.total", "C_UV >= 1 (C_UV(e=1.2) = ", set(), 10.0),
-        (0.0, 1.0, "moment.log", "spatial ceilings need a nonzero charge", set(), 10.0),
-        (0.0, 1.0, "localization.g_square", "localization needs a nonzero charge", set(), 10.0),
-        (0.3, 150.0, "photons.soft", "alpha Z = 1.0743 >= 1", set(), 10.0),
-        (0.3, 1.0, "overlap.lower_bound", "overlap floor G_IR = ", {"chain_tau"}, 10.0),
-        # every radial node of [0.1, 100] lies above |k| = 1, every one of [0.1, 0.9] below
-        (0.3, 1.0, "photons.soft", "no soft mode (|k| < 1)", set(), 100.0),
-        (0.3, 1.0, "photons.hard", "no hard mode (|k| >= 1)", set(), 0.9),
+        (1.2, 1.0, "photons.total", "C_UV >= 1 (C_UV(e=1.2) = ", set()),
+        (0.0, 1.0, "moment.log", "spatial ceilings need a nonzero charge", set()),
+        (0.0, 1.0, "localization.g_square", "localization needs a nonzero charge", set()),
+        (0.3, 150.0, "photons.soft", "alpha Z = 1.0743 >= 1", set()),
+        (0.3, 1.0, "overlap.lower_bound", "overlap floor G_IR = ", {"chain_tau"}),
     ],
 )
-def test_skip_gates_name_their_window(e, Z, check_id, reason, extra, lam):
-    (rep,) = run_suite(make_params(e, Z, lam=lam), SMALL, selection=[check_id])
+def test_skip_gates_name_their_window(e, Z, check_id, reason, extra):
+    (rep,) = run_suite(make_params(e, Z), SMALL, selection=[check_id])
     assert rep.id == check_id
     assert rep.status.startswith(f"skipped({reason}")
     assert rep.lhs is None and rep.rhs is None and rep.slack is None
