@@ -251,16 +251,16 @@ def _validate(cfg: RunConfig) -> None:
 def _f17(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (str, bool)):  # a flag prints as one, not as 0 or 1
-        return str(v)
+    if isinstance(v, str):
+        return v
     return f"{v:.17g}"
 
 
 def _display(v) -> str:
     if v is None:
         return "n/a"
-    if isinstance(v, (str, bool)):
-        return str(v)
+    if isinstance(v, str):
+        return v
     return f"{v:.6g}"
 
 
@@ -310,7 +310,7 @@ def _row(rows: list, name: str, fn, *extra: str) -> None:
         rows.append({"name": name, "value": None, "display": f"n/a ({why})",
                      **dict.fromkeys(extra)})
         return
-    if isinstance(value, (float, int, np.floating)) and not isinstance(value, bool):
+    if isinstance(value, (float, int, np.floating)):
         value = float(value)
     rows.append({"name": name, "value": value, "display": _display(value),
                  **dict(zip(extra, cells))})
@@ -356,7 +356,7 @@ def cmd_constants(cfg: RunConfig) -> tuple[str, int]:
         _row(rows, f"chain.{key}", lambda k=key: chain()[k])
 
     window = functools.cache(lambda: cf.coupling_window(Z, tau_c))
-    for key in ("e_uv", "a_ir1", "a_ir2", "e_ir", "g_ir_at_e_ir", "empty"):
+    for key in ("e_uv", "a_ir1", "a_ir2", "e_ir", "g_ir_at_e_ir"):
         _row(rows, f"window.{key}", lambda k=key: getattr(window(), k))
     return _emit(cfg, {"rows": rows}, _NAMED, rows), 0
 

@@ -314,9 +314,8 @@ class CouplingWindow:
     e_uv: float
     a_ir1: float | None     # root of C_tau = 1/2 (None when absent, e.g. tau = 1)
     a_ir2: float | None     # root of F_IR = (Z / 4 pi)^2 / 16 (None when >= 1)
-    e_ir: float             # largest charge below the cap with G_IR > 0
+    e_ir: float             # largest charge below the cap with G_IR > 0, at least 1e-150
     g_ir_at_e_ir: float
-    empty: bool
 
 
 def coupling_window(Z: float, tau: float) -> CouplingWindow:
@@ -337,7 +336,7 @@ def coupling_window(Z: float, tau: float) -> CouplingWindow:
     e_ir = _crossing(lambda x: _g_ir(x, Z, tau) > 0.0, _IR_FLOOR, emax, "e_ir") or emax
     return CouplingWindow(
         e_uv=euv, a_ir1=a1, a_ir2=a2,
-        e_ir=e_ir, g_ir_at_e_ir=_g_ir(e_ir, Z, tau), empty=not (e_ir > 0.0),
+        e_ir=e_ir, g_ir_at_e_ir=_g_ir(e_ir, Z, tau),
     )
 
 

@@ -58,8 +58,9 @@ class PositionGrid:
 
     @cached_property
     def axis(self) -> np.ndarray:
-        """1D coordinates -L, -L+h, ..., L-h (origin included)."""
-        return -self.L + self.h * np.arange(self.n)
+        """1D coordinates -L, -L+h, ..., L-h (origin included), h times the
+        integers from -n/2, so x -> -x is exactly index i -> -i mod n."""
+        return self.h * np.arange(-(self.n // 2), self.n // 2)
 
     @cached_property
     def freqs(self) -> np.ndarray:
@@ -78,6 +79,29 @@ class PositionGrid:
         """|k|^2 on the momentum mesh; 1/2 * this is the kinetic symbol."""
         q = self.freqs
         return q[:, None, None] ** 2 + q[None, :, None] ** 2 + q[None, None, :] ** 2
+
+    @cached_property
+    def even_unfold(self) -> np.ndarray:
+        """(n, n/2 + 1) isometry W from the reflection-even half of an axis
+        (i -> -i mod n, which is x -> -x and q -> -q) to the whole axis:
+        column a is the unit even vector on the indices a and -a mod n, so
+        W^T folds an even vector into sqrt(m_a) times its values at 0..n/2,
+        m_a = 1 at a in {0, n/2} and 2 elsewhere, keeping inner products."""
+        n = self.n
+        i = np.arange(n)
+        half = np.minimum(i, n - i)
+        unfold = np.zeros((n, n // 2 + 1))
+        unfold[i, half] = np.where((half == 0) | (half == n // 2), 1.0, math.sqrt(0.5))
+        return unfold
+
+    @cached_property
+    def even_transform(self) -> np.ndarray:
+        """The DFT of one axis on its reflection-even half, W^T F W: the real
+        symmetric E_ab = sqrt(m_a m_b) cos(2 pi a b / n), a, b = 0..n/2, with
+        E^2 = n I, so F^-1 there is E / n."""
+        a = np.arange(self.n // 2 + 1)
+        root = np.sqrt(np.where((a == 0) | (a == self.n // 2), 1.0, 2.0))
+        return np.outer(root, root) * np.cos((2.0 * math.pi / self.n) * (np.outer(a, a) % self.n))
 
     def lattice_units(self, k) -> np.ndarray:
         """Express a wave vector in units of dk, requiring exact lattice fit."""
@@ -169,19 +193,19 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
 
     # The solve runs on plane-wave coefficients s = F psi, where the kinetic
     # term is diagonal and the preconditioner one division; F / sqrt(N) is
-    # unitary, so the energy and residual are position space's.  U is real
-    # and even, and x -> -x is index i -> -i mod n, the DFT's own
-    # reflection, so F U F^-1 s = F^-1 (U F s): U acts as a multiplier on the
-    # spectrum of s, which keeps real s real.  The seed and the ground state
-    # are real and even, and so are their coefficients.
-    shape = (grid.n,) * 3
-    half = (..., slice(grid.n // 2 + 1))
-    kinetic = 0.5 * grid.laplacian_symbol.ravel()
-    potential = coulomb_potential(grid, alphaZ)[half]
+    # unitary, so the energy and residual are position space's.  U, the
+    # kinetic symbol and the seed are even along each axis (x -> -x is index
+    # i -> -i mod n), so the solve runs on the (n/2 + 1)^3 even cube, folded
+    # by W^T on each axis: there F is E (x) E (x) E, E = grid.even_transform,
+    # and F^-1 that over N, six real matmuls per product.
+    cut = (slice(grid.n // 2 + 1),) * 3
+    shape = (grid.n // 2 + 1,) * 3
+    even = grid.even_transform
+    kinetic = 0.5 * grid.laplacian_symbol[cut].ravel()
+    potential = coulomb_potential(grid, alphaZ)[cut] / grid.point_count
 
     def matvec(s: np.ndarray) -> np.ndarray:
-        out = np.fft.irfftn(potential * np.fft.rfftn(s.reshape(shape)), s=shape,
-                            axes=(0, 1, 2)).ravel()
+        out = _each_axis(even, potential * _each_axis(even, s.reshape(shape))).ravel()
         out += kinetic * s
         return out
 
@@ -189,20 +213,27 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
         r /= kinetic + sigma
         return r
 
-    def transform(v: np.ndarray) -> np.ndarray:
-        """F^-1 v = F v / N of a real even v, which is its own Hermitian half
-        spectrum: one real transform."""
-        return np.fft.irfftn(v.reshape(shape)[half], s=shape, axes=(0, 1, 2)).ravel()
-
     from .spectral import lanczos_lowest
 
+    fold = _each_axis(grid.even_unfold.T, np.exp(-alphaZ * grid.radius))
     energy, vec, residual, iterations = lanczos_lowest(
-        matvec, grid.point_count, seed=transform(np.exp(-alphaZ * grid.radius)),
+        matvec, fold.size, seed=_each_axis(even, fold).ravel(),
         tol=1e-12, maxit=500, precond=precond,
     )
-    vec = transform(vec) * math.sqrt(grid.point_count)  # F / sqrt(N) is unitary
+    # F / sqrt(N) is unitary, so E (x) E (x) E / sqrt(N) is orthogonal
+    vec = _each_axis(even, vec.reshape(shape)) / math.sqrt(grid.point_count)
+    vec = _each_axis(grid.even_unfold, vec).ravel()
     psi = vec if vec.sum() >= 0.0 else -vec
     return AtomicState(grid, alphaZ, energy, psi, residual, iterations)
+
+
+def _each_axis(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``matrix`` applied along each axis of the real 3D array v: one matmul
+    per axis, the next axis cycled to the front after each."""
+    for _ in range(3):
+        v = (matrix @ v.reshape(v.shape[0], -1)).reshape(len(matrix), *v.shape[1:])
+        v = v.transpose(1, 2, 0)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ away from the potential and the coupling, so the step count no longer
 follows the kinetic width (pi/h)^2/2.  The effective-mass solves use the
 same diagonal in conjugate gradients.
 
-The v0 ground state is solved on the coupled axes only.  Along an axis no
-mode reaches every phase is 1, the kinetic symbol adds that axis's q_l^2/2
-and v0 has no potential, so H commutes with the particle momentum there:
-the fiber decomposition of Lee, Low and Pines (Phys. Rev. 90, 297, 1953),
-which the effective mass applies on all three axes.  The constant seed lies
-in the zero-momentum sector of those axes, and so does every iterate, so
-``lanczos_ground`` solves the model with each uncoupled axis collapsed to
-one point (``AssembledModel._sector``), dimension D n^C, and broadcasts the
-Ritz vector back to the D n^3 grid.
+The grid ground states are solved on a sector of the axes no mode
+reaches (``AssembledModel._sector``, ``lanczos_ground``).  v0 commutes with
+the particle momentum there, the fiber decomposition of Lee, Low and Pines
+(Phys. Rev. 90, 297, 1953) that the effective mass applies on all three
+axes, and keeps one point q = 0 per such axis: dimension D n^C.  Gross
+commutes with the reflection x -> -x there and keeps the n/2 + 1 even
+indices, dimension D n^C (n/2 + 1)^(3 - C), where the transform is the
+real symmetric E of ``PositionGrid.even_transform``, one real matmul on
+the float view; the coupled axes keep the FFT.
 
 Conventions.  A state vector has shape (D * n^3,), Fock-major with the
 particle index fastest, state[d * X + x], viewed as (D, X) = (D, n^3) and
@@ -300,6 +300,8 @@ class AssembledModel:
         # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
         self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
         self._atomic: AtomicState | None = None
+        # the transform's FFT axes and even axes, and the axes a sector folds (``_sector``)
+        self._fft_axes, self._even_axes, self._folds = (1, 2, 3), (), ()
         if variant == "fiber":
             # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
             pf = basis.occupations @ k  # (D, 3)
@@ -316,8 +318,7 @@ class AssembledModel:
     def _particle_tables(self, xs, qs) -> None:
         """The particle factor's tables from per-axis coordinates ``xs`` and
         momenta ``qs`` (numpy's FFT order): the p_l and kinetic symbols, the
-        phases e^{i k_j . x}, the transform's axes and the (D, X) shape.  An
-        axis given as the one point x = 0, q = 0 is collapsed (``_sector``)."""
+        phases e^{i k_j . x}, the transform's axes and the (D, X) shape."""
         psym = np.stack(np.broadcast_arrays(qs[0][:, None, None], qs[1][None, :, None],
                                             qs[2][None, None, :]))
         self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
@@ -333,15 +334,40 @@ class AssembledModel:
             ).ravel()
 
     def _sector(self) -> AssembledModel:
-        """This model on the zero-momentum sector of its uncoupled axes: a
-        copy that shares every Fock table, with each axis outside ``_axes``
-        collapsed to the one point x = 0, q = 0.  For v0, which has no
-        potential, that sector is invariant (``lanczos_ground``)."""
+        """This model on the sector of its uncoupled axes that holds its seed
+        and that H keeps (``lanczos_ground``): a copy sharing every Fock
+        table, or the model itself when every axis is coupled or there is
+        no grid.  On each axis outside ``_axes`` v0 keeps the one point q =
+        0 (at x = -L, where the phases are 1 as everywhere), and gross the
+        even indices 0..n/2.  ``_folds`` holds (array axis, W) pairs, W
+        embedding the kept axis in the whole one."""
+        grid = self.grid
+        uncoupled = tuple(axis for axis in range(3) if axis not in self._axes)
+        if grid is None or not uncoupled:
+            return self
         sector = copy.copy(self)
-        point, grid = np.zeros(1), self.grid
-        sector._particle_tables(*zip(*((grid.axis, grid.freqs) if axis in self._axes
-                                       else (point, point) for axis in range(3))))
+        even, n = self.variant == "gross", grid.n
+        cut = tuple(slice(n // 2 + 1 if even else 1) if axis in uncoupled else slice(None)
+                    for axis in range(3))
+        sector._particle_tables(*zip(*((grid.axis[c], grid.freqs[c]) for c in cut)))
+        if self._pot is not None:
+            sector._pot = self._pot.reshape(n, n, n)[cut].ravel()
+        sector._fft_axes = tuple(1 + axis for axis in self._axes)
+        sector._even_axes = tuple(1 + axis for axis in uncoupled) if even else ()
+        unfold = grid.even_unfold if even else np.eye(n, 1)
+        sector._folds = tuple((1 + axis, unfold) for axis in uncoupled)
         return sector
+
+    def _fold(self, v: np.ndarray, inverse: bool) -> np.ndarray:
+        """A Fock-major array of the whole grid's plane-wave coefficients,
+        (R, n^3), onto this sector's, (R, X), by W^T on each kept axis; the
+        inverse unfolds by W.  A model without folds only reshapes."""
+        if not self._folds:
+            return v.reshape(-1, self._shape[1])
+        v = v.reshape((-1,) + (self._cube if inverse else (self.grid.n,) * 3))
+        for axis, unfold in self._folds:
+            v = _along_axis(unfold if inverse else unfold.T, v, axis, None)
+        return v.reshape(len(v), -1)
 
     @property
     def dim(self) -> int:
@@ -362,21 +388,28 @@ class AssembledModel:
         return v.astype(self._type(v), copy=False).reshape(self._shape)
 
     def _fft(self, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """F u over the particle axes of a Fock-major array, all three axis
-        passes written into ``out`` (u itself transforms in place; None
-        takes a new array).  The identity on the fiber, which returns u."""
-        return self._transform(np.fft.fftn, u, out)
+        """F u over the particle axes of a Fock-major array, all axis passes
+        written into ``out`` (u itself transforms in place; None takes a new
+        array).  The identity on the fiber, which returns u."""
+        return self._transform(np.fft.fftn, u, out, False)
 
     def _ifft(self, s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """F^-1 s, as ``_fft``."""
-        return self._transform(np.fft.ifftn, s, out)
+        return self._transform(np.fft.ifftn, s, out, True)
 
-    def _transform(self, fn, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    def _transform(self, fn, u: np.ndarray, out: np.ndarray | None, inverse: bool) -> np.ndarray:
+        """``fn`` over the FFT axes, then, on a gross sector, the real even
+        transform E (E / n for the inverse) over each even axis, in place."""
         if self._cube is None:
             return u
         cube = (-1,) + self._cube
         out = np.empty(u.shape, dtype=complex) if out is None else out
-        fn(u.reshape(cube), axes=(1, 2, 3), out=out.reshape(cube))
+        view = out.reshape(cube)
+        fn(u.reshape(cube), axes=self._fft_axes, out=view)
+        if self._even_axes:
+            even = self.grid.even_transform / (self.grid.n if inverse else 1.0)
+            for axis in self._even_axes:
+                _along_axis(even, view, axis, view)
         return out
 
     # -- the field-coupling kernel -------------------------------------------
@@ -557,6 +590,19 @@ class AssembledModel:
         return self._atomic
 
 
+def _along_axis(matrix: np.ndarray, v: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
+    """The real ``matrix`` applied along one axis of the complex array v: one
+    real matmul on the float view, which keeps the real and imaginary parts
+    in its last axis.  ``out`` may be v itself (matmul buffers the overlap);
+    None takes a new array."""
+    lead = math.prod(v.shape[:axis])
+    if out is None:
+        out = np.empty(v.shape[:axis] + (len(matrix),) + v.shape[axis + 1:], dtype=complex)
+    np.matmul(matrix, v.view(float).reshape(lead, v.shape[axis], -1),
+              out=out.view(float).reshape(lead, len(matrix), -1))
+    return out
+
+
 def _ladder_table(basis: FockBasis):
     """The raising tables of all modes, from one ``ladder_ops`` call, as
     (_src, _val, _slots, _inner, _inner_slots).  States come by total
@@ -677,45 +723,44 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     reshape.  The seed is built in the call, so the solver holds its only
     reference and drops it after normalizing.
 
-    The v0 model is solved on the zero-momentum sector of its uncoupled
-    axes (``model._sector()``), the fiber decomposition of Lee, Low and
-    Pines (Phys. Rev. 90, 297, 1953) along the axes no mode reaches.  There
-    the phases are 1, the kinetic symbol is a sum over axes and v0 has no
-    potential, so H = sum over q_perp of (|q_perp|^2/2 + H_sector), and the
-    constant seed and every iterate of a full-grid solve lie in q_perp = 0.
-    The sector's Ritz vector is broadcast along the collapsed axes and
-    divided by sqrt(X / X_sector): an isometry that commutes with H, so the
-    energy, residual and product count are the full grid's, and the vector
-    is a unit full-grid vector.  With every axis coupled the sector is the
-    whole grid.  The gross model, whose potential couples all momenta, and
-    the fiber are solved as they are.
+    Along an axis no mode reaches every phase is 1, so both grid variants
+    are solved on a sector of those axes (``model._sector()``) that holds
+    the seed and that H maps into itself, so every iterate of a full-grid
+    solve lies in it.  v0 has no potential and commutes with the particle
+    momentum there (Lee, Low and Pines, Phys. Rev. 90, 297, 1953); its
+    constant seed lies at q = 0.  The gross potential, kinetic symbol and
+    atomic seed are even along every axis (x -> -x is index i -> -i mod n),
+    so its sector is their even half, where the transform is the real
+    E = W^T F W.  The seed's vacuum row is transformed on the whole grid
+    and folded by W^T; the Ritz vector is unfolded by W and mapped back by
+    one whole-grid inverse transform.  W^T W = I, so the energy, residual
+    and product count are a full-grid solve's, and the vector is a unit
+    full-grid vector.  With every axis coupled the sector is the model.
     """
-    solved = model._sector() if model.variant == "v0" else model
+    solved = model._sector()
     energy, vec, residual, iters = lanczos_lowest(
-        solved.plane_matvec, solved.dim, seed=_default_seed(solved),
+        solved.plane_matvec, solved.dim, seed=_default_seed(model, solved),
         tol=tol, maxit=maxit, precond=solved.precondition,
     )
-    vec = vec.reshape(solved._shape)
-    vec = solved._ifft(vec, vec).ravel()
-    vec *= math.sqrt(solved._shape[1])
-    if solved is not model:  # broadcast along the collapsed axes, at unit norm
-        D = model.basis.dim
-        vec = np.broadcast_to(vec.reshape((D,) + solved._cube), (D,) + model._cube)
-        vec = (vec / math.sqrt(model.dim / solved.dim)).ravel()
+    vec = solved._fold(vec, True)
+    vec = model._ifft(vec, vec).ravel()
+    vec *= math.sqrt(model._shape[1])
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
 
 
-def _default_seed(model: AssembledModel) -> np.ndarray:
-    """The seed in plane-wave coefficients, (D, X) flat: F psi in the vacuum
-    row, one transform of X points."""
+def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
+    """The seed in plane-wave coefficients of ``solved``, the model or its
+    sector, (D, X) flat: F psi in the vacuum row, one transform of the
+    whole grid's points, folded onto the sector."""
     if model.variant == "fiber":
         return vacuum_vector(model.basis)  # real, as the fiber operator is
-    s = np.zeros(model._shape, dtype=model._dtype)
     if model.variant == "gross":
-        s[0] = model.atomic_reference().psi
+        row = model.atomic_reference().psi[None].astype(complex)
     else:
-        s[0] = 1.0 / math.sqrt(model._shape[1])
-    model._fft(s[:1], s[:1])
+        row = np.full((1, model._shape[1]), 1.0 / math.sqrt(model._shape[1]), dtype=complex)
+    row = model._fft(row, row)
+    s = np.zeros(solved._shape, dtype=model._dtype)
+    s[:1] = solved._fold(row, False)
     return s.ravel()
 
 

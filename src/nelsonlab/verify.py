@@ -353,7 +353,10 @@ _CHECKS = (
            "failure signals a build-breaking bug"),
     _Check("energy.upper", "variational upper bound by the decoupled product state",
            _windowed(lambda c: (c.ground.energy, c.atomic.energy, {})),
-           "rhs is the discrete atomic level E_at_h on the same grid"),
+           "this check holds by construction: rhs is the discrete atomic level E_at_h "
+           "on the same grid, the gross solve is seeded with the atom (x) vacuum, whose "
+           "Rayleigh quotient is E_at_h and which its sector keeps, and Ritz values "
+           "never rise; a failure signals a build-breaking bug"),
     _Check("identity.pull_through", "ladder pull-through commutation identity",
            lambda c: (c.pull_through_worst, IDENTITY_TOL, _PULL),
            "probe upper bound on the defect relative to max(1, omega_j), worst over "

@@ -362,16 +362,19 @@ def test_constants_table(capsys):
     assert rows["e_uv_residual"] < 1e-12
     assert rows["C_star"] == pytest.approx(rows["C_UV"], rel=1e-13)
     assert rows["window.a_ir1"] == pytest.approx(0.02240555228292217, rel=1e-9)
-    assert rows["window.empty"] is False
+    assert "window.empty" not in rows  # the window has a root or raises
+    assert rows["window.e_ir"] == pytest.approx(7.869806336742206e-09, rel=1e-9)
     assert payload["config"]["e"] == 0.3
 
 
-def test_constants_csv_prints_the_window_flag_as_a_flag(capsys):
-    """The CSV value cell of window.empty carries the flag, as the JSON value
-    and the display cell do, not the 0 or 1 of a number format."""
+def test_constants_csv_prints_every_value_as_a_number(capsys):
+    """Every CSV value cell of the constants table is a number at 17
+    significant digits: no row carries a flag."""
     assert main(["constants", "--Z", "1", "--e", "0.3", "--format", "csv"]) == 0
     rows = {cells[0]: cells[1:] for cells in _csv_body(capsys)[1:]}
-    assert rows["window.empty"] == ["False", "False"]
+    assert "window.empty" not in rows
+    for name, (value, display) in rows.items():
+        assert float(value) == pytest.approx(float(display), rel=1e-5), name
     assert float(rows["window.a_ir1"][0]) == pytest.approx(0.02240555228292217, rel=1e-9)
 
 
@@ -389,7 +392,7 @@ def test_constants_survives_zero_charge(capsys):
     # e^2 underflows: L divides by zero, and the chain's rho^(-2 tau) overflows
     (["constants", "--e", "1e-200"], ["coupling_log", "chain.theta2"], ["e_uv", "window.e_ir"]),
     # the infrared roots lie below e = 1e-150
-    (["constants", "--e", "0.3", "--Z", "0.01", "--tau", "0.76"], ["window.a_ir2", "window.empty"],
+    (["constants", "--e", "0.3", "--Z", "0.01", "--tau", "0.76"], ["window.a_ir2"],
      ["e_uv", "chain.g_ir"]),
     (["constants", "--e", "0.3", "--tau", "0.9999"], ["window.a_ir1", "window.e_ir"],
      ["e_uv", "chain.g_ir"]),

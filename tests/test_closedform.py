@@ -165,7 +165,6 @@ def test_q_bound_is_half_at_a_ir2():
 
 def test_coupling_window_z1():
     w = cf.coupling_window(1.0, 0.9)
-    assert not w.empty
     assert math.isclose(w.e_uv, 0.8884841327138524, rel_tol=1e-12)
     assert math.isclose(w.a_ir1, 0.02240555228292217, rel_tol=1e-9)
     assert math.isclose(w.a_ir2, 7.869806336742206e-09, rel_tol=1e-9)
@@ -212,7 +211,7 @@ def test_coupling_window_roots_straddle_their_crossings():
             cap = min(1.0, w.e_uv * (1.0 - 1e-9), *(a for a in (w.a_ir1, w.a_ir2) if a))
             if w.e_ir != cap:
                 assert straddles(w.e_ir, lambda x: cf._g_ir(x, Z, tau) > 0.0), (Z, tau)
-            assert w.empty or w.g_ir_at_e_ir > 0.0, (Z, tau)
+            assert w.e_ir >= 1e-150 and w.g_ir_at_e_ir > 0.0, (Z, tau)
     # a_ir1 near tau = 1, and a_ir2 at Z = 0.01, tau = 0.76, lie far below 1e-150
     assert set(below_floor) == {(0.01, 0.76)} | {(Z, tau) for Z in _WINDOW_Z
                                                  for tau in (0.999, 0.9999)}

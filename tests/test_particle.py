@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nelsonlab.model import ParameterError
-from nelsonlab.particle import PositionGrid, atomic_ground, radial_resolvent_l1
+from nelsonlab.particle import PositionGrid, atomic_ground, coulomb_potential, radial_resolvent_l1
+from nelsonlab.spectral import lanczos_lowest
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,48 @@ def test_spectral_laplacian_exact_on_plane_waves():
     out = np.fft.ifftn(0.5 * g.laplacian_symbol * np.fft.fftn(pw))
     expect = 0.5 * float(k @ k) * pw
     assert np.max(np.abs(out - expect)) < 1e-12 * float(k @ k)
+
+
+_EVEN_NS = (2, 4, 8, 16, 32)
+
+
+@pytest.mark.parametrize("L", [10.0, 0.7])
+@pytest.mark.parametrize("n", _EVEN_NS)
+def test_potential_and_kinetic_are_exactly_even_on_every_axis(n, L):
+    """The facts the reflection-even sectors rest on: the softened Coulomb
+    potential and the kinetic symbol are unchanged, bit for bit, by the
+    reflection i -> -i mod n along each axis, which is x -> -x on the grid."""
+    g = PositionGrid(n=n, L=L)
+    mirror = -np.arange(n) % n
+    assert np.array_equal(g.axis[mirror][1:], -g.axis[1:])  # x = -L is L, periodically
+    for table in (coulomb_potential(g, 0.7), g.laplacian_symbol):
+        for axis in range(3):
+            assert np.array_equal(np.take(table, mirror, axis=axis), table), axis
+
+
+@pytest.mark.parametrize("n", _EVEN_NS)
+def test_even_transform_is_the_dft_on_even_vectors(n):
+    """W folds the even vectors of an axis isometrically, and E = W^T F W
+    is the FFT (E / n the inverse FFT) on them, to 1e-13; E^2 = n I."""
+    g = PositionGrid(n=n, L=3.0)
+    W, E = g.even_unfold, g.even_transform
+    assert np.max(np.abs(W.T @ W - np.eye(n // 2 + 1))) <= 1e-15
+    assert np.array_equal(E, E.T)
+    assert np.max(np.abs(E @ E - n * np.eye(n // 2 + 1))) <= 1e-13 * n
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        f = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        u = W @ f  # an even vector of the whole axis
+        assert np.array_equal(u[-np.arange(n) % n], u)
+        for transform, even in ((np.fft.fft, E), (np.fft.ifft, E / n)):
+            ref = transform(u)
+            assert np.max(np.abs(W.T @ ref - even @ f)) <= 1e-13 * np.max(np.abs(ref))
+    # three axes at once: E (x) E (x) E on the even cube is the 3D FFT
+    cube = rng.standard_normal((n // 2 + 1,) * 3)
+    whole = np.einsum("ia,jb,kc,abc->ijk", W, W, W, cube)
+    ref = np.einsum("ia,jb,kc,ijk->abc", W, W, W, np.fft.fftn(whole).real)
+    got = np.einsum("ai,bj,ck,ijk->abc", E, E, E, cube)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_lattice_units_roundtrip_and_rejection():
@@ -90,6 +133,49 @@ def test_atomic_matches_dense_reference():
     assert st.energy == pytest.approx(evals[0], abs=1e-10)
     overlap = np.vdot(evecs[:, 0], st.psi)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
+
+
+def _full_grid_atom(grid, alphaZ):
+    """The atom solved on the whole n^3 grid with real FFTs, the solve the
+    even cube must reproduce: its potential acts on the coefficients as a
+    multiplier on their half spectrum."""
+    shape = (grid.n,) * 3
+    half = (..., slice(grid.n // 2 + 1))
+    kinetic = 0.5 * grid.laplacian_symbol.ravel()
+    potential = coulomb_potential(grid, alphaZ)[half]
+
+    def matvec(s):
+        out = np.fft.irfftn(potential * np.fft.rfftn(s.reshape(shape)), s=shape).ravel()
+        return out + kinetic * s
+
+    def precond(r, sigma):
+        return r / (kinetic + sigma)
+
+    def transform(v):
+        return np.fft.irfftn(v.reshape(shape)[half], s=shape).ravel()
+
+    energy, vec, _, products = lanczos_lowest(
+        matvec, grid.point_count, transform(np.exp(-alphaZ * grid.radius)), 1e-12, 500,
+        precond=precond)
+    vec = transform(vec) * math.sqrt(grid.point_count)
+    return energy, (vec if vec.sum() >= 0.0 else -vec), products
+
+
+@pytest.mark.parametrize("n, L, alphaZ", [(8, 10.0, 0.05), (16, 10.0, 0.3**2 / (4 * math.pi)),
+                                          (12, 5.0, 0.5), (32, 10.0, 0.3**2 * 40 / (4 * math.pi))])
+def test_atom_on_the_even_cube_is_the_full_grid_solve(n, L, alphaZ):
+    """The atom solved on the (n/2 + 1)^3 even cube against the whole-grid
+    real-FFT solve kept here: the same energy and flat unit psi to 1e-12,
+    and the same product count."""
+    g = PositionGrid(n=n, L=L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st = atomic_ground(g, alphaZ)
+    energy, psi, products = _full_grid_atom(g, alphaZ)
+    assert st.energy == pytest.approx(energy, rel=1e-12, abs=1e-15)
+    assert st.psi.shape == (g.point_count,)
+    assert np.max(np.abs(st.psi - psi)) <= 1e-12
+    assert st.iterations == products
 
 
 def test_atomic_energy_window(atomic_ladder):

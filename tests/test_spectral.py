@@ -526,6 +526,24 @@ def test_lanczos_ground_returns_a_unit_position_vector(small_setup, variant):
     assert residual == pytest.approx(res.residual, abs=1e-13)
 
 
+def _full_grid_ground(model, tol, maxit):
+    """LOBPCG on the whole grid's plane-wave products from the whole grid's
+    seed, the solve a sector must reproduce: (energy, unit position
+    vector, residual, products)."""
+    energy, vec, residual, products = sp.lanczos_lowest(
+        model.plane_matvec, model.dim, sp._default_seed(model, model), tol, maxit,
+        precond=model.precondition)
+    vec = np.fft.ifftn(vec.reshape((model.basis.dim,) + (model.grid.n,) * 3), axes=(1, 2, 3))
+    return energy, vec.ravel() * math.sqrt(model.grid.point_count), residual, products
+
+
+def _reflected(v, axes):
+    """v, (D, n, n, n), under i -> -i mod n along each particle axis in ``axes``."""
+    for axis in axes:
+        v = np.roll(np.flip(v, axis=1 + axis), 1, axis=1 + axis)
+    return v
+
+
 @pytest.mark.parametrize("grid_name", ["+z", "lattice", "spiral"])
 def test_v0_solves_on_the_sector_of_its_coupled_axes(grid_name):
     """The v0 solve runs on the zero-momentum sector of the uncoupled axes
@@ -538,19 +556,14 @@ def test_v0_solves_on_the_sector_of_its_coupled_axes(grid_name):
     D, n = model.basis.dim, grid.n
     sector = model._sector()
     assert sector.dim == D * n**coupled
-    # the sector's tables are the full grid's on the plane x = 0 of each collapsed axis
-    cut = tuple(slice(None) if axis in model._axes else slice(n // 2, n // 2 + 1)
-                for axis in range(3))
-    assert grid.axis[n // 2] == 0.0
+    # the sector's tables are the full grid's on the plane x = -L, q = 0 of each collapsed axis
+    cut = tuple(slice(None) if axis in model._axes else slice(0, 1) for axis in range(3))
     assert np.array_equal(sector._phase, model._phase.reshape(-1, n, n, n)[(slice(None),) + cut]
                           .reshape(modes.count, -1))
-    freq_cut = tuple(slice(None) if axis in model._axes else slice(0, 1) for axis in range(3))
-    assert np.array_equal(sector._kin, model._kin.reshape(n, n, n)[freq_cut].reshape(1, -1))
+    assert np.array_equal(sector._kin, model._kin.reshape(n, n, n)[cut].reshape(1, -1))
 
     res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
-    energy, _, _, products = sp.lanczos_lowest(model.plane_matvec, model.dim,
-                                               sp._default_seed(model), 1e-10, 300,
-                                               precond=model.precondition)
+    energy, _, _, products = _full_grid_ground(model, 1e-10, 300)
     assert res.energy == pytest.approx(energy, abs=1e-12)
     assert res.iterations == products
     v = res.vector
@@ -563,9 +576,73 @@ def test_v0_solves_on_the_sector_of_its_coupled_axes(grid_name):
     assert residual <= res.residual + 1e-12
 
 
-def test_only_v0_leaves_the_full_grid(small_setup, monkeypatch):
-    """Gross, whose potential couples every momentum, solves at the model's
-    own dimension; v0 on the +z grid at D n, one axis of n points."""
+@pytest.mark.parametrize("grid_name", ["+z", "lattice", "spiral"])
+def test_gross_sector_keeps_exactly_the_coupled_axes_whole(grid_name):
+    """The gross sector keeps all n points of exactly the axes where g has
+    a nonzero column, and the n/2 + 1 even indices of every other axis; on
+    the spiral, where every axis is coupled, it is the model itself."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, coupled = _grid_case(grid_name, "gross")
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    sector = model._sector()
+    n = grid.n
+    assert sector._cube == tuple(n if model.g[:, axis].any() else n // 2 + 1 for axis in range(3))
+    assert sum(size == n for size in sector._cube) == coupled
+    assert (sector is model) == (coupled == 3)
+    assert sector.dim == model.basis.dim * n**coupled * (n // 2 + 1) ** (3 - coupled)
+
+
+@pytest.mark.parametrize("grid_name", ["+z", "lattice"])
+def test_gross_sector_product_is_the_full_product_on_even_inputs(grid_name):
+    """On plane-wave coefficients even along the uncoupled axes, the
+    sector's product is the full grid's, folded, to 1e-13."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, _ = _grid_case(grid_name, "gross")
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    sector = model._sector()
+    D, n = model.basis.dim, grid.n
+    uncoupled = set(range(3)) - set(model._axes)
+    rng = np.random.default_rng(53)
+    s = (rng.standard_normal((D, n, n, n)) + 1j * rng.standard_normal((D, n, n, n)))
+    for axis in uncoupled:
+        s = 0.5 * (s + _reflected(s, [axis]))
+    full = model.plane_matvec(s.ravel()).reshape(D, n, n, n)
+    assert np.linalg.norm(_reflected(full, uncoupled) - full) <= 1e-13 * np.linalg.norm(full)
+    folded = sector._fold(s.reshape(D, -1), False)
+    assert folded.shape == sector._shape
+    assert np.linalg.norm(folded) == pytest.approx(np.linalg.norm(s), rel=1e-14)
+    got = sector.plane_matvec(folded.ravel())
+    ref = sector._fold(full.reshape(D, -1), False).ravel()
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    back = sector._fold(folded, True)  # W W^T is the identity on even arrays
+    assert back.shape == (D, n**3)
+    assert np.linalg.norm(back - s.reshape(D, -1)) <= 1e-14 * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("grid_name", ["+z", "lattice"])
+def test_gross_sector_solve_is_the_full_grid_solve(grid_name):
+    """The gross solve on the reflection-even sector against LOBPCG on the
+    whole grid kept here as the reference: the energy to 1e-12 relative,
+    the same product count and the same unit position vector to 1e-10, up
+    to the sign a Rayleigh-Ritz step may pick either way."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, _ = _grid_case(grid_name, "gross")
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
+    energy, vec, _, products = _full_grid_ground(model, 1e-10, 300)
+    assert res.energy == pytest.approx(energy, rel=1e-12)
+    assert res.iterations == products
+    assert res.vector.shape == (model.dim,)
+    assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-14)
+    phase = np.vdot(vec, res.vector)
+    assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(res.vector - (phase / abs(phase)) * vec) <= 1e-10
+
+
+def test_the_grid_solves_run_on_their_sectors(small_setup, monkeypatch):
+    """On the spiral, where every axis is coupled, gross solves at the
+    model's own dimension; on the +z grid gross solves at D n (n/2 + 1)^2,
+    its even half of the x and y axes, and v0 at D n, one axis of n points."""
     params, grid, modes, basis = small_setup
     lowest, dims = sp.lanczos_lowest, []
 
@@ -573,14 +650,33 @@ def test_only_v0_leaves_the_full_grid(small_setup, monkeypatch):
         dims.append(dim)
         return lowest(matvec, dim, *args, **kwargs)
 
-    gross = sp.assemble(params, grid, modes, basis, variant="gross")
-    gross.atomic_reference()  # the seed's atomic solve, cached before recording
+    zgrid, zmodes, _ = _grid_case("+z", "gross")
+    zbasis = FockBasis(zmodes.count, 2)
+    models = [sp.assemble(params, grid, modes, basis, variant="gross"),
+              sp.assemble(params, zgrid, zmodes, zbasis, variant="gross"),
+              sp.assemble(params, zgrid, zmodes, zbasis, variant="v0")]
+    for model in models[:2]:
+        model.atomic_reference()  # the seed's atomic solve, cached before recording
     monkeypatch.setattr(sp, "lanczos_lowest", recorded)
-    sp.lanczos_ground(gross, tol=1e-10, maxit=300)
-    zgrid, zmodes, _ = _grid_case("+z", "v0")
-    v0 = sp.assemble(params, zgrid, zmodes, FockBasis(zmodes.count, 2), variant="v0")
-    sp.lanczos_ground(v0, tol=1e-10, maxit=300)
-    assert dims == [gross.dim, v0.basis.dim * zgrid.n]
+    for model in models:
+        sp.lanczos_ground(model, tol=1e-10, maxit=300)
+    n = zgrid.n
+    assert dims == [models[0].dim, zbasis.dim * n * (n // 2 + 1) ** 2, zbasis.dim * n]
+
+
+@pytest.mark.parametrize("case, full, solved", [("solve-fine", 65_536, 18_496),
+                                                ("verify-reference", 61_440, 19_440)])
+def test_benchmark_gross_solves_shrink_to_their_even_sector(case, full, solved):
+    """The gross models of solve-fine and verify-reference, one coupled axis
+    (+z), solve on dimension D n (n/2 + 1)^2."""
+    charge, n, radial, angular, n_max = _MEMORY_CASES[case]
+    params = make_params(kappa=0.1, lam=10.0, **charge)
+    modes = build_modes(0.1, 10.0, radial, angular)
+    basis = FockBasis(modes.count, n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # verify-reference's modes alias
+        model = sp.AssembledModel("gross", params, PositionGrid(n=n, L=10.0), modes, basis)
+    assert (model.dim, model._sector().dim) == (full, solved)
 
 
 # solve-fine, verify-reference, and verify-reference on the golden-angle spiral

@@ -63,6 +63,19 @@ def test_energy_window_and_binding(full_suite):
     )
 
 
+def test_energy_bounds_say_they_hold_by_construction(full_suite):
+    """energy.upper, like energy.lower, says in its notes that it cannot
+    fail for a correct build, and why: the seed's Rayleigh quotient is
+    E_at_h, the solve's sector keeps the seed, and Ritz values never rise."""
+    rep = by_id(full_suite)
+    for cid in ("energy.upper", "energy.lower"):
+        assert "build-breaking bug" in rep[cid].notes, cid
+    upper = rep["energy.upper"].notes
+    assert upper.startswith("this check holds by construction")
+    for reason in ("E_at_h", "atom (x) vacuum", "sector keeps", "Ritz values never rise"):
+        assert reason in upper, reason
+
+
 def test_identity_checks_are_machine_tight(full_suite):
     rep = by_id(full_suite)
     for cid in (
