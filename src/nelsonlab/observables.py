@@ -106,7 +106,9 @@ def overlap_with_decoupled(
 
     overlap_P = |<psi_at (x) Omega, psi>|^2 is the weight on the product of
     the discrete atomic ground state with the Fock vacuum; overlap_Q is the
-    weight of (1 - P_at) (x) P_Omega, i.e. the rest of the vacuum sector.
+    weight of (1 - P_at) (x) P_Omega, i.e. the rest of the vacuum sector,
+    formed as ||row - <psi_at, row> psi_at||^2 on the vacuum row, so a small
+    weight keeps its digits instead of being the difference of two near 1.
     """
     return _overlaps(_as_matrix(state, basis), atomic)
 
@@ -119,10 +121,8 @@ def _overlaps(mat: np.ndarray, atomic: AtomicState) -> tuple[float, float]:
         )
     row = mat[0]  # the vacuum row
     amp = np.vdot(atomic.psi, row)
-    overlap_p = float(abs(amp) ** 2)
-    vac_weight = float(np.vdot(row, row).real)
-    overlap_q = max(vac_weight - overlap_p, 0.0)
-    return overlap_p, overlap_q
+    rest = row - amp * atomic.psi
+    return float(abs(amp) ** 2), float(np.vdot(rest, rest).real)
 
 
 @dataclass(frozen=True)

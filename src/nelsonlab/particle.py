@@ -1,8 +1,9 @@
 """Particle (electron) sector on a periodic position-space box.
 
-Provides the 3D spectral discretization of 1/2 p^2 - alphaZ/|x|, its ground
-state as a unit l2 vector over the grid points, and the l=1 radial resolvent
-matrix element that feeds the second-order binding expansion.
+Provides the 3D spectral discretization of 1/2 p^2 - alphaZ/|x|, the grid
+sectors the atom and the coupled solves run on (``GridSector``), the atom's
+ground state as a unit l2 vector over the grid points, and the l=1 radial
+resolvent matrix element that feeds the second-order binding expansion.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .model import ParameterError
 
 __all__ = [
     "PositionGrid",
+    "GridSector",
     "AtomicState",
     "atomic_ground",
     "coulomb_potential",
@@ -118,13 +120,99 @@ class PositionGrid:
     def plane_wave(self, k) -> np.ndarray:
         """e^{i k.x} on the mesh for a reciprocal-lattice vector k."""
         self.lattice_units(k)
-        x = self.axis
-        kx = np.asarray(k, dtype=float)
-        return (
-            np.exp(1j * kx[0] * x)[:, None, None]
-            * np.exp(1j * kx[1] * x)[None, :, None]
-            * np.exp(1j * kx[2] * x)[None, None, :]
-        )
+        return _plane_wave((self.axis,) * 3, np.asarray(k, dtype=float))
+
+
+def _plane_wave(xs, k) -> np.ndarray:
+    """e^{i k.x} on the mesh of the per-axis coordinates ``xs``."""
+    ex, ey, ez = (np.exp(1j * kl * x) for kl, x in zip(k, xs))
+    return ex[:, None, None] * ey[None, :, None] * ez[None, None, :]
+
+
+class GridSector:
+    """The points of ``grid`` a solve keeps, their symbols and their
+    transform F.  An axis in ``whole`` keeps its n points and the FFT; any
+    other keeps, when ``even``, its reflection-even indices 0..n/2, where F
+    is E = ``grid.even_transform`` and W = ``grid.even_unfold`` embeds them
+    in the whole axis, and otherwise the one point q = 0 (x = -L), where F
+    is 1 and W the first unit column.  Arrays are Fock-major, (R, X)."""
+
+    def __init__(self, grid: PositionGrid, whole: tuple[int, ...], even: bool):
+        n = self.n = grid.n
+        self.grid = grid
+        self.cut = tuple(slice(None) if axis in whole else slice(n // 2 + 1 if even else 1)
+                         for axis in range(3))  # the kept indices of each axis
+        self.xs = tuple(grid.axis[c] for c in self.cut)  # per-axis coordinates
+        self.shape = tuple(len(x) for x in self.xs)
+        self.size = math.prod(self.shape)
+        qs = np.meshgrid(*(grid.freqs[c] for c in self.cut), indexing="ij", copy=False)
+        self.psym = np.stack(qs).reshape(3, -1)  # (3, X) p_l symbols
+        self.kin = 0.5 * (self.psym**2).sum(axis=0)  # (X,) kinetic symbol
+        cut_axes = tuple(1 + axis for axis in range(3) if axis not in whole)  # axes of (R, *shape)
+        self._fft_axes = tuple(1 + axis for axis in whole)
+        self._even_axes = cut_axes if even else ()
+        # (array axis, W, the unfold of position values: W, or the constant column 1/n at q = 0)
+        pair = (grid.even_unfold,) * 2 if even else (np.eye(n, 1), np.full((n, 1), 1.0 / n))
+        self._folds = tuple((axis, *pair) for axis in cut_axes)
+
+    def phases(self, k: np.ndarray) -> np.ndarray:
+        """e^{i k_j . x} at the sector's points for each row k_j of k, (M, X)."""
+        return np.stack([_plane_wave(self.xs, kj).ravel() for kj in k])
+
+    def forward(self, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """F u, all passes written into ``out`` (u itself transforms in place;
+        None takes a new array, complex once an FFT runs)."""
+        return self._transform(np.fft.fftn, u, out, self.grid.even_transform)
+
+    def inverse(self, s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """F^-1 s, as ``forward``: the inverse FFT, and E / n on the even axes."""
+        return self._transform(np.fft.ifftn, s, out, self.grid.even_transform / self.n)
+
+    def _transform(self, fn, u: np.ndarray, out: np.ndarray | None, even: np.ndarray) -> np.ndarray:
+        cube = (-1,) + self.shape
+        if out is None:
+            out = np.empty(u.shape, dtype=complex if self._fft_axes else u.dtype)
+        view, u = out.reshape(cube), u.reshape(cube)
+        if self._fft_axes:
+            fn(u, axes=self._fft_axes, out=view)  # looked up per call, so a counter sees it
+            u = view
+        for axis in self._even_axes:
+            u = _along_axis(even, u, axis, view)
+        return out
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """W^T on each cut axis: the whole grid's plane-wave coefficients (or
+        the atom's even seed values), (R, n^3), onto the sector's, (R, X)."""
+        v = v.reshape((-1,) + (self.n,) * 3)
+        for axis, unfold, _ in self._folds:
+            v = _along_axis(unfold.T, v, axis, None)
+        return v.reshape(len(v), -1)
+
+    def unfold(self, u: np.ndarray) -> np.ndarray:
+        """The sector's position values, (R, X), as the whole grid's, (R, n^3):
+        W on an even axis, the column 1/n on a q = 0 axis, so unfold(F^-1 s)
+        is the whole grid's F^-1 W s, with no whole-grid transform."""
+        u = u.reshape((-1,) + self.shape)
+        for axis, _, spread in self._folds:
+            u = _along_axis(spread, u, axis, None)
+        return u.reshape(len(u), -1)
+
+
+def _along_axis(matrix: np.ndarray, v: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
+    """The real ``matrix`` applied along one axis of v, real or complex: one
+    real matmul on the float view, which keeps a complex v's real and
+    imaginary parts in its last axis, or on the last axis one matmul by the
+    transpose, not one narrow product per row.  ``out`` may be v itself
+    (matmul buffers the overlap); None takes a new array of v's type."""
+    lead = math.prod(v.shape[:axis])
+    if out is None:
+        out = np.empty(v.shape[:axis] + (len(matrix),) + v.shape[axis + 1:], dtype=v.dtype)
+    if axis == v.ndim - 1:
+        np.matmul(v.reshape(lead, -1), matrix.T, out=out.reshape(lead, -1))
+    else:
+        np.matmul(matrix, v.view(float).reshape(lead, v.shape[axis], -1),
+                  out=out.view(float).reshape(lead, len(matrix), -1))
+    return out
 
 
 @dataclass(eq=False)
@@ -195,45 +283,34 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
     # term is diagonal and the preconditioner one division; F / sqrt(N) is
     # unitary, so the energy and residual are position space's.  U, the
     # kinetic symbol and the seed are even along each axis (x -> -x is index
-    # i -> -i mod n), so the solve runs on the (n/2 + 1)^3 even cube, folded
-    # by W^T on each axis: there F is E (x) E (x) E, E = grid.even_transform,
-    # and F^-1 that over N, six real matmuls per product.
-    cut = (slice(grid.n // 2 + 1),) * 3
-    shape = (grid.n // 2 + 1,) * 3
-    even = grid.even_transform
-    kinetic = 0.5 * grid.laplacian_symbol[cut].ravel()
-    potential = coulomb_potential(grid, alphaZ)[cut] / grid.point_count
+    # i -> -i mod n), so the solve runs on the (n/2 + 1)^3 even cube, the
+    # GridSector with no whole axis (the gross solve's uncoupled axes run the
+    # same code): F is E on every axis, six real matmuls per product.  The
+    # seed, even, folds in position space before its transform.
+    sector = GridSector(grid, (), True)
+    potential = coulomb_potential(grid, alphaZ)[sector.cut].ravel()
 
     def matvec(s: np.ndarray) -> np.ndarray:
-        out = _each_axis(even, potential * _each_axis(even, s.reshape(shape))).ravel()
-        out += kinetic * s
+        out = sector.inverse(s, None)
+        out *= potential
+        out = sector.forward(out, out)
+        out += sector.kin * s
         return out
 
     def precond(r: np.ndarray, sigma: float) -> np.ndarray:
-        r /= kinetic + sigma
+        r /= sector.kin + sigma
         return r
 
     from .spectral import lanczos_lowest
 
-    fold = _each_axis(grid.even_unfold.T, np.exp(-alphaZ * grid.radius))
+    seed = sector.forward(sector.fold(np.exp(-alphaZ * grid.radius)), None)
     energy, vec, residual, iterations = lanczos_lowest(
-        matvec, fold.size, seed=_each_axis(even, fold).ravel(),
-        tol=1e-12, maxit=500, precond=precond,
+        matvec, sector.size, seed=seed.ravel(), tol=1e-12, maxit=500, precond=precond,
     )
-    # F / sqrt(N) is unitary, so E (x) E (x) E / sqrt(N) is orthogonal
-    vec = _each_axis(even, vec.reshape(shape)) / math.sqrt(grid.point_count)
-    vec = _each_axis(grid.even_unfold, vec).ravel()
+    # F / sqrt(N) is unitary, so sqrt(N) F^-1 keeps the unit norm
+    vec = sector.unfold(sector.inverse(vec, vec)).ravel() * math.sqrt(grid.point_count)
     psi = vec if vec.sum() >= 0.0 else -vec
     return AtomicState(grid, alphaZ, energy, psi, residual, iterations)
-
-
-def _each_axis(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``matrix`` applied along each axis of the real 3D array v: one matmul
-    per axis, the next axis cycled to the front after each."""
-    for _ in range(3):
-        v = (matrix @ v.reshape(v.shape[0], -1)).reshape(len(matrix), *v.shape[1:])
-        v = v.transpose(1, 2, 0)
-    return v
 
 
 # ---------------------------------------------------------------------------

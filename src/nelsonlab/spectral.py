@@ -24,15 +24,13 @@ away from the potential and the coupling, so the step count no longer
 follows the kinetic width (pi/h)^2/2.  The effective-mass solves use the
 same diagonal in conjugate gradients.
 
-The grid ground states are solved on a sector of the axes no mode
-reaches (``AssembledModel._sector``, ``lanczos_ground``).  v0 commutes with
-the particle momentum there, the fiber decomposition of Lee, Low and Pines
-(Phys. Rev. 90, 297, 1953) that the effective mass applies on all three
-axes, and keeps one point q = 0 per such axis: dimension D n^C.  Gross
-commutes with the reflection x -> -x there and keeps the n/2 + 1 even
-indices, dimension D n^C (n/2 + 1)^(3 - C), where the transform is the
-real symmetric E of ``PositionGrid.even_transform``, one real matmul on
-the float view; the coupled axes keep the FFT.
+The grid ground states are solved on a ``particle.GridSector`` of the
+axes no mode reaches (``AssembledModel._sector``, ``lanczos_ground``), the
+one the atom solves on.  v0 commutes with the particle momentum there (Lee,
+Low and Pines, Phys. Rev. 90, 297, 1953) and keeps q = 0: dimension D n^C.
+Gross commutes with x -> -x there and keeps the n/2 + 1 even indices,
+dimension D n^C (n/2 + 1)^(3 - C), where the transform is the real E, one
+real matmul; the coupled axes keep the FFT.
 
 Conventions.  A state vector has shape (D * n^3,), Fock-major with the
 particle index fastest, state[d * X + x], viewed as (D, X) = (D, n^3) and
@@ -98,7 +96,7 @@ import numpy as np
 from .closedform import TELESCOPING_EPS, c_uv
 from .fockspace import FockBasis, ModeGrid, ladder_ops, vacuum_vector
 from .model import ConvergenceError, DomainError, ModelParams, ParameterError
-from .particle import AtomicState, PositionGrid, atomic_ground, coulomb_potential
+from .particle import AtomicState, GridSector, PositionGrid, atomic_ground, coulomb_potential
 
 __all__ = [
     "SpectralResult",
@@ -300,74 +298,44 @@ class AssembledModel:
         # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
         self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
         self._atomic: AtomicState | None = None
-        # the transform's FFT axes and even axes, and the axes a sector folds (``_sector``)
-        self._fft_axes, self._even_axes, self._folds = (1, 2, 3), (), ()
         if variant == "fiber":
             # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
             pf = basis.occupations @ k  # (D, 3)
             self._shape = (basis.dim, 1)  # (D, X)
-            self._cube = None  # no FFT
+            self._cells = None  # no transform
             self._kin = 0.5 * np.sum(pf**2, axis=1)[:, None]  # (D, 1) kinetic symbol
             self._psym = -pf.T[:, :, None]  # (3, D, 1) p_l symbols
             self._pot = self._phase = None  # no potential; phase 1
         else:
             self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
                          if variant == "gross" else None)  # (X,) potential; v0 carries none
-            self._particle_tables((grid.axis,) * 3, (grid.freqs,) * 3)
+            self._particle_tables(GridSector(grid, (0, 1, 2), True))
 
-    def _particle_tables(self, xs, qs) -> None:
-        """The particle factor's tables from per-axis coordinates ``xs`` and
-        momenta ``qs`` (numpy's FFT order): the p_l and kinetic symbols, the
-        phases e^{i k_j . x}, the transform's axes and the (D, X) shape."""
-        psym = np.stack(np.broadcast_arrays(qs[0][:, None, None], qs[1][None, :, None],
-                                            qs[2][None, None, :]))
-        self._psym = psym.reshape(3, 1, -1)  # (3, 1, X) p_l symbols
-        self._kin = 0.5 * (self._psym**2).sum(axis=0)  # (1, X) kinetic symbol
-        self._cube = tuple(len(x) for x in xs)  # the transform's particle axes
-        self._shape = (self.basis.dim, math.prod(self._cube))  # (D, X)
-        self._phase = np.empty((self.modes.count, self._shape[1]), dtype=complex)  # (M, X) phases
-        for j, kj in enumerate(self.modes.k):
-            self._phase[j] = (
-                np.exp(1j * kj[0] * xs[0])[:, None, None]
-                * np.exp(1j * kj[1] * xs[1])[None, :, None]
-                * np.exp(1j * kj[2] * xs[2])[None, None, :]
-            ).ravel()
+    def _particle_tables(self, cells: GridSector) -> None:
+        """The tables read from the grid sector ``cells``, which also
+        transforms: the p_l and kinetic symbols, the phases e^{i k_j . x}, the
+        (D, X) shape, and the whole grid's potential cut to the sector (a
+        second evaluation raised solve-fine's peak RSS by about 0.4 MB)."""
+        self._cells = cells
+        self._psym = cells.psym[:, None]  # (3, 1, X) p_l symbols
+        self._kin = cells.kin[None]  # (1, X) kinetic symbol
+        self._shape = (self.basis.dim, cells.size)  # (D, X)
+        self._phase = cells.phases(self.modes.k)  # (M, X) phases
+        if self._pot is not None:
+            self._pot = self._pot.reshape((self.grid.n,) * 3)[cells.cut].ravel()
 
     def _sector(self) -> AssembledModel:
         """This model on the sector of its uncoupled axes that holds its seed
         and that H keeps (``lanczos_ground``): a copy sharing every Fock
-        table, or the model itself when every axis is coupled or there is
-        no grid.  On each axis outside ``_axes`` v0 keeps the one point q =
-        0 (at x = -L, where the phases are 1 as everywhere), and gross the
-        even indices 0..n/2.  ``_folds`` holds (array axis, W) pairs, W
-        embedding the kept axis in the whole one."""
-        grid = self.grid
-        uncoupled = tuple(axis for axis in range(3) if axis not in self._axes)
-        if grid is None or not uncoupled:
+        table, or the model itself when every axis is coupled or there is no
+        grid.  Its ``GridSector`` keeps the coupled axes whole and on every
+        other v0's one point q = 0 (x = -L, phase 1) or gross's even half."""
+        if self.grid is None or len(self._axes) == 3:
             return self
         sector = copy.copy(self)
-        even, n = self.variant == "gross", grid.n
-        cut = tuple(slice(n // 2 + 1 if even else 1) if axis in uncoupled else slice(None)
-                    for axis in range(3))
-        sector._particle_tables(*zip(*((grid.axis[c], grid.freqs[c]) for c in cut)))
-        if self._pot is not None:
-            sector._pot = self._pot.reshape(n, n, n)[cut].ravel()
-        sector._fft_axes = tuple(1 + axis for axis in self._axes)
-        sector._even_axes = tuple(1 + axis for axis in uncoupled) if even else ()
-        unfold = grid.even_unfold if even else np.eye(n, 1)
-        sector._folds = tuple((1 + axis, unfold) for axis in uncoupled)
+        sector._particle_tables(GridSector(self.grid, tuple(self._axes.tolist()),
+                                           self.variant == "gross"))
         return sector
-
-    def _fold(self, v: np.ndarray, inverse: bool) -> np.ndarray:
-        """A Fock-major array of the whole grid's plane-wave coefficients,
-        (R, n^3), onto this sector's, (R, X), by W^T on each kept axis; the
-        inverse unfolds by W.  A model without folds only reshapes."""
-        if not self._folds:
-            return v.reshape(-1, self._shape[1])
-        v = v.reshape((-1,) + (self._cube if inverse else (self.grid.n,) * 3))
-        for axis, unfold in self._folds:
-            v = _along_axis(unfold if inverse else unfold.T, v, axis, None)
-        return v.reshape(len(v), -1)
 
     @property
     def dim(self) -> int:
@@ -377,7 +345,7 @@ class AssembledModel:
     def _dtype(self) -> np.dtype:
         """The scalar type the tables need: complex128 once a phase table or
         an FFT enters (the grid variants), float64 on the fiber."""
-        return np.dtype(float if self._phase is None and self._cube is None else complex)
+        return np.dtype(float if self._cells is None else complex)
 
     def _type(self, v) -> np.dtype:
         """The type of a result on input v: a complex v keeps complex arithmetic."""
@@ -388,29 +356,13 @@ class AssembledModel:
         return v.astype(self._type(v), copy=False).reshape(self._shape)
 
     def _fft(self, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """F u over the particle axes of a Fock-major array, all axis passes
-        written into ``out`` (u itself transforms in place; None takes a new
-        array).  The identity on the fiber, which returns u."""
-        return self._transform(np.fft.fftn, u, out, False)
+        """``GridSector.forward``: F u over the particle axes, written into
+        ``out`` (u itself, or None for a new array).  On the fiber u itself."""
+        return u if self._cells is None else self._cells.forward(u, out)
 
     def _ifft(self, s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """F^-1 s, as ``_fft``."""
-        return self._transform(np.fft.ifftn, s, out, True)
-
-    def _transform(self, fn, u: np.ndarray, out: np.ndarray | None, inverse: bool) -> np.ndarray:
-        """``fn`` over the FFT axes, then, on a gross sector, the real even
-        transform E (E / n for the inverse) over each even axis, in place."""
-        if self._cube is None:
-            return u
-        cube = (-1,) + self._cube
-        out = np.empty(u.shape, dtype=complex) if out is None else out
-        view = out.reshape(cube)
-        fn(u.reshape(cube), axes=self._fft_axes, out=view)
-        if self._even_axes:
-            even = self.grid.even_transform / (self.grid.n if inverse else 1.0)
-            for axis in self._even_axes:
-                _along_axis(even, view, axis, view)
-        return out
+        return s if self._cells is None else self._cells.inverse(s, out)
 
     # -- the field-coupling kernel -------------------------------------------
 
@@ -557,7 +509,7 @@ class AssembledModel:
         v is copied once, since P is built in the copy; on the fiber, where
         F is the identity, v itself is F u."""
         u = np.array(v, dtype=self._type(v)).reshape(self._shape)
-        S, P = self._parts(u, self._to2(v) if self._cube is None else None)
+        S, P = self._parts(u, self._to2(v) if self._cells is None else None)
         P += self._ifft(S, S)
         return P.ravel()
 
@@ -566,7 +518,7 @@ class AssembledModel:
         same 2 + 2C FFTs as ``matvec``.  P is summed in the buffer of
         F^-1 s, which one forward transform turns in place.  On the fiber,
         where F is the identity, it is ``matvec``."""
-        if self._cube is None:
+        if self._cells is None:
             return self.matvec(s)
         s = self._to2(s)
         S, P = self._parts(self._ifft(s, None), s)
@@ -588,19 +540,6 @@ class AssembledModel:
         if self._atomic is None:
             self._atomic = atomic_ground(self.grid, self.params.alphaZ)
         return self._atomic
-
-
-def _along_axis(matrix: np.ndarray, v: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
-    """The real ``matrix`` applied along one axis of the complex array v: one
-    real matmul on the float view, which keeps the real and imaginary parts
-    in its last axis.  ``out`` may be v itself (matmul buffers the overlap);
-    None takes a new array."""
-    lead = math.prod(v.shape[:axis])
-    if out is None:
-        out = np.empty(v.shape[:axis] + (len(matrix),) + v.shape[axis + 1:], dtype=complex)
-    np.matmul(matrix, v.view(float).reshape(lead, v.shape[axis], -1),
-              out=out.view(float).reshape(lead, len(matrix), -1))
-    return out
 
 
 def _ladder_table(basis: FockBasis):
@@ -677,21 +616,15 @@ def assemble(
 
     model = AssembledModel(variant, params, grid, modes, basis)
 
-    # cheap sampled symmetry check; the exhaustive one lives in the tests
-    if model._dtype == float:  # two real probes for the real operator
-        u, v = _normal(97, (2, dim))
-        left, right = np.vdot(u, model.matvec(v)), np.vdot(model.matvec(u), v)
-        defect, scale = abs(left - right), max(1.0, abs(left), abs(right))
-    else:
-        # one complex probe u = a (x) b: <u, H u> is real for Hermitian H, and
-        # for B = (H - H*)/2i != 0, u*Bu is a nonzero polynomial in a and b
-        # (polarize once in each), so a defect is missed with probability 0
-        z = _normal(97, (2, basis.dim + grid.point_count))
-        z = z[0] + 1j * z[1]
-        u = np.outer(z[: basis.dim], z[basis.dim:]).ravel()
-        form = np.vdot(u, model.matvec(u))
-        defect, scale = abs(form.imag), max(1.0, abs(form))
-    if defect > 1e-10 * scale:
+    # cheap sampled symmetry check, the exhaustive one lives in the tests: one
+    # complex probe u = a (x) b, X = 1 on the fiber.  <u, H u> is real for
+    # Hermitian H, and for B = (H - H*)/2i != 0, u*Bu is a nonzero polynomial
+    # in a and b (polarize once in each), so a defect is missed with probability 0
+    z = _normal(97, (2, dim // basis.dim + basis.dim))
+    z = z[0] + 1j * z[1]
+    u = np.outer(z[: basis.dim], z[basis.dim:]).ravel()
+    form = np.vdot(u, model.matvec(u))
+    if abs(form.imag) > 1e-10 * max(1.0, abs(form)):
         raise RuntimeError("assembled operator failed the symmetry sample")
     return model
 
@@ -712,38 +645,26 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     energy is the Rayleigh quotient of the returned vector, so it is at
     most <seed, H seed>.
 
-    The solve runs on plane-wave coefficients: the seed is mapped once to
-    s = F u, (D, X) flat as every state, the products are
-    ``model.plane_matvec`` and the preconditioner ``model.precondition`` is
-    a diagonal division there, with no FFT.  The Ritz vector is mapped back
-    once, by an inverse transform in its own buffer, and scaled by sqrt(X):
-    F / sqrt(X) is unitary, so the returned position vector, (D, X) flat,
-    has unit norm and the same energy and residual, in exact arithmetic, as
-    in position space.  On the fiber F is the identity and both maps only
-    reshape.  The seed is built in the call, so the solver holds its only
-    reference and drops it after normalizing.
-
-    Along an axis no mode reaches every phase is 1, so both grid variants
-    are solved on a sector of those axes (``model._sector()``) that holds
-    the seed and that H maps into itself, so every iterate of a full-grid
-    solve lies in it.  v0 has no potential and commutes with the particle
-    momentum there (Lee, Low and Pines, Phys. Rev. 90, 297, 1953); its
-    constant seed lies at q = 0.  The gross potential, kinetic symbol and
-    atomic seed are even along every axis (x -> -x is index i -> -i mod n),
-    so its sector is their even half, where the transform is the real
-    E = W^T F W.  The seed's vacuum row is transformed on the whole grid
-    and folded by W^T; the Ritz vector is unfolded by W and mapped back by
-    one whole-grid inverse transform.  W^T W = I, so the energy, residual
-    and product count are a full-grid solve's, and the vector is a unit
-    full-grid vector.  With every axis coupled the sector is the model.
+    The solve runs on plane-wave coefficients s = F u of ``model._sector()``,
+    the sector of the axes no mode reaches that H maps into itself and that
+    holds the seed (v0's constant one at q = 0, gross's atomic one even), or
+    the model when every axis is coupled: the products are ``plane_matvec``
+    and ``precondition`` is a diagonal division, with no FFT.  The seed's
+    vacuum row is transformed on the whole grid and folded by W^T; the Ritz
+    vector is mapped back by the sector's inverse transform and
+    ``GridSector.unfold``, with no whole-grid transform, and scaled by
+    sqrt(n^3).  F / sqrt(n^3) is unitary and W^T W = I, so the energy,
+    residual and product count are a full-grid solve's and the vector is a
+    unit position vector, (D, n^3) flat (F is 1 on the fiber).  The seed is
+    built in the call, so the solver holds its only reference.
     """
     solved = model._sector()
     energy, vec, residual, iters = lanczos_lowest(
         solved.plane_matvec, solved.dim, seed=_default_seed(model, solved),
         tol=tol, maxit=maxit, precond=solved.precondition,
     )
-    vec = solved._fold(vec, True)
-    vec = model._ifft(vec, vec).ravel()
+    vec = solved._ifft(vec.reshape(solved._shape), vec)
+    vec = (vec if solved._cells is None else solved._cells.unfold(vec)).ravel()
     vec *= math.sqrt(model._shape[1])
     return SpectralResult(energy=energy, vector=vec, residual=residual, iterations=iters)
 
@@ -751,7 +672,7 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
 def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
     """The seed in plane-wave coefficients of ``solved``, the model or its
     sector, (D, X) flat: F psi in the vacuum row, one transform of the
-    whole grid's points, folded onto the sector."""
+    whole grid's points, folded onto the sector by ``GridSector.fold``."""
     if model.variant == "fiber":
         return vacuum_vector(model.basis)  # real, as the fiber operator is
     if model.variant == "gross":
@@ -760,7 +681,7 @@ def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
         row = np.full((1, model._shape[1]), 1.0 / math.sqrt(model._shape[1]), dtype=complex)
     row = model._fft(row, row)
     s = np.zeros(solved._shape, dtype=model._dtype)
-    s[:1] = solved._fold(row, False)
+    s[:1] = solved._cells.fold(row)
     return s.ravel()
 
 

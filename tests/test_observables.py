@@ -94,6 +94,21 @@ def test_one_boson_state_has_empty_vacuum_sector(atom16):
     assert vacuum_sector_weight(state, basis) == 0.0
 
 
+def test_small_q_keeps_its_digits(atom16):
+    """A vacuum row a psi_at + b u, u a unit vector orthogonal to psi_at and
+    b = 1e-7, has q = b^2 to 1e-10 relative: q is formed from the row's
+    remainder, not as the vacuum weight minus p, two numbers near 1."""
+    _, at = atom16
+    b = 1e-7
+    u = np.random.default_rng(11).standard_normal(at.psi.size)
+    u -= (at.psi @ u) * at.psi
+    u /= np.linalg.norm(u)
+    state = product_state(np.sqrt(1.0 - b**2) * at.psi + b * u, FockBasis(2, 1))
+    p, q = overlap_with_decoupled(state, at, FockBasis(2, 1))
+    assert p == pytest.approx(1.0 - b**2, abs=1e-15)
+    assert q == pytest.approx(b**2, rel=1e-10, abs=0.0)
+
+
 @given(theta=st.floats(-np.pi, np.pi))
 @settings(max_examples=20, deadline=None)
 def test_overlap_is_phase_invariant(theta):

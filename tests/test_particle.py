@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from nelsonlab.model import ParameterError
-from nelsonlab.particle import PositionGrid, atomic_ground, coulomb_potential, radial_resolvent_l1
+from nelsonlab.particle import (
+    GridSector,
+    PositionGrid,
+    atomic_ground,
+    coulomb_potential,
+    radial_resolvent_l1,
+)
 from nelsonlab.spectral import lanczos_lowest
 
 
@@ -81,10 +87,37 @@ def test_even_transform_is_the_dft_on_even_vectors(n):
             assert np.max(np.abs(W.T @ ref - even @ f)) <= 1e-13 * np.max(np.abs(ref))
     # three axes at once: E (x) E (x) E on the even cube is the 3D FFT
     cube = rng.standard_normal((n // 2 + 1,) * 3)
-    whole = np.einsum("ia,jb,kc,abc->ijk", W, W, W, cube)
-    ref = np.einsum("ia,jb,kc,ijk->abc", W, W, W, np.fft.fftn(whole).real)
-    got = np.einsum("ai,bj,ck,ijk->abc", E, E, E, cube)
+    whole = np.einsum("ia,jb,kc,abc->ijk", W, W, W, cube, optimize=True)
+    ref = np.einsum("ia,jb,kc,ijk->abc", W, W, W, np.fft.fftn(whole).real, optimize=True)
+    got = np.einsum("ai,bj,ck,ijk->abc", E, E, E, cube, optimize=True)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("whole, even",
+                         [((2,), True), ((1, 2), True), ((0, 1), True), ((2,), False), ((), True)],
+                         ids=["+z-gross", "lattice-gross", "xy-gross", "+z-v0", "atom"])
+def test_sector_unfold_is_the_whole_grid_inverse(whole, even):
+    """unfold(F_sector^-1 s) is the whole grid's ifftn(W s) to 1e-13, W the
+    identity on a whole axis, W = even_unfold on an even one and the first
+    unit column at q = 0: on the +z and lattice gross sectors, the +z v0
+    sector and the atom's real even cube, and with the last axis even on a
+    complex sector.  fold(fftn) takes it back to s."""
+    g = PositionGrid(n=8, L=3.0)
+    sector = GridSector(g, whole, even)
+    rng = np.random.default_rng(len(whole) + 3 * even)
+    s = rng.standard_normal((2,) + sector.shape)
+    if whole:
+        s = s + 1j * rng.standard_normal(s.shape)
+    ws = s
+    for axis in range(3):
+        W = np.eye(g.n) if axis in whole else g.even_unfold if even else np.eye(g.n, 1)
+        ws = np.moveaxis(np.tensordot(W, ws, axes=(1, 1 + axis)), 0, 1 + axis)
+    ref = np.fft.ifftn(np.ascontiguousarray(ws), axes=(1, 2, 3))
+    got = sector.unfold(sector.inverse(s.reshape(2, -1), None))
+    assert got.dtype == s.dtype and got.shape == (2, g.point_count)
+    assert np.max(np.abs(got - ref.reshape(2, -1))) <= 1e-13 * np.max(np.abs(ref))
+    back = sector.fold(np.fft.fftn(ref, axes=(1, 2, 3)))
+    assert np.max(np.abs(back - s.reshape(2, -1))) <= 1e-13 * np.max(np.abs(s))
 
 
 def test_lattice_units_roundtrip_and_rejection():

@@ -319,12 +319,13 @@ def test_assemble_samples_the_symmetry_of_every_variant(small_setup, variant, mo
                     variant=variant)
 
 
-@pytest.mark.parametrize("variant", ["gross", "v0"])
+@pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
 def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeypatch):
-    """The grid variants sample their symmetry with one product on one
-    complex probe a (x) b, which still sees a one-way coupling into a single
-    Fock row; the real fiber keeps its two products."""
+    """Every variant samples its symmetry with one product on one complex
+    probe a (x) b (b one number on the fiber), which still sees a one-way
+    coupling into a single Fock row."""
     params, grid, modes, basis = small_setup
+    grid = None if variant == "fiber" else grid
     matvec, calls = sp.AssembledModel.matvec, []
 
     def counted(self, v):
@@ -334,7 +335,7 @@ def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeyp
     monkeypatch.setattr(sp.AssembledModel, "matvec", counted)
     sp.assemble(params, grid, modes, basis, variant=variant)
     sp.assemble(params, None, modes, basis, variant="fiber")
-    assert len(calls) == 3
+    assert len(calls) == 2
 
     def defective(self, v):
         out = matvec(self, v).reshape(self._shape)
@@ -586,8 +587,9 @@ def test_gross_sector_keeps_exactly_the_coupled_axes_whole(grid_name):
     model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
     sector = model._sector()
     n = grid.n
-    assert sector._cube == tuple(n if model.g[:, axis].any() else n // 2 + 1 for axis in range(3))
-    assert sum(size == n for size in sector._cube) == coupled
+    kept = tuple(n if model.g[:, axis].any() else n // 2 + 1 for axis in range(3))
+    assert sector._cells.shape == kept
+    assert sum(size == n for size in sector._cells.shape) == coupled
     assert (sector is model) == (coupled == 3)
     assert sector.dim == model.basis.dim * n**coupled * (n // 2 + 1) ** (3 - coupled)
 
@@ -608,13 +610,13 @@ def test_gross_sector_product_is_the_full_product_on_even_inputs(grid_name):
         s = 0.5 * (s + _reflected(s, [axis]))
     full = model.plane_matvec(s.ravel()).reshape(D, n, n, n)
     assert np.linalg.norm(_reflected(full, uncoupled) - full) <= 1e-13 * np.linalg.norm(full)
-    folded = sector._fold(s.reshape(D, -1), False)
+    folded = sector._cells.fold(s.reshape(D, -1))
     assert folded.shape == sector._shape
     assert np.linalg.norm(folded) == pytest.approx(np.linalg.norm(s), rel=1e-14)
     got = sector.plane_matvec(folded.ravel())
-    ref = sector._fold(full.reshape(D, -1), False).ravel()
+    ref = sector._cells.fold(full.reshape(D, -1)).ravel()
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-    back = sector._fold(folded, True)  # W W^T is the identity on even arrays
+    back = sector._cells.unfold(folded)  # W W^T is the identity on even arrays
     assert back.shape == (D, n**3)
     assert np.linalg.norm(back - s.reshape(D, -1)) <= 1e-14 * np.linalg.norm(s)
 
@@ -662,6 +664,33 @@ def test_the_grid_solves_run_on_their_sectors(small_setup, monkeypatch):
         sp.lanczos_ground(model, tol=1e-10, maxit=300)
     n = zgrid.n
     assert dims == [models[0].dim, zbasis.dim * n * (n // 2 + 1) ** 2, zbasis.dim * n]
+
+
+@pytest.mark.parametrize("variant", ["gross", "v0"])
+def test_lanczos_ground_transforms_no_whole_grid_state(variant, monkeypatch):
+    """The only whole-grid FFT of a sector solve is the seed row's, over n^3
+    points: no FFT spans the D n^3 points of a state, since the Ritz vector
+    returns through the sector's inverse transform and GridSector.unfold."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, _ = _grid_case("+z", variant)
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant=variant)
+    if variant == "gross":
+        model.atomic_reference()  # the seed's atomic solve, cached before counting
+    sizes = {"fftn": [], "ifftn": []}
+
+    def counted(name, transform):
+        def wrapped(a, *args, **kwargs):
+            sizes[name].append(np.size(a))
+            return transform(a, *args, **kwargs)
+        return wrapped
+
+    for name in sizes:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
+    assert res.vector.shape == (model.dim,)
+    assert sizes["fftn"][0] == grid.point_count  # the seed's vacuum row
+    assert len(sizes["ifftn"]) > 0
+    assert max(sizes["fftn"][1:] + sizes["ifftn"]) < model.dim
 
 
 @pytest.mark.parametrize("case, full, solved", [("solve-fine", 65_536, 18_496),
