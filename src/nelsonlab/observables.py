@@ -163,6 +163,7 @@ def ground_state_report(model, result) -> GroundStateReport:
     mat = _as_matrix(result.vector, model.basis)  # normalized once for every observable
     prob = (mat.conj() * mat).real
     weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
+    del prob  # a view of a complex (D, X) product, freed before the overlaps
     nums = _photons(weights, model.basis, model.modes)
     r = model.grid.radius.ravel()
     moments = {name: float(f(r) @ density) for name, f in _MOMENTS.items()}

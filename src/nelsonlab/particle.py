@@ -207,6 +207,8 @@ def _along_axis(matrix: np.ndarray, v: np.ndarray, axis: int, out: np.ndarray | 
     lead = math.prod(v.shape[:axis])
     if out is None:
         out = np.empty(v.shape[:axis] + (len(matrix),) + v.shape[axis + 1:], dtype=v.dtype)
+    if lead == 0:  # no rows, as the lowered block at N_max = 0; reshape(0, -1) has no answer
+        return out
     if axis == v.ndim - 1:
         np.matmul(v.reshape(lead, -1), matrix.T, out=out.reshape(lead, -1))
     else:

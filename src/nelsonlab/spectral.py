@@ -26,8 +26,10 @@ same diagonal in conjugate gradients.
 
 The grid ground states are solved on a ``particle.GridSector`` of the
 axes no mode reaches (``AssembledModel._sector``, ``lanczos_ground``), the
-one the atom solves on.  v0 commutes with the particle momentum there (Lee,
-Low and Pines, Phys. Rev. 90, 297, 1953) and keeps q = 0: dimension D n^C.
+one the atom solves on and the one ``assemble`` samples; the whole grid's
+tables wait for a whole-grid product.  v0 commutes with the particle
+momentum there (Lee, Low and Pines, Phys. Rev. 90, 297, 1953) and keeps
+q = 0: dimension D n^C.
 Gross commutes with x -> -x there and keeps the n/2 + 1 even indices,
 dimension D n^C (n/2 + 1)^(3 - C), where the transform is the real E, one
 real matmul; the coupled axes keep the FFT.
@@ -117,6 +119,7 @@ _PCG_MAXIT = 5000
 _PCG_TOL = 1e-10  # the inertia converges quadratically in the solves' residual
 _PULL_PROBES = 6  # the pull-through bound fails with probability 10^-6 per mode
 _VARIANTS = ("gross", "v0", "fiber")
+_PARTICLE_TABLES = ("_cells", "_psym", "_kin", "_phase")  # built on first use
 
 
 @dataclass
@@ -270,15 +273,16 @@ def _normal(seed: int, shape) -> np.ndarray:
 class AssembledModel:
     """One Hamiltonian variant realized as a structured matvec.
 
-    The constructor derives every table from its six inputs and checks
-    none of them; ``assemble`` guards the inputs and samples the symmetry.
-    The coupling vectors g and the phase table are kept so the identity
-    checks can rebuild individual interaction pieces.  A state vector is
-    Fock-major, viewed as (D, X) by ``_to2``: D Fock states by X particle
-    points (1 on the fiber); the momentum symbols act in the representation
-    reached by ``_fft`` (the identity on the fiber, where p_l is the
-    diagonal -P_f,l).  Arrays are allocated in the type of the input and
-    ``_dtype`` combined.
+    The constructor derives the Fock tables from its six inputs and checks
+    none of them; ``assemble`` guards the inputs.  The particle tables are
+    built, and sampled, on first use (``_particle_tables``), so a model that
+    only solves holds its sector's alone.  The coupling vectors g and the
+    phase table are kept so the identity checks can rebuild individual
+    interaction pieces.  A state vector is Fock-major, viewed as (D, X) by
+    ``_to2``: D Fock states by X particle points (1 on the fiber); the
+    momentum symbols act in the representation reached by ``_fft`` (the
+    identity on the fiber, where p_l is the diagonal -P_f,l).  Arrays are
+    allocated in the type of the input and ``_dtype`` combined.
     """
 
     def __init__(self, variant: str, params: ModelParams, grid: PositionGrid | None,
@@ -298,44 +302,52 @@ class AssembledModel:
         # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
         self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
         self._atomic: AtomicState | None = None
-        if variant == "fiber":
-            # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
-            pf = basis.occupations @ k  # (D, 3)
-            self._shape = (basis.dim, 1)  # (D, X)
-            self._cells = None  # no transform
-            self._kin = 0.5 * np.sum(pf**2, axis=1)[:, None]  # (D, 1) kinetic symbol
-            self._psym = -pf.T[:, :, None]  # (3, D, 1) p_l symbols
-            self._pot = self._phase = None  # no potential; phase 1
-        else:
-            self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
-                         if variant == "gross" else None)  # (X,) potential; v0 carries none
-            self._particle_tables(GridSector(grid, (0, 1, 2), True))
+        self._solved: AssembledModel | None = None  # the sector copy ``_sector`` builds
+        self._shape = (basis.dim, 1 if grid is None else grid.point_count)  # (D, X)
+        self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
+                     if variant == "gross" else None)  # (X,) potential; v0 and the fiber carry none
 
-    def _particle_tables(self, cells: GridSector) -> None:
-        """The tables read from the grid sector ``cells``, which also
-        transforms: the p_l and kinetic symbols, the phases e^{i k_j . x}, the
-        (D, X) shape, and the whole grid's potential cut to the sector (a
-        second evaluation raised solve-fine's peak RSS by about 0.4 MB)."""
-        self._cells = cells
-        self._psym = cells.psym[:, None]  # (3, 1, X) p_l symbols
-        self._kin = cells.kin[None]  # (1, X) kinetic symbol
-        self._shape = (self.basis.dim, cells.size)  # (D, X)
-        self._phase = cells.phases(self.modes.k)  # (M, X) phases
-        if self._pot is not None:
-            self._pot = self._pot.reshape((self.grid.n,) * 3)[cells.cut].ravel()
+    def __getattr__(self, name: str):
+        """A particle table read before it is set: the whole grid's, built now."""
+        if name not in _PARTICLE_TABLES:
+            raise AttributeError(name)
+        return self._particle_tables((0, 1, 2)).__dict__[name]
+
+    def _particle_tables(self, whole: tuple[int, ...]) -> AssembledModel:
+        """Self, with the tables of the grid sector that keeps the axes
+        ``whole`` whole, which also transforms (the fiber: its one point):
+        the p_l and kinetic symbols, the phases e^{i k_j . x}, the (D, X)
+        shape and the whole grid's potential cut (a second evaluation raised
+        solve-fine's peak RSS by 0.4 MB), sampled before any product."""
+        cells = self._cells = (None if self.grid is None
+                               else GridSector(self.grid, whole, self.variant == "gross"))
+        if cells is None:
+            # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
+            self._psym = -(self.basis.occupations @ self.modes.k).T[:, :, None]  # (3, D, 1) p_l
+            self._kin = 0.5 * np.sum(self._psym**2, axis=0)  # (D, 1) kinetic symbol
+            self._phase = None  # phase 1
+        else:
+            self._psym = cells.psym[:, None]  # (3, 1, X) p_l symbols
+            self._kin = cells.kin[None]  # (1, X) kinetic symbol
+            self._shape = (self.basis.dim, cells.size)  # (D, X)
+            self._phase = cells.phases(self.modes.k)  # (M, X) phases
+            if self._pot is not None:
+                self._pot = self._pot.reshape((self.grid.n,) * 3)[cells.cut].ravel()
+        _sample_symmetry(self)
+        return self
 
     def _sector(self) -> AssembledModel:
-        """This model on the sector of its uncoupled axes that holds its seed
-        and that H keeps (``lanczos_ground``): a copy sharing every Fock
-        table, or the model itself when every axis is coupled or there is no
-        grid.  Its ``GridSector`` keeps the coupled axes whole and on every
-        other v0's one point q = 0 (x = -L, phase 1) or gross's even half."""
+        """The operator ``lanczos_ground`` solves, built and sampled on the
+        first call: this model on the sector of its uncoupled axes that holds
+        its seed and that H keeps, a copy sharing every Fock table, or the
+        model itself when every axis is coupled or there is no grid.  Its
+        ``GridSector`` keeps the coupled axes whole and on every other v0's
+        one point q = 0 (x = -L, phase 1) or gross's even half."""
         if self.grid is None or len(self._axes) == 3:
-            return self
-        sector = copy.copy(self)
-        sector._particle_tables(GridSector(self.grid, tuple(self._axes.tolist()),
-                                           self.variant == "gross"))
-        return sector
+            return self if "_cells" in self.__dict__ else self._particle_tables((0, 1, 2))
+        if self._solved is None:
+            self._solved = copy.copy(self)._particle_tables(tuple(self._axes.tolist()))
+        return self._solved
 
     @property
     def dim(self) -> int:
@@ -345,7 +357,7 @@ class AssembledModel:
     def _dtype(self) -> np.dtype:
         """The scalar type the tables need: complex128 once a phase table or
         an FFT enters (the grid variants), float64 on the fiber."""
-        return np.dtype(float if self._cells is None else complex)
+        return np.dtype(float if self.grid is None else complex)
 
     def _type(self, v) -> np.dtype:
         """The type of a result on input v: a complex v keeps complex arithmetic."""
@@ -441,24 +453,27 @@ class AssembledModel:
             entries *= self._phase.conj()[:, None, :]
         return self._raise(buf, self._slots)
 
-    def apply_D(self, v: np.ndarray, direction) -> np.ndarray:
+    def apply_D(self, v: np.ndarray, directions) -> np.ndarray:
         """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
 
-        This is i[H, d . x] (on the fiber, d . dH/dP at P = 0).  Its field
+        This is i[H, d . x] (on the fiber, d . dH/dP at P = 0), (dim,); on a
+        stack of d, (L, 3), it is (L, dim) from one transform of v.  Its field
         part is the field operator at the scalar coupling g_j . d, one column
         of the kernel, and d . p takes all three axes.
         """
-        d = np.asarray(direction, dtype=float)
+        d = np.asarray(directions, dtype=float)
+        stack = d.reshape(-1, 3)
         u = self._to2(v)  # read only, so it may view v
-        out = np.tensordot(d, self._psym, axes=1) * self._fft(u, None)
+        out = np.tensordot(stack, self._psym, axes=1) * self._fft(u, None)  # (L, D, X)
         out = self._ifft(out, out)
         if self.lin_coef != 0.0:
-            gd = (self.g @ d)[:, None]  # (M, 1)
-            field = self.contract_adjoint(u[None], gd)
-            field[:self._src.shape[1]] += self.components(u, gd)[0]  # A lands on the lowered block
-            field *= self.lin_coef
-            out += field
-        return out.ravel()
+            gd = self.g @ stack.T  # (M, L) couplings g . d
+            for o, col in zip(out, gd.T):
+                field = self.contract_adjoint(u[None], col[:, None])
+                field[:self._src.shape[1]] += self.components(u, col[:, None])[0]
+                field *= self.lin_coef
+                o += field
+        return out.reshape(d.shape[:-1] + (-1,))
 
     # -- the Hamiltonian ----------------------------------------------------
 
@@ -580,10 +595,12 @@ def assemble(
 ) -> AssembledModel:
     """Build one Hamiltonian variant as a structured operator, in defining units.
 
-    The inputs are checked before any table is built, and every variant's
-    operator must pass a sampled symmetry check before it is returned.  On
-    the grid variants a mode component |k_l| above pi/h, which the phase
-    sampled at spacing h aliases, is warned about.
+    The inputs are checked before any table is built.  Every operator the
+    model applies is sampled for symmetry before its first product: the one
+    ``lanczos_ground`` solves, ``AssembledModel._sector()``, here, and the
+    whole grid's when a whole-grid product first builds it.  On the grid
+    variants a mode component |k_l| above pi/h, which the phase sampled at
+    spacing h aliases, is warned about.
     """
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -615,18 +632,25 @@ def assemble(
                           "its phase aliases", stacklevel=2)
 
     model = AssembledModel(variant, params, grid, modes, basis)
-
-    # cheap sampled symmetry check, the exhaustive one lives in the tests: one
-    # complex probe u = a (x) b, X = 1 on the fiber.  <u, H u> is real for
-    # Hermitian H, and for B = (H - H*)/2i != 0, u*Bu is a nonzero polynomial
-    # in a and b (polarize once in each), so a defect is missed with probability 0
-    z = _normal(97, (2, dim // basis.dim + basis.dim))
-    z = z[0] + 1j * z[1]
-    u = np.outer(z[: basis.dim], z[basis.dim:]).ravel()
-    form = np.vdot(u, model.matvec(u))
-    if abs(form.imag) > 1e-10 * max(1.0, abs(form)):
-        raise RuntimeError("assembled operator failed the symmetry sample")
+    model._sector()  # the solved operator's tables, built and sampled
     return model
+
+
+def _sample_symmetry(model: AssembledModel) -> None:
+    """Cheap sampled symmetry check, the exhaustive one lives in the tests:
+    one position-space product on one complex probe u = a (x) b, X = 1 on the
+    fiber.  <u, H u> is real for Hermitian H, and for B = (H - H*)/2i != 0,
+    u*Bu is a nonzero polynomial in a and b (polarize once in each), so a
+    defect is missed with probability 0.  Im <u, H u> grows like sqrt(dim),
+    as 1e-10 ||u|| ||H u|| / sqrt(dim) does, and not like dim, as <u, H u>."""
+    D = model.basis.dim
+    z = _normal(97, (2, model._shape[1] + D))
+    z = z[0] + 1j * z[1]
+    u = np.outer(z[:D], z[D:]).ravel()
+    hu = model.matvec(u)
+    scale = np.linalg.norm(u) * np.linalg.norm(hu) / math.sqrt(u.size)
+    if abs(np.vdot(u, hu).imag) > 1e-10 * max(1.0, scale):
+        raise RuntimeError("assembled operator failed the symmetry sample")
 
 
 def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralResult:
@@ -679,7 +703,8 @@ def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
         row = model.atomic_reference().psi[None].astype(complex)
     else:
         row = np.full((1, model._shape[1]), 1.0 / math.sqrt(model._shape[1]), dtype=complex)
-    row = model._fft(row, row)
+    cube = row.reshape((1,) + (model.grid.n,) * 3)
+    np.fft.fftn(cube, axes=(1, 2, 3), out=cube)  # the one whole-grid transform, of one row
     s = np.zeros(solved._shape, dtype=model._dtype)
     s[:1] = solved._cells.fold(row)
     return s.ravel()
@@ -750,7 +775,8 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
     The terms are grouped by the vector they act on, and only the two
     remainders are formed: D(v, d) is linear in d and H - E in v, so each
     axis with k_j != 0 takes three velocities, D(psi, e_j) for I0 and I1
-    and one on each shifted and lifted state, and each step one H - E.
+    and one on each shifted and lifted state (the D(psi, e_j) from one
+    transform of psi), and each step one H - E.
     """
     if model.variant == "fiber":
         raise ParameterError("the decomposition check needs a particle factor")
@@ -783,16 +809,18 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
     per_axis = [(j, -k[j] * (k[j] + f1) / f1, k + f1 * ez[j]) for j in range(3) if k[j] != 0.0]
 
     # ---- step one: res1 = ||I0 - kept - I1 - err1|| -------------------------
+    d_k = np.zeros(model.dim, dtype=complex)  # D(psi, k) = sum_j k_j D(psi, e_j)
+    i1_psi = np.zeros(model.dim, dtype=complex)
+    velocities = model.apply_D(psi, ez[[j for j, _, _ in per_axis]])  # one transform of psi
+    for (j, cj, z1j), d_j in zip(per_axis, velocities):
+        d_k += k[j] * d_j
+        i1_psi += cj * phase_mul(d_j, z1j)
+    del velocities, d_j
     psi_k = phase_mul(psi, k)
     z1sq = np.array([knorm**2 + 2.0 * k[j] * f1 + f1**2 for j in range(3)])
     defect = (0.5 * float(np.sum(k)) * f1 + 0.5 / f1 * float(np.sum(k * z1sq))) * psi_k
     defect -= (float(np.sum(k)) / f1) * g_minus_e(psi_k)
-    d_k = np.zeros(model.dim, dtype=complex)  # D(psi, k) = sum_j k_j D(psi, e_j)
-    i1_psi = np.zeros(model.dim, dtype=complex)
     for j, cj, z1j in per_axis:
-        d_j = model.apply_D(psi, ez[j])
-        d_k += k[j] * d_j
-        i1_psi += cj * phase_mul(d_j, z1j)
         # kept's off-diagonal -(k_j/f1) D(shifted, k_perp_j) and I1 + err1 =
         # c_j D(shifted, e_j) act on one shifted state, both phased by z1j
         d = -(k[j] / f1) * k

@@ -807,3 +807,41 @@ def test_import_leaves_the_heap_alone():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == ["0", "2"]
+
+
+# ---------------------------------------------------------------------------
+# benchmark argv
+
+
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+@pytest.mark.parametrize("name", [workload["name"] for workload in _BENCHMARK["workloads"]])
+def test_benchmark_argv_fires_the_traced_layers(name, monkeypatch, capsys):
+    """Each benchmark workload's argv, read from perfbench/workloads.py as CI
+    reads it, exits 0, meets its oracle and runs AssembledModel.matvec,
+    lanczos_lowest and ladder_ops at least once: the benchmark's tracer
+    fails a run in which one of these spans stays silent."""
+    import nelsonlab.spectral as sp
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    calls = {"matvec": 0, "lanczos_lowest": 0, "ladder_ops": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sp.AssembledModel, "matvec", counted("matvec", sp.AssembledModel.matvec))
+    for attr in ("lanczos_lowest", "ladder_ops"):  # rebound wherever the package holds it
+        original = getattr(sp, attr)
+        for module in [m for key, m in sys.modules.items() if key.startswith("nelsonlab")]:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted(attr, original))
+    argv = WORKLOADS[name].argv(1)
+    assert main(argv) == 0
+    WORKLOADS[name].check(capsys.readouterr().out, argv, ROOT)
+    assert min(calls.values()) >= 1, calls

@@ -17,7 +17,7 @@ from nelsonlab.model import (
     ParameterError,
     make_params,
 )
-from nelsonlab.particle import PositionGrid, coulomb_potential
+from nelsonlab.particle import GridSector, PositionGrid, coulomb_potential
 from nelsonlab import spectral as sp
 from nelsonlab.quadrature import effective_mass_coefficient
 
@@ -347,6 +347,48 @@ def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeyp
         sp.assemble(params, grid, modes, basis, variant=variant)
 
 
+def test_symmetry_sample_refuses_a_one_way_coupling_at_the_effmass_configuration(monkeypatch):
+    """contract_adjoint scaled one way by 1 + 1e-6 at effmass-fiber's
+    configuration (M = 24, N_max = 4, dimension 20 475): Im <u, H u> is
+    4.8e-6 against 1e-10 ||u|| ||H u|| / sqrt(dim) = 7.2e-7 (1.6e-12
+    unmutated); against 1e-10 |<u, H u>| = 9.3e-5 it passed."""
+    contract_adjoint = sp.AssembledModel.contract_adjoint
+    monkeypatch.setattr(sp.AssembledModel, "contract_adjoint",
+                        lambda self, V, G: (1.0 + 1e-6) * contract_adjoint(self, V, G))
+    with pytest.raises(RuntimeError, match="failed the symmetry sample"):
+        _fiber(0.1, 4, 6, 4)
+
+
+def test_a_defect_off_the_sector_is_refused_before_the_first_whole_grid_product(monkeypatch):
+    """The anti-Hermitian defect 1e-6 i P_odd, P_odd the projector onto the
+    states odd in x, vanishes on the gross sector (even in x and y), so
+    ``assemble``, which samples the sector, returns the model; the first
+    whole-grid product builds the whole grid's tables, and their sample
+    refuses the defect before that product runs."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid, modes, _ = _grid_case("+z", "gross")
+    n, parts, whole = grid.n, sp.AssembledModel._parts, []
+
+    def defective(self, u, spec):
+        odd = None
+        if self._shape[1] == grid.point_count:  # a whole-grid product
+            whole.append(1)
+            cube = u.reshape(-1, n, n, n)
+            odd = 0.5 * (cube - _reflected(cube, [0]))
+        S, P = parts(self, u, spec)
+        if odd is not None:
+            P += 1e-6j * odd.reshape(P.shape)
+        return S, P
+
+    monkeypatch.setattr(sp.AssembledModel, "_parts", defective)
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    assert whole == []
+    v = sp._normal(5, (2, model.dim))
+    with pytest.raises(RuntimeError, match="failed the symmetry sample"):
+        model.matvec(v[0] + 1j * v[1])
+    assert whole == [1]  # the sample's product, not the one asked for
+
+
 def test_hermitian_all_variants(small_setup):
     params, grid, modes, basis = small_setup
     for var in ("gross", "v0"):
@@ -465,7 +507,9 @@ def test_dense_matches_independent_reference(variant, grid_name):
 def test_matvec_transforms_only_the_coupled_axes(variant, grid_name, monkeypatch):
     """One coupled matvec makes 2 + 2C FFTs, C the coupled axes; none on the
     fiber.  So does one product on plane-wave coefficients, and the
-    preconditioner there makes none."""
+    preconditioner there makes none.  Where the solved sector is not the
+    whole grid (+z, lattice), the first whole-grid product builds the whole
+    grid's tables and samples them first, one product more: 2 (2 + 2C)."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
     model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
@@ -482,7 +526,8 @@ def test_matvec_transforms_only_the_coupled_axes(variant, grid_name, monkeypatch
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     x = np.random.default_rng(3).standard_normal(model.dim)
     ffts = 0 if variant == "fiber" else 2 + 2 * coupled
-    for product, count in ((model.matvec, ffts), (model.plane_matvec, ffts),
+    sampled = 1 if model._sector() is model else 2
+    for product, count in ((model.matvec, sampled * ffts), (model.plane_matvec, ffts),
                            (lambda s: model.precondition(s, 0.1), 0)):
         calls.clear()
         product(x)
@@ -621,15 +666,18 @@ def test_gross_sector_product_is_the_full_product_on_even_inputs(grid_name):
     assert np.linalg.norm(back - s.reshape(D, -1)) <= 1e-14 * np.linalg.norm(s)
 
 
-@pytest.mark.parametrize("grid_name", ["+z", "lattice"])
-def test_gross_sector_solve_is_the_full_grid_solve(grid_name):
+@pytest.mark.parametrize("grid_name, n_max", [pytest.param("+z", 2, id="+z"),
+                                              pytest.param("lattice", 2, id="lattice"),
+                                              pytest.param("+z", 0, id="+z-vacuum")])
+def test_gross_sector_solve_is_the_full_grid_solve(grid_name, n_max):
     """The gross solve on the reflection-even sector against LOBPCG on the
     whole grid kept here as the reference: the energy to 1e-12 relative,
     the same product count and the same unit position vector to 1e-10, up
-    to the sign a Rayleigh-Ritz step may pick either way."""
+    to the sign a Rayleigh-Ritz step may pick either way.  At N_max = 0 the
+    lowered block the even transform meets is empty."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case(grid_name, "gross")
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, n_max), variant="gross")
     res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
     energy, vec, _, products = _full_grid_ground(model, 1e-10, 300)
     assert res.energy == pytest.approx(energy, rel=1e-12)
@@ -668,15 +716,14 @@ def test_the_grid_solves_run_on_their_sectors(small_setup, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["gross", "v0"])
 def test_lanczos_ground_transforms_no_whole_grid_state(variant, monkeypatch):
-    """The only whole-grid FFT of a sector solve is the seed row's, over n^3
-    points: no FFT spans the D n^3 points of a state, since the Ritz vector
-    returns through the sector's inverse transform and GridSector.unfold."""
+    """``assemble`` and a sector solve build no whole-grid table: assembly
+    samples the solved sector, so the one phase table is the sector's, and
+    the only whole-grid FFT is the seed row's, over n^3 points.  No FFT spans
+    the D n^3 points of a state, since the Ritz vector returns through the
+    sector's inverse transform and GridSector.unfold."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case("+z", variant)
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant=variant)
-    if variant == "gross":
-        model.atomic_reference()  # the seed's atomic solve, cached before counting
-    sizes = {"fftn": [], "ifftn": []}
+    sizes = {"fftn": [], "ifftn": [], "phases": []}
 
     def counted(name, transform):
         def wrapped(a, *args, **kwargs):
@@ -684,13 +731,18 @@ def test_lanczos_ground_transforms_no_whole_grid_state(variant, monkeypatch):
             return transform(a, *args, **kwargs)
         return wrapped
 
-    for name in sizes:
+    for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    phases = GridSector.phases
+    monkeypatch.setattr(GridSector, "phases",
+                        lambda cells, k: sizes["phases"].append(cells.size) or phases(cells, k))
+    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant=variant)
     res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
     assert res.vector.shape == (model.dim,)
-    assert sizes["fftn"][0] == grid.point_count  # the seed's vacuum row
+    assert sizes["fftn"].count(grid.point_count) == 1  # the seed's vacuum row
     assert len(sizes["ifftn"]) > 0
-    assert max(sizes["fftn"][1:] + sizes["ifftn"]) < model.dim
+    assert max(sizes["fftn"] + sizes["ifftn"]) < model.dim
+    assert sizes["phases"] == [model._sector()._shape[1]]
 
 
 @pytest.mark.parametrize("case, full, solved", [("solve-fine", 65_536, 18_496),
@@ -776,6 +828,27 @@ def test_apply_D_along_an_uncoupled_axis():
     assert np.linalg.norm(model.apply_D(v, [1.0, 0.0, 0.0]) - x_bare) <= 1e-13 * np.linalg.norm(x_bare)
     z_bare = bare(2)  # along z the field part is present
     assert np.linalg.norm(model.apply_D(v, [0.0, 0.0, 1.0]) - z_bare) > 1e-3 * np.linalg.norm(z_bare)
+
+
+@pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
+def test_apply_D_on_a_stack_is_each_direction(small_setup, variant, monkeypatch):
+    """A stack of directions, (L, 3), gives the (L, dim) velocities one call
+    per direction gives, from one forward and one inverse transform."""
+    params, grid, modes, basis = small_setup
+    model = sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
+                        variant=variant)
+    rng = np.random.default_rng(59)
+    v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    directions = np.array([[1.0, 0.0, 0.0], [0.3, -0.5, 0.8], [0.0, 0.0, 1.0]])
+    each = np.stack([model.apply_D(v, d) for d in directions])
+    calls = []
+    for name in ("fftn", "ifftn"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, t=transform, **k: calls.append(1) or t(*a, **k))
+    stacked = model.apply_D(v, directions)
+    assert len(calls) == (0 if variant == "fiber" else 2)
+    assert stacked.shape == (3, model.dim)
+    assert np.linalg.norm(stacked - each) <= 1e-15 * np.linalg.norm(each)
 
 
 @pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
@@ -1187,16 +1260,18 @@ def test_soft_decomposition_has_teeth(telescoping_model, monkeypatch):
 
 def test_soft_decomposition_applies_each_operator_once_per_vector(telescoping_model,
                                                                  monkeypatch):
-    """On the suite's telescoping model (n 16, L 8, probe dk (1, 1, 1)):
-    three velocities per axis, D(psi, e_j) and one on each shifted and each
-    lifted state, and one H - E per step."""
+    """On the suite's telescoping model (n 16, L 8, probe dk (1, 1, 1)): one
+    velocity call on the stack of the e_j for every D(psi, e_j), one on each
+    shifted and each lifted state, and one H - E per step, beside the one
+    product of the whole grid's symmetry sample, built on the first
+    whole-grid product (the solve ran on the sector)."""
     model, dk = telescoping_model
     m16 = sp.assemble(model.params, PositionGrid(n=16, L=8.0), model.modes, model.basis,
                       variant="v0")
     velocities = _counting(monkeypatch, "apply_D")
     products = _counting(monkeypatch, "matvec")
     sp.soft_decomposition_residual(m16, np.array([dk, dk, dk]))
-    assert (len(velocities), len(products)) == (9, 2)
+    assert (len(velocities), len(products)) == (1 + 3 + 3, 1 + 2)
 
 
 _APPLY_D = sp.AssembledModel.apply_D
