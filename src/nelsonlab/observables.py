@@ -76,10 +76,10 @@ def photon_number(state: np.ndarray, basis: FockBasis, modes: ModeGrid) -> Photo
 
 
 def _photons(weights: np.ndarray, basis: FockBasis, modes: ModeGrid) -> PhotonNumbers:
-    occ = basis.occupations.astype(float)
-    mask = modes.soft_mask
-    soft = float(weights @ (occ @ mask.astype(float)))
-    hard = float(weights @ (occ @ (~mask).astype(float)))
+    # the soft and hard photons of each state, summed exactly on the integer occupations
+    occ, mask = basis.occupations, modes.soft_mask
+    soft = float(weights @ (occ @ mask).astype(float))
+    hard = float(weights @ (occ @ ~mask).astype(float))
     return PhotonNumbers(total=soft + hard, soft=soft, hard=hard)
 
 
@@ -161,9 +161,14 @@ def ground_state_report(model, result) -> GroundStateReport:
     if model.grid is None:
         raise ParameterError("observable reports need a particle sector")
     mat = _as_matrix(result.vector, model.basis)  # normalized once for every observable
-    prob = (mat.conj() * mat).real
+    # |psi|^2 one Fock row at a time through one complex row, so no complex (D, X)
+    # temporary; conj(psi) psi, not re^2 + im^2: numpy's complex product fuses re^2
+    # into the sum, so re^2 + im^2 differs in the last bit and the printed moments with it
+    prob, row = np.empty(mat.shape), np.empty(mat.shape[1], dtype=complex)
+    for d in range(len(mat)):  # by index, so no view of prob outlives ``del``
+        prob[d] = np.multiply(np.conjugate(mat[d], out=row), mat[d], out=row).real
     weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
-    del prob  # a view of a complex (D, X) product, freed before the overlaps
+    del prob, row  # freed before the overlaps
     nums = _photons(weights, model.basis, model.modes)
     r = model.grid.radius.ravel()
     moments = {name: float(f(r) @ density) for name, f in _MOMENTS.items()}

@@ -117,11 +117,6 @@ class PositionGrid:
             )
         return np.round(m).astype(int)
 
-    def plane_wave(self, k) -> np.ndarray:
-        """e^{i k.x} on the mesh for a reciprocal-lattice vector k."""
-        self.lattice_units(k)
-        return _plane_wave((self.axis,) * 3, np.asarray(k, dtype=float))
-
 
 def _plane_wave(xs, k) -> np.ndarray:
     """e^{i k.x} on the mesh of the per-axis coordinates ``xs``."""

@@ -5,7 +5,8 @@ model, its translation-invariant V=0 relative, and the fixed-momentum
 fiber model), finds ground states by preconditioned LOBPCG, and checks two
 operator identities: the pull-through commutator by a Gaussian-probe upper
 bound on the norm of its defect, and the soft-mode decomposition by the
-exact norms of its remainders on the ground state.
+exact norms of its remainders on the ground state, formed on the V=0
+model's total-momentum blocks (``AssembledModel.block``).
 
 The eigensolver is single-vector LOBPCG (A. V. Knyazev, SIAM J. Sci.
 Comput. 23, 2001), named lanczos_lowest still because the benchmark tracer
@@ -26,8 +27,8 @@ same diagonal in conjugate gradients.
 
 The grid ground states are solved on a ``particle.GridSector`` of the
 axes no mode reaches (``AssembledModel._sector``, ``lanczos_ground``), the
-one the atom solves on and the one ``assemble`` samples; the whole grid's
-tables wait for a whole-grid product.  v0 commutes with the particle
+one the atom solves on, built and sampled on the first solve; the whole
+grid's tables wait for a whole-grid product.  v0 commutes with the particle
 momentum there (Lee, Low and Pines, Phys. Rev. 90, 297, 1953) and keeps
 q = 0: dimension D n^C.
 Gross commutes with x -> -x there and keeps the n/2 + 1 even indices,
@@ -84,6 +85,13 @@ product's, where a position-space solve made 4 + 2C with the
 preconditioner's pair.  ``apply_D`` keeps all three axes in its particle
 part d . p.  The fiber is the same kernel on one point, with phase 1 and
 p_l the diagonal -P_f,l (no FFT), so it is a real symmetric matrix.
+
+v0 and the fiber commute with the total momentum P = p + P_f, and
+``AssembledModel.block(P)`` is the same kernel again on one point per Fock
+state, p_l the diagonal P_l - P_f,l: on a grid with reciprocal-lattice
+modes the plane waves e^{i (P - P_f(n)) . x}, p wrapped into the grid's
+zone [-pi/h, pi/h) as the grid's symbols are, dimension D; the fiber is
+its own block at P = 0.
 """
 
 from __future__ import annotations
@@ -276,12 +284,14 @@ class AssembledModel:
     The constructor derives the Fock tables from its six inputs and checks
     none of them; ``assemble`` guards the inputs.  The particle tables are
     built, and sampled, on first use (``_particle_tables``), so a model that
-    only solves holds its sector's alone.  The coupling vectors g and the
+    only solves holds its sector's alone, and one that never solves and
+    runs no whole-grid product holds none.  The coupling vectors g and the
     phase table are kept so the identity checks can rebuild individual
     interaction pieces.  A state vector is Fock-major, viewed as (D, X) by
-    ``_to2``: D Fock states by X particle points (1 on the fiber); the
-    momentum symbols act in the representation reached by ``_fft`` (the
-    identity on the fiber, where p_l is the diagonal -P_f,l).  Arrays are
+    ``_to2``: D Fock states by X particle points (1 on the fiber and a
+    block); the momentum symbols act in the representation reached by
+    ``_fft`` (the identity on one point, where p_l is the diagonal
+    P_l - P_f,l).  Arrays are
     allocated in the type of the input and ``_dtype`` combined.
     """
 
@@ -297,7 +307,8 @@ class AssembledModel:
         self._coupling = self.g[:, self._axes]  # (M, C) couplings on the coupled axes
         self.lin_coef = params.e
         self.quad_coef = 0.5 * params.e**2
-        self._hf = (basis.occupations @ omega)[:, None]  # (D, 1) field energy
+        # (D, 1) field energy; einsum reads the int occupations, matmul would copy them to float
+        self._hf = np.einsum("dm,m->d", basis.occupations, omega)[:, None]
         # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into
         # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
         self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
@@ -315,26 +326,63 @@ class AssembledModel:
 
     def _particle_tables(self, whole: tuple[int, ...]) -> AssembledModel:
         """Self, with the tables of the grid sector that keeps the axes
-        ``whole`` whole, which also transforms (the fiber: its one point):
+        ``whole`` whole, which also transforms (the fiber: its one point,
+        ``_on_points``):
         the p_l and kinetic symbols, the phases e^{i k_j . x}, the (D, X)
         shape and the whole grid's potential cut (a second evaluation raised
         solve-fine's peak RSS by 0.4 MB), sampled before any product."""
-        cells = self._cells = (None if self.grid is None
-                               else GridSector(self.grid, whole, self.variant == "gross"))
-        if cells is None:
-            # one point, phase 1, p_l the diagonal -P_f,l (total momentum P = 0)
-            self._psym = -(self.basis.occupations @ self.modes.k).T[:, :, None]  # (3, D, 1) p_l
-            self._kin = 0.5 * np.sum(self._psym**2, axis=0)  # (D, 1) kinetic symbol
-            self._phase = None  # phase 1
-        else:
-            self._psym = cells.psym[:, None]  # (3, 1, X) p_l symbols
-            self._kin = cells.kin[None]  # (1, X) kinetic symbol
-            self._shape = (self.basis.dim, cells.size)  # (D, X)
-            self._phase = cells.phases(self.modes.k)  # (M, X) phases
-            if self._pot is not None:
-                self._pot = self._pot.reshape((self.grid.n,) * 3)[cells.cut].ravel()
+        if self.grid is None:  # the fiber is its own block at total momentum P = 0
+            return self._on_points(self._momenta(np.zeros(3)))
+        cells = self._cells = GridSector(self.grid, whole, self.variant == "gross")
+        self._psym = cells.psym[:, None]  # (3, 1, X) p_l symbols
+        self._kin = cells.kin[None]  # (1, X) kinetic symbol
+        self._shape = (self.basis.dim, cells.size)  # (D, X)
+        self._phase = cells.phases(self.modes.k)  # (M, X) phases
+        if self._pot is not None:
+            self._pot = self._pot.reshape((self.grid.n,) * 3)[cells.cut].ravel()
         _sample_symmetry(self)
         return self
+
+    def _on_points(self, momenta: np.ndarray) -> AssembledModel:
+        """Self on one point per Fock state, with p_l the diagonal ``momenta``,
+        (3, D): phase 1, no potential, no transform and real tables (so no
+        grid), sampled before any product."""
+        self.grid = self._cells = self._phase = None
+        self._shape = (self.basis.dim, 1)  # (D, X = 1)
+        self._psym = momenta[:, :, None]  # (3, D, 1) p_l
+        self._kin = 0.5 * np.sum(self._psym**2, axis=0)  # (D, 1) kinetic symbol
+        _sample_symmetry(self)
+        return self
+
+    def _momenta(self, P: np.ndarray) -> np.ndarray:
+        """p = P - P_f of every Fock state at total momentum P, (3, D).  On the
+        grid P and the modes are counted in reciprocal-lattice steps, and p
+        is the grid's own symbol ``PositionGrid.freqs``, wrapped into
+        [-pi/h, pi/h); on the fiber p is not wrapped."""
+        occupations = self.basis.occupations
+        if self.grid is None:
+            return P[:, None] - np.einsum("dm,ml->ld", occupations, self.modes.k)
+        grid = self.grid
+        try:
+            steps = np.array([grid.lattice_units(kj) for kj in self.modes.k])  # (M, 3)
+        except ParameterError as err:
+            raise ParameterError(
+                f"total-momentum blocks need reciprocal-lattice modes: {err}") from None
+        shift = grid.lattice_units(P)[:, None] - np.einsum("dm,ml->ld", occupations, steps)
+        return grid.freqs[shift % grid.n]
+
+    def block(self, P) -> AssembledModel:
+        """H on total momentum P = p + P_f, which v0 and the fiber conserve
+        (Lee, Low and Pines 1953): a copy sharing every Fock table, with one
+        point per Fock state n, the plane wave e^{i (P - P_f(n)) . x} on the
+        grid.  Its tables are the fiber's at p = P - P_f (``_momenta``): the
+        kinetic symbol |p|^2/2, phase 1, no potential and no transform, so
+        it runs in float64 and is sampled before its first product.  On the
+        grid P must lie on the reciprocal lattice, as must every mode."""
+        if self.variant == "gross":
+            raise ParameterError("the gross variant has no total-momentum blocks: "
+                                 "its potential does not commute with the total momentum")
+        return copy.copy(self)._on_points(self._momenta(np.asarray(P, dtype=float)))
 
     def _sector(self) -> AssembledModel:
         """The operator ``lanczos_ground`` solves, built and sampled on the
@@ -356,7 +404,8 @@ class AssembledModel:
     @property
     def _dtype(self) -> np.dtype:
         """The scalar type the tables need: complex128 once a phase table or
-        an FFT enters (the grid variants), float64 on the fiber."""
+        an FFT enters (the grid variants), float64 on one point (the fiber,
+        a block), where every table is real."""
         return np.dtype(float if self.grid is None else complex)
 
     def _type(self, v) -> np.dtype:
@@ -369,7 +418,7 @@ class AssembledModel:
 
     def _fft(self, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """``GridSector.forward``: F u over the particle axes, written into
-        ``out`` (u itself, or None for a new array).  On the fiber u itself."""
+        ``out`` (u itself, or None for a new array).  On one point u itself."""
         return u if self._cells is None else self._cells.forward(u, out)
 
     def _ifft(self, s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -456,10 +505,10 @@ class AssembledModel:
     def apply_D(self, v: np.ndarray, directions) -> np.ndarray:
         """Velocity along a real 3-vector d: d . (p + (linear coefficient)(A + A*)).
 
-        This is i[H, d . x] (on the fiber, d . dH/dP at P = 0), (dim,); on a
-        stack of d, (L, 3), it is (L, dim) from one transform of v.  Its field
-        part is the field operator at the scalar coupling g_j . d, one column
-        of the kernel, and d . p takes all three axes.
+        This is i[H, d . x] (on the fiber and a block, d . dH/dP at its P),
+        (dim,); on a stack of d, (L, 3), it is (L, dim) from one transform of
+        v.  Its field part is the field operator at the scalar coupling
+        g_j . d, one column of the kernel, and d . p takes all three axes.
         """
         d = np.asarray(directions, dtype=float)
         stack = d.reshape(-1, 3)
@@ -521,8 +570,8 @@ class AssembledModel:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v on a position vector, (D, X) flat: F^-1 S + P, 2 + 2C FFTs.
-        v is copied once, since P is built in the copy; on the fiber, where
-        F is the identity, v itself is F u."""
+        v is copied once, since P is built in the copy; on one point (the
+        fiber, a block), where F is the identity, v itself is F u."""
         u = np.array(v, dtype=self._type(v)).reshape(self._shape)
         S, P = self._parts(u, self._to2(v) if self._cells is None else None)
         P += self._ifft(S, S)
@@ -531,7 +580,7 @@ class AssembledModel:
     def plane_matvec(self, s: np.ndarray) -> np.ndarray:
         """H on plane-wave coefficients s = F u, (D, X) flat: S + F P, the
         same 2 + 2C FFTs as ``matvec``.  P is summed in the buffer of
-        F^-1 s, which one forward transform turns in place.  On the fiber,
+        F^-1 s, which one forward transform turns in place.  On one point,
         where F is the identity, it is ``matvec``."""
         if self._cells is None:
             return self.matvec(s)
@@ -595,12 +644,13 @@ def assemble(
 ) -> AssembledModel:
     """Build one Hamiltonian variant as a structured operator, in defining units.
 
-    The inputs are checked before any table is built.  Every operator the
-    model applies is sampled for symmetry before its first product: the one
-    ``lanczos_ground`` solves, ``AssembledModel._sector()``, here, and the
-    whole grid's when a whole-grid product first builds it.  On the grid
-    variants a mode component |k_l| above pi/h, which the phase sampled at
-    spacing h aliases, is warned about.
+    The inputs are checked and the Fock tables built; no particle table is.
+    Every operator the model applies is built, and sampled for symmetry, on
+    its first use: the one ``lanczos_ground`` solves,
+    ``AssembledModel._sector()``, on the first solve, the whole grid's on
+    the first whole-grid product, and a block on ``AssembledModel.block``.
+    On the grid variants a mode component |k_l| above pi/h, which the phase
+    sampled at spacing h aliases, is warned about.
     """
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -631,9 +681,7 @@ def assemble(
                           f"{k_grid:.4g} of the particle grid (ratio {k_max / k_grid:.4g}); "
                           "its phase aliases", stacklevel=2)
 
-    model = AssembledModel(variant, params, grid, modes, basis)
-    model._sector()  # the solved operator's tables, built and sampled
-    return model
+    return AssembledModel(variant, params, grid, modes, basis)
 
 
 def _sample_symmetry(model: AssembledModel) -> None:
@@ -660,8 +708,9 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
 
     The seed is the discrete atomic ground state tensored with the Fock
     vacuum (gross variant), the constant mode tensored with the vacuum
-    (v0), or the bare vacuum (fiber), in the model's scalar type, so the
-    fiber solve runs in float64 and the grid variants in complex128;
+    (v0), or the bare vacuum (the fiber, a block), in the model's scalar
+    type, so the fiber and block solves run in float64 and the grid
+    variants in complex128;
     seeding with the atomic state guarantees the returned energy is at most
     the discrete atomic energy, since the first Rayleigh quotient already
     equals it.  Ritz values never rise: each Rayleigh-Ritz step minimizes
@@ -672,14 +721,15 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     The solve runs on plane-wave coefficients s = F u of ``model._sector()``,
     the sector of the axes no mode reaches that H maps into itself and that
     holds the seed (v0's constant one at q = 0, gross's atomic one even), or
-    the model when every axis is coupled: the products are ``plane_matvec``
-    and ``precondition`` is a diagonal division, with no FFT.  The seed's
+    the model when every axis is coupled, built and sampled on the first
+    solve: the products are ``plane_matvec`` and ``precondition`` is a
+    diagonal division, with no FFT.  The seed's
     vacuum row is transformed on the whole grid and folded by W^T; the Ritz
     vector is mapped back by the sector's inverse transform and
     ``GridSector.unfold``, with no whole-grid transform, and scaled by
     sqrt(n^3).  F / sqrt(n^3) is unitary and W^T W = I, so the energy,
     residual and product count are a full-grid solve's and the vector is a
-    unit position vector, (D, n^3) flat (F is 1 on the fiber).  The seed is
+    unit position vector, (D, n^3) flat (F is 1 on one point).  The seed is
     built in the call, so the solver holds its only reference.
     """
     solved = model._sector()
@@ -696,9 +746,10 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
 def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
     """The seed in plane-wave coefficients of ``solved``, the model or its
     sector, (D, X) flat: F psi in the vacuum row, one transform of the
-    whole grid's points, folded onto the sector by ``GridSector.fold``."""
-    if model.variant == "fiber":
-        return vacuum_vector(model.basis)  # real, as the fiber operator is
+    whole grid's points, folded onto the sector by ``GridSector.fold``; on
+    one point per Fock state (the fiber, a block) the bare vacuum."""
+    if solved._cells is None:
+        return vacuum_vector(model.basis)  # real, as the operator on points is
     if model.variant == "gross":
         row = model.atomic_reference().psi[None].astype(complex)
     else:
@@ -772,15 +823,34 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
     which holds for the translation-invariant variant seeded at zero
     total momentum.
 
-    The terms are grouped by the vector they act on, and only the two
-    remainders are formed: D(v, d) is linear in d and H - E in v, so each
-    axis with k_j != 0 takes three velocities, D(psi, e_j) for I0 and I1
-    and one on each shifted and lifted state (the D(psi, e_j) from one
-    transform of psi), and each step one H - E.
+    It runs on the v0 model's total-momentum blocks (``AssembledModel.block``;
+    lattice modes, so every block is exact): psi is the ground state of the
+    P = 0 block, e^{i g . x} carries a vector of block P to block P + g, mod
+    the zone, with its Fock amplitudes unchanged, and the velocity and H - E
+    act in the block they are handed.  Step one's terms all lie in the block
+    of k, step two's for axis j in that of z1j = k + f1 e_j; the defects are
+    summed per block, and a norm over blocks is the root of the sum of
+    squares, since distinct blocks are orthogonal.  The terms are grouped by
+    the vector they act on, and only the two remainders are formed: D(v, d)
+    is linear in d and H - E in v, so each axis with k_j != 0 takes three
+    velocities, D(psi, e_j) for I0 and I1 (one call on their stack) and one
+    on each shifted and lifted state, and each block of a defect one H - E.
+    A gross model, whose potential breaks translation invariance, and
+    off-lattice modes are refused (ParameterError).
     """
-    if model.variant == "fiber":
+    if model.grid is None:
         raise ParameterError("the decomposition check needs a particle factor")
-    grid = model.grid
+    grid, blocks = model.grid, {}  # lattice steps of P, mod the zone -> its block
+
+    def at(g: np.ndarray) -> tuple:
+        """The block e^{i g . x} carries a vector of the P = 0 block to, P = g
+        in lattice steps mod the zone, its model built on first use."""
+        P = tuple(int(m) for m in grid.lattice_units(g) % grid.n)
+        if P not in blocks:
+            blocks[P] = model.block(grid.dk * np.array(P, dtype=float))
+        return P
+
+    origin = at(np.zeros(3))  # refuses a gross model and off-lattice modes
     k = np.asarray(k_lattice, dtype=float)
     grid.lattice_units(k)
     knorm = float(np.linalg.norm(k))
@@ -795,54 +865,42 @@ def soft_decomposition_residual(model: AssembledModel, k_lattice) -> dict:
             f"{f1:.6g}, more than 10%; refine the box"
         )
 
-    ground = lanczos_ground(model, tol=1e-12, maxit=400)
+    ground = lanczos_ground(blocks[origin], tol=1e-12, maxit=400)
     psi = ground.vector
 
-    def phase_mul(v: np.ndarray, gvec: np.ndarray) -> np.ndarray:
-        ph = grid.plane_wave(gvec)
-        return (model._to2(v) * ph.ravel()).ravel()
-
-    def g_minus_e(v: np.ndarray) -> np.ndarray:
-        return model.matvec(v) - ground.energy * v
+    def g_minus_e(block: AssembledModel, v: np.ndarray) -> np.ndarray:
+        return block.matvec(v) - ground.energy * v
 
     ez = np.eye(3)
     per_axis = [(j, -k[j] * (k[j] + f1) / f1, k + f1 * ez[j]) for j in range(3) if k[j] != 0.0]
+    axes = [j for j, _, _ in per_axis]
+    velocities = blocks[origin].apply_D(psi, ez[axes])  # D(psi, e_j), one call on the stack
 
-    # ---- step one: res1 = ||I0 - kept - I1 - err1|| -------------------------
-    d_k = np.zeros(model.dim, dtype=complex)  # D(psi, k) = sum_j k_j D(psi, e_j)
-    i1_psi = np.zeros(model.dim, dtype=complex)
-    velocities = model.apply_D(psi, ez[[j for j, _, _ in per_axis]])  # one transform of psi
-    for (j, cj, z1j), d_j in zip(per_axis, velocities):
-        d_k += k[j] * d_j
-        i1_psi += cj * phase_mul(d_j, z1j)
-    del velocities, d_j
-    psi_k = phase_mul(psi, k)
+    # ---- step one: res1 = ||I0 - kept - I1 - err1||, all in the block of k ----
     z1sq = np.array([knorm**2 + 2.0 * k[j] * f1 + f1**2 for j in range(3)])
-    defect = (0.5 * float(np.sum(k)) * f1 + 0.5 / f1 * float(np.sum(k * z1sq))) * psi_k
-    defect -= (float(np.sum(k)) / f1) * g_minus_e(psi_k)
+    defect = (0.5 * float(np.sum(k)) * f1 + 0.5 / f1 * float(np.sum(k * z1sq))) * psi
+    defect -= (float(np.sum(k)) / f1) * g_minus_e(blocks[at(k)], psi)
     for j, cj, z1j in per_axis:
         # kept's off-diagonal -(k_j/f1) D(shifted, k_perp_j) and I1 + err1 =
         # c_j D(shifted, e_j) act on one shifted state, both phased by z1j
         d = -(k[j] / f1) * k
         d[j] = cj
-        shifted = phase_mul(psi, -f1 * ez[j])  # the inner phase reduction
-        defect -= phase_mul(model.apply_D(shifted, d), z1j)
-    defect -= phase_mul(d_k, k)
+        defect -= blocks[at(-f1 * ez[j])].apply_D(psi, d)  # the inner phase reduction
+    defect -= k[axes] @ velocities  # D(psi, k), phased by k
     res1 = float(np.linalg.norm(defect))
 
-    # ---- step two: res2 = ||I1 - kept2 - I2|| -------------------------------
-    defect = i1_psi
-    phased = np.zeros(model.dim, dtype=complex)  # H - E acts once, on the sum
-    for j, cj, z1j in per_axis:
-        psi_z = phase_mul(psi, z1j)
-        phased += (cj / f1) * psi_z
-        defect += 0.5 * cj * f1 * psi_z
-        lifted = phase_mul(psi, f1 * ez[j])  # the second-step phase reduction
-        defect += 0.5 * (cj / f1) * knorm**2 * phase_mul(lifted, k)
-        # kept2's off-diagonal velocity and I2 act on lifted along k
-        defect += (cj / f1) * phase_mul(model.apply_D(lifted, k), k)
-    defect -= g_minus_e(phased)
-    res2 = float(np.linalg.norm(defect))
+    # ---- step two: res2 = ||I1 - kept2 - I2||, axis j in the block of z1j ----
+    defects, phased = {}, {}  # per block; H - E acts once on each block's sum
+    for (j, cj, z1j), d_j in zip(per_axis, velocities):
+        # I1's c_j D(psi, e_j) and the phased psi, and kept2's off-diagonal velocity
+        # and I2, which act on the lifted state (the second-step phase reduction) along k
+        lifted = blocks[at(f1 * ez[j])].apply_D(psi, k)
+        term = cj * d_j + (0.5 * cj * f1 + 0.5 * (cj / f1) * knorm**2) * psi + (cj / f1) * lifted
+        P = at(z1j)
+        defects[P] = defects.get(P, 0.0) + term
+        phased[P] = phased.get(P, 0.0) + (cj / f1) * psi
+    res2 = math.sqrt(sum(float(np.linalg.norm(defects[P] - g_minus_e(blocks[P], v)))**2
+                         for P, v in phased.items()))
 
     return {"res1": res1, "res2": res2}
 

@@ -43,11 +43,12 @@ member.  The exponential ceiling holds for every admissible R, and at
 beta = 1/(sqrt 2 lambda) every R in the scan is admissible (the margin is
 3/8 - 2/R), so it too reports the tightest member.  The
 operator-identity checks run on dedicated small models — the pull-through
-defect on a coarse coupled model, the telescoping remainders on a
-translation-invariant model with reciprocal-lattice modes so plane-wave
-shifts are exact.  Checks outside their stated window (C_UV(e) >= 1, zero
-charge for the spatial ceilings, alpha Z >= 1 for the soft-photon ceiling)
-report skipped with the violated window named, never an error.
+defect on a coarse coupled model, the telescoping remainders on the
+total-momentum blocks of a translation-invariant model with
+reciprocal-lattice modes, so plane-wave shifts are exact.  Checks outside
+their stated window (C_UV(e) >= 1, zero charge for the spatial ceilings,
+alpha Z >= 1 for the soft-photon ceiling) report skipped with the violated
+window named, never an error.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ def test_grid_geometry():
 def test_spectral_laplacian_exact_on_plane_waves():
     g = PositionGrid(n=8, L=3.0)
     k = g.dk * np.array([2.0, -1.0, 3.0])
-    pw = g.plane_wave(k)
+    pw = GridSector(g, (0, 1, 2), False).phases(k[None])[0].reshape((g.n,) * 3)
     out = np.fft.ifftn(0.5 * g.laplacian_symbol * np.fft.fftn(pw))
     expect = 0.5 * float(k @ k) * pw
     assert np.max(np.abs(out - expect)) < 1e-12 * float(k @ k)
@@ -126,8 +126,16 @@ def test_lattice_units_roundtrip_and_rejection():
     assert list(units) == [1, 0, -2]
     with pytest.raises(ParameterError):
         g.lattice_units(np.array([0.1, 0.0, 0.0]))
+    # on the lattice, e^{i k.x} is one plane wave of the grid, at FFT index
+    # units mod n; off it, the phase jumps at x = -L and spreads over many
+    off = np.array([0.1, 0.2, 0.0])
     with pytest.raises(ParameterError):
-        g.plane_wave(np.array([0.1, 0.2, 0.0]))
+        g.lattice_units(off)
+    phases = GridSector(g, (0, 1, 2), False).phases(np.stack([g.dk * units, off]))
+    on_spec, off_spec = np.abs(np.fft.fftn(phases.reshape(2, 8, 8, 8), axes=(1, 2, 3)))
+    assert np.count_nonzero(on_spec > 1e-9 * on_spec.max()) == 1
+    assert on_spec[tuple(units % g.n)] == pytest.approx(g.point_count)
+    assert np.count_nonzero(off_spec > 1e-3 * off_spec.max()) > 8
 
 
 # ---------------------------------------------------------------------------

@@ -309,21 +309,25 @@ def test_assemble_warns_when_the_grid_aliases_a_mode(small_setup):
 @pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
 def test_assemble_samples_the_symmetry_of_every_variant(small_setup, variant, monkeypatch):
     """An operator that is not Hermitian is refused on all three variants,
-    the real fiber included."""
+    the real fiber included: the assembled model holds no particle table
+    yet, and its first solve builds and samples the operator it runs on
+    before its first product."""
     params, grid, modes, basis = small_setup
     matvec = sp.AssembledModel.matvec
     monkeypatch.setattr(sp.AssembledModel, "matvec",
                         lambda self, v: matvec(self, v) + 1e-6 * np.roll(v, 1))
+    model = sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
+                        variant=variant)
     with pytest.raises(RuntimeError, match="failed the symmetry sample"):
-        sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
-                    variant=variant)
+        sp.lanczos_ground(model, tol=1e-10, maxit=300)
 
 
 @pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
 def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeypatch):
     """Every variant samples its symmetry with one product on one complex
     probe a (x) b (b one number on the fiber), which still sees a one-way
-    coupling into a single Fock row."""
+    coupling into a single Fock row.  ``assemble`` runs no product; the
+    solved operator's first use runs one, the sample."""
     params, grid, modes, basis = small_setup
     grid = None if variant == "fiber" else grid
     matvec, calls = sp.AssembledModel.matvec, []
@@ -333,9 +337,11 @@ def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeyp
         return matvec(self, v)
 
     monkeypatch.setattr(sp.AssembledModel, "matvec", counted)
-    sp.assemble(params, grid, modes, basis, variant=variant)
-    sp.assemble(params, None, modes, basis, variant="fiber")
-    assert len(calls) == 2
+    model = sp.assemble(params, grid, modes, basis, variant=variant)
+    assert calls == []
+    model._sector()
+    model._sector()
+    assert len(calls) == 1
 
     def defective(self, v):
         out = matvec(self, v).reshape(self._shape)
@@ -343,26 +349,29 @@ def test_assemble_refuses_a_defect_on_one_fock_row(small_setup, variant, monkeyp
         return out.ravel()
 
     monkeypatch.setattr(sp.AssembledModel, "matvec", defective)
+    model = sp.assemble(params, grid, modes, basis, variant=variant)
     with pytest.raises(RuntimeError, match="failed the symmetry sample"):
-        sp.assemble(params, grid, modes, basis, variant=variant)
+        sp.lanczos_ground(model, tol=1e-10, maxit=300)
 
 
 def test_symmetry_sample_refuses_a_one_way_coupling_at_the_effmass_configuration(monkeypatch):
     """contract_adjoint scaled one way by 1 + 1e-6 at effmass-fiber's
     configuration (M = 24, N_max = 4, dimension 20 475): Im <u, H u> is
     4.8e-6 against 1e-10 ||u|| ||H u|| / sqrt(dim) = 7.2e-7 (1.6e-12
-    unmutated); against 1e-10 |<u, H u>| = 9.3e-5 it passed."""
+    unmutated); against 1e-10 |<u, H u>| = 9.3e-5 it passed.  The sample
+    runs on the first solve."""
     contract_adjoint = sp.AssembledModel.contract_adjoint
     monkeypatch.setattr(sp.AssembledModel, "contract_adjoint",
                         lambda self, V, G: (1.0 + 1e-6) * contract_adjoint(self, V, G))
+    model = _fiber(0.1, 4, 6, 4)
     with pytest.raises(RuntimeError, match="failed the symmetry sample"):
-        _fiber(0.1, 4, 6, 4)
+        sp.lanczos_ground(model, tol=1e-12, maxit=600)
 
 
 def test_a_defect_off_the_sector_is_refused_before_the_first_whole_grid_product(monkeypatch):
     """The anti-Hermitian defect 1e-6 i P_odd, P_odd the projector onto the
-    states odd in x, vanishes on the gross sector (even in x and y), so
-    ``assemble``, which samples the sector, returns the model; the first
+    states odd in x, vanishes on the gross sector (even in x and y), so the
+    sector's sample, which the first solve runs, passes; the first
     whole-grid product builds the whole grid's tables, and their sample
     refuses the defect before that product runs."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
@@ -382,6 +391,7 @@ def test_a_defect_off_the_sector_is_refused_before_the_first_whole_grid_product(
 
     monkeypatch.setattr(sp.AssembledModel, "_parts", defective)
     model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    model._sector()  # built and sampled, as on the first solve
     assert whole == []
     v = sp._normal(5, (2, model.dim))
     with pytest.raises(RuntimeError, match="failed the symmetry sample"):
@@ -1195,6 +1205,108 @@ def test_pull_through_guards(small_setup, pull_model):
 
 
 # ---------------------------------------------------------------------------
+# total-momentum blocks
+# ---------------------------------------------------------------------------
+
+
+def _lift(model, P, phi):
+    """phi(n) e^{i (P - P_f(n)) . x} / sqrt(X) on the whole grid of ``model``,
+    (D, X) flat: the grid vector of a block vector phi at total momentum P,
+    its momenta unwrapped."""
+    momenta = P - model.basis.occupations @ model.modes.k  # (D, 3)
+    phases = GridSector(model.grid, (0, 1, 2), False).phases(momenta)
+    return (phi[:, None] * phases).ravel() / math.sqrt(model.grid.point_count)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_block_products_are_the_grid_products_of_their_lift(n):
+    """On the lattice model the grid v0 product and velocity of a lifted
+    block vector are the lift of the block's, at P on and across the zone
+    edge (the zone [-pi/h, pi/h) wraps P - P_f on the last three P at n 8 and
+    the last two at n 16), and the block runs in float64."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid = PositionGrid(n=n, L=8.0)
+    model = sp.assemble(params, grid, _lattice_modes(grid), FockBasis(2, 3), variant="v0")
+    rng = np.random.default_rng(41)
+    directions = np.array([[1.0, 0.0, 0.0], [0.3, -0.5, 0.8]])
+    h, wrapped = n // 2, []
+    for steps in [(0, 0, 0), (1, 1, 1), (-3, 4, -4), (h - 1, h, -h), (5, -h + 1, h + 2)]:
+        P = grid.dk * np.array(steps, dtype=float)
+        block = model.block(P)
+        unwrapped = P - model.basis.occupations @ model.modes.k
+        wrapped.append(bool(np.any(np.abs(block._psym[:, :, 0].T - unwrapped) > 1e-12)))
+        phi = rng.standard_normal(block.dim)
+        lift = _lift(model, P, phi)
+        assert block.dim == model.basis.dim
+        pairs = [(model.matvec(lift), block.matvec(phi))]
+        pairs += zip(model.apply_D(lift, directions), block.apply_D(phi, directions))
+        for grid_product, block_product in pairs:
+            assert block_product.dtype == np.float64
+            err = np.linalg.norm(grid_product - _lift(model, P, block_product))
+            assert err <= 1e-13 * max(1.0, np.linalg.norm(grid_product))
+    assert wrapped == [False, False, n == 8, True, True]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_zero_momentum_block_holds_the_v0_ground_energy(n):
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    grid = PositionGrid(n=n, L=8.0)
+    model = sp.assemble(params, grid, _lattice_modes(grid), FockBasis(2, 2), variant="v0")
+    block = sp.lanczos_ground(model.block(np.zeros(3)), tol=1e-12, maxit=400)
+    grid_solve = sp.lanczos_ground(model, tol=1e-12, maxit=400)
+    assert block.vector.shape == (model.basis.dim,)
+    assert abs(block.energy - grid_solve.energy) <= 1e-12
+
+
+def test_blocks_refuse_gross_and_off_lattice_models(small_setup, telescoping_model):
+    params, grid, modes, basis = small_setup
+    model, dk = telescoping_model
+    gross = sp.assemble(params, model.grid, model.modes, model.basis, variant="gross")
+    spiral = sp.assemble(params, grid, modes, basis, variant="v0")  # off-lattice modes
+    probe = np.array([dk, dk, dk])
+    for refused, reason in ((gross, "gross variant"), (spiral, "reciprocal-lattice modes")):
+        with pytest.raises(ParameterError, match=reason):
+            refused.block(np.zeros(3))
+        with pytest.raises(ParameterError, match=reason):
+            sp.soft_decomposition_residual(refused, probe)
+    with pytest.raises(ParameterError, match="not on the reciprocal lattice"):
+        model.block(np.array([0.5 * dk, 0.0, 0.0]))
+
+
+def test_the_fiber_is_its_zero_momentum_block():
+    fiber = _fiber(0.3, 1, 6, 2)
+    x = np.random.default_rng(43).standard_normal(fiber.dim)
+    block = fiber.block(np.zeros(3))
+    assert np.array_equal(block.matvec(x), fiber.matvec(x))
+    assert np.array_equal(block.apply_D(x, np.eye(3)), fiber.apply_D(x, np.eye(3)))
+
+
+def test_fiber_blocks_give_the_inertia_by_finite_differences():
+    """1/m_eff is the curvature of the fiber's ground energy in P: the mean
+    over axes of [E(h e_l) + E(-h e_l) - 2 E(0)] / h^2 from the blocks at
+    P = +-h e_l, with no velocity and no CG, matches 1/effective_mass_numeric
+    with an error that falls as h^2: 1.5e-3, 3.7e-4 and 9.4e-5 of the
+    inertia 1 - m/m_eff = 7.8e-4 at h = 0.08, 0.04 and 0.02 (D 28, e 0.3).
+    A field factor of the velocity off by 1% moves the inertia by 2%."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    modes = build_modes(0.3, 2.0, 1, 6)
+    fiber = sp.assemble(params, None, modes, FockBasis(modes.count, 2), variant="fiber")
+    inverse = 1.0 / sp.effective_mass_numeric(params, modes, fiber.basis)
+
+    def energy(P):
+        return sp.lanczos_ground(fiber.block(P), tol=1e-12, maxit=600).energy
+
+    e0 = energy(np.zeros(3))
+    errors = []
+    for h in (0.08, 0.04, 0.02):
+        curvature = np.mean([energy(h * d) + energy(-h * d) - 2.0 * e0 for d in np.eye(3)]) / h**2
+        errors.append(abs(curvature - inverse) / (1.0 - inverse))
+    assert errors[-1] < 2e-4
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
 # soft-mode decomposition identity
 # ---------------------------------------------------------------------------
 
@@ -1260,18 +1372,39 @@ def test_soft_decomposition_has_teeth(telescoping_model, monkeypatch):
 
 def test_soft_decomposition_applies_each_operator_once_per_vector(telescoping_model,
                                                                  monkeypatch):
-    """On the suite's telescoping model (n 16, L 8, probe dk (1, 1, 1)): one
-    velocity call on the stack of the e_j for every D(psi, e_j), one on each
-    shifted and each lifted state, and one H - E per step, beside the one
-    product of the whole grid's symmetry sample, built on the first
-    whole-grid product (the solve ran on the sector)."""
+    """On the suite's telescoping model (n 16, L 8, probe dk (1, 1, 1)), block
+    by block: one velocity call on the stack of the e_j for every D(psi, e_j)
+    in the P = 0 block, one on each shifted and each lifted state in its
+    block, and one H - E on each block a defect lies in, k's for step one and
+    the three z1j's for step two.  Each of the 11 blocks (0, k, -f1 e_j,
+    f1 e_j, z1j) is built once and sampled with one product, and the P = 0
+    block's solve makes its own; the grid model runs no product at all."""
     model, dk = telescoping_model
     m16 = sp.assemble(model.params, PositionGrid(n=16, L=8.0), model.modes, model.basis,
                       variant="v0")
+    block, blocks = sp.AssembledModel.block, []
+
+    def counted_block(self, P):
+        blocks.append(tuple(np.round(np.asarray(P) / dk).astype(int)))
+        return block(self, P)
+
+    monkeypatch.setattr(sp.AssembledModel, "block", counted_block)
     velocities = _counting(monkeypatch, "apply_D")
     products = _counting(monkeypatch, "matvec")
+    solve, solves = sp.lanczos_ground, []
+
+    def counted_solve(m, **kwargs):
+        solves.append(solve(m, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sp, "lanczos_ground", counted_solve)
     sp.soft_decomposition_residual(m16, np.array([dk, dk, dk]))
-    assert (len(velocities), len(products)) == (1 + 3 + 3, 1 + 2)
+    f1 = 2  # |k|^(3/4) = 0.749 rounds to 2 dk
+    shifts = [f * e for f in (-f1, f1) for e in np.eye(3, dtype=int)]
+    expect = [(0, 0, 0), (1, 1, 1)] + shifts + [(1, 1, 1) + f1 * e for e in np.eye(3, dtype=int)]
+    assert sorted(blocks) == sorted(tuple(int(m) % 16 for m in P) for P in expect)
+    assert len(solves) == 1 and "_cells" not in m16.__dict__
+    assert (len(velocities), len(products)) == (1 + 3 + 3, 11 + solves[0].iterations + 1 + 3)
 
 
 _APPLY_D = sp.AssembledModel.apply_D
