@@ -469,22 +469,12 @@ def cmd_effmass(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_binding(cfg: RunConfig) -> tuple[str, int]:
     params = cfg.params()
-    e, Z = params.e, params.Z
-    aZ = params.alphaZ
+    e, Z, aZ = params.e, params.Z, params.alphaZ
     rows: list[dict] = []
     _row(rows, "shift.ratio_one", lambda: qd.binding_second_order(e, Z))
-    _row(
-        rows,
-        "shift.reference",
-        lambda: cf.atomic_level(e, Z) * e * e / (6.0 * math.pi**2),
-    )
-    _row(
-        rows,
-        "shift.resolvent",
-        lambda: qd.binding_second_order(
-            e, Z, resolvent=lambda s: radial_resolvent_l1(aZ, s)
-        ),
-    )
+    _row(rows, "shift.reference", lambda: cf.atomic_level(e, Z) * e * e / (6.0 * math.pi**2))
+    _row(rows, "shift.resolvent",
+         lambda: qd.binding_second_order(e, Z, resolvent=lambda s: radial_resolvent_l1(aZ, s)))
     _row(rows, "shift.envelope", lambda: qd.binding_envelope(e, Z))
     return _emit(cfg, {"rows": rows}, _NAMED, rows), 0
 

@@ -25,8 +25,9 @@ from .model import ParameterError
 from .particle import AtomicState, PositionGrid
 
 
-def _as_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Reshape a flat coupled vector to (D, n_points) and unit-normalize."""
+def _as_matrix(state: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, float]:
+    """A flat coupled vector as a (D, n_points) view and its nonzero l2 norm;
+    ``np.divide(*_as_matrix(...))`` is the unit-normalized copy."""
     v = np.asarray(state).ravel()
     if v.size == 0 or v.size % basis.dim != 0:
         raise ParameterError(
@@ -35,18 +36,18 @@ def _as_matrix(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ParameterError("cannot form observables of the zero vector")
-    return (v / nrm).reshape(basis.dim, -1)
+    return v.reshape(basis.dim, -1), nrm
 
 
 def sector_weights(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Probability carried by each Fock sector, summed over the particle grid."""
-    mat = _as_matrix(state, basis)
+    mat = np.divide(*_as_matrix(state, basis))
     return np.sum((mat.conj() * mat).real, axis=1)
 
 
 def position_density(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Probability at each particle point, summed over the Fock sectors."""
-    mat = _as_matrix(state, basis)
+    mat = np.divide(*_as_matrix(state, basis))
     return np.sum((mat.conj() * mat).real, axis=0)
 
 
@@ -110,16 +111,15 @@ def overlap_with_decoupled(
     formed as ||row - <psi_at, row> psi_at||^2 on the vacuum row, so a small
     weight keeps its digits instead of being the difference of two near 1.
     """
-    return _overlaps(_as_matrix(state, basis), atomic)
+    return _overlaps(np.divide(*_as_matrix(state, basis))[0], atomic)
 
 
-def _overlaps(mat: np.ndarray, atomic: AtomicState) -> tuple[float, float]:
+def _overlaps(row: np.ndarray, atomic: AtomicState) -> tuple[float, float]:
     npts = atomic.psi.size
-    if mat.shape[1] != npts:
+    if row.size != npts:
         raise ParameterError(
-            f"state has {mat.shape[1]} grid points but the atomic state has {npts}"
+            f"state has {row.size} grid points but the atomic state has {npts}"
         )
-    row = mat[0]  # the vacuum row
     amp = np.vdot(atomic.psi, row)
     rest = row - amp * atomic.psi
     return float(abs(amp) ** 2), float(np.vdot(rest, rest).real)
@@ -160,19 +160,21 @@ def ground_state_report(model, result) -> GroundStateReport:
     """
     if model.grid is None:
         raise ParameterError("observable reports need a particle sector")
-    mat = _as_matrix(result.vector, model.basis)  # normalized once for every observable
-    # |psi|^2 one Fock row at a time through one complex row, so no complex (D, X)
-    # temporary; conj(psi) psi, not re^2 + im^2: numpy's complex product fuses re^2
+    mat, nrm = _as_matrix(result.vector, model.basis)  # one norm for every observable
+    # |psi|^2 one Fock row at a time, normalized into ``row`` (the bits of v / nrm), so no
+    # (D, X) temporary; conj(psi) psi, not re^2 + im^2: numpy's complex product fuses re^2
     # into the sum, so re^2 + im^2 differs in the last bit and the printed moments with it
-    prob, row = np.empty(mat.shape), np.empty(mat.shape[1], dtype=complex)
+    prob, row = np.empty(mat.shape), np.empty(mat.shape[1], dtype=mat.dtype)
+    square = np.empty(mat.shape[1], dtype=complex)
     for d in range(len(mat)):  # by index, so no view of prob outlives ``del``
-        prob[d] = np.multiply(np.conjugate(mat[d], out=row), mat[d], out=row).real
+        np.divide(mat[d], nrm, out=row)
+        prob[d] = np.multiply(np.conjugate(row, out=square), row, out=square).real
     weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
-    del prob, row  # freed before the overlaps
+    del prob, square  # freed before the overlaps
     nums = _photons(weights, model.basis, model.modes)
     r = model.grid.radius.ravel()
     moments = {name: float(f(r) @ density) for name, f in _MOMENTS.items()}
-    overlap_p, overlap_q = _overlaps(mat, model.atomic_reference())
+    overlap_p, overlap_q = _overlaps(np.divide(mat[0], nrm, out=row), model.atomic_reference())
     return GroundStateReport(
         energy=float(result.energy),
         n_f_total=nums.total,

@@ -3,7 +3,8 @@
 Provides the 3D spectral discretization of 1/2 p^2 - alphaZ/|x|, the grid
 sectors the atom and the coupled solves run on (``GridSector``), the atom's
 ground state as a unit l2 vector over the grid points, and the l=1 radial
-resolvent matrix element that feeds the second-order binding expansion.
+resolvent matrix element that feeds the second-order binding expansion, by
+one tridiagonal sweep over all the shifts it is asked for.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ class PositionGrid:
         return np.sqrt(
             x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
         )
-
-    @cached_property
-    def laplacian_symbol(self) -> np.ndarray:
-        """|k|^2 on the momentum mesh; 1/2 * this is the kinetic symbol."""
-        q = self.freqs
-        return q[:, None, None] ** 2 + q[None, :, None] ** 2 + q[None, None, :] ** 2
 
     @cached_property
     def even_unfold(self) -> np.ndarray:
@@ -319,10 +314,10 @@ _RADIAL_POINTS = 4000
 
 
 @cache
-def _radial_pieces() -> tuple[float, np.ndarray, np.ndarray]:
+def _radial_pieces() -> tuple[float, float, np.ndarray, np.ndarray]:
     """Static parts of the unit-coupling l=1 radial problem: the step dr,
-    the banded matrix ``ab`` at sigma = 0 in solve_banded's (1, 1) layout,
-    and the right-hand side.
+    the off-diagonal and the diagonal at sigma = 0 of its symmetric
+    tridiagonal matrix, and the right-hand side.
 
     The reduced equation for u(r) = r * (resolvent applied to the radial
     profile) reads
@@ -333,33 +328,40 @@ def _radial_pieces() -> tuple[float, np.ndarray, np.ndarray]:
     """
     dr = _RADIAL_R_MAX / (_RADIAL_POINTS + 1)
     r = dr * np.arange(1, _RADIAL_POINTS + 1)
-    ab = np.empty((3, _RADIAL_POINTS))
-    ab[0] = ab[2] = -0.5 / dr**2
-    ab[1] = 1.0 / dr**2 + 1.0 / r**2 - 1.0 / r + 0.5
-    return dr, ab, r * np.exp(-r) / math.sqrt(math.pi)
+    diag = 1.0 / dr**2 + 1.0 / r**2 - 1.0 / r + 0.5
+    return dr, -0.5 / dr**2, diag, r * np.exp(-r) / math.sqrt(math.pi)
 
 
-def radial_resolvent_l1(alphaZ: float, omega_shift: float) -> float:
-    """<p psi_at, (H_at - E_at + shift)^{-1} p psi_at> via the l=1 channel.
+def radial_resolvent_l1(alphaZ: float, omega_shift):
+    """<p psi_at, (H_at - E_at + shift)^{-1} p psi_at> via the l=1 channel,
+    at one shift (a float) or at an array of shifts (an array).
 
     Scaling removes alphaZ: the value equals the unit-coupling matrix
     element evaluated at shift/(alphaZ)^2. Bounded by (alphaZ)^2/shift
     (resolvent norm against |p psi_at|^2 = (alphaZ)^2) and monotone
     decreasing in the shift.
+
+    One forward Thomas sweep serves every shift.  A is strictly diagonally
+    dominant, diag - 2|off| = (1/r - 1/2)^2 + 1/4 + sigma > 0 (no pivoting),
+    and symmetric, A = L D L^T: rhs . A^-1 rhs = sum y_i^2 / D_i, L y = rhs.
     """
-    if not (omega_shift > 0.0):
+    shifts = np.asarray(omega_shift, dtype=float)
+    if not np.all(shifts > 0.0):
         raise ParameterError(f"omega_shift must be > 0, got {omega_shift}")
     if alphaZ < 0.0:
         raise ParameterError(f"alphaZ must be >= 0, got {alphaZ}")
-    if alphaZ == 0.0:
-        return 0.0
 
-    from scipy.linalg import solve_banded  # imported here: scipy.linalg is slow to load
-
-    dr, ab, rhs = _radial_pieces()
-    ab = ab.copy()  # the cached matrix stays at sigma = 0
-    ab[1] += omega_shift / alphaZ**2
-    u = solve_banded((1, 1), ab, rhs)
-    if not np.all(np.isfinite(u)):
+    dr, off, diag, rhs = _radial_pieces()
+    # sigma = inf, at alphaZ = 0 or past the float range, gives the element 0
+    with np.errstate(over="ignore", divide="ignore"):
+        sigma = shifts / alphaZ**2
+    pivot, y = diag[0] + sigma, rhs[0]
+    total = y * y / pivot
+    for d, b in zip(diag[1:].tolist(), rhs[1:].tolist()):
+        y = b - (off / pivot) * y
+        pivot = (d + sigma) - (off * off) / pivot
+        total = total + y * y / pivot
+    if not np.all(np.isfinite(total)):
         raise RuntimeError("radial linear solve produced non-finite values")
-    return 4.0 * math.pi * float(rhs @ u) * dr
+    value = 4.0 * math.pi * dr * total
+    return float(value) if shifts.ndim == 0 else value

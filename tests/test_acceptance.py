@@ -83,8 +83,8 @@ def test_c03_quadrature_oracles():
     whole_shell = make_params(0.3, 1.0, kappa=0.0, lam=math.inf)
     for c in (0.25, 1.0, 3.7, 12.0):
         # rho^(2 tau) = c: the omega^(-1/2) norms square-sum to 1/(2 pi^2 c)
-        norms = qd.f_tau_norms(whole_shell, ScaleFrame(0.5, c))
-        got = norms.f_ir_over_sqrt_omega ** 2 + norms.f_uv_over_sqrt_omega ** 2
+        got = sum(qd.f_tau_norm(whole_shell, ScaleFrame(0.5, c), name) ** 2
+                  for name in ("f_ir_over_sqrt_omega", "f_uv_over_sqrt_omega"))
         exact = 1.0 / (2.0 * math.pi ** 2 * c)
         assert abs(got - exact) <= 1e-9 * exact
 
@@ -93,11 +93,11 @@ def test_c03_quadrature_oracles():
 
     for kappa, lam in ((0.1, 10.0), (0.0, math.inf)):
         params = make_params(0.3, 1.0, kappa=kappa, lam=lam)
-        norms = qd.f_tau_norms(params, base_frame())
-        assert norms.f_ir_l2 < ir_l2_ceiling()
-        assert norms.f_ir_over_sqrt_omega < ir_inv_sqrt_ceiling()
-        assert norms.f_uv_over_sqrt_omega < uv_inv_sqrt_ceiling(base_frame())
-        assert norms.f_uv_over_quarter_omega < uv_inv_quarter_ceiling(base_frame())
+        for name, ceiling in (("f_ir_l2", ir_l2_ceiling()),
+                              ("f_ir_over_sqrt_omega", ir_inv_sqrt_ceiling()),
+                              ("f_uv_over_sqrt_omega", uv_inv_sqrt_ceiling(base_frame())),
+                              ("f_uv_over_quarter_omega", uv_inv_quarter_ceiling(base_frame()))):
+            assert qd.f_tau_norm(params, base_frame(), name) < ceiling, name
 
     v = qd.cin(100.0)
     assert abs(v - 5.1875) < 1e-3

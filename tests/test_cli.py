@@ -449,15 +449,13 @@ def test_frame_rows_come_from_the_run_frame(capsys):
     code, payload = run_json(capsys, ["integrals", *argv])
     assert code == 0
     rows = {r["name"]: r for r in payload["rows"]}
-    norms = qd.f_tau_norms(params, frame)
-    for name, value, ceiling in (
-        ("f_uv_over_sqrt_omega", norms.f_uv_over_sqrt_omega, cf.uv_inv_sqrt_ceiling(frame)),
-        ("f_uv_over_quarter_omega", norms.f_uv_over_quarter_omega,
-         cf.uv_inv_quarter_ceiling(frame)),
-        ("f_ir_l2", norms.f_ir_l2, cf.ir_l2_ceiling()),
-        ("f_ir_over_sqrt_omega", norms.f_ir_over_sqrt_omega, cf.ir_inv_sqrt_ceiling()),
+    for name, ceiling in (
+        ("f_uv_over_sqrt_omega", cf.uv_inv_sqrt_ceiling(frame)),
+        ("f_uv_over_quarter_omega", cf.uv_inv_quarter_ceiling(frame)),
+        ("f_ir_l2", cf.ir_l2_ceiling()),
+        ("f_ir_over_sqrt_omega", cf.ir_inv_sqrt_ceiling()),
     ):
-        assert rows[f"norm.{name}"]["value"] == value, name
+        assert rows[f"norm.{name}"]["value"] == qd.f_tau_norm(params, frame, name), name
         assert rows[f"norm.{name}"]["ceiling"] == ceiling, name
     assert rows["xi.self"]["ceiling"] == cf.xi_self_ceiling(frame)
     code, payload = run_json(capsys, ["constants", *argv])
@@ -667,9 +665,8 @@ def test_verify_bytes_identical_across_thread_counts():
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():
-    """A fresh import of the CLI loads numpy alone: quadrature and the
-    banded radial solve load their scipy modules on first use, and nothing
-    else imports scipy."""
+    """A fresh import of the CLI loads numpy alone: no module of the package
+    imports scipy."""
     probe = "import sys, nelsonlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
@@ -702,10 +699,10 @@ print(json.dumps(runs))
 """
 
 
-def test_solver_commands_run_without_scipy():
-    """verify, solve, scan, effmass and constants need numpy alone: with
-    every scipy import refused they exit 0 and print what an unrestricted
-    run prints.
+def test_every_command_runs_without_scipy():
+    """All seven commands need numpy alone: with every scipy import refused
+    they exit 0 and print what an unrestricted run prints, integrals at
+    tau 0 and tau 1 among them.
     Both sides run in fresh processes: a run inside this one, after other
     tests, can differ in the last digit of roundoff-sized values."""
     runs = json.dumps([
@@ -714,13 +711,16 @@ def test_solver_commands_run_without_scipy():
         ["scan", "--axis", "e", "--from", "0.1", "--to", "0.3", "--steps", "2"] + TINY,
         ["effmass", "--modes-angular", "6"] + TINY_MODES,
         ["constants", "--e", "0.3"],
+        ["integrals", "--e", "0.3", "--Z", "1"],
+        ["integrals", "--e", "0.3", "--Z", "1", "--tau", "1"],
+        ["binding", "--e", "0.3", "--Z", "1"],
     ])
     refused, allowed = (
         json.loads(subprocess.run([sys.executable, "-c", _RUN_CLI, runs, mode],
                                   capture_output=True, text=True, check=True).stdout)
         for mode in ("refuse", "allow")
     )
-    assert [code for code, _ in refused] == [0, 0, 0, 0, 0]
+    assert [code for code, _ in refused] == [0] * 8
     assert refused == allowed
 
 

@@ -45,8 +45,9 @@ def test_grid_geometry():
 def test_spectral_laplacian_exact_on_plane_waves():
     g = PositionGrid(n=8, L=3.0)
     k = g.dk * np.array([2.0, -1.0, 3.0])
-    pw = GridSector(g, (0, 1, 2), False).phases(k[None])[0].reshape((g.n,) * 3)
-    out = np.fft.ifftn(0.5 * g.laplacian_symbol * np.fft.fftn(pw))
+    whole = GridSector(g, (0, 1, 2), False)
+    pw = whole.phases(k[None])[0].reshape((g.n,) * 3)
+    out = np.fft.ifftn(whole.kin.reshape(pw.shape) * np.fft.fftn(pw))
     expect = 0.5 * float(k @ k) * pw
     assert np.max(np.abs(out - expect)) < 1e-12 * float(k @ k)
 
@@ -63,7 +64,8 @@ def test_potential_and_kinetic_are_exactly_even_on_every_axis(n, L):
     g = PositionGrid(n=n, L=L)
     mirror = -np.arange(n) % n
     assert np.array_equal(g.axis[mirror][1:], -g.axis[1:])  # x = -L is L, periodically
-    for table in (coulomb_potential(g, 0.7), g.laplacian_symbol):
+    kinetic = GridSector(g, (0, 1, 2), False).kin.reshape((n,) * 3)
+    for table in (coulomb_potential(g, 0.7), kinetic):
         for axis in range(3):
             assert np.array_equal(np.take(table, mirror, axis=axis), table), axis
 
@@ -167,7 +169,8 @@ def test_atomic_matches_dense_reference():
     alphaZ = 0.05
     st = atomic_ground(g, alphaZ)
     eye = np.eye(g.point_count).reshape((g.n,) * 3 + (-1,))
-    spec = 0.5 * g.laplacian_symbol[..., None] * np.fft.fftn(eye, axes=(0, 1, 2))
+    symbol = GridSector(g, (0, 1, 2), False).kin.reshape((g.n,) * 3)
+    spec = symbol[..., None] * np.fft.fftn(eye, axes=(0, 1, 2))
     kinetic = np.fft.ifftn(spec, axes=(0, 1, 2)).reshape(g.point_count, -1)
     H = kinetic + np.diag(-alphaZ / np.maximum(g.radius, g.h / 2.0).ravel())
     evals, evecs = np.linalg.eigh(H)
@@ -182,7 +185,7 @@ def _full_grid_atom(grid, alphaZ):
     multiplier on their half spectrum."""
     shape = (grid.n,) * 3
     half = (..., slice(grid.n // 2 + 1))
-    kinetic = 0.5 * grid.laplacian_symbol.ravel()
+    kinetic = GridSector(grid, (0, 1, 2), False).kin
     potential = coulomb_potential(grid, alphaZ)[half]
 
     def matvec(s):
@@ -300,6 +303,9 @@ def test_radial_resolvent_scaling_identity():
 
 def test_radial_resolvent_guards():
     assert radial_resolvent_l1(0.0, 1.0) == 0.0
+    # shift / alphaZ^2 past the float range is an infinite sigma, whose element is 0
+    assert radial_resolvent_l1(1e-170, 1.0) == 0.0
+    assert radial_resolvent_l1(1e-10, 1e300) == 0.0
     with pytest.raises(ParameterError):
         radial_resolvent_l1(1.0, 0.0)
     with pytest.raises(ParameterError):

@@ -420,7 +420,9 @@ def test_zero_coupling_decouples(small_setup):
     f = rng.standard_normal(grid.point_count) + 1j * rng.standard_normal(grid.point_count)
     g = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     spec = np.fft.fftn(f.reshape((grid.n,) * 3))
-    Tf = np.fft.ifftn(0.5 * grid.laplacian_symbol * spec).ravel()
+    q = grid.freqs  # the kinetic symbol 1/2 |q|^2 on the FFT mesh
+    kinetic = 0.5 * (q[:, None, None] ** 2 + q[None, :, None] ** 2 + q[None, None, :] ** 2)
+    Tf = np.fft.ifftn(kinetic * spec).ravel()
     strength = p0.alphaZ
     Vf = (-strength / np.maximum(grid.radius, grid.h / 2).ravel()) * f
     hf = basis.occupations @ modes.omega
