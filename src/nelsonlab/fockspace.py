@@ -3,7 +3,8 @@
 The field is discretized on a finite set of momentum modes covering the
 cutoff shell; the Fock space is truncated by a *total* occupation cap so the
 dimension stays C(M + N_max, N_max).  The ladder operators of all modes are
-index tables over the basis, built in one call with numpy alone.
+index tables over the basis, and each sum over the modes of every state is
+one pass over its shells (``FockBasis.mode_sum``), both with numpy alone.
 """
 
 from __future__ import annotations
@@ -109,31 +110,27 @@ class FockBasis:
     sum <= n_max, enumerated by total occupation then lexicographically.
     The vacuum is index 0 and the dimension is C(M + n_max, n_max).
 
-    The occupations and the raising table come from one pass over the
-    shells.  Shell t + 1 raises each state of shell t in every mode j at or
-    after its last occupied mode l (every mode for the vacuum), j
-    descending: each state is made once, from the parent that lacks one
-    boson in its last occupied mode, and in lexicographic order.
+    One pass over the shells makes every state once: shell t + 1 raises
+    each state of shell t in every mode j at or after its last occupied
+    mode l (every mode for the vacuum), j descending, so each state comes,
+    in lexicographic order, from the parent that lacks one boson in mode l.
+    The basis keeps that parent and that mode (``_parent``, ``_last``, two
+    (D,) int32 arrays) for ``mode_sum``, and no occupation table.
     ``_raising[j, k]``, over the K states below the top shell, is the index
     of state k raised in mode j: made by the pass where j >= l, and for j <
     l the parent's raise in j raised in l, a step the pass made from that
-    state.  ``_comb`` and ``_indices`` give the closed-form rank."""
+    state."""
 
     def __init__(self, mode_count: int, n_max: int):
         if mode_count < 1 or n_max < 0:
             raise ParameterError("need mode_count >= 1 and n_max >= 0")
         self.mode_count = m = int(mode_count)
-        self.n_max = int(n_max)
-        # comb[p, r] = C(r + p, p) counts occupations of p modes by <= r bosons
-        self._comb = np.array([[math.comb(r + p, p) for r in range(self.n_max + 1)]
-                               for p in range(m + 1)])
-        dim = math.comb(m + self.n_max, m)
-        self.occupations = occ = np.zeros((dim, m), dtype=np.int32)
-        self._raising = np.empty((m, dim - math.comb(m - 1 + self.n_max, m - 1)), dtype=np.int64)
-        modes = np.arange(m)[:, None]
-        start, last = 0, np.zeros(1, dtype=np.int64)  # shell 0, the vacuum
-        for _ in range(self.n_max):
-            stop = start + last.size  # shell t is [start, stop), shell t + 1 starts at stop
+        self.n_max = n_max = int(n_max)
+        self._shells = [math.comb(m + t - 1, m) for t in range(n_max + 2)]  # where shell t starts
+        self._parent, self._last = np.zeros((2, self.dim), dtype=np.int32)
+        self._raising = np.empty((m, self._shells[-2]), dtype=np.int64)
+        modes, last = np.arange(m)[:, None], np.zeros(1, dtype=np.int64)  # shell 0: the vacuum
+        for start, stop in zip(self._shells[:-2], self._shells[1:-1]):
             counts = m - last  # children of each state, mode m - 1 first
             first = stop + np.cumsum(counts) - counts
             raised = self._raising[:, start:stop]
@@ -141,31 +138,29 @@ class FockBasis:
             if start:  # below the last mode: the parent's raise, then one step
                 below = modes < last
                 raised[below] = (first[self._raising[:, parent] - start] + (m - 1 - last))[below]
-            parent = np.repeat(np.arange(start, stop), counts)
-            children = np.arange(stop, stop + parent.size)
-            last = (m - 1) - (children - np.repeat(first, counts))  # the mode each child raised
-            occ[children] = occ[parent]
-            occ[children, last] += 1
-            start = stop
+            children = np.arange(stop, stop + counts.sum())
+            self._parent[children] = parent = np.repeat(np.arange(start, stop), counts)
+            self._last[children] = last = (m - 1) - (children - np.repeat(first, counts))
         self._raising.flags.writeable = False  # ladder_ops hands it out
 
     @property
     def dim(self) -> int:
-        return self.occupations.shape[0]
+        return self._shells[-1]
 
-    def _indices(self, occ: np.ndarray) -> np.ndarray:
-        """Index of each occupation row of ``occ``, counting the states with
-        fewer bosons, then mode by mode those with fewer bosons in that mode."""
-        m, comb = self.mode_count, self._comb
-        left = occ.sum(axis=1)
-        index = np.where(left > 0, comb[m, left - 1], 0)
-        for i in range(m - 1):
-            index += comb[m - 1 - i, left] - comb[m - 1 - i, left - occ[:, i]]
-            left = left - occ[:, i]
-        return index
+    def mode_sum(self, values: np.ndarray) -> np.ndarray:
+        """sum_j n_j(d) values[j] for every state d, (D, ...) for (M, ...) ``values``,
+        in their type: each state's is its parent's plus its raised mode's value, one
+        vectorized step per shell (``_sums``, which stops after ``shells`` shells)."""
+        return self._sums(np.asarray(values), self.n_max + 1)
+
+    def _sums(self, values: np.ndarray, shells: int) -> np.ndarray:
+        out = np.zeros((self._shells[shells],) + values.shape[1:], dtype=values.dtype)
+        for start, stop in zip(self._shells[1:shells], self._shells[2:shells + 1]):
+            out[start:stop] = out[self._parent[start:stop]] + values[self._last[start:stop]]
+        return out
 
     def totals(self) -> np.ndarray:
-        return self.occupations.sum(axis=1)
+        return self.mode_sum(np.ones(self.mode_count, dtype=np.int64))
 
 
 def vacuum_vector(basis: FockBasis) -> np.ndarray:
@@ -182,6 +177,6 @@ def ladder_ops(basis: FockBasis):
     maps src[j, k] back to k with the same amplitude, and a_j sends every
     state with n_j = 0 to zero.  ``src`` is the table the basis built with
     its shells (``FockBasis``), read-only since every model on the basis
-    reads it."""
-    src = basis._raising
-    return src, np.sqrt(basis.occupations[: src.shape[1]].T + 1.0, order="C")
+    reads it, and n_j(k) the unit vectors' ``mode_sum`` on the K states."""
+    n = basis._sums(np.eye(basis.mode_count, dtype=np.int32), basis.n_max)  # (K, M)
+    return basis._raising, np.sqrt(n.T + 1.0, order="C")

@@ -77,10 +77,8 @@ def photon_number(state: np.ndarray, basis: FockBasis, modes: ModeGrid) -> Photo
 
 
 def _photons(weights: np.ndarray, basis: FockBasis, modes: ModeGrid) -> PhotonNumbers:
-    # the soft and hard photons of each state, summed exactly on the integer occupations
-    occ, mask = basis.occupations, modes.soft_mask
-    soft = float(weights @ (occ @ mask).astype(float))
-    hard = float(weights @ (occ @ ~mask).astype(float))
+    mask = modes.soft_mask  # each state's soft and hard photons: mode sums of 0/1, so exact
+    soft, hard = (float(weights @ basis.mode_sum(m.astype(float))) for m in (mask, ~mask))
     return PhotonNumbers(total=soft + hard, soft=soft, hard=hard)
 
 

@@ -214,8 +214,9 @@ def _shell_moment(a: float, h: float, lo: float, hi: float) -> float:
         tail = math.pi / 2.0 if y == 0.0 else math.atan(1.0 / y) + 1.0 / (y + 1.0 / y)
         return math.inf if a == 1.0 else tail / h / math.sqrt(h)  # inf past the float range
     if a == 1.0:  # G(x_hi) - G(x_lo) = G(d) + d x_lo/((1 + d)(1 + x_lo)), d = h D
-        D = (hi - lo) / (1.0 + h * lo)
-        return D * D * _g_ratio(1.0, h * D) + D * lo / ((1.0 + h * D) * (1.0 + h * lo))
+        D = (hi - lo) / (1.0 + h * lo)  # past d = 1e150, G(d) = log d - 1 and D^2 overflows
+        head = D * D * _g_ratio(1.0, h * D) if h * D < 1e150 else (math.log(h * D) - 1.0) / h / h
+        return head + D * lo / ((1.0 + h * D) * (1.0 + h * lo))
     # a = 1/2: G(y_hi^2) - G(y_lo^2) = G(z^2) + 2 z p / ((1 + z^2)(1 + p)), by atan's addition
     # rule, with p = y_hi y_lo and z = (y_hi - y_lo) / (1 + p)
     s = math.sqrt(hi) * math.sqrt(lo)  # p / h
@@ -232,20 +233,25 @@ def f_tau_norm(params: ModelParams, frame: ScaleFrame, name: str) -> float:
     ``frame.power``; the infrared/ultraviolet split sits at |k| = 1.  The
     norm weighted by omega^a', a' in {0, -1/2, -1/4}, is the square root of
     4 pi int r^a (1 + rho^(2 tau) r / 2)^(-2) dr / (2 (2 pi)^3), a = 2 a' + 1,
-    over its part of the support, in closed form; an empty part gives 0.  A
-    moment that is not finite (one past the float range) raises DomainError
-    naming the support.
+    over its part of the support, in closed form; an empty part gives 0.  One
+    past the float range, or over an overflowed support, is formed again in
+    units 16^k near the knee r = 1/h or the support's top if lower; a moment
+    that is not finite (one that diverges) raises DomainError naming the support.
     """
     a, part = _NORM_WEIGHTS[name]
-    scale = frame.power(-2.0)
-    half = 0.5 * frame.power(2.0)
-    kap = params.kappa * scale
-    lam = params.lam if math.isinf(params.lam) else params.lam * scale
-    lo, hi = (kap, min(lam, 1.0)) if part == "ir" else (max(kap, 1.0), lam)
-    if not (lo < hi):
-        return 0.0
-    moment = 4.0 * math.pi * _shell_moment(a, half, lo, hi)
-    if not 0.0 <= moment < math.inf:
-        raise DomainError(f"the {name} moment over the support [{lo:.6g}, {hi:.6g}] "
-                          f"is {moment!r}, not a finite non-negative number")
-    return math.sqrt(moment / _NORM_PREFACTOR)
+    scale, half = frame.power(-2.0), 0.5 * frame.power(2.0)
+    top = min(math.log2(scale) + math.log2(params.lam), 0.0 if part == "ir" else math.inf)
+    for k in (0, max(-255, round(min(-math.log2(half), top) / 4))):  # then near the knee or top
+        units, one = math.ldexp(scale, -4 * k), math.ldexp(1.0, -4 * k)
+        kap, lam = params.kappa * units, params.lam * units
+        lo, hi = (kap, min(lam, one)) if part == "ir" else (max(kap, one), lam)
+        if not (lo < hi):
+            return 0.0
+        found = 4.0 * math.pi * _shell_moment(a, math.ldexp(half, 4 * k), lo, hi)
+        if not k or 2.0**-1022 <= found < math.inf:  # the first, or a normal float
+            moment, kept, support = found, k, f"[{lo:.6g}, {hi:.6g}] x 16^{k}"
+        if 2.0**-1022 <= found < math.inf and (lam < math.inf or math.isinf(params.lam)):
+            break
+    if not 0.0 <= moment < math.inf:  # every closed form is a sum of positive terms
+        raise DomainError(f"the {name} moment over the support {support} is {moment!r}")
+    return math.ldexp(math.sqrt(moment / _NORM_PREFACTOR), round(2.0 * kept * (a + 1.0)))

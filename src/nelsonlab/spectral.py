@@ -307,13 +307,13 @@ class AssembledModel:
         self._coupling = self.g[:, self._axes]  # (M, C) couplings on the coupled axes
         self.lin_coef = params.e
         self.quad_coef = 0.5 * params.e**2
-        # (D, 1) field energy; einsum reads the int occupations, matmul would copy them to float
-        self._hf = np.einsum("dm,m->d", basis.occupations, omega)[:, None]
+        self._hf = basis.mode_sum(omega)[:, None]  # (D, 1) field energy, one pass over the shells
         # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into
         # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
         self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
         self._atomic: AtomicState | None = None
         self._solved: AssembledModel | None = None  # the sector copy ``_sector`` builds
+        self._block_sampled = False  # whether a block on this model's tables was sampled
         self._shape = (basis.dim, 1 if grid is None else grid.point_count)  # (D, X)
         self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
                      if variant == "gross" else None)  # (X,) potential; v0 and the fiber carry none
@@ -346,12 +346,13 @@ class AssembledModel:
     def _on_points(self, momenta: np.ndarray) -> AssembledModel:
         """Self on one point per Fock state, with p_l the diagonal ``momenta``,
         (3, D): phase 1, no potential, no transform and real tables (so no
-        grid), sampled before any product."""
+        grid), sampled before any product unless a block of the model was."""
         self.grid = self._cells = self._phase = None
         self._shape = (self.basis.dim, 1)  # (D, X = 1)
         self._psym = momenta[:, :, None]  # (3, D, 1) p_l
         self._kin = 0.5 * np.sum(self._psym**2, axis=0)  # (D, 1) kinetic symbol
-        _sample_symmetry(self)
+        if not self._block_sampled:
+            _sample_symmetry(self)
         return self
 
     def _momenta(self, P: np.ndarray) -> np.ndarray:
@@ -359,30 +360,30 @@ class AssembledModel:
         grid P and the modes are counted in reciprocal-lattice steps, and p
         is the grid's own symbol ``PositionGrid.freqs``, wrapped into
         [-pi/h, pi/h); on the fiber p is not wrapped."""
-        occupations = self.basis.occupations
         if self.grid is None:
-            return P[:, None] - np.einsum("dm,ml->ld", occupations, self.modes.k)
-        grid = self.grid
+            return P[:, None] - self.basis.mode_sum(self.modes.k).T
         try:
-            steps = np.array([grid.lattice_units(kj) for kj in self.modes.k])  # (M, 3)
+            steps = np.array([self.grid.lattice_units(kj) for kj in self.modes.k])  # (M, 3)
         except ParameterError as err:
             raise ParameterError(
                 f"total-momentum blocks need reciprocal-lattice modes: {err}") from None
-        shift = grid.lattice_units(P)[:, None] - np.einsum("dm,ml->ld", occupations, steps)
-        return grid.freqs[shift % grid.n]
+        shift = self.grid.lattice_units(P)[:, None] - self.basis.mode_sum(steps).T  # in ints
+        return self.grid.freqs[shift % self.grid.n]
 
     def block(self, P) -> AssembledModel:
         """H on total momentum P = p + P_f, which v0 and the fiber conserve
         (Lee, Low and Pines 1953): a copy sharing every Fock table, with one
         point per Fock state n, the plane wave e^{i (P - P_f(n)) . x} on the
         grid.  Its tables are the fiber's at p = P - P_f (``_momenta``): the
-        kinetic symbol |p|^2/2, phase 1, no potential and no transform, so
-        it runs in float64 and is sampled before its first product.  On the
-        grid P must lie on the reciprocal lattice, as must every mode."""
+        kinetic symbol |p|^2/2, phase 1, no potential and no transform, so it
+        runs in float64; only a model's first block is sampled, the rest differ
+        in p alone.  On the grid P and every mode must lie on the lattice."""
         if self.variant == "gross":
             raise ParameterError("the gross variant has no total-momentum blocks: "
                                  "its potential does not commute with the total momentum")
-        return copy.copy(self)._on_points(self._momenta(np.asarray(P, dtype=float)))
+        block = copy.copy(self)._on_points(self._momenta(np.asarray(P, dtype=float)))
+        self._block_sampled = True
+        return block
 
     def _sector(self) -> AssembledModel:
         """The operator ``lanczos_ground`` solves, built and sampled on the

@@ -1,7 +1,10 @@
 """Dense matrices for the tests: ladder matrices built from
 ``fockspace.ladder_ops``' raising tables, the reference the Fock-space and
 kernel tests compare against, and an assembled model probed column by
-column."""
+column; and the basis order in closed form, the tests' oracle of the shell
+pass, with the occupation table the basis no longer keeps."""
+
+import math
 
 import numpy as np
 
@@ -28,3 +31,25 @@ def dense(model):
         out[:, i] = model.matvec(probe)
         probe[i] = 0.0
     return out
+
+
+def occupations(basis):
+    """The (D, M) occupation table, row d the n_j of state d: the unit
+    vectors' ``mode_sum``."""
+    return basis.mode_sum(np.eye(basis.mode_count, dtype=int))
+
+
+def fock_rank(basis, occ):
+    """The basis index of each occupation row of ``occ``, in closed form:
+    the states with fewer bosons, then mode by mode those with fewer bosons
+    in that mode, where comb[p, r] = C(r + p, p) counts the occupations of
+    p modes by at most r bosons."""
+    occ = np.atleast_2d(occ)
+    m = basis.mode_count
+    comb = np.array([[math.comb(r + p, p) for r in range(basis.n_max + 1)] for p in range(m + 1)])
+    left = occ.sum(axis=1)
+    index = np.where(left > 0, comb[m, left - 1], 0)
+    for i in range(m - 1):
+        index += comb[m - 1 - i, left] - comb[m - 1 - i, left - occ[:, i]]
+        left = left - occ[:, i]
+    return index

@@ -401,13 +401,13 @@ def test_constants_survives_zero_charge(capsys):
      ["window.a_ir2", "window.e_ir", "window.g_ir_at_e_ir"]),
     # rho^(-3 tau) of the Xi ceiling overflows
     (["integrals", "--e", "0.3", "--tau", "50"], ["xi.self"], ["norm.f_uv_over_sqrt_omega"]),
-    # the omega^(-1/4) moment on [3e213, 3e215] leaves the float range (QUADPACK returns nan)
-    (["integrals", "--e", "0.3", "--tau", "50"], ["norm.f_uv_over_quarter_omega", "xi.self"],
-     ["norm.f_ir_l2", "norm.f_uv_over_sqrt_omega"]),
-    # rho^(2 tau) = 1e-308: QUADPACK returns negative ultraviolet moments on [9.5e306, inf)
-    (["integrals", "--e", "1e-80", "--Z", "1e-10", "--tau", "0.9"],
-     ["norm.f_uv_over_sqrt_omega", "norm.f_uv_over_quarter_omega", "xi.self"],
-     ["norm.f_ir_l2", "cin.100"]),
+    # the omega^(-1/4) moment on [3e213, 3e215] leaves the float range, its norm 1.8e160 does not
+    (["integrals", "--e", "0.3", "--tau", "50"], ["xi.self"],
+     ["norm.f_ir_l2", "norm.f_uv_over_sqrt_omega", "norm.f_uv_over_quarter_omega"]),
+    # rho^(2 tau) = 5e-309: the ultraviolet moments on [9.5e306, 9.5e308] leave the float
+    # range, their norms 1.9e153 and 2.3e230 do not
+    (["integrals", "--e", "1e-80", "--Z", "1e-10", "--tau", "0.9"], ["xi.self"],
+     ["norm.f_ir_l2", "norm.f_uv_over_sqrt_omega", "norm.f_uv_over_quarter_omega", "cin.100"]),
 ])
 def test_out_of_domain_rows_fail_alone(capsys, argv, failed, valued):
     """A value the table cannot hold reads n/a (reason) and the command still exits 0."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fock_dense import fock_rank
 from nelsonlab.fockspace import FockBasis, build_modes
 from nelsonlab.model import ParameterError, make_params
 from nelsonlab.observables import (
@@ -88,7 +89,7 @@ def test_orthogonal_particle_lands_in_q(atom16):
 def test_one_boson_state_has_empty_vacuum_sector(atom16):
     _, at = atom16
     basis = FockBasis(2, 1)
-    state = product_state(at.psi, basis, sector=basis._indices(np.array([[1, 0]]))[0])
+    state = product_state(at.psi, basis, sector=fock_rank(basis, [1, 0])[0])
     p, q = overlap_with_decoupled(state, at, basis)
     assert p == 0.0 and q == 0.0
     assert vacuum_sector_weight(state, basis) == 0.0
@@ -150,7 +151,7 @@ def test_photon_split_on_trivial_states(atom16):
 
     occ = [0, 0]
     occ[int(np.argmax(modes.soft_mask))] = 1
-    soft1 = product_state(ref, basis, sector=basis._indices(np.array([occ]))[0])
+    soft1 = product_state(ref, basis, sector=fock_rank(basis, occ)[0])
     total, soft, hard = photon_number(soft1, basis, modes)
     assert total == pytest.approx(1.0, abs=1e-12)
     assert soft == pytest.approx(1.0, abs=1e-12)

@@ -264,14 +264,60 @@ def test_f_tau_norms_empty_infrared():
     assert nb.f_uv_over_sqrt_omega > 0.0
 
 
-@pytest.mark.parametrize("e, Z, tau, name", [(0.3, 1.0, 50.0, "f_uv_over_quarter_omega"),
-                                             (1e-80, 1e-10, 0.9, "f_uv_over_sqrt_omega")])
-def test_f_tau_norm_refuses_a_moment_outside_the_float_range(e, Z, tau, name):
-    """A nan or negative moment from the quadrature raises DomainError
-    naming the support, instead of a nan norm or a ValueError from sqrt."""
-    params = make_params(e, Z)
-    with pytest.raises(DomainError, match=rf"{name} moment over the support \["):
-        qd.f_tau_norm(params, frame_for(params, tau, 1.0), name)
+def _mp_exact_norm(params, frame, name):
+    """The norm at 400 digits from the textbook primitives h^-(a+1) G(h r),
+    with the support and the frame factors formed in mpmath from the float
+    rho, so no product of them leaves the float range."""
+    a, part = _NORM_WEIGHTS_MP[name]
+    with mpmath.workdps(400):
+        scale = mpmath.mpf(frame.rho) ** (-2 * mpmath.mpf(frame.tau))
+        h = 1 / (2 * scale)
+        lam = mpmath.inf if math.isinf(params.lam) else params.lam * scale
+        lo, hi = ((params.kappa * scale, min(lam, 1)) if part == "ir"
+                  else (max(params.kappa * scale, 1), lam))
+        if not lo < hi:
+            return 0.0
+
+        def primitive(r):
+            x = h * r
+            if a == 0:
+                return 1 / h if r == mpmath.inf else r / (1 + x)
+            if a == 1:
+                return (mpmath.log1p(x) - x / (1 + x)) / h ** 2
+            y = mpmath.sqrt(x)
+            return h ** -1.5 * (mpmath.pi / 2 if r == mpmath.inf else mpmath.atan(y) - y / (1 + x))
+
+        moment = 4 * mpmath.pi * (primitive(hi) - primitive(lo))
+        return float(mpmath.sqrt(moment / (2 * (2 * mpmath.pi) ** 3)))
+
+
+@pytest.mark.parametrize("e, Z, tau, kappa, lam, name, norm", [
+    # the moment is 1.5e323; QUADPACK's was nan, and the closed form's inf
+    (0.3, 1.0, 50.0, 0.1, 10.0, "f_uv_over_quarter_omega", 1.7520480304520095e160),
+    # h = 5.3e-309 and lam rho^(-2 tau) = 9.5e308: the support's end overflowed to inf
+    (1e-80, 1e-10, 0.9, 0.1, 10.0, "f_uv_over_sqrt_omega", 1.9465086223643e153),
+    (1e-80, 1e-10, 0.9, 0.1, 10.0, "f_uv_over_quarter_omega", 2.2642674865956e230),
+    # the moment 2.5e-425 underflowed to 0
+    (0.3, 1.0, -50.0, 0.0, math.inf, "f_ir_l2", 2.2500240857404964e-214),
+], ids=["tau50-quarter", "tiny-h-sqrt", "tiny-h-quarter", "tau-50-ir-l2"])
+def test_f_tau_norm_past_the_float_range_of_its_moment(e, Z, tau, kappa, lam, name, norm):
+    """A norm inside the float range comes out within 1e-13 of the 400-digit
+    closed form though its moment lies outside it (the moment is formed in
+    units of 16^k, and its square root scaled back)."""
+    params = make_params(e, Z, kappa=kappa, lam=lam)
+    frame = frame_for(params, tau, 1.0)
+    got, ref = qd.f_tau_norm(params, frame, name), _mp_exact_norm(params, frame, name)
+    assert ref == pytest.approx(norm, rel=1e-12)
+    assert abs(got - ref) <= 1e-13 * ref, (got, ref)
+
+
+def test_f_tau_norm_refuses_a_divergent_moment(monkeypatch):
+    """The omega-weighted (a = 1) moment up to lam = inf diverges: it raises
+    DomainError naming the support, not an inf norm."""
+    monkeypatch.setitem(qd._NORM_WEIGHTS, "f_uv_l2", (1.0, "uv"))
+    params = make_params(0.3, 1.0, kappa=0.0, lam=math.inf)
+    with pytest.raises(DomainError, match=r"f_uv_l2 moment over the support \["):
+        qd.f_tau_norm(params, base_frame(), "f_uv_l2")
 
 
 def test_f_tau_norms_monotone_in_lam():
@@ -357,25 +403,22 @@ _NORM_WEIGHTS_MP = {"f_ir_l2": (1, "ir"), "f_ir_over_sqrt_omega": (0, "ir"),
                                       (-5.0, 8e-16), (20.0, 7162.0)])
 def test_shell_norms_at_the_ends_of_the_float_range(tau, rho):
     """Frames whose factor h = rho^(2 tau)/2 is near 1e+-200 or 1e+-40: every
-    norm whose moment is a normal float is within 1e-13 of the 400-digit closed
-    form, where h^-(a+1) times a primitive near 0 (an underflow times an
-    overflow) or a difference of two primitives near pi/2 gave nan, 0 or a
-    cancelled value; a moment past the float range raises DomainError."""
+    norm is within 1e-13 of the 400-digit closed form, where h^-(a+1) times a
+    primitive near 0 (an underflow times an overflow) or a difference of two
+    primitives near pi/2 gave nan, 0 or a cancelled value, and where the
+    moment lies past the float range (from 1e-428 to 3e323 here), which gave
+    0 or a DomainError."""
     frame = ScaleFrame(tau, rho)
-    checked = 0
+    outside = 0
     for kappa, lam in ((0.0, math.inf), (0.1, 10.0)):
         params = make_params(0.3, 1.0, kappa=kappa, lam=lam)
         for name in _NAMES:
             moment = _mp_closed_moment(params, frame, name)
-            if moment > 1.7e308:
-                with pytest.raises(DomainError):
-                    qd.f_tau_norm(params, frame, name)
-            elif moment > 1e-300 or moment == 0:
-                ref = float(mpmath.sqrt(moment / (2 * (2 * mpmath.pi) ** 3)))
-                got = qd.f_tau_norm(params, frame, name)
-                assert abs(got - ref) <= 1e-13 * ref, (kappa, lam, name, got, ref)
-                checked += 1
-    assert checked >= 4
+            outside += not (moment == 0 or 2.3e-308 < moment < 1.7e308)
+            ref = float(mpmath.sqrt(moment / (2 * (2 * mpmath.pi) ** 3)))
+            got = qd.f_tau_norm(params, frame, name)
+            assert abs(got - ref) <= 1e-13 * ref, (kappa, lam, name, got, ref)
+    assert outside == {50.0: 2, -50.0: 4}.get(tau, 0)
 
 
 @pytest.mark.parametrize("lam", ["inf", "1e6"])

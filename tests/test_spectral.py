@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fock_dense import dense, dense_ladder
+from fock_dense import dense, dense_ladder, occupations
 from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes
 from nelsonlab.model import (
     ConvergenceError,
@@ -425,7 +425,7 @@ def test_zero_coupling_decouples(small_setup):
     Tf = np.fft.ifftn(kinetic * spec).ravel()
     strength = p0.alphaZ
     Vf = (-strength / np.maximum(grid.radius, grid.h / 2).ravel()) * f
-    hf = basis.occupations @ modes.omega
+    hf = occupations(basis) @ modes.omega
     expect = np.kron(g, Tf + Vf) + np.kron(hf * g, f)
     assert np.linalg.norm(m0.matvec(np.kron(g, f)) - expect) < 1e-12
 
@@ -439,9 +439,9 @@ def _reference_hamiltonian(params, grid, modes, basis, variant):
     c, q = params.e, 0.5 * params.e**2
     eye_d = np.eye(basis.dim)
     lower = [dense_ladder(basis, j)[0] for j in range(modes.count)]
-    hf = np.diag(basis.occupations @ omega)
+    hf = np.diag(occupations(basis) @ omega)
     if variant == "fiber":  # total momentum 0: p_l is -P_f,l
-        pf = basis.occupations @ modes.k
+        pf = occupations(basis) @ modes.k
         p = [-np.diag(pf[:, ell]) for ell in range(3)]
         H = 0.5 * sum(pl @ pl for pl in p) + hf
         A = [sum(g[j, ell] * lower[j] for j in range(modes.count)) for ell in range(3)]
@@ -1097,7 +1097,7 @@ def test_v0_commutes_with_total_momentum(small_setup):
         w=np.array([0.05, 0.04]),
     )
     model = sp.assemble(params, grid, modes, basis, variant="v0")
-    pf = basis.occupations @ modes.k
+    pf = occupations(basis) @ modes.k
     idx = np.fft.fftfreq(grid.n) * grid.n
     keep = (idx >= -grid.n // 2 + 2) & (idx <= grid.n // 2 - 1 - 2)
     mask3 = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
@@ -1215,7 +1215,7 @@ def _lift(model, P, phi):
     """phi(n) e^{i (P - P_f(n)) . x} / sqrt(X) on the whole grid of ``model``,
     (D, X) flat: the grid vector of a block vector phi at total momentum P,
     its momenta unwrapped."""
-    momenta = P - model.basis.occupations @ model.modes.k  # (D, 3)
+    momenta = P - occupations(model.basis) @ model.modes.k  # (D, 3)
     phases = GridSector(model.grid, (0, 1, 2), False).phases(momenta)
     return (phi[:, None] * phases).ravel() / math.sqrt(model.grid.point_count)
 
@@ -1235,7 +1235,7 @@ def test_block_products_are_the_grid_products_of_their_lift(n):
     for steps in [(0, 0, 0), (1, 1, 1), (-3, 4, -4), (h - 1, h, -h), (5, -h + 1, h + 2)]:
         P = grid.dk * np.array(steps, dtype=float)
         block = model.block(P)
-        unwrapped = P - model.basis.occupations @ model.modes.k
+        unwrapped = P - occupations(model.basis) @ model.modes.k
         wrapped.append(bool(np.any(np.abs(block._psym[:, :, 0].T - unwrapped) > 1e-12)))
         phi = rng.standard_normal(block.dim)
         lift = _lift(model, P, phi)
@@ -1357,6 +1357,28 @@ def test_soft_decomposition_snap_guard(telescoping_model):
         sp.soft_decomposition_residual(model, np.array([dk, 0.0, 0.0]))
 
 
+def test_the_first_block_refuses_a_one_way_defect_in_the_kernel(telescoping_model, monkeypatch):
+    """contract_adjoint scaled one way by 1 + 1e-6 fails the symmetry sample
+    of the first block a model hands out, whatever its P; the later blocks,
+    which share that kernel, are not sampled again: one product in all."""
+    model, dk = telescoping_model
+
+    def fresh():  # the shared model has handed out blocks already
+        return sp.assemble(model.params, model.grid, model.modes, model.basis, variant="v0")
+
+    contract_adjoint = sp.AssembledModel.contract_adjoint
+    monkeypatch.setattr(sp.AssembledModel, "contract_adjoint",
+                        lambda self, V, G: (1.0 + 1e-6) * contract_adjoint(self, V, G))
+    for P in (np.zeros(3), dk * np.array([1.0, -2.0, 3.0])):
+        with pytest.raises(RuntimeError, match="failed the symmetry sample"):
+            fresh().block(P)
+    monkeypatch.setattr(sp.AssembledModel, "contract_adjoint", contract_adjoint)
+    products, clean = _counting(monkeypatch, "matvec"), fresh()
+    for steps in ((0, 0, 0), (1, 1, 1), (0, 2, 0)):
+        clean.block(dk * np.array(steps, dtype=float))
+    assert len(products) == 1
+
+
 def test_soft_decomposition_has_teeth(telescoping_model, monkeypatch):
     model, dk = telescoping_model
     orig = sp.lanczos_ground
@@ -1379,7 +1401,8 @@ def test_soft_decomposition_applies_each_operator_once_per_vector(telescoping_mo
     in the P = 0 block, one on each shifted and each lifted state in its
     block, and one H - E on each block a defect lies in, k's for step one and
     the three z1j's for step two.  Each of the 11 blocks (0, k, -f1 e_j,
-    f1 e_j, z1j) is built once and sampled with one product, and the P = 0
+    f1 e_j, z1j) is built once, the first alone sampled with one product
+    (the blocks share every Fock table and kernel path), and the P = 0
     block's solve makes its own; the grid model runs no product at all."""
     model, dk = telescoping_model
     m16 = sp.assemble(model.params, PositionGrid(n=16, L=8.0), model.modes, model.basis,
@@ -1406,7 +1429,7 @@ def test_soft_decomposition_applies_each_operator_once_per_vector(telescoping_mo
     expect = [(0, 0, 0), (1, 1, 1)] + shifts + [(1, 1, 1) + f1 * e for e in np.eye(3, dtype=int)]
     assert sorted(blocks) == sorted(tuple(int(m) % 16 for m in P) for P in expect)
     assert len(solves) == 1 and "_cells" not in m16.__dict__
-    assert (len(velocities), len(products)) == (1 + 3 + 3, 11 + solves[0].iterations + 1 + 3)
+    assert (len(velocities), len(products)) == (1 + 3 + 3, 1 + solves[0].iterations + 1 + 3)
 
 
 _APPLY_D = sp.AssembledModel.apply_D
