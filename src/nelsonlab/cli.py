@@ -392,15 +392,8 @@ def cmd_integrals(cfg: RunConfig) -> tuple[str, int]:
 
 
 def _resolution(cfg: RunConfig) -> Resolution:
-    return Resolution(
-        n=cfg.n,
-        L=cfg.L,
-        n_radial=cfg.n_radial,
-        n_angular=cfg.n_angular,
-        n_max=cfg.n_max,
-        tol=cfg.tol,
-        maxit=cfg.maxit,
-    )
+    """The run's discretization: each field of Resolution is the RunConfig field of its name."""
+    return Resolution(**{f.name: getattr(cfg, f.name) for f in fields(Resolution)})
 
 
 def cmd_solve(cfg: RunConfig) -> tuple[str, int]:

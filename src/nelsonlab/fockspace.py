@@ -62,12 +62,13 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1] by
     Golub-Welsch (Math. Comp. 23, 1969): the eigenvalues of the Jacobi
-    matrix of the Legendre recurrence, and twice the squared first
-    components of its unit eigenvectors.  numpy.polynomial stays unloaded."""
+    matrix of the Legendre recurrence, and the squared first components of
+    its unit eigenvectors scaled to sum to 2.  numpy.polynomial stays unloaded."""
     k = np.arange(1, n)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 * vecs[0] ** 2
+    w = vecs[0] ** 2
+    return x, w * (2.0 / math.fsum(w))
 
 
 def build_modes(kappa: float, lam: float, n_radial: int, n_angular: int) -> ModeGrid:

@@ -26,9 +26,9 @@ _HALF_LINE = (1e-17, 1e10)  # (0, inf) in the rule: each tail left out is below 
 
 @cache
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre on [0, 1], weights scaled to sum to 1 (3e-15 off by Golub-Welsch)."""
+    """16-point Gauss-Legendre on [0, 1]."""
     x, w = _gauss_legendre(16)
-    return 0.5 * (x + 1.0), w / math.fsum(w)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _panels(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -204,11 +204,11 @@ def _g_ratio(a: float, x: float) -> float:
 
 def _shell_moment(a: float, h: float, lo: float, hi: float) -> float:
     """int_lo^hi r^a (1 + h r)^-2 dr, 0 <= lo < hi <= inf, in closed form, each difference of
-    primitives rewritten as a sum of positive terms in r: nothing cancels however narrow the
-    window, and no power of h under- or overflows."""
+    primitives a sum of positive terms in r, each dividing by its factors in turn: nothing cancels
+    however narrow the window, and no power of h, nor a product of factors, under- or overflows."""
     if a == 0.0:  # the difference of x/(1 + x), x = h r
         return 1.0 / (h * (1.0 + h * lo)) if math.isinf(hi) else (
-            (hi - lo) / ((1.0 + h * lo) * (1.0 + h * hi)))
+            (hi - lo) / (1.0 + h * lo) / (1.0 + h * hi))
     if math.isinf(hi):  # divergent at a = 1; at a = 1/2, pi/2 - G(y^2) = atan(1/y) + y/(1 + y^2)
         y = math.sqrt(h * lo)
         tail = math.pi / 2.0 if y == 0.0 else math.atan(1.0 / y) + 1.0 / (y + 1.0 / y)
@@ -220,7 +220,7 @@ def _shell_moment(a: float, h: float, lo: float, hi: float) -> float:
     # a = 1/2: G(y_hi^2) - G(y_lo^2) = G(z^2) + 2 z p / ((1 + z^2)(1 + p)), by atan's addition
     # rule, with p = y_hi y_lo and z = (y_hi - y_lo) / (1 + p)
     s = math.sqrt(hi) * math.sqrt(lo)  # p / h
-    Z = (hi - lo) / ((math.sqrt(hi) + math.sqrt(lo)) * (1.0 + h * s))  # z / sqrt h
+    Z = (hi - lo) / (math.sqrt(hi) + math.sqrt(lo)) / (1.0 + h * s)  # z / sqrt h
     return Z * Z * Z * _g_ratio(0.5, h * Z * Z) + 2.0 * Z * s / ((1.0 + h * Z * Z) * (1.0 + h * s))
 
 

@@ -4,9 +4,9 @@ Builds the three model variants (the dressed arrangement of the coupled
 model, its translation-invariant V=0 relative, and the fixed-momentum
 fiber model), finds ground states by preconditioned LOBPCG, and checks two
 operator identities: the pull-through commutator by a Gaussian-probe upper
-bound on the norm of its defect, and the soft-mode decomposition by the
-exact norms of its remainders on the ground state, formed on the V=0
-model's total-momentum blocks (``AssembledModel.block``).
+bound on the norm of its defect on the solved sector, and the soft-mode
+decomposition by the exact norms of its remainders on the ground state,
+formed on the V=0 model's total-momentum blocks (``AssembledModel.block``).
 
 The eigensolver is single-vector LOBPCG (A. V. Knyazev, SIAM J. Sci.
 Comput. 23, 2001), named lanczos_lowest still because the benchmark tracer
@@ -27,10 +27,10 @@ same diagonal in conjugate gradients.
 
 The grid ground states are solved on a ``particle.GridSector`` of the
 axes no mode reaches (``AssembledModel._sector``, ``lanczos_ground``), the
-one the atom solves on, built and sampled on the first solve; the whole
-grid's tables wait for a whole-grid product.  v0 commutes with the particle
-momentum there (Lee, Low and Pines, Phys. Rev. 90, 297, 1953) and keeps
-q = 0: dimension D n^C.
+one the atom solves on, built and sampled on the first solve: a copy of the
+model that, as its blocks do, holds the particle tables the model never
+holds.  v0 commutes with the particle momentum there (Lee, Low and Pines,
+Phys. Rev. 90, 297, 1953) and keeps q = 0: dimension D n^C.
 Gross commutes with x -> -x there and keeps the n/2 + 1 even indices,
 dimension D n^C (n/2 + 1)^(3 - C), where the transform is the real E, one
 real matmul; the coupled axes keep the FFT.
@@ -127,7 +127,6 @@ _PCG_MAXIT = 5000
 _PCG_TOL = 1e-10  # the inertia converges quadratically in the solves' residual
 _PULL_PROBES = 6  # the pull-through bound fails with probability 10^-6 per mode
 _VARIANTS = ("gross", "v0", "fiber")
-_PARTICLE_TABLES = ("_cells", "_psym", "_kin", "_phase")  # built on first use
 
 
 @dataclass
@@ -282,17 +281,17 @@ class AssembledModel:
     """One Hamiltonian variant realized as a structured matvec.
 
     The constructor derives the Fock tables from its six inputs and checks
-    none of them; ``assemble`` guards the inputs.  The particle tables are
-    built, and sampled, on first use (``_particle_tables``), so a model that
-    only solves holds its sector's alone, and one that never solves and
-    runs no whole-grid product holds none.  The coupling vectors g and the
-    phase table are kept so the identity checks can rebuild individual
-    interaction pieces.  A state vector is Fock-major, viewed as (D, X) by
-    ``_to2``: D Fock states by X particle points (1 on the fiber and a
-    block); the momentum symbols act in the representation reached by
-    ``_fft`` (the identity on one point, where p_l is the diagonal
-    P_l - P_f,l).  Arrays are
-    allocated in the type of the input and ``_dtype`` combined.
+    none of them; ``assemble`` guards the inputs.  It holds no particle
+    table (reading one raises AttributeError): its solved sector
+    (``_sector``) and its blocks (``block``) are copies sharing every Fock
+    table, each building and sampling its own (``_particle_tables``,
+    ``_on_points``).  The coupling vectors g and the phase table are kept so
+    the identity checks can rebuild individual interaction pieces.  A state
+    vector is Fock-major, viewed as (D, X) by ``_to2``: D Fock states by X
+    particle points (1 on the fiber and a block); the momentum symbols act
+    in the representation reached by ``_fft`` (the identity on one point,
+    where p_l is the diagonal P_l - P_f,l).  Arrays are allocated in the
+    type of the input and ``_dtype`` combined.
     """
 
     def __init__(self, variant: str, params: ModelParams, grid: PositionGrid | None,
@@ -317,12 +316,6 @@ class AssembledModel:
         self._shape = (basis.dim, 1 if grid is None else grid.point_count)  # (D, X)
         self._pot = (coulomb_potential(grid, params.alphaZ).ravel()
                      if variant == "gross" else None)  # (X,) potential; v0 and the fiber carry none
-
-    def __getattr__(self, name: str):
-        """A particle table read before it is set: the whole grid's, built now."""
-        if name not in _PARTICLE_TABLES:
-            raise AttributeError(name)
-        return self._particle_tables((0, 1, 2)).__dict__[name]
 
     def _particle_tables(self, whole: tuple[int, ...]) -> AssembledModel:
         """Self, with the tables of the grid sector that keeps the axes
@@ -383,19 +376,19 @@ class AssembledModel:
                                  "its potential does not commute with the total momentum")
         block = copy.copy(self)._on_points(self._momenta(np.asarray(P, dtype=float)))
         self._block_sampled = True
+        block._solved = block
         return block
 
     def _sector(self) -> AssembledModel:
-        """The operator ``lanczos_ground`` solves, built and sampled on the
-        first call: this model on the sector of its uncoupled axes that holds
-        its seed and that H keeps, a copy sharing every Fock table, or the
-        model itself when every axis is coupled or there is no grid.  Its
-        ``GridSector`` keeps the coupled axes whole and on every other v0's
-        one point q = 0 (x = -L, phase 1) or gross's even half."""
-        if self.grid is None or len(self._axes) == 3:
-            return self if "_cells" in self.__dict__ else self._particle_tables((0, 1, 2))
+        """The operator ``lanczos_ground`` solves and the pull-through check
+        probes, built, sampled and cached on the first call: a copy sharing
+        every Fock table, its own sector, on the sector of the uncoupled axes
+        that holds the seed and that H keeps (the fiber: its P = 0 block).
+        Its ``GridSector`` keeps the coupled axes whole and on every other
+        v0's one point q = 0 (x = -L, phase 1) or gross's even half."""
         if self._solved is None:
-            self._solved = copy.copy(self)._particle_tables(tuple(self._axes.tolist()))
+            sector = copy.copy(self)._particle_tables(tuple(self._axes.tolist()))
+            self._solved = sector._solved = sector
         return self._solved
 
     @property
@@ -509,7 +502,8 @@ class AssembledModel:
         This is i[H, d . x] (on the fiber and a block, d . dH/dP at its P),
         (dim,); on a stack of d, (L, 3), it is (L, dim) from one transform of
         v.  Its field part is the field operator at the scalar coupling
-        g_j . d, one column of the kernel, and d . p takes all three axes.
+        g_j . d, one column of the kernel, and d . p takes all three axes: on
+        a reflection-even sector d must lie in the span of the coupled axes.
         """
         d = np.asarray(directions, dtype=float)
         stack = d.reshape(-1, 3)
@@ -647,9 +641,9 @@ def assemble(
 
     The inputs are checked and the Fock tables built; no particle table is.
     Every operator the model applies is built, and sampled for symmetry, on
-    its first use: the one ``lanczos_ground`` solves,
-    ``AssembledModel._sector()``, on the first solve, the whole grid's on
-    the first whole-grid product, and a block on ``AssembledModel.block``.
+    its first use: the solved sector, ``AssembledModel._sector()``, on the
+    first solve or pull-through check (the whole grid only when every axis
+    is coupled), and a block on ``AssembledModel.block``.
     On the grid variants a mode component |k_l| above pi/h, which the phase
     sampled at spacing h aliases, is warned about.
     """
@@ -721,8 +715,8 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
 
     The solve runs on plane-wave coefficients s = F u of ``model._sector()``,
     the sector of the axes no mode reaches that H maps into itself and that
-    holds the seed (v0's constant one at q = 0, gross's atomic one even), or
-    the model when every axis is coupled, built and sampled on the first
+    holds the seed (v0's constant one at q = 0, gross's atomic one even), the
+    whole grid when every axis is coupled, built and sampled on the first
     solve: the products are ``plane_matvec`` and ``precondition`` is a
     diagonal division, with no FFT.  The seed's
     vacuum row is transformed on the whole grid and folded by W^T; the Ritz
@@ -745,7 +739,7 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
 
 
 def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
-    """The seed in plane-wave coefficients of ``solved``, the model or its
+    """The seed in plane-wave coefficients of ``solved``, the model's
     sector, (D, X) flat: F psi in the vacuum row, one transform of the
     whole grid's points, folded onto the sector by ``GridSector.fold``; on
     one point per Fock state (the fiber, a block) the bare vacuum."""
@@ -778,7 +772,8 @@ def _pull_defect(model: AssembledModel, j: int, v: np.ndarray) -> np.ndarray:
 
 def pull_through_residual(model: AssembledModel, j: int) -> float:
     """Probe upper bound on the compressed commutator defect for mode j,
-    relative to max(1, w_j).
+    relative to max(1, w_j), on the solved sector ``model._sector()``,
+    which a_j, the velocity along g_j and the even potential keep.
 
     Checks [a_j, H] = w_j a_j + c * conj(phase_j) (g_j . D) as matrices,
     compressed by the projection P onto the occupation totals <= N_max - 1,
@@ -800,12 +795,13 @@ def pull_through_residual(model: AssembledModel, j: int) -> float:
     if not (0 <= j < model.modes.count):
         raise ParameterError(f"mode index {j} out of range")
 
-    keep = np.repeat(model.basis.totals() <= model.basis.n_max - 1, model.grid.point_count)
+    sector = model._sector()
+    keep = np.repeat(model.basis.totals() <= model.basis.n_max - 1, sector._shape[1])
     worst = 0.0
-    for g1, g2 in _normal(1234 + j, (_PULL_PROBES, 2, model.dim)):
+    for g1, g2 in _normal(1234 + j, (_PULL_PROBES, 2, sector.dim)):
         z = g1 + 1j * g2
         z[~keep] = 0.0
-        worst = max(worst, float(np.linalg.norm(_pull_defect(model, j, z)[keep])))
+        worst = max(worst, float(np.linalg.norm(_pull_defect(sector, j, z)[keep])))
     return 10.0 * math.sqrt(2.0 / math.pi) * worst / max(1.0, float(model.modes.omega[j]))
 
 
@@ -966,7 +962,7 @@ def effective_mass_numeric(
     """
     if params.e == 0.0:
         return 1.0
-    model = assemble(params, None, modes, basis, variant="fiber")
+    model = assemble(params, None, modes, basis, variant="fiber")._sector()
     ground = lanczos_ground(model, tol=1e-12, maxit=min(600, model.dim + 2))
     psi0, e0 = ground.vector, ground.energy
     sigma = max(-e0, 0.0) + _SHIFT_MARGIN

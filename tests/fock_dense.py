@@ -1,8 +1,9 @@
 """Dense matrices for the tests: ladder matrices built from
 ``fockspace.ladder_ops``' raising tables, the reference the Fock-space and
-kernel tests compare against, and an assembled model probed column by
-column; and the basis order in closed form, the tests' oracle of the shell
-pass, with the occupation table the basis no longer keeps."""
+kernel tests compare against, an assembled model on the whole grid, and
+one probed column by column; and the basis order in closed form, the tests'
+oracle of the shell pass, with the occupation table the basis no longer
+keeps."""
 
 import math
 
@@ -18,6 +19,15 @@ def dense_ladder(basis, j):
     adag = np.zeros((basis.dim, basis.dim))
     adag[src, np.arange(src.size)] = val
     return adag.T.copy(), adag
+
+
+def whole_grid(model):
+    """``model`` itself, given the whole grid's particle tables (every axis
+    keeps its n points and the FFT; on the fiber its one point per Fock
+    state), built and sampled here: the tests' reference operator.  A
+    command's model reaches particle tables only through its solved sector
+    and its blocks."""
+    return model._particle_tables((0, 1, 2))
 
 
 def dense(model):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fock_dense import dense
+from fock_dense import dense, whole_grid
 import nelsonlab.quadrature as qd
 from nelsonlab.closedform import (
     c_star_c1,
@@ -149,7 +149,7 @@ def test_c05_dense_oracle_equivalence():
         for variant, params, g, basis in cases:
             model = assemble(params, g, modes, basis, variant=variant)
             assert model.dim <= 4000
-            exact = float(np.linalg.eigvalsh(dense(model))[0])
+            exact = float(np.linalg.eigvalsh(dense(whole_grid(model)))[0])
             fast = lanczos_ground(model, tol=1e-12, maxit=400).energy
             assert abs(exact - fast) <= 1e-10, (variant, exact, fast)
     print("C05 dense oracle equivalence: PASS")
@@ -177,8 +177,8 @@ def test_c06_inequality_suite_with_goldens(reference_suite):
     for cid, pinned in golden.items():
         assert slacks[cid] == pytest.approx(pinned, rel=1e-8, abs=1e-12), cid
     # the golden slacks 1e-10 - lhs, compared at abs 1e-12, miss an identity
-    # defect grown from its 5.0e-14 or 1.4e-15 to 9e-13; each lhs is pinned
-    # below 2e-13, four times the largest
+    # defect grown from its 3.4e-14 or 1.4e-15 to 9e-13; each lhs is pinned
+    # below 2e-13, six times the largest
     identities = [r for r in reference_suite if r.id.startswith("identity.")]
     assert len(identities) == 3
     for r in identities:

@@ -51,6 +51,18 @@ def test_gauss_legendre_matches_leggauss():
         assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-14, n
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_gauss_legendre_weights_sum_to_two(n):
+    """The weights are scaled to the length of [-1, 1]: their sum is 2 within
+    one ulp (the eigenvectors left 2 + 3.1e-15 at n = 16), and they stay
+    within 2e-14 of numpy's Newton-refined leggauss (measured 1.4e-14)."""
+    from numpy.polynomial.legendre import leggauss
+
+    _, w = fs._gauss_legendre(n)
+    assert abs(math.fsum(w) - 2.0) <= math.ulp(2.0)
+    assert np.max(np.abs(w - leggauss(n)[1]) / leggauss(n)[1]) <= 2e-14
+
+
 def test_radial_modes_do_not_load_numpy_polynomial():
     code = ("import sys; from nelsonlab.fockspace import build_modes; "
             "build_modes(0.3, 2.0, 4, 6); print('numpy.polynomial' in sys.modules)")

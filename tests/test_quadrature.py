@@ -311,6 +311,22 @@ def test_f_tau_norm_past_the_float_range_of_its_moment(e, Z, tau, kappa, lam, na
     assert abs(got - ref) <= 1e-13 * ref, (got, ref)
 
 
+@pytest.mark.parametrize("tau, rho, kappa, lam, name, norm", [
+    # (1 + h lo)(1 + h hi) overflowed in every unit tried: each printed 0
+    (-15.0013, 3.1542e-5, 0.0, 1.0107e293, "f_uv_over_sqrt_omega", 2.8696178250454668e-136),
+    (9.8535, 1331.03, 3.71e-9, 1.875e266, "f_uv_over_sqrt_omega", 8.599640240163519e-63),
+    # the a = 1/2 form's (sqrt hi + sqrt lo)(1 + h sqrt(hi lo)) overflowed: it printed 0
+    (0.0, 1.0, 1e20, 1e300, "f_uv_over_quarter_omega", 4.501581580785531e-06),
+], ids=["tau-15-sqrt", "tau9.85-sqrt", "base-quarter"])
+def test_f_tau_norm_over_a_finite_window_far_above_the_knee(tau, rho, kappa, lam, name, norm):
+    """A finite window far above the knee r = 1/h: the closed forms divide
+    by each factor in turn, so no product of them overflows."""
+    params, frame = make_params(0.3, 1.0, kappa=kappa, lam=lam), ScaleFrame(tau, rho)
+    got, ref = qd.f_tau_norm(params, frame, name), _mp_exact_norm(params, frame, name)
+    assert ref == pytest.approx(norm, rel=1e-12)
+    assert abs(got - ref) <= 1e-13 * ref, (got, ref)
+
+
 def test_f_tau_norm_refuses_a_divergent_moment(monkeypatch):
     """The omega-weighted (a = 1) moment up to lam = inf diverges: it raises
     DomainError naming the support, not an inf norm."""

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fock_dense import dense, dense_ladder, occupations
+from fock_dense import dense, dense_ladder, occupations, whole_grid
 from nelsonlab.fockspace import FockBasis, ModeGrid, build_modes
 from nelsonlab.model import (
     ConvergenceError,
@@ -371,9 +371,10 @@ def test_symmetry_sample_refuses_a_one_way_coupling_at_the_effmass_configuration
 def test_a_defect_off_the_sector_is_refused_before_the_first_whole_grid_product(monkeypatch):
     """The anti-Hermitian defect 1e-6 i P_odd, P_odd the projector onto the
     states odd in x, vanishes on the gross sector (even in x and y), so the
-    sector's sample, which the first solve runs, passes; the first
-    whole-grid product builds the whole grid's tables, and their sample
-    refuses the defect before that product runs."""
+    sector's sample, which the first solve runs, passes; the explicit build
+    of the whole grid's tables samples them, and the sample refuses the
+    defect before any other whole-grid product runs.  No command builds
+    them: a defect off the sector is the tests' to find."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case("+z", "gross")
     n, parts, whole = grid.n, sp.AssembledModel._parts, []
@@ -393,21 +394,34 @@ def test_a_defect_off_the_sector_is_refused_before_the_first_whole_grid_product(
     model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
     model._sector()  # built and sampled, as on the first solve
     assert whole == []
-    v = sp._normal(5, (2, model.dim))
     with pytest.raises(RuntimeError, match="failed the symmetry sample"):
-        model.matvec(v[0] + 1j * v[1])
-    assert whole == [1]  # the sample's product, not the one asked for
+        whole_grid(model)
+    assert whole == [1]  # the sample's product
+
+
+@pytest.mark.parametrize("variant", ["gross", "v0", "fiber"])
+def test_an_assembled_model_holds_no_particle_table(small_setup, variant):
+    """A table read on an assembled model raises AttributeError, before its
+    first solve and after it: no read builds the whole grid's tables, and
+    the solved sector's are the copy's own."""
+    params, grid, modes, basis = small_setup
+    model = sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
+                        variant=variant)
+    for solved in (False, True):
+        if solved:
+            model._sector()
+        for name in ("_phase", "_cells", "_psym", "_kin"):
+            with pytest.raises(AttributeError):
+                getattr(model, name)
 
 
 def test_hermitian_all_variants(small_setup):
     params, grid, modes, basis = small_setup
     for var in ("gross", "v0"):
-        model = sp.assemble(params, grid, modes, basis, variant=var)
+        model = whole_grid(sp.assemble(params, grid, modes, basis, variant=var))
         H = dense(model)
         assert np.max(np.abs(H - H.conj().T)) < 1e-12
-    fib = sp.assemble(
-        params, None, modes, FockBasis(modes.count, 2), variant="fiber"
-    )
+    fib = whole_grid(sp.assemble(params, None, modes, FockBasis(modes.count, 2), variant="fiber"))
     Hf = dense(fib)
     assert np.max(np.abs(Hf - Hf.conj().T)) < 1e-12
 
@@ -415,7 +429,7 @@ def test_hermitian_all_variants(small_setup):
 def test_zero_coupling_decouples(small_setup):
     _, grid, modes, basis = small_setup
     p0 = make_params(e=0.0, Z=1.0, kappa=0.3, lam=2.0)
-    m0 = sp.assemble(p0, grid, modes, basis, variant="gross")
+    m0 = whole_grid(sp.assemble(p0, grid, modes, basis, variant="gross"))
     rng = np.random.default_rng(5)
     f = rng.standard_normal(grid.point_count) + 1j * rng.standard_normal(grid.point_count)
     g = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
@@ -507,7 +521,7 @@ def test_dense_matches_independent_reference(variant, grid_name):
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
     basis = FockBasis(modes.count, 3 if variant == "fiber" else 2)
-    model = sp.assemble(params, grid, modes, basis, variant=variant)
+    model = whole_grid(sp.assemble(params, grid, modes, basis, variant=variant))
     assert model.dim <= 1000
     assert model._coupling.shape[1] == coupled
     ref = _reference_hamiltonian(params, grid, modes, basis, variant)
@@ -519,13 +533,11 @@ def test_dense_matches_independent_reference(variant, grid_name):
 def test_matvec_transforms_only_the_coupled_axes(variant, grid_name, monkeypatch):
     """One coupled matvec makes 2 + 2C FFTs, C the coupled axes; none on the
     fiber.  So does one product on plane-wave coefficients, and the
-    preconditioner there makes none.  Where the solved sector is not the
-    whole grid (+z, lattice), the first whole-grid product builds the whole
-    grid's tables and samples them first, one product more: 2 (2 + 2C)."""
+    preconditioner there makes none."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
-                        variant=variant)
+    model = whole_grid(sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
+                                   variant=variant))
     calls = []
 
     def counted(transform):
@@ -538,8 +550,7 @@ def test_matvec_transforms_only_the_coupled_axes(variant, grid_name, monkeypatch
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     x = np.random.default_rng(3).standard_normal(model.dim)
     ffts = 0 if variant == "fiber" else 2 + 2 * coupled
-    sampled = 1 if model._sector() is model else 2
-    for product, count in ((model.matvec, sampled * ffts), (model.plane_matvec, ffts),
+    for product, count in ((model.matvec, ffts), (model.plane_matvec, ffts),
                            (lambda s: model.precondition(s, 0.1), 0)):
         calls.clear()
         product(x)
@@ -553,8 +564,8 @@ def test_plane_matvec_is_the_conjugated_matvec(variant, grid_name):
     unnormalized DFT over the particle axes, at C = 1, 2 and 3."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, variant)
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
-                        variant=variant)
+    model = whole_grid(sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
+                                   variant=variant))
     assert model._coupling.shape[1] == coupled
     n = grid.n
     D = model.basis.dim
@@ -579,15 +590,16 @@ def test_lanczos_ground_returns_a_unit_position_vector(small_setup, variant):
     v = res.vector
     assert v.dtype == np.complex128 and v.shape == (model.dim,)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-    residual = np.linalg.norm(dense(model) @ v - res.energy * v)
+    residual = np.linalg.norm(dense(whole_grid(model)) @ v - res.energy * v)
     assert residual <= 1e-10 * max(1.0, abs(res.energy))
     assert residual == pytest.approx(res.residual, abs=1e-13)
 
 
 def _full_grid_ground(model, tol, maxit):
     """LOBPCG on the whole grid's plane-wave products from the whole grid's
-    seed, the solve a sector must reproduce: (energy, unit position
-    vector, residual, products)."""
+    seed, the solve a sector must reproduce, on a model with the whole
+    grid's tables (``whole_grid``): (energy, unit position vector, residual,
+    products)."""
     energy, vec, residual, products = sp.lanczos_lowest(
         model.plane_matvec, model.dim, sp._default_seed(model, model), tol, maxit,
         precond=model.precondition)
@@ -610,7 +622,7 @@ def test_v0_solves_on_the_sector_of_its_coupled_axes(grid_name):
     the uncoupled axes, and a full-grid residual within the one reported."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, "v0")
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="v0")
+    model = whole_grid(sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="v0"))
     D, n = model.basis.dim, grid.n
     sector = model._sector()
     assert sector.dim == D * n**coupled
@@ -638,7 +650,8 @@ def test_v0_solves_on_the_sector_of_its_coupled_axes(grid_name):
 def test_gross_sector_keeps_exactly_the_coupled_axes_whole(grid_name):
     """The gross sector keeps all n points of exactly the axes where g has
     a nonzero column, and the n/2 + 1 even indices of every other axis; on
-    the spiral, where every axis is coupled, it is the model itself."""
+    the spiral, where every axis is coupled, it is a copy of the model with
+    the whole grid's cut.  It is its own sector, and the model's, cached."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, coupled = _grid_case(grid_name, "gross")
     model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
@@ -647,7 +660,8 @@ def test_gross_sector_keeps_exactly_the_coupled_axes_whole(grid_name):
     kept = tuple(n if model.g[:, axis].any() else n // 2 + 1 for axis in range(3))
     assert sector._cells.shape == kept
     assert sum(size == n for size in sector._cells.shape) == coupled
-    assert (sector is model) == (coupled == 3)
+    assert sector is not model and model._sector() is sector and sector._sector() is sector
+    assert (sector._cells.cut == (slice(None),) * 3) == (coupled == 3)
     assert sector.dim == model.basis.dim * n**coupled * (n // 2 + 1) ** (3 - coupled)
 
 
@@ -657,7 +671,8 @@ def test_gross_sector_product_is_the_full_product_on_even_inputs(grid_name):
     sector's product is the full grid's, folded, to 1e-13."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case(grid_name, "gross")
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 2), variant="gross")
+    model = whole_grid(sp.assemble(params, grid, modes, FockBasis(modes.count, 2),
+                                   variant="gross"))
     sector = model._sector()
     D, n = model.basis.dim, grid.n
     uncoupled = set(range(3)) - set(model._axes)
@@ -691,7 +706,7 @@ def test_gross_sector_solve_is_the_full_grid_solve(grid_name, n_max):
     grid, modes, _ = _grid_case(grid_name, "gross")
     model = sp.assemble(params, grid, modes, FockBasis(modes.count, n_max), variant="gross")
     res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
-    energy, vec, _, products = _full_grid_ground(model, 1e-10, 300)
+    energy, vec, _, products = _full_grid_ground(whole_grid(model), 1e-10, 300)
     assert res.energy == pytest.approx(energy, rel=1e-12)
     assert res.iterations == products
     assert res.vector.shape == (model.dim,)
@@ -728,11 +743,11 @@ def test_the_grid_solves_run_on_their_sectors(small_setup, monkeypatch):
 
 @pytest.mark.parametrize("variant", ["gross", "v0"])
 def test_lanczos_ground_transforms_no_whole_grid_state(variant, monkeypatch):
-    """``assemble`` and a sector solve build no whole-grid table: assembly
-    samples the solved sector, so the one phase table is the sector's, and
-    the only whole-grid FFT is the seed row's, over n^3 points.  No FFT spans
-    the D n^3 points of a state, since the Ritz vector returns through the
-    sector's inverse transform and GridSector.unfold."""
+    """``assemble`` and a sector solve build no whole-grid table: the first
+    solve builds and samples the solved sector, so the one phase table is
+    the sector's, and the only whole-grid FFT is the seed row's, over n^3
+    points.  No FFT spans the D n^3 points of a state, since the Ritz vector
+    returns through the sector's inverse transform and GridSector.unfold."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case("+z", variant)
     sizes = {"fftn": [], "ifftn": [], "phases": []}
@@ -799,8 +814,8 @@ def test_plane_matvec_holds_no_more_than_matvec(case):
     charge, n, radial, angular, n_max = _MEMORY_CASES[case]
     params = make_params(kappa=0.1, lam=10.0, **charge)
     modes = build_modes(0.1, 10.0, radial, angular)
-    model = sp.assemble(params, PositionGrid(n=n, L=10.0), modes,
-                        FockBasis(modes.count, n_max), variant="gross")
+    model = whole_grid(sp.assemble(params, PositionGrid(n=n, L=10.0), modes,
+                                   FockBasis(modes.count, n_max), variant="gross"))
     rng = np.random.default_rng(41)
     x = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     assert _traced_peak(model.plane_matvec, x) <= _traced_peak(model.matvec, x)
@@ -814,7 +829,8 @@ def test_apply_D_holds_no_more_than_matvec():
     against 7.01; 12.16 with a (C, D, X) stack)."""
     params = make_params(e=0.1, Z=1.0, kappa=0.3, lam=2.0)
     modes = build_modes(0.3, 2.0, 4, 6)
-    model = sp.assemble(params, None, modes, FockBasis(modes.count, 4), variant="fiber")
+    model = whole_grid(sp.assemble(params, None, modes, FockBasis(modes.count, 4),
+                                   variant="fiber"))
     x = np.random.default_rng(47).standard_normal(model.dim)
     velocity = _traced_peak(lambda v: model.apply_D(v, [0.0, 0.0, 1.0]), x)
     assert velocity <= _traced_peak(model.matvec, x)
@@ -827,7 +843,7 @@ def test_apply_D_along_an_uncoupled_axis():
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case("+z", "gross")
     basis = FockBasis(modes.count, 2)
-    model = sp.assemble(params, grid, modes, basis, variant="gross")
+    model = whole_grid(sp.assemble(params, grid, modes, basis, variant="gross"))
     rng = np.random.default_rng(17)
     v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     u4 = v.reshape((basis.dim,) + (grid.n,) * 3)
@@ -847,8 +863,8 @@ def test_apply_D_on_a_stack_is_each_direction(small_setup, variant, monkeypatch)
     """A stack of directions, (L, 3), gives the (L, dim) velocities one call
     per direction gives, from one forward and one inverse transform."""
     params, grid, modes, basis = small_setup
-    model = sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
-                        variant=variant)
+    model = whole_grid(sp.assemble(params, None if variant == "fiber" else grid, modes, basis,
+                                   variant=variant))
     rng = np.random.default_rng(59)
     v = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     directions = np.array([[1.0, 0.0, 0.0], [0.3, -0.5, 0.8], [0.0, 0.0, 1.0]])
@@ -897,8 +913,8 @@ def kernel_model(request):
     else:
         modes, grid = build_modes(0.3, 2.0, 3, 1), PositionGrid(n=4, L=5.0)
     variant = request.param.split("-")[0]
-    model = sp.assemble(params, grid, modes, FockBasis(modes.count, 3),
-                        variant=variant)
+    model = whole_grid(sp.assemble(params, grid, modes, FockBasis(modes.count, 3),
+                                   variant=variant))
     assert model._coupling.shape[1] == (1 if request.param == "gross-+z" else 3)
     assert np.bincount(model._src.ravel()).max() == 3
     return model
@@ -997,7 +1013,7 @@ def test_product_matches_dense_reference_at_every_cap(variant, grid_name, n_max)
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid, modes, _ = _grid_case(grid_name, variant)
     basis = FockBasis(modes.count, n_max)
-    model = sp.assemble(params, grid, modes, basis, variant=variant)
+    model = whole_grid(sp.assemble(params, grid, modes, basis, variant=variant))
     assert model._inner == (math.comb(modes.count + n_max - 2, n_max - 2) if n_max >= 2 else 0)
     ref = _reference_hamiltonian(params, grid, modes, basis, variant)
     rng = np.random.default_rng(53 + n_max)
@@ -1018,13 +1034,13 @@ def test_lanczos_ground_matches_dense(small_setup, gross_model):
         ("gross", gross_model),
         ("v0", sp.assemble(params, grid, modes, basis, variant="v0")),
     ):
-        evals = np.linalg.eigvalsh(dense(model))
+        evals = np.linalg.eigvalsh(dense(whole_grid(model)))
         res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
         assert res.energy == pytest.approx(evals[0], abs=1e-10), var
     fib = sp.assemble(
         params, None, modes, FockBasis(modes.count, 3), variant="fiber"
     )
-    evals = np.linalg.eigvalsh(dense(fib))
+    evals = np.linalg.eigvalsh(dense(whole_grid(fib)))
     res = sp.lanczos_ground(fib, tol=1e-10, maxit=300)
     assert res.energy == pytest.approx(evals[0], abs=1e-10)
 
@@ -1039,7 +1055,7 @@ def test_lanczos_ground_v0_and_fiber_vacuum_seed():
     fib = sp.assemble(params, None, build_modes(0.3, 2.0, 2, 2),
                       FockBasis(4, 4), variant="fiber")
     for model in (v0, fib):
-        H = dense(model)
+        H = dense(whole_grid(model))
         res = sp.lanczos_ground(model, tol=1e-10, maxit=300)
         assert res.iterations > 2
         assert res.energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-10)
@@ -1096,7 +1112,7 @@ def test_v0_commutes_with_total_momentum(small_setup):
         k=dk * np.array([[0.0, 0.0, 1.0], [-1.0, 1.0, -1.0]]),
         w=np.array([0.05, 0.04]),
     )
-    model = sp.assemble(params, grid, modes, basis, variant="v0")
+    model = whole_grid(sp.assemble(params, grid, modes, basis, variant="v0"))
     pf = occupations(basis) @ modes.k
     idx = np.fft.fftfreq(grid.n) * grid.n
     keep = (idx >= -grid.n // 2 + 2) & (idx <= grid.n // 2 - 1 - 2)
@@ -1153,6 +1169,7 @@ def tiny_pull_model():
 def _field_energy_mutant(model, factor):
     bad = copy.copy(model)
     bad._hf = model._hf * factor  # field energy inconsistent with omega
+    bad._solved = None  # its own sector, not the clean model's
     return bad
 
 
@@ -1162,15 +1179,18 @@ def test_pull_through_has_teeth(pull_model, factor):
 
 
 def test_pull_through_bounds_the_dense_defect_norm(tiny_pull_model):
+    """The probe bound against the exact compressed defect norm on the
+    solved sector, the operator the check runs on."""
     bad = _field_energy_mutant(tiny_pull_model, 1.001)
-    keep = np.repeat(bad.basis.totals() <= bad.basis.n_max - 1, bad.grid.point_count)
+    sector = bad._sector()
+    keep = np.repeat(bad.basis.totals() <= bad.basis.n_max - 1, sector._shape[1])
     cols = np.flatnonzero(keep)
     for j in range(bad.modes.count):
         defect = np.empty((cols.size, cols.size), dtype=complex)
         for c, k in enumerate(cols):
-            e_k = np.zeros(bad.dim, dtype=complex)
+            e_k = np.zeros(sector.dim, dtype=complex)
             e_k[k] = 1.0
-            defect[:, c] = sp._pull_defect(bad, j, e_k)[keep]
+            defect[:, c] = sp._pull_defect(sector, j, e_k)[keep]
         exact = np.linalg.norm(defect, 2) / max(1.0, bad.modes.omega[j])
         assert exact > 1e-6  # the mutant is caught, so the comparison is not vacuous
         assert exact <= sp.pull_through_residual(bad, j)
@@ -1189,11 +1209,34 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def test_sector_pull_defect_is_the_whole_grid_defect_of_its_unfold():
+    """On the suite's pull-through model (n 8, L 5, +z modes) the defect on
+    the solved sector, even in x and y, is the whole grid's on the unfolded
+    probe: a_j, the velocity along g_j (on the coupled axis z) and H all
+    keep the even sector, so the check runs on the operator the solve
+    uses."""
+    params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
+    modes = build_modes(0.3, 2.0, 2, 1)
+    model = sp.assemble(params, PositionGrid(n=8, L=5.0), modes, FockBasis(modes.count, 2),
+                        variant="gross")
+    sector = model._sector()
+    whole = whole_grid(copy.copy(model))
+    assert (sector._shape[1], whole._shape[1]) == (8 * 5 * 5, 8**3)
+    D = model.basis.dim
+    for j in range(modes.count):
+        z = sp._normal(11 + j, (2, sector.dim))
+        z = z[0] + 1j * z[1]
+        got = sector._cells.unfold(sp._pull_defect(sector, j, z).reshape(D, -1)).ravel()
+        ref = sp._pull_defect(whole, j, sector._cells.unfold(z.reshape(D, -1)).ravel())
+        assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
 def test_pull_defect_lowers_the_vector_once(tiny_pull_model, monkeypatch):
     """a_j v serves both [a_j, H] v and w_j a_j v: two lowerings per probe."""
-    v = sp._normal(3, (tiny_pull_model.dim,)).astype(complex)
+    sector = tiny_pull_model._sector()
+    v = sp._normal(3, (sector.dim,)).astype(complex)
     calls = _counting(monkeypatch, "apply_a")
-    sp._pull_defect(tiny_pull_model, 0, v)
+    sp._pull_defect(sector, 0, v)
     assert len(calls) == 2
 
 
@@ -1228,7 +1271,8 @@ def test_block_products_are_the_grid_products_of_their_lift(n):
     the last two at n 16), and the block runs in float64."""
     params = make_params(e=0.3, Z=1.0, kappa=0.3, lam=2.0)
     grid = PositionGrid(n=n, L=8.0)
-    model = sp.assemble(params, grid, _lattice_modes(grid), FockBasis(2, 3), variant="v0")
+    model = whole_grid(sp.assemble(params, grid, _lattice_modes(grid), FockBasis(2, 3),
+                                   variant="v0"))
     rng = np.random.default_rng(41)
     directions = np.array([[1.0, 0.0, 0.0], [0.3, -0.5, 0.8]])
     h, wrapped = n // 2, []
@@ -1276,7 +1320,7 @@ def test_blocks_refuse_gross_and_off_lattice_models(small_setup, telescoping_mod
 
 
 def test_the_fiber_is_its_zero_momentum_block():
-    fiber = _fiber(0.3, 1, 6, 2)
+    fiber = _fiber(0.3, 1, 6, 2)._sector()
     x = np.random.default_rng(43).standard_normal(fiber.dim)
     block = fiber.block(np.zeros(3))
     assert np.array_equal(block.matvec(x), fiber.matvec(x))
@@ -1485,7 +1529,7 @@ def test_fiber_runs_in_real_arithmetic():
     """The fiber's tables are real, so a real vector stays float64 through
     every operator and the eigensolver; a complex one keeps complex
     arithmetic, and the two agree."""
-    model = _fiber(0.3, 2, 6, 2)
+    model = _fiber(0.3, 2, 6, 2)._sector()
     x = np.random.default_rng(23).standard_normal(model.dim)
     for apply in (model.matvec, lambda v: model.precondition(v, 0.1),
                   lambda v: model.apply_D(v, [0.3, -0.5, 0.8])):
@@ -1499,7 +1543,7 @@ def test_fiber_runs_in_real_arithmetic():
 @pytest.mark.parametrize("variant", ["gross", "v0"])
 def test_grid_variants_stay_complex(small_setup, variant):
     params, grid, modes, basis = small_setup
-    model = sp.assemble(params, grid, modes, basis, variant=variant)
+    model = whole_grid(sp.assemble(params, grid, modes, basis, variant=variant))
     x = np.random.default_rng(29).standard_normal(model.dim)
     assert model.matvec(x).dtype == np.complex128
     assert model.precondition(x, 0.1).dtype == np.complex128
@@ -1513,7 +1557,7 @@ def test_effective_mass_matches_dense_complex_reference():
     b_l the part of W_l psi0 off psi0."""
     params = make_params(e=0.1, Z=1.0, kappa=0.3, lam=2.0)
     modes = build_modes(0.3, 2.0, 2, 6)
-    model = _fiber(0.1, 2, 6, 2)
+    model = _fiber(0.1, 2, 6, 2)._sector()  # the operator effective_mass_numeric multiplies on
     energies, states = np.linalg.eigh(dense(model))
     assert energies[1] - energies[0] > 0.1  # a simple ground level
     psi0, eye = states[:, 0], np.eye(model.dim, dtype=complex)
@@ -1533,7 +1577,7 @@ def test_fiber_matvec_peak_memory():
     N_max = 4, dim 20 475) peaks at 7.0 dim-length float64 vectors, output
     included (14.0 in complex arithmetic); the bound leaves half a vector
     of margin for the allocator."""
-    model = _fiber(0.1, 4, 6, 4)
+    model = _fiber(0.1, 4, 6, 4)._sector()
     x = np.random.default_rng(31).standard_normal(model.dim)
     model.matvec(x)
     tracemalloc.start()

@@ -19,7 +19,9 @@ from nelsonlab.verify import (
     suite_passed,
 )
 from nelsonlab.cli import RunConfig, _resolution, _to_json
-from nelsonlab.particle import PositionGrid
+from nelsonlab.fockspace import FockBasis, build_modes
+from nelsonlab.particle import GridSector, PositionGrid
+from nelsonlab.spectral import effective_mass_numeric
 
 SMALL = Resolution(n=8, L=10.0, n_radial=2, n_angular=1, n_max=1, tol=1e-10, maxit=200)
 REFERENCE = Resolution(n=16, L=10.0, n_radial=4, n_angular=1, n_max=2, tol=1e-9, maxit=400)
@@ -107,6 +109,31 @@ def test_pull_through_submodel_is_the_reported_one_and_holds_at_large_lambda(mon
         assert model.basis.n_max == sub["sub_nmax"]
     # the defect's rounding grows with omega_j ~ lambda; read against it, it stays flat
     assert report.passed and report.lhs < 1e-10
+
+
+def test_no_command_path_builds_a_whole_grid_table(monkeypatch):
+    """On a +z configuration, one coupled axis, the suite, the solve's report
+    and the effective mass build particle tables only on the sectors they
+    solve and for the atom: no ``GridSector`` keeps all three axes whole.
+    The pull-through check runs on its model's sector, the telescoping check
+    on blocks and the fiber on its one point per Fock state."""
+    wholes, init = [], GridSector.__init__
+
+    def recorded(self, grid, whole, even):
+        wholes.append(tuple(whole))
+        init(self, grid, whole, even)
+
+    monkeypatch.setattr(GridSector, "__init__", recorded)
+    params = make_params(0.3, 1.0, kappa=0.1, lam=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert suite_passed(run_suite(params, SMALL))
+        verify.ground_report(params, SMALL)
+    modes = build_modes(0.3, 2.0, 2, 6)
+    assert effective_mass_numeric(make_params(0.1, 1.0, kappa=0.3, lam=2.0), modes,
+                                  FockBasis(modes.count, 2)) > 1.0
+    assert (2,) in wholes and () in wholes  # the +z sectors and the atom
+    assert (0, 1, 2) not in wholes
 
 
 def test_moment_and_photon_checks_are_nonvacuous(full_suite):
