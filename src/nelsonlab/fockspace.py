@@ -164,12 +164,6 @@ class FockBasis:
         return self.mode_sum(np.ones(self.mode_count, dtype=np.int64))
 
 
-def vacuum_vector(basis: FockBasis) -> np.ndarray:
-    v = np.zeros(basis.dim)
-    v[0] = 1.0
-    return v
-
-
 def ladder_ops(basis: FockBasis):
     """The raising tables ``(src, val)`` of all modes, each (M, K), over the
     states below the top shell, the first K of the basis: state k raised in

@@ -1,16 +1,18 @@
 """Ground-state observables: photon numbers, spatial moments, decoupled overlaps.
 
-``ground_state_report`` forms |psi|^2 once and reads every observable of a
-solved ground state from it.  It keeps the particle density, which the
-verification suite weighs for the moments the report does not carry; the
-public functions below give the report's values one at a time.
+``ground_state_report`` forms |psi|^2 once (``_probabilities``) and reads
+every observable of a solved ground state from it.  It keeps the particle
+density, which the verification suite weighs for the moments the report does
+not carry.  The four public functions below give the report's values one at
+a time, each from the same one pass; they remain as the benchmark tracer's
+span names.
 
 All states are flat coupled vectors in the solver's Fock-major layout,
 ``state[d * X + x]`` with ``X`` the particle points, and are treated as
 l2-normalized (the routines renormalize defensively so a global phase or
-scale never matters).  The atomic reference ``AtomicState.psi`` is a unit l2
-vector over the same points, read as is.  States, grids and moments are in
-defining units.
+scale never matters).  The atomic reference, ``particle.atomic_ground``'s
+``SpectralResult``, has as its vector a unit l2 vector over the same points,
+read as is.  States, grids and moments are in defining units.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import numpy as np
 
 from .fockspace import FockBasis, ModeGrid
 from .model import ParameterError
-from .particle import AtomicState, PositionGrid
+from .particle import PositionGrid
+from .spectral import SpectralResult
 
 
-def _as_matrix(state: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, float]:
-    """A flat coupled vector as a (D, n_points) view and its nonzero l2 norm;
-    ``np.divide(*_as_matrix(...))`` is the unit-normalized copy."""
+def _probabilities(state: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """|psi|^2 of a flat coupled vector, normalized once, summed each way:
+    the weight of each Fock state (D,), the density at each particle point
+    (X,), and the unit vacuum row psi(0, .) (X,) that the overlaps read."""
     v = np.asarray(state).ravel()
     if v.size == 0 or v.size % basis.dim != 0:
         raise ParameterError(
@@ -36,25 +40,22 @@ def _as_matrix(state: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, float]:
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise ParameterError("cannot form observables of the zero vector")
-    return v.reshape(basis.dim, -1), nrm
-
-
-def sector_weights(state: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Probability carried by each Fock sector, summed over the particle grid."""
-    mat = np.divide(*_as_matrix(state, basis))
-    return np.sum((mat.conj() * mat).real, axis=1)
-
-
-def position_density(state: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Probability at each particle point, summed over the Fock sectors."""
-    mat = np.divide(*_as_matrix(state, basis))
-    return np.sum((mat.conj() * mat).real, axis=0)
+    mat = v.reshape(basis.dim, -1)
+    # one Fock row at a time, normalized into ``row`` (the bits of v / nrm), so no (D, X)
+    # temporary; conj(psi) psi, not re^2 + im^2: numpy's complex product fuses re^2 into
+    # the sum, so re^2 + im^2 differs in the last bit and the printed moments with it
+    prob, row = np.empty(mat.shape), np.empty(mat.shape[1], dtype=mat.dtype)
+    square = np.empty(mat.shape[1], dtype=complex)
+    for d in range(len(mat)):
+        np.divide(mat[d], nrm, out=row)
+        prob[d] = np.multiply(np.conjugate(row, out=square), row, out=square).real
+    return np.sum(prob, axis=1), np.sum(prob, axis=0), np.divide(mat[0], nrm, out=row)
 
 
 def vacuum_sector_weight(state: np.ndarray, basis: FockBasis) -> float:
     """<1 (x) P_Omega>: total probability of the zero-photon sector, Fock
     index 0."""
-    return float(sector_weights(state, basis)[0])
+    return float(_probabilities(state, basis)[0][0])
 
 
 class PhotonNumbers(NamedTuple):
@@ -73,7 +74,7 @@ def photon_number(state: np.ndarray, basis: FockBasis, modes: ModeGrid) -> Photo
         raise ParameterError(
             f"mode grid has {modes.count} modes but the basis indexes {basis.mode_count}"
         )
-    return _photons(sector_weights(state, basis), basis, modes)
+    return _photons(_probabilities(state, basis)[0], basis, modes)
 
 
 def _photons(weights: np.ndarray, basis: FockBasis, modes: ModeGrid) -> PhotonNumbers:
@@ -95,11 +96,11 @@ def spatial_moment(state: np.ndarray, grid: PositionGrid, basis: FockBasis, f_na
     by f at each grid point."""
     if f_name not in _MOMENTS:
         raise ParameterError(f"f_name must be one of {tuple(_MOMENTS)}, got {f_name!r}")
-    return float(_MOMENTS[f_name](grid.radius.ravel()) @ position_density(state, basis))
+    return float(_MOMENTS[f_name](grid.radius.ravel()) @ _probabilities(state, basis)[1])
 
 
 def overlap_with_decoupled(
-    state: np.ndarray, atomic: AtomicState, basis: FockBasis
+    state: np.ndarray, atomic: SpectralResult, basis: FockBasis
 ) -> tuple[float, float]:
     """(overlap_P, overlap_Q) against the decoupled product reference.
 
@@ -109,17 +110,16 @@ def overlap_with_decoupled(
     formed as ||row - <psi_at, row> psi_at||^2 on the vacuum row, so a small
     weight keeps its digits instead of being the difference of two near 1.
     """
-    return _overlaps(np.divide(*_as_matrix(state, basis))[0], atomic)
+    return _overlaps(_probabilities(state, basis)[2], atomic.vector)
 
 
-def _overlaps(row: np.ndarray, atomic: AtomicState) -> tuple[float, float]:
-    npts = atomic.psi.size
-    if row.size != npts:
+def _overlaps(row: np.ndarray, psi_at: np.ndarray) -> tuple[float, float]:
+    if row.size != psi_at.size:
         raise ParameterError(
-            f"state has {row.size} grid points but the atomic state has {npts}"
+            f"state has {row.size} grid points but the atomic state has {psi_at.size}"
         )
-    amp = np.vdot(atomic.psi, row)
-    rest = row - amp * atomic.psi
+    amp = np.vdot(psi_at, row)
+    rest = row - amp * psi_at
     return float(abs(amp) ** 2), float(np.vdot(rest, rest).real)
 
 
@@ -158,21 +158,11 @@ def ground_state_report(model, result) -> GroundStateReport:
     """
     if model.grid is None:
         raise ParameterError("observable reports need a particle sector")
-    mat, nrm = _as_matrix(result.vector, model.basis)  # one norm for every observable
-    # |psi|^2 one Fock row at a time, normalized into ``row`` (the bits of v / nrm), so no
-    # (D, X) temporary; conj(psi) psi, not re^2 + im^2: numpy's complex product fuses re^2
-    # into the sum, so re^2 + im^2 differs in the last bit and the printed moments with it
-    prob, row = np.empty(mat.shape), np.empty(mat.shape[1], dtype=mat.dtype)
-    square = np.empty(mat.shape[1], dtype=complex)
-    for d in range(len(mat)):  # by index, so no view of prob outlives ``del``
-        np.divide(mat[d], nrm, out=row)
-        prob[d] = np.multiply(np.conjugate(row, out=square), row, out=square).real
-    weights, density = np.sum(prob, axis=1), np.sum(prob, axis=0)
-    del prob, square  # freed before the overlaps
+    weights, density, row = _probabilities(result.vector, model.basis)
     nums = _photons(weights, model.basis, model.modes)
     r = model.grid.radius.ravel()
     moments = {name: float(f(r) @ density) for name, f in _MOMENTS.items()}
-    overlap_p, overlap_q = _overlaps(np.divide(mat[0], nrm, out=row), model.atomic_reference())
+    overlap_p, overlap_q = _overlaps(row, model.atomic_reference().vector)
     return GroundStateReport(
         energy=float(result.energy),
         n_f_total=nums.total,

@@ -2,7 +2,8 @@
 
 Provides the 3D spectral discretization of 1/2 p^2 - alphaZ/|x|, the grid
 sectors the atom and the coupled solves run on (``GridSector``), the atom's
-ground state as a unit l2 vector over the grid points, and the l=1 radial
+ground state (a ``spectral.SpectralResult``, as every solve returns, whose
+vector is a unit l2 vector over the grid points), and the l=1 radial
 resolvent matrix element that feeds the second-order binding expansion, by
 one tridiagonal sweep over all the shifts it is asked for.
 """
@@ -13,15 +14,18 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import ParameterError
 
+if TYPE_CHECKING:  # spectral imports this module; atomic_ground imports it on call
+    from .spectral import SpectralResult
+
 __all__ = [
     "PositionGrid",
     "GridSector",
-    "AtomicState",
     "atomic_ground",
     "coulomb_potential",
     "radial_resolvent_l1",
@@ -207,34 +211,6 @@ def _along_axis(matrix: np.ndarray, v: np.ndarray, axis: int, out: np.ndarray | 
     return out
 
 
-@dataclass(eq=False)
-class AtomicState:
-    """Discrete atomic ground state with its analytic references."""
-
-    grid: PositionGrid
-    alphaZ: float
-    energy: float
-    psi: np.ndarray  # (n^3,) unit l2 vector in the grid's point order
-    residual: float
-    iterations: int
-
-    @property
-    def analytic_energy(self) -> float:
-        return -0.5 * self.alphaZ**2
-
-    @property
-    def discretization_error(self) -> float:
-        return abs(self.energy - self.analytic_energy)
-
-    def analytic_state(self) -> np.ndarray:
-        """e^{-alphaZ |x|} sampled flat and scaled to a unit l2 vector."""
-        raw = np.exp(-self.alphaZ * self.grid.radius).ravel()
-        return raw / np.linalg.norm(raw)
-
-    def overlap_with_analytic(self) -> float:
-        return abs(float(self.psi @ self.analytic_state()))
-
-
 def coulomb_potential(grid: PositionGrid, alphaZ: float) -> np.ndarray:
     """-alphaZ / max(|x|, h/2) on the mesh, shape (n, n, n): the Coulomb
     attraction softened at half a grid step, the one potential of the atom
@@ -242,20 +218,25 @@ def coulomb_potential(grid: PositionGrid, alphaZ: float) -> np.ndarray:
     return -alphaZ / np.maximum(grid.radius, grid.h / 2.0)
 
 
-def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
-    """Ground state of 1/2 p^2 + coulomb_potential(grid, alphaZ) on the box.
+def atomic_ground(grid: PositionGrid, alphaZ: float) -> SpectralResult:
+    """Ground state of 1/2 p^2 + coulomb_potential(grid, alphaZ) on the box,
+    as a ``spectral.SpectralResult`` whose vector is the unit l2 vector over
+    the n^3 points in the grid's order, its sum made nonnegative.
 
     The kinetic term is applied spectrally (exact on lattice plane waves);
     the Coulomb singularity is softened at the scale of half a grid step.
     All downstream variational checks use the discrete energy returned
-    here as their reference, so the softening cannot flip an inequality.
+    here as their reference, so the softening cannot flip an inequality;
+    the continuum level -(alphaZ)^2/2 is ``closedform.atomic_level``.
     """
     if not (0.0 <= alphaZ < math.inf):
         raise ParameterError(f"alphaZ must be finite and >= 0, got {alphaZ}")
 
+    from .spectral import SpectralResult, lanczos_lowest
+
     if alphaZ == 0.0:
         psi = np.full(grid.point_count, 1.0 / math.sqrt(grid.point_count))
-        return AtomicState(grid, 0.0, 0.0, psi, 0.0, 0)
+        return SpectralResult(energy=0.0, vector=psi, residual=0.0, iterations=0)
 
     bohr = 1.0 / alphaZ
     if bohr / grid.h < 4.0:
@@ -293,8 +274,6 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
         r /= sector.kin + sigma
         return r
 
-    from .spectral import lanczos_lowest
-
     seed = sector.forward(sector.fold(np.exp(-alphaZ * grid.radius)), None)
     energy, vec, residual, iterations = lanczos_lowest(
         matvec, sector.size, seed=seed.ravel(), tol=1e-12, maxit=500, precond=precond,
@@ -302,7 +281,7 @@ def atomic_ground(grid: PositionGrid, alphaZ: float) -> AtomicState:
     # F / sqrt(N) is unitary, so sqrt(N) F^-1 keeps the unit norm
     vec = sector.unfold(sector.inverse(vec, vec)).ravel() * math.sqrt(grid.point_count)
     psi = vec if vec.sum() >= 0.0 else -vec
-    return AtomicState(grid, alphaZ, energy, psi, residual, iterations)
+    return SpectralResult(energy=energy, vector=psi, residual=residual, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

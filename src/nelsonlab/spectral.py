@@ -104,9 +104,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import TELESCOPING_EPS, c_uv
-from .fockspace import FockBasis, ModeGrid, ladder_ops, vacuum_vector
+from .fockspace import FockBasis, ModeGrid, ladder_ops
 from .model import ConvergenceError, DomainError, ModelParams, ParameterError
-from .particle import AtomicState, GridSector, PositionGrid, atomic_ground, coulomb_potential
+from .particle import GridSector, PositionGrid, atomic_ground, coulomb_potential
 
 __all__ = [
     "SpectralResult",
@@ -310,7 +310,7 @@ class AssembledModel:
         # (M, K) raised states, (M, K, 1) sqrt(n) of each entry, (R, D) entries raising into
         # a state, K' states below the top two shells, (R', K) entries of (M, K') raising below K
         self._src, self._val, self._slots, self._inner, self._inner_slots = _ladder_table(basis)
-        self._atomic: AtomicState | None = None
+        self._atomic: SpectralResult | None = None
         self._solved: AssembledModel | None = None  # the sector copy ``_sector`` builds
         self._block_sampled = False  # whether a block on this model's tables was sampled
         self._shape = (basis.dim, 1 if grid is None else grid.point_count)  # (D, X)
@@ -592,8 +592,9 @@ class AssembledModel:
         denom = self._kin + self._hf + sigma
         return np.divide(s.reshape(self._shape), denom, dtype=self._type(s)).ravel()
 
-    def atomic_reference(self) -> AtomicState:
-        """Discrete atomic ground state on the gross model's grid (cached)."""
+    def atomic_reference(self) -> SpectralResult:
+        """Discrete atomic ground state on the gross model's grid (cached),
+        ``particle.atomic_ground``'s result."""
         if self.variant != "gross":
             raise ParameterError(f"the {self.variant} variant has no atomic reference")
         if self._atomic is None:
@@ -701,10 +702,11 @@ def lanczos_ground(model: AssembledModel, tol: float, maxit: int) -> SpectralRes
     Knyazev 2001, each step one Rayleigh-Ritz from Gram matrices as in
     Hetmaniuk and Lehoucq 2006), to ``tol`` within ``maxit`` products.
 
-    The seed is the discrete atomic ground state tensored with the Fock
-    vacuum (gross variant), the constant mode tensored with the vacuum
-    (v0), or the bare vacuum (the fiber, a block), in the model's scalar
-    type, so the fiber and block solves run in float64 and the grid
+    The seed (``_default_seed``) is the discrete atomic ground state, the
+    vector of ``atomic_reference()``, tensored with the Fock vacuum (gross
+    variant), the constant mode tensored with the vacuum (v0), or the bare
+    vacuum, the first unit vector (the fiber, a block), in the model's
+    scalar type, so the fiber and block solves run in float64 and the grid
     variants in complex128;
     seeding with the atomic state guarantees the returned energy is at most
     the discrete atomic energy, since the first Rayleigh quotient already
@@ -743,15 +745,16 @@ def _default_seed(model: AssembledModel, solved: AssembledModel) -> np.ndarray:
     sector, (D, X) flat: F psi in the vacuum row, one transform of the
     whole grid's points, folded onto the sector by ``GridSector.fold``; on
     one point per Fock state (the fiber, a block) the bare vacuum."""
+    s = np.zeros(solved._shape, dtype=model._dtype)  # float64 on one point, as the operator there
     if solved._cells is None:
-        return vacuum_vector(model.basis)  # real, as the operator on points is
+        s[0] = 1.0  # the bare vacuum
+        return s.ravel()
     if model.variant == "gross":
-        row = model.atomic_reference().psi[None].astype(complex)
+        row = model.atomic_reference().vector[None].astype(complex)
     else:
         row = np.full((1, model._shape[1]), 1.0 / math.sqrt(model._shape[1]), dtype=complex)
     cube = row.reshape((1,) + (model.grid.n,) * 3)
     np.fft.fftn(cube, axes=(1, 2, 3), out=cube)  # the one whole-grid transform, of one row
-    s = np.zeros(solved._shape, dtype=model._dtype)
     s[:1] = solved._cells.fold(row)
     return s.ravel()
 

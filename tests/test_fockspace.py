@@ -10,7 +10,8 @@ import pytest
 
 from fock_dense import dense_ladder, fock_rank, occupations
 from nelsonlab import fockspace as fs
-from nelsonlab.model import ParameterError
+from nelsonlab import spectral as sp
+from nelsonlab.model import ParameterError, make_params
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -173,8 +174,14 @@ def test_basis_holds_less_than_an_occupation_table():
 
 
 def test_vacuum_vector():
-    b = fs.FockBasis(3, 2)
-    v = fs.vacuum_vector(b)
+    """The fiber's seed is the Fock vacuum: the first unit vector, in
+    float64 as the operator on one point."""
+    modes = fs.build_modes(0.3, 2.0, 1, 3)
+    b = fs.FockBasis(modes.count, 2)
+    model = sp.assemble(make_params(0.2, 1.0, kappa=0.3, lam=2.0), None, modes, b,
+                        variant="fiber")
+    v = sp._default_seed(model, model._sector())
+    assert v.dtype == np.float64 and v.shape == (b.dim,)
     assert v[0] == 1.0
     assert np.linalg.norm(v) == 1.0
 
@@ -192,7 +199,7 @@ def _rank(b, occ):
 def test_ladder_matrix_elements():
     b = fs.FockBasis(2, 3)
     a, adag = dense_ladder(b, 0)
-    vac = fs.vacuum_vector(b)
+    vac = np.eye(b.dim)[0]  # the Fock vacuum is state 0
     assert np.all((a @ vac) == 0.0)
     one = adag @ vac
     assert one[_rank(b, (1, 0))] == pytest.approx(1.0)

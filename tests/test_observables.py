@@ -13,11 +13,10 @@ from nelsonlab.fockspace import FockBasis, build_modes
 from nelsonlab.model import ParameterError, make_params
 from nelsonlab.observables import (
     GroundStateReport,
+    _probabilities,
     ground_state_report,
     overlap_with_decoupled,
     photon_number,
-    position_density,
-    sector_weights,
     spatial_moment,
     vacuum_sector_weight,
 )
@@ -67,7 +66,7 @@ def product_state(particle_vec, basis, sector=0):
 def test_product_reference_has_full_overlap(atom16):
     _, at = atom16
     basis = FockBasis(2, 1)
-    state = product_state(at.psi, basis)
+    state = product_state(at.vector, basis)
     p, q = overlap_with_decoupled(state, at, basis)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert q == pytest.approx(0.0, abs=1e-12)
@@ -76,7 +75,7 @@ def test_product_reference_has_full_overlap(atom16):
 def test_orthogonal_particle_lands_in_q(atom16):
     _, at = atom16
     basis = FockBasis(2, 1)
-    ref = at.psi
+    ref = at.vector
     other = np.zeros_like(ref)
     other[5] = 1.0
     other -= (ref @ other) * ref
@@ -89,7 +88,7 @@ def test_orthogonal_particle_lands_in_q(atom16):
 def test_one_boson_state_has_empty_vacuum_sector(atom16):
     _, at = atom16
     basis = FockBasis(2, 1)
-    state = product_state(at.psi, basis, sector=fock_rank(basis, [1, 0])[0])
+    state = product_state(at.vector, basis, sector=fock_rank(basis, [1, 0])[0])
     p, q = overlap_with_decoupled(state, at, basis)
     assert p == 0.0 and q == 0.0
     assert vacuum_sector_weight(state, basis) == 0.0
@@ -101,10 +100,10 @@ def test_small_q_keeps_its_digits(atom16):
     remainder, not as the vacuum weight minus p, two numbers near 1."""
     _, at = atom16
     b = 1e-7
-    u = np.random.default_rng(11).standard_normal(at.psi.size)
-    u -= (at.psi @ u) * at.psi
+    u = np.random.default_rng(11).standard_normal(at.vector.size)
+    u -= (at.vector @ u) * at.vector
     u /= np.linalg.norm(u)
-    state = product_state(np.sqrt(1.0 - b**2) * at.psi + b * u, FockBasis(2, 1))
+    state = product_state(np.sqrt(1.0 - b**2) * at.vector + b * u, FockBasis(2, 1))
     p, q = overlap_with_decoupled(state, at, FockBasis(2, 1))
     assert p == pytest.approx(1.0 - b**2, abs=1e-15)
     assert q == pytest.approx(b**2, rel=1e-10, abs=0.0)
@@ -144,7 +143,7 @@ def test_photon_split_on_trivial_states(atom16):
     modes = build_modes(0.2, 1.6, 2, 1)  # nodes straddle the soft boundary
     assert np.count_nonzero(modes.soft_mask) == 1 and modes.count == 2
     basis = FockBasis(modes.count, 2)
-    ref = at.psi
+    ref = at.vector
 
     vac = product_state(ref, basis)
     assert photon_number(vac, basis, modes) == (0.0, 0.0, 0.0)
@@ -173,10 +172,16 @@ def test_photon_split_is_exact_and_markov_holds(seed):
 
 
 def test_sector_weights_sum_to_one():
+    """The one |psi|^2 pass: its Fock weights and its density each sum to
+    one, and its vacuum row is the unit state's first Fock row."""
     rng = np.random.default_rng(3)
     basis = FockBasis(2, 2)
     state = rng.standard_normal(8 * basis.dim)
-    assert sector_weights(state, basis).sum() == pytest.approx(1.0, abs=1e-12)
+    weights, density, row = _probabilities(state, basis)
+    assert weights.shape == (basis.dim,) and density.shape == (8,)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert density.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(row, state[:8] / np.linalg.norm(state), rtol=0.0, atol=1e-15)
 
 
 def test_photon_number_guards():
@@ -185,7 +190,7 @@ def test_photon_number_guards():
     with pytest.raises(ParameterError):
         photon_number(np.ones(4 * basis.dim), basis, modes)
     with pytest.raises(ParameterError):
-        sector_weights(np.ones(10), FockBasis(2, 1))  # 10 not divisible by 3
+        vacuum_sector_weight(np.ones(10), FockBasis(2, 1))  # 10 not divisible by 3
     with pytest.raises(ParameterError):
         vacuum_sector_weight(np.zeros(12), FockBasis(2, 1))
 
@@ -215,7 +220,7 @@ def test_solver_state_matches_hydrogen_moment():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         at = atomic_ground(grid, 1.0)
-    m1 = spatial_moment(at.psi, grid, BASIS1, "abs_x")
+    m1 = spatial_moment(at.vector, grid, BASIS1, "abs_x")
     assert m1 == pytest.approx(1.5, rel=0.15)
 
 
@@ -226,7 +231,7 @@ def test_moment_table_values():
     r = grid.radius.ravel()
     rng = np.random.default_rng(5)
     state = rng.standard_normal(grid.point_count)
-    density = position_density(state, BASIS1)
+    density = _probabilities(state, BASIS1)[1]
     for name, values in (("abs_x", r), ("x_squared", r**2), ("log3", np.log(3.0 + r))):
         assert spatial_moment(state, grid, BASIS1, name) == float(values @ density)
 
@@ -302,7 +307,7 @@ def test_report_is_the_public_observables_bit_for_bit(coupled):
                                                                rep.n_f_hard)
     for name in ("abs_x", "x_squared", "log3"):
         assert spatial_moment(state, model.grid, basis, name) == rep.moments[name]
-    assert np.array_equal(position_density(state, basis), rep.density)
+    assert np.array_equal(_probabilities(state, basis)[1], rep.density)
     assert overlap_with_decoupled(state, model.atomic_reference(), basis) == (rep.overlap_p,
                                                                               rep.overlap_q)
     assert vacuum_sector_weight(state, basis) == rep.vacuum_weight

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nelsonlab.model import ParameterError
+from nelsonlab.closedform import atomic_level
+from nelsonlab.model import FOUR_PI, ParameterError
 from nelsonlab.particle import (
     GridSector,
     PositionGrid,
@@ -14,7 +15,7 @@ from nelsonlab.particle import (
     coulomb_potential,
     radial_resolvent_l1,
 )
-from nelsonlab.spectral import lanczos_lowest
+from nelsonlab.spectral import SpectralResult, lanczos_lowest
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +159,10 @@ def atomic_ladder():
 def test_atomic_free_particle_is_constant():
     g = PositionGrid(n=8, L=5.0)
     st = atomic_ground(g, 0.0)
-    assert st.energy == 0.0
-    assert st.psi.shape == (g.point_count,)
-    assert np.allclose(st.psi, g.point_count**-0.5)
+    assert isinstance(st, SpectralResult)
+    assert st.energy == 0.0 and st.residual == 0.0 and st.iterations == 0
+    assert st.vector.shape == (g.point_count,)
+    assert np.allclose(st.vector, g.point_count**-0.5)
 
 
 def test_atomic_matches_dense_reference():
@@ -175,7 +177,7 @@ def test_atomic_matches_dense_reference():
     H = kinetic + np.diag(-alphaZ / np.maximum(g.radius, g.h / 2.0).ravel())
     evals, evecs = np.linalg.eigh(H)
     assert st.energy == pytest.approx(evals[0], abs=1e-10)
-    overlap = np.vdot(evecs[:, 0], st.psi)
+    overlap = np.vdot(evecs[:, 0], st.vector)
     assert abs(overlap) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -217,8 +219,8 @@ def test_atom_on_the_even_cube_is_the_full_grid_solve(n, L, alphaZ):
         st = atomic_ground(g, alphaZ)
     energy, psi, products = _full_grid_atom(g, alphaZ)
     assert st.energy == pytest.approx(energy, rel=1e-12, abs=1e-15)
-    assert st.psi.shape == (g.point_count,)
-    assert np.max(np.abs(st.psi - psi)) <= 1e-12
+    assert st.vector.shape == (g.point_count,)
+    assert np.max(np.abs(st.vector - psi)) <= 1e-12
     assert st.iterations == products
 
 
@@ -231,20 +233,32 @@ def test_atomic_energy_window(atomic_ladder):
 
 
 def test_atomic_error_decreases_with_resolution(atomic_ladder):
-    errs = [atomic_ladder[n].discretization_error for n in (32, 48, 64)]
+    """The distance to the continuum level -(alphaZ)^2/2, here at alphaZ = 1
+    (e^2 = 4 pi, Z = 1), shrinks as the grid refines."""
+    level = atomic_level(math.sqrt(FOUR_PI), 1.0)
+    assert level == pytest.approx(-0.5, rel=1e-15)
+    errs = [abs(atomic_ladder[n].energy - level) for n in (32, 48, 64)]
     assert errs[0] > errs[1] > errs[2]
 
 
+def _analytic_profile(grid):
+    """e^{-|x|}, the atom at alphaZ = 1, sampled flat and scaled to a unit
+    l2 vector."""
+    raw = np.exp(-grid.radius).ravel()
+    return raw / np.linalg.norm(raw)
+
+
 def test_atomic_overlap_with_analytic(atomic_ladder):
-    assert atomic_ladder[64].overlap_with_analytic() > 0.99
+    grid = PositionGrid(n=64, L=20.0)
+    assert abs(float(atomic_ladder[64].vector @ _analytic_profile(grid))) > 0.99
 
 
 def test_atomic_normalization(atomic_ladder):
     """The atom is the unit l2 vector over the grid points, flat."""
-    st = atomic_ladder[32]
-    assert st.psi.shape == (st.grid.point_count,)
-    assert float(np.linalg.norm(st.psi)) == pytest.approx(1.0, abs=1e-12)
-    assert float(np.linalg.norm(st.analytic_state())) == pytest.approx(1.0, abs=1e-12)
+    st, grid = atomic_ladder[32], PositionGrid(n=32, L=20.0)
+    assert st.vector.shape == (grid.point_count,)
+    assert float(np.linalg.norm(st.vector)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.linalg.norm(_analytic_profile(grid))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_atomic_resolution_warning():

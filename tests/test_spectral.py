@@ -1072,7 +1072,7 @@ def test_ground_state_layout_is_fock_major():
                         FockBasis(modes.count, 2), variant="gross")
     mat = sp.lanczos_ground(model, tol=1e-10, maxit=300).vector.reshape(model.basis.dim, -1)
     assert np.linalg.norm(mat[1:]) == 0.0
-    overlap = abs(np.vdot(model.atomic_reference().psi, mat[0]))
+    overlap = abs(np.vdot(model.atomic_reference().vector, mat[0]))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1095,7 +1095,7 @@ def test_gross_potential_is_the_atoms(small_setup, gross_model):
     """energy.upper compares the gross energy with the atom's, so both read
     one softened Coulomb potential, -s / max(|x|, h/2), bit for bit."""
     _, grid, _, _ = small_setup
-    strength = gross_model.atomic_reference().alphaZ
+    strength = gross_model.params.alphaZ
     assert strength > 0.0
     assert np.array_equal(gross_model._pot, coulomb_potential(grid, strength).ravel())
     assert np.array_equal(gross_model._pot,

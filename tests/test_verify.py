@@ -20,7 +20,7 @@ from nelsonlab.verify import (
 )
 from nelsonlab.cli import RunConfig, _resolution, _to_json
 from nelsonlab.fockspace import FockBasis, build_modes
-from nelsonlab.particle import GridSector, PositionGrid
+from nelsonlab.particle import GridSector, PositionGrid, atomic_ground
 from nelsonlab.spectral import effective_mass_numeric
 
 SMALL = Resolution(n=8, L=10.0, n_radial=2, n_angular=1, n_max=1, tol=1e-10, maxit=200)
@@ -304,20 +304,28 @@ def test_each_shared_solve_runs_once(monkeypatch):
 def test_one_density_per_ground_state(monkeypatch):
     """The suite forms |psi|^2 of its ground state once: the g_R and
     exponential moments weigh the density of the report the other checks
-    read."""
+    read.  Each public observable forms it once per call."""
     calls = []
-    as_matrix = observables._as_matrix
+    probabilities = observables._probabilities
 
     def counted(state, basis):
         calls.append(basis.dim)
-        return as_matrix(state, basis)
+        return probabilities(state, basis)
 
-    monkeypatch.setattr(observables, "_as_matrix", counted)
+    monkeypatch.setattr(observables, "_probabilities", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reports = by_id(run_suite(make_params(0.3, 1.0), SMALL))
     assert len(calls) == 1
     assert reports["localization.g_square"].passed and reports["moment.exponential"].passed
+    calls.clear()
+    grid, basis = PositionGrid(n=4, L=3.0), FockBasis(2, 1)
+    state = np.ones(grid.point_count * basis.dim)
+    observables.photon_number(state, basis, build_modes(0.3, 2.0, 1, 2))
+    observables.spatial_moment(state, grid, basis, "abs_x")
+    observables.overlap_with_decoupled(state, atomic_ground(grid, 0.0), basis)
+    observables.vacuum_sector_weight(state, basis)
+    assert len(calls) == 4
 
 
 def test_exponential_beta_admits_every_scanned_radius(full_suite):
